@@ -8,6 +8,8 @@ truncation-scaling studies that expose how those quantities behave as the
 truncation grows.
 """
 
+from types import ModuleType as _ModuleType
+
 from .diagnostics import (
     BoundsReport,
     GramSpectrum,
@@ -31,6 +33,7 @@ from .duals import (
     minimal_dual,
 )
 from .errors import (
+    ConfigurationError,
     CriteriaDisagreementError,
     DimensionError,
     FitDomainError,
@@ -85,67 +88,8 @@ from .seqcore import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbientSpace",
-    "BoundsReport",
-    "CoCompleteness",
-    "CoefficientVector",
-    "CriteriaDisagreementError",
-    "DimensionError",
-    "FamilySpec",
-    "FitDomainError",
-    "GaborDiscretization",
-    "GeneratedPair",
-    "GramMatrix",
-    "GramSpectrum",
-    "GrowthFit",
-    "IllConditionedError",
-    "MatrixParseError",
-    "NoBiorthogonalSequenceError",
-    "NotARieszBasisError",
-    "NotBiorthogonalError",
-    "PointSet2D",
-    "RieszBounds",
-    "RieszLabError",
-    "ScalingReport",
-    "SingularOperatorError",
-    "SizeMetrics",
-    "TrendVerdict",
-    "TruncationError",
-    "Verdict",
-    "VerdictKind",
-    "VectorSequence",
-    "als_point_set",
-    "alternating_weighted_pair",
-    "analysis",
-    "bessel_bound",
-    "biorthogonality_residual",
-    "classify",
-    "co_completeness_check",
-    "completeness_defect",
-    "duality_identity_residual",
-    "equivalent_inner_product",
-    "fit_growth",
-    "frame_apply",
-    "gabor_refinement_study",
-    "gaussian_gabor",
-    "gram",
-    "gram_spectrum",
-    "injectivity_witness",
-    "inner",
-    "lattice_points",
-    "minimal_dual",
-    "numerical_rank",
-    "orthonormal",
-    "punctured_lattice",
-    "random_riesz",
-    "rank_tolerance",
-    "riesz_bounds",
-    "riesz_from_operator",
-    "run_family",
-    "span_distance",
-    "synthesis",
-    "weighted_pair",
-    "young_example",
-    "young_general",
-]
+#: Every name imported above is public; submodules are not re-exported.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: analyze, dual, example, family, gabor.  Exit codes are stable:
-0 ok, 2 usage or parse error, 3 numeric failure, 4 no biorthogonal dual,
+0 ok, 2 usage or parse error (including an unreadable or unwritable path and
+an unusable RIESZLAB_THREADS), 3 numeric failure, 4 no biorthogonal dual,
 5 unsafe Gabor truncation.  All randomness sits behind --seed (default 0);
 identical invocations produce byte-identical outputs.
 """
@@ -16,6 +17,7 @@ import numpy as np
 from . import diagnostics, duals, generators, matrixio, scaling
 from .diagnostics import BIORTHOGONALITY_TOL, TWO_ROUTE_RTOL, VerdictKind
 from .errors import (
+    ConfigurationError,
     CriteriaDisagreementError,
     DimensionError,
     FitDomainError,
@@ -67,6 +69,7 @@ def _emit(payload: dict, json_path) -> None:
 
 
 def _analysis_payload(seq: VectorSequence, source: str) -> dict:
+    # classify, gram_spectrum and minimal_dual all read seq's spectral record.
     verdict = diagnostics.classify(seq)
     spectrum = diagnostics.gram_spectrum(seq)
     residuals = {"biorthogonality": None, "dualityIdentity": None}
@@ -74,8 +77,8 @@ def _analysis_payload(seq: VectorSequence, source: str) -> dict:
         try:
             partner = duals.minimal_dual(seq)
         except IllConditionedError:
-            partner = None
-        if partner is not None:
+            pass
+        else:
             residuals = {
                 "biorthogonality": diagnostics.biorthogonality_residual(seq, partner),
                 "dualityIdentity": duals.duality_identity_residual(seq, partner),
@@ -94,10 +97,7 @@ def _analysis_payload(seq: VectorSequence, source: str) -> dict:
             "lambdaMax": finite_or_none(spectrum.lambda_max),
             "bijective": spectrum.bijective,
         },
-        "residuals": {
-            "biorthogonality": finite_or_none(residuals["biorthogonality"]),
-            "dualityIdentity": finite_or_none(residuals["dualityIdentity"]),
-        },
+        "residuals": {name: finite_or_none(value) for name, value in residuals.items()},
         "verdict": verdict.kind.value,
         "tolerances": _tolerances(),
     }
@@ -113,12 +113,9 @@ def _cmd_dual(args) -> int:
     seq = matrixio.read_matrix(args.input)
     partner = duals.minimal_dual(seq)
     matrixio.write_matrix(args.out, partner)
+    # The payload's residuals are those of this partner, read from seq's record.
     payload = _analysis_payload(seq, args.input)
     payload["dualPath"] = args.out
-    payload["residuals"] = {
-        "biorthogonality": finite_or_none(diagnostics.biorthogonality_residual(seq, partner)),
-        "dualityIdentity": finite_or_none(duals.duality_identity_residual(seq, partner)),
-    }
     _emit(payload, args.json)
     return EXIT_OK
 
@@ -308,7 +305,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, MatrixParseError, DimensionError, FileNotFoundError) as exc:
+    except (UsageError, MatrixParseError, DimensionError, ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NoBiorthogonalSequenceError:

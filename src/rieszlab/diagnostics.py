@@ -8,7 +8,8 @@ namely the extreme eigenvalues of the Gram matrix, equivalently the extreme
 squared singular values of the column matrix.  `classify` evaluates the
 criterion through independent routes (singular values of the columns, Gram
 spectrum, and a biorthogonal-dual route when a dual exists) and demands that
-they agree; a disagreement is a tolerance bug, never a valid outcome.
+they agree; a disagreement is a tolerance bug, never a valid outcome.  Every
+route reads its factorization from the system's spectral record.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from .seqcore import (
     RANK_TOL_SCALE,
     VectorSequence,
     _ambient_vector,
+    _rank,
+    _rank_tol,
+    _singular_values,
     gram,
-    numerical_rank,
 )
 
 #: Relative agreement demanded between the Gram-eigenvalue and
@@ -96,14 +99,6 @@ class GramSpectrum(NamedTuple):
     bijective: bool
 
 
-def _singular_values(seq: VectorSequence) -> np.ndarray:
-    return np.linalg.svd(seq.columns, compute_uv=False)
-
-
-def _rank_tol_from_sigma(sigma_max: float, dim: int, count: int) -> float:
-    return sigma_max * max(dim, count) * RANK_TOL_SCALE
-
-
 def _gram_zero_threshold(lambda_max: float, dim: int, count: int) -> float:
     """Effective zero for Gram eigenvalues: shared rank tolerance squared,
     floored at the eigensolver's absolute accuracy."""
@@ -124,21 +119,32 @@ def riesz_bounds(seq: VectorSequence) -> RieszBounds:
     return RieszBounds(lower, upper)
 
 
+def _compared_routes(seq: VectorSequence):
+    """(A, B) from the singular values and the ascending Gram eigenvalues,
+    after asserting that both extremes agree along the two routes."""
+    lower, upper = riesz_bounds(seq)
+    lam = gram(seq).eigenvalues
+    lambda_min, lambda_max = float(lam[0]), float(lam[-1])
+    scale = max(lambda_max, upper)
+    if scale > 0.0 and (
+        abs(lambda_max - upper) > TWO_ROUTE_RTOL * scale
+        or abs(lambda_min - lower) > TWO_ROUTE_RTOL * scale
+    ):
+        raise CriteriaDisagreementError(
+            f"Gram spectrum ({lambda_min!r}, {lambda_max!r}) disagrees with "
+            f"singular-value bounds ({lower!r}, {upper!r})"
+        )
+    return lower, upper, lam
+
+
 def bessel_bound(seq: VectorSequence) -> float:
     """Smallest valid upper bound B, asserted equal along both routes."""
-    svd_route = riesz_bounds(seq).upper
-    eig_route = float(gram(seq).eigenvalues[-1])
-    scale = max(svd_route, eig_route)
-    if scale > 0.0 and abs(svd_route - eig_route) > TWO_ROUTE_RTOL * scale:
-        raise CriteriaDisagreementError(
-            f"upper-bound routes disagree: sigma_max^2={svd_route!r}, lambda_max={eig_route!r}"
-        )
-    return svd_route
+    return _compared_routes(seq)[1]
 
 
 def completeness_defect(seq: VectorSequence) -> int:
     """Ambient dimension minus the numerical rank of the columns; 0 = complete."""
-    return seq.dim - numerical_rank(seq.columns)
+    return seq.dim - _rank(seq)
 
 
 def span_distance(seq: VectorSequence, vector) -> float:
@@ -154,29 +160,22 @@ def gram_spectrum(seq: VectorSequence) -> GramSpectrum:
 
     Asserts agreement with the singular-value route before returning.
     """
-    lam = gram(seq).eigenvalues
+    lam = _compared_routes(seq)[2]
     lambda_min, lambda_max = float(lam[0]), float(lam[-1])
-    lower, upper = riesz_bounds(seq)
-    scale = max(lambda_max, upper)
-    if scale > 0.0:
-        if abs(lambda_max - upper) > TWO_ROUTE_RTOL * scale:
-            raise CriteriaDisagreementError(
-                f"lambda_max={lambda_max!r} vs sigma_max^2={upper!r}"
-            )
-        if abs(lambda_min - lower) > TWO_ROUTE_RTOL * scale:
-            raise CriteriaDisagreementError(
-                f"lambda_min={lambda_min!r} vs sigma_min^2={lower!r}"
-            )
     bijective = bool(lambda_min > _gram_zero_threshold(lambda_max, seq.dim, seq.count))
     return GramSpectrum(lambda_min, lambda_max, bijective)
 
 
-def biorthogonality_residual(seq: VectorSequence, partner: VectorSequence) -> float:
-    """max over (j, k) of |<f_k, g_j> - delta_jk|."""
+def _check_pair(seq: VectorSequence, partner: VectorSequence) -> None:
     if seq.count != partner.count or seq.dim != partner.dim:
         raise DimensionError(
             f"shape mismatch: {seq.dim}x{seq.count} vs {partner.dim}x{partner.count}"
         )
+
+
+def biorthogonality_residual(seq: VectorSequence, partner: VectorSequence) -> float:
+    """max over (j, k) of |<f_k, g_j> - delta_jk|."""
+    _check_pair(seq, partner)
     cross = partner.columns.conj().T @ seq.columns
     return float(np.abs(cross - np.eye(seq.count)).max())
 
@@ -213,28 +212,19 @@ def classify(seq: VectorSequence) -> Verdict:
     three checks the dual's defect against the relaxed criterion (two-sided
     bounded pair, biorthogonal, at least one member complete).  Routes must
     agree; `CriteriaDisagreementError` signals a tolerance bug.
+
+    The routes stay independent (an SVD of F, an eigensolve of F^H F, the
+    dual's solve, SVD and eigensolve); each factorization is kept in the
+    spectral record of the system it factors and reused by later calls.
     """
-    sigma = _singular_values(seq)
-    tol = _rank_tol_from_sigma(float(sigma[0]), seq.dim, seq.count)
-    lower, upper = riesz_bounds(seq)
-    rank = int(np.count_nonzero(sigma > tol)) if sigma[0] > 0.0 else 0
-    defect = seq.dim - rank
+    lower, upper, lam = _compared_routes(seq)
+    tol = _rank_tol(seq)
+    defect = seq.dim - _rank(seq)
     kind = _verdict_kind(lower > tol**2, defect)
 
-    lam = gram(seq).eigenvalues
-    lambda_min, lambda_max = float(lam[0]), float(lam[-1])
-    scale = max(lambda_max, upper)
-    if scale > 0.0 and (
-        abs(lambda_max - upper) > TWO_ROUTE_RTOL * scale
-        or abs(lambda_min - lower) > TWO_ROUTE_RTOL * scale
-    ):
-        raise CriteriaDisagreementError(
-            f"Gram spectrum ({lambda_min!r}, {lambda_max!r}) disagrees with "
-            f"singular-value bounds ({lower!r}, {upper!r})"
-        )
-    gram_zero = _gram_zero_threshold(lambda_max, seq.dim, seq.count)
+    gram_zero = _gram_zero_threshold(float(lam[-1]), seq.dim, seq.count)
     gram_rank = int(np.count_nonzero(lam > gram_zero))
-    gram_kind = _verdict_kind(lambda_min > gram_zero, seq.dim - gram_rank)
+    gram_kind = _verdict_kind(float(lam[0]) > gram_zero, seq.dim - gram_rank)
     if gram_kind is not kind:
         raise CriteriaDisagreementError(
             f"column route says {kind.value}, Gram route says {gram_kind.value}"

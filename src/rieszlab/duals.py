@@ -15,22 +15,22 @@ import numpy as np
 
 from .diagnostics import (
     BIORTHOGONALITY_TOL,
+    _check_pair,
     biorthogonality_residual,
     completeness_defect,
     riesz_bounds,
 )
 from .errors import (
-    DimensionError,
     IllConditionedError,
     NoBiorthogonalSequenceError,
     NotBiorthogonalError,
 )
 from .seqcore import (
     VectorSequence,
+    _gram_entries,
+    _rank_tol,
     analysis,
     coefficient_entries,
-    gram,
-    rank_tolerance,
     synthesis,
 )
 
@@ -39,13 +39,6 @@ class CoCompleteness(NamedTuple):
     defect_primal: int
     defect_dual: int
     equal: bool
-
-
-def _check_pair(seq: VectorSequence, partner: VectorSequence) -> None:
-    if seq.count != partner.count or seq.dim != partner.dim:
-        raise DimensionError(
-            f"shape mismatch: {seq.dim}x{seq.count} vs {partner.dim}x{partner.count}"
-        )
 
 
 def minimal_dual(seq: VectorSequence) -> VectorSequence:
@@ -57,22 +50,32 @@ def minimal_dual(seq: VectorSequence) -> VectorSequence:
     accepted only if the biorthogonality residual meets the 1e-8 contract;
     otherwise IllConditionedError is raised instead of returning a silently
     degraded dual.
+
+    The outcome is kept in the system's spectral record: later calls return
+    the same partner, or raise a fresh error of the same type and message.
+    The partner has its own record, independent of the system's.
     """
-    lower = riesz_bounds(seq).lower
-    tol = rank_tolerance(seq.columns)
-    if lower <= tol**2:
-        raise NoBiorthogonalSequenceError(
+    outcome = seq._record.fill("dual", lambda: _construct_dual(seq))
+    if isinstance(outcome, VectorSequence):
+        return outcome
+    error_type, message = outcome
+    raise error_type(message)
+
+
+def _construct_dual(seq: VectorSequence):
+    """The minimal dual, or the (error type, message) that refuses it."""
+    if riesz_bounds(seq).lower <= _rank_tol(seq) ** 2:
+        return NoBiorthogonalSequenceError, (
             "columns are linearly dependent (not minimal); no biorthogonal sequence exists"
         )
-    gram_entries = gram(seq).entries
     try:
-        dual_adjoint = np.linalg.solve(gram_entries, seq.columns.conj().T)
+        dual_adjoint = np.linalg.solve(_gram_entries(seq), seq.columns.conj().T)
     except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(f"Gram factorization failed: {exc}") from exc
+        return IllConditionedError, f"Gram factorization failed: {exc}"
     partner = VectorSequence(seq.ambient, dual_adjoint.conj().T)
     residual = biorthogonality_residual(seq, partner)
     if residual > BIORTHOGONALITY_TOL:
-        raise IllConditionedError(
+        return IllConditionedError, (
             f"biorthogonality residual {residual:.3e} exceeds {BIORTHOGONALITY_TOL:.0e}; "
             "the system is too ill-conditioned for a trustworthy dual"
         )

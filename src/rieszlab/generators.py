@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError, SingularOperatorError, TruncationError
-from .seqcore import VectorSequence, rank_tolerance
+from .seqcore import VectorSequence, _rank_tol, _singular_values
 
 #: Time shifts must stay this far from the grid edge; three widths of the
 #: Gaussian leave a tail amplitude of exp(-9 pi) ~ 5e-13.
@@ -131,10 +131,14 @@ def riesz_from_operator(operator) -> VectorSequence:
     v = np.asarray(operator, dtype=complex)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise DimensionError(f"operator must be square, got shape {v.shape}")
-    sigma = np.linalg.svd(v, compute_uv=False)
-    if sigma[0] == 0.0 or sigma[-1] <= rank_tolerance(v):
+    return _invertible(VectorSequence.from_columns(v))
+
+
+def _invertible(seq: VectorSequence) -> VectorSequence:
+    sigma = _singular_values(seq)
+    if sigma[0] == 0.0 or sigma[-1] <= _rank_tol(seq):
         raise SingularOperatorError("operator is numerically singular")
-    return VectorSequence.from_columns(v)
+    return seq
 
 
 def random_riesz(n: int, seed=0) -> VectorSequence:
@@ -142,14 +146,15 @@ def random_riesz(n: int, seed=0) -> VectorSequence:
 
     Entries are complex Gaussian, (x + iy)/sqrt(2) with x, y standard normal,
     redrawn until the condition number is at most 1e6.  Identical seeds give
-    identical systems.
+    identical systems.  Each draw is factored once, in the system it returns.
     """
     rng = np.random.default_rng(seed)
     while True:
         v = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-        sigma = np.linalg.svd(v, compute_uv=False)
+        seq = VectorSequence.from_columns(v)
+        sigma = _singular_values(seq)
         if sigma[-1] > 0.0 and sigma[0] / sigma[-1] <= RIESZ_CONDITION_LIMIT:
-            return riesz_from_operator(v)
+            return _invertible(seq)
 
 
 def weighted_pair(n: int) -> GeneratedPair:
@@ -183,17 +188,7 @@ def young_example(n_vectors: int) -> GeneratedPair:
     to e_1 as N grows (distance 1/sqrt(N+1)) while the partner misses e_1
     exactly at every size.
     """
-    if n_vectors < 1:
-        raise ValueError("n_vectors must be >= 1")
-    dim = n_vectors + 1
-    partner_cols = np.zeros((dim, n_vectors), dtype=complex)
-    partner_cols[1:, :] = np.eye(n_vectors)
-    primal_cols = partner_cols.copy()
-    primal_cols[0, :] = 1.0
-    return GeneratedPair(
-        VectorSequence.from_columns(primal_cols),
-        VectorSequence.from_columns(partner_cols),
-    )
+    return young_general(n_vectors, n_vectors, 1)
 
 
 def young_general(subspace_dim: int, n_vectors: int, complement_dim: int = 1) -> GeneratedPair:

@@ -50,16 +50,18 @@ def parse_complex(cell: str) -> complex:
 
 
 def write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Temp file plus rename; an OSError names `path`, and no temp file remains."""
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
-        raise
 
 
 def matrix_text(seq: VectorSequence) -> str:

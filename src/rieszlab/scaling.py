@@ -23,9 +23,9 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import diagnostics, duals, generators
-from .errors import FitDomainError, IllConditionedError
+from .errors import ConfigurationError, FitDomainError, IllConditionedError
 from .generators import GaborDiscretization, PointSet2D
-from .seqcore import rank_tolerance
+from .seqcore import _rank_tol
 
 #: Environment variable capping the number of worker threads.
 THREADS_ENV_VAR = "RIESZLAB_THREADS"
@@ -175,7 +175,11 @@ def _worker_count(n_jobs: int) -> int:
     cap = os.environ.get(THREADS_ENV_VAR)
     workers = min(n_jobs, os.cpu_count() or 1)
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            cap = int(cap)
+        except ValueError:
+            raise ConfigurationError(f"{THREADS_ENV_VAR} must be an integer, got {cap!r}") from None
+        workers = min(workers, max(1, cap))
     return max(1, workers)
 
 
@@ -237,21 +241,19 @@ def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
         if partner is not None:
             dual_upper = diagnostics.bessel_bound(partner)
             duality_residual = duals.duality_identity_residual(system, partner)
-        else:
-            tol = rank_tolerance(system.columns)
-            if lower > tol**2:
-                # The minimal dual's Gram is the inverse Gram, so its optimal
-                # upper bound is available without forming the dual.
-                dual_upper = 1.0 / lower
-                try:
-                    duality_residual = duals.duality_identity_residual(
-                        system, duals.minimal_dual(system)
-                    )
-                except IllConditionedError:
-                    duality_residual = None
-            else:
-                dual_upper = None
+        elif lower > _rank_tol(system) ** 2:
+            # The minimal dual's Gram is the inverse Gram, so its optimal
+            # upper bound is available without forming the dual.
+            dual_upper = 1.0 / lower
+            try:
+                duality_residual = duals.duality_identity_residual(
+                    system, duals.minimal_dual(system)
+                )
+            except IllConditionedError:
                 duality_residual = None
+        else:
+            dual_upper = None
+            duality_residual = None
     except Exception as exc:
         raise type(exc)(f"size {size}: {exc}") from exc
     return SizeMetrics(size, lower, upper, defect_distance, dual_upper, duality_residual)

@@ -11,7 +11,8 @@ operator h -> (<h, f_k>)_k is the conjugate transpose of the column matrix,
 and the Gram matrix has entry (j, k) = <f_k, f_j> = (F^H F)[j, k].
 
 All values are immutable; every operation is a pure function, so instances
-can be shared freely across threads.
+can be shared freely across threads.  Each VectorSequence keeps its
+factorizations, once computed, in a private `_SpectralRecord`.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class VectorSequence:
         if cols.shape[1] < 1:
             raise ValueError("a vector sequence needs at least one member")
         object.__setattr__(self, "columns", _frozen(cols))
+        object.__setattr__(self, "_record", _SpectralRecord())
 
     @classmethod
     def from_columns(cls, columns) -> "VectorSequence":
@@ -125,7 +127,9 @@ class GramMatrix:
 
     Entry (j, k) holds <f_k, f_j>.  Hermitian symmetry and positive
     semidefiniteness are validated at construction; the (ascending)
-    eigenvalues computed during validation are kept for reuse.
+    eigenvalues computed during validation are kept for reuse.  `gram(seq)`
+    builds it at most once per system, only for the Gram route, which stays
+    independent of the singular-value route.
     """
 
     entries: np.ndarray
@@ -190,8 +194,9 @@ def analysis(seq: VectorSequence, vector) -> CoefficientVector:
 
 
 def gram(seq: VectorSequence) -> GramMatrix:
-    """The Gram matrix F^H F with entry (j, k) = <f_k, f_j>."""
-    return GramMatrix(seq.columns.conj().T @ seq.columns)
+    """The Gram matrix F^H F with entry (j, k) = <f_k, f_j>, built and
+    validated once per system and then read from its spectral record."""
+    return seq._record.fill("gram", lambda: GramMatrix(_gram_entries(seq)))
 
 
 def frame_apply(seq: VectorSequence, vector) -> np.ndarray:
@@ -200,20 +205,64 @@ def frame_apply(seq: VectorSequence, vector) -> np.ndarray:
     return seq.columns @ (seq.columns.conj().T @ h)
 
 
+def _rank_threshold(sigma: np.ndarray, shape) -> float:
+    """The shared rank threshold sigma_max * max(n, m) * RANK_TOL_SCALE."""
+    return float(sigma[0]) * max(shape) * RANK_TOL_SCALE if sigma.size else 0.0
+
+
 def rank_tolerance(matrix) -> float:
     """Shared rank threshold sigma_max * max(n, m) * 1e-12 for a matrix."""
     arr = np.asarray(matrix, dtype=complex)
-    sigma = np.linalg.svd(arr, compute_uv=False)
-    if sigma.size == 0:
-        return 0.0
-    return float(sigma[0]) * max(arr.shape) * RANK_TOL_SCALE
+    return _rank_threshold(np.linalg.svd(arr, compute_uv=False), arr.shape)
 
 
 def numerical_rank(matrix) -> int:
     """Number of singular values above the shared rank threshold."""
     arr = np.asarray(matrix, dtype=complex)
     sigma = np.linalg.svd(arr, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    tol = float(sigma[0]) * max(arr.shape) * RANK_TOL_SCALE
-    return int(np.count_nonzero(sigma > tol))
+    return int(np.count_nonzero(sigma > _rank_threshold(sigma, arr.shape)))
+
+
+class _SpectralRecord:
+    """Factorizations of one VectorSequence, each computed on first read.
+
+    Entries: "sigma" (singular values of F), "rank_tol", "gram_entries" (F^H F,
+    no eigensolve), "gram" (the validated GramMatrix) and "dual" (the outcome
+    of `duals.minimal_dual`).  The record lives and dies with its sequence and
+    holds no U/V factors.  Threads racing on a first read may each compute an
+    entry; the first stored value is the one every caller gets.
+    """
+
+    def fill(self, name: str, compute):
+        try:
+            return self.__dict__[name]
+        except KeyError:
+            return self.__dict__.setdefault(name, compute())
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _singular_values(seq: VectorSequence) -> np.ndarray:
+    """Singular values of the columns, descending; one SVD per system."""
+    return seq._record.fill(
+        "sigma", lambda: _read_only(np.linalg.svd(seq.columns, compute_uv=False))
+    )
+
+
+def _rank_tol(seq: VectorSequence) -> float:
+    return seq._record.fill(
+        "rank_tol", lambda: _rank_threshold(_singular_values(seq), seq.columns.shape)
+    )
+
+
+def _rank(seq: VectorSequence) -> int:
+    return int(np.count_nonzero(_singular_values(seq) > _rank_tol(seq)))
+
+
+def _gram_entries(seq: VectorSequence) -> np.ndarray:
+    return seq._record.fill(
+        "gram_entries", lambda: _read_only(seq.columns.conj().T @ seq.columns)
+    )

@@ -64,6 +64,9 @@ class TestAnalyze:
 
     def test_missing_file(self, capsys):
         assert run_cli("analyze", "does-not-exist.csv") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: [Errno 2] No such file or directory: 'does-not-exist.csv'"
+        ]
 
 
 class TestDual:
@@ -99,6 +102,7 @@ class TestDual:
         src.write_text("1,2\n0,0\n")
         assert run_cli("dual", str(src), "-o", str(tmp_path / "d.csv")) == 4
         assert "no biorthogonal sequence exists (minimality fails)" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dep.csv"]
 
     def test_ill_conditioned_exit_3(self, tmp_path, capsys):
         src = tmp_path / "ill.csv"
@@ -246,3 +250,65 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["verdict"] == "RieszBasis"
+
+
+# One row per failure mode of the documented exit codes 0/2/3/4/5, beside the
+# cases the classes above already cover.  {dir} is the test's directory, which
+# holds basis.csv (a 3x3 basis), ill.csv, wide.csv, far.csv and outdir/.
+EXIT_CODE_TABLE = [
+    ("threads-cap-clamped", {"RIESZLAB_THREADS": "0"},
+     ["family", "--gen", "weighted", "--sizes", "4,8,16", "--json", "{dir}/f.json"], 0, None),
+    ("threads-cap-negative", {"RIESZLAB_THREADS": "-3"},
+     ["family", "--gen", "weighted", "--sizes", "4,8,16", "--json", "{dir}/f.json"], 0, None),
+    ("threads-cap-not-integer", {"RIESZLAB_THREADS": "two"},
+     ["family", "--gen", "weighted", "--sizes", "4,8,16"], 2, "RIESZLAB_THREADS"),
+    ("threads-cap-fraction", {"RIESZLAB_THREADS": "1.5"},
+     ["family", "--gen", "weighted", "--sizes", "4,8,16"], 2, "RIESZLAB_THREADS"),
+    ("analyze-json-is-directory", {},
+     ["analyze", "{dir}/basis.csv", "--json", "{dir}/outdir"], 2, "outdir"),
+    ("analyze-json-missing-directory", {},
+     ["analyze", "{dir}/basis.csv", "--json", "{dir}/missing/r.json"], 2, "missing/r.json"),
+    ("analyze-input-is-directory", {}, ["analyze", "{dir}/outdir"], 2, "outdir"),
+    ("dual-out-is-directory", {}, ["dual", "{dir}/basis.csv", "-o", "{dir}/outdir"], 2, "outdir"),
+    ("dual-json-is-directory", {},
+     ["dual", "{dir}/basis.csv", "-o", "{dir}/d.csv", "--json", "{dir}/outdir"], 2, "outdir"),
+    ("family-json-is-directory", {},
+     ["family", "--gen", "weighted", "--sizes", "4,8,16", "--json", "{dir}/outdir"], 2, "outdir"),
+    ("family-csv-is-directory", {},
+     ["family", "--gen", "weighted", "--sizes", "4,8,16", "--json", "{dir}/f.json",
+      "--csv", "{dir}/outdir"], 2, "outdir"),
+    ("dual-residual-contract", {}, ["dual", "{dir}/ill.csv", "-o", "{dir}/d.csv"], 3,
+     "too ill-conditioned"),
+    ("dual-wide-system", {}, ["dual", "{dir}/wide.csv", "-o", "{dir}/d.csv"], 4,
+     "no biorthogonal sequence exists"),
+    ("gabor-file-node-outside-window", {}, ["gabor", "--set", "file", "--nodes", "{dir}/far.csv"],
+     5, "safe window"),
+]
+
+
+@pytest.mark.parametrize(
+    "env, argv, code, message",
+    [row[1:] for row in EXIT_CODE_TABLE],
+    ids=[row[0] for row in EXIT_CODE_TABLE],
+)
+def test_exit_codes(env, argv, code, message, tmp_path, monkeypatch, capsys):
+    write_identity(tmp_path / "basis.csv")
+    (tmp_path / "ill.csv").write_text("1,1\n0,1e-7\n")
+    (tmp_path / "wide.csv").write_text("1,0,1\n0,1,1\n")
+    (tmp_path / "far.csv").write_text("0,0\n9,0\n")
+    (tmp_path / "outdir").mkdir()
+    before = set(tmp_path.rglob("*"))
+    monkeypatch.delenv("RIESZLAB_THREADS", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert run_cli(*(arg.replace("{dir}", str(tmp_path)) for arg in argv)) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and message in line
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert not any((tmp_path / "outdir").iterdir())
+    if code not in (0, 2):
+        assert set(tmp_path.rglob("*")) == before

@@ -224,6 +224,31 @@ class TestClassify:
             assert classify(seq).kind is expected
 
 
+class TestSharedSystem:
+    def test_threads_sharing_one_system_agree(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from rieszlab import minimal_dual
+
+        cols = oracles.random_columns(21, 40, 40)
+        expected = classify(VectorSequence.from_columns(cols))
+        shared = VectorSequence.from_columns(cols)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(lambda: (classify(shared), minimal_dual(shared)))
+                           for _ in range(12)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(verdict == expected for verdict, _ in results)
+        # Racing first reads keep one stored partner, which every caller gets.
+        assert len({id(partner) for _, partner in results}) == 1
+        assert minimal_dual(shared) is results[0][1]
+
+
 class TestInvariants:
     def test_upper_bound_routes_agree(self):
         for seed in range(10):

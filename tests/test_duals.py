@@ -95,6 +95,27 @@ class TestMinimalDual:
         with pytest.raises(IllConditionedError):
             minimal_dual(seq)
 
+    def test_outcome_is_kept_per_system(self):
+        seq = random_seq(3, 5, 5)
+        assert minimal_dual(seq) is minimal_dual(seq)
+        copy = VectorSequence.from_columns(seq.columns)
+        assert minimal_dual(copy) is not minimal_dual(seq)
+        np.testing.assert_array_equal(minimal_dual(copy).columns, minimal_dual(seq).columns)
+
+    @pytest.mark.parametrize(
+        "columns, error",
+        [(([1, 0], [1, 1e-10]), IllConditionedError), (([1, 0], [1, 0]), NoBiorthogonalSequenceError)],
+    )
+    def test_kept_failure_raises_a_fresh_error(self, columns, error):
+        seq = seq_of(*columns)
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                minimal_dual(seq)
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
+        assert type(raised[0]) is type(raised[1]) and str(raised[0]) == str(raised[1])
+
 
 class TestDualityIdentityResidual:
     def test_orthonormal(self):

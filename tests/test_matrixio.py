@@ -173,3 +173,10 @@ class TestAtomicWrites:
         path = tmp_path / "out.txt"
         write_atomic(str(path), "data")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+        # A failed write names the target path, not the temp file, and removes the temp file.
+        target = tmp_path / "subdir"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            write_atomic(str(target), "data")
+        assert info.value.filename == str(target)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "subdir"]
