@@ -33,7 +33,6 @@ from .duals import (
     minimal_dual,
 )
 from .errors import (
-    ConfigurationError,
     CriteriaDisagreementError,
     DimensionError,
     FitDomainError,

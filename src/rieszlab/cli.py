@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: analyze, dual, example, family, gabor.  Exit codes are stable:
-0 ok, 2 usage or parse error (including an unreadable or unwritable path and
-an unusable RIESZLAB_THREADS), 3 numeric failure, 4 no biorthogonal dual,
-5 unsafe Gabor truncation.  All randomness sits behind --seed (default 0);
-identical invocations produce byte-identical outputs.
+0 ok, 2 usage or parse error (including an unreadable or unwritable path),
+3 numeric failure, 4 no biorthogonal dual, 5 unsafe Gabor truncation.  All
+randomness sits behind --seed (default 0); identical invocations produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from . import diagnostics, duals, generators, matrixio, scaling
 from .diagnostics import BIORTHOGONALITY_TOL, TWO_ROUTE_RTOL, VerdictKind
 from .errors import (
-    ConfigurationError,
     CriteriaDisagreementError,
     DimensionError,
     FitDomainError,
@@ -232,7 +231,12 @@ def _cmd_gabor(args) -> int:
     if args.refine:
         rates = sorted(set(_parse_int_list(args.refine, "--refine")) | {args.samples})
         discs = [generators.GaborDiscretization(args.half_width, s) for s in rates]
-        payload["refinement"] = scaling.gabor_refinement_study(points, discs).to_dict()
+        # The base rate reuses `system`, so each rate is built and factored once.
+        systems = (
+            (d.samples_per_unit, system if d == disc else generators.gaussian_gabor(points, d))
+            for d in discs
+        )
+        payload["refinement"] = scaling._refinement_report(systems).to_dict()
     if args.dump_matrix:
         matrixio.write_matrix(args.dump_matrix, system)
         payload["matrixPath"] = args.dump_matrix
@@ -305,7 +309,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, MatrixParseError, DimensionError, ConfigurationError, OSError) as exc:
+    except (UsageError, MatrixParseError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NoBiorthogonalSequenceError:

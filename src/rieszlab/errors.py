@@ -47,7 +47,3 @@ class FitDomainError(RieszLabError, ValueError):
 
 class MatrixParseError(RieszLabError, ValueError):
     """A matrix or point-set file failed to parse."""
-
-
-class ConfigurationError(RieszLabError, ValueError):
-    """An environment variable read by the package holds an unusable value."""

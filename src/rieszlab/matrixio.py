@@ -75,10 +75,17 @@ def write_matrix(path: str, seq: VectorSequence) -> None:
     write_atomic(path, matrix_text(seq))
 
 
+def _read_lines(path: str) -> list:
+    """The file's lines without their newlines; text that is not UTF-8 fails to parse."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return [line.rstrip("\n") for line in handle]
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+
+
 def read_matrix(path: str) -> VectorSequence:
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    lines = [line for line in lines if line.strip()]
+    lines = [line for line in _read_lines(path) if line.strip()]
     if not lines:
         raise MatrixParseError(f"{path}: empty matrix file")
     expected_shape = None
@@ -129,18 +136,17 @@ def write_point_set(path: str, points: PointSet2D) -> None:
 
 def read_point_set(path: str) -> PointSet2D:
     nodes = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for i, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            cells = text.split(",")
-            if len(cells) != 2:
-                raise MatrixParseError(f"{path}: line {i} needs two columns, got {len(cells)}")
-            try:
-                nodes.append((float(cells[0]), float(cells[1])))
-            except ValueError as exc:
-                raise MatrixParseError(f"{path}: line {i}: {exc}") from exc
+    for i, line in enumerate(_read_lines(path), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        cells = text.split(",")
+        if len(cells) != 2:
+            raise MatrixParseError(f"{path}: line {i} needs two columns, got {len(cells)}")
+        try:
+            nodes.append((float(cells[0]), float(cells[1])))
+        except ValueError as exc:
+            raise MatrixParseError(f"{path}: line {i}: {exc}") from exc
     if not nodes:
         raise MatrixParseError(f"{path}: no nodes found")
     try:

@@ -18,17 +18,14 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import diagnostics, duals, generators
-from .errors import ConfigurationError, FitDomainError, IllConditionedError
+from .errors import FitDomainError, IllConditionedError
 from .generators import GaborDiscretization, PointSet2D
-from .seqcore import _rank_tol
-
-#: Environment variable capping the number of worker threads.
-THREADS_ENV_VAR = "RIESZLAB_THREADS"
+from .seqcore import VectorSequence, _rank_tol
 
 #: Values below this are treated as "essentially zero" by the verdict rules.
 ESSENTIALLY_ZERO = 1e-6
@@ -172,15 +169,7 @@ def _trend_verdict(values: Sequence[float], fit: Optional[GrowthFit]) -> TrendVe
 
 
 def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get(THREADS_ENV_VAR)
-    workers = min(n_jobs, os.cpu_count() or 1)
-    if cap:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise ConfigurationError(f"{THREADS_ENV_VAR} must be an integer, got {cap!r}") from None
-        workers = min(workers, max(1, cap))
-    return max(1, workers)
+    return min(n_jobs, os.cpu_count() or 1)
 
 
 def _gabor_disc(params: dict) -> GaborDiscretization:
@@ -255,7 +244,13 @@ def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
             dual_upper = None
             duality_residual = None
     except Exception as exc:
-        raise type(exc)(f"size {size}: {exc}") from exc
+        try:  # prefix the size where the type can be rebuilt from a message alone
+            annotated = type(exc)(f"size {size}: {exc}")
+        except Exception:
+            annotated = None
+        if annotated is None:
+            raise
+        raise annotated from exc
     return SizeMetrics(size, lower, upper, defect_distance, dual_upper, duality_residual)
 
 
@@ -281,21 +276,23 @@ def _assemble_report(rows: Sequence[SizeMetrics]) -> ScalingReport:
 def run_family(spec: FamilySpec) -> ScalingReport:
     """Evaluate a generator family across its sizes and fit growth exponents.
 
-    Sizes are evaluated independently (in parallel when allowed); the report
-    rows are ordered by size regardless of completion order.
+    Sizes are evaluated independently on a thread pool of at most one worker
+    per CPU; the report rows are ordered by size, and the results do not
+    depend on the pool.
     """
-    workers = _worker_count(len(spec.sizes))
-    if workers == 1:
-        rows = [_evaluate_size(spec.generator_id, s, spec.parameters) for s in spec.sizes]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    lambda s: _evaluate_size(spec.generator_id, s, spec.parameters),
-                    spec.sizes,
-                )
-            )
+    with ThreadPoolExecutor(max_workers=_worker_count(len(spec.sizes))) as pool:
+        rows = list(
+            pool.map(lambda s: _evaluate_size(spec.generator_id, s, spec.parameters), spec.sizes)
+        )
     return _assemble_report(rows)
+
+
+def _refinement_report(systems: Iterable[Tuple[int, VectorSequence]]) -> ScalingReport:
+    """One report row per (sampling rate, sampled Gabor system) pair, in the given order."""
+    return _assemble_report([
+        SizeMetrics(rate, *diagnostics.riesz_bounds(system), None, None, None)
+        for rate, system in systems
+    ])
 
 
 def gabor_refinement_study(
@@ -312,11 +309,6 @@ def gabor_refinement_study(
     rates = [d.samples_per_unit for d in discs]
     if any(b <= a for a, b in zip(rates, rates[1:])):
         raise ValueError("discretizations must have strictly increasing sampling rates")
-    rows = []
-    for disc in discs:
-        system = generators.gaussian_gabor(points, disc)
-        lower, upper = diagnostics.riesz_bounds(system)
-        rows.append(
-            SizeMetrics(disc.samples_per_unit, lower, upper, None, None, None)
-        )
-    return _assemble_report(rows)
+    return _refinement_report(
+        (disc.samples_per_unit, generators.gaussian_gabor(points, disc)) for disc in discs
+    )

@@ -254,53 +254,49 @@ class TestUsage:
 
 # One row per failure mode of the documented exit codes 0/2/3/4/5, beside the
 # cases the classes above already cover.  {dir} is the test's directory, which
-# holds basis.csv (a 3x3 basis), ill.csv, wide.csv, far.csv and outdir/.
+# holds basis.csv (a 3x3 basis), ill.csv, wide.csv, far.csv, utf16.csv (not
+# UTF-8) and outdir/.
 EXIT_CODE_TABLE = [
-    ("threads-cap-clamped", {"RIESZLAB_THREADS": "0"},
+    ("family-json-written",
      ["family", "--gen", "weighted", "--sizes", "4,8,16", "--json", "{dir}/f.json"], 0, None),
-    ("threads-cap-negative", {"RIESZLAB_THREADS": "-3"},
-     ["family", "--gen", "weighted", "--sizes", "4,8,16", "--json", "{dir}/f.json"], 0, None),
-    ("threads-cap-not-integer", {"RIESZLAB_THREADS": "two"},
-     ["family", "--gen", "weighted", "--sizes", "4,8,16"], 2, "RIESZLAB_THREADS"),
-    ("threads-cap-fraction", {"RIESZLAB_THREADS": "1.5"},
-     ["family", "--gen", "weighted", "--sizes", "4,8,16"], 2, "RIESZLAB_THREADS"),
-    ("analyze-json-is-directory", {},
+    ("analyze-json-is-directory",
      ["analyze", "{dir}/basis.csv", "--json", "{dir}/outdir"], 2, "outdir"),
-    ("analyze-json-missing-directory", {},
+    ("analyze-json-missing-directory",
      ["analyze", "{dir}/basis.csv", "--json", "{dir}/missing/r.json"], 2, "missing/r.json"),
-    ("analyze-input-is-directory", {}, ["analyze", "{dir}/outdir"], 2, "outdir"),
-    ("dual-out-is-directory", {}, ["dual", "{dir}/basis.csv", "-o", "{dir}/outdir"], 2, "outdir"),
-    ("dual-json-is-directory", {},
+    ("analyze-input-is-directory", ["analyze", "{dir}/outdir"], 2, "outdir"),
+    ("analyze-input-not-utf8", ["analyze", "{dir}/utf16.csv"], 2, "utf16.csv"),
+    ("gabor-nodes-not-utf8", ["gabor", "--set", "file", "--nodes", "{dir}/utf16.csv"], 2,
+     "utf16.csv"),
+    ("dual-out-is-directory", ["dual", "{dir}/basis.csv", "-o", "{dir}/outdir"], 2, "outdir"),
+    ("dual-json-is-directory",
      ["dual", "{dir}/basis.csv", "-o", "{dir}/d.csv", "--json", "{dir}/outdir"], 2, "outdir"),
-    ("family-json-is-directory", {},
+    ("family-json-is-directory",
      ["family", "--gen", "weighted", "--sizes", "4,8,16", "--json", "{dir}/outdir"], 2, "outdir"),
-    ("family-csv-is-directory", {},
+    ("family-csv-is-directory",
      ["family", "--gen", "weighted", "--sizes", "4,8,16", "--json", "{dir}/f.json",
       "--csv", "{dir}/outdir"], 2, "outdir"),
-    ("dual-residual-contract", {}, ["dual", "{dir}/ill.csv", "-o", "{dir}/d.csv"], 3,
+    ("dual-residual-contract", ["dual", "{dir}/ill.csv", "-o", "{dir}/d.csv"], 3,
      "too ill-conditioned"),
-    ("dual-wide-system", {}, ["dual", "{dir}/wide.csv", "-o", "{dir}/d.csv"], 4,
+    ("dual-wide-system", ["dual", "{dir}/wide.csv", "-o", "{dir}/d.csv"], 4,
      "no biorthogonal sequence exists"),
-    ("gabor-file-node-outside-window", {}, ["gabor", "--set", "file", "--nodes", "{dir}/far.csv"],
+    ("gabor-file-node-outside-window", ["gabor", "--set", "file", "--nodes", "{dir}/far.csv"],
      5, "safe window"),
 ]
 
 
 @pytest.mark.parametrize(
-    "env, argv, code, message",
+    "argv, code, message",
     [row[1:] for row in EXIT_CODE_TABLE],
     ids=[row[0] for row in EXIT_CODE_TABLE],
 )
-def test_exit_codes(env, argv, code, message, tmp_path, monkeypatch, capsys):
+def test_exit_codes(argv, code, message, tmp_path, capsys):
     write_identity(tmp_path / "basis.csv")
     (tmp_path / "ill.csv").write_text("1,1\n0,1e-7\n")
     (tmp_path / "wide.csv").write_text("1,0,1\n0,1,1\n")
     (tmp_path / "far.csv").write_text("0,0\n9,0\n")
+    (tmp_path / "utf16.csv").write_bytes("1,0\n0,1\n".encode("utf-16"))
     (tmp_path / "outdir").mkdir()
     before = set(tmp_path.rglob("*"))
-    monkeypatch.delenv("RIESZLAB_THREADS", raising=False)
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     assert run_cli(*(arg.replace("{dir}", str(tmp_path)) for arg in argv)) == code
     err = capsys.readouterr().err
     if code == 0:

@@ -11,6 +11,7 @@ from rieszlab import (
     punctured_lattice,
     run_family,
 )
+from rieszlab.scaling import _evaluate_size
 
 
 class TestFitGrowth:
@@ -95,13 +96,18 @@ class TestRunFamily:
         b = run_family(spec).to_dict()
         assert a == b
 
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        spec = FamilySpec("youngExample", (8, 16, 32))
-        base = run_family(spec).to_dict()
-        monkeypatch.setenv("RIESZLAB_THREADS", "1")
-        assert run_family(spec).to_dict() == base
-        monkeypatch.setenv("RIESZLAB_THREADS", "3")
-        assert run_family(spec).to_dict() == base
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FamilySpec("rieszSeeded", (4, 6, 8, 12), {"seed": 3}),
+            FamilySpec("youngExample", (8, 16, 32)),
+            FamilySpec("gaborPunctured", (1, 2, 3), {"halfWidth": 6.0, "samplesPerUnit": 8}),
+        ],
+        ids=lambda spec: spec.generator_id,
+    )
+    def test_pool_matches_inline_evaluation(self, spec):
+        inline = [_evaluate_size(spec.generator_id, s, spec.parameters) for s in spec.sizes]
+        assert list(run_family(spec).per_size) == inline
 
     @pytest.mark.parametrize("generator", ["youngExample", "weightedPair"])
     def test_nested_truncations_interlace(self, generator):
@@ -129,6 +135,18 @@ class TestRunFamily:
     def test_size_failure_is_annotated(self):
         with pytest.raises(ValueError, match="size 1"):
             run_family(FamilySpec("youngExample", (1, 2, 3)))
+
+    def test_size_failure_keeps_a_type_not_rebuilt_from_a_message(self, monkeypatch):
+        class TwoArgumentError(Exception):
+            def __init__(self, shape, dtype):
+                super().__init__(f"cannot allocate {shape} of {dtype}")
+
+        def refuse(n, seed):
+            raise TwoArgumentError((n, n), "complex128")
+
+        monkeypatch.setattr("rieszlab.generators.random_riesz", refuse)
+        with pytest.raises(TwoArgumentError, match="cannot allocate"):
+            run_family(FamilySpec("rieszSeeded", (4, 6, 8)))
 
     def test_young_general_family(self):
         report = run_family(
