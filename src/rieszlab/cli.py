@@ -166,6 +166,14 @@ def _parse_int_list(text: str, flag: str):
     return values
 
 
+def _discretization(half_width: float, samples: int):
+    """The Gabor grid of --half-width and a sampling rate; a rejected grid is a usage error."""
+    try:
+        return generators.GaborDiscretization(half_width, samples)
+    except ValueError as exc:
+        raise UsageError(f"--half-width {half_width} at {samples} samples per unit: {exc}") from exc
+
+
 def _cmd_family(args) -> int:
     generator_id = _FAMILY_ALIASES.get(args.gen, args.gen)
     sizes = _parse_int_list(args.sizes, "--sizes")
@@ -182,6 +190,8 @@ def _cmd_family(args) -> int:
         spec = scaling.FamilySpec(generator_id, sizes, parameters)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if generator_id.startswith("gabor"):
+        _discretization(args.half_width, args.samples)
     report = scaling.run_family(spec)
     payload = {
         "schemaVersion": SCHEMA_VERSION,
@@ -212,8 +222,13 @@ def _gabor_points(args):
 
 
 def _cmd_gabor(args) -> int:
+    # Every grid is checked before any point set is read or system built.
+    disc = _discretization(args.half_width, args.samples)
+    refine_discs = []
+    if args.refine:
+        rates = sorted(set(_parse_int_list(args.refine, "--refine")) | {args.samples})
+        refine_discs = [_discretization(args.half_width, s) for s in rates]
     points, source = _gabor_points(args)
-    disc = generators.GaborDiscretization(args.half_width, args.samples)
     system = generators.gaussian_gabor(points, disc)
     lower, upper = diagnostics.riesz_bounds(system)
     payload = {
@@ -228,13 +243,11 @@ def _cmd_gabor(args) -> int:
         "defect": diagnostics.completeness_defect(system),
         "tolerances": _tolerances(),
     }
-    if args.refine:
-        rates = sorted(set(_parse_int_list(args.refine, "--refine")) | {args.samples})
-        discs = [generators.GaborDiscretization(args.half_width, s) for s in rates]
+    if refine_discs:
         # The base rate reuses `system`, so each rate is built and factored once.
         systems = (
             (d.samples_per_unit, system if d == disc else generators.gaussian_gabor(points, d))
-            for d in discs
+            for d in refine_discs
         )
         payload["refinement"] = scaling._refinement_report(systems).to_dict()
     if args.dump_matrix:

@@ -1,11 +1,15 @@
 """File formats: complex-matrix CSV, point-set CSV, JSON reports.
 
 Matrix cells are whitespace-free complex numbers, "a" or "a+bi"/"a-bi" with
-decimal or scientific mantissas ("1-2i", "3", "0+1i").  Values are written
-with 17 significant digits, so a write/read round trip reproduces every
-float64 exactly.  Matrix files carry a header line "# dim=<n> count=<m>"
-which, when present on input, must match the parsed shape.  All writes go
-through a temp file plus rename.
+decimal or scientific mantissas ("1-2i", "3", "0+1i"); whitespace around a
+cell is ignored.  Values are written with 17 significant digits and the
+imaginary part only when it is nonzero, so a write/read round trip
+reproduces every float64 exactly, except that an imaginary -0.0 reads back
+as 0.0.  Matrix files carry a header line "# dim=<n> count=<m>" which, when
+present on input, must match the parsed shape.  Matrix rows are parsed and
+formatted one at a time: on read, one grammar match and one complex()
+conversion of the whole row; on write, one `%` format per row.  All writes
+go through a temp file plus rename.
 """
 
 from __future__ import annotations
@@ -23,30 +27,30 @@ from .seqcore import VectorSequence
 
 SCHEMA_VERSION = 1
 
-_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_CELL_RE = re.compile(rf"^({_NUMBER})(?:([+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)i)?$")
+_UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER = rf"[+-]?{_UNSIGNED}"
+_CELL = rf"{_NUMBER}(?:[+-]{_UNSIGNED}i)?"
+_CELL_RE = re.compile(_CELL)
+# A whole row of cells with spaces or tabs around them.  ASCII-only, so a row
+# with other whitespace or non-ASCII digits takes the per-cell path, which
+# accepts or rejects it exactly as `parse_complex` does.
+_PADDED_CELL = rf"[ \t]*{_CELL}[ \t]*"
+_ROW_RE = re.compile(rf"{_PADDED_CELL}(?:,{_PADDED_CELL})*", re.ASCII)
 _HEADER_RE = re.compile(r"^#\s*dim=(\d+)\s+count=(\d+)\s*$")
+# Cell templates by the sign of the imaginary part: zero, positive, negative.
+_REAL_CELL, _PLUS_CELL, _MINUS_CELL = "%.17g", "%.17g+%.17gi", "%.17g-%.17gi"
 
 
 def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def format_complex(value: complex) -> str:
-    z = complex(value)
-    real = format_float(z.real)
-    if z.imag == 0.0:
-        return real
-    sign = "+" if z.imag > 0 else "-"
-    return f"{real}{sign}{format_float(abs(z.imag))}i"
-
-
 def parse_complex(cell: str) -> complex:
-    match = _CELL_RE.match(cell)
-    if not match:
+    if not _CELL_RE.fullmatch(cell):
         raise MatrixParseError(f"invalid complex cell {cell!r}")
-    real, imag = match.groups()
-    return complex(float(real), float(imag) if imag else 0.0)
+    # The grammar admits no "j", "_", parentheses or spaces, so complex() reads
+    # each part exactly as float() would.
+    return complex(cell.replace("i", "j"))
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -64,10 +68,22 @@ def write_atomic(path: str, text: str) -> None:
             os.unlink(tmp_path)
 
 
+def _row_text(row: np.ndarray) -> str:
+    """One matrix row as CSV: one template per cell, one `%` over the row's values."""
+    templates, values = [], []
+    for real, imag in zip(row.real.tolist(), row.imag.tolist()):
+        if imag == 0.0:
+            templates.append(_REAL_CELL)
+            values.append(real)
+        else:
+            templates.append(_PLUS_CELL if imag > 0 else _MINUS_CELL)
+            values += (real, abs(imag))
+    return ",".join(templates) % tuple(values)
+
+
 def matrix_text(seq: VectorSequence) -> str:
     lines = [f"# dim={seq.dim} count={seq.count}"]
-    for row in seq.columns:
-        lines.append(",".join(format_complex(z) for z in row))
+    lines.extend(_row_text(row) for row in seq.columns)
     return "\n".join(lines) + "\n"
 
 
@@ -84,6 +100,17 @@ def _read_lines(path: str) -> list:
         raise MatrixParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
 
 
+def _parse_cells(path: str, i: int, line: str) -> list:
+    """Row `i` cell by cell, for rows outside the fast grammar; errors name row and column."""
+    row = []
+    for j, cell in enumerate(line.split(","), start=1):
+        try:
+            row.append(parse_complex(cell.strip()))
+        except MatrixParseError as exc:
+            raise MatrixParseError(f"{path}: row {i}, column {j}: {exc}") from exc
+    return row
+
+
 def read_matrix(path: str) -> VectorSequence:
     lines = [line for line in _read_lines(path) if line.strip()]
     if not lines:
@@ -97,24 +124,19 @@ def read_matrix(path: str) -> VectorSequence:
         lines = lines[1:]
     if not lines:
         raise MatrixParseError(f"{path}: header but no data rows")
-    rows = []
-    width = None
-    for i, line in enumerate(lines, start=1):
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise MatrixParseError(
-                f"{path}: row {i} has {len(cells)} cells, expected {width}"
-            )
-        row = []
-        for j, cell in enumerate(cells, start=1):
-            try:
-                row.append(parse_complex(cell.strip()))
-            except MatrixParseError as exc:
-                raise MatrixParseError(f"{path}: row {i}, column {j}: {exc}") from exc
-        rows.append(row)
-    matrix = np.asarray(rows, dtype=complex)
+    widths = [line.count(",") + 1 for line in lines]
+    width = widths[0]
+    # Only the rows before the first ragged one are allocated, so the array is
+    # never larger than the text; their cells are checked before that row's error.
+    rows = next((i for i, cells in enumerate(widths) if cells != width), len(lines))
+    matrix = np.empty((rows, width), dtype=complex)
+    for i, line in enumerate(lines[:rows]):
+        if _ROW_RE.fullmatch(line):
+            matrix[i] = [complex(cell) for cell in line.replace("i", "j").split(",")]
+        else:
+            matrix[i] = _parse_cells(path, i + 1, line)
+    if rows < len(lines):
+        raise MatrixParseError(f"{path}: row {rows + 1} has {widths[rows]} cells, expected {width}")
     if expected_shape is not None and matrix.shape != expected_shape:
         raise MatrixParseError(
             f"{path}: header announces shape {expected_shape}, parsed {matrix.shape}"

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own computation paths: distances come
 from an explicit orthonormal-basis projector, spectral quantities from dense
 eigensolves of explicitly assembled matrices, and Gabor values from adaptive
-quadrature of the underlying integrals.
+quadrature of the underlying integrals.  Matrix CSV text has a per-cell
+reference formatter.
 """
 
 import numpy as np
@@ -12,6 +13,24 @@ import numpy as np
 def random_columns(seed, dim, count):
     rng = np.random.default_rng(seed)
     return (rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))) / np.sqrt(2)
+
+
+def format_complex(value):
+    """One matrix CSV cell: 17 significant digits, the imaginary part only when nonzero."""
+    z = complex(value)
+    real = format(z.real, ".17g")
+    if z.imag == 0.0:
+        return real
+    sign = "+" if z.imag > 0 else "-"
+    return f"{real}{sign}{format(abs(z.imag), '.17g')}i"
+
+
+def matrix_text_by_cells(columns):
+    """The text `matrixio.matrix_text` must produce, one `format_complex` per cell."""
+    cols = np.asarray(columns, dtype=complex)
+    lines = [f"# dim={cols.shape[0]} count={cols.shape[1]}"]
+    lines += [",".join(format_complex(z) for z in row) for row in cols]
+    return "\n".join(lines) + "\n"
 
 
 def projector_distance(columns, vector):

@@ -275,6 +275,15 @@ EXIT_CODE_TABLE = [
     ("family-csv-is-directory",
      ["family", "--gen", "weighted", "--sizes", "4,8,16", "--json", "{dir}/f.json",
       "--csv", "{dir}/outdir"], 2, "outdir"),
+    ("gabor-samples-zero", ["gabor", "--set", "lattice", "--samples", "0"], 2,
+     "samples_per_unit must be a positive integer"),
+    ("gabor-refine-rate-zero", ["gabor", "--set", "lattice", "--refine", "0,8"], 2,
+     "at 0 samples per unit"),
+    ("gabor-half-width-off-grid", ["gabor", "--set", "lattice", "--half-width", "6.3"], 2,
+     "whole number of samples"),
+    ("family-gabor-half-width-off-grid",
+     ["family", "--gen", "gaborPunctured", "--sizes", "1,2,3", "--half-width", "6.3"], 2,
+     "--half-width 6.3"),
     ("dual-residual-contract", ["dual", "{dir}/ill.csv", "-o", "{dir}/d.csv"], 3,
      "too ill-conditioned"),
     ("dual-wide-system", ["dual", "{dir}/wide.csv", "-o", "{dir}/d.csv"], 4,

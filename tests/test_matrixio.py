@@ -7,7 +7,6 @@ import oracles
 from rieszlab import MatrixParseError, PointSet2D, VectorSequence, lattice_points
 from rieszlab.matrixio import (
     finite_or_none,
-    format_complex,
     matrix_text,
     parse_complex,
     point_set_text,
@@ -21,48 +20,174 @@ from rieszlab.matrixio import (
 )
 
 
-class TestCellGrammar:
-    @pytest.mark.parametrize(
-        "cell, expected",
-        [
-            ("3", 3 + 0j),
-            ("-2.5", -2.5 + 0j),
-            ("1-2i", 1 - 2j),
-            ("0+1i", 1j),
-            ("+4e-3", 4e-3 + 0j),
-            ("1.5e-3+2e1i", 1.5e-3 + 20j),
-            (".5-.25i", 0.5 - 0.25j),
-            ("2.-3.i", 2 - 3j),
-            ("-0", 0j),
-        ],
-    )
-    def test_accepts(self, cell, expected):
-        assert parse_complex(cell) == expected
+def bits(values):
+    """The raw float64 bits of complex values, so -0.0 and 0.0 differ."""
+    return np.atleast_1d(np.asarray(values, dtype=complex)).view(float).view(np.uint64)
 
-    @pytest.mark.parametrize(
-        "cell",
-        ["", "1 + 2i", "2i", "i", "1+2j", "abc", "--3", "1+i", "1e", "(1+2i)", "1,2"],
-    )
+
+def cell_text(z):
+    """One cell as `matrix_text` writes it."""
+    return matrix_text(VectorSequence.from_columns([[z]])).splitlines()[1]
+
+
+def read_text(tmp_path, text):
+    path = tmp_path / "matrix.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return read_matrix(str(path)).columns
+
+
+class TestCellGrammar:
+    """The cell grammar, pinned through `parse_complex` and through whole files."""
+
+    ACCEPTED = [
+        ("3", 3 + 0j),
+        ("-2.5", -2.5 + 0j),
+        ("1-2i", 1 - 2j),
+        ("0+1i", 1j),
+        ("+4e-3", 4e-3 + 0j),
+        ("1.5e-3+2e1i", 1.5e-3 + 20j),
+        (".5-.25i", 0.5 - 0.25j),
+        ("2.-3.i", 2 - 3j),
+        ("-0", 0j),
+        ("1.", 1 + 0j),
+        (".5e-3", 5e-4 + 0j),
+        ("1e308-1e308i", complex(1e308, -1e308)),
+        # Outside the row fast path: the per-cell path reads these as before.
+        ("\u00a01-2i\u2003", 1 - 2j),
+        ("\x1c3\x1f", 3 + 0j),
+        ("\u0663", 3 + 0j),
+    ]
+
+    REJECTED = ["", "1 + 2i", "2i", "i", "1+2j", "abc", "--3", "1+i", "1e", "(1+2i)",
+                "1_0", "inf", "nan", "-inf", "1+nani", "1j", "0x10", "1e5.0"]
+
+    # Signed zeros and subnormals, compared bit for bit.
+    BIT_EXACT = [
+        ("-0", complex(-0.0, 0.0)),
+        ("0-0i", complex(0.0, -0.0)),
+        ("-0-0i", complex(-0.0, -0.0)),
+        ("4.9e-324-2.5e-324i", complex(4.9e-324, -2.5e-324)),
+    ]
+
+    @pytest.mark.parametrize("cell, expected", ACCEPTED)
+    def test_accepts(self, cell, expected):
+        assert parse_complex(cell.strip()) == expected
+
+    @pytest.mark.parametrize("cell, expected", ACCEPTED)
+    def test_file_accepts(self, cell, expected, tmp_path):
+        back = read_text(tmp_path, f"# dim=2 count=2\n0,0\n0,{cell}\n")
+        np.testing.assert_array_equal(back, [[0, 0], [0, expected]])
+
+    @pytest.mark.parametrize("cell, expected", BIT_EXACT)
+    def test_accepts_bit_for_bit(self, cell, expected, tmp_path):
+        assert bits(parse_complex(cell)).tolist() == bits(expected).tolist()
+        back = read_text(tmp_path, f"# dim=2 count=2\n0,0\n0,{cell}\n")
+        assert bits(back).tolist() == bits([[0, 0], [0, expected]]).tolist()
+
+    @pytest.mark.parametrize("cell", REJECTED + ["1,2"])
     def test_rejects(self, cell):
         with pytest.raises(MatrixParseError):
             parse_complex(cell)
 
+    @pytest.mark.parametrize("cell", REJECTED)
+    def test_file_rejects_naming_row_and_column(self, cell, tmp_path):
+        with pytest.raises(MatrixParseError, match=r"row 2, column 2: invalid complex cell"):
+            read_text(tmp_path, f"0,0,0\n1,{cell},1\n")
+
+    @pytest.mark.parametrize(
+        "text, row, column",
+        [
+            ("0,0,0\n1,,2\n", 2, 2),
+            ("1,2,\n3,4,\n", 1, 3),
+            ("1,2\n3,4\n5,6,\n", None, None),
+        ],
+        ids=["empty-cell", "trailing-comma", "trailing-comma-ragged"],
+    )
+    def test_file_rejects_empty_cells(self, text, row, column, tmp_path):
+        message = f"row {row}, column {column}" if row else "row 3 has 3 cells, expected 2"
+        with pytest.raises(MatrixParseError, match=message):
+            read_text(tmp_path, text)
+
+    def test_rows_report_in_file_order(self, tmp_path):
+        # A bad cell above a ragged row is the error; the ragged row below it is not reached.
+        with pytest.raises(MatrixParseError, match="row 2, column 2"):
+            read_text(tmp_path, "1,2\n3,x\n5,6,7\n")
+        with pytest.raises(MatrixParseError, match="row 2 has 3 cells, expected 2"):
+            read_text(tmp_path, "1,2\n5,6,7\n3,x\n")
+
+    def test_spaces_tabs_and_crlf(self, tmp_path):
+        back = read_text(tmp_path, "# dim=2 count=2\r\n 1 ,\t2-1i\t\r\n\t-0 , .5 \r\n")
+        assert bits(back).tolist() == bits([[1, 2 - 1j], [complex(-0.0, 0.0), 0.5]]).tolist()
+        back = read_text(tmp_path, "1,2\r3,4\r")
+        np.testing.assert_array_equal(back, [[1, 2], [3, 4]])
+
     def test_format_real_only(self):
-        assert format_complex(3.0 + 0j) == "3"
-        assert format_complex(-0.5 + 0j) == "-0.5"
+        assert cell_text(3.0 + 0j) == "3"
+        assert cell_text(-0.5 + 0j) == "-0.5"
 
     def test_format_signs(self):
-        assert format_complex(1 - 2j) == "1-2i"
-        assert format_complex(0 + 1j) == "0+1i"
+        assert cell_text(1 - 2j) == "1-2i"
+        assert cell_text(0 + 1j) == "0+1i"
+
+    def test_format_signed_zeros(self):
+        assert cell_text(complex(-0.0, 0.0)) == "-0"
+        assert cell_text(complex(0.0, -0.0)) == "0"
+        assert cell_text(complex(-0.0, -2.5)) == "-0-2.5i"
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_format_parse_round_trip_is_exact(self, seed):
+    def test_format_parse_round_trip_is_exact(self, seed, tmp_path):
         rng = np.random.default_rng(seed)
         values = (rng.standard_normal(50) * 10.0 ** rng.integers(-12, 12, 50)) + 1j * (
             rng.standard_normal(50) * 10.0 ** rng.integers(-12, 12, 50)
         )
         for z in values:
-            assert parse_complex(format_complex(z)) == z
+            assert parse_complex(cell_text(z)) == z
+        seq = VectorSequence.from_columns(values.reshape(5, 10))
+        path = tmp_path / "matrix.csv"
+        write_matrix(str(path), seq)
+        assert bits(read_matrix(str(path)).columns).tolist() == bits(seq.columns).tolist()
+
+
+def injected_matrix(seed, dim, count):
+    """Seeded complex entries with zeros, signed zeros, subnormals, +-1e308, pure parts."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-20, 20, (dim, count, 2))
+    parts = rng.standard_normal((dim, count, 2)) * scale
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-320, 1e308, -1e308])
+    pick = rng.random((dim, count, 2)) < 0.3
+    parts[pick] = rng.choice(specials, int(pick.sum()))
+    parts[rng.random((dim, count)) < 0.15, 1] = 0.0  # pure real
+    parts[rng.random((dim, count)) < 0.15, 0] = 0.0  # pure imaginary
+    fixed = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (5e-324, -5e-324), (1e308, -1e308),
+             (-1e308, 1e308), (0.0, 2.5), (-3.5, -0.0)]
+    flat = parts.reshape(-1, 2)
+    flat[: len(fixed)] = fixed[: len(flat)]
+    columns = np.empty((dim, count), dtype=complex)
+    columns.real, columns.imag = parts[..., 0], parts[..., 1]
+    return columns
+
+
+class TestMatrixTextIdentity:
+    """`matrix_text` equals the per-cell reference byte for byte, and round-trips bit for bit."""
+
+    @pytest.mark.parametrize("seed, dim, count", [(0, 1, 1), (1, 7, 3), (2, 3, 9), (3, 40, 40)])
+    def test_matches_per_cell_reference(self, seed, dim, count):
+        columns = injected_matrix(seed, dim, count)
+        assert matrix_text(VectorSequence.from_columns(columns)) == oracles.matrix_text_by_cells(
+            columns
+        )
+
+    @pytest.mark.parametrize("seed, dim, count", [(0, 1, 1), (1, 7, 3), (2, 3, 9), (3, 40, 40)])
+    def test_write_read_is_bit_exact(self, seed, dim, count, tmp_path):
+        columns = injected_matrix(seed, dim, count)
+        path = tmp_path / "matrix.csv"
+        write_matrix(str(path), VectorSequence.from_columns(columns))
+        # A zero imaginary part is not written, so -0.0 there reads back as 0.0;
+        # every other bit survives.
+        expected = columns.copy()
+        expected.imag[expected.imag == 0.0] = 0.0
+        assert np.any(np.signbit(columns.imag) & (columns.imag == 0.0))
+        assert bits(read_matrix(str(path)).columns).tolist() == bits(expected).tolist()
 
 
 class TestMatrixFiles:
