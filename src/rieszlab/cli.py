@@ -36,6 +36,10 @@ EXIT_NUMERIC = 3
 EXIT_NO_DUAL = 4
 EXIT_TRUNCATION = 5
 
+#: Largest dense array, in bytes, that one command may allocate.  Commands
+#: that would need more are refused as usage errors before anything is built.
+_MAX_ARRAY_BYTES = 1 << 30
+
 _EXAMPLE_NAMES = ("orthonormal", "weighted", "alternating", "young", "youngGeneral", "riesz")
 
 _FAMILY_ALIASES = {
@@ -50,6 +54,25 @@ _FAMILY_ALIASES = {
 
 class UsageError(Exception):
     pass
+
+
+def _check_size(what: str, rows: int, cols: int) -> None:
+    """Refuse a command whose largest dense array, estimated as a rows x cols
+    complex matrix, would exceed _MAX_ARRAY_BYTES."""
+    nbytes = 16 * rows * cols
+    if nbytes > _MAX_ARRAY_BYTES:
+        raise UsageError(
+            f"{what} needs a {rows}x{cols} complex array ({nbytes:.3g} bytes), "
+            f"over the {_MAX_ARRAY_BYTES}-byte limit"
+        )
+
+
+def _check_gabor_size(what: str, kind: str, index: int, sample_count: int) -> None:
+    """Size check for a Gabor system on a lattice, punctured or ALS set: its
+    sample_count x nodes matrix, and the nodes x nodes separations of its
+    point set (punctured sets are counted as full lattices)."""
+    nodes = 2 + 4 * index if kind == "als" else (2 * index + 1) ** 2
+    _check_size(what, max(sample_count, nodes), nodes)
 
 
 def _tolerances() -> dict:
@@ -124,6 +147,8 @@ def _example_systems(args):
     n = args.n
     if n < 1:
         raise UsageError("--n must be >= 1")
+    extra_rows = {"young": 1, "youngGeneral": args.complement_dim}.get(name, 0)
+    _check_size(f"example {name} --n {n}", n + max(extra_rows, 0), n)
     if name == "orthonormal":
         return generators.orthonormal(n), None
     if name == "weighted":
@@ -190,8 +215,13 @@ def _cmd_family(args) -> int:
         spec = scaling.FamilySpec(generator_id, sizes, parameters)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    what = f"family --gen {args.gen} --sizes {args.sizes}"
     if generator_id.startswith("gabor"):
-        _discretization(args.half_width, args.samples)
+        disc = _discretization(args.half_width, args.samples)
+        kind = {"gaborPunctured": "punctured", "gaborALS": "als"}.get(generator_id, "lattice")
+        _check_gabor_size(what, kind, sizes[-1], disc.sample_count)
+    else:
+        _check_size(what, sizes[-1], sizes[-1])
     report = scaling.run_family(spec)
     payload = {
         "schemaVersion": SCHEMA_VERSION,
@@ -206,16 +236,19 @@ def _cmd_family(args) -> int:
 
 
 def _gabor_points(args):
-    if args.set == "lattice":
-        return generators.lattice_points(args.a, args.b, args.max_index), (
-            f"lattice a={args.a} b={args.b} maxIndex={args.max_index}"
-        )
-    if args.set == "punctured":
-        return generators.punctured_lattice(args.max_index), (
-            f"punctured maxIndex={args.max_index}"
-        )
-    if args.set == "als":
-        return generators.als_point_set(args.nmax), f"als nmax={args.nmax}"
+    try:
+        if args.set == "lattice":
+            return generators.lattice_points(args.a, args.b, args.max_index), (
+                f"lattice a={args.a} b={args.b} maxIndex={args.max_index}"
+            )
+        if args.set == "punctured":
+            return generators.punctured_lattice(args.max_index), (
+                f"punctured maxIndex={args.max_index}"
+            )
+        if args.set == "als":
+            return generators.als_point_set(args.nmax), f"als nmax={args.nmax}"
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if not args.nodes:
         raise UsageError("--set file requires --nodes PATH")
     return matrixio.read_point_set(args.nodes), f"nodes {args.nodes}"
@@ -228,6 +261,10 @@ def _cmd_gabor(args) -> int:
     if args.refine:
         rates = sorted(set(_parse_int_list(args.refine, "--refine")) | {args.samples})
         refine_discs = [_discretization(args.half_width, s) for s in rates]
+    if args.set != "file":
+        index = args.nmax if args.set == "als" else args.max_index
+        finest = (refine_discs or [disc])[-1].sample_count
+        _check_gabor_size(f"gabor --set {args.set}", args.set, index, finest)
     points, source = _gabor_points(args)
     system = generators.gaussian_gabor(points, disc)
     lower, upper = diagnostics.riesz_bounds(system)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -25,15 +25,14 @@ from .errors import (
     CriteriaDisagreementError,
     DimensionError,
     IllConditionedError,
-    NoBiorthogonalSequenceError,
     NotARieszBasisError,
 )
 from .seqcore import (
     RANK_TOL_SCALE,
     VectorSequence,
     _ambient_vector,
+    _independent,
     _rank,
-    _rank_tol,
     _singular_values,
     gram,
 )
@@ -99,12 +98,22 @@ class GramSpectrum(NamedTuple):
     bijective: bool
 
 
-def _gram_zero_threshold(lambda_max: float, dim: int, count: int) -> float:
-    """Effective zero for Gram eigenvalues: shared rank tolerance squared,
-    floored at the eigensolver's absolute accuracy."""
-    rank_tol_sq = lambda_max * (max(dim, count) * RANK_TOL_SCALE) ** 2
-    eig_floor = _EIG_FLOOR_FACTOR * count * float(np.finfo(float).eps) * lambda_max
-    return float(max(rank_tol_sq, eig_floor))
+def _gram_route(seq: VectorSequence, lam: np.ndarray) -> Tuple[bool, Optional[VerdictKind]]:
+    """The Gram route's raw independence reading and its vote (None: abstain).
+
+    Eigenvalues count above the squared rank tolerance, floored at the
+    eigensolver's absolute accuracy.  A lambda_min below that zero but within
+    the accuracy of the squared rank tolerance is rounding noise of either
+    sign, so the route abstains there.
+    """
+    lambda_max = float(lam[-1])
+    rank_tol_sq = lambda_max * (max(seq.dim, seq.count) * RANK_TOL_SCALE) ** 2
+    eig_floor = _EIG_FLOOR_FACTOR * seq.count * float(np.finfo(float).eps) * lambda_max
+    rank = int(np.count_nonzero(lam > max(rank_tol_sq, eig_floor)))
+    independent = rank == seq.count
+    if not independent and lam[0] > rank_tol_sq - eig_floor:
+        return independent, None
+    return independent, _verdict_kind(independent, seq.dim - rank)
 
 
 def riesz_bounds(seq: VectorSequence) -> RieszBounds:
@@ -158,12 +167,12 @@ def span_distance(seq: VectorSequence, vector) -> float:
 def gram_spectrum(seq: VectorSequence) -> GramSpectrum:
     """Eigenvalue extremes of the Gram matrix and the bijectivity flag.
 
-    Asserts agreement with the singular-value route before returning.
+    `bijective` is the Gram route's raw reading, lambda_min above its
+    effective zero.  Asserts agreement with the singular-value route before
+    returning.
     """
     lam = _compared_routes(seq)[2]
-    lambda_min, lambda_max = float(lam[0]), float(lam[-1])
-    bijective = bool(lambda_min > _gram_zero_threshold(lambda_max, seq.dim, seq.count))
-    return GramSpectrum(lambda_min, lambda_max, bijective)
+    return GramSpectrum(float(lam[0]), float(lam[-1]), _gram_route(seq, lam)[0])
 
 
 def _check_pair(seq: VectorSequence, partner: VectorSequence) -> None:
@@ -207,64 +216,43 @@ def _verdict_kind(independent: bool, defect: int) -> VerdictKind:
 def classify(seq: VectorSequence) -> Verdict:
     """Classify a system, cross-checking every available criterion route.
 
-    Route one works on the singular values of the columns, route two on the
-    Gram spectrum, and, whenever a biorthogonal dual is constructible, route
-    three checks the dual's defect against the relaxed criterion (two-sided
-    bounded pair, biorthogonal, at least one member complete).  Routes must
-    agree; `CriteriaDisagreementError` signals a tolerance bug.
-
-    The routes stay independent (an SVD of F, an eigensolve of F^H F, the
-    dual's solve, SVD and eigensolve); each factorization is kept in the
-    spectral record of the system it factors and reused by later calls.
+    The column route (singular values of the columns) decides the verdict.
+    The Gram route votes from the Gram spectrum, abstaining where lambda_min
+    is within the eigensolver's accuracy of the squared rank tolerance.  For
+    independent columns the dual route builds the minimal dual, runs the
+    partner's own two-route check and votes by the relaxed criterion (a
+    biorthogonal pair of Bessel sequences, one member complete); it abstains
+    where the dual or its factorization is refused as ill-conditioned.  Every
+    vote must match the column route; `CriteriaDisagreementError` signals a
+    tolerance bug.  Each route factors its own matrix once (an SVD of F, an
+    eigensolve of F^H F, the dual's solve, SVD and eigensolve) and keeps the
+    factorization in that matrix's spectral record.
     """
     lower, upper, lam = _compared_routes(seq)
-    tol = _rank_tol(seq)
-    defect = seq.dim - _rank(seq)
-    kind = _verdict_kind(lower > tol**2, defect)
-
-    gram_zero = _gram_zero_threshold(float(lam[-1]), seq.dim, seq.count)
-    gram_rank = int(np.count_nonzero(lam > gram_zero))
-    gram_kind = _verdict_kind(float(lam[0]) > gram_zero, seq.dim - gram_rank)
-    if gram_kind is not kind:
-        raise CriteriaDisagreementError(
-            f"column route says {kind.value}, Gram route says {gram_kind.value}"
-        )
-
+    defect = completeness_defect(seq)
+    kind = _verdict_kind(_independent(seq), defect)
+    votes = {"Gram": _gram_route(seq, lam)[1]}
     if kind is not VerdictKind.LINEARLY_DEPENDENT:
-        _check_dual_route(seq, kind, defect)
-
+        votes["dual"] = _dual_vote(seq, defect)
+    for route, vote in votes.items():
+        if vote is not None and vote is not kind:
+            raise CriteriaDisagreementError(
+                f"column route says {kind.value}, {route} route says {vote.value}"
+            )
     conditioning = math.inf if lower == 0.0 else upper / lower
     report = BoundsReport(lower, upper, defect, conditioning)
     return Verdict(kind, report)
 
 
-def _check_dual_route(seq: VectorSequence, kind: VerdictKind, defect: int) -> None:
+def _dual_vote(seq: VectorSequence, defect: int) -> Optional[VerdictKind]:
     from . import duals  # deferred; duals depends on this module
 
     try:
         partner = duals.minimal_dual(seq)
-    except NoBiorthogonalSequenceError as exc:
-        raise CriteriaDisagreementError(
-            f"column route found independent columns but dual construction failed: {exc}"
-        ) from exc
+        bessel_bound(partner)
+        dual_defect = completeness_defect(partner)
     except IllConditionedError:
-        # The dual exists but is out of numerical reach; nothing trustworthy
-        # to cross-check, so the route is skipped rather than failed.
-        return
-    residual = biorthogonality_residual(seq, partner)
-    if residual > BIORTHOGONALITY_TOL:
-        raise CriteriaDisagreementError(
-            f"minimal dual fails biorthogonality: residual {residual:.3e}"
-        )
-    if not (np.isfinite(bessel_bound(seq)) and np.isfinite(bessel_bound(partner))):
-        raise CriteriaDisagreementError("non-finite upper bound on a finite system")
-    dual_defect = completeness_defect(partner)
-    dual_kind = (
-        VerdictKind.RIESZ_BASIS
-        if min(defect, dual_defect) == 0
-        else VerdictKind.RIESZ_SEQUENCE_INCOMPLETE
-    )
-    if dual_kind is not kind:
-        raise CriteriaDisagreementError(
-            f"column route says {kind.value}, dual route says {dual_kind.value}"
-        )
+        return None
+    if min(defect, dual_defect) == 0:
+        return VerdictKind.RIESZ_BASIS
+    return VerdictKind.RIESZ_SEQUENCE_INCOMPLETE

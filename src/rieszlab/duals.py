@@ -18,7 +18,6 @@ from .diagnostics import (
     _check_pair,
     biorthogonality_residual,
     completeness_defect,
-    riesz_bounds,
 )
 from .errors import (
     IllConditionedError,
@@ -28,7 +27,7 @@ from .errors import (
 from .seqcore import (
     VectorSequence,
     _gram_entries,
-    _rank_tol,
+    _independent,
     analysis,
     coefficient_entries,
     synthesis,
@@ -64,7 +63,7 @@ def minimal_dual(seq: VectorSequence) -> VectorSequence:
 
 def _construct_dual(seq: VectorSequence):
     """The minimal dual, or the (error type, message) that refuses it."""
-    if riesz_bounds(seq).lower <= _rank_tol(seq) ** 2:
+    if not _independent(seq):
         return NoBiorthogonalSequenceError, (
             "columns are linearly dependent (not minimal); no biorthogonal sequence exists"
         )

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError, SingularOperatorError, TruncationError
-from .seqcore import VectorSequence, _rank_tol, _singular_values
+from .seqcore import VectorSequence, _independent, _singular_values
 
 #: Time shifts must stay this far from the grid edge; three widths of the
 #: Gaussian leave a tail amplitude of exp(-9 pi) ~ 5e-13.
@@ -131,12 +131,8 @@ def riesz_from_operator(operator) -> VectorSequence:
     v = np.asarray(operator, dtype=complex)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise DimensionError(f"operator must be square, got shape {v.shape}")
-    return _invertible(VectorSequence.from_columns(v))
-
-
-def _invertible(seq: VectorSequence) -> VectorSequence:
-    sigma = _singular_values(seq)
-    if sigma[0] == 0.0 or sigma[-1] <= _rank_tol(seq):
+    seq = VectorSequence.from_columns(v)
+    if not _independent(seq):
         raise SingularOperatorError("operator is numerically singular")
     return seq
 
@@ -154,7 +150,7 @@ def random_riesz(n: int, seed=0) -> VectorSequence:
         seq = VectorSequence.from_columns(v)
         sigma = _singular_values(seq)
         if sigma[-1] > 0.0 and sigma[0] / sigma[-1] <= RIESZ_CONDITION_LIMIT:
-            return _invertible(seq)
+            return seq
 
 
 def weighted_pair(n: int) -> GeneratedPair:

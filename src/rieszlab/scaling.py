@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
@@ -25,7 +26,7 @@ import numpy as np
 from . import diagnostics, duals, generators
 from .errors import FitDomainError, IllConditionedError
 from .generators import GaborDiscretization, PointSet2D
-from .seqcore import VectorSequence, _rank_tol
+from .seqcore import VectorSequence, _independent
 
 #: Values below this are treated as "essentially zero" by the verdict rules.
 ESSENTIALLY_ZERO = 1e-6
@@ -227,22 +228,18 @@ def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
         system, partner = _build_member(generator_id, size, params)
         lower, upper = diagnostics.riesz_bounds(system)
         defect_distance = diagnostics.span_distance(system, _probe_vector(system.dim, params))
+        dual_upper = duality_residual = None
         if partner is not None:
             dual_upper = diagnostics.bessel_bound(partner)
             duality_residual = duals.duality_identity_residual(system, partner)
-        elif lower > _rank_tol(system) ** 2:
+        elif _independent(system):
             # The minimal dual's Gram is the inverse Gram, so its optimal
             # upper bound is available without forming the dual.
             dual_upper = 1.0 / lower
-            try:
+            with suppress(IllConditionedError):
                 duality_residual = duals.duality_identity_residual(
                     system, duals.minimal_dual(system)
                 )
-            except IllConditionedError:
-                duality_residual = None
-        else:
-            dual_upper = None
-            duality_residual = None
     except Exception as exc:
         try:  # prefix the size where the type can be rebuilt from a message alone
             annotated = type(exc)(f"size {size}: {exc}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, IllConditionedError
 
 #: Relative scale of the shared numerical-rank threshold:
 #: sigma_max * max(n, m) * RANK_TOL_SCALE.  One constant serves both the
@@ -30,6 +30,10 @@ RANK_TOL_SCALE = 1e-12
 
 HERMITIAN_RTOL = 1e-12
 PSD_RTOL = 1e-10
+
+#: Range whose squares are normal floats.
+_SIGMA_FLOOR = float(np.sqrt(np.finfo(float).tiny))
+_SIGMA_CEILING = float(np.sqrt(np.finfo(float).max))
 
 
 def _as_complex_matrix(values, name: str) -> np.ndarray:
@@ -226,9 +230,9 @@ def numerical_rank(matrix) -> int:
 class _SpectralRecord:
     """Factorizations of one VectorSequence, each computed on first read.
 
-    Entries: "sigma" (singular values of F), "rank_tol", "gram_entries" (F^H F,
-    no eigensolve), "gram" (the validated GramMatrix) and "dual" (the outcome
-    of `duals.minimal_dual`).  The record lives and dies with its sequence and
+    Entries: "sigma" (singular values of F), "gram_entries" (F^H F, no
+    eigensolve), "gram" (the validated GramMatrix) and "dual" (the outcome of
+    `duals.minimal_dual`).  The record lives and dies with its sequence and
     holds no U/V factors.  Threads racing on a first read may each compute an
     entry; the first stored value is the one every caller gets.
     """
@@ -247,19 +251,31 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _singular_values(seq: VectorSequence) -> np.ndarray:
     """Singular values of the columns, descending; one SVD per system."""
-    return seq._record.fill(
-        "sigma", lambda: _read_only(np.linalg.svd(seq.columns, compute_uv=False))
-    )
+    return seq._record.fill("sigma", lambda: _representable_sigma(seq))
 
 
-def _rank_tol(seq: VectorSequence) -> float:
-    return seq._record.fill(
-        "rank_tol", lambda: _rank_threshold(_singular_values(seq), seq.columns.shape)
-    )
+def _representable_sigma(seq: VectorSequence) -> np.ndarray:
+    """Refuses a nonzero system unless every squared singular value from the
+    rank threshold up to sigma_max is a normal float; beyond that range its
+    bounds, Gram spectrum and dual are not representable."""
+    sigma = np.linalg.svd(seq.columns, compute_uv=False)
+    tol = _rank_threshold(sigma, seq.columns.shape)
+    if sigma[0] > 0.0 and not _SIGMA_FLOOR <= tol <= sigma[0] <= _SIGMA_CEILING:
+        raise IllConditionedError(
+            f"sigma_max {sigma[0]:.3e} is out of range: squared singular values "
+            "down to the rank threshold must be normal floats"
+        )
+    return _read_only(sigma)
 
 
 def _rank(seq: VectorSequence) -> int:
-    return int(np.count_nonzero(_singular_values(seq) > _rank_tol(seq)))
+    sigma = _singular_values(seq)
+    return int(np.count_nonzero(sigma > _rank_threshold(sigma, seq.columns.shape)))
+
+
+def _independent(seq: VectorSequence) -> bool:
+    """The package's one independence test: numerical rank == count."""
+    return _rank(seq) == seq.count
 
 
 def _gram_entries(seq: VectorSequence) -> np.ndarray:

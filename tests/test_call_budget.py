@@ -10,6 +10,7 @@ np.linalg.norm(x, 2) is counted too.
 
 import inspect
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -20,6 +21,7 @@ from rieszlab import VectorSequence, classify, random_riesz
 from rieszlab.cli import main
 from rieszlab.generators import RIESZ_CONDITION_LIMIT
 from rieszlab.matrixio import write_matrix
+from rieszlab.scaling import FamilySpec, run_family
 
 # numpy >= 2 keeps the implementation in numpy.linalg._linalg, older numpy in numpy.linalg.linalg.
 _LINALG = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
@@ -29,11 +31,13 @@ KERNELS = ("svd", "eigvalsh", "solve", "lstsq")
 @pytest.fixture
 def lapack_calls(monkeypatch):
     counts = Counter()
+    lock = threading.Lock()  # run_family counts from its worker threads
     for name in KERNELS:
         original = getattr(_LINALG, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
+            with lock:
+                counts[_name] += 1
             return _original(*args, **kwargs)
 
         for namespace in (np.linalg, _LINALG):
@@ -41,8 +45,8 @@ def lapack_calls(monkeypatch):
     return counts
 
 
-def assert_within(counts, svd, eigvalsh, solve):
-    budget = {"svd": svd, "eigvalsh": eigvalsh, "solve": solve, "lstsq": 0}
+def assert_within(counts, svd, eigvalsh, solve, lstsq=0):
+    budget = {"svd": svd, "eigvalsh": eigvalsh, "solve": solve, "lstsq": lstsq}
     over = {k: (counts[k], budget[k]) for k in KERNELS if counts[k] > budget[k]}
     assert not over, f"calls over budget (used, budget): {over}"
 
@@ -148,3 +152,21 @@ def test_gabor_refine_factors_each_rate_once(lapack_calls, capsys):
     argv = ["gabor", "--set", "punctured", "--max-index", "2", "--samples", "16", "--refine", "8,32"]
     assert main(argv) == 0
     assert_within(lapack_calls, svd=3, eigvalsh=0, solve=0)
+
+
+# Per size: the member's SVD, one lstsq for the probe distance and one SVD
+# inside the identity-residual norm; plus the minimal dual's solve, or a
+# designated partner's SVD and eigensolve.  Three sizes per family.
+@pytest.mark.parametrize(
+    "generator, sizes, budget",
+    [
+        ("rieszSeeded", (8, 16, 32), (6, 0, 3, 3)),
+        ("orthonormal", (8, 16, 32), (6, 0, 3, 3)),
+        ("gaborPunctured", (1, 2, 3), (6, 0, 3, 3)),
+        ("weightedPair", (8, 16, 32), (9, 3, 0, 3)),
+        ("youngExample", (8, 16, 32), (9, 3, 0, 3)),
+    ],
+)
+def test_run_family(generator, sizes, budget, lapack_calls):
+    run_family(FamilySpec(generator, sizes))
+    assert_within(lapack_calls, *budget)

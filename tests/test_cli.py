@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from rieszlab import VectorSequence, classify, weighted_pair, young_example
+from rieszlab import VectorSequence, classify, random_riesz, weighted_pair, young_example
 from rieszlab.cli import main
 from rieszlab.matrixio import read_matrix, write_matrix
 
@@ -255,7 +255,9 @@ class TestUsage:
 # One row per failure mode of the documented exit codes 0/2/3/4/5, beside the
 # cases the classes above already cover.  {dir} is the test's directory, which
 # holds basis.csv (a 3x3 basis), ill.csv, wide.csv, far.csv, utf16.csv (not
-# UTF-8) and outdir/.
+# UTF-8), big.csv, small.csv and smaller.csv (a 6x6 basis scaled by 1e160,
+# 1e-160 and 1e-170) and outdir/.  The size-guard rows use sizes that are
+# refused before anything is allocated.
 EXIT_CODE_TABLE = [
     ("family-json-written",
      ["family", "--gen", "weighted", "--sizes", "4,8,16", "--json", "{dir}/f.json"], 0, None),
@@ -284,8 +286,37 @@ EXIT_CODE_TABLE = [
     ("family-gabor-half-width-off-grid",
      ["family", "--gen", "gaborPunctured", "--sizes", "1,2,3", "--half-width", "6.3"], 2,
      "--half-width 6.3"),
+    ("example-n-oversize", ["example", "riesz", "--n", "100000", "-o", "{dir}/r"], 2,
+     "100000x100000 complex array"),
+    ("example-complement-dim-oversize",
+     ["example", "youngGeneral", "--n", "4", "--complement-dim", "100000000", "-o", "{dir}/y"],
+     2, "100000004x4 complex array"),
+    ("family-sizes-oversize", ["family", "--gen", "riesz", "--sizes", "8,16,100000"], 2,
+     "100000x100000 complex array"),
+    ("family-gabor-sizes-oversize",
+     ["family", "--gen", "gaborPunctured", "--sizes", "1,2,100000"], 2, "byte limit"),
+    ("gabor-samples-oversize", ["gabor", "--set", "punctured", "--samples", "1000000000"], 2,
+     "12000000000x25 complex array"),
+    ("gabor-refine-oversize", ["gabor", "--set", "lattice", "--refine", "8,1000000000"], 2,
+     "12000000000x25 complex array"),
+    ("gabor-half-width-oversize", ["gabor", "--set", "lattice", "--half-width", "1e9"], 2,
+     "32000000000x25 complex array"),
+    ("gabor-max-index-oversize", ["gabor", "--set", "lattice", "--max-index", "100000"], 2,
+     "byte limit"),
+    ("gabor-nmax-oversize", ["gabor", "--set", "als", "--nmax", "1000000000000"], 2,
+     "byte limit"),
+    ("gabor-max-index-zero", ["gabor", "--set", "punctured", "--max-index", "0"], 2,
+     "max_index must be >= 1"),
+    ("gabor-nmax-zero", ["gabor", "--set", "als", "--nmax", "0"], 2, "n_max must be >= 1"),
+    ("gabor-lattice-step-zero", ["gabor", "--set", "lattice", "--a", "0"], 2,
+     "lattice steps must be positive"),
     ("dual-residual-contract", ["dual", "{dir}/ill.csv", "-o", "{dir}/d.csv"], 3,
      "too ill-conditioned"),
+    ("analyze-scale-overflow", ["analyze", "{dir}/big.csv"], 3, "out of range"),
+    ("dual-scale-overflow", ["dual", "{dir}/big.csv", "-o", "{dir}/d.csv"], 3, "out of range"),
+    ("dual-scale-underflow", ["dual", "{dir}/small.csv", "-o", "{dir}/d.csv"], 3,
+     "out of range"),
+    ("analyze-scale-underflow", ["analyze", "{dir}/smaller.csv"], 3, "out of range"),
     ("dual-wide-system", ["dual", "{dir}/wide.csv", "-o", "{dir}/d.csv"], 4,
      "no biorthogonal sequence exists"),
     ("gabor-file-node-outside-window", ["gabor", "--set", "file", "--nodes", "{dir}/far.csv"],
@@ -304,6 +335,9 @@ def test_exit_codes(argv, code, message, tmp_path, capsys):
     (tmp_path / "wide.csv").write_text("1,0,1\n0,1,1\n")
     (tmp_path / "far.csv").write_text("0,0\n9,0\n")
     (tmp_path / "utf16.csv").write_bytes("1,0\n0,1\n".encode("utf-16"))
+    basis = random_riesz(6, seed=3).columns
+    for name, scale in (("big", 1e160), ("small", 1e-160), ("smaller", 1e-170)):
+        write_matrix(str(tmp_path / f"{name}.csv"), VectorSequence.from_columns(scale * basis))
     (tmp_path / "outdir").mkdir()
     before = set(tmp_path.rglob("*"))
     assert run_cli(*(arg.replace("{dir}", str(tmp_path)) for arg in argv)) == code
@@ -317,3 +351,23 @@ def test_exit_codes(argv, code, message, tmp_path, capsys):
     assert not any((tmp_path / "outdir").iterdir())
     if code not in (0, 2):
         assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+def test_scaled_basis_keeps_its_verdict_or_exits_3(command, tmp_path, capsys):
+    basis = random_riesz(6, seed=3)
+    expected = classify(basis).kind.value
+    extra = ["-o", str(tmp_path / "d.csv")] if command == "dual" else []
+    for k in range(-200, 201, 10):
+        src = tmp_path / f"scaled{k}.csv"
+        write_matrix(str(src), VectorSequence.from_columns(10.0**k * basis.columns))
+        code = run_cli(command, str(src), *extra)
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert json.loads(out)["verdict"] == expected, k
+        else:
+            assert code == 3, k
+            [line] = err.splitlines()
+            assert line.startswith("error: ") and "out of range" in line
+        # Scales well inside the float range are never refused.
+        assert code == 0 or abs(k) > 100, k

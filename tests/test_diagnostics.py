@@ -4,6 +4,8 @@ import pytest
 import oracles
 from rieszlab import (
     DimensionError,
+    GaborDiscretization,
+    IllConditionedError,
     NotARieszBasisError,
     VectorSequence,
     VerdictKind,
@@ -12,8 +14,12 @@ from rieszlab import (
     classify,
     completeness_defect,
     equivalent_inner_product,
+    gaussian_gabor,
     gram_spectrum,
+    lattice_points,
+    minimal_dual,
     orthonormal,
+    random_riesz,
     riesz_bounds,
     span_distance,
     weighted_pair,
@@ -284,3 +290,70 @@ class TestInvariants:
         scaled = riesz_bounds(VectorSequence.from_columns(alpha * cols))
         assert scaled.lower == pytest.approx(abs(alpha) ** 2 * base.lower, rel=1e-10)
         assert scaled.upper == pytest.approx(abs(alpha) ** 2 * base.upper, rel=1e-10)
+
+
+def _unitary(rng, k):
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return q
+
+
+def _sigma_band_system(m, shape, exponent):
+    """F = Q1 diag(1, ..., 1, sigma) Q2 with sigma = 10**-exponent, seeded Q1, Q2."""
+    rng = np.random.default_rng((m, exponent, ("tall", "square", "wide").index(shape)))
+    dim, count = {"tall": (m + 2, m), "square": (m, m), "wide": (m, m + 2)}[shape]
+    diag = np.zeros((dim, count))
+    diag[np.arange(m), np.arange(m)] = 1.0
+    diag[m - 1, m - 1] = 10.0**-exponent
+    return VectorSequence.from_columns(_unitary(rng, dim) @ diag @ _unitary(rng, count))
+
+
+class TestRouteAbstention:
+    """Across the band where the Gram route cannot resolve what the column
+    route can, the Gram route abstains instead of disagreeing."""
+
+    @pytest.mark.parametrize("shape", ["tall", "square", "wide"])
+    @pytest.mark.parametrize("m", [2, 10, 100])
+    def test_sigma_band_sweep_returns_a_verdict(self, m, shape):
+        for exponent in range(4, 14):
+            seq = _sigma_band_system(m, shape, exponent)
+            verdict = classify(seq)
+            rank_tol = max(seq.dim, seq.count) * 1e-12
+            sigma = 10.0**-exponent
+            if shape == "wide" or sigma < rank_tol / 2:
+                assert verdict.kind is VerdictKind.LINEARLY_DEPENDENT
+            elif sigma > 2 * rank_tol:
+                assert verdict.kind is (
+                    VerdictKind.RIESZ_BASIS if shape == "square"
+                    else VerdictKind.RIESZ_SEQUENCE_INCOMPLETE
+                )
+
+    @pytest.mark.parametrize(
+        "points, half_width",
+        [(lattice_points(1, 0.6, 4), 8), (lattice_points(1, 0.4, 3), 7)],
+        ids=["b=0.6", "b=0.4"],
+    )
+    def test_gabor_near_critical_density(self, points, half_width):
+        seq = gaussian_gabor(points, GaborDiscretization(half_width, 16))
+        assert classify(seq).kind is VerdictKind.RIESZ_SEQUENCE_INCOMPLETE
+        # The Gram route's raw reading stays what it is: unresolved, not bijective.
+        assert not gram_spectrum(seq).bijective
+
+
+class TestRepresentableScale:
+    @pytest.mark.parametrize("scale", [1e160, 1e-150, 1e-170, 1e-310])
+    def test_out_of_range_scale_is_refused(self, scale):
+        seq = VectorSequence.from_columns(scale * random_riesz(6, seed=3).columns)
+        with pytest.raises(IllConditionedError, match="out of range"):
+            classify(seq)
+        with pytest.raises(IllConditionedError, match="out of range"):
+            minimal_dual(seq)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-140])
+    def test_in_range_scale_keeps_the_verdict(self, scale):
+        seq = VectorSequence.from_columns(scale * random_riesz(6, seed=3).columns)
+        assert classify(seq).kind is VerdictKind.RIESZ_BASIS
+
+    def test_zero_system_is_dependent(self):
+        assert classify(VectorSequence.from_columns(np.zeros((3, 2)))).kind is (
+            VerdictKind.LINEARLY_DEPENDENT
+        )
