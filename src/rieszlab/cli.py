@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: analyze, dual, example, family, gabor.  Exit codes are stable:
-0 ok, 2 usage or parse error (including an unreadable or unwritable path),
-3 numeric failure, 4 no biorthogonal dual, 5 unsafe Gabor truncation.  All
+0 ok; 2 an argument, flag value or input file that the library rejects with a
+ValueError, an unreadable or unwritable path, or a command whose largest dense
+array (estimated from its flags or, for input files, once read) exceeds 1 GiB;
+3 numeric failure; 4 no biorthogonal dual; 5 unsafe Gabor truncation.  All
 randomness sits behind --seed (default 0); identical invocations produce
 byte-identical outputs.
 """
@@ -18,10 +20,8 @@ from . import diagnostics, duals, generators, matrixio, scaling
 from .diagnostics import BIORTHOGONALITY_TOL, TWO_ROUTE_RTOL, VerdictKind
 from .errors import (
     CriteriaDisagreementError,
-    DimensionError,
     FitDomainError,
     IllConditionedError,
-    MatrixParseError,
     NoBiorthogonalSequenceError,
     NotARieszBasisError,
     SingularOperatorError,
@@ -67,12 +67,18 @@ def _check_size(what: str, rows: int, cols: int) -> None:
         )
 
 
-def _check_gabor_size(what: str, kind: str, index: int, sample_count: int) -> None:
-    """Size check for a Gabor system on a lattice, punctured or ALS set: its
-    sample_count x nodes matrix, and the nodes x nodes separations of its
-    point set (punctured sets are counted as full lattices)."""
-    nodes = 2 + 4 * index if kind == "als" else (2 * index + 1) ** 2
-    _check_size(what, max(sample_count, nodes), nodes)
+def _gabor_nodes(kind: str, index: int) -> int:
+    """Node count of a lattice, punctured or ALS set (punctured counted as full)."""
+    return 2 + 4 * index if kind == "als" else (2 * index + 1) ** 2
+
+
+def _read_matrix(path: str) -> VectorSequence:
+    """A matrix file, refused if max(dim, count)^2 complex entries exceed the limit:
+    the Gram route allocates count^2 and the identity residual dim^2."""
+    seq = matrixio.read_matrix(path)
+    side = max(seq.dim, seq.count)
+    _check_size(path, side, side)
+    return seq
 
 
 def _tolerances() -> dict:
@@ -126,13 +132,13 @@ def _analysis_payload(seq: VectorSequence, source: str) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    seq = matrixio.read_matrix(args.input)
+    seq = _read_matrix(args.input)
     _emit(_analysis_payload(seq, args.input), args.json)
     return EXIT_OK
 
 
 def _cmd_dual(args) -> int:
-    seq = matrixio.read_matrix(args.input)
+    seq = _read_matrix(args.input)
     partner = duals.minimal_dual(seq)
     matrixio.write_matrix(args.out, partner)
     # The payload's residuals are those of this partner, read from seq's record.
@@ -151,18 +157,16 @@ def _example_systems(args):
     _check_size(f"example {name} --n {n}", n + max(extra_rows, 0), n)
     if name == "orthonormal":
         return generators.orthonormal(n), None
+    if name == "riesz":
+        return generators.random_riesz(n, seed=args.seed), None
     if name == "weighted":
         pair = generators.weighted_pair(n)
     elif name == "alternating":
         pair = generators.alternating_weighted_pair(n)
     elif name == "young":
         pair = generators.young_example(n)
-    elif name == "youngGeneral":
+    else:  # youngGeneral; argparse restricts the choices
         pair = generators.young_general(n, n, args.complement_dim)
-    elif name == "riesz":
-        return generators.random_riesz(n, seed=args.seed), None
-    else:  # pragma: no cover - argparse restricts the choices
-        raise UsageError(f"unknown example {name!r}")
     return pair.primal, pair.partner
 
 
@@ -202,8 +206,6 @@ def _discretization(half_width: float, samples: int):
 def _cmd_family(args) -> int:
     generator_id = _FAMILY_ALIASES.get(args.gen, args.gen)
     sizes = _parse_int_list(args.sizes, "--sizes")
-    if len(sizes) < 3:
-        raise UsageError("--sizes needs at least three sizes for an exponent fit")
     parameters = {
         "seed": args.seed,
         "probeIndex": args.probe_index,
@@ -211,17 +213,14 @@ def _cmd_family(args) -> int:
         "halfWidth": args.half_width,
         "samplesPerUnit": args.samples,
     }
-    try:
-        spec = scaling.FamilySpec(generator_id, sizes, parameters)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    what = f"family --gen {args.gen} --sizes {args.sizes}"
+    spec = scaling.FamilySpec(generator_id, sizes, parameters)
+    side = sizes[-1]
     if generator_id.startswith("gabor"):
-        disc = _discretization(args.half_width, args.samples)
+        # Each size forms the grid x grid identity residual of its system.
         kind = {"gaborPunctured": "punctured", "gaborALS": "als"}.get(generator_id, "lattice")
-        _check_gabor_size(what, kind, sizes[-1], disc.sample_count)
-    else:
-        _check_size(what, sizes[-1], sizes[-1])
+        grid = _discretization(args.half_width, args.samples).sample_count
+        side = max(grid, _gabor_nodes(kind, sizes[-1]))
+    _check_size(f"family --gen {args.gen} --sizes {args.sizes}", side, side)
     report = scaling.run_family(spec)
     payload = {
         "schemaVersion": SCHEMA_VERSION,
@@ -235,23 +234,26 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
-def _gabor_points(args):
-    try:
-        if args.set == "lattice":
-            return generators.lattice_points(args.a, args.b, args.max_index), (
-                f"lattice a={args.a} b={args.b} maxIndex={args.max_index}"
-            )
-        if args.set == "punctured":
-            return generators.punctured_lattice(args.max_index), (
-                f"punctured maxIndex={args.max_index}"
-            )
-        if args.set == "als":
-            return generators.als_point_set(args.nmax), f"als nmax={args.nmax}"
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if not args.nodes:
-        raise UsageError("--set file requires --nodes PATH")
-    return matrixio.read_point_set(args.nodes), f"nodes {args.nodes}"
+def _gabor_points(args, sample_count: int):
+    """The point set of --set and its description, after a size check of its
+    sample_count x nodes system whose nodes factor is also a node cap: from the
+    flags before any node is built, or for --set file once the file is read."""
+    what = f"gabor --set {args.set}"
+    if args.set == "file":
+        if not args.nodes:
+            raise UsageError("--set file requires --nodes PATH")
+        points = matrixio.read_point_set(args.nodes)
+        _check_size(what, max(sample_count, len(points)), len(points))
+        return points, f"nodes {args.nodes}"
+    nodes = _gabor_nodes(args.set, args.nmax if args.set == "als" else args.max_index)
+    _check_size(what, max(sample_count, nodes), nodes)
+    if args.set == "lattice":
+        return generators.lattice_points(args.a, args.b, args.max_index), (
+            f"lattice a={args.a} b={args.b} maxIndex={args.max_index}"
+        )
+    if args.set == "punctured":
+        return generators.punctured_lattice(args.max_index), f"punctured maxIndex={args.max_index}"
+    return generators.als_point_set(args.nmax), f"als nmax={args.nmax}"
 
 
 def _cmd_gabor(args) -> int:
@@ -261,11 +263,7 @@ def _cmd_gabor(args) -> int:
     if args.refine:
         rates = sorted(set(_parse_int_list(args.refine, "--refine")) | {args.samples})
         refine_discs = [_discretization(args.half_width, s) for s in rates]
-    if args.set != "file":
-        index = args.nmax if args.set == "als" else args.max_index
-        finest = (refine_discs or [disc])[-1].sample_count
-        _check_gabor_size(f"gabor --set {args.set}", args.set, index, finest)
-    points, source = _gabor_points(args)
+    points, source = _gabor_points(args, (refine_discs or [disc])[-1].sample_count)
     system = generators.gaussian_gabor(points, disc)
     lower, upper = diagnostics.riesz_bounds(system)
     payload = {
@@ -357,17 +355,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
+    # The one place that maps an error to an exit code, by type.  Numeric errors
+    # come first, as FitDomainError and LinAlgError are ValueErrors too.
     try:
         return args.func(args)
-    except (UsageError, MatrixParseError, DimensionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NoBiorthogonalSequenceError:
-        print("error: no biorthogonal sequence exists (minimality fails)", file=sys.stderr)
-        return EXIT_NO_DUAL
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATION
     except (
         IllConditionedError,
         CriteriaDisagreementError,
@@ -378,6 +369,15 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (UsageError, ValueError, OSError) as exc:  # MatrixParseError, DimensionError, ...
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except NoBiorthogonalSequenceError:
+        print("error: no biorthogonal sequence exists (minimality fails)", file=sys.stderr)
+        return EXIT_NO_DUAL
+    except TruncationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TRUNCATION
 
 
 if __name__ == "__main__":

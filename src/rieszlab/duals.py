@@ -106,7 +106,6 @@ def injectivity_witness(seq: VectorSequence, partner: VectorSequence, coeffs):
     For a biorthogonal pair this returns the input coefficients, which is the
     computation showing the synthesis operator has no kernel.
     """
-    _check_pair(seq, partner)
     residual = biorthogonality_residual(seq, partner)
     if residual > BIORTHOGONALITY_TOL:
         raise NotBiorthogonalError(

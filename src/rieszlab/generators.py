@@ -33,7 +33,8 @@ RIESZ_CONDITION_LIMIT = 1e6
 
 @dataclass(frozen=True)
 class PointSet2D:
-    """Distinct time-frequency nodes (tau, mu) with their minimal separation."""
+    """Time-frequency nodes (tau, mu), distinct as float pairs: (-0.0, 0.0) is
+    (0.0, 0.0), and nodes closer than about 1e-162 are kept with separation 0.0."""
 
     nodes: Tuple[Tuple[float, float], ...]
 
@@ -41,24 +42,21 @@ class PointSet2D:
         nodes = tuple((float(t), float(m)) for t, m in self.nodes)
         if not nodes:
             raise ValueError("a point set needs at least one node")
-        arr = np.asarray(nodes, dtype=float)
-        if not np.all(np.isfinite(arr)):
+        if not all(math.isfinite(c) for node in nodes for c in node):
             raise ValueError("nodes contain non-finite coordinates")
-        separation = math.inf
-        if len(nodes) > 1:
-            diff = arr[:, None, :] - arr[None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=2))
-            dist[np.diag_indices(len(nodes))] = math.inf
-            separation = float(dist.min())
-            if separation <= 0.0:
-                raise ValueError("nodes must be pairwise distinct")
+        if len(set(nodes)) < len(nodes):
+            raise ValueError("nodes must be pairwise distinct")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_separation", separation)
 
     @property
     def separation(self) -> float:
-        """Minimal pairwise Euclidean distance (+inf for a single node)."""
-        return self._separation  # type: ignore[attr-defined]
+        """Minimal pairwise Euclidean distance (+inf for a single node), one row at a time."""
+        arr = np.asarray(self.nodes)
+        return min(
+            (float(np.sqrt(((arr[i + 1:] - arr[i]) ** 2).sum(axis=1)).min())
+             for i in range(len(arr) - 1)),
+            default=math.inf,
+        )
 
     def __len__(self) -> int:
         return len(self.nodes)

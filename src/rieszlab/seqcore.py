@@ -92,8 +92,9 @@ class VectorSequence:
 
     @classmethod
     def from_columns(cls, columns) -> "VectorSequence":
-        cols = _as_complex_matrix(columns, "columns")
-        return cls(AmbientSpace(cols.shape[0]), cols)
+        # __post_init__ checks the columns once; a non-2-D shape gets a placeholder dimension.
+        shape = np.shape(columns)
+        return cls(AmbientSpace(shape[0] if len(shape) == 2 else 1), columns)
 
     @property
     def dim(self) -> int:

@@ -62,6 +62,17 @@ def gram_by_loops(columns):
     return out
 
 
+def dense_separation(nodes):
+    """Minimal pairwise distance of 2-D nodes from the dense N x N x 2 difference array."""
+    arr = np.asarray(nodes, dtype=float)
+    if len(arr) < 2:
+        return np.inf
+    diff = arr[:, None, :] - arr[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    dist[np.diag_indices(len(arr))] = np.inf
+    return float(dist.min())
+
+
 def gaussian_inner_product(tau1, mu1, tau2, mu2):
     """Quadrature value of the continuous Gabor inner product modulus."""
     from scipy.integrate import quad

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from rieszlab import VectorSequence, classify, random_riesz, weighted_pair, young_example
-from rieszlab.cli import main
+from rieszlab.cli import build_parser, main
 from rieszlab.matrixio import read_matrix, write_matrix
 
 
@@ -256,8 +257,9 @@ class TestUsage:
 # cases the classes above already cover.  {dir} is the test's directory, which
 # holds basis.csv (a 3x3 basis), ill.csv, wide.csv, far.csv, utf16.csv (not
 # UTF-8), big.csv, small.csv and smaller.csv (a 6x6 basis scaled by 1e160,
-# 1e-160 and 1e-170) and outdir/.  The size-guard rows use sizes that are
-# refused before anything is allocated.
+# 1e-160 and 1e-170), row8193.csv (1x8193), column8193.csv (8193x1),
+# nodes8193.csv (8193 nodes) and outdir/.  The size-guard rows use sizes that
+# are refused before anything large is allocated.
 EXIT_CODE_TABLE = [
     ("family-json-written",
      ["family", "--gen", "weighted", "--sizes", "4,8,16", "--json", "{dir}/f.json"], 0, None),
@@ -310,6 +312,28 @@ EXIT_CODE_TABLE = [
     ("gabor-nmax-zero", ["gabor", "--set", "als", "--nmax", "0"], 2, "n_max must be >= 1"),
     ("gabor-lattice-step-zero", ["gabor", "--set", "lattice", "--a", "0"], 2,
      "lattice steps must be positive"),
+    ("family-probe-index-outside",
+     ["family", "--gen", "orthonormal", "--sizes", "4,8,16", "--probe-index", "99"], 2,
+     "probe index 99"),
+    ("family-seed-negative", ["family", "--gen", "riesz", "--sizes", "4,8,16", "--seed", "-1"],
+     2, "size 4"),
+    ("example-seed-negative", ["example", "riesz", "--n", "4", "--seed", "-1", "-o", "{dir}/r"],
+     2, "non-negative"),
+    ("family-young-size-one", ["family", "--gen", "young", "--sizes", "1,2,3"], 2, "size 1"),
+    ("family-young-general-size-within-complement",
+     ["family", "--gen", "youngGeneral", "--sizes", "2,3,4", "--complement-dim", "3"], 2,
+     "exceed the complement dimension"),
+    ("analyze-row-file-oversize", ["analyze", "{dir}/row8193.csv"], 2, "byte limit"),
+    ("dual-row-file-oversize", ["dual", "{dir}/row8193.csv", "-o", "{dir}/d.csv"], 2,
+     "byte limit"),
+    ("analyze-column-file-oversize", ["analyze", "{dir}/column8193.csv"], 2, "byte limit"),
+    ("dual-column-file-oversize", ["dual", "{dir}/column8193.csv", "-o", "{dir}/d.csv"], 2,
+     "byte limit"),
+    ("gabor-node-file-oversize", ["gabor", "--set", "file", "--nodes", "{dir}/nodes8193.csv"],
+     2, "byte limit"),
+    ("family-gabor-grid-oversize",
+     ["family", "--gen", "gaborPunctured", "--sizes", "1,2,3", "--samples", "700"], 2,
+     "byte limit"),
     ("dual-residual-contract", ["dual", "{dir}/ill.csv", "-o", "{dir}/d.csv"], 3,
      "too ill-conditioned"),
     ("analyze-scale-overflow", ["analyze", "{dir}/big.csv"], 3, "out of range"),
@@ -335,6 +359,9 @@ def test_exit_codes(argv, code, message, tmp_path, capsys):
     (tmp_path / "wide.csv").write_text("1,0,1\n0,1,1\n")
     (tmp_path / "far.csv").write_text("0,0\n9,0\n")
     (tmp_path / "utf16.csv").write_bytes("1,0\n0,1\n".encode("utf-16"))
+    (tmp_path / "row8193.csv").write_text(",".join(["1"] * 8193) + "\n")
+    (tmp_path / "column8193.csv").write_text("1\n" * 8193)
+    (tmp_path / "nodes8193.csv").write_text("".join(f"{i},0\n" for i in range(8193)))
     basis = random_riesz(6, seed=3).columns
     for name, scale in (("big", 1e160), ("small", 1e-160), ("smaller", 1e-170)):
         write_matrix(str(tmp_path / f"{name}.csv"), VectorSequence.from_columns(scale * basis))
@@ -371,3 +398,51 @@ def test_scaled_basis_keeps_its_verdict_or_exits_3(command, tmp_path, capsys):
             assert line.startswith("error: ") and "out of range" in line
         # Scales well inside the float range are never refused.
         assert code == 0 or abs(k) > 100, k
+
+
+# Tiny base commands for the flag sweep: no flag value below makes one of them
+# allocate more than a few MB.  analyze and dual have no numeric flags.
+SHORT_NAMES = ("orthonormal", "weighted", "alternating", "young", "youngGeneral", "riesz")
+SWEEP_BASES = (
+    [["example", name, "--n", "3", "-o", "{dir}/e"] for name in SHORT_NAMES]
+    + [["family", "--gen", gen, "--sizes", "2,3,4"] for gen in SHORT_NAMES]
+    + [["family", "--gen", gen, "--sizes", "1,2,3"]
+       for gen in ("gaborPunctured", "gaborALS", "gaborFullLattice")]
+    + [["gabor", "--set", kind] for kind in ("lattice", "punctured", "als")]
+    + [["gabor", "--set", "file", "--nodes", "{dir}/nodes.csv"]]
+)
+SWEEP_VALUES = {int: ("0", "-1"), float: ("0", "-1", "nan", "inf")}
+
+
+def _numeric_flags(command):
+    """Every int or float option of a subcommand, read from the parser itself."""
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (action.option_strings[-1], value)
+        for action in subparsers.choices[command]._actions
+        if action.type in SWEEP_VALUES
+        for value in SWEEP_VALUES[action.type]
+    ]
+
+
+SWEEP_CASES = {
+    f"{base[0]} {base[2] if base[1].startswith('-') else base[1]} {flag}={value}":
+        base + [flag, value]
+    for base in SWEEP_BASES
+    for flag, value in _numeric_flags(base[0])
+}
+
+
+@pytest.mark.parametrize("argv", SWEEP_CASES.values(), ids=SWEEP_CASES.keys())
+def test_numeric_flag_sweep_never_exits_1(argv, tmp_path, capsys):
+    """Each numeric flag at 0 and -1 (floats also at nan and inf): a documented
+    exit code, and one error line for each failure."""
+    (tmp_path / "nodes.csv").write_text("0,0\n")
+    code = run_cli(*(arg.replace("{dir}", str(tmp_path)) for arg in argv))
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4, 5)
+    if code == 0:
+        assert err == ""
+    else:
+        [line] = err.splitlines()
+        assert line.startswith("error: ")

@@ -159,8 +159,32 @@ class TestPointSets:
         with pytest.raises(ValueError):
             PointSet2D(((0.0, 0.0), (0.0, 0.0)))
 
+    def test_signed_zero_is_one_node(self):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            PointSet2D(((0.0, 0.0), (-0.0, 0.0)))
+
+    def test_nodes_closer_than_squared_underflow_are_distinct(self):
+        # Their computed distance underflows to 0.0; as float pairs they differ.
+        assert PointSet2D(((0.0, 0.0), (1e-170, 0.0))).separation == 0.0
+
     def test_single_node_separation(self):
         assert PointSet2D(((0.0, 0.0),)).separation == math.inf
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            lattice_points(0.5, 2.0, 3),
+            punctured_lattice(3),
+            als_point_set(4),
+            PointSet2D(tuple(
+                map(tuple, np.random.default_rng(17).uniform(-0.3, 0.3, (60, 2))
+                    + [(j, k) for j in range(6) for k in range(10)])
+            )),
+        ],
+        ids=["lattice", "punctured", "als", "jittered"],
+    )
+    def test_separation_matches_dense_formula(self, points):
+        assert points.separation == oracles.dense_separation(points.nodes)
 
     def test_lattice_counts(self):
         assert len(lattice_points(1.0, 1.0, 1)) == 9

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,19 @@ class TestPointSetFiles:
 
     def test_text_format(self):
         assert point_set_text(PointSet2D(((0.0, 0.5),))) == "0,0.5\n"
+
+    def test_reading_3000_nodes_allocates_under_5_mb(self, tmp_path):
+        # Distinctness needs no N x N array, so the peak grows with N alone.
+        path = tmp_path / "nodes.csv"
+        path.write_text("".join(f"{i % 60},{i // 60}\n" for i in range(3000)))
+        tracemalloc.start()
+        try:
+            points = read_point_set(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 3000
+        assert peak < 5 * 2**20
 
 
 class TestReports:

@@ -37,6 +37,21 @@ class TestTypes:
         with pytest.raises(ValueError, match="non-finite"):
             VectorSequence.from_columns(np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("columns", [1.0, np.ones(3), np.ones((2, 2, 2)), [[1.0, 2.0]]])
+    def test_from_columns_checks_shape(self, columns):
+        if np.ndim(columns) == 2:
+            assert VectorSequence.from_columns(columns).dim == 1
+        else:
+            with pytest.raises(DimensionError, match="two-dimensional"):
+                VectorSequence.from_columns(columns)
+
+    def test_from_columns_checks_entries_once(self, monkeypatch):
+        calls = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda arr: calls.append(arr.shape) or isfinite(arr))
+        VectorSequence.from_columns(np.eye(4))
+        assert calls == [(4, 4)]
+
     def test_sequence_rejects_dim_mismatch(self):
         with pytest.raises(DimensionError):
             VectorSequence(AmbientSpace(3), np.eye(2))
