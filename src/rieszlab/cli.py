@@ -74,7 +74,8 @@ def _gabor_nodes(kind: str, index: int) -> int:
 
 def _read_matrix(path: str) -> VectorSequence:
     """A matrix file, refused if max(dim, count)^2 complex entries exceed the limit:
-    the Gram route allocates count^2 and the identity residual dim^2."""
+    the Gram route allocates count^2, and the identity residual dim^2 unless
+    the file is tall (2 count < dim)."""
     seq = matrixio.read_matrix(path)
     side = max(seq.dim, seq.count)
     _check_size(path, side, side)
@@ -216,7 +217,7 @@ def _cmd_family(args) -> int:
     spec = scaling.FamilySpec(generator_id, sizes, parameters)
     side = sizes[-1]
     if generator_id.startswith("gabor"):
-        # Each size forms the grid x grid identity residual of its system.
+        # A size that is not tall (2 nodes >= grid) forms a grid x grid identity residual.
         kind = {"gaborPunctured": "punctured", "gaborALS": "als"}.get(generator_id, "lattice")
         grid = _discretization(args.half_width, args.samples).sample_count
         side = max(grid, _gabor_nodes(kind, sizes[-1]))

@@ -82,10 +82,20 @@ def _construct_dual(seq: VectorSequence):
 
 
 def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> float:
-    """Spectral norm of (h -> sum_k <h, g_k> f_k) minus the identity."""
+    """Spectral norm of R = (h -> sum_k <h, g_k> f_k) minus the identity.
+
+    A tall pair (2 count < dim) never forms the dim x dim R.  With Q an
+    orthonormal basis from the reduced QR of [F G], R and its adjoint map
+    span(Q) into itself, and R = -I on its nonzero complement, so the norm is
+    max(||(Q^H F)(G^H Q) - I||, 1) exactly, from a 2 count x 2 count SVD.
+    """
     _check_pair(seq, partner)
-    residual = seq.columns @ partner.columns.conj().T - np.eye(seq.dim)
-    return float(np.linalg.norm(residual, 2))
+    f, g = seq.columns, partner.columns
+    if 2 * seq.count < seq.dim:
+        q = np.linalg.qr(np.concatenate([f, g], axis=1))[0]
+        compressed = (q.conj().T @ f) @ (g.conj().T @ q) - np.eye(q.shape[1])
+        return max(float(np.linalg.norm(compressed, 2)), 1.0)
+    return float(np.linalg.norm(f @ g.conj().T - np.eye(seq.dim), 2))
 
 
 def co_completeness_check(seq: VectorSequence) -> CoCompleteness:

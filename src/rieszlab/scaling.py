@@ -10,12 +10,17 @@ Per size the study records the two-sided bound constants, the distance from a
 probe vector to the span, the dual's upper bound constant and the
 reconstruction-identity residual, then fits log(metric) against log(size) and
 turns the exponents into coarse asymptotic verdicts.
+
+`run_family` evaluates the sizes on a thread pool, largest first, and each
+size runs its probe distance on the same pool while it computes the partner
+metrics, so the largest size's two halves overlap on two cores.  Rows are
+read back in size order; the report does not depend on the pool.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
@@ -223,11 +228,17 @@ def _probe_vector(dim: int, params: dict) -> np.ndarray:
     return probe
 
 
-def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
+def _evaluate_size(
+    generator_id: str, size: int, params: dict, pool: Optional[Executor] = None
+) -> SizeMetrics:
+    """One report row.  With a pool, the probe distance runs on it while this
+    thread computes the partner metrics; without one, everything runs inline."""
     try:
         system, partner = _build_member(generator_id, size, params)
+        # Fills the member's SVD before the distance job can see the system.
         lower, upper = diagnostics.riesz_bounds(system)
-        defect_distance = diagnostics.span_distance(system, _probe_vector(system.dim, params))
+        probe = _probe_vector(system.dim, params)
+        future = pool.submit(diagnostics.span_distance, system, probe) if pool is not None else None
         dual_upper = duality_residual = None
         if partner is not None:
             dual_upper = diagnostics.bessel_bound(partner)
@@ -240,6 +251,13 @@ def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
                 duality_residual = duals.duality_identity_residual(
                     system, duals.minimal_dual(system)
                 )
+        # A job no worker has started is taken back and run here, so this
+        # thread only waits on a running job, which waits on nothing: no
+        # pool size can deadlock.
+        if future is None or future.cancel():
+            defect_distance = diagnostics.span_distance(system, probe)
+        else:
+            defect_distance = future.result()
     except Exception as exc:
         try:  # prefix the size where the type can be rebuilt from a message alone
             annotated = type(exc)(f"size {size}: {exc}")
@@ -274,13 +292,18 @@ def run_family(spec: FamilySpec) -> ScalingReport:
     """Evaluate a generator family across its sizes and fit growth exponents.
 
     Sizes are evaluated independently on a thread pool of at most one worker
-    per CPU; the report rows are ordered by size, and the results do not
-    depend on the pool.
+    per CPU, handed out largest first so the longest size never starts last;
+    each size also lends its probe distance to an idle worker.  The results
+    are read in ascending size order, so the rows, and the failure reported
+    when several sizes fail (the smallest), do not depend on the pool.
     """
-    with ThreadPoolExecutor(max_workers=_worker_count(len(spec.sizes))) as pool:
-        rows = list(
-            pool.map(lambda s: _evaluate_size(spec.generator_id, s, spec.parameters), spec.sizes)
-        )
+    sizes = spec.sizes
+    with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
+        futures = {
+            s: pool.submit(_evaluate_size, spec.generator_id, s, spec.parameters, pool)
+            for s in reversed(sizes)
+        }
+        rows = [futures[s].result() for s in sizes]
     return _assemble_report(rows)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,33 @@ class TestDualityIdentityResidual:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             duality_identity_residual(orthonormal(3), orthonormal(4))
+
+    @pytest.mark.parametrize("dim, count", [(5, 2), (40, 3), (64, 10), (100, 1), (29, 14)])
+    @pytest.mark.parametrize("minimal", [True, False], ids=["minimal", "nonminimal"])
+    def test_tall_pair_matches_the_full_norm(self, dim, count, minimal):
+        seq = random_seq(dim + count, dim, count)
+        partner = minimal_dual(seq)
+        if not minimal:
+            # Adding vectors orthogonal to span(F) keeps the pair biorthogonal.
+            q = np.linalg.qr(seq.columns)[0]
+            extra = oracles.random_columns(dim * count, dim, count)
+            extra -= q @ (q.conj().T @ extra)
+            partner = VectorSequence.from_columns(partner.columns + extra)
+            assert biorthogonality_residual(seq, partner) <= 1e-10
+        full = np.linalg.norm(seq.columns @ partner.columns.conj().T - np.eye(dim), 2)
+        assert duality_identity_residual(seq, partner) == pytest.approx(full, rel=1e-14)
+
+    def test_tall_pair_never_forms_the_ambient_square(self):
+        seq = VectorSequence.from_columns(np.ones((3000, 1)))
+        dual = minimal_dual(seq)
+        tracemalloc.start()
+        try:
+            residual = duality_identity_residual(seq, dual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual == pytest.approx(1.0, rel=1e-14)
+        assert peak < 10e6  # the 3000 x 3000 complex residual alone is 144 MB
 
 
 class TestCoCompleteness:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 from rieszlab import (
@@ -10,6 +13,7 @@ from rieszlab import (
     gabor_refinement_study,
     punctured_lattice,
     run_family,
+    span_distance,
 )
 from rieszlab.scaling import _evaluate_size
 
@@ -102,12 +106,53 @@ class TestRunFamily:
             FamilySpec("rieszSeeded", (4, 6, 8, 12), {"seed": 3}),
             FamilySpec("youngExample", (8, 16, 32)),
             FamilySpec("gaborPunctured", (1, 2, 3), {"halfWidth": 6.0, "samplesPerUnit": 8}),
+            FamilySpec("weightedPair", (8, 16, 32, 64)),
+            FamilySpec("youngGeneral", (8, 16, 32), {"complementDim": 2}),
         ],
         ids=lambda spec: spec.generator_id,
     )
     def test_pool_matches_inline_evaluation(self, spec):
         inline = [_evaluate_size(spec.generator_id, s, spec.parameters) for s in spec.sizes]
         assert list(run_family(spec).per_size) == inline
+
+    def test_every_size_failing_reports_the_smallest(self):
+        # Sizes are handed out largest first but read back smallest first.
+        with pytest.raises(ValueError, match="^size 1: "):
+            run_family(FamilySpec("youngGeneral", (1, 2, 3), {"complementDim": 3}))
+
+    # One worker must take every queued distance job back; eight workers on
+    # fewer cores, with frequent thread switches, stress the shared systems.
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_pool_of_any_size_finishes_with_inline_rows(self, monkeypatch, workers):
+        spec = FamilySpec("rieszSeeded", (4, 6, 8, 12, 16, 24, 32, 48), {"seed": 3})
+        inline = [_evaluate_size(spec.generator_id, s, spec.parameters) for s in spec.sizes]
+        monkeypatch.setattr("rieszlab.scaling._worker_count", lambda n_jobs: workers)
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: reports.append(run_family(spec)), daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), f"run_family deadlocked on a {workers}-worker pool"
+        assert list(reports[0].per_size) == inline
+
+    def test_distance_failure_is_annotated(self, monkeypatch):
+        class DistanceError(Exception):
+            pass
+
+        original = span_distance
+
+        def refuse_at_six(system, vector):
+            if system.dim == 6:
+                raise DistanceError("lstsq did not converge")
+            return original(system, vector)
+
+        monkeypatch.setattr("rieszlab.diagnostics.span_distance", refuse_at_six)
+        with pytest.raises(DistanceError, match="^size 6: lstsq did not converge$"):
+            run_family(FamilySpec("rieszSeeded", (4, 6, 8)))
 
     @pytest.mark.parametrize("generator", ["youngExample", "weightedPair"])
     def test_nested_truncations_interlace(self, generator):
