@@ -157,8 +157,15 @@ def completeness_defect(seq: VectorSequence) -> int:
 
 
 def span_distance(seq: VectorSequence, vector) -> float:
-    """Euclidean distance from a vector to the span of the columns."""
+    """Euclidean distance from a vector to the span of the columns.
+
+    Exactly 0.0 when the columns' numerical rank equals the ambient dimension,
+    the decision behind a completeness defect of 0; otherwise the residual of
+    a least-squares solve that drops singular values at the same threshold.
+    """
     h = _ambient_vector(vector, seq.dim)
+    if _rank(seq) == seq.dim:
+        return 0.0
     rcond = max(seq.dim, seq.count) * RANK_TOL_SCALE
     solution = np.linalg.lstsq(seq.columns, h, rcond=rcond)[0]
     return float(np.linalg.norm(h - seq.columns @ solution))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
@@ -196,14 +196,10 @@ def _build_member(generator_id: str, size: int, params: dict):
         pair = generators.alternating_weighted_pair(size)
         return pair.primal, pair.partner
     if generator_id == "youngExample":
-        if size < 2:
-            raise ValueError("youngExample needs ambient dimension >= 2")
         pair = generators.young_example(size - 1)
         return pair.primal, pair.partner
     if generator_id == "youngGeneral":
         complement = int(params.get("complementDim", 1))
-        if size <= complement:
-            raise ValueError("ambient dimension must exceed the complement dimension")
         pair = generators.young_general(size - complement, size - complement, complement)
         return pair.primal, pair.partner
     if generator_id == "rieszSeeded":
@@ -219,12 +215,40 @@ def _build_member(generator_id: str, size: int, params: dict):
     return generators.gaussian_gabor(points, disc), None
 
 
+@contextmanager
+def _size_errors(size: int):
+    """Prefixes "size N: " to an error raised inside, where its type can be
+    rebuilt from a message alone; any other error passes through unchanged."""
+    try:
+        yield
+    except Exception as exc:
+        try:
+            annotated = type(exc)(f"size {size}: {exc}")
+        except Exception:
+            annotated = None
+        if annotated is None:
+            raise
+        raise annotated from exc
+
+
+def _check_preconditions(generator_id: str, size: int, params: dict) -> None:
+    """Every precondition of one size that needs no member built: the Young
+    size rules, then the probe index against the size's ambient dimension (the
+    grid for the Gabor families)."""
+    with _size_errors(size):
+        if generator_id == "youngExample" and size < 2:
+            raise ValueError("youngExample needs ambient dimension >= 2")
+        if generator_id == "youngGeneral" and size <= int(params.get("complementDim", 1)):
+            raise ValueError("ambient dimension must exceed the complement dimension")
+        dim = _gabor_disc(params).sample_count if generator_id.startswith("gabor") else size
+        index = int(params.get("probeIndex", 0))
+        if not 0 <= index < dim:
+            raise ValueError(f"probe index {index} outside ambient dimension {dim}")
+
+
 def _probe_vector(dim: int, params: dict) -> np.ndarray:
-    index = int(params.get("probeIndex", 0))
-    if not 0 <= index < dim:
-        raise ValueError(f"probe index {index} outside ambient dimension {dim}")
     probe = np.zeros(dim, dtype=complex)
-    probe[index] = 1.0
+    probe[int(params.get("probeIndex", 0))] = 1.0
     return probe
 
 
@@ -233,7 +257,8 @@ def _evaluate_size(
 ) -> SizeMetrics:
     """One report row.  With a pool, the probe distance runs on it while this
     thread computes the partner metrics; without one, everything runs inline."""
-    try:
+    _check_preconditions(generator_id, size, params)
+    with _size_errors(size):
         system, partner = _build_member(generator_id, size, params)
         # Fills the member's SVD before the distance job can see the system.
         lower, upper = diagnostics.riesz_bounds(system)
@@ -258,14 +283,6 @@ def _evaluate_size(
             defect_distance = diagnostics.span_distance(system, probe)
         else:
             defect_distance = future.result()
-    except Exception as exc:
-        try:  # prefix the size where the type can be rebuilt from a message alone
-            annotated = type(exc)(f"size {size}: {exc}")
-        except Exception:
-            annotated = None
-        if annotated is None:
-            raise
-        raise annotated from exc
     return SizeMetrics(size, lower, upper, defect_distance, dual_upper, duality_residual)
 
 
@@ -295,9 +312,12 @@ def run_family(spec: FamilySpec) -> ScalingReport:
     per CPU, handed out largest first so the longest size never starts last;
     each size also lends its probe distance to an idle worker.  The results
     are read in ascending size order, so the rows, and the failure reported
-    when several sizes fail (the smallest), do not depend on the pool.
+    when several sizes fail (the smallest), do not depend on the pool.  Every
+    size's preconditions are checked, smallest first, before any size runs.
     """
     sizes = spec.sizes
+    for size in sizes:
+        _check_preconditions(spec.generator_id, size, spec.parameters)
     with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
         futures = {
             s: pool.submit(_evaluate_size, spec.generator_id, s, spec.parameters, pool)

@@ -4,7 +4,7 @@ These deliberately avoid the library's own computation paths: distances come
 from an explicit orthonormal-basis projector, spectral quantities from dense
 eigensolves of explicitly assembled matrices, and Gabor values from adaptive
 quadrature of the underlying integrals.  Matrix CSV text has a per-cell
-reference formatter.
+reference formatter, and sampled Gabor systems a dense per-node builder.
 """
 
 import numpy as np
@@ -71,6 +71,18 @@ def dense_separation(nodes):
     dist = np.sqrt((diff**2).sum(axis=2))
     dist[np.diag_indices(len(arr))] = np.inf
     return float(dist.min())
+
+
+def dense_gabor_columns(nodes, disc):
+    """Sampled Gabor columns with both factors evaluated at every (grid point, node):
+    sqrt(1/s) * exp(-pi (x - tau)^2) * exp(2 pi i mu x), the operations of
+    `generators.gaussian_gabor` in the same order, without its distinct-value split."""
+    x = disc.grid()
+    taus = np.array([t for t, _ in nodes])
+    mus = np.array([m for _, m in nodes])
+    envelopes = np.exp(-np.pi * (x[:, None] - taus[None, :]) ** 2)
+    phases = np.exp(2j * np.pi * x[:, None] * mus[None, :])
+    return disc.normalization * envelopes * phases
 
 
 def gaussian_inner_product(tau1, mu1, tau2, mu2):

@@ -1,4 +1,4 @@
-"""LAPACK call budgets per public operation.
+"""LAPACK call budgets per public operation, and the exp work of a Gabor build.
 
 Counts are deterministic, unlike wall time, so they gate the factor-once
 design: each route factors its matrix once per system, and repeated
@@ -19,7 +19,12 @@ import pytest
 import rieszlab
 from rieszlab import VectorSequence, classify, random_riesz
 from rieszlab.cli import main
-from rieszlab.generators import RIESZ_CONDITION_LIMIT
+from rieszlab.generators import (
+    RIESZ_CONDITION_LIMIT,
+    GaborDiscretization,
+    gaussian_gabor,
+    lattice_points,
+)
 from rieszlab.matrixio import write_matrix
 from rieszlab.scaling import FamilySpec, run_family
 
@@ -154,19 +159,37 @@ def test_gabor_refine_factors_each_rate_once(lapack_calls, capsys):
     assert_within(lapack_calls, svd=3, eigvalsh=0, solve=0)
 
 
-# Per size: the member's SVD, one lstsq for the probe distance and one SVD
-# inside the identity-residual norm; plus the minimal dual's solve, or a
-# designated partner's SVD and eigensolve.  Three sizes per family.
+# Per size: the member's SVD, one SVD inside the identity-residual norm and,
+# for an incomplete member only, one lstsq for the probe distance; plus the
+# minimal dual's solve, or a designated partner's SVD and eigensolve.  Three
+# sizes per family; the Gabor and Young members are incomplete.
 @pytest.mark.parametrize(
     "generator, sizes, budget",
     [
-        ("rieszSeeded", (8, 16, 32), (6, 0, 3, 3)),
-        ("orthonormal", (8, 16, 32), (6, 0, 3, 3)),
+        ("rieszSeeded", (8, 16, 32), (6, 0, 3, 0)),
+        ("orthonormal", (8, 16, 32), (6, 0, 3, 0)),
         ("gaborPunctured", (1, 2, 3), (6, 0, 3, 3)),
-        ("weightedPair", (8, 16, 32), (9, 3, 0, 3)),
+        ("weightedPair", (8, 16, 32), (9, 3, 0, 0)),
         ("youngExample", (8, 16, 32), (9, 3, 0, 3)),
     ],
 )
 def test_run_family(generator, sizes, budget, lapack_calls):
     run_family(FamilySpec(generator, sizes))
     assert_within(lapack_calls, *budget)
+
+
+def test_gabor_lattice_evaluates_each_factor_once_per_distinct_value(monkeypatch):
+    # A (2M+1)^2 lattice has 2M+1 distinct shifts and 2M+1 distinct
+    # modulations: one envelope and one phase per grid point and value.
+    counted = []
+    original = np.exp
+
+    def exp(x, *args, **kwargs):
+        counted.append(np.size(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", exp)
+    max_index = 4
+    disc = GaborDiscretization(8.0, 16)
+    gaussian_gabor(lattice_points(1.0, 1.0, max_index), disc)
+    assert 0 < sum(counted) <= disc.sample_count * 2 * (2 * max_index + 1)

@@ -174,6 +174,27 @@ class TestFamily:
     def test_two_sizes_is_usage_error(self, capsys):
         assert run_cli("family", "--gen", "young", "--sizes", "8,16") == 2
 
+    @pytest.mark.parametrize(
+        "generator, argv, line",
+        [
+            ("young_general",
+             ["--gen", "youngGeneral", "--complement-dim", "3", "--sizes", "2,3,1200"],
+             "error: size 2: ambient dimension must exceed the complement dimension"),
+            ("gaussian_gabor",
+             ["--gen", "gaborPunctured", "--sizes", "1,2,3", "--probe-index", "192"],
+             "error: size 1: probe index 192 outside ambient dimension 192"),
+        ],
+        ids=["young-size-rule", "probe-index"],
+    )
+    def test_size_preconditions_fail_before_any_member_is_built(
+        self, generator, argv, line, monkeypatch, capsys
+    ):
+        built = []
+        monkeypatch.setattr(f"rieszlab.generators.{generator}", lambda *args: built.append(args))
+        assert run_cli("family", *argv) == 2
+        assert built == []
+        assert capsys.readouterr().err == line + "\n"
+
     def test_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

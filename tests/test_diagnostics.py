@@ -25,6 +25,7 @@ from rieszlab import (
     weighted_pair,
     young_example,
 )
+from rieszlab.seqcore import RANK_TOL_SCALE
 
 
 def seq_of(*vectors):
@@ -118,6 +119,26 @@ class TestSpanDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             span_distance(orthonormal(3), [1, 2])
+
+    # F = Q1 diag(1, ..., 1, sigma) Q2 with sigma_max = 1, so the rank
+    # threshold is n * RANK_TOL_SCALE: just above it F is complete and the
+    # distance is exactly 0; just below it one direction is dropped.
+    @pytest.mark.parametrize("factor, defect", [(1.001, 0), (0.999, 1)])
+    def test_decided_at_the_rank_threshold(self, factor, defect):
+        n = 10
+        q1, q2 = (np.linalg.qr(oracles.random_columns(seed, n, n))[0] for seed in (41, 42))
+        sigma = np.ones(n)
+        sigma[-1] = factor * n * RANK_TOL_SCALE
+        cols = (q1 * sigma) @ q2
+        seq = VectorSequence.from_columns(cols)
+        h = oracles.random_columns(43, n, 1)[:, 0]
+        assert completeness_defect(seq) == defect
+        if defect == 0:
+            assert span_distance(seq, h) == 0.0
+        else:
+            expected = oracles.projector_distance(cols, h)
+            assert expected > 0.1
+            assert span_distance(seq, h) == pytest.approx(expected, rel=1e-10)
 
 
 class TestGramSpectrum:

@@ -307,3 +307,26 @@ class TestGaussianGabor:
             * np.exp(2j * np.pi * node[1] * x)
         )
         np.testing.assert_allclose(system.columns[:, 0], expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("disc", [GaborDiscretization(8.0, 16), GaborDiscretization(7.5, 10)])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            lattice_points(1.0, 1.0, 3),
+            lattice_points(1.25, 0.75, 3),
+            lattice_points(0.5, 2.0, 4),
+            lattice_points(1.5, 1.5, 3),
+            punctured_lattice(4),
+            als_point_set(4),
+            PointSet2D(tuple(map(tuple, np.array(lattice_points(1.0, 1.0, 3).nodes)
+                                 + np.random.default_rng(5).uniform(-0.2, 0.2, (49, 2))))),
+            PointSet2D(((0.25, -1.5),)),
+            PointSet2D(((0.0, 0.0), (1.0, -0.0), (-0.0, 1.0), (2.0, -0.0), (-0.0, -2.0))),
+        ],
+        ids=["lattice", "lattice-skew", "lattice-thin", "lattice-sparse", "punctured", "als",
+             "jittered", "single", "signed-zeros"],
+    )
+    def test_bit_identical_to_dense_formula(self, points, disc):
+        built = gaussian_gabor(points, disc).columns
+        dense = oracles.dense_gabor_columns(points.nodes, disc)
+        np.testing.assert_array_equal(built.view(np.uint64), dense.view(np.uint64))
