@@ -217,7 +217,7 @@ def _cmd_family(args) -> int:
     spec = scaling.FamilySpec(generator_id, sizes, parameters)
     side = sizes[-1]
     if generator_id.startswith("gabor"):
-        # A size that is not tall (2 nodes >= grid) forms a grid x grid identity residual.
+        # A member is grid x nodes; max(grid, nodes) squared is one simple rule.
         kind = {"gaborPunctured": "punctured", "gaborALS": "als"}.get(generator_id, "lattice")
         grid = _discretization(args.half_width, args.samples).sample_count
         side = max(grid, _gabor_nodes(kind, sizes[-1]))

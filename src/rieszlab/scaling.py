@@ -9,7 +9,10 @@ lattice index bound, with the grid fixed by the discretization parameters.
 Per size the study records the two-sided bound constants, the distance from a
 probe vector to the span, the dual's upper bound constant and the
 reconstruction-identity residual, then fits log(metric) against log(size) and
-turns the exponents into coarse asymptotic verdicts.
+turns the exponents into coarse asymptotic verdicts.  A family without a
+designated partner gets its residual from the rank decision, not from a built
+dual: the minimal dual's reconstruction map is the orthogonal projector onto
+the span, so the residual is exactly 0 for a complete system and 1 otherwise.
 
 `run_family` evaluates the sizes on a thread pool, largest first, and each
 size runs its probe distance on the same pool while it computes the partner
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
@@ -29,7 +32,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import diagnostics, duals, generators
-from .errors import FitDomainError, IllConditionedError
+from .errors import FitDomainError
 from .generators import GaborDiscretization, PointSet2D
 from .seqcore import VectorSequence, _independent
 
@@ -269,13 +272,11 @@ def _evaluate_size(
             dual_upper = diagnostics.bessel_bound(partner)
             duality_residual = duals.duality_identity_residual(system, partner)
         elif _independent(system):
-            # The minimal dual's Gram is the inverse Gram, so its optimal
-            # upper bound is available without forming the dual.
+            # The minimal dual's Gram is the inverse Gram, and its
+            # reconstruction map is the projector onto the span, so both
+            # metrics are available without forming the dual.
             dual_upper = 1.0 / lower
-            with suppress(IllConditionedError):
-                duality_residual = duals.duality_identity_residual(
-                    system, duals.minimal_dual(system)
-                )
+            duality_residual = 0.0 if diagnostics.completeness_defect(system) == 0 else 1.0
         # A job no worker has started is taken back and run here, so this
         # thread only waits on a running job, which waits on nothing: no
         # pool size can deadlock.

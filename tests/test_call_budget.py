@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import rieszlab
-from rieszlab import VectorSequence, classify, random_riesz
+from rieszlab import VectorSequence, classify, duals, random_riesz
 from rieszlab.cli import main
 from rieszlab.generators import (
     RIESZ_CONDITION_LIMIT,
@@ -159,16 +159,17 @@ def test_gabor_refine_factors_each_rate_once(lapack_calls, capsys):
     assert_within(lapack_calls, svd=3, eigvalsh=0, solve=0)
 
 
-# Per size: the member's SVD, one SVD inside the identity-residual norm and,
-# for an incomplete member only, one lstsq for the probe distance; plus the
-# minimal dual's solve, or a designated partner's SVD and eigensolve.  Three
-# sizes per family; the Gabor and Young members are incomplete.
+# Per size: the member's SVD and, for an incomplete member only, one lstsq
+# for the probe distance.  A family without a designated partner reads its
+# dual metrics off that SVD's rank decision and builds no dual; a designated
+# partner adds its SVD and eigensolve and one SVD inside the identity-residual
+# norm.  Three sizes per family; the Gabor and Young members are incomplete.
 @pytest.mark.parametrize(
     "generator, sizes, budget",
     [
-        ("rieszSeeded", (8, 16, 32), (6, 0, 3, 0)),
-        ("orthonormal", (8, 16, 32), (6, 0, 3, 0)),
-        ("gaborPunctured", (1, 2, 3), (6, 0, 3, 3)),
+        ("rieszSeeded", (8, 16, 32), (3, 0, 0, 0)),
+        ("orthonormal", (8, 16, 32), (3, 0, 0, 0)),
+        ("gaborPunctured", (1, 2, 3), (3, 0, 0, 3)),
         ("weightedPair", (8, 16, 32), (9, 3, 0, 0)),
         ("youngExample", (8, 16, 32), (9, 3, 0, 3)),
     ],
@@ -176,6 +177,18 @@ def test_gabor_refine_factors_each_rate_once(lapack_calls, capsys):
 def test_run_family(generator, sizes, budget, lapack_calls):
     run_family(FamilySpec(generator, sizes))
     assert_within(lapack_calls, *budget)
+
+
+@pytest.mark.parametrize(
+    "generator, sizes",
+    [("rieszSeeded", (8, 16, 32)), ("orthonormal", (8, 16, 32)), ("gaborPunctured", (1, 2, 3))],
+)
+def test_run_family_builds_no_minimal_dual(generator, sizes, monkeypatch):
+    called = []
+    for name in ("minimal_dual", "duality_identity_residual"):
+        monkeypatch.setattr(duals, name, lambda *args, _name=name: called.append(_name))
+    run_family(FamilySpec(generator, sizes))
+    assert called == []
 
 
 def test_gabor_lattice_evaluates_each_factor_once_per_distinct_value(monkeypatch):

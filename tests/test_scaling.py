@@ -228,6 +228,41 @@ class TestRunFamily:
         with pytest.raises(ValueError, match="probe index"):
             run_family(FamilySpec("orthonormal", (4, 8, 16), {"probeIndex": 99}))
 
+    def test_complete_families_residual_is_exactly_zero(self):
+        # The minimal dual of a complete independent system reconstructs
+        # exactly; the residual is the rank decision, not rounding noise.
+        residuals = [
+            row.duality_residual
+            for generator in ("rieszSeeded", "orthonormal")
+            for row in run_family(FamilySpec(generator, (8, 16, 32))).per_size
+        ]
+        assert residuals == [0.0] * 6
+
+    def test_incomplete_gabor_residual_is_exactly_one(self):
+        # The minimal dual of an independent incomplete system reconstructs
+        # the orthogonal projector onto its span, a distance of exactly 1.
+        report = run_family(FamilySpec("gaborPunctured", (1, 2, 3)))
+        assert [row.duality_residual for row in report.per_size] == [1.0, 1.0, 1.0]
+
+    def test_full_rank_size_with_refused_dual_reads_the_rank_decision(self, monkeypatch):
+        import numpy as np
+
+        from rieszlab import IllConditionedError, VectorSequence, minimal_dual
+
+        # Singular values 1, ..., 1, 1e-9: independent by rank, but the dual's
+        # biorthogonality residual (about 1.7) is far above its 1e-8 contract.
+        rng = np.random.default_rng(0)
+        q1, q2 = (np.linalg.qr(rng.standard_normal((10, 10)))[0] for _ in range(2))
+        system = VectorSequence.from_columns(q1 @ np.diag([1.0] * 9 + [1e-9]) @ q2)
+        with pytest.raises(IllConditionedError):
+            minimal_dual(system)
+        monkeypatch.setattr(
+            "rieszlab.scaling._build_member", lambda generator_id, size, params: (system, None)
+        )
+        row = _evaluate_size("rieszSeeded", 10, {})
+        assert row.duality_residual == 0.0
+        assert row.bessel_upper_dual == 1.0 / row.riesz_lower
+
     def test_gabor_dual_bound_is_inverse_lower(self):
         report = run_family(
             FamilySpec("gaborFullLattice", (1, 2, 3), {"halfWidth": 6.0, "samplesPerUnit": 16})
