@@ -98,18 +98,19 @@ def _emit(payload: dict, json_path) -> None:
 
 
 def _analysis_payload(seq: VectorSequence, source: str) -> dict:
-    # classify, gram_spectrum and minimal_dual all read seq's spectral record.
+    # classify, gram_spectrum and the dual, with the biorthogonality residual
+    # that accepted it, all read seq's spectral record.
     verdict = diagnostics.classify(seq)
     spectrum = diagnostics.gram_spectrum(seq)
     residuals = {"biorthogonality": None, "dualityIdentity": None}
     if verdict.kind is not VerdictKind.LINEARLY_DEPENDENT:
         try:
-            partner = duals.minimal_dual(seq)
+            partner, biorthogonality = duals._accepted_dual(seq)
         except IllConditionedError:
             pass
         else:
             residuals = {
-                "biorthogonality": diagnostics.biorthogonality_residual(seq, partner),
+                "biorthogonality": biorthogonality,
                 "dualityIdentity": duals.duality_identity_residual(seq, partner),
             }
     return {

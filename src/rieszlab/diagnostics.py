@@ -32,6 +32,7 @@ from .seqcore import (
     VectorSequence,
     _ambient_vector,
     _independent,
+    _kernel_view,
     _rank,
     _singular_values,
     gram,
@@ -162,13 +163,15 @@ def span_distance(seq: VectorSequence, vector) -> float:
     Exactly 0.0 when the columns' numerical rank equals the ambient dimension,
     the decision behind a completeness defect of 0; otherwise the residual of
     a least-squares solve that drops singular values at the same threshold.
+    A vector without a nonzero imaginary part enters the solve as a real
+    vector, so a real system stays in real arithmetic.
     """
-    h = _ambient_vector(vector, seq.dim)
+    h = _kernel_view(_ambient_vector(vector, seq.dim))
     if _rank(seq) == seq.dim:
         return 0.0
     rcond = max(seq.dim, seq.count) * RANK_TOL_SCALE
-    solution = np.linalg.lstsq(seq.columns, h, rcond=rcond)[0]
-    return float(np.linalg.norm(h - seq.columns @ solution))
+    solution = np.linalg.lstsq(seq._kernel, h, rcond=rcond)[0]
+    return float(np.linalg.norm(h - seq._kernel @ solution))
 
 
 def gram_spectrum(seq: VectorSequence) -> GramSpectrum:
@@ -192,7 +195,7 @@ def _check_pair(seq: VectorSequence, partner: VectorSequence) -> None:
 def biorthogonality_residual(seq: VectorSequence, partner: VectorSequence) -> float:
     """max over (j, k) of |<f_k, g_j> - delta_jk|."""
     _check_pair(seq, partner)
-    cross = partner.columns.conj().T @ seq.columns
+    cross = partner._kernel.conj().T @ seq._kernel
     return float(np.abs(cross - np.eye(seq.count)).max())
 
 
@@ -207,9 +210,9 @@ def equivalent_inner_product(seq: VectorSequence) -> np.ndarray:
         raise NotARieszBasisError(
             f"equivalent inner product requires a Riesz basis, got {verdict.kind.value}"
         )
-    u, sigma, _ = np.linalg.svd(seq.columns)
+    u, sigma, _ = np.linalg.svd(seq._kernel)
     w = (u / sigma**2) @ u.conj().T
-    return (w + w.conj().T) / 2.0
+    return ((w + w.conj().T) / 2.0).astype(complex, copy=False)
 
 
 def _verdict_kind(independent: bool, defect: int) -> VerdictKind:

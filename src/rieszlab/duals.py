@@ -34,6 +34,11 @@ from .seqcore import (
 )
 
 
+class _AcceptedDual(NamedTuple):
+    partner: VectorSequence
+    biorthogonality_residual: float
+
+
 class CoCompleteness(NamedTuple):
     defect_primal: int
     defect_dual: int
@@ -52,23 +57,30 @@ def minimal_dual(seq: VectorSequence) -> VectorSequence:
 
     The outcome is kept in the system's spectral record: later calls return
     the same partner, or raise a fresh error of the same type and message.
-    The partner has its own record, independent of the system's.
+    The partner has its own record, independent of the system's.  A real
+    system's partner is real.
     """
+    return _accepted_dual(seq).partner
+
+
+def _accepted_dual(seq: VectorSequence) -> _AcceptedDual:
+    """The minimal dual with the biorthogonality residual that accepted it,
+    read from the system's spectral record; raises as `minimal_dual` does."""
     outcome = seq._record.fill("dual", lambda: _construct_dual(seq))
-    if isinstance(outcome, VectorSequence):
+    if isinstance(outcome, _AcceptedDual):
         return outcome
     error_type, message = outcome
     raise error_type(message)
 
 
 def _construct_dual(seq: VectorSequence):
-    """The minimal dual, or the (error type, message) that refuses it."""
+    """The accepted minimal dual, or the (error type, message) that refuses it."""
     if not _independent(seq):
         return NoBiorthogonalSequenceError, (
             "columns are linearly dependent (not minimal); no biorthogonal sequence exists"
         )
     try:
-        dual_adjoint = np.linalg.solve(_gram_entries(seq), seq.columns.conj().T)
+        dual_adjoint = np.linalg.solve(_gram_entries(seq), seq._kernel.conj().T)
     except np.linalg.LinAlgError as exc:
         return IllConditionedError, f"Gram factorization failed: {exc}"
     partner = VectorSequence(seq.ambient, dual_adjoint.conj().T)
@@ -78,7 +90,7 @@ def _construct_dual(seq: VectorSequence):
             f"biorthogonality residual {residual:.3e} exceeds {BIORTHOGONALITY_TOL:.0e}; "
             "the system is too ill-conditioned for a trustworthy dual"
         )
-    return partner
+    return _AcceptedDual(partner, residual)
 
 
 def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> float:
@@ -90,7 +102,7 @@ def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> f
     max(||(Q^H F)(G^H Q) - I||, 1) exactly, from a 2 count x 2 count SVD.
     """
     _check_pair(seq, partner)
-    f, g = seq.columns, partner.columns
+    f, g = seq._kernel, partner._kernel
     if 2 * seq.count < seq.dim:
         q = np.linalg.qr(np.concatenate([f, g], axis=1))[0]
         compressed = (q.conj().T @ f) @ (g.conj().T @ q) - np.eye(q.shape[1])

@@ -13,6 +13,12 @@ and the Gram matrix has entry (j, k) = <f_k, f_j> = (F^H F)[j, k].
 All values are immutable; every operation is a pure function, so instances
 can be shared freely across threads.  Each VectorSequence keeps its
 factorizations, once computed, in a private `_SpectralRecord`.
+
+The public arrays (`VectorSequence.columns`, `GramMatrix.entries`) are always
+complex128.  Factorizations and products read a kernel view instead: for an
+array without a nonzero imaginary part it is the real part as float64, so a
+real system is factored in real arithmetic, at about a quarter of the flops of
+complex arithmetic; any other array is its own kernel view.
 """
 
 from __future__ import annotations
@@ -37,7 +43,9 @@ _SIGMA_CEILING = float(np.sqrt(np.finfo(float).max))
 
 
 def _as_complex_matrix(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
+    """A validated C-contiguous complex128 copy of a matrix, allocated once
+    whatever its dtype and layout."""
+    arr = np.array(values, dtype=complex, order="C")
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -60,6 +68,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _kernel_view(arr: np.ndarray) -> np.ndarray:
+    """The array LAPACK and BLAS see: the real part of `arr` as a frozen
+    contiguous float64 copy when no entry has a nonzero imaginary part (-0.0
+    counts as zero), otherwise `arr` itself."""
+    if arr.imag.any():
+        return arr
+    return _read_only(np.array(arr.real, dtype=float, order="C"))
+
+
 @dataclass(frozen=True)
 class AmbientSpace:
     """Finite model of the ambient space: complex n-space."""
@@ -74,7 +96,11 @@ class AmbientSpace:
 
 @dataclass(frozen=True)
 class VectorSequence:
-    """Vectors f_1..f_m stored as the columns of an (ambient.dim x m) matrix."""
+    """Vectors f_1..f_m stored as the columns of an (ambient.dim x m) matrix.
+
+    `columns` is a read-only complex128 copy of the input.  Its kernel view,
+    kept beside it, is what the diagnostics and duals factor and multiply.
+    """
 
     ambient: AmbientSpace
     columns: np.ndarray
@@ -87,7 +113,8 @@ class VectorSequence:
             )
         if cols.shape[1] < 1:
             raise ValueError("a vector sequence needs at least one member")
-        object.__setattr__(self, "columns", _frozen(cols))
+        object.__setattr__(self, "columns", _read_only(cols))
+        object.__setattr__(self, "_kernel", _kernel_view(cols))
         object.__setattr__(self, "_record", _SpectralRecord())
 
     @classmethod
@@ -132,9 +159,10 @@ class GramMatrix:
 
     Entry (j, k) holds <f_k, f_j>.  Hermitian symmetry and positive
     semidefiniteness are validated at construction; the (ascending)
-    eigenvalues computed during validation are kept for reuse.  `gram(seq)`
-    builds it at most once per system, only for the Gram route, which stays
-    independent of the singular-value route.
+    eigenvalues computed during validation are kept for reuse; validation and
+    the eigensolve read the kernel view of the entries, which only the
+    constructor needs.  `gram(seq)` builds it at most once per system, only for
+    the Gram route, which stays independent of the singular-value route.
     """
 
     entries: np.ndarray
@@ -143,17 +171,18 @@ class GramMatrix:
         mat = _as_complex_matrix(self.entries, "entries")
         if mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"Gram matrix must be square, got shape {mat.shape}")
-        scale = float(np.abs(mat).max())
+        kernel = _kernel_view(mat)
+        scale = float(np.abs(kernel).max())
         if scale > 0.0:
-            asym = float(np.abs(mat - mat.conj().T).max())
+            asym = float(np.abs(kernel - kernel.conj().T).max())
             if asym > HERMITIAN_RTOL * scale:
                 raise ValueError(f"matrix is not Hermitian within tolerance (defect {asym:.3e})")
-        eigenvalues = np.linalg.eigvalsh(mat)
+        eigenvalues = np.linalg.eigvalsh(kernel)
         if eigenvalues[-1] > 0.0 and eigenvalues[0] < -PSD_RTOL * eigenvalues[-1]:
             raise ValueError(
                 f"matrix is not positive semidefinite within tolerance (lambda_min {eigenvalues[0]:.3e})"
             )
-        object.__setattr__(self, "entries", _frozen(mat))
+        object.__setattr__(self, "entries", _read_only(mat))
         object.__setattr__(self, "_eigenvalues", _frozen(eigenvalues))
 
     @property
@@ -217,13 +246,13 @@ def _rank_threshold(sigma: np.ndarray, shape) -> float:
 
 def rank_tolerance(matrix) -> float:
     """Shared rank threshold sigma_max * max(n, m) * 1e-12 for a matrix."""
-    arr = np.asarray(matrix, dtype=complex)
+    arr = _kernel_view(np.asarray(matrix, dtype=complex))
     return _rank_threshold(np.linalg.svd(arr, compute_uv=False), arr.shape)
 
 
 def numerical_rank(matrix) -> int:
     """Number of singular values above the shared rank threshold."""
-    arr = np.asarray(matrix, dtype=complex)
+    arr = _kernel_view(np.asarray(matrix, dtype=complex))
     sigma = np.linalg.svd(arr, compute_uv=False)
     return int(np.count_nonzero(sigma > _rank_threshold(sigma, arr.shape)))
 
@@ -233,9 +262,13 @@ class _SpectralRecord:
 
     Entries: "sigma" (singular values of F), "gram_entries" (F^H F, no
     eigensolve), "gram" (the validated GramMatrix) and "dual" (the outcome of
-    `duals.minimal_dual`).  The record lives and dies with its sequence and
-    holds no U/V factors.  Threads racing on a first read may each compute an
-    entry; the first stored value is the one every caller gets.
+    `duals.minimal_dual`, with the biorthogonality residual that accepted it).
+    Every entry is computed from the sequence's kernel view, so a real
+    system's sigma, Gram entries and dual come from real arithmetic;
+    "gram_entries" is then float64 and "gram" keeps complex128 entries.  The
+    record lives and dies with its sequence and holds no U/V factors.  Threads
+    racing on a first read may each compute an entry; the first stored value is
+    the one every caller gets.
     """
 
     def fill(self, name: str, compute):
@@ -243,11 +276,6 @@ class _SpectralRecord:
             return self.__dict__[name]
         except KeyError:
             return self.__dict__.setdefault(name, compute())
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _singular_values(seq: VectorSequence) -> np.ndarray:
@@ -259,7 +287,7 @@ def _representable_sigma(seq: VectorSequence) -> np.ndarray:
     """Refuses a nonzero system unless every squared singular value from the
     rank threshold up to sigma_max is a normal float; beyond that range its
     bounds, Gram spectrum and dual are not representable."""
-    sigma = np.linalg.svd(seq.columns, compute_uv=False)
+    sigma = np.linalg.svd(seq._kernel, compute_uv=False)
     tol = _rank_threshold(sigma, seq.columns.shape)
     if sigma[0] > 0.0 and not _SIGMA_FLOOR <= tol <= sigma[0] <= _SIGMA_CEILING:
         raise IllConditionedError(
@@ -281,5 +309,5 @@ def _independent(seq: VectorSequence) -> bool:
 
 def _gram_entries(seq: VectorSequence) -> np.ndarray:
     return seq._record.fill(
-        "gram_entries", lambda: _read_only(seq.columns.conj().T @ seq.columns)
+        "gram_entries", lambda: _read_only(seq._kernel.conj().T @ seq._kernel)
     )

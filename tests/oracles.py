@@ -5,6 +5,9 @@ from an explicit orthonormal-basis projector, spectral quantities from dense
 eigensolves of explicitly assembled matrices, and Gabor values from adaptive
 quadrature of the underlying integrals.  Matrix CSV text has a per-cell
 reference formatter, and sampled Gabor systems a dense per-node builder.
+The `complex_*` oracles redo the library's kernels on complex128 copies, so a
+real system factored in real arithmetic can be checked against complex
+arithmetic.
 """
 
 import numpy as np
@@ -42,6 +45,39 @@ def projector_distance(columns, vector):
     basis = u[:, :rank]
     residual = vector - basis @ (basis.conj().T @ vector)
     return float(np.linalg.norm(residual))
+
+
+def as_complex(values):
+    """A complex128 copy: numpy then runs its complex LAPACK and BLAS kernels."""
+    return np.array(values, dtype=complex)
+
+
+def complex_singular_values(columns):
+    return np.linalg.svd(as_complex(columns), compute_uv=False)
+
+
+def complex_gram_eigenvalues(columns):
+    f = as_complex(columns)
+    return np.linalg.eigvalsh(f.conj().T @ f)
+
+
+def complex_minimal_dual(columns):
+    """Columns F (F^H F)^{-1} from a complex solve."""
+    f = as_complex(columns)
+    return np.linalg.solve(f.conj().T @ f, f.conj().T).conj().T
+
+
+def complex_lstsq_distance(columns, vector):
+    """Residual norm of a complex least-squares solve at the shared rank threshold."""
+    f, h = as_complex(columns), as_complex(vector)
+    solution = np.linalg.lstsq(f, h, rcond=max(f.shape) * 1e-12)[0]
+    return float(np.linalg.norm(h - f @ solution))
+
+
+def complex_identity_residual(columns, partner_columns):
+    """||F G^H - I|| from a complex dim x dim SVD."""
+    f, g = as_complex(columns), as_complex(partner_columns)
+    return float(np.linalg.norm(f @ g.conj().T - np.eye(f.shape[0]), 2))
 
 
 def spectral_norm(matrix):

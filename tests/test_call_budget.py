@@ -5,25 +5,29 @@ design: each route factors its matrix once per system, and repeated
 diagnostics of one system reuse those factorizations.  Budgets may only go
 down.  The counters replace svd, eigvalsh, solve and lstsq in both
 numpy.linalg and its implementation module, so the SVD inside
-np.linalg.norm(x, 2) is counted too.
+np.linalg.norm(x, 2) is counted too.  They also record the dtype each call
+computes in, which pins real systems to real arithmetic.
 """
 
 import inspect
+import json
 import sys
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
 import rieszlab
-from rieszlab import VectorSequence, classify, duals, random_riesz
+from rieszlab import VectorSequence, classify, diagnostics, duals, random_riesz
 from rieszlab.cli import main
 from rieszlab.generators import (
     RIESZ_CONDITION_LIMIT,
     GaborDiscretization,
     gaussian_gabor,
     lattice_points,
+    riesz_from_operator,
+    young_general,
 )
 from rieszlab.matrixio import write_matrix
 from rieszlab.scaling import FamilySpec, run_family
@@ -33,16 +37,31 @@ _LINALG = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
 KERNELS = ("svd", "eigvalsh", "solve", "lstsq")
 
 
+class KernelCalls(Counter):
+    """Calls per kernel, and per kernel the set of dtypes its calls computed in
+    (the result type of their array operands)."""
+
+    def __init__(self):
+        super().__init__()
+        self.dtypes = defaultdict(set)
+
+    def clear(self):
+        super().clear()
+        self.dtypes.clear()
+
+
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    counts = Counter()
+    counts = KernelCalls()
     lock = threading.Lock()  # run_family counts from its worker threads
     for name in KERNELS:
         original = getattr(_LINALG, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
+            dtype = np.result_type(*(a for a in args if isinstance(a, np.ndarray)))
             with lock:
                 counts[_name] += 1
+                counts.dtypes[_name].add(dtype)
             return _original(*args, **kwargs)
 
         for namespace in (np.linalg, _LINALG):
@@ -75,12 +94,22 @@ def matrix_file(tmp_path):
     return write
 
 
+def assert_computed_in(counts, dtype):
+    assert counts, "no kernel ran"
+    seen = {name: counts.dtypes[name] for name in counts}
+    assert all(dtypes == {np.dtype(dtype)} for dtypes in seen.values()), seen
+
+
 def test_counter_sees_direct_and_norm_svds(lapack_calls):
     a = np.arange(6.0).reshape(3, 2)
     np.linalg.svd(a, compute_uv=False)
     np.linalg.norm(a, 2)
     np.linalg.eigvalsh(a.T @ a)
-    assert dict(lapack_calls) == {"svd": 2, "eigvalsh": 1}
+    np.linalg.lstsq(a, np.ones(3, dtype=complex))
+    assert dict(lapack_calls) == {"svd": 2, "eigvalsh": 1, "lstsq": 1}
+    assert lapack_calls.dtypes == {
+        "svd": {np.dtype(float)}, "eigvalsh": {np.dtype(float)}, "lstsq": {np.dtype(complex)}
+    }
 
 
 def test_no_module_binds_linalg_functions():
@@ -118,6 +147,29 @@ def test_cli_independent(command, lapack_calls, matrix_file, tmp_path, capsys):
     lapack_calls.clear()
     assert main([command, path, *extra]) == 0
     assert_within(lapack_calls, svd=3, eigvalsh=2, solve=1)
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+def test_cli_reads_the_accepted_biorthogonality_residual(
+    command, monkeypatch, matrix_file, tmp_path, capsys
+):
+    calls = []
+    original = diagnostics.biorthogonality_residual
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (diagnostics, duals):
+        monkeypatch.setattr(module, "biorthogonality_residual", spy)
+    seq = independent_system()
+    path = matrix_file(seq)
+    extra = ["-o", str(tmp_path / "dual.csv")] if command == "dual" else []
+    report = tmp_path / "report.json"
+    assert main([command, path, *extra, "--json", str(report)]) == 0
+    assert len(calls) == 1
+    residual = json.loads(report.read_text())["residuals"]["biorthogonality"]
+    assert residual == original(seq, duals.minimal_dual(seq))
 
 
 def test_analyze_dependent(lapack_calls, matrix_file, capsys):
@@ -177,6 +229,51 @@ def test_gabor_refine_factors_each_rate_once(lapack_calls, capsys):
 def test_run_family(generator, sizes, budget, lapack_calls):
     run_family(FamilySpec(generator, sizes))
     assert_within(lapack_calls, *budget)
+
+
+@pytest.mark.parametrize(
+    "generator, sizes, dtype",
+    [
+        ("orthonormal", (8, 16, 32), float),
+        ("weightedPair", (8, 16, 32), float),
+        ("alternatingWeightedPair", (8, 16, 32), float),
+        ("youngExample", (8, 16, 32), float),
+        ("youngGeneral", (8, 16, 32), float),
+        ("rieszSeeded", (8, 16, 32), complex),
+        ("gaborPunctured", (1, 2, 3), complex),
+    ],
+)
+def test_run_family_kernel_dtype(generator, sizes, dtype, lapack_calls):
+    run_family(FamilySpec(generator, sizes))
+    assert_computed_in(lapack_calls, dtype)
+
+
+def real_dense_basis():
+    q = np.linalg.qr(np.random.default_rng(11).standard_normal((12, 12)))[0]
+    return riesz_from_operator(q * np.linspace(1.0, 3.0, 12))
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+@pytest.mark.parametrize(
+    "system, dtype",
+    [
+        (lambda: young_general(8, 8, 2).primal, float),
+        (real_dense_basis, float),
+        (independent_system, complex),
+    ],
+    ids=["youngGeneral", "realDense", "complex"],
+)
+def test_cli_kernel_dtype(command, system, dtype, lapack_calls, matrix_file, tmp_path, capsys):
+    path = matrix_file(system())
+    extra = ["-o", str(tmp_path / "dual.csv")] if command == "dual" else []
+    lapack_calls.clear()
+    assert main([command, path, *extra]) == 0
+    assert_computed_in(lapack_calls, dtype)
+
+
+def test_gabor_kernel_dtype(lapack_calls, capsys):
+    assert main(["gabor", "--set", "punctured", "--max-index", "2"]) == 0
+    assert_computed_in(lapack_calls, complex)
 
 
 @pytest.mark.parametrize(

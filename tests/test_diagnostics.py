@@ -9,10 +9,12 @@ from rieszlab import (
     NotARieszBasisError,
     VectorSequence,
     VerdictKind,
+    alternating_weighted_pair,
     bessel_bound,
     biorthogonality_residual,
     classify,
     completeness_defect,
+    duality_identity_residual,
     equivalent_inner_product,
     gaussian_gabor,
     gram_spectrum,
@@ -21,11 +23,14 @@ from rieszlab import (
     orthonormal,
     random_riesz,
     riesz_bounds,
+    riesz_from_operator,
     span_distance,
     weighted_pair,
     young_example,
+    young_general,
 )
-from rieszlab.seqcore import RANK_TOL_SCALE
+from rieszlab.diagnostics import _dual_vote, _gram_route
+from rieszlab.seqcore import RANK_TOL_SCALE, _singular_values, gram
 
 
 def seq_of(*vectors):
@@ -313,19 +318,32 @@ class TestInvariants:
         assert scaled.upper == pytest.approx(abs(alpha) ** 2 * base.upper, rel=1e-10)
 
 
-def _unitary(rng, k):
-    q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+def _unitary(rng, k, real=False):
+    """A seeded unitary factor; real=True gives a real orthogonal one."""
+    a = rng.standard_normal((k, k))
+    q, _ = np.linalg.qr(a if real else a + 1j * rng.standard_normal((k, k)))
     return q
 
 
-def _sigma_band_system(m, shape, exponent):
+def _sigma_band_system(m, shape, exponent, real=False):
     """F = Q1 diag(1, ..., 1, sigma) Q2 with sigma = 10**-exponent, seeded Q1, Q2."""
     rng = np.random.default_rng((m, exponent, ("tall", "square", "wide").index(shape)))
     dim, count = {"tall": (m + 2, m), "square": (m, m), "wide": (m, m + 2)}[shape]
     diag = np.zeros((dim, count))
     diag[np.arange(m), np.arange(m)] = 1.0
     diag[m - 1, m - 1] = 10.0**-exponent
-    return VectorSequence.from_columns(_unitary(rng, dim) @ diag @ _unitary(rng, count))
+    return VectorSequence.from_columns(
+        _unitary(rng, dim, real) @ diag @ _unitary(rng, count, real)
+    )
+
+
+def _route_votes(seq):
+    """The column verdict, the Gram vote and the dual vote (None: abstains)."""
+    kind = classify(seq).kind
+    gram_vote = _gram_route(seq, gram(seq).eigenvalues)[1]
+    if kind is VerdictKind.LINEARLY_DEPENDENT:
+        return kind, gram_vote
+    return kind, gram_vote, _dual_vote(seq, completeness_defect(seq))
 
 
 class TestRouteAbstention:
@@ -347,6 +365,14 @@ class TestRouteAbstention:
                     VerdictKind.RIESZ_BASIS if shape == "square"
                     else VerdictKind.RIESZ_SEQUENCE_INCOMPLETE
                 )
+
+    @pytest.mark.parametrize("shape", ["tall", "square", "wide"])
+    @pytest.mark.parametrize("m", [2, 10, 100])
+    def test_real_factors_vote_as_complex_factors(self, m, shape):
+        for exponent in range(4, 14):
+            real = _sigma_band_system(m, shape, exponent, real=True)
+            assert real.columns.dtype == np.complex128 and not np.any(real.columns.imag)
+            assert _route_votes(real) == _route_votes(_sigma_band_system(m, shape, exponent))
 
     @pytest.mark.parametrize(
         "points, half_width",
@@ -378,3 +404,60 @@ class TestRepresentableScale:
         assert classify(VectorSequence.from_columns(np.zeros((3, 2)))).kind is (
             VerdictKind.LINEARLY_DEPENDENT
         )
+
+
+def _real_gallery():
+    """Every real named system, primal and designated partner, plus a dense real
+    basis with singular values spread over [1, 2]."""
+    systems = {"orthonormal": (orthonormal(12), None)}
+    for name, pair in [
+        ("weighted", weighted_pair(12)),
+        ("alternating", alternating_weighted_pair(13)),
+        ("young", young_example(9)),
+        ("youngGeneral", young_general(7, 5, complement_dim=2)),
+    ]:
+        systems[name] = (pair.primal, pair.partner)
+        systems[name + "Partner"] = (pair.partner, pair.primal)
+    q = np.linalg.qr(np.random.default_rng(23).standard_normal((16, 16)))[0]
+    systems["realOperator"] = (riesz_from_operator(q * np.linspace(1.0, 2.0, 16)), None)
+    return systems
+
+
+_REAL_GALLERY = _real_gallery()
+#: Absolute tolerance for values at rounding level (exact answer 0 or 1).
+_ROUNDING = 64 * np.finfo(float).eps
+
+
+class TestRealArithmeticAgreement:
+    """Real systems are factored in real arithmetic; every kernel output agrees
+    with complex arithmetic on the same columns to 1e-13 of its scale."""
+
+    @staticmethod
+    def close(actual, expected):
+        expected = np.asarray(expected)
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("name", sorted(_REAL_GALLERY))
+    def test_spectra_and_dual(self, name):
+        seq, _ = _REAL_GALLERY[name]
+        assert seq._kernel.dtype == np.float64  # the real path is the one under test
+        self.close(_singular_values(seq), oracles.complex_singular_values(seq.columns))
+        self.close(gram(seq).eigenvalues, oracles.complex_gram_eigenvalues(seq.columns))
+        self.close(minimal_dual(seq).columns, oracles.complex_minimal_dual(seq.columns))
+
+    @pytest.mark.parametrize("name", sorted(_REAL_GALLERY))
+    def test_span_distances(self, name):
+        seq, _ = _REAL_GALLERY[name]
+        rng = np.random.default_rng(5)
+        for probe in (e(0, seq.dim).real, rng.standard_normal(seq.dim)):
+            expected = oracles.complex_lstsq_distance(seq.columns, probe)
+            tol = max(1e-13 * expected, _ROUNDING * np.linalg.norm(probe))
+            assert span_distance(seq, probe) == pytest.approx(expected, rel=0, abs=tol)
+
+    @pytest.mark.parametrize("name", sorted(_REAL_GALLERY))
+    def test_identity_residuals(self, name):
+        seq, partner = _REAL_GALLERY[name]
+        for other in filter(None, (partner, minimal_dual(seq))):
+            expected = oracles.complex_identity_residual(seq.columns, other.columns)
+            tol = max(1e-13 * expected, _ROUNDING)
+            assert duality_identity_residual(seq, other) == pytest.approx(expected, rel=0, abs=tol)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,16 @@ from rieszlab import (
     GramMatrix,
     VectorSequence,
     analysis,
+    equivalent_inner_product,
     frame_apply,
     gram,
     inner,
+    minimal_dual,
     numerical_rank,
     orthonormal,
     rank_tolerance,
     synthesis,
+    weighted_pair,
     young_example,
 )
 
@@ -66,6 +71,22 @@ class TestTypes:
         with pytest.raises(ValueError):
             seq.columns[0, 0] = 5.0
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_input_is_copied_once(self, dtype):
+        # One complex128 copy is 15.3 MiB; a real input adds its 7.6 MiB
+        # float64 kernel view.  A second complex copy would pass 30 MiB.
+        values = np.random.default_rng(0).standard_normal((1000, 1000)).astype(dtype)
+        if dtype is complex:
+            values.imag = 1.0
+        tracemalloc.start()
+        try:
+            seq = VectorSequence.from_columns(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+        assert values.flags.writeable and not np.shares_memory(seq.columns, values)
+
     def test_coefficient_vector_validates(self):
         with pytest.raises(ValueError):
             CoefficientVector(np.array([1.0, np.inf]))
@@ -87,6 +108,40 @@ class TestTypes:
         y = np.array([2.0, 1j])
         assert inner(x, y) == pytest.approx(2.0 + 2j)
         assert inner(y, x) == pytest.approx(np.conj(inner(x, y)))
+
+
+class TestKernelView:
+    """Factorizations read a float64 view of a system without a nonzero
+    imaginary part; the public arrays stay complex128 and read-only."""
+
+    def test_real_system_keeps_complex_public_arrays(self):
+        seq = young_example(6).primal
+        partner = minimal_dual(seq)
+        assert seq._kernel.dtype == np.float64 and partner._kernel.dtype == np.float64
+        for arr in (seq.columns, gram(seq).entries, partner.columns):
+            assert arr.dtype == np.complex128 and not arr.flags.writeable
+        assert equivalent_inner_product(weighted_pair(4).primal).dtype == np.complex128
+
+    def test_kernel_view_is_a_frozen_copy(self):
+        values = np.eye(3)
+        seq = VectorSequence.from_columns(values)
+        assert not seq._kernel.flags.writeable and seq._kernel.flags.c_contiguous
+        assert not np.shares_memory(seq._kernel, values)
+        np.testing.assert_array_equal(seq._kernel, values)
+
+    def test_tiny_imaginary_part_stays_complex(self):
+        values = np.eye(3, dtype=complex)
+        values[1, 2] = 1e-300j
+        seq = VectorSequence.from_columns(values)
+        assert seq._kernel is seq.columns
+
+    def test_negative_zero_imaginary_parts_are_real(self):
+        values = np.eye(3, dtype=complex)
+        values.imag = -0.0
+        assert np.signbit(values.imag).all()
+        seq = VectorSequence.from_columns(values)
+        assert seq._kernel.dtype == np.float64
+        np.testing.assert_array_equal(seq._kernel, np.eye(3))
 
 
 class TestSynthesis:
