@@ -73,9 +73,10 @@ def _gabor_nodes(kind: str, index: int) -> int:
 
 
 def _read_matrix(path: str) -> VectorSequence:
-    """A matrix file, refused if max(dim, count)^2 complex entries exceed the limit:
-    the Gram route allocates count^2, and the identity residual dim^2 unless
-    the file is tall (2 count < dim)."""
+    """A matrix file, refused if max(dim, count)^2 complex entries exceed the limit.
+    The Gram route allocates min(dim, count)^2 and the identity residual dim^2
+    unless the file is tall (2 count < dim); the rule keeps max(dim, count)^2,
+    so a wide file is refused past the same count as before."""
     seq = matrixio.read_matrix(path)
     side = max(seq.dim, seq.count)
     _check_size(path, side, side)

@@ -31,11 +31,11 @@ from .seqcore import (
     RANK_TOL_SCALE,
     VectorSequence,
     _ambient_vector,
+    _gram_eigenvalues,
     _independent,
     _kernel_view,
     _rank,
     _singular_values,
-    gram,
 )
 
 #: Relative agreement demanded between the Gram-eigenvalue and
@@ -50,8 +50,6 @@ BIORTHOGONALITY_TOL = 1e-8
 #: m * eps * lambda_max, so bijectivity decisions on the Gram route cannot
 #: resolve eigenvalues below that scale.
 _EIG_FLOOR_FACTOR = 8.0
-
-_W_GRAM_TOL = 1e-8
 
 
 class VerdictKind(str, Enum):
@@ -103,13 +101,14 @@ def _gram_route(seq: VectorSequence, lam: np.ndarray) -> Tuple[bool, Optional[Ve
     """The Gram route's raw independence reading and its vote (None: abstain).
 
     Eigenvalues count above the squared rank tolerance, floored at the
-    eigensolver's absolute accuracy.  A lambda_min below that zero but within
+    eigensolver's absolute accuracy on the matrix it solved (lam.size, which
+    is dim for a wide system).  A lambda_min below that zero but within
     the accuracy of the squared rank tolerance is rounding noise of either
     sign, so the route abstains there.
     """
     lambda_max = float(lam[-1])
     rank_tol_sq = lambda_max * (max(seq.dim, seq.count) * RANK_TOL_SCALE) ** 2
-    eig_floor = _EIG_FLOOR_FACTOR * seq.count * float(np.finfo(float).eps) * lambda_max
+    eig_floor = _EIG_FLOOR_FACTOR * lam.size * float(np.finfo(float).eps) * lambda_max
     rank = int(np.count_nonzero(lam > max(rank_tol_sq, eig_floor)))
     independent = rank == seq.count
     if not independent and lam[0] > rank_tol_sq - eig_floor:
@@ -130,19 +129,23 @@ def riesz_bounds(seq: VectorSequence) -> RieszBounds:
 
 
 def _compared_routes(seq: VectorSequence):
-    """(A, B) from the singular values and the ascending Gram eigenvalues,
-    after asserting that both extremes agree along the two routes."""
+    """(A, B) from the singular values and the ascending eigenvalues of the
+    record's Gram product, after asserting that both extremes agree along the
+    two routes: lambda_max with sigma_max^2, and lambda_min with the smallest
+    of the min(dim, count) singular values squared.  For a wide system the
+    product is F F^H, so lambda_min checks sigma_dim^2, not A = 0."""
     lower, upper = riesz_bounds(seq)
-    lam = gram(seq).eigenvalues
+    smallest = float(_singular_values(seq)[-1]) ** 2
+    lam = _gram_eigenvalues(seq)
     lambda_min, lambda_max = float(lam[0]), float(lam[-1])
     scale = max(lambda_max, upper)
     if scale > 0.0 and (
         abs(lambda_max - upper) > TWO_ROUTE_RTOL * scale
-        or abs(lambda_min - lower) > TWO_ROUTE_RTOL * scale
+        or abs(lambda_min - smallest) > TWO_ROUTE_RTOL * scale
     ):
         raise CriteriaDisagreementError(
             f"Gram spectrum ({lambda_min!r}, {lambda_max!r}) disagrees with "
-            f"singular-value bounds ({lower!r}, {upper!r})"
+            f"singular values squared ({smallest!r}, {upper!r})"
         )
     return lower, upper, lam
 
@@ -178,11 +181,13 @@ def gram_spectrum(seq: VectorSequence) -> GramSpectrum:
     """Eigenvalue extremes of the Gram matrix and the bijectivity flag.
 
     `bijective` is the Gram route's raw reading, lambda_min above its
-    effective zero.  Asserts agreement with the singular-value route before
-    returning.
+    effective zero.  A wide system's Gram matrix is singular by its shape, so
+    its lambda_min is exactly 0.0, as riesz_bounds reports A.  Asserts
+    agreement with the singular-value route before returning.
     """
     lam = _compared_routes(seq)[2]
-    return GramSpectrum(float(lam[0]), float(lam[-1]), _gram_route(seq, lam)[0])
+    lambda_min = 0.0 if seq.count > seq.dim else float(lam[0])
+    return GramSpectrum(lambda_min, float(lam[-1]), _gram_route(seq, lam)[0])
 
 
 def _check_pair(seq: VectorSequence, partner: VectorSequence) -> None:
@@ -235,8 +240,8 @@ def classify(seq: VectorSequence) -> Verdict:
     where the dual or its factorization is refused as ill-conditioned.  Every
     vote must match the column route; `CriteriaDisagreementError` signals a
     tolerance bug.  Each route factors its own matrix once (an SVD of F, an
-    eigensolve of F^H F, the dual's solve, SVD and eigensolve) and keeps the
-    factorization in that matrix's spectral record.
+    eigensolve of the smaller of F^H F and F F^H, the dual's solve, SVD and
+    eigensolve) and keeps the factorization in that matrix's spectral record.
     """
     lower, upper, lam = _compared_routes(seq)
     defect = completeness_defect(seq)

@@ -12,7 +12,10 @@ and the Gram matrix has entry (j, k) = <f_k, f_j> = (F^H F)[j, k].
 
 All values are immutable; every operation is a pure function, so instances
 can be shared freely across threads.  Each VectorSequence keeps its
-factorizations, once computed, in a private `_SpectralRecord`.
+factorizations, once computed, in a private `_SpectralRecord`.  The record's
+Gram product is the smaller of F^H F and F F^H: a wide system (more vectors
+than dimensions) is eigensolved on its dim x dim side, which shares the
+nonzero spectrum of the count x count Gram matrix.
 
 The public arrays (`VectorSequence.columns`, `GramMatrix.entries`) are always
 complex128.  Factorizations and products read a kernel view instead: for an
@@ -60,12 +63,6 @@ def _as_complex_vector(values, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = arr.copy()
-    out.setflags(write=False)
-    return out
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -144,7 +141,7 @@ class CoefficientVector:
 
     def __post_init__(self) -> None:
         vec = _as_complex_vector(self.entries, "entries")
-        object.__setattr__(self, "entries", _frozen(vec))
+        object.__setattr__(self, "entries", _read_only(vec.copy()))
 
     def __len__(self) -> int:
         return self.entries.shape[0]
@@ -158,11 +155,11 @@ class GramMatrix:
     """Hermitian positive-semidefinite matrix of pairwise inner products.
 
     Entry (j, k) holds <f_k, f_j>.  Hermitian symmetry and positive
-    semidefiniteness are validated at construction; the (ascending)
-    eigenvalues computed during validation are kept for reuse; validation and
-    the eigensolve read the kernel view of the entries, which only the
-    constructor needs.  `gram(seq)` builds it at most once per system, only for
-    the Gram route, which stays independent of the singular-value route.
+    semidefiniteness of the entries a caller passes in are validated at
+    construction; the (ascending) eigenvalues computed during validation are
+    kept for reuse; validation and the eigensolve read the kernel view of the
+    entries, which only the constructor needs.  `gram(seq)` builds one on
+    request; the diagnostics read the spectral record's Gram product instead.
     """
 
     entries: np.ndarray
@@ -183,7 +180,7 @@ class GramMatrix:
                 f"matrix is not positive semidefinite within tolerance (lambda_min {eigenvalues[0]:.3e})"
             )
         object.__setattr__(self, "entries", _read_only(mat))
-        object.__setattr__(self, "_eigenvalues", _frozen(eigenvalues))
+        object.__setattr__(self, "_eigenvalues", _read_only(eigenvalues))
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -228,9 +225,10 @@ def analysis(seq: VectorSequence, vector) -> CoefficientVector:
 
 
 def gram(seq: VectorSequence) -> GramMatrix:
-    """The Gram matrix F^H F with entry (j, k) = <f_k, f_j>, built and
-    validated once per system and then read from its spectral record."""
-    return seq._record.fill("gram", lambda: GramMatrix(_gram_entries(seq)))
+    """The validated count x count Gram matrix F^H F with entry (j, k) =
+    <f_k, f_j>, built and eigensolved afresh on every call; the diagnostics
+    read the Gram product and spectrum kept in the spectral record instead."""
+    return GramMatrix(seq._kernel.conj().T @ seq._kernel)
 
 
 def frame_apply(seq: VectorSequence, vector) -> np.ndarray:
@@ -260,12 +258,14 @@ def numerical_rank(matrix) -> int:
 class _SpectralRecord:
     """Factorizations of one VectorSequence, each computed on first read.
 
-    Entries: "sigma" (singular values of F), "gram_entries" (F^H F, no
-    eigensolve), "gram" (the validated GramMatrix) and "dual" (the outcome of
+    Entries: "sigma" (singular values of F), "gram_entries" (the smaller
+    Gram product: F^H F, or F F^H for a wide system), "gram_eigenvalues" (the
+    ascending eigenvalues of that product) and "dual" (the outcome of
     `duals.minimal_dual`, with the biorthogonality residual that accepted it).
     Every entry is computed from the sequence's kernel view, so a real
-    system's sigma, Gram entries and dual come from real arithmetic;
-    "gram_entries" is then float64 and "gram" keeps complex128 entries.  The
+    system's sigma, Gram product, spectrum and dual come from real arithmetic;
+    "gram_entries" is then float64.  The product is Hermitian positive
+    semidefinite by construction and is never wrapped in a GramMatrix.  The
     record lives and dies with its sequence and holds no U/V factors.  Threads
     racing on a first read may each compute an entry; the first stored value is
     the one every caller gets.
@@ -308,6 +308,14 @@ def _independent(seq: VectorSequence) -> bool:
 
 
 def _gram_entries(seq: VectorSequence) -> np.ndarray:
+    """The smaller Gram product: F^H F, or for a wide system F F^H, the Gram
+    product of F^H.  The two share their nonzero spectrum."""
+    f = seq._kernel.conj().T if seq.count > seq.dim else seq._kernel
+    return seq._record.fill("gram_entries", lambda: _read_only(f.conj().T @ f))
+
+
+def _gram_eigenvalues(seq: VectorSequence) -> np.ndarray:
+    """Ascending eigenvalues of the record's Gram product; one eigensolve per system."""
     return seq._record.fill(
-        "gram_entries", lambda: _read_only(seq._kernel.conj().T @ seq._kernel)
+        "gram_eigenvalues", lambda: _read_only(np.linalg.eigvalsh(_gram_entries(seq)))
     )

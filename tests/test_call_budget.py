@@ -6,7 +6,8 @@ diagnostics of one system reuse those factorizations.  Budgets may only go
 down.  The counters replace svd, eigvalsh, solve and lstsq in both
 numpy.linalg and its implementation module, so the SVD inside
 np.linalg.norm(x, 2) is counted too.  They also record the dtype each call
-computes in, which pins real systems to real arithmetic.
+computes in, which pins real systems to real arithmetic, and the shape of each
+eigensolved matrix, which pins the Gram route to the smaller Gram product.
 """
 
 import inspect
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import rieszlab
-from rieszlab import VectorSequence, classify, diagnostics, duals, random_riesz
+from rieszlab import VectorSequence, classify, diagnostics, duals, random_riesz, seqcore
 from rieszlab.cli import main
 from rieszlab.generators import (
     RIESZ_CONDITION_LIMIT,
@@ -38,16 +39,19 @@ KERNELS = ("svd", "eigvalsh", "solve", "lstsq")
 
 
 class KernelCalls(Counter):
-    """Calls per kernel, and per kernel the set of dtypes its calls computed in
-    (the result type of their array operands)."""
+    """Calls per kernel, per kernel the set of dtypes its calls computed in
+    (the result type of their array operands), and the shape of each matrix
+    passed to eigvalsh, in call order."""
 
     def __init__(self):
         super().__init__()
         self.dtypes = defaultdict(set)
+        self.eigvalsh_shapes = []
 
     def clear(self):
         super().clear()
         self.dtypes.clear()
+        self.eigvalsh_shapes.clear()
 
 
 @pytest.fixture
@@ -62,6 +66,8 @@ def lapack_calls(monkeypatch):
             with lock:
                 counts[_name] += 1
                 counts.dtypes[_name].add(dtype)
+                if _name == "eigvalsh":
+                    counts.eigvalsh_shapes.append(np.shape(args[0]))
             return _original(*args, **kwargs)
 
         for namespace in (np.linalg, _LINALG):
@@ -110,6 +116,7 @@ def test_counter_sees_direct_and_norm_svds(lapack_calls):
     assert lapack_calls.dtypes == {
         "svd": {np.dtype(float)}, "eigvalsh": {np.dtype(float)}, "lstsq": {np.dtype(complex)}
     }
+    assert lapack_calls.eigvalsh_shapes == [(2, 2)]
 
 
 def test_no_module_binds_linalg_functions():
@@ -177,6 +184,19 @@ def test_analyze_dependent(lapack_calls, matrix_file, capsys):
     lapack_calls.clear()
     assert main(["analyze", path]) == 0
     assert_within(lapack_calls, svd=1, eigvalsh=1, solve=0)
+
+
+def wide_system():
+    return VectorSequence.from_columns(np.random.default_rng(4).standard_normal((4, 40)))
+
+
+def test_analyze_wide_eigensolves_the_dim_side(lapack_calls, matrix_file, capsys):
+    # A wide system's Gram route factors the 4x4 product F F^H, not the 40x40 F^H F.
+    path = matrix_file(wide_system())
+    lapack_calls.clear()
+    assert main(["analyze", path]) == 0
+    assert_within(lapack_calls, svd=1, eigvalsh=1, solve=0)
+    assert lapack_calls.eigvalsh_shapes == [(4, 4)]
 
 
 def test_dual_dependent(lapack_calls, matrix_file, tmp_path, capsys):
@@ -303,3 +323,40 @@ def test_gabor_lattice_evaluates_each_factor_once_per_distinct_value(monkeypatch
     disc = GaborDiscretization(8.0, 16)
     gaussian_gabor(lattice_points(1.0, 1.0, max_index), disc)
     assert 0 < sum(counted) <= disc.sample_count * 2 * (2 * max_index + 1)
+
+
+@pytest.fixture
+def gram_matrix_builds(monkeypatch):
+    """Every GramMatrix constructed while the fixture is active."""
+    built = []
+    original = seqcore.GramMatrix.__post_init__
+
+    def spy(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(seqcore.GramMatrix, "__post_init__", spy)
+    return built
+
+
+def test_spy_sees_the_public_gram(gram_matrix_builds):
+    seqcore.gram(independent_system())
+    assert len(gram_matrix_builds) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+@pytest.mark.parametrize("system", [independent_system, dependent_system, wide_system])
+def test_cli_builds_no_gram_matrix(
+    command, system, gram_matrix_builds, matrix_file, tmp_path, capsys
+):
+    # The Gram route reads the record's Gram product; only callers build a GramMatrix.
+    path = matrix_file(system())
+    extra = ["-o", str(tmp_path / "dual.csv")] if command == "dual" else []
+    main([command, path, *extra])
+    assert gram_matrix_builds == []
+
+
+@pytest.mark.parametrize("generator", ["rieszSeeded", "weightedPair", "youngExample"])
+def test_run_family_builds_no_gram_matrix(generator, gram_matrix_builds):
+    run_family(FamilySpec(generator, (8, 16, 32)))
+    assert gram_matrix_builds == []

@@ -278,9 +278,11 @@ class TestUsage:
 # cases the classes above already cover.  {dir} is the test's directory, which
 # holds basis.csv (a 3x3 basis), ill.csv, wide.csv, far.csv, utf16.csv (not
 # UTF-8), big.csv, small.csv and smaller.csv (a 6x6 basis scaled by 1e160,
-# 1e-160 and 1e-170), row8193.csv (1x8193), column8193.csv (8193x1),
-# nodes8193.csv (8193 nodes) and outdir/.  The size-guard rows use sizes that
-# are refused before anything large is allocated.
+# 1e-160 and 1e-170), row8192.csv (1x8192), row8193.csv (1x8193),
+# column8193.csv (8193x1), nodes8193.csv (8193 nodes) and outdir/.  The
+# size-guard rows use sizes that are refused before anything large is
+# allocated.  row8192.csv is estimated at exactly the limit, 8192^2 complex
+# entries, and is accepted: its Gram route eigensolves a 1x1 product.
 EXIT_CODE_TABLE = [
     ("family-json-written",
      ["family", "--gen", "weighted", "--sizes", "4,8,16", "--json", "{dir}/f.json"], 0, None),
@@ -344,6 +346,9 @@ EXIT_CODE_TABLE = [
     ("family-young-general-size-within-complement",
      ["family", "--gen", "youngGeneral", "--sizes", "2,3,4", "--complement-dim", "3"], 2,
      "exceed the complement dimension"),
+    ("analyze-row-file-at-limit", ["analyze", "{dir}/row8192.csv"], 0, None),
+    ("dual-row-file-at-limit", ["dual", "{dir}/row8192.csv", "-o", "{dir}/d.csv"], 4,
+     "no biorthogonal sequence exists"),
     ("analyze-row-file-oversize", ["analyze", "{dir}/row8193.csv"], 2, "byte limit"),
     ("dual-row-file-oversize", ["dual", "{dir}/row8193.csv", "-o", "{dir}/d.csv"], 2,
      "byte limit"),
@@ -380,6 +385,7 @@ def test_exit_codes(argv, code, message, tmp_path, capsys):
     (tmp_path / "wide.csv").write_text("1,0,1\n0,1,1\n")
     (tmp_path / "far.csv").write_text("0,0\n9,0\n")
     (tmp_path / "utf16.csv").write_bytes("1,0\n0,1\n".encode("utf-16"))
+    (tmp_path / "row8192.csv").write_text(",".join(["1"] * 8192) + "\n")
     (tmp_path / "row8193.csv").write_text(",".join(["1"] * 8193) + "\n")
     (tmp_path / "column8193.csv").write_text("1\n" * 8193)
     (tmp_path / "nodes8193.csv").write_text("".join(f"{i},0\n" for i in range(8193)))

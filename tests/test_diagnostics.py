@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from rieszlab import (
+    CriteriaDisagreementError,
     DimensionError,
     GaborDiscretization,
     IllConditionedError,
@@ -30,7 +31,7 @@ from rieszlab import (
     young_general,
 )
 from rieszlab.diagnostics import _dual_vote, _gram_route
-from rieszlab.seqcore import RANK_TOL_SCALE, _singular_values, gram
+from rieszlab.seqcore import RANK_TOL_SCALE, _gram_eigenvalues, _singular_values, gram
 
 
 def seq_of(*vectors):
@@ -165,6 +166,52 @@ class TestGramSpectrum:
             spectrum = gram_spectrum(VectorSequence.from_columns(v))
             assert spectrum.lambda_min > 0
             assert spectrum.bijective
+
+
+def _wide_systems():
+    rng = np.random.default_rng(31)
+    return {
+        "complex6x15": VectorSequence.from_columns(oracles.random_columns(31, 6, 15)),
+        "real4x40": VectorSequence.from_columns(rng.standard_normal((4, 40))),
+        "rank2of5x9": VectorSequence.from_columns(
+            rng.standard_normal((5, 2)) @ rng.standard_normal((2, 9))
+        ),
+        "ones1x300": VectorSequence.from_columns(np.ones((1, 300))),
+    }
+
+
+class TestWideGramSide:
+    """A wide system's Gram route eigensolves the dim x dim product F F^H, whose
+    lambda_min is checked against sigma_dim^2 from the column route."""
+
+    @pytest.mark.parametrize("name", sorted(_wide_systems()))
+    def test_record_spectrum_is_the_dim_side(self, name):
+        seq = _wide_systems()[name]
+        lam = _gram_eigenvalues(seq)
+        assert lam.shape == (seq.dim,)
+        sigma = _singular_values(seq)
+        assert abs(lam[0] - sigma[-1] ** 2) <= 1e-8 * lam[-1]
+        np.testing.assert_allclose(lam[::-1], sigma**2, rtol=0, atol=1e-12 * lam[-1])
+
+    @pytest.mark.parametrize("name", sorted(_wide_systems()))
+    def test_public_lambda_min_is_exactly_zero(self, name):
+        seq = _wide_systems()[name]
+        spectrum = gram_spectrum(seq)
+        assert spectrum.lambda_min == 0.0 and riesz_bounds(seq).lower == 0.0
+        assert spectrum.lambda_max == pytest.approx(riesz_bounds(seq).upper, rel=1e-12)
+        assert not spectrum.bijective
+        assert classify(seq).kind is VerdictKind.LINEARLY_DEPENDENT
+
+    @pytest.mark.parametrize("name", sorted(_wide_systems()))
+    def test_raised_lambda_min_disagrees(self, name):
+        # The dim-side lambda_min is a real cross-check: moving it off sigma_dim^2
+        # by more than the two-route tolerance is caught.
+        seq = _wide_systems()[name]
+        lam = np.array(_gram_eigenvalues(_wide_systems()[name]))
+        lam[0] += 1e-6 * lam[-1]
+        seq._record.fill("gram_eigenvalues", lambda: lam)
+        with pytest.raises(CriteriaDisagreementError, match="Gram spectrum"):
+            classify(seq)
 
 
 class TestBiorthogonalityResidual:
@@ -340,7 +387,7 @@ def _sigma_band_system(m, shape, exponent, real=False):
 def _route_votes(seq):
     """The column verdict, the Gram vote and the dual vote (None: abstains)."""
     kind = classify(seq).kind
-    gram_vote = _gram_route(seq, gram(seq).eigenvalues)[1]
+    gram_vote = _gram_route(seq, _gram_eigenvalues(seq))[1]
     if kind is VerdictKind.LINEARLY_DEPENDENT:
         return kind, gram_vote
     return kind, gram_vote, _dual_vote(seq, completeness_defect(seq))
@@ -442,7 +489,8 @@ class TestRealArithmeticAgreement:
         seq, _ = _REAL_GALLERY[name]
         assert seq._kernel.dtype == np.float64  # the real path is the one under test
         self.close(_singular_values(seq), oracles.complex_singular_values(seq.columns))
-        self.close(gram(seq).eigenvalues, oracles.complex_gram_eigenvalues(seq.columns))
+        for lam in (gram(seq).eigenvalues, _gram_eigenvalues(seq)):
+            self.close(lam, oracles.complex_gram_eigenvalues(seq.columns))
         self.close(minimal_dual(seq).columns, oracles.complex_minimal_dual(seq.columns))
 
     @pytest.mark.parametrize("name", sorted(_REAL_GALLERY))

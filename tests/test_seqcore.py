@@ -120,6 +120,7 @@ class TestKernelView:
         assert seq._kernel.dtype == np.float64 and partner._kernel.dtype == np.float64
         for arr in (seq.columns, gram(seq).entries, partner.columns):
             assert arr.dtype == np.complex128 and not arr.flags.writeable
+        assert not gram(seq).eigenvalues.flags.writeable
         assert equivalent_inner_product(weighted_pair(4).primal).dtype == np.complex128
 
     def test_kernel_view_is_a_frozen_copy(self):
