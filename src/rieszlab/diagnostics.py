@@ -28,13 +28,13 @@ from .errors import (
     NotARieszBasisError,
 )
 from .seqcore import (
-    RANK_TOL_SCALE,
     VectorSequence,
     _ambient_vector,
     _gram_eigenvalues,
     _independent,
     _kernel_view,
     _rank,
+    _rank_scale,
     _singular_values,
 )
 
@@ -107,7 +107,7 @@ def _gram_route(seq: VectorSequence, lam: np.ndarray) -> Tuple[bool, Optional[Ve
     sign, so the route abstains there.
     """
     lambda_max = float(lam[-1])
-    rank_tol_sq = lambda_max * (max(seq.dim, seq.count) * RANK_TOL_SCALE) ** 2
+    rank_tol_sq = lambda_max * _rank_scale(seq.columns.shape) ** 2
     eig_floor = _EIG_FLOOR_FACTOR * lam.size * float(np.finfo(float).eps) * lambda_max
     rank = int(np.count_nonzero(lam > max(rank_tol_sq, eig_floor)))
     independent = rank == seq.count
@@ -172,8 +172,7 @@ def span_distance(seq: VectorSequence, vector) -> float:
     h = _kernel_view(_ambient_vector(vector, seq.dim))
     if _rank(seq) == seq.dim:
         return 0.0
-    rcond = max(seq.dim, seq.count) * RANK_TOL_SCALE
-    solution = np.linalg.lstsq(seq._kernel, h, rcond=rcond)[0]
+    solution = np.linalg.lstsq(seq._kernel, h, rcond=_rank_scale(seq.columns.shape))[0]
     return float(np.linalg.norm(h - seq._kernel @ solution))
 
 

@@ -85,6 +85,9 @@ class GaborDiscretization:
         if int(self.samples_per_unit) != self.samples_per_unit or self.samples_per_unit < 1:
             raise ValueError("samples_per_unit must be a positive integer")
         total = 2.0 * self.half_width * self.samples_per_unit
+        # Below 0.5 the count rounds to no sample; at inf round() overflows.
+        if not 0.5 < total < math.inf:
+            raise ValueError("the window must hold a finite, nonzero number of samples")
         if abs(total - round(total)) > 1e-9:
             raise ValueError("the window must hold a whole number of samples")
         object.__setattr__(self, "half_width", float(self.half_width))

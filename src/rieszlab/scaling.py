@@ -14,16 +14,14 @@ designated partner gets its residual from the rank decision, not from a built
 dual: the minimal dual's reconstruction map is the orthogonal projector onto
 the span, so the residual is exactly 0 for a complete system and 1 otherwise.
 
-`run_family` evaluates the sizes on a thread pool, largest first, and each
-size runs its probe distance on the same pool while it computes the partner
-metrics, so the largest size's two halves overlap on two cores.  Rows are
-read back in size order; the report does not depend on the pool.
+`run_family` first checks every size's preconditions, smallest first, and
+only then builds members: it evaluates the sizes one after another, smallest
+first, on the calling thread, so a failing size stops the study before any
+larger member is built.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -177,10 +175,6 @@ def _trend_verdict(values: Sequence[float], fit: Optional[GrowthFit]) -> TrendVe
     return TrendVerdict.STAYS_BOUNDED
 
 
-def _worker_count(n_jobs: int) -> int:
-    return min(n_jobs, os.cpu_count() or 1)
-
-
 def _gabor_disc(params: dict) -> GaborDiscretization:
     return GaborDiscretization(
         half_width=float(params.get("halfWidth", 6.0)),
@@ -249,24 +243,15 @@ def _check_preconditions(generator_id: str, size: int, params: dict) -> None:
             raise ValueError(f"probe index {index} outside ambient dimension {dim}")
 
 
-def _probe_vector(dim: int, params: dict) -> np.ndarray:
-    probe = np.zeros(dim, dtype=complex)
-    probe[int(params.get("probeIndex", 0))] = 1.0
-    return probe
-
-
-def _evaluate_size(
-    generator_id: str, size: int, params: dict, pool: Optional[Executor] = None
-) -> SizeMetrics:
-    """One report row.  With a pool, the probe distance runs on it while this
-    thread computes the partner metrics; without one, everything runs inline."""
-    _check_preconditions(generator_id, size, params)
+def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
+    """One report row, computed on the calling thread.  The size's
+    preconditions are the caller's to check (`_check_preconditions`)."""
     with _size_errors(size):
         system, partner = _build_member(generator_id, size, params)
-        # Fills the member's SVD before the distance job can see the system.
         lower, upper = diagnostics.riesz_bounds(system)
-        probe = _probe_vector(system.dim, params)
-        future = pool.submit(diagnostics.span_distance, system, probe) if pool is not None else None
+        probe = np.zeros(system.dim, dtype=complex)
+        probe[int(params.get("probeIndex", 0))] = 1.0
+        defect_distance = diagnostics.span_distance(system, probe)
         dual_upper = duality_residual = None
         if partner is not None:
             dual_upper = diagnostics.bessel_bound(partner)
@@ -277,13 +262,6 @@ def _evaluate_size(
             # metrics are available without forming the dual.
             dual_upper = 1.0 / lower
             duality_residual = 0.0 if diagnostics.completeness_defect(system) == 0 else 1.0
-        # A job no worker has started is taken back and run here, so this
-        # thread only waits on a running job, which waits on nothing: no
-        # pool size can deadlock.
-        if future is None or future.cancel():
-            defect_distance = diagnostics.span_distance(system, probe)
-        else:
-            defect_distance = future.result()
     return SizeMetrics(size, lower, upper, defect_distance, dual_upper, duality_residual)
 
 
@@ -309,23 +287,16 @@ def _assemble_report(rows: Sequence[SizeMetrics]) -> ScalingReport:
 def run_family(spec: FamilySpec) -> ScalingReport:
     """Evaluate a generator family across its sizes and fit growth exponents.
 
-    Sizes are evaluated independently on a thread pool of at most one worker
-    per CPU, handed out largest first so the longest size never starts last;
-    each size also lends its probe distance to an idle worker.  The results
-    are read in ascending size order, so the rows, and the failure reported
-    when several sizes fail (the smallest), do not depend on the pool.  Every
-    size's preconditions are checked, smallest first, before any size runs.
+    Every size's preconditions are checked, smallest first, before any member
+    is built.  The sizes are then evaluated one after another, smallest first,
+    on the calling thread, so the first failing size is the smallest one and
+    no larger size is built after it.
     """
-    sizes = spec.sizes
-    for size in sizes:
+    for size in spec.sizes:
         _check_preconditions(spec.generator_id, size, spec.parameters)
-    with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
-        futures = {
-            s: pool.submit(_evaluate_size, spec.generator_id, s, spec.parameters, pool)
-            for s in reversed(sizes)
-        }
-        rows = [futures[s].result() for s in sizes]
-    return _assemble_report(rows)
+    return _assemble_report(
+        [_evaluate_size(spec.generator_id, s, spec.parameters) for s in spec.sizes]
+    )
 
 
 def _refinement_report(systems: Iterable[Tuple[int, VectorSequence]]) -> ScalingReport:

@@ -237,9 +237,15 @@ def frame_apply(seq: VectorSequence, vector) -> np.ndarray:
     return seq.columns @ (seq.columns.conj().T @ h)
 
 
+def _rank_scale(shape, sigma_max: float = 1.0) -> float:
+    """The shared rank threshold sigma_max * max(n, m) * RANK_TOL_SCALE of an
+    n x m matrix; at the default sigma_max it is the threshold's relative scale."""
+    return sigma_max * max(shape) * RANK_TOL_SCALE
+
+
 def _rank_threshold(sigma: np.ndarray, shape) -> float:
-    """The shared rank threshold sigma_max * max(n, m) * RANK_TOL_SCALE."""
-    return float(sigma[0]) * max(shape) * RANK_TOL_SCALE if sigma.size else 0.0
+    """The shared rank threshold of a matrix with descending singular values sigma."""
+    return _rank_scale(shape, float(sigma[0])) if sigma.size else 0.0
 
 
 def rank_tolerance(matrix) -> float:

@@ -57,7 +57,7 @@ class KernelCalls(Counter):
 @pytest.fixture
 def lapack_calls(monkeypatch):
     counts = KernelCalls()
-    lock = threading.Lock()  # run_family counts from its worker threads
+    lock = threading.Lock()  # keeps the counts exact if kernels run on several threads
     for name in KERNELS:
         original = getattr(_LINALG, name)
 

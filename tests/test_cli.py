@@ -311,6 +311,16 @@ EXIT_CODE_TABLE = [
     ("family-gabor-half-width-off-grid",
      ["family", "--gen", "gaborPunctured", "--sizes", "1,2,3", "--half-width", "6.3"], 2,
      "--half-width 6.3"),
+    ("gabor-half-width-overflow", ["gabor", "--set", "lattice", "--half-width", "1e308"], 2,
+     "--half-width"),
+    ("family-gabor-half-width-overflow",
+     ["family", "--gen", "gaborALS", "--sizes", "1,2,3", "--half-width", "1e308",
+      "--samples", "1"], 2, "--half-width"),
+    ("gabor-half-width-no-sample", ["gabor", "--set", "lattice", "--half-width", "1e-12"], 2,
+     "--half-width"),
+    ("family-gabor-half-width-no-sample",
+     ["family", "--gen", "gaborPunctured", "--sizes", "1,2,3", "--half-width", "1e-12"], 2,
+     "--half-width"),
     ("example-n-oversize", ["example", "riesz", "--n", "100000", "-o", "{dir}/r"], 2,
      "100000x100000 complex array"),
     ("example-complement-dim-oversize",

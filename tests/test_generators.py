@@ -245,6 +245,24 @@ class TestGaborDiscretization:
         with pytest.raises(ValueError):
             GaborDiscretization(6.0, 0)
 
+    @pytest.mark.parametrize(
+        "half_width, samples_per_unit",
+        [
+            (1e308, 16),
+            (1e308, 1),
+            (1e-12, 16),
+            (1e-300, 1),
+            (1 / 64, 16),
+        ],
+    )
+    def test_rejects_a_sample_count_that_overflows_or_is_zero(self, half_width, samples_per_unit):
+        with pytest.raises(ValueError, match="finite, nonzero number of samples"):
+            GaborDiscretization(half_width, samples_per_unit)
+
+    def test_smallest_window_holds_one_sample(self):
+        assert GaborDiscretization(0.5, 1).sample_count == 1
+        assert GaborDiscretization(1 / 32, 16).sample_count == 1
+
 
 class TestGaussianGabor:
     def setup_method(self):

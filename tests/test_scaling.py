@@ -1,4 +1,3 @@
-import sys
 import threading
 
 import pytest
@@ -9,10 +8,12 @@ from rieszlab import (
     GaborDiscretization,
     PointSet2D,
     TrendVerdict,
+    diagnostics,
     fit_growth,
     gabor_refinement_study,
     punctured_lattice,
     run_family,
+    scaling,
     span_distance,
 )
 from rieszlab.scaling import _evaluate_size
@@ -116,28 +117,43 @@ class TestRunFamily:
         assert list(run_family(spec).per_size) == inline
 
     def test_every_size_failing_reports_the_smallest(self):
-        # Sizes are handed out largest first but read back smallest first.
+        # Sizes are evaluated smallest first, so the smallest failure is the first.
         with pytest.raises(ValueError, match="^size 1: "):
             run_family(FamilySpec("youngGeneral", (1, 2, 3), {"complementDim": 3}))
 
-    # One worker must take every queued distance job back; eight workers on
-    # fewer cores, with frequent thread switches, stress the shared systems.
-    @pytest.mark.parametrize("workers", [1, 8])
-    def test_pool_of_any_size_finishes_with_inline_rows(self, monkeypatch, workers):
-        spec = FamilySpec("rieszSeeded", (4, 6, 8, 12, 16, 24, 32, 48), {"seed": 3})
-        inline = [_evaluate_size(spec.generator_id, s, spec.parameters) for s in spec.sizes]
-        monkeypatch.setattr("rieszlab.scaling._worker_count", lambda n_jobs: workers)
-        reports = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(target=lambda: reports.append(run_family(spec)), daemon=True)
-            runner.start()
-            runner.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive(), f"run_family deadlocked on a {workers}-worker pool"
-        assert list(reports[0].per_size) == inline
+    def test_members_and_distances_run_on_the_calling_thread(self, monkeypatch):
+        threads = []
+        build, distance = scaling._build_member, diagnostics.span_distance
+
+        def record_build(*args):
+            threads.append(("build", threading.get_ident()))
+            return build(*args)
+
+        def record_distance(*args):
+            threads.append(("distance", threading.get_ident()))
+            return distance(*args)
+
+        monkeypatch.setattr(scaling, "_build_member", record_build)
+        monkeypatch.setattr(diagnostics, "span_distance", record_distance)
+        spec = FamilySpec("rieszSeeded", (4, 6, 8, 12), {"seed": 3})
+        run_family(spec)
+        caller = threading.get_ident()
+        assert threads == [(kind, caller) for _ in spec.sizes for kind in ("build", "distance")]
+
+    def test_smallest_failure_stops_before_a_larger_size_is_built(self, monkeypatch):
+        built = []
+        build = scaling._build_member
+
+        def refuse_the_smallest(generator_id, size, params):
+            built.append(size)
+            if size == 4:
+                raise ValueError("draw refused")
+            return build(generator_id, size, params)
+
+        monkeypatch.setattr(scaling, "_build_member", refuse_the_smallest)
+        with pytest.raises(ValueError, match="^size 4: draw refused$"):
+            run_family(FamilySpec("rieszSeeded", (4, 6, 8, 12)))
+        assert built == [4]
 
     def test_distance_failure_is_annotated(self, monkeypatch):
         class DistanceError(Exception):
