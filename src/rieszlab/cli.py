@@ -3,7 +3,7 @@
 Subcommands: analyze, dual, example, family, gabor.  Exit codes are stable:
 0 ok; 2 an argument, flag value or input file that the library rejects with a
 ValueError, an unreadable or unwritable path, or a command whose largest dense
-array (estimated from its flags or, for input files, once read) exceeds 1 GiB;
+array (estimated from its flags or from an input file's shape) exceeds 1 GiB;
 3 numeric failure; 4 no biorthogonal dual; 5 unsafe Gabor truncation.  All
 randomness sits behind --seed (default 0); identical invocations produce
 byte-identical outputs.
@@ -76,11 +76,14 @@ def _read_matrix(path: str) -> VectorSequence:
     """A matrix file, refused if max(dim, count)^2 complex entries exceed the limit.
     The Gram route allocates min(dim, count)^2 and the identity residual dim^2
     unless the file is tall (2 count < dim); the rule keeps max(dim, count)^2,
-    so a wide file is refused past the same count as before."""
-    seq = matrixio.read_matrix(path)
-    side = max(seq.dim, seq.count)
-    _check_size(path, side, side)
-    return seq
+    so a wide file is refused past the same count as before.  The rule is
+    applied to the file's row count and width, before any cell is converted."""
+
+    def check_shape(rows: int, width: int) -> None:
+        side = max(rows, width)
+        _check_size(path, side, side)
+
+    return matrixio.read_matrix(path, check_shape)
 
 
 def _tolerances() -> dict:

@@ -30,6 +30,7 @@ from .errors import (
 from .seqcore import (
     VectorSequence,
     _ambient_vector,
+    _column_view,
     _gram_eigenvalues,
     _independent,
     _kernel_view,
@@ -166,14 +167,20 @@ def span_distance(seq: VectorSequence, vector) -> float:
     Exactly 0.0 when the columns' numerical rank equals the ambient dimension,
     the decision behind a completeness defect of 0; otherwise the residual of
     a least-squares solve that drops singular values at the same threshold.
-    A vector without a nonzero imaginary part enters the solve as a real
-    vector, so a real system stays in real arithmetic.
+    The solve reads the column-route view, which has the span of the columns.
+    A vector without a nonzero imaginary part enters it as a real vector; a
+    complex vector against a real view enters as its real and imaginary
+    parts, two real right-hand sides whose residuals make up its own, so a
+    real view stays in real arithmetic.
     """
     h = _kernel_view(_ambient_vector(vector, seq.dim))
     if _rank(seq) == seq.dim:
         return 0.0
-    solution = np.linalg.lstsq(seq._kernel, h, rcond=_rank_scale(seq.columns.shape))[0]
-    return float(np.linalg.norm(h - seq._kernel @ solution))
+    view = _column_view(seq)
+    if view.dtype == float and h.dtype == complex:
+        h = np.stack([h.real, h.imag], axis=1)
+    solution = np.linalg.lstsq(view, h, rcond=_rank_scale(seq.columns.shape))[0]
+    return float(np.linalg.norm(h - view @ solution))
 
 
 def gram_spectrum(seq: VectorSequence) -> GramSpectrum:

@@ -20,6 +20,7 @@ bit-identical to evaluating both factors at every node.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -82,10 +83,13 @@ class GaborDiscretization:
     def __post_init__(self) -> None:
         if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
             raise ValueError("half_width must be positive and finite")
-        if int(self.samples_per_unit) != self.samples_per_unit or self.samples_per_unit < 1:
+        rate = self.samples_per_unit
+        if not 1 <= rate < math.inf or int(rate) != rate:
             raise ValueError("samples_per_unit must be a positive integer")
-        total = 2.0 * self.half_width * self.samples_per_unit
-        # Below 0.5 the count rounds to no sample; at inf round() overflows.
+        # A rate beyond the float range would overflow the product, so its
+        # window counts as infinite.  Below 0.5 the count rounds to no sample;
+        # at inf round() overflows.
+        total = 2.0 * self.half_width * rate if rate <= sys.float_info.max else math.inf
         if not 0.5 < total < math.inf:
             raise ValueError("the window must hold a finite, nonzero number of samples")
         if abs(total - round(total)) > 1e-9:

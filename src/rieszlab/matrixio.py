@@ -111,7 +111,11 @@ def _parse_cells(path: str, i: int, line: str) -> list:
     return row
 
 
-def read_matrix(path: str) -> VectorSequence:
+def read_matrix(path: str, check_shape=None) -> VectorSequence:
+    """The matrix file at `path` as a VectorSequence.  `check_shape`, if
+    given, is called with the data row count and the first row's width as
+    soon as both are known, before any cell is converted or any array
+    allocated; it refuses the file by raising."""
     lines = [line for line in _read_lines(path) if line.strip()]
     if not lines:
         raise MatrixParseError(f"{path}: empty matrix file")
@@ -126,6 +130,8 @@ def read_matrix(path: str) -> VectorSequence:
         raise MatrixParseError(f"{path}: header but no data rows")
     widths = [line.count(",") + 1 for line in lines]
     width = widths[0]
+    if check_shape is not None:
+        check_shape(len(lines), width)
     # Only the rows before the first ragged one are allocated, so the array is
     # never larger than the text; their cells are checked before that row's error.
     rows = next((i for i, cells in enumerate(widths) if cells != width), len(lines))

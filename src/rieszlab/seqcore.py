@@ -22,6 +22,15 @@ complex128.  Factorizations and products read a kernel view instead: for an
 array without a nonzero imaginary part it is the real part as float64, so a
 real system is factored in real arithmetic, at about a quarter of the flops of
 complex arithmetic; any other array is its own kernel view.
+
+The column route reads a column-route view.  For a system whose complex
+columns split exactly into conjugate pairs (f, conj f) it is the real twin
+[real columns, sqrt(2) Re f, sqrt(2) Im f] = F U, U unitary; for any other
+system it is the kernel view.  Only the column SVD and the least-squares
+solve of `span_distance` read it, since they depend on nothing but the
+singular values and the complex span, which U preserves.  The Gram product,
+the dual's solve, the residuals and every other product depend on the
+columns themselves and read the kernel view.
 """
 
 from __future__ import annotations
@@ -264,17 +273,21 @@ def numerical_rank(matrix) -> int:
 class _SpectralRecord:
     """Factorizations of one VectorSequence, each computed on first read.
 
-    Entries: "sigma" (singular values of F), "gram_entries" (the smaller
+    Entries: "column_view" (the column-route view: the real twin of a
+    conjugation-closed system, else the kernel view), "sigma" (singular
+    values of F, from the column-route view), "gram_entries" (the smaller
     Gram product: F^H F, or F F^H for a wide system), "gram_eigenvalues" (the
     ascending eigenvalues of that product) and "dual" (the outcome of
     `duals.minimal_dual`, with the biorthogonality residual that accepted it).
-    Every entry is computed from the sequence's kernel view, so a real
-    system's sigma, Gram product, spectrum and dual come from real arithmetic;
-    "gram_entries" is then float64.  The product is Hermitian positive
-    semidefinite by construction and is never wrapped in a GramMatrix.  The
-    record lives and dies with its sequence and holds no U/V factors.  Threads
-    racing on a first read may each compute an entry; the first stored value is
-    the one every caller gets.
+    sigma depends only on the singular values, which the twin shares with F,
+    so a real or conjugation-closed system's sigma comes from real
+    arithmetic.  The Gram product, its spectrum and the dual depend on the
+    columns themselves and are computed from the kernel view, so they are
+    real only for a real system; "gram_entries" is then float64.  The product
+    is Hermitian positive semidefinite by construction and is never wrapped
+    in a GramMatrix.  The record lives and dies with its sequence and holds
+    no U/V factors.  Threads racing on a first read may each compute an
+    entry; the first stored value is the one every caller gets.
     """
 
     def fill(self, name: str, compute):
@@ -285,7 +298,8 @@ class _SpectralRecord:
 
 
 def _singular_values(seq: VectorSequence) -> np.ndarray:
-    """Singular values of the columns, descending; one SVD per system."""
+    """Singular values of the columns, descending; one SVD per system, of its
+    column-route view."""
     return seq._record.fill("sigma", lambda: _representable_sigma(seq))
 
 
@@ -293,7 +307,7 @@ def _representable_sigma(seq: VectorSequence) -> np.ndarray:
     """Refuses a nonzero system unless every squared singular value from the
     rank threshold up to sigma_max is a normal float; beyond that range its
     bounds, Gram spectrum and dual are not representable."""
-    sigma = np.linalg.svd(seq._kernel, compute_uv=False)
+    sigma = np.linalg.svd(_column_view(seq), compute_uv=False)
     tol = _rank_threshold(sigma, seq.columns.shape)
     if sigma[0] > 0.0 and not _SIGMA_FLOOR <= tol <= sigma[0] <= _SIGMA_CEILING:
         raise IllConditionedError(
@@ -301,6 +315,50 @@ def _representable_sigma(seq: VectorSequence) -> np.ndarray:
             "down to the rank threshold must be normal floats"
         )
     return _read_only(sigma)
+
+
+def _column_view(seq: VectorSequence) -> np.ndarray:
+    """The matrix the column route factors: the sequence's real twin when it
+    has one, otherwise its kernel view; kept in the spectral record."""
+    return seq._record.fill("column_view", lambda: _real_twin(seq.columns, seq._kernel))
+
+
+def _real_twin(cols: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """[real columns, sqrt(2) Re f, sqrt(2) Im f] as a frozen float64 matrix
+    when the complex columns split exactly into conjugate pairs (f, conj f),
+    otherwise `kernel`.
+
+    The twin is F U with U unitary (a 2x2 block (1, -i; 1, i)/sqrt(2) per
+    pair, times a column permutation), so it has the singular values and the
+    complex span of F.  Pairs are found by their column sums, which must
+    match up exactly and uniquely, and confirmed entry by entry (-0.0 equals
+    0.0, as in the kernel view); any miss keeps the complex kernel.  A
+    system whose sums cannot pair is left before anything is copied.
+    """
+    if kernel is not cols:
+        return kernel
+    is_complex = cols.imag.any(axis=0)
+    sums = cols.sum(axis=0)[is_complex]
+    if sums.size % 2:
+        return kernel
+    # Ascending real part, then |imag|, then imag: a conjugate pair is
+    # adjacent, its member with imag <= 0 first.
+    order = np.lexsort((sums.imag, np.abs(sums.imag), sums.real))
+    low, high = sums[order[0::2]], sums[order[1::2]]
+    if not np.array_equal(low, high.conj()):
+        return kernel
+    if np.any(low[1:] == low[:-1]):
+        return kernel  # two pairs with one sum would make the pairing ambiguous
+    complex_index = np.flatnonzero(is_complex)
+    pairs = cols[:, complex_index[order[0::2]]]
+    if not np.array_equal(pairs, cols[:, complex_index[order[1::2]]].conj()):
+        return kernel
+    real_count, pair_count = cols.shape[1] - complex_index.size, pairs.shape[1]
+    twin = np.empty(cols.shape)
+    twin[:, :real_count] = cols.real[:, ~is_complex]
+    np.multiply(pairs.real, np.sqrt(2.0), out=twin[:, real_count:real_count + pair_count])
+    np.multiply(pairs.imag, np.sqrt(2.0), out=twin[:, real_count + pair_count:])
+    return _read_only(twin)
 
 
 def _rank(seq: VectorSequence) -> int:

@@ -6,7 +6,8 @@ diagnostics of one system reuse those factorizations.  Budgets may only go
 down.  The counters replace svd, eigvalsh, solve and lstsq in both
 numpy.linalg and its implementation module, so the SVD inside
 np.linalg.norm(x, 2) is counted too.  They also record the dtype each call
-computes in, which pins real systems to real arithmetic, and the shape of each
+computes in, which pins real systems, and the column route of
+conjugation-closed ones, to real arithmetic, and the shape of each
 eigensolved matrix, which pins the Gram route to the smaller Gram product.
 """
 
@@ -25,12 +26,13 @@ from rieszlab.cli import main
 from rieszlab.generators import (
     RIESZ_CONDITION_LIMIT,
     GaborDiscretization,
+    PointSet2D,
     gaussian_gabor,
     lattice_points,
     riesz_from_operator,
     young_general,
 )
-from rieszlab.matrixio import write_matrix
+from rieszlab.matrixio import write_matrix, write_point_set
 from rieszlab.scaling import FamilySpec, run_family
 
 # numpy >= 2 keeps the implementation in numpy.linalg._linalg, older numpy in numpy.linalg.linalg.
@@ -260,7 +262,7 @@ def test_run_family(generator, sizes, budget, lapack_calls):
         ("youngExample", (8, 16, 32), float),
         ("youngGeneral", (8, 16, 32), float),
         ("rieszSeeded", (8, 16, 32), complex),
-        ("gaborPunctured", (1, 2, 3), complex),
+        ("gaborPunctured", (1, 2, 3), float),
     ],
 )
 def test_run_family_kernel_dtype(generator, sizes, dtype, lapack_calls):
@@ -292,8 +294,30 @@ def test_cli_kernel_dtype(command, system, dtype, lapack_calls, matrix_file, tmp
 
 
 def test_gabor_kernel_dtype(lapack_calls, capsys):
+    # The conjugate nodes (tau, mu) and (tau, -mu) give conjugate columns, so
+    # the column route factors the system's real twin.
     assert main(["gabor", "--set", "punctured", "--max-index", "2"]) == 0
+    assert_computed_in(lapack_calls, float)
+
+
+def test_gabor_jittered_file_stays_complex(lapack_calls, tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    nodes = lattice_points(1.0, 1.0, 2).nodes + rng.uniform(-0.1, 0.1, (25, 2))
+    path = tmp_path / "nodes.csv"
+    write_point_set(str(path), PointSet2D(tuple(map(tuple, nodes))))
+    assert main(["gabor", "--set", "file", "--nodes", str(path)]) == 0
     assert_computed_in(lapack_calls, complex)
+
+
+def test_analyze_gabor_dump_factors_the_real_twin(lapack_calls, tmp_path, capsys):
+    # The read-back file pairs up as the generated system does: its SVD runs
+    # in float64, while the Gram route and the dual keep the complex columns.
+    dump = tmp_path / "gabor.csv"
+    assert main(["gabor", "--set", "punctured", "--max-index", "2", "--dump-matrix", str(dump)]) == 0
+    lapack_calls.clear()
+    assert main(["analyze", str(dump)]) == 0
+    assert np.dtype(float) in lapack_calls.dtypes["svd"]
+    assert lapack_calls.dtypes["eigvalsh"] == lapack_calls.dtypes["solve"] == {np.dtype(complex)}
 
 
 @pytest.mark.parametrize(

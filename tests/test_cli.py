@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rieszlab import VectorSequence, classify, random_riesz, weighted_pair, young_example
+from rieszlab import matrixio
 from rieszlab.cli import build_parser, main
 from rieszlab.matrixio import read_matrix, write_matrix
 
@@ -252,6 +253,30 @@ class TestGabor:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", ["analyze", "dual"])
+    def test_oversize_file_refused_before_any_cell_is_converted(
+        self, command, monkeypatch, tmp_path, capsys
+    ):
+        # 8193 rows break the 1 GiB rule by their count alone; the bad cell in
+        # the first row shows that the size rule wins over a parse error.
+        src = tmp_path / "tall.csv"
+        src.write_text("oops\n" + "1\n" * 8192)
+        matched, parsed = [], []
+        row_re = matrixio._ROW_RE
+
+        class RowSpy:
+            def fullmatch(self, line):
+                matched.append(line)
+                return row_re.fullmatch(line)
+
+        monkeypatch.setattr(matrixio, "_ROW_RE", RowSpy())
+        monkeypatch.setattr(matrixio, "_parse_cells", lambda *args: parsed.append(args))
+        extra = ["-o", str(tmp_path / "d.csv")] if command == "dual" else []
+        assert run_cli(command, str(src), *extra) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert "8193x8193 complex array" in line and "byte limit" in line
+        assert matched == [] and parsed == []
+
     def test_no_arguments(self):
         assert run_cli() == 2
 
@@ -340,6 +365,12 @@ EXIT_CODE_TABLE = [
      "byte limit"),
     ("gabor-nmax-oversize", ["gabor", "--set", "als", "--nmax", "1000000000000"], 2,
      "byte limit"),
+    # A rate beyond the float range once overflowed the window's sample count.
+    ("gabor-samples-beyond-float", ["gabor", "--set", "lattice", "--samples", "1" + "0" * 400],
+     2, "finite, nonzero number of samples"),
+    ("family-gabor-samples-beyond-float",
+     ["family", "--gen", "gaborPunctured", "--sizes", "1,2,3", "--samples", "1" + "0" * 400], 2,
+     "finite, nonzero number of samples"),
     ("gabor-max-index-zero", ["gabor", "--set", "punctured", "--max-index", "0"], 2,
      "max_index must be >= 1"),
     ("gabor-nmax-zero", ["gabor", "--set", "als", "--nmax", "0"], 2, "n_max must be >= 1"),

@@ -244,6 +244,9 @@ class TestGaborDiscretization:
             GaborDiscretization(-1.0, 16)
         with pytest.raises(ValueError):
             GaborDiscretization(6.0, 0)
+        for rate in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive integer"):
+                GaborDiscretization(6.0, rate)
 
     @pytest.mark.parametrize(
         "half_width, samples_per_unit",
@@ -253,6 +256,7 @@ class TestGaborDiscretization:
             (1e-12, 16),
             (1e-300, 1),
             (1 / 64, 16),
+            pytest.param(6.0, 10**400, id="rate-beyond-float"),
         ],
     )
     def test_rejects_a_sample_count_that_overflows_or_is_zero(self, half_width, samples_per_unit):

@@ -26,6 +26,8 @@ from rieszlab import (
     weighted_pair,
     young_example,
 )
+from rieszlab.diagnostics import _verdict_kind, classify, completeness_defect, span_distance
+from rieszlab.seqcore import RANK_TOL_SCALE, _column_view, _rank, _singular_values
 
 
 def seq_of(*vectors):
@@ -143,6 +145,80 @@ class TestKernelView:
         seq = VectorSequence.from_columns(values)
         assert seq._kernel.dtype == np.float64
         np.testing.assert_array_equal(seq._kernel, np.eye(3))
+
+
+def conjugation_closed(seed, dim, pairs, reals):
+    """Random complex columns, their exact conjugates and real columns, shuffled."""
+    rng = np.random.default_rng(seed)
+    f = oracles.random_columns(seed, dim, pairs)
+    cols = np.concatenate([f, f.conj(), rng.standard_normal((dim, reals))], axis=1)
+    return cols[:, rng.permutation(cols.shape[1])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    pairs=st.integers(1, 4),
+    reals=st.integers(0, 3),
+    shape=st.sampled_from(["tall", "square", "wide"]),
+)
+def test_real_twin_matches_complex_arithmetic(seed, pairs, reals, shape):
+    count = 2 * pairs + reals
+    dim = {"tall": count + 3, "square": count, "wide": max(count - 2, 1)}[shape]
+    seq = VectorSequence.from_columns(conjugation_closed(seed, dim, pairs, reals))
+    assert _column_view(seq).dtype == np.float64 and seq._kernel is seq.columns
+    sigma = oracles.complex_singular_values(seq.columns)
+    np.testing.assert_allclose(_singular_values(seq), sigma, rtol=0, atol=1e-13 * sigma[0])
+    rank = int(np.count_nonzero(sigma > sigma[0] * max(seq.columns.shape) * RANK_TOL_SCALE))
+    assert _rank(seq) == rank
+    assert completeness_defect(seq) == dim - rank
+    assert classify(seq).kind is _verdict_kind(rank == count, dim - rank)
+    h = oracles.random_columns(seed + 1, dim, 1)[:, 0]
+    expected = oracles.complex_lstsq_distance(seq.columns, h)
+    assert span_distance(seq, h) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+
+def _near_misses():
+    f = oracles.random_columns(3, 6, 2)
+    real = np.random.default_rng(3).standard_normal((6, 1))
+    off = f[:, :1].conj()
+    off[2, 0] = np.nextafter(off[2, 0].real, np.inf) + 1j * off[2, 0].imag
+    # Dyadic entries sum exactly, so swapping two rows of the conjugate keeps
+    # its column sum while changing the column.
+    g = np.array([[1 + 2j], [3 + 4j], [0.5 - 1j]])
+    swapped = g.conj()[[1, 0, 2]]
+    real_sum = np.array([[1 + 1j], [2 - 1j]])
+    return {
+        "unmatched": np.concatenate([f, f.conj(), f[:, :1] + real], axis=1),
+        "unmatched-even": np.concatenate([f, real], axis=1),
+        "one-ulp-off": np.concatenate([f[:, :1], off, real], axis=1),
+        "conjugate-sums-only": np.concatenate([g, swapped], axis=1),
+        "duplicated-pair": np.concatenate([f[:, :1], f[:, :1].conj()] * 2 + [real], axis=1),
+        "duplicated-pair-real-sum": np.concatenate([real_sum, real_sum.conj()] * 2, axis=1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_near_misses()))
+def test_near_miss_stays_complex(name):
+    cols = _near_misses()[name]
+    seq = VectorSequence.from_columns(cols)
+    assert _column_view(seq) is seq.columns
+    np.testing.assert_array_equal(_singular_values(seq), oracles.complex_singular_values(cols))
+
+
+def test_pair_with_real_column_sum_gets_a_twin():
+    f = np.array([[1 + 1j], [2 - 1j], [0.5]])
+    seq = VectorSequence.from_columns(np.concatenate([f.conj(), np.ones((3, 1)), f], axis=1))
+    # Real columns first, then sqrt(2) Re and sqrt(2) Im of the member that
+    # sorts first (conj f: both sums are 3, and the sort is stable).
+    r = np.sqrt(2.0)
+    twin = np.array([[1, r, -r], [1, 2 * r, r], [1, 0.5 * r, 0]])
+    np.testing.assert_array_equal(_column_view(seq), twin)
+
+
+def test_real_system_column_view_is_its_kernel():
+    seq = young_example(6).primal
+    assert _column_view(seq) is seq._kernel
 
 
 class TestSynthesis:
