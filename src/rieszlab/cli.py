@@ -12,6 +12,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -243,16 +244,16 @@ def _cmd_family(args) -> int:
 def _gabor_points(args, sample_count: int):
     """The point set of --set and its description, after a size check of its
     sample_count x nodes system whose nodes factor is also a node cap: from the
-    flags before any node is built, or for --set file once the file is read."""
+    flags before any node is built, or for --set file from its node-line count."""
     what = f"gabor --set {args.set}"
+
+    def check_count(nodes: int) -> None:
+        _check_size(what, max(sample_count, nodes), nodes)
     if args.set == "file":
         if not args.nodes:
             raise UsageError("--set file requires --nodes PATH")
-        points = matrixio.read_point_set(args.nodes)
-        _check_size(what, max(sample_count, len(points)), len(points))
-        return points, f"nodes {args.nodes}"
-    nodes = _gabor_nodes(args.set, args.nmax if args.set == "als" else args.max_index)
-    _check_size(what, max(sample_count, nodes), nodes)
+        return matrixio.read_point_set(args.nodes, check_count), f"nodes {args.nodes}"
+    check_count(_gabor_nodes(args.set, args.nmax if args.set == "als" else args.max_index))
     if args.set == "lattice":
         return generators.lattice_points(args.a, args.b, args.max_index), (
             f"lattice a={args.a} b={args.b} maxIndex={args.max_index}"
@@ -354,10 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser of `main`, built on first use: parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -30,12 +30,12 @@ from .errors import (
 from .seqcore import (
     VectorSequence,
     _ambient_vector,
-    _column_view,
     _gram_eigenvalues,
     _independent,
     _kernel_view,
     _rank,
     _rank_scale,
+    _real_twin,
     _singular_values,
 )
 
@@ -176,7 +176,8 @@ def span_distance(seq: VectorSequence, vector) -> float:
     h = _kernel_view(_ambient_vector(vector, seq.dim))
     if _rank(seq) == seq.dim:
         return 0.0
-    view = _column_view(seq)
+    # Row-major like the kernel view, so the residual product rounds alike.
+    view = np.ascontiguousarray(_real_twin(seq))
     if view.dtype == float and h.dtype == complex:
         h = np.stack([h.real, h.imag], axis=1)
     solution = np.linalg.lstsq(view, h, rcond=_rank_scale(seq.columns.shape))[0]

@@ -83,7 +83,7 @@ def _construct_dual(seq: VectorSequence):
         dual_adjoint = np.linalg.solve(_gram_entries(seq), seq._kernel.conj().T)
     except np.linalg.LinAlgError as exc:
         return IllConditionedError, f"Gram factorization failed: {exc}"
-    partner = VectorSequence(seq.ambient, dual_adjoint.conj().T)
+    partner = VectorSequence._adopt(np.conjugate(dual_adjoint.T, dtype=complex, order="C"))
     residual = biorthogonality_residual(seq, partner)
     if residual > BIORTHOGONALITY_TOL:
         return IllConditionedError, (

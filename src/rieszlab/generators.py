@@ -251,7 +251,9 @@ def gaussian_gabor(points: PointSet2D, disc: GaborDiscretization) -> VectorSeque
     mu_keys, mu_index = np.unique(mus.view(np.uint64), return_inverse=True)
     envelopes = disc.normalization * np.exp(-np.pi * (x[:, None] - tau_keys.view(float)) ** 2)
     phases = np.exp(2j * np.pi * x[:, None] * mu_keys.view(float))
-    return VectorSequence.from_columns(envelopes[:, tau_index] * phases[:, mu_index])
+    # Gathered by np.take, the product is C-contiguous: adopted, not copied.
+    columns = np.take(envelopes, tau_index, axis=1) * np.take(phases, mu_index, axis=1)
+    return VectorSequence._adopt(columns)
 
 
 def lattice_points(a: float, b: float, max_index: int) -> PointSet2D:

@@ -148,7 +148,7 @@ def read_matrix(path: str, check_shape=None) -> VectorSequence:
             f"{path}: header announces shape {expected_shape}, parsed {matrix.shape}"
         )
     try:
-        return VectorSequence.from_columns(matrix)
+        return VectorSequence._adopt(matrix)
     except ValueError as exc:
         raise MatrixParseError(f"{path}: {exc}") from exc
 
@@ -162,10 +162,14 @@ def write_point_set(path: str, points: PointSet2D) -> None:
     write_atomic(path, point_set_text(points))
 
 
-def read_point_set(path: str) -> PointSet2D:
+def read_point_set(path: str, check_count=None) -> PointSet2D:
+    """The point-set file at `path`.  `check_count`, if given, is called with the
+    number of node lines before any cell is converted; it refuses by raising."""
+    lines = [line.strip() for line in _read_lines(path)]
+    if check_count is not None:
+        check_count(sum(1 for text in lines if text and not text.startswith("#")))
     nodes = []
-    for i, line in enumerate(_read_lines(path), start=1):
-        text = line.strip()
+    for i, text in enumerate(lines, start=1):
         if not text or text.startswith("#"):
             continue
         cells = text.split(",")

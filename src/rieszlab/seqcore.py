@@ -18,19 +18,19 @@ than dimensions) is eigensolved on its dim x dim side, which shares the
 nonzero spectrum of the count x count Gram matrix.
 
 The public arrays (`VectorSequence.columns`, `GramMatrix.entries`) are always
-complex128.  Factorizations and products read a kernel view instead: for an
-array without a nonzero imaginary part it is the real part as float64, so a
-real system is factored in real arithmetic, at about a quarter of the flops of
-complex arithmetic; any other array is its own kernel view.
+read-only complex128.  The public constructors copy their input, so a caller's
+array never changes a sequence; the library's own producers (`gaussian_gabor`,
+`read_matrix`, the minimal dual) hand a fresh array to the private
+`VectorSequence._adopt`, which checks it alike and freezes it in place.
 
-The column route reads a column-route view.  For a system whose complex
-columns split exactly into conjugate pairs (f, conj f) it is the real twin
-[real columns, sqrt(2) Re f, sqrt(2) Im f] = F U, U unitary; for any other
-system it is the kernel view.  Only the column SVD and the least-squares
-solve of `span_distance` read it, since they depend on nothing but the
-singular values and the complex span, which U preserves.  The Gram product,
-the dual's solve, the residuals and every other product depend on the
-columns themselves and read the kernel view.
+Factorizations and products read a kernel view: for an array without a
+nonzero imaginary part it is the real part as float64, factored in real
+arithmetic at about a quarter of the complex flops; any other array is its own
+kernel view.  The column route (the column SVD and the least-squares solve of
+`span_distance`, which depend only on the singular values and the complex
+span) reads the real twin [real columns, sqrt(2) Re f, sqrt(2) Im f] = F U,
+U unitary, instead, when the complex columns split exactly into conjugate
+pairs (f, conj f).
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ _SIGMA_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 _SIGMA_CEILING = float(np.sqrt(np.finfo(float).max))
 
 
-def _as_complex_matrix(values, name: str) -> np.ndarray:
+def _as_complex_matrix(values, name: str, copy: bool = True) -> np.ndarray:
     """A validated C-contiguous complex128 copy of a matrix, allocated once
-    whatever its dtype and layout."""
-    arr = np.array(values, dtype=complex, order="C")
+    whatever its dtype and layout; without `copy`, such an array is itself."""
+    arr = np.array(values, dtype=complex, order="C", copy=copy or None)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -111,8 +111,8 @@ class VectorSequence:
     ambient: AmbientSpace
     columns: np.ndarray
 
-    def __post_init__(self) -> None:
-        cols = _as_complex_matrix(self.columns, "columns")
+    def __post_init__(self, copy: bool = True) -> None:
+        cols = _as_complex_matrix(self.columns, "columns", copy)
         if cols.shape[0] != self.ambient.dim:
             raise DimensionError(
                 f"columns have {cols.shape[0]} rows but the ambient dimension is {self.ambient.dim}"
@@ -122,6 +122,16 @@ class VectorSequence:
         object.__setattr__(self, "columns", _read_only(cols))
         object.__setattr__(self, "_kernel", _kernel_view(cols))
         object.__setattr__(self, "_record", _SpectralRecord())
+
+    @classmethod
+    def _adopt(cls, columns: np.ndarray) -> "VectorSequence":
+        """A sequence that takes over `columns`, a fresh array no caller keeps:
+        checked as the constructor checks, but frozen in place, not copied."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "ambient", AmbientSpace(len(columns) if columns.ndim == 2 else 1))
+        object.__setattr__(seq, "columns", columns)
+        seq.__post_init__(copy=False)
+        return seq
 
     @classmethod
     def from_columns(cls, columns) -> "VectorSequence":
@@ -273,20 +283,20 @@ def numerical_rank(matrix) -> int:
 class _SpectralRecord:
     """Factorizations of one VectorSequence, each computed on first read.
 
-    Entries: "column_view" (the column-route view: the real twin of a
-    conjugation-closed system, else the kernel view), "sigma" (singular
-    values of F, from the column-route view), "gram_entries" (the smaller
-    Gram product: F^H F, or F F^H for a wide system), "gram_eigenvalues" (the
-    ascending eigenvalues of that product) and "dual" (the outcome of
-    `duals.minimal_dual`, with the biorthogonality residual that accepted it).
-    sigma depends only on the singular values, which the twin shares with F,
-    so a real or conjugation-closed system's sigma comes from real
-    arithmetic.  The Gram product, its spectrum and the dual depend on the
-    columns themselves and are computed from the kernel view, so they are
-    real only for a real system; "gram_entries" is then float64.  The product
-    is Hermitian positive semidefinite by construction and is never wrapped
-    in a GramMatrix.  The record lives and dies with its sequence and holds
-    no U/V factors.  Threads racing on a first read may each compute an
+    Entries: "sigma" (singular values of F, from `_real_twin`'s view),
+    "gram_entries" (the smaller Gram product: F^H F, or F F^H for a wide
+    system), "gram_eigenvalues" (its ascending eigenvalues) and "dual" (the
+    outcome of `duals.minimal_dual`, with the biorthogonality residual that
+    accepted it).  sigma needs only the singular values, which the real twin
+    shares with F, so a real or conjugation-closed system's sigma comes from
+    real arithmetic.  The twin is not kept, even for a tall system of rank
+    below its dimension: its one later reader, `span_distance` of an
+    incomplete system, rebuilds it with a copy and no factorization.  The Gram
+    product, its spectrum and the dual depend on the columns themselves and
+    come from the kernel view, so they are real only for a real system.  The
+    product is Hermitian positive semidefinite by construction and is never
+    wrapped in a GramMatrix.  The record lives and dies with its sequence and
+    holds no U/V factors.  Threads racing on a first read may each compute an
     entry; the first stored value is the one every caller gets.
     """
 
@@ -307,7 +317,7 @@ def _representable_sigma(seq: VectorSequence) -> np.ndarray:
     """Refuses a nonzero system unless every squared singular value from the
     rank threshold up to sigma_max is a normal float; beyond that range its
     bounds, Gram spectrum and dual are not representable."""
-    sigma = np.linalg.svd(_column_view(seq), compute_uv=False)
+    sigma = np.linalg.svd(_real_twin(seq), compute_uv=False)
     tol = _rank_threshold(sigma, seq.columns.shape)
     if sigma[0] > 0.0 and not _SIGMA_FLOOR <= tol <= sigma[0] <= _SIGMA_CEILING:
         raise IllConditionedError(
@@ -317,16 +327,11 @@ def _representable_sigma(seq: VectorSequence) -> np.ndarray:
     return _read_only(sigma)
 
 
-def _column_view(seq: VectorSequence) -> np.ndarray:
-    """The matrix the column route factors: the sequence's real twin when it
-    has one, otherwise its kernel view; kept in the spectral record."""
-    return seq._record.fill("column_view", lambda: _real_twin(seq.columns, seq._kernel))
-
-
-def _real_twin(cols: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """[real columns, sqrt(2) Re f, sqrt(2) Im f] as a frozen float64 matrix
-    when the complex columns split exactly into conjugate pairs (f, conj f),
-    otherwise `kernel`.
+def _real_twin(seq: VectorSequence) -> np.ndarray:
+    """The column-route view, built afresh on each call: when the complex columns
+    split exactly into conjugate pairs (f, conj f), the real twin [real columns,
+    sqrt(2) Re f, sqrt(2) Im f], frozen float64 in column-major order (the
+    layout np.linalg.svd copies its input into); otherwise the kernel view.
 
     The twin is F U with U unitary (a 2x2 block (1, -i; 1, i)/sqrt(2) per
     pair, times a column permutation), so it has the singular values and the
@@ -335,26 +340,30 @@ def _real_twin(cols: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     0.0, as in the kernel view); any miss keeps the complex kernel.  A
     system whose sums cannot pair is left before anything is copied.
     """
+    cols, kernel = seq.columns, seq._kernel
     if kernel is not cols:
         return kernel
-    is_complex = cols.imag.any(axis=0)
-    sums = cols.sum(axis=0)[is_complex]
+    sums = cols.sum(axis=0)
+    # A nonzero imaginary sum marks a complex column; the others are searched.
+    is_complex = sums.imag != 0.0
+    is_complex[~is_complex] = cols.imag[:, ~is_complex].any(axis=0)
+    sums = sums[is_complex]
     if sums.size % 2:
         return kernel
     # Ascending real part, then |imag|, then imag: a conjugate pair is
     # adjacent, its member with imag <= 0 first.
-    order = np.lexsort((sums.imag, np.abs(sums.imag), sums.real))
-    low, high = sums[order[0::2]], sums[order[1::2]]
-    if not np.array_equal(low, high.conj()):
+    ranked = np.lexsort((sums.imag, np.abs(sums.imag), sums.real))
+    low, high = sums[ranked[0::2]], sums[ranked[1::2]]
+    # Two pairs with one sum would make the pairing ambiguous.
+    if not np.array_equal(low, high.conj()) or np.any(low[1:] == low[:-1]):
         return kernel
-    if np.any(low[1:] == low[:-1]):
-        return kernel  # two pairs with one sum would make the pairing ambiguous
     complex_index = np.flatnonzero(is_complex)
-    pairs = cols[:, complex_index[order[0::2]]]
-    if not np.array_equal(pairs, cols[:, complex_index[order[1::2]]].conj()):
+    pairs = cols[:, complex_index[ranked[0::2]]]
+    partners = cols[:, complex_index[ranked[1::2]]]
+    if not np.array_equal(pairs, np.conjugate(partners, out=partners)):
         return kernel
     real_count, pair_count = cols.shape[1] - complex_index.size, pairs.shape[1]
-    twin = np.empty(cols.shape)
+    twin = np.empty(cols.shape, order="F")
     twin[:, :real_count] = cols.real[:, ~is_complex]
     np.multiply(pairs.real, np.sqrt(2.0), out=twin[:, real_count:real_count + pair_count])
     np.multiply(pairs.imag, np.sqrt(2.0), out=twin[:, real_count + pair_count:])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rieszlab import VectorSequence, classify, random_riesz, weighted_pair, young_example
-from rieszlab import matrixio
+from rieszlab import cli, matrixio
 from rieszlab.cli import build_parser, main
 from rieszlab.matrixio import read_matrix, write_matrix
 
@@ -446,6 +446,64 @@ def test_exit_codes(argv, code, message, tmp_path, capsys):
     assert not any((tmp_path / "outdir").iterdir())
     if code not in (0, 2):
         assert set(tmp_path.rglob("*")) == before
+
+
+def test_oversize_node_file_is_refused_before_any_conversion(tmp_path, capsys, monkeypatch):
+    # 8193 node lines, beside a comment and a blank line, are estimated at
+    # 8193^2 complex entries; not one cell is converted, so even the bad
+    # first node line and the duplicate nodes go unread.
+    path = tmp_path / "nodes.csv"
+    path.write_text("# tau,mu\n\nnot,numbers\n" + "0,0\n" * 8192)
+
+    def refuse(*args):
+        raise AssertionError("a cell was converted or the point set built")
+
+    monkeypatch.setattr(matrixio, "PointSet2D", refuse)
+    monkeypatch.setattr(matrixio, "float", refuse, raising=False)
+    assert run_cli("gabor", "--set", "file", "--nodes", str(path)) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert "8193x8193 complex array" in line and "byte limit" in line
+
+
+# A usage error with its usage text, an unknown subcommand, a good run of each
+# computing command and an exit-5 gabor: the parser `main` keeps across calls
+# must answer every one as a fresh parser does.
+PARSER_REUSE_ARGV = [
+    ["gabor", "--set", "hexagonal"],
+    ["frobnicate"],
+    ["analyze", "{dir}/basis.csv", "--json", "{dir}/a.json"],
+    ["dual", "{dir}/basis.csv", "-o", "{dir}/d.csv"],
+    ["family", "--gen", "weighted", "--sizes", "4,8,16", "--csv", "{dir}/f.csv"],
+    ["gabor", "--set", "punctured", "--refine", "8,24"],
+    ["gabor", "--set", "lattice", "--half-width", "4"],
+]
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    write_identity(tmp_path / "basis.csv")
+    outputs = ("a.json", "d.csv", "f.csv")
+
+    def run_all():
+        runs = []
+        for argv in PARSER_REUSE_ARGV:
+            for name in outputs:
+                (tmp_path / name).unlink(missing_ok=True)
+            code = run_cli(*(arg.replace("{dir}", str(tmp_path)) for arg in argv))
+            out, err = capsys.readouterr()
+            files = {name: (tmp_path / name).read_bytes()
+                     for name in outputs if (tmp_path / name).exists()}
+            runs.append((code, out, err, files))
+        return runs
+
+    first, second = run_all(), run_all()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = run_all()
+    assert first == second == fresh
+    assert [run[0] for run in first] == [2, 2, 0, 0, 0, 0, 5]
+    assert first[0][2].startswith("usage: rieszlab gabor") and "invalid choice" in first[0][2]
+    assert "invalid choice: 'frobnicate'" in first[1][2]
+    assert [sorted(run[3]) for run in first[2:5]] == [["a.json"], ["d.csv"], ["f.csv"]]
 
 
 @pytest.mark.parametrize("command", ["analyze", "dual"])

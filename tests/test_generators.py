@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
+from rieszlab import matrixio
 from rieszlab import (
     DimensionError,
     GaborDiscretization,
     PointSet2D,
     SingularOperatorError,
     TruncationError,
+    VectorSequence,
     VerdictKind,
     als_point_set,
     alternating_weighted_pair,
@@ -352,3 +354,32 @@ class TestGaussianGabor:
         built = gaussian_gabor(points, disc).columns
         dense = oracles.dense_gabor_columns(points.nodes, disc)
         np.testing.assert_array_equal(built.view(np.uint64), dense.view(np.uint64))
+
+    def test_jittered_file_set_is_bit_identical_to_dense_formula(self, tmp_path):
+        # The nodes a `gabor --set file` command reads: written at 17 digits, read back.
+        jittered = np.array(lattice_points(1.0, 1.0, 3).nodes)
+        jittered += np.random.default_rng(11).uniform(-0.2, 0.2, jittered.shape)
+        path = str(tmp_path / "nodes.csv")
+        matrixio.write_point_set(path, PointSet2D(tuple(map(tuple, jittered))))
+        points = matrixio.read_point_set(path)
+        disc = GaborDiscretization(8.0, 16)
+        built = gaussian_gabor(points, disc).columns
+        dense = oracles.dense_gabor_columns(points.nodes, disc)
+        np.testing.assert_array_equal(built.view(np.uint64), dense.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "points", [lattice_points(1.0, 1.0, 2), punctured_lattice(2), als_point_set(2)],
+        ids=["lattice", "punctured", "als"],
+    )
+    def test_columns_own_the_product_without_a_copy(self, points, monkeypatch):
+        adopted = []
+        adopt = VectorSequence._adopt.__func__
+        monkeypatch.setattr(
+            VectorSequence, "_adopt",
+            classmethod(lambda cls, columns: adopted.append(columns) or adopt(cls, columns)),
+        )
+        columns = gaussian_gabor(points, GaborDiscretization(6.0, 16)).columns
+        [product] = adopted
+        assert columns is product and columns.flags.owndata
+        assert columns.flags.c_contiguous and columns.dtype == np.complex128
+        assert not columns.flags.writeable

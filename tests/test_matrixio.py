@@ -254,6 +254,21 @@ class TestPointSetFiles:
         path.write_text("# tau,mu\n0,0\n1,0\n")
         assert read_point_set(str(path)).nodes == ((0.0, 0.0), (1.0, 0.0))
 
+    def test_count_check_sees_node_lines_before_any_conversion(self, tmp_path):
+        path = tmp_path / "nodes.csv"
+        path.write_text("# tau,mu\n\n0,0\n  \n1,0\n# end\nnot,numbers\n")
+
+        def refuse(count):
+            raise ValueError(f"{count} node lines")
+
+        with pytest.raises(ValueError, match="^3 node lines$"):
+            read_point_set(str(path), refuse)
+        counts = []
+        ok = tmp_path / "ok.csv"
+        ok.write_text("# tau,mu\n0,0\n\n1,0\n")
+        assert read_point_set(str(ok), counts.append).nodes == ((0.0, 0.0), (1.0, 0.0))
+        assert counts == [2]
+
     def test_bad_line(self, tmp_path):
         path = tmp_path / "nodes.csv"
         path.write_text("0,0\n1\n")

@@ -26,8 +26,15 @@ from rieszlab import (
     weighted_pair,
     young_example,
 )
-from rieszlab.diagnostics import _verdict_kind, classify, completeness_defect, span_distance
-from rieszlab.seqcore import RANK_TOL_SCALE, _column_view, _rank, _singular_values
+from rieszlab.diagnostics import (
+    _verdict_kind,
+    classify,
+    completeness_defect,
+    riesz_bounds,
+    span_distance,
+)
+from rieszlab.generators import GaborDiscretization, gaussian_gabor, punctured_lattice
+from rieszlab.seqcore import RANK_TOL_SCALE, _real_twin, _rank, _singular_values
 
 
 def seq_of(*vectors):
@@ -88,6 +95,41 @@ class TestTypes:
             tracemalloc.stop()
         assert peak < 24 * 2**20
         assert values.flags.writeable and not np.shares_memory(seq.columns, values)
+
+    @pytest.mark.parametrize("build", [
+        lambda values: VectorSequence(AmbientSpace(values.shape[0]), values),
+        VectorSequence.from_columns,
+    ], ids=["constructor", "from_columns"])
+    def test_public_constructors_copy(self, build):
+        values = np.arange(6, dtype=complex).reshape(3, 2)
+        seq = build(values)
+        values[0, 0] = 99.0
+        assert seq.columns[0, 0] == 0.0 and not np.shares_memory(seq.columns, values)
+        with pytest.raises(ValueError, match="non-finite"):
+            build(np.array([[1.0, np.inf], [0.0, 1.0]], dtype=complex))
+
+    def test_adopt_freezes_a_fresh_array_in_place(self):
+        values = np.arange(6, dtype=complex).reshape(3, 2)
+        seq = VectorSequence._adopt(values)
+        assert seq.columns is values and not values.flags.writeable
+        assert seq.dim == 3 and seq.count == 2
+
+    def test_adopt_converts_other_layouts_and_dtypes(self):
+        values = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        seq = VectorSequence._adopt(values)
+        assert seq.columns.dtype == np.complex128 and seq.columns.flags.c_contiguous
+        assert values.flags.writeable and not np.shares_memory(seq.columns, values)
+        np.testing.assert_array_equal(seq.columns, values)
+
+    @pytest.mark.parametrize("columns, error, match", [
+        (np.array([[np.nan, 1.0]], dtype=complex), ValueError, "non-finite"),
+        (np.ones(3, dtype=complex), DimensionError, "two-dimensional"),
+        (np.ones((2, 2, 2), dtype=complex), DimensionError, "two-dimensional"),
+        (np.zeros((3, 0), dtype=complex), ValueError, "at least one member"),
+    ])
+    def test_adopt_checks_as_the_constructor_does(self, columns, error, match):
+        with pytest.raises(error, match=match):
+            VectorSequence._adopt(columns)
 
     def test_coefficient_vector_validates(self):
         with pytest.raises(ValueError):
@@ -166,7 +208,7 @@ def test_real_twin_matches_complex_arithmetic(seed, pairs, reals, shape):
     count = 2 * pairs + reals
     dim = {"tall": count + 3, "square": count, "wide": max(count - 2, 1)}[shape]
     seq = VectorSequence.from_columns(conjugation_closed(seed, dim, pairs, reals))
-    assert _column_view(seq).dtype == np.float64 and seq._kernel is seq.columns
+    assert _real_twin(seq).dtype == np.float64 and seq._kernel is seq.columns
     sigma = oracles.complex_singular_values(seq.columns)
     np.testing.assert_allclose(_singular_values(seq), sigma, rtol=0, atol=1e-13 * sigma[0])
     rank = int(np.count_nonzero(sigma > sigma[0] * max(seq.columns.shape) * RANK_TOL_SCALE))
@@ -195,14 +237,25 @@ def _near_misses():
         "conjugate-sums-only": np.concatenate([g, swapped], axis=1),
         "duplicated-pair": np.concatenate([f[:, :1], f[:, :1].conj()] * 2 + [real], axis=1),
         "duplicated-pair-real-sum": np.concatenate([real_sum, real_sum.conj()] * 2, axis=1),
+        "one-ulp-off-same-sum": np.concatenate([g, _one_ulp_off_conjugate(g)], axis=1),
     }
+
+
+def _one_ulp_off_conjugate(g):
+    """conj(g) with one imaginary part moved by one ulp, but the same column
+    sum: the ulp is lost when the sum rounds, so only the entry-by-entry
+    check can tell the columns apart."""
+    off = g.conj()
+    off[0, 0] = off[0, 0].real + 1j * np.nextafter(off[0, 0].imag, 0.0)
+    assert off.sum() == g.conj().sum() and not np.array_equal(off, g.conj())
+    return off
 
 
 @pytest.mark.parametrize("name", sorted(_near_misses()))
 def test_near_miss_stays_complex(name):
     cols = _near_misses()[name]
     seq = VectorSequence.from_columns(cols)
-    assert _column_view(seq) is seq.columns
+    assert _real_twin(seq) is seq.columns
     np.testing.assert_array_equal(_singular_values(seq), oracles.complex_singular_values(cols))
 
 
@@ -213,12 +266,30 @@ def test_pair_with_real_column_sum_gets_a_twin():
     # sorts first (conj f: both sums are 3, and the sort is stable).
     r = np.sqrt(2.0)
     twin = np.array([[1, r, -r], [1, 2 * r, r], [1, 0.5 * r, 0]])
-    np.testing.assert_array_equal(_column_view(seq), twin)
+    np.testing.assert_array_equal(_real_twin(seq), twin)
+
+
+def test_spectral_record_keeps_no_twin():
+    seq = gaussian_gabor(punctured_lattice(2), GaborDiscretization(6.0, 16))
+    h = oracles.random_columns(7, seq.dim, 1)[:, 0]
+    distance = span_distance(seq, h)
+    riesz_bounds(seq)
+    assert "sigma" in vars(seq._record) and "column_view" not in vars(seq._record)
+    assert not any(
+        isinstance(entry, np.ndarray) and entry.shape == seq.columns.shape
+        for entry in vars(seq._record).values()
+    )
+    # The twin is built again for the solve, in real arithmetic, with the same result.
+    assert _real_twin(seq).dtype == np.float64
+    assert span_distance(seq, h) == distance
+    assert distance == pytest.approx(
+        oracles.complex_lstsq_distance(seq.columns, h), rel=1e-10, abs=1e-12
+    )
 
 
 def test_real_system_column_view_is_its_kernel():
     seq = young_example(6).primal
-    assert _column_view(seq) is seq._kernel
+    assert _real_twin(seq) is seq._kernel
 
 
 class TestSynthesis:
