@@ -43,15 +43,16 @@ print("=" * 70)
 print("Incomplete systems: equal defects on both sides of the pairing")
 print("=" * 70)
 pair = rl.young_example(4)
-result = rl.co_completeness_check(pair.primal)
-print(f"defect of the system       : {result.defect_primal}")
-print(f"defect of its minimal dual : {result.defect_dual}")
-print(f"equal                      : {result.equal}")
+dual = rl.minimal_dual(pair.primal)
+defect_primal = rl.completeness_defect(pair.primal)
+defect_dual = rl.completeness_defect(dual)
+print(f"defect of the system       : {defect_primal}")
+print(f"defect of its minimal dual : {defect_dual}")
+print(f"equal                      : {defect_primal == defect_dual}")
 
 print()
 print("The minimal dual never leaves the span; any component in the")
 print("orthogonal complement would be invisible to biorthogonality:")
-dual = rl.minimal_dual(pair.primal)
 u, s, _ = np.linalg.svd(pair.primal.columns, full_matrices=True)
 complement = u[:, 4:]  # rank is 4 in dimension 5
 leakage = np.linalg.norm(complement.conj().T @ dual.columns)

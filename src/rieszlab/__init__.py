@@ -26,8 +26,6 @@ from .diagnostics import (
     span_distance,
 )
 from .duals import (
-    CoCompleteness,
-    co_completeness_check,
     duality_identity_residual,
     injectivity_witness,
     minimal_dual,
@@ -74,14 +72,10 @@ from .scaling import (
 from .seqcore import (
     AmbientSpace,
     CoefficientVector,
-    GramMatrix,
     VectorSequence,
     analysis,
     frame_apply,
-    gram,
     inner,
-    numerical_rank,
-    rank_tolerance,
     synthesis,
 )
 

@@ -215,16 +215,25 @@ def equivalent_inner_product(seq: VectorSequence) -> np.ndarray:
     """Positive-definite W with <x, y>_W = y^H W x making the system orthonormal.
 
     W is the inverse of F F^H; under it the Gram matrix of the system is the
-    identity.  Only defined for a system that classifies as a Riesz basis.
+    identity.  Only defined for a system that classifies as a Riesz basis.  W
+    is returned only if max |F^H W F - I| meets the 1e-8 contract; otherwise
+    IllConditionedError is raised.
     """
     verdict = classify(seq)
     if verdict.kind is not VerdictKind.RIESZ_BASIS:
         raise NotARieszBasisError(
             f"equivalent inner product requires a Riesz basis, got {verdict.kind.value}"
         )
-    u, sigma, _ = np.linalg.svd(seq._kernel)
+    f = seq._kernel
+    u, sigma, _ = np.linalg.svd(f)
     w = (u / sigma**2) @ u.conj().T
-    return ((w + w.conj().T) / 2.0).astype(complex, copy=False)
+    w = (w + w.conj().T) / 2.0
+    residual = float(np.abs(f.conj().T @ w @ f - np.eye(seq.count)).max())
+    if residual > BIORTHOGONALITY_TOL:
+        raise IllConditionedError(
+            f"W-Gram identity residual {residual:.3e} exceeds {BIORTHOGONALITY_TOL:.0e}"
+        )
+    return w.astype(complex, copy=False)
 
 
 def _verdict_kind(independent: bool, defect: int) -> VerdictKind:

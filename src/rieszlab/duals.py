@@ -17,7 +17,6 @@ from .diagnostics import (
     BIORTHOGONALITY_TOL,
     _check_pair,
     biorthogonality_residual,
-    completeness_defect,
 )
 from .errors import (
     IllConditionedError,
@@ -37,12 +36,6 @@ from .seqcore import (
 class _AcceptedDual(NamedTuple):
     partner: VectorSequence
     biorthogonality_residual: float
-
-
-class CoCompleteness(NamedTuple):
-    defect_primal: int
-    defect_dual: int
-    equal: bool
 
 
 def minimal_dual(seq: VectorSequence) -> VectorSequence:
@@ -108,18 +101,6 @@ def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> f
         compressed = (q.conj().T @ f) @ (g.conj().T @ q) - np.eye(q.shape[1])
         return max(float(np.linalg.norm(compressed, 2)), 1.0)
     return float(np.linalg.norm(f @ g.conj().T - np.eye(seq.dim), 2))
-
-
-def co_completeness_check(seq: VectorSequence) -> CoCompleteness:
-    """Completeness defects of a system and of its minimal dual.
-
-    The minimal dual spans exactly the span of the original columns, so the
-    two defects always agree; `equal` reports that comparison.
-    """
-    partner = minimal_dual(seq)
-    defect_primal = completeness_defect(seq)
-    defect_dual = completeness_defect(partner)
-    return CoCompleteness(defect_primal, defect_dual, defect_primal == defect_dual)
 
 
 def injectivity_witness(seq: VectorSequence, partner: VectorSequence, coeffs):

@@ -14,7 +14,8 @@ for nodes (t1, m1), (t2, m2).
 A sampled Gabor system is built from its distinct time shifts and
 modulations: a (2M+1)^2 lattice needs the Gaussian envelope at 2M+1 shifts
 and the phase at 2M+1 modulations, not at every node, and the columns are
-bit-identical to evaluating both factors at every node.
+bit-identical to evaluating both factors at every node, except for the sign of
+an underflowed zero (see `gaussian_gabor`).
 """
 
 from __future__ import annotations
@@ -237,8 +238,11 @@ def gaussian_gabor(points: PointSet2D, disc: GaborDiscretization) -> VectorSeque
     distinct tau and the phase once per distinct mu, and each column is the
     product of its node's two factors.  Entries are bit-identical to the
     per-node formula, since each one goes through the same operations on the
-    same operands.  Distinct values are told apart by their bit pattern, so
-    -0.0 and 0.0 each keep the factor the per-node formula gives them.
+    same operands, with one exception: where |x_l - tau| exceeds about 15.4
+    (possible once X > 9.2) the envelope underflows, and the sign of the zero
+    imaginary part depends on the multiply loop numpy picks for the operands'
+    layout.  Distinct values are told apart by their bit pattern, so -0.0 and
+    0.0 each keep the factor the per-node formula gives them.
     """
     taus, mus = np.array(points.nodes).T
     safe = disc.half_width - SAFE_WINDOW_MARGIN

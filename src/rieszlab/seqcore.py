@@ -1,4 +1,5 @@
-"""Vector-system data model and the synthesis / analysis / Gram operators.
+"""Vector-system data model, the synthesis / analysis / frame operators and
+the per-system spectral record.
 
 A truncated sequence (f_k)_{k=1..m} in an n-dimensional complex space is
 stored as the columns of an n-by-m matrix.  The inner product used across
@@ -17,11 +18,11 @@ Gram product is the smaller of F^H F and F F^H: a wide system (more vectors
 than dimensions) is eigensolved on its dim x dim side, which shares the
 nonzero spectrum of the count x count Gram matrix.
 
-The public arrays (`VectorSequence.columns`, `GramMatrix.entries`) are always
-read-only complex128.  The public constructors copy their input, so a caller's
-array never changes a sequence; the library's own producers (`gaussian_gabor`,
-`read_matrix`, the minimal dual) hand a fresh array to the private
-`VectorSequence._adopt`, which checks it alike and freezes it in place.
+The public array `VectorSequence.columns` is always read-only complex128.  The
+public constructors copy their input, so a caller's array never changes a
+sequence; the library's own producers (`gaussian_gabor`, `read_matrix`, the
+minimal dual) hand a fresh array to the private `VectorSequence._adopt`, which
+checks it alike and freezes it in place.
 
 Factorizations and products read a kernel view: for an array without a
 nonzero imaginary part it is the real part as float64, factored in real
@@ -45,9 +46,6 @@ from .errors import DimensionError, IllConditionedError
 #: sigma_max * max(n, m) * RANK_TOL_SCALE.  One constant serves both the
 #: completeness-defect and bijectivity tests.
 RANK_TOL_SCALE = 1e-12
-
-HERMITIAN_RTOL = 1e-12
-PSD_RTOL = 1e-10
 
 #: Range whose squares are normal floats.
 _SIGMA_FLOOR = float(np.sqrt(np.finfo(float).tiny))
@@ -169,47 +167,6 @@ class CoefficientVector:
         return np.array(self.entries, dtype=dtype)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Hermitian positive-semidefinite matrix of pairwise inner products.
-
-    Entry (j, k) holds <f_k, f_j>.  Hermitian symmetry and positive
-    semidefiniteness of the entries a caller passes in are validated at
-    construction; the (ascending) eigenvalues computed during validation are
-    kept for reuse; validation and the eigensolve read the kernel view of the
-    entries, which only the constructor needs.  `gram(seq)` builds one on
-    request; the diagnostics read the spectral record's Gram product instead.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = _as_complex_matrix(self.entries, "entries")
-        if mat.shape[0] != mat.shape[1]:
-            raise DimensionError(f"Gram matrix must be square, got shape {mat.shape}")
-        kernel = _kernel_view(mat)
-        scale = float(np.abs(kernel).max())
-        if scale > 0.0:
-            asym = float(np.abs(kernel - kernel.conj().T).max())
-            if asym > HERMITIAN_RTOL * scale:
-                raise ValueError(f"matrix is not Hermitian within tolerance (defect {asym:.3e})")
-        eigenvalues = np.linalg.eigvalsh(kernel)
-        if eigenvalues[-1] > 0.0 and eigenvalues[0] < -PSD_RTOL * eigenvalues[-1]:
-            raise ValueError(
-                f"matrix is not positive semidefinite within tolerance (lambda_min {eigenvalues[0]:.3e})"
-            )
-        object.__setattr__(self, "entries", _read_only(mat))
-        object.__setattr__(self, "_eigenvalues", _read_only(eigenvalues))
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in ascending order."""
-        return self._eigenvalues  # type: ignore[attr-defined]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.entries, dtype=dtype)
-
-
 def inner(x, y) -> complex:
     """The package-wide inner product <x, y> = y^H x."""
     return complex(np.vdot(np.asarray(y, dtype=complex), np.asarray(x, dtype=complex)))
@@ -243,13 +200,6 @@ def analysis(seq: VectorSequence, vector) -> CoefficientVector:
     return CoefficientVector(seq.columns.conj().T @ h)
 
 
-def gram(seq: VectorSequence) -> GramMatrix:
-    """The validated count x count Gram matrix F^H F with entry (j, k) =
-    <f_k, f_j>, built and eigensolved afresh on every call; the diagnostics
-    read the Gram product and spectrum kept in the spectral record instead."""
-    return GramMatrix(seq._kernel.conj().T @ seq._kernel)
-
-
 def frame_apply(seq: VectorSequence, vector) -> np.ndarray:
     """Sum_k <h, f_k> f_k, i.e. synthesis composed with analysis."""
     h = _ambient_vector(vector, seq.dim)
@@ -260,24 +210,6 @@ def _rank_scale(shape, sigma_max: float = 1.0) -> float:
     """The shared rank threshold sigma_max * max(n, m) * RANK_TOL_SCALE of an
     n x m matrix; at the default sigma_max it is the threshold's relative scale."""
     return sigma_max * max(shape) * RANK_TOL_SCALE
-
-
-def _rank_threshold(sigma: np.ndarray, shape) -> float:
-    """The shared rank threshold of a matrix with descending singular values sigma."""
-    return _rank_scale(shape, float(sigma[0])) if sigma.size else 0.0
-
-
-def rank_tolerance(matrix) -> float:
-    """Shared rank threshold sigma_max * max(n, m) * 1e-12 for a matrix."""
-    arr = _kernel_view(np.asarray(matrix, dtype=complex))
-    return _rank_threshold(np.linalg.svd(arr, compute_uv=False), arr.shape)
-
-
-def numerical_rank(matrix) -> int:
-    """Number of singular values above the shared rank threshold."""
-    arr = _kernel_view(np.asarray(matrix, dtype=complex))
-    sigma = np.linalg.svd(arr, compute_uv=False)
-    return int(np.count_nonzero(sigma > _rank_threshold(sigma, arr.shape)))
 
 
 class _SpectralRecord:
@@ -294,10 +226,10 @@ class _SpectralRecord:
     incomplete system, rebuilds it with a copy and no factorization.  The Gram
     product, its spectrum and the dual depend on the columns themselves and
     come from the kernel view, so they are real only for a real system.  The
-    product is Hermitian positive semidefinite by construction and is never
-    wrapped in a GramMatrix.  The record lives and dies with its sequence and
-    holds no U/V factors.  Threads racing on a first read may each compute an
-    entry; the first stored value is the one every caller gets.
+    product is Hermitian positive semidefinite by construction.  The record
+    lives and dies with its sequence and holds no U/V factors.  Threads racing
+    on a first read may each compute an entry; the first stored value is the
+    one every caller gets.
     """
 
     def fill(self, name: str, compute):
@@ -318,7 +250,7 @@ def _representable_sigma(seq: VectorSequence) -> np.ndarray:
     rank threshold up to sigma_max is a normal float; beyond that range its
     bounds, Gram spectrum and dual are not representable."""
     sigma = np.linalg.svd(_real_twin(seq), compute_uv=False)
-    tol = _rank_threshold(sigma, seq.columns.shape)
+    tol = _rank_scale(seq.columns.shape, float(sigma[0]))
     if sigma[0] > 0.0 and not _SIGMA_FLOOR <= tol <= sigma[0] <= _SIGMA_CEILING:
         raise IllConditionedError(
             f"sigma_max {sigma[0]:.3e} is out of range: squared singular values "
@@ -372,7 +304,7 @@ def _real_twin(seq: VectorSequence) -> np.ndarray:
 
 def _rank(seq: VectorSequence) -> int:
     sigma = _singular_values(seq)
-    return int(np.count_nonzero(sigma > _rank_threshold(sigma, seq.columns.shape)))
+    return int(np.count_nonzero(sigma > _rank_scale(seq.columns.shape, float(sigma[0]))))
 
 
 def _independent(seq: VectorSequence) -> bool:

@@ -23,7 +23,7 @@ from rieszlab import (
     bessel_bound,
     biorthogonality_residual,
     classify,
-    co_completeness_check,
+    completeness_defect,
     duality_identity_residual,
     equivalent_inner_product,
     gaussian_gabor,
@@ -124,16 +124,15 @@ def test_criterion_3_dual_defects_match():
         gaussian_gabor(lattice_points(1.0, 1.0, 1), disc),
     ]
     for seq in generator_instances:
-        result = co_completeness_check(seq)
-        assert result.equal, f"defect mismatch on generator instance: {result}"
+        defects = completeness_defect(seq), completeness_defect(minimal_dual(seq))
+        assert defects[0] == defects[1], f"defect mismatch on generator instance: {defects}"
     violations = 0
     for i in range(500):
         n = 4 + (i % 30)
         defect = i % 4
         seq = VectorSequence.from_columns(oracles.random_columns(2000 + i, n, n - defect))
-        result = co_completeness_check(seq)
-        assert result.defect_primal == defect
-        if not result.equal:
+        assert completeness_defect(seq) == defect
+        if completeness_defect(minimal_dual(seq)) != defect:
             violations += 1
     assert violations == 0
     _pass(3, f"{len(generator_instances)} generator instances + 500 seeded systems, 0 defect mismatches")

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import rieszlab
-from rieszlab import VectorSequence, classify, diagnostics, duals, random_riesz, seqcore
+from rieszlab import VectorSequence, classify, diagnostics, duals, random_riesz
 from rieszlab.cli import main
 from rieszlab.generators import (
     RIESZ_CONDITION_LIMIT,
@@ -144,8 +144,7 @@ def test_repeated_diagnostics_reuse_the_record(lapack_calls):
     assert classify(seq) == first
     rieszlab.gram_spectrum(seq)
     rieszlab.bessel_bound(seq)
-    rieszlab.completeness_defect(seq)
-    rieszlab.co_completeness_check(seq)
+    assert rieszlab.completeness_defect(rieszlab.minimal_dual(seq)) == rieszlab.completeness_defect(seq)
     assert_within(lapack_calls, svd=0, eigvalsh=0, solve=0)
 
 
@@ -347,40 +346,3 @@ def test_gabor_lattice_evaluates_each_factor_once_per_distinct_value(monkeypatch
     disc = GaborDiscretization(8.0, 16)
     gaussian_gabor(lattice_points(1.0, 1.0, max_index), disc)
     assert 0 < sum(counted) <= disc.sample_count * 2 * (2 * max_index + 1)
-
-
-@pytest.fixture
-def gram_matrix_builds(monkeypatch):
-    """Every GramMatrix constructed while the fixture is active."""
-    built = []
-    original = seqcore.GramMatrix.__post_init__
-
-    def spy(self):
-        built.append(self)
-        original(self)
-
-    monkeypatch.setattr(seqcore.GramMatrix, "__post_init__", spy)
-    return built
-
-
-def test_spy_sees_the_public_gram(gram_matrix_builds):
-    seqcore.gram(independent_system())
-    assert len(gram_matrix_builds) == 1
-
-
-@pytest.mark.parametrize("command", ["analyze", "dual"])
-@pytest.mark.parametrize("system", [independent_system, dependent_system, wide_system])
-def test_cli_builds_no_gram_matrix(
-    command, system, gram_matrix_builds, matrix_file, tmp_path, capsys
-):
-    # The Gram route reads the record's Gram product; only callers build a GramMatrix.
-    path = matrix_file(system())
-    extra = ["-o", str(tmp_path / "dual.csv")] if command == "dual" else []
-    main([command, path, *extra])
-    assert gram_matrix_builds == []
-
-
-@pytest.mark.parametrize("generator", ["rieszSeeded", "weightedPair", "youngExample"])
-def test_run_family_builds_no_gram_matrix(generator, gram_matrix_builds):
-    run_family(FamilySpec(generator, (8, 16, 32)))
-    assert gram_matrix_builds == []

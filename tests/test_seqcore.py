@@ -2,26 +2,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+import rieszlab
 from rieszlab import (
     AmbientSpace,
     CoefficientVector,
     DimensionError,
-    GramMatrix,
     VectorSequence,
     analysis,
     equivalent_inner_product,
     frame_apply,
-    gram,
     inner,
     minimal_dual,
-    numerical_rank,
     orthonormal,
-    rank_tolerance,
     synthesis,
     weighted_pair,
     young_example,
@@ -34,7 +31,39 @@ from rieszlab.diagnostics import (
     span_distance,
 )
 from rieszlab.generators import GaborDiscretization, gaussian_gabor, punctured_lattice
-from rieszlab.seqcore import RANK_TOL_SCALE, _real_twin, _rank, _singular_values
+from rieszlab.seqcore import (
+    RANK_TOL_SCALE,
+    _gram_eigenvalues,
+    _gram_entries,
+    _rank,
+    _rank_scale,
+    _real_twin,
+    _singular_values,
+)
+
+
+#: The package's public names.  Adding, removing or renaming one is a
+#: deliberate edit of this list.
+PUBLIC_NAMES = [
+    "AmbientSpace", "BoundsReport", "CoefficientVector", "CriteriaDisagreementError",
+    "DimensionError", "FamilySpec", "FitDomainError", "GaborDiscretization", "GeneratedPair",
+    "GramSpectrum", "GrowthFit", "IllConditionedError", "MatrixParseError",
+    "NoBiorthogonalSequenceError", "NotARieszBasisError", "NotBiorthogonalError", "PointSet2D",
+    "RieszBounds", "RieszLabError", "ScalingReport", "SingularOperatorError", "SizeMetrics",
+    "TrendVerdict", "TruncationError", "VectorSequence", "Verdict", "VerdictKind",
+    "als_point_set", "alternating_weighted_pair", "analysis", "bessel_bound",
+    "biorthogonality_residual", "classify", "completeness_defect", "duality_identity_residual",
+    "equivalent_inner_product", "fit_growth", "frame_apply", "gabor_refinement_study",
+    "gaussian_gabor", "gram_spectrum", "injectivity_witness", "inner", "lattice_points",
+    "minimal_dual", "orthonormal", "punctured_lattice", "random_riesz", "riesz_bounds",
+    "riesz_from_operator", "run_family", "span_distance", "synthesis", "weighted_pair",
+    "young_example", "young_general",
+]
+
+
+def test_public_surface():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert rieszlab.__all__ == PUBLIC_NAMES
 
 
 def seq_of(*vectors):
@@ -138,14 +167,6 @@ class TestTypes:
         assert len(cv) == 2
         np.testing.assert_array_equal(np.asarray(cv), [1.0, 2.0])
 
-    def test_gram_matrix_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            GramMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_gram_matrix_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="semidefinite"):
-            GramMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
     def test_inner_convention(self):
         # <x, y> = y^H x: linear in the first slot, conjugate-linear in the second
         x = np.array([1.0 + 1j, 0.0])
@@ -162,9 +183,9 @@ class TestKernelView:
         seq = young_example(6).primal
         partner = minimal_dual(seq)
         assert seq._kernel.dtype == np.float64 and partner._kernel.dtype == np.float64
-        for arr in (seq.columns, gram(seq).entries, partner.columns):
+        for arr in (seq.columns, partner.columns):
             assert arr.dtype == np.complex128 and not arr.flags.writeable
-        assert not gram(seq).eigenvalues.flags.writeable
+        assert not _gram_entries(seq).flags.writeable and not _gram_eigenvalues(seq).flags.writeable
         assert equivalent_inner_product(weighted_pair(4).primal).dtype == np.complex128
 
     def test_kernel_view_is_a_frozen_copy(self):
@@ -204,6 +225,17 @@ def conjugation_closed(seed, dim, pairs, reals):
     reals=st.integers(0, 3),
     shape=st.sampled_from(["tall", "square", "wide"]),
 )
+# Complete systems whose oracle residual exceeds 1e-12 of rounding.
+@example(seed=43, pairs=3, reals=0, shape="square")
+@example(seed=187, pairs=1, reals=2, shape="square")
+@example(seed=198, pairs=3, reals=0, shape="square")
+@example(seed=273, pairs=3, reals=1, shape="square")
+@example(seed=320, pairs=1, reals=2, shape="square")
+@example(seed=479, pairs=3, reals=2, shape="square")
+@example(seed=563, pairs=3, reals=2, shape="square")
+@example(seed=606, pairs=3, reals=0, shape="square")
+@example(seed=761, pairs=3, reals=2, shape="square")
+@example(seed=776, pairs=1, reals=2, shape="square")
 def test_real_twin_matches_complex_arithmetic(seed, pairs, reals, shape):
     count = 2 * pairs + reals
     dim = {"tall": count + 3, "square": count, "wide": max(count - 2, 1)}[shape]
@@ -217,7 +249,14 @@ def test_real_twin_matches_complex_arithmetic(seed, pairs, reals, shape):
     assert classify(seq).kind is _verdict_kind(rank == count, dim - rank)
     h = oracles.random_columns(seed + 1, dim, 1)[:, 0]
     expected = oracles.complex_lstsq_distance(seq.columns, h)
-    assert span_distance(seq, h) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+    if rank == dim:
+        # The rank decision makes a complete system's distance exactly 0.0; the
+        # oracle's least-squares residual is rounding of order kappa eps ||h||.
+        assert span_distance(seq, h) == 0.0
+        kappa = sigma[0] / sigma[-1]
+        assert expected <= 64 * kappa * np.finfo(float).eps * np.linalg.norm(h)
+    else:
+        assert span_distance(seq, h) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 def _near_misses():
@@ -338,29 +377,35 @@ class TestAnalysis:
 
 
 class TestGram:
+    """The spectral record's Gram product: F^H F, or F F^H for a wide system."""
+
     def test_orthonormal(self):
-        np.testing.assert_array_equal(gram(orthonormal(3)).entries, np.eye(3))
+        np.testing.assert_array_equal(_gram_entries(orthonormal(3)), np.eye(3))
 
     def test_hand_entries(self):
         seq = seq_of([1, 0], [1, 1])
-        np.testing.assert_allclose(gram(seq).entries, [[1, 1], [1, 2]])
+        np.testing.assert_allclose(_gram_entries(seq), [[1, 1], [1, 2]])
 
     def test_young_identity_plus_ones(self):
-        entries = gram(young_example(4).primal).entries
+        entries = _gram_entries(young_example(4).primal)
         np.testing.assert_allclose(entries, np.eye(4) + np.ones((4, 4)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_loop_assembly(self, seed):
-        cols = oracles.random_columns(seed, 5, 7)
-        entries = gram(VectorSequence.from_columns(cols)).entries
-        expected = oracles.gram_by_loops(cols)
-        np.testing.assert_allclose(entries, expected, rtol=1e-12, atol=1e-14)
+        tall = oracles.random_columns(seed, 7, 5)
+        wide = oracles.random_columns(seed, 5, 7)
+        # A wide system's product F F^H is the Gram matrix of F^H.
+        for cols, gram_of in ((tall, tall), (wide, wide.conj().T)):
+            entries = _gram_entries(VectorSequence.from_columns(cols))
+            expected = oracles.gram_by_loops(gram_of)
+            np.testing.assert_allclose(entries, expected, rtol=1e-12, atol=1e-14)
 
     def test_rank_matches_columns(self):
         cols = oracles.random_columns(11, 6, 3)
         cols = np.concatenate([cols, cols @ np.array([[1.0], [2.0], [3.0]])], axis=1)
-        assert numerical_rank(gram(VectorSequence.from_columns(cols)).entries) == 3
-        assert numerical_rank(cols) == 3
+        seq = VectorSequence.from_columns(cols)
+        assert _rank(VectorSequence.from_columns(_gram_entries(seq))) == 3
+        assert _rank(seq) == 3
 
 
 class TestFrameApply:
@@ -424,6 +469,9 @@ def test_frame_apply_linearity_property(seed, alpha, beta):
 
 
 def test_rank_tolerance_scales_with_sigma():
-    assert rank_tolerance(np.eye(4)) == pytest.approx(4e-12)
-    assert rank_tolerance(10 * np.eye(4)) == pytest.approx(4e-11)
-    assert numerical_rank(np.zeros((3, 3))) == 0
+    assert _rank_scale((4, 4), 1.0) == pytest.approx(4e-12)
+    assert _rank_scale((4, 4), 10.0) == pytest.approx(4e-11)
+    # sigma = 3e-11 counts beside sigma_max 1 (threshold 4e-12), not beside 10 (4e-11).
+    assert _rank(VectorSequence.from_columns(np.diag([1.0, 1.0, 1.0, 3e-11]))) == 4
+    assert _rank(VectorSequence.from_columns(np.diag([10.0, 10.0, 10.0, 3e-11]))) == 3
+    assert _rank(VectorSequence.from_columns(np.zeros((3, 3)))) == 0
