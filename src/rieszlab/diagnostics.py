@@ -10,6 +10,15 @@ criterion through independent routes (singular values of the columns, Gram
 spectrum, and a biorthogonal-dual route when a dual exists) and demands that
 they agree; a disagreement is a tolerance bug, never a valid outcome.  Every
 route reads its factorization from the system's spectral record.
+
+The dual route rests on the paper's key inequality.  For a biorthogonal pair
+(F, G) and any coefficients c,
+
+    ||c||^2 = sum_j |<sum_k c_k f_k, g_j>|^2 <= B_G || sum_k c_k f_k ||^2,
+
+so A_F B_G >= 1, and by the symmetry of biorthogonality A_G B_F >= 1.  The
+minimal dual, whose singular values are the reciprocals of F's, attains both
+with equality.
 """
 
 from __future__ import annotations
@@ -49,7 +58,9 @@ BIORTHOGONALITY_TOL = 1e-8
 #: Safety factor on the eigensolver accuracy floor.  A dense Hermitian
 #: eigensolver returns lambda_min with absolute error on the order of
 #: m * eps * lambda_max, so bijectivity decisions on the Gram route cannot
-#: resolve eigenvalues below that scale.
+#: resolve eigenvalues below that scale.  An SVD's squared singular values
+#: carry errors of the same order, so the dual route's tolerance
+#: (`_identity_tolerance`) uses the same factor.
 _EIG_FLOOR_FACTOR = 8.0
 
 
@@ -197,6 +208,17 @@ def gram_spectrum(seq: VectorSequence) -> GramSpectrum:
     return GramSpectrum(lambda_min, float(lam[-1]), _gram_route(seq, lam)[0])
 
 
+def _identity_tolerance(count: int, upper: float, dual_upper: float) -> float:
+    """Tolerance on A_F B_G - 1 (and on B_F A_G - 1) for a biorthogonal pair of
+    `count` vectors: 8 count eps B_F B_G.
+
+    A_F from an SVD carries an absolute error of order count eps B_F, which the
+    product scales by B_G, and symmetrically for A_G.  For the minimal dual,
+    B_G = 1/A_F, so the tolerance is 8 count eps B_F / A_F.
+    """
+    return _EIG_FLOOR_FACTOR * count * float(np.finfo(float).eps) * upper * dual_upper
+
+
 def _check_pair(seq: VectorSequence, partner: VectorSequence) -> None:
     if seq.count != partner.count or seq.dim != partner.dim:
         raise DimensionError(
@@ -249,41 +271,48 @@ def classify(seq: VectorSequence) -> Verdict:
 
     The column route (singular values of the columns) decides the verdict.
     The Gram route votes from the Gram spectrum, abstaining where lambda_min
-    is within the eigensolver's accuracy of the squared rank tolerance.  For
-    independent columns the dual route builds the minimal dual, runs the
-    partner's own two-route check and votes by the relaxed criterion (a
-    biorthogonal pair of Bessel sequences, one member complete); it abstains
-    where the dual or its factorization is refused as ill-conditioned.  Every
-    vote must match the column route; `CriteriaDisagreementError` signals a
-    tolerance bug.  Each route factors its own matrix once (an SVD of F, an
-    eigensolve of the smaller of F^H F and F F^H, the dual's solve, SVD and
-    eigensolve) and keeps the factorization in that matrix's spectral record.
+    is within the eigensolver's accuracy of the squared rank tolerance, and
+    its vote must match the column route.  For independent columns the dual
+    route checks the paper's identity on the minimal dual: A_F B_G and
+    B_F A_G must both equal 1 within `_identity_tolerance`, which compares
+    each extreme of the dual's spectrum with an extreme of F's; it abstains
+    where the dual or its factorization is refused as ill-conditioned.
+    `CriteriaDisagreementError` signals a tolerance bug.  Each route factors
+    its own matrix once (an SVD of F, an eigensolve of the smaller of F^H F
+    and F F^H, the dual's solve and SVD) and keeps the factorization in that
+    matrix's spectral record; the dual's Gram product is never formed.
     """
     lower, upper, lam = _compared_routes(seq)
     defect = completeness_defect(seq)
     kind = _verdict_kind(_independent(seq), defect)
-    votes = {"Gram": _gram_route(seq, lam)[1]}
+    vote = _gram_route(seq, lam)[1]
+    if vote is not None and vote is not kind:
+        raise CriteriaDisagreementError(
+            f"column route says {kind.value}, Gram route says {vote.value}"
+        )
     if kind is not VerdictKind.LINEARLY_DEPENDENT:
-        votes["dual"] = _dual_vote(seq, defect)
-    for route, vote in votes.items():
-        if vote is not None and vote is not kind:
-            raise CriteriaDisagreementError(
-                f"column route says {kind.value}, {route} route says {vote.value}"
-            )
+        _dual_route(seq, lower, upper)
     conditioning = math.inf if lower == 0.0 else upper / lower
     report = BoundsReport(lower, upper, defect, conditioning)
     return Verdict(kind, report)
 
 
-def _dual_vote(seq: VectorSequence, defect: int) -> Optional[VerdictKind]:
+def _dual_route(seq: VectorSequence, lower: float, upper: float) -> bool:
+    """Checks A_F B_G = 1 and B_F A_G = 1 for the minimal dual G of an
+    independent system with bounds (lower, upper), reading G's singular values
+    from its record; raises `CriteriaDisagreementError` on a miss.  Returns
+    False where it abstains: the dual or its SVD is refused."""
     from . import duals  # deferred; duals depends on this module
 
     try:
-        partner = duals.minimal_dual(seq)
-        bessel_bound(partner)
-        dual_defect = completeness_defect(partner)
+        dual_lower, dual_upper = riesz_bounds(duals.minimal_dual(seq))
     except IllConditionedError:
-        return None
-    if min(defect, dual_defect) == 0:
-        return VerdictKind.RIESZ_BASIS
-    return VerdictKind.RIESZ_SEQUENCE_INCOMPLETE
+        return False
+    tol = _identity_tolerance(seq.count, upper, dual_upper)
+    misses = abs(lower * dual_upper - 1.0), abs(upper * dual_lower - 1.0)
+    if max(misses) > tol:
+        raise CriteriaDisagreementError(
+            f"minimal dual misses A_F B_G = 1 by {misses[0]!r} and B_F A_G = 1 by "
+            f"{misses[1]!r}, over the tolerance {tol!r}"
+        )
+    return True

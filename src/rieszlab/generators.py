@@ -16,6 +16,11 @@ modulations: a (2M+1)^2 lattice needs the Gaussian envelope at 2M+1 shifts
 and the phase at 2M+1 modulations, not at every node, and the columns are
 bit-identical to evaluating both factors at every node, except for the sign of
 an underflowed zero (see `gaussian_gabor`).
+
+Every generator except `riesz_from_operator`, whose caller owns the operator,
+builds a fresh C-contiguous complex128 array and hands it to the private
+`VectorSequence._adopt`, which checks it as the constructor does and freezes
+it in place instead of copying it.
 """
 
 from __future__ import annotations
@@ -134,7 +139,7 @@ def orthonormal(n: int) -> VectorSequence:
     """The identity columns e_1..e_n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return VectorSequence.from_columns(np.eye(n, dtype=complex))
+    return VectorSequence._adopt(np.eye(n, dtype=complex))
 
 
 def riesz_from_operator(operator) -> VectorSequence:
@@ -158,7 +163,7 @@ def random_riesz(n: int, seed=0) -> VectorSequence:
     rng = np.random.default_rng(seed)
     while True:
         v = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-        seq = VectorSequence.from_columns(v)
+        seq = VectorSequence._adopt(v)
         sigma = _singular_values(seq)
         if sigma[-1] > 0.0 and sigma[0] / sigma[-1] <= RIESZ_CONDITION_LIMIT:
             return seq
@@ -169,8 +174,8 @@ def weighted_pair(n: int) -> GeneratedPair:
     if n < 1:
         raise ValueError("n must be >= 1")
     k = np.arange(1, n + 1, dtype=float)
-    primal = VectorSequence.from_columns(np.diag(1.0 / k).astype(complex))
-    partner = VectorSequence.from_columns(np.diag(k).astype(complex))
+    primal = VectorSequence._adopt(np.diag(1.0 / k).astype(complex))
+    partner = VectorSequence._adopt(np.diag(k).astype(complex))
     return GeneratedPair(primal, partner)
 
 
@@ -183,8 +188,8 @@ def alternating_weighted_pair(n: int) -> GeneratedPair:
         raise ValueError("n must be >= 1")
     k = np.arange(1, n + 1, dtype=float)
     weights = np.where(k == 1, 1.0, np.where(k % 2 == 0, k, 1.0 / k))
-    primal = VectorSequence.from_columns(np.diag(weights).astype(complex))
-    partner = VectorSequence.from_columns(np.diag(1.0 / weights).astype(complex))
+    primal = VectorSequence._adopt(np.diag(weights).astype(complex))
+    partner = VectorSequence._adopt(np.diag(1.0 / weights).astype(complex))
     return GeneratedPair(primal, partner)
 
 
@@ -221,10 +226,7 @@ def young_general(subspace_dim: int, n_vectors: int, complement_dim: int = 1) ->
         partner_cols[complement_dim + k, k] = 1.0
         primal_cols[complement_dim + k, k] = 1.0
         primal_cols[k % complement_dim, k] = 1.0
-    return GeneratedPair(
-        VectorSequence.from_columns(primal_cols),
-        VectorSequence.from_columns(partner_cols),
-    )
+    return GeneratedPair(VectorSequence._adopt(primal_cols), VectorSequence._adopt(partner_cols))
 
 
 def gaussian_gabor(points: PointSet2D, disc: GaborDiscretization) -> VectorSequence:

@@ -18,6 +18,7 @@ import json
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -91,11 +92,13 @@ def write_matrix(path: str, seq: VectorSequence) -> None:
     write_atomic(path, matrix_text(seq))
 
 
-def _read_lines(path: str) -> list:
-    """The file's lines without their newlines; text that is not UTF-8 fails to parse."""
+@contextmanager
+def _text(path: str):
+    """The file opened for reading, to be iterated line by line; text that is
+    not UTF-8 fails to parse."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return [line.rstrip("\n") for line in handle]
+            yield handle
     except UnicodeDecodeError as exc:
         raise MatrixParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
 
@@ -111,38 +114,62 @@ def _parse_cells(path: str, i: int, line: str) -> list:
     return row
 
 
+def _matrix_layout(path: str):
+    """One pass over the matrix file at `path`, keeping no line: the header
+    (a first non-blank line starting with "#", else None), the number of
+    non-blank data lines, the cell count of the first of them, and the index
+    and cell count of the first one whose cell count differs (None if none does)."""
+    header, rows, width, ragged = None, 0, None, None
+    with _text(path) as handle:
+        for line in handle:
+            if not line.strip():
+                continue
+            if not rows and header is None and line.lstrip().startswith("#"):
+                header = line.rstrip("\n")
+                continue
+            cells = line.count(",") + 1
+            if width is None:
+                width = cells
+            elif ragged is None and cells != width:
+                ragged = (rows, cells)
+            rows += 1
+    return header, rows, width, ragged
+
+
 def read_matrix(path: str, check_shape=None) -> VectorSequence:
     """The matrix file at `path` as a VectorSequence.  `check_shape`, if
     given, is called with the data row count and the first row's width as
     soon as both are known, before any cell is converted or any array
-    allocated; it refuses the file by raising."""
-    lines = [line for line in _read_lines(path) if line.strip()]
-    if not lines:
+    allocated; it refuses the file by raising.  The file is read twice, one
+    line at a time: once for its shape, which `check_shape` sees, and once
+    for its cells, so a refused file is never held in memory."""
+    header, rows, width, ragged = _matrix_layout(path)
+    if header is None and not rows:
         raise MatrixParseError(f"{path}: empty matrix file")
     expected_shape = None
-    if lines[0].lstrip().startswith("#"):
-        match = _HEADER_RE.match(lines[0].strip())
+    if header is not None:
+        match = _HEADER_RE.match(header.strip())
         if not match:
-            raise MatrixParseError(f"{path}: malformed header {lines[0]!r}")
+            raise MatrixParseError(f"{path}: malformed header {header!r}")
         expected_shape = (int(match.group(1)), int(match.group(2)))
-        lines = lines[1:]
-    if not lines:
+    if not rows:
         raise MatrixParseError(f"{path}: header but no data rows")
-    widths = [line.count(",") + 1 for line in lines]
-    width = widths[0]
     if check_shape is not None:
-        check_shape(len(lines), width)
+        check_shape(rows, width)
     # Only the rows before the first ragged one are allocated, so the array is
     # never larger than the text; their cells are checked before that row's error.
-    rows = next((i for i, cells in enumerate(widths) if cells != width), len(lines))
-    matrix = np.empty((rows, width), dtype=complex)
-    for i, line in enumerate(lines[:rows]):
-        if _ROW_RE.fullmatch(line):
-            matrix[i] = [complex(cell) for cell in line.replace("i", "j").split(",")]
-        else:
-            matrix[i] = _parse_cells(path, i + 1, line)
-    if rows < len(lines):
-        raise MatrixParseError(f"{path}: row {rows + 1} has {widths[rows]} cells, expected {width}")
+    matrix = np.empty((rows if ragged is None else ragged[0], width), dtype=complex)
+    with _text(path) as handle:
+        data = (line.rstrip("\n") for line in handle if line.strip())
+        if header is not None:
+            next(data)
+        for i, line in zip(range(len(matrix)), data):
+            if _ROW_RE.fullmatch(line):
+                matrix[i] = [complex(cell) for cell in line.replace("i", "j").split(",")]
+            else:
+                matrix[i] = _parse_cells(path, i + 1, line)
+    if ragged is not None:
+        raise MatrixParseError(f"{path}: row {ragged[0] + 1} has {ragged[1]} cells, expected {width}")
     if expected_shape is not None and matrix.shape != expected_shape:
         raise MatrixParseError(
             f"{path}: header announces shape {expected_shape}, parsed {matrix.shape}"
@@ -162,23 +189,31 @@ def write_point_set(path: str, points: PointSet2D) -> None:
     write_atomic(path, point_set_text(points))
 
 
+def _is_node_line(text: str) -> bool:
+    return bool(text) and not text.startswith("#")
+
+
 def read_point_set(path: str, check_count=None) -> PointSet2D:
     """The point-set file at `path`.  `check_count`, if given, is called with the
-    number of node lines before any cell is converted; it refuses by raising."""
-    lines = [line.strip() for line in _read_lines(path)]
+    number of node lines before any cell is converted; it refuses by raising.
+    The count comes from a first pass that keeps no line, so a refused file is
+    never held in memory."""
     if check_count is not None:
-        check_count(sum(1 for text in lines if text and not text.startswith("#")))
+        with _text(path) as handle:
+            check_count(sum(_is_node_line(line.strip()) for line in handle))
     nodes = []
-    for i, text in enumerate(lines, start=1):
-        if not text or text.startswith("#"):
-            continue
-        cells = text.split(",")
-        if len(cells) != 2:
-            raise MatrixParseError(f"{path}: line {i} needs two columns, got {len(cells)}")
-        try:
-            nodes.append((float(cells[0]), float(cells[1])))
-        except ValueError as exc:
-            raise MatrixParseError(f"{path}: line {i}: {exc}") from exc
+    with _text(path) as handle:
+        for i, line in enumerate(handle, start=1):
+            text = line.strip()
+            if not _is_node_line(text):
+                continue
+            cells = text.split(",")
+            if len(cells) != 2:
+                raise MatrixParseError(f"{path}: line {i} needs two columns, got {len(cells)}")
+            try:
+                nodes.append((float(cells[0]), float(cells[1])))
+            except ValueError as exc:
+                raise MatrixParseError(f"{path}: line {i}: {exc}") from exc
     if not nodes:
         raise MatrixParseError(f"{path}: no nodes found")
     try:

@@ -8,7 +8,8 @@ lattice index bound, with the grid fixed by the discretization parameters.
 
 Per size the study records the two-sided bound constants, the distance from a
 probe vector to the span, the dual's upper bound constant and the
-reconstruction-identity residual, then fits log(metric) against log(size) and
+reconstruction-identity residual, checks the paper's inequality A_F B_G >= 1
+against a designated partner, then fits log(metric) against log(size) and
 turns the exponents into coarse asymptotic verdicts.  A family without a
 designated partner gets its residual from the rank decision, not from a built
 dual: the minimal dual's reconstruction map is the orthogonal projector onto
@@ -30,7 +31,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import diagnostics, duals, generators
-from .errors import FitDomainError
+from .errors import CriteriaDisagreementError, FitDomainError
 from .generators import GaborDiscretization, PointSet2D
 from .seqcore import VectorSequence, _independent
 
@@ -255,6 +256,14 @@ def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
         dual_upper = duality_residual = None
         if partner is not None:
             dual_upper = diagnostics.bessel_bound(partner)
+            # The paper's inequality A_F B_G >= 1 holds for every biorthogonal
+            # pair, so a miss is a generator or route bug.
+            tol = diagnostics._identity_tolerance(system.count, upper, dual_upper)
+            if lower * dual_upper < 1.0 - tol:
+                raise CriteriaDisagreementError(
+                    f"A_F B_G = {lower * dual_upper!r} is below 1 by more than {tol!r} "
+                    "for a designated biorthogonal partner"
+                )
             duality_residual = duals.duality_identity_residual(system, partner)
         elif _independent(system):
             # The minimal dual's Gram is the inverse Gram, and its

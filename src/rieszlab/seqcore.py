@@ -20,9 +20,10 @@ nonzero spectrum of the count x count Gram matrix.
 
 The public array `VectorSequence.columns` is always read-only complex128.  The
 public constructors copy their input, so a caller's array never changes a
-sequence; the library's own producers (`gaussian_gabor`, `read_matrix`, the
-minimal dual) hand a fresh array to the private `VectorSequence._adopt`, which
-checks it alike and freezes it in place.
+sequence; the library's own producers (the generators except
+`riesz_from_operator`, `read_matrix`, the minimal dual) hand a fresh array to
+the private `VectorSequence._adopt`, which checks it alike and freezes it in
+place.
 
 Factorizations and products read a kernel view: for an array without a
 nonzero imaginary part it is the real part as float64, factored in real

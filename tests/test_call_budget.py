@@ -134,7 +134,17 @@ def test_classify_independent_from_fresh_sequence(lapack_calls):
     seq = independent_system()
     lapack_calls.clear()
     assert classify(seq).kind is rieszlab.VerdictKind.RIESZ_BASIS
-    assert_within(lapack_calls, svd=2, eigvalsh=2, solve=1)
+    assert_within(lapack_calls, svd=2, eigvalsh=1, solve=1)
+
+
+def test_classify_forms_no_dual_gram_product():
+    # The dual route reads the minimal dual's singular values only.
+    seq = independent_system()
+    classify(seq)
+    partner = rieszlab.minimal_dual(seq)
+    assert "sigma" in vars(partner._record)
+    assert "gram_entries" not in vars(partner._record)
+    assert "gram_eigenvalues" not in vars(partner._record)
 
 
 def test_repeated_diagnostics_reuse_the_record(lapack_calls):
@@ -154,7 +164,7 @@ def test_cli_independent(command, lapack_calls, matrix_file, tmp_path, capsys):
     extra = ["-o", str(tmp_path / "dual.csv")] if command == "dual" else []
     lapack_calls.clear()
     assert main([command, path, *extra]) == 0
-    assert_within(lapack_calls, svd=3, eigvalsh=2, solve=1)
+    assert_within(lapack_calls, svd=3, eigvalsh=1, solve=1)
 
 
 @pytest.mark.parametrize("command", ["analyze", "dual"])

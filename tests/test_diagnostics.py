@@ -30,8 +30,8 @@ from rieszlab import (
     young_example,
     young_general,
 )
-from rieszlab.diagnostics import _dual_vote, _gram_route
-from rieszlab.seqcore import RANK_TOL_SCALE, _gram_eigenvalues, _singular_values
+from rieszlab.diagnostics import _dual_route, _gram_route
+from rieszlab.seqcore import RANK_TOL_SCALE, _gram_eigenvalues, _rank_scale, _singular_values
 
 
 def seq_of(*vectors):
@@ -398,12 +398,20 @@ def _sigma_band_system(m, shape, exponent, real=False):
 
 
 def _route_votes(seq):
-    """The column verdict, the Gram vote and the dual vote (None: abstains)."""
+    """The column verdict, the Gram vote (None: abstains) and, for independent
+    columns, whether the dual route checked (False: abstains)."""
     kind = classify(seq).kind
     gram_vote = _gram_route(seq, _gram_eigenvalues(seq))[1]
     if kind is VerdictKind.LINEARLY_DEPENDENT:
         return kind, gram_vote
-    return kind, gram_vote, _dual_vote(seq, completeness_defect(seq))
+    return kind, gram_vote, _dual_route(seq, *riesz_bounds(seq))
+
+
+def _in_rank_band(seq, exponent):
+    """Whether sigma = 10**-exponent lies within a factor 2 of the rank threshold,
+    where the last ulp of either arithmetic's SVD can decide the verdict."""
+    rank_tol = _rank_scale(seq.columns.shape, float(_singular_values(seq)[0]))
+    return rank_tol / 2 <= 10.0**-exponent <= 2 * rank_tol
 
 
 class TestRouteAbstention:
@@ -432,7 +440,13 @@ class TestRouteAbstention:
         for exponent in range(4, 14):
             real = _sigma_band_system(m, shape, exponent, real=True)
             assert real.columns.dtype == np.complex128 and not np.any(real.columns.imag)
-            assert _route_votes(real) == _route_votes(_sigma_band_system(m, shape, exponent))
+            votes = [_route_votes(real), _route_votes(_sigma_band_system(m, shape, exponent))]
+            if _in_rank_band(real, exponent):
+                # On the threshold each arithmetic may decide either way, but
+                # its Gram vote must not contradict its own column verdict.
+                assert all(vote[1] in (None, vote[0]) for vote in votes)
+            else:
+                assert votes[0] == votes[1]
 
     @pytest.mark.parametrize(
         "points, half_width",
@@ -444,6 +458,55 @@ class TestRouteAbstention:
         assert classify(seq).kind is VerdictKind.RIESZ_SEQUENCE_INCOMPLETE
         # The Gram route's raw reading stays what it is: unresolved, not bijective.
         assert not gram_spectrum(seq).bijective
+
+
+def _geometric_basis(n, bound_ratio, seed=0):
+    """Q1 diag(sigma) Q2 with sigma geometric from 1 down to sqrt(bound_ratio), so A/B = bound_ratio."""
+    rng = np.random.default_rng(seed)
+    sigma = np.geomspace(1.0, np.sqrt(bound_ratio), n)
+    return VectorSequence.from_columns(_unitary(rng, n) * sigma @ _unitary(rng, n))
+
+
+def _scale_kept_sigma(seq, index, factor=1 + 1e-6):
+    """Replace one of seq's kept singular values by a scaled copy."""
+    sigma = np.array(_singular_values(seq))
+    sigma[index] *= factor
+    vars(seq._record)["sigma"] = sigma
+
+
+class TestDualIdentityRoute:
+    """The dual route checks A_F B_G = 1 and B_F A_G = 1 on the minimal dual."""
+
+    def test_fresh_system_passes(self):
+        seq = _geometric_basis(64, 1e-3)
+        assert classify(seq).kind is VerdictKind.RIESZ_BASIS
+        assert _dual_route(seq, *riesz_bounds(seq))
+
+    def test_scaled_primal_sigma_min_is_caught(self):
+        # F's own two routes cannot see this: 2e-6 A is below 1e-8 B.
+        seq = _geometric_basis(64, 1e-3)
+        _scale_kept_sigma(seq, -1)
+        with pytest.raises(CriteriaDisagreementError, match="A_F B_G = 1"):
+            classify(seq)
+
+    @pytest.mark.parametrize("index", [0, -1], ids=["sigma_max", "sigma_min"])
+    def test_scaled_dual_sigma_is_caught(self, index):
+        seq = _geometric_basis(64, 1e-3)
+        _scale_kept_sigma(minimal_dual(seq), index)
+        with pytest.raises(CriteriaDisagreementError, match="minimal dual misses"):
+            classify(seq)
+
+    def test_incomplete_system_is_checked(self):
+        seq = young_general(9, 6, complement_dim=3).primal
+        assert classify(seq).kind is VerdictKind.RIESZ_SEQUENCE_INCOMPLETE
+        assert _dual_route(seq, *riesz_bounds(seq))
+
+    def test_abstains_where_the_dual_is_refused(self):
+        seq = _geometric_basis(64, 1e-10)
+        with pytest.raises(IllConditionedError):
+            minimal_dual(seq)
+        assert classify(seq).kind is VerdictKind.RIESZ_BASIS
+        assert not _dual_route(seq, *riesz_bounds(seq))
 
 
 class TestRepresentableScale:

@@ -36,6 +36,28 @@ from rieszlab.seqcore import _gram_entries
 GAUSS_NORM = 2.0 ** -0.25  # L2 norm of exp(-pi x^2)
 
 
+def pair_systems(pair):
+    return [pair.primal, pair.partner]
+
+
+def assert_columns_adopted(build, monkeypatch):
+    """`build()` returns sequences whose columns are the arrays handed to
+    `VectorSequence._adopt`, frozen in place: no copy was made."""
+    adopted = []
+    adopt = VectorSequence._adopt.__func__
+    monkeypatch.setattr(
+        VectorSequence, "_adopt",
+        classmethod(lambda cls, columns: adopted.append(columns) or adopt(cls, columns)),
+    )
+    systems = build()
+    assert len(adopted) >= len(systems)
+    for seq, array in zip(systems, adopted[-len(systems):]):
+        columns = seq.columns
+        assert columns is array and columns.flags.owndata
+        assert columns.flags.c_contiguous and columns.dtype == np.complex128
+        assert not columns.flags.writeable
+
+
 class TestBasicGenerators:
     def test_orthonormal(self):
         assert np.array_equal(orthonormal(1).columns, [[1.0]])
@@ -54,6 +76,28 @@ class TestBasicGenerators:
             riesz_from_operator(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(DimensionError):
             riesz_from_operator(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: [orthonormal(5)],
+            lambda: [random_riesz(6, seed=7)],
+            lambda: pair_systems(weighted_pair(5)),
+            lambda: pair_systems(alternating_weighted_pair(5)),
+            lambda: pair_systems(young_example(4)),
+            lambda: pair_systems(young_general(5, 4, complement_dim=2)),
+        ],
+        ids=["orthonormal", "randomRiesz", "weighted", "alternating", "young", "youngGeneral"],
+    )
+    def test_generators_own_their_columns_without_a_copy(self, build, monkeypatch):
+        assert_columns_adopted(build, monkeypatch)
+
+    def test_riesz_from_operator_copies_the_callers_array(self):
+        operator = np.diag([2.0, 1.0]).astype(complex)
+        seq = riesz_from_operator(operator)
+        assert not np.shares_memory(seq.columns, operator) and operator.flags.writeable
+        operator[0, 0] = 5.0
+        assert seq.columns[0, 0] == 2.0
 
     def test_random_riesz_deterministic(self):
         a = random_riesz(6, seed=7)
@@ -375,14 +419,6 @@ class TestGaussianGabor:
         ids=["lattice", "punctured", "als"],
     )
     def test_columns_own_the_product_without_a_copy(self, points, monkeypatch):
-        adopted = []
-        adopt = VectorSequence._adopt.__func__
-        monkeypatch.setattr(
-            VectorSequence, "_adopt",
-            classmethod(lambda cls, columns: adopted.append(columns) or adopt(cls, columns)),
+        assert_columns_adopted(
+            lambda: [gaussian_gabor(points, GaborDiscretization(6.0, 16))], monkeypatch
         )
-        columns = gaussian_gabor(points, GaborDiscretization(6.0, 16)).columns
-        [product] = adopted
-        assert columns is product and columns.flags.owndata
-        assert columns.flags.c_contiguous and columns.dtype == np.complex128
-        assert not columns.flags.writeable

@@ -230,6 +230,22 @@ class TestMatrixFiles:
         with pytest.raises(MatrixParseError, match="row 2"):
             read_matrix(str(path))
 
+    def test_refused_file_is_never_held(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_text("# dim=100000 count=2\n" + "1,0\n0,1\n" * 50_000)
+
+        def refuse(rows, width):
+            raise ValueError(f"{rows}x{width}")
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^100000x2$"):
+                read_matrix(str(path), refuse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "matrix.csv"
         path.write_text("")
@@ -268,6 +284,23 @@ class TestPointSetFiles:
         ok.write_text("# tau,mu\n0,0\n\n1,0\n")
         assert read_point_set(str(ok), counts.append).nodes == ((0.0, 0.0), (1.0, 0.0))
         assert counts == [2]
+
+    def test_refused_file_is_never_held(self, tmp_path):
+        # 100 000 node lines (1.2 MB of text) would take several MB as a list of lines.
+        path = tmp_path / "nodes.csv"
+        path.write_text("".join(f"{i % 300},{i // 300}\n" for i in range(100_000)))
+
+        def refuse(count):
+            raise ValueError(f"{count} node lines")
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^100000 node lines$"):
+                read_point_set(str(path), refuse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "nodes.csv"

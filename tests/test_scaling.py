@@ -3,11 +3,13 @@ import threading
 import pytest
 
 from rieszlab import (
+    CriteriaDisagreementError,
     FamilySpec,
     FitDomainError,
     GaborDiscretization,
     PointSet2D,
     TrendVerdict,
+    VectorSequence,
     diagnostics,
     fit_growth,
     gabor_refinement_study,
@@ -278,6 +280,21 @@ class TestRunFamily:
         row = _evaluate_size("rieszSeeded", 10, {})
         assert row.duality_residual == 0.0
         assert row.bessel_upper_dual == 1.0 / row.riesz_lower
+
+    @pytest.mark.parametrize(
+        "generator", ["weightedPair", "alternatingWeightedPair", "youngExample", "youngGeneral"]
+    )
+    def test_non_biorthogonal_partner_is_caught(self, generator, monkeypatch):
+        # Halving the partner quarters B_G, so A_F B_G falls from 1 to 1/4.
+        build = scaling._build_member
+
+        def halve_partner(generator_id, size, params):
+            system, partner = build(generator_id, size, params)
+            return system, VectorSequence.from_columns(0.5 * partner.columns)
+
+        monkeypatch.setattr(scaling, "_build_member", halve_partner)
+        with pytest.raises(CriteriaDisagreementError, match="^size 8: A_F B_G = "):
+            run_family(FamilySpec(generator, (8, 16, 32)))
 
     def test_gabor_dual_bound_is_inverse_lower(self):
         report = run_family(
