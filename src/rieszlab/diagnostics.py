@@ -297,17 +297,17 @@ def classify(seq: VectorSequence) -> Verdict:
     return Verdict(kind, report)
 
 
-def _dual_route(seq: VectorSequence, lower: float, upper: float) -> bool:
+def _dual_route(seq: VectorSequence, lower: float, upper: float) -> None:
     """Checks A_F B_G = 1 and B_F A_G = 1 for the minimal dual G of an
     independent system with bounds (lower, upper), reading G's singular values
-    from its record; raises `CriteriaDisagreementError` on a miss.  Returns
-    False where it abstains: the dual or its SVD is refused."""
+    from its record; raises `CriteriaDisagreementError` on a miss.  Abstains
+    where the dual or its SVD is refused."""
     from . import duals  # deferred; duals depends on this module
 
     try:
         dual_lower, dual_upper = riesz_bounds(duals.minimal_dual(seq))
     except IllConditionedError:
-        return False
+        return
     tol = _identity_tolerance(seq.count, upper, dual_upper)
     misses = abs(lower * dual_upper - 1.0), abs(upper * dual_lower - 1.0)
     if max(misses) > tol:
@@ -315,4 +315,3 @@ def _dual_route(seq: VectorSequence, lower: float, upper: float) -> bool:
             f"minimal dual misses A_F B_G = 1 by {misses[0]!r} and B_F A_G = 1 by "
             f"{misses[1]!r}, over the tolerance {tol!r}"
         )
-    return True

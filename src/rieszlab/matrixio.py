@@ -103,6 +103,11 @@ def _text(path: str):
         raise MatrixParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
 
 
+def _changed(path: str) -> MatrixParseError:
+    """The error for a file whose second pass does not read what its first pass saw."""
+    return MatrixParseError(f"{path}: file changed while it was read")
+
+
 def _parse_cells(path: str, i: int, line: str) -> list:
     """Row `i` cell by cell, for rows outside the fast grammar; errors name row and column."""
     row = []
@@ -114,25 +119,24 @@ def _parse_cells(path: str, i: int, line: str) -> list:
     return row
 
 
-def _matrix_layout(path: str):
-    """One pass over the matrix file at `path`, keeping no line: the header
-    (a first non-blank line starting with "#", else None), the number of
-    non-blank data lines, the cell count of the first of them, and the index
-    and cell count of the first one whose cell count differs (None if none does)."""
+def _matrix_layout(handle):
+    """One pass over an open matrix file, keeping no line: the header (a first
+    non-blank line starting with "#", else None), the number of non-blank data
+    lines, the cell count of the first of them, and the index and cell count
+    of the first one whose cell count differs (None if none does)."""
     header, rows, width, ragged = None, 0, None, None
-    with _text(path) as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            if not rows and header is None and line.lstrip().startswith("#"):
-                header = line.rstrip("\n")
-                continue
-            cells = line.count(",") + 1
-            if width is None:
-                width = cells
-            elif ragged is None and cells != width:
-                ragged = (rows, cells)
-            rows += 1
+    for line in handle:
+        if line.isspace():
+            continue
+        if not rows and header is None and line.lstrip().startswith("#"):
+            header = line.rstrip("\n")
+            continue
+        cells = line.count(",") + 1
+        if width is None:
+            width = cells
+        elif ragged is None and cells != width:
+            ragged = (rows, cells)
+        rows += 1
     return header, rows, width, ragged
 
 
@@ -140,34 +144,44 @@ def read_matrix(path: str, check_shape=None) -> VectorSequence:
     """The matrix file at `path` as a VectorSequence.  `check_shape`, if
     given, is called with the data row count and the first row's width as
     soon as both are known, before any cell is converted or any array
-    allocated; it refuses the file by raising.  The file is read twice, one
-    line at a time: once for its shape, which `check_shape` sees, and once
-    for its cells, so a refused file is never held in memory."""
-    header, rows, width, ragged = _matrix_layout(path)
-    if header is None and not rows:
-        raise MatrixParseError(f"{path}: empty matrix file")
-    expected_shape = None
-    if header is not None:
-        match = _HEADER_RE.match(header.strip())
-        if not match:
-            raise MatrixParseError(f"{path}: malformed header {header!r}")
-        expected_shape = (int(match.group(1)), int(match.group(2)))
-    if not rows:
-        raise MatrixParseError(f"{path}: header but no data rows")
-    if check_shape is not None:
-        check_shape(rows, width)
-    # Only the rows before the first ragged one are allocated, so the array is
-    # never larger than the text; their cells are checked before that row's error.
-    matrix = np.empty((rows if ragged is None else ragged[0], width), dtype=complex)
+    allocated; it refuses the file by raising.  The open file is read twice,
+    one line at a time: once for its shape, which `check_shape` sees, and once
+    for its cells, so a refused file is never held in memory.  A second pass
+    that does not find the first pass's rows raises `MatrixParseError`."""
     with _text(path) as handle:
-        data = (line.rstrip("\n") for line in handle if line.strip())
+        header, rows, width, ragged = _matrix_layout(handle)
+        if header is None and not rows:
+            raise MatrixParseError(f"{path}: empty matrix file")
+        expected_shape = None
         if header is not None:
-            next(data)
-        for i, line in zip(range(len(matrix)), data):
-            if _ROW_RE.fullmatch(line):
-                matrix[i] = [complex(cell) for cell in line.replace("i", "j").split(",")]
-            else:
-                matrix[i] = _parse_cells(path, i + 1, line)
+            match = _HEADER_RE.match(header.strip())
+            if not match:
+                raise MatrixParseError(f"{path}: malformed header {header!r}")
+            expected_shape = (int(match.group(1)), int(match.group(2)))
+        if not rows:
+            raise MatrixParseError(f"{path}: header but no data rows")
+        if check_shape is not None:
+            check_shape(rows, width)
+        # Only the rows before the first ragged one are allocated, so the array is
+        # never larger than the text; their cells are checked before that row's error.
+        matrix = np.empty((rows if ragged is None else ragged[0], width), dtype=complex)
+        handle.seek(0)
+        data = (line.rstrip("\n") for line in handle if not line.isspace())
+        if header is not None:
+            next(data, None)
+        seen = 0
+        for line in data:
+            if seen < len(matrix):
+                if _ROW_RE.fullmatch(line):
+                    row = [complex(cell) for cell in line.replace("i", "j").split(",")]
+                else:
+                    row = _parse_cells(path, seen + 1, line)
+                if len(row) != width:
+                    raise _changed(path)
+                matrix[seen] = row
+            seen += 1
+    if seen != rows:
+        raise _changed(path)
     if ragged is not None:
         raise MatrixParseError(f"{path}: row {ragged[0] + 1} has {ragged[1]} cells, expected {width}")
     if expected_shape is not None and matrix.shape != expected_shape:
@@ -196,13 +210,15 @@ def _is_node_line(text: str) -> bool:
 def read_point_set(path: str, check_count=None) -> PointSet2D:
     """The point-set file at `path`.  `check_count`, if given, is called with the
     number of node lines before any cell is converted; it refuses by raising.
-    The count comes from a first pass that keeps no line, so a refused file is
-    never held in memory."""
-    if check_count is not None:
-        with _text(path) as handle:
-            check_count(sum(_is_node_line(line.strip()) for line in handle))
-    nodes = []
+    The count comes from a first pass over the open file that keeps no line,
+    so a refused file is never held in memory; a second pass that does not
+    find that many node lines raises `MatrixParseError`."""
     with _text(path) as handle:
+        count = sum(_is_node_line(line.strip()) for line in handle)
+        if check_count is not None:
+            check_count(count)
+        handle.seek(0)
+        nodes = []
         for i, line in enumerate(handle, start=1):
             text = line.strip()
             if not _is_node_line(text):
@@ -214,6 +230,8 @@ def read_point_set(path: str, check_count=None) -> PointSet2D:
                 nodes.append((float(cells[0]), float(cells[1])))
             except ValueError as exc:
                 raise MatrixParseError(f"{path}: line {i}: {exc}") from exc
+    if len(nodes) != count:
+        raise _changed(path)
     if not nodes:
         raise MatrixParseError(f"{path}: no nodes found")
     try:

@@ -50,8 +50,8 @@ def assert_columns_adopted(build, monkeypatch):
         classmethod(lambda cls, columns: adopted.append(columns) or adopt(cls, columns)),
     )
     systems = build()
-    assert len(adopted) >= len(systems)
-    for seq, array in zip(systems, adopted[-len(systems):]):
+    assert len(adopted) == len(systems)
+    for seq, array in zip(systems, adopted):
         columns = seq.columns
         assert columns is array and columns.flags.owndata
         assert columns.flags.c_contiguous and columns.dtype == np.complex128

@@ -246,6 +246,35 @@ class TestMatrixFiles:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text[: text.rindex("0,1")],  # truncated to one row
+            lambda text: text + "0,1\n",  # a third row
+            lambda text: text.replace("0,1", "0,1,2"),  # a wider row
+        ],
+        ids=["truncated", "appended", "widened"],
+    )
+    def test_file_changed_between_passes_is_refused(self, tmp_path, edit):
+        # check_shape runs between the passes; the open file is edited in place.
+        path = tmp_path / "matrix.csv"
+        path.write_text("1,0\n0,1\n")
+
+        def rewrite(rows, width):
+            text = path.read_text()
+            with open(path, "r+") as handle:
+                handle.truncate(0)
+                handle.write(edit(text))
+
+        with pytest.raises(MatrixParseError, match="changed while it was read"):
+            read_matrix(str(path), rewrite)
+
+    def test_file_replaced_between_passes_reads_the_opened_file(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_text("1,0\n0,1\n")
+        seq = read_matrix(str(path), lambda rows, width: write_atomic(str(path), "5\n"))
+        np.testing.assert_array_equal(seq.columns, np.eye(2))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "matrix.csv"
         path.write_text("")
@@ -301,6 +330,22 @@ class TestPointSetFiles:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "edit", ["0,0\n", "0,0\n1,0\n2,0\n"], ids=["truncated", "appended"]
+    )
+    def test_file_changed_between_passes_is_refused(self, tmp_path, edit):
+        # check_count runs between the passes; the open file is edited in place.
+        path = tmp_path / "nodes.csv"
+        path.write_text("0,0\n1,0\n")
+
+        def rewrite(count):
+            with open(path, "r+") as handle:
+                handle.truncate(0)
+                handle.write(edit)
+
+        with pytest.raises(MatrixParseError, match="changed while it was read"):
+            read_point_set(str(path), rewrite)
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "nodes.csv"
