@@ -41,8 +41,6 @@ EXIT_TRUNCATION = 5
 #: that would need more are refused as usage errors before anything is built.
 _MAX_ARRAY_BYTES = 1 << 30
 
-_EXAMPLE_NAMES = ("orthonormal", "weighted", "alternating", "young", "youngGeneral", "riesz")
-
 _FAMILY_ALIASES = {
     "orthonormal": "orthonormal",
     "weighted": "weightedPair",
@@ -51,6 +49,8 @@ _FAMILY_ALIASES = {
     "youngGeneral": "youngGeneral",
     "riesz": "rieszSeeded",
 }
+
+_EXAMPLE_NAMES = tuple(_FAMILY_ALIASES)
 
 
 class UsageError(Exception):
@@ -162,19 +162,13 @@ def _example_systems(args):
         raise UsageError("--n must be >= 1")
     extra_rows = {"young": 1, "youngGeneral": args.complement_dim}.get(name, 0)
     _check_size(f"example {name} --n {n}", n + max(extra_rows, 0), n)
-    if name == "orthonormal":
-        return generators.orthonormal(n), None
     if name == "riesz":
+        # A family member of size n draws from the seed (seed, n); `example
+        # riesz` draws from the bare --seed, which fixes its seeded output.
         return generators.random_riesz(n, seed=args.seed), None
-    if name == "weighted":
-        pair = generators.weighted_pair(n)
-    elif name == "alternating":
-        pair = generators.alternating_weighted_pair(n)
-    elif name == "young":
-        pair = generators.young_example(n)
-    else:  # youngGeneral; argparse restricts the choices
-        pair = generators.young_general(n, n, args.complement_dim)
-    return pair.primal, pair.partner
+    # A family member's size is its ambient dimension, n plus the extra rows.
+    params = {"complementDim": args.complement_dim}
+    return scaling._build_member(_FAMILY_ALIASES[name], n + extra_rows, params)
 
 
 def _cmd_example(args) -> int:

@@ -24,6 +24,7 @@ with equality.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional, Tuple
@@ -59,8 +60,8 @@ BIORTHOGONALITY_TOL = 1e-8
 #: eigensolver returns lambda_min with absolute error on the order of
 #: m * eps * lambda_max, so bijectivity decisions on the Gram route cannot
 #: resolve eigenvalues below that scale.  An SVD's squared singular values
-#: carry errors of the same order, so the dual route's tolerance
-#: (`_identity_tolerance`) uses the same factor.
+#: carry errors of the same order, so the pair inequality's tolerance
+#: (`_pair_inequality`) uses the same factor.
 _EIG_FLOOR_FACTOR = 8.0
 
 
@@ -208,17 +209,6 @@ def gram_spectrum(seq: VectorSequence) -> GramSpectrum:
     return GramSpectrum(lambda_min, float(lam[-1]), _gram_route(seq, lam)[0])
 
 
-def _identity_tolerance(count: int, upper: float, dual_upper: float) -> float:
-    """Tolerance on A_F B_G - 1 (and on B_F A_G - 1) for a biorthogonal pair of
-    `count` vectors: 8 count eps B_F B_G.
-
-    A_F from an SVD carries an absolute error of order count eps B_F, which the
-    product scales by B_G, and symmetrically for A_G.  For the minimal dual,
-    B_G = 1/A_F, so the tolerance is 8 count eps B_F / A_F.
-    """
-    return _EIG_FLOOR_FACTOR * count * float(np.finfo(float).eps) * upper * dual_upper
-
-
 def _check_pair(seq: VectorSequence, partner: VectorSequence) -> None:
     if seq.count != partner.count or seq.dim != partner.dim:
         raise DimensionError(
@@ -274,9 +264,9 @@ def classify(seq: VectorSequence) -> Verdict:
     is within the eigensolver's accuracy of the squared rank tolerance, and
     its vote must match the column route.  For independent columns the dual
     route checks the paper's identity on the minimal dual: A_F B_G and
-    B_F A_G must both equal 1 within `_identity_tolerance`, which compares
-    each extreme of the dual's spectrum with an extreme of F's; it abstains
-    where the dual or its factorization is refused as ill-conditioned.
+    B_F A_G must both equal 1 within `_pair_inequality`'s tolerance, which
+    compares each extreme of the dual's spectrum with an extreme of F's; it
+    abstains where the dual or its factorization is refused as ill-conditioned.
     `CriteriaDisagreementError` signals a tolerance bug.  Each route factors
     its own matrix once (an SVD of F, an eigensolve of the smaller of F^H F
     and F F^H, the dual's solve and SVD) and keeps the factorization in that
@@ -291,27 +281,29 @@ def classify(seq: VectorSequence) -> Verdict:
             f"column route says {kind.value}, Gram route says {vote.value}"
         )
     if kind is not VerdictKind.LINEARLY_DEPENDENT:
-        _dual_route(seq, lower, upper)
+        from . import duals  # deferred; duals depends on this module
+
+        with suppress(IllConditionedError):  # the dual or its SVD is refused: abstain
+            _pair_inequality(seq, duals.minimal_dual(seq), minimal=True)
     conditioning = math.inf if lower == 0.0 else upper / lower
     report = BoundsReport(lower, upper, defect, conditioning)
     return Verdict(kind, report)
 
 
-def _dual_route(seq: VectorSequence, lower: float, upper: float) -> None:
-    """Checks A_F B_G = 1 and B_F A_G = 1 for the minimal dual G of an
-    independent system with bounds (lower, upper), reading G's singular values
-    from its record; raises `CriteriaDisagreementError` on a miss.  Abstains
-    where the dual or its SVD is refused."""
-    from . import duals  # deferred; duals depends on this module
-
-    try:
-        dual_lower, dual_upper = riesz_bounds(duals.minimal_dual(seq))
-    except IllConditionedError:
-        return
-    tol = _identity_tolerance(seq.count, upper, dual_upper)
-    misses = abs(lower * dual_upper - 1.0), abs(upper * dual_lower - 1.0)
-    if max(misses) > tol:
+def _pair_inequality(seq: VectorSequence, partner: VectorSequence, minimal: bool = False) -> None:
+    """Raises `CriteriaDisagreementError` unless A_F B_G >= 1 and B_F A_G >= 1
+    for F = seq and a biorthogonal partner G, with equality for the minimal
+    dual, each within 8 count eps B_F B_G: A_F from an SVD carries an absolute
+    error of order count eps B_F, which the product scales by B_G, and
+    symmetrically for A_G.  Both sides' bounds are read from their records."""
+    lower, upper = riesz_bounds(seq)
+    partner_lower, partner_upper = riesz_bounds(partner)
+    tol = _EIG_FLOOR_FACTOR * seq.count * float(np.finfo(float).eps) * upper * partner_upper
+    ab, ba = lower * partner_upper, upper * partner_lower
+    miss = max(abs(ab - 1.0), abs(ba - 1.0)) if minimal else 1.0 - min(ab, ba)
+    if miss > tol:
+        prefix = "minimal dual misses A_F B_G = 1 or B_F A_G = 1: " if minimal else ""
         raise CriteriaDisagreementError(
-            f"minimal dual misses A_F B_G = 1 by {misses[0]!r} and B_F A_G = 1 by "
-            f"{misses[1]!r}, over the tolerance {tol!r}"
+            f"{prefix}A_F B_G = {ab!r} and B_F A_G = {ba!r} miss 1 by {miss!r}, "
+            f"over the tolerance {tol!r}"
         )

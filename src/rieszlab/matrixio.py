@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
-from contextlib import contextmanager
+import secrets
+import stat
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -55,10 +56,16 @@ def parse_complex(cell: str) -> complex:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Temp file plus rename; an OSError names `path`, and no temp file remains."""
+    """Temp file plus rename; an OSError names `path`, and no temp file remains.
+    As with open(path, "w"), a new file gets 0o666 under the umask and a
+    replaced file keeps its mode."""
     tmp_path = None
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        name = os.path.join(os.path.dirname(os.path.abspath(path)), f"{secrets.token_hex(8)}.tmp")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp_path = name  # only once created: a file that was there is not ours to remove
+        with suppress(FileNotFoundError):
+            os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp_path, path)

@@ -8,9 +8,9 @@ lattice index bound, with the grid fixed by the discretization parameters.
 
 Per size the study records the two-sided bound constants, the distance from a
 probe vector to the span, the dual's upper bound constant and the
-reconstruction-identity residual, checks the paper's inequality A_F B_G >= 1
-against a designated partner, then fits log(metric) against log(size) and
-turns the exponents into coarse asymptotic verdicts.  A family without a
+reconstruction-identity residual, checks the paper's inequalities A_F B_G >= 1
+and B_F A_G >= 1 against a designated partner, then fits log(metric) against
+log(size) and turns the exponents into coarse asymptotic verdicts.  A family without a
 designated partner gets its residual from the rank decision, not from a built
 dual: the minimal dual's reconstruction map is the orthogonal projector onto
 the span, so the residual is exactly 0 for a complete system and 1 otherwise.
@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import diagnostics, duals, generators
-from .errors import CriteriaDisagreementError, FitDomainError
+from .errors import FitDomainError
 from .generators import GaborDiscretization, PointSet2D
 from .seqcore import VectorSequence, _independent
 
@@ -52,6 +52,11 @@ GENERATOR_IDS = (
     "gaborALS",
     "gaborFullLattice",
 )
+
+#: Each family parameter and its default, whose type is the parameter's.
+_PARAMETER_DEFAULTS = {
+    "seed": 0, "probeIndex": 0, "complementDim": 1, "halfWidth": 6.0, "samplesPerUnit": 16
+}
 
 #: JSON metric name -> SizeMetrics attribute.
 METRIC_FIELDS = (
@@ -77,6 +82,8 @@ class GrowthFit(NamedTuple):
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A generator, its sizes and its parameters; those left out take their defaults."""
+
     generator_id: str
     sizes: Tuple[int, ...]
     parameters: dict = field(default_factory=dict)
@@ -91,8 +98,15 @@ class FamilySpec:
             raise ValueError("a family needs at least three sizes for an exponent fit")
         if any(s < 1 for s in sizes) or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("sizes must be positive and strictly increasing")
+        unknown = sorted(set(self.parameters) - set(_PARAMETER_DEFAULTS))
+        if unknown:
+            raise ValueError(f"unknown parameters {unknown}; known: {tuple(_PARAMETER_DEFAULTS)}")
+        parameters = {
+            name: type(default)(self.parameters.get(name, default))
+            for name, default in _PARAMETER_DEFAULTS.items()
+        }
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "parameters", dict(self.parameters))
+        object.__setattr__(self, "parameters", parameters)
 
 
 @dataclass(frozen=True)
@@ -177,10 +191,7 @@ def _trend_verdict(values: Sequence[float], fit: Optional[GrowthFit]) -> TrendVe
 
 
 def _gabor_disc(params: dict) -> GaborDiscretization:
-    return GaborDiscretization(
-        half_width=float(params.get("halfWidth", 6.0)),
-        samples_per_unit=int(params.get("samplesPerUnit", 16)),
-    )
+    return GaborDiscretization(params["halfWidth"], params["samplesPerUnit"])
 
 
 def _build_member(generator_id: str, size: int, params: dict):
@@ -197,12 +208,11 @@ def _build_member(generator_id: str, size: int, params: dict):
         pair = generators.young_example(size - 1)
         return pair.primal, pair.partner
     if generator_id == "youngGeneral":
-        complement = int(params.get("complementDim", 1))
+        complement = params["complementDim"]
         pair = generators.young_general(size - complement, size - complement, complement)
         return pair.primal, pair.partner
     if generator_id == "rieszSeeded":
-        seed = int(params.get("seed", 0))
-        return generators.random_riesz(size, seed=(seed, size)), None
+        return generators.random_riesz(size, seed=(params["seed"], size)), None
     disc = _gabor_disc(params)
     if generator_id == "gaborPunctured":
         points = generators.punctured_lattice(size)
@@ -236,10 +246,10 @@ def _check_preconditions(generator_id: str, size: int, params: dict) -> None:
     with _size_errors(size):
         if generator_id == "youngExample" and size < 2:
             raise ValueError("youngExample needs ambient dimension >= 2")
-        if generator_id == "youngGeneral" and size <= int(params.get("complementDim", 1)):
+        if generator_id == "youngGeneral" and size <= params["complementDim"]:
             raise ValueError("ambient dimension must exceed the complement dimension")
         dim = _gabor_disc(params).sample_count if generator_id.startswith("gabor") else size
-        index = int(params.get("probeIndex", 0))
+        index = params["probeIndex"]
         if not 0 <= index < dim:
             raise ValueError(f"probe index {index} outside ambient dimension {dim}")
 
@@ -251,19 +261,12 @@ def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
         system, partner = _build_member(generator_id, size, params)
         lower, upper = diagnostics.riesz_bounds(system)
         probe = np.zeros(system.dim, dtype=complex)
-        probe[int(params.get("probeIndex", 0))] = 1.0
+        probe[params["probeIndex"]] = 1.0
         defect_distance = diagnostics.span_distance(system, probe)
         dual_upper = duality_residual = None
         if partner is not None:
             dual_upper = diagnostics.bessel_bound(partner)
-            # The paper's inequality A_F B_G >= 1 holds for every biorthogonal
-            # pair, so a miss is a generator or route bug.
-            tol = diagnostics._identity_tolerance(system.count, upper, dual_upper)
-            if lower * dual_upper < 1.0 - tol:
-                raise CriteriaDisagreementError(
-                    f"A_F B_G = {lower * dual_upper!r} is below 1 by more than {tol!r} "
-                    "for a designated biorthogonal partner"
-                )
+            diagnostics._pair_inequality(system, partner)
             duality_residual = duals.duality_identity_residual(system, partner)
         elif _independent(system):
             # The minimal dual's Gram is the inverse Gram, and its

@@ -1,12 +1,23 @@
 import argparse
 import json
+import os
+import stat
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from rieszlab import VectorSequence, classify, random_riesz, weighted_pair, young_example
+from rieszlab import (
+    VectorSequence,
+    alternating_weighted_pair,
+    classify,
+    orthonormal,
+    random_riesz,
+    weighted_pair,
+    young_example,
+    young_general,
+)
 from rieszlab import cli, matrixio
 from rieszlab.cli import build_parser, main
 from rieszlab.matrixio import read_matrix, write_matrix
@@ -112,6 +123,17 @@ class TestDual:
         assert run_cli("dual", str(src), "-o", str(tmp_path / "d.csv")) == 3
 
 
+#: `example` arguments and the systems they name, primal first.
+_NAMED_EXAMPLES = [
+    (["orthonormal"], lambda: [orthonormal(5)]),
+    (["weighted"], lambda: weighted_pair(5)),
+    (["alternating"], lambda: alternating_weighted_pair(5)),
+    (["young"], lambda: young_example(5)),
+    (["youngGeneral", "--complement-dim", "2"], lambda: young_general(5, 5, 2)),
+    (["riesz", "--seed", "7"], lambda: [random_riesz(5, seed=7)]),
+]
+
+
 class TestExample:
     def test_young_writes_pair(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -142,6 +164,15 @@ class TestExample:
 
     def test_unknown_name_rejected(self, capsys):
         assert run_cli("example", "mystery", "--n", "3") == 2
+
+    @pytest.mark.parametrize("argv, build", _NAMED_EXAMPLES, ids=[a[0] for a, _ in _NAMED_EXAMPLES])
+    def test_writes_the_named_generator(self, argv, build, tmp_path, capsys):
+        assert run_cli("example", *argv, "--n", "5", "-o", str(tmp_path / "x")) == 0
+        built = build()
+        systems = built if isinstance(built, list) else [built.primal, built.partner]
+        files = sorted(tmp_path.iterdir())
+        assert [path.name for path in files] == ["x_F.csv", "x_G.csv"][: len(systems)]
+        assert [path.read_text() for path in files] == [matrixio.matrix_text(s) for s in systems]
 
 
 class TestFamily:
@@ -250,6 +281,22 @@ class TestGabor:
         assert rates == [8, 16, 32]
         system = read_matrix(str(dump))
         assert system.count == 24
+
+
+def test_writers_create_files_with_the_umask_mode(tmp_path, monkeypatch, capsys):
+    # A new file gets 0o666 under the umask, as open(path, "w") would give it.
+    monkeypatch.chdir(tmp_path)
+    umask = os.umask(0o022)
+    try:
+        assert run_cli("example", "weighted", "--n", "4", "-o", "w") == 0
+        assert run_cli("analyze", "w_F.csv", "--json", "a.json") == 0
+        assert run_cli("dual", "w_F.csv", "-o", "d.csv", "--json", "d.json") == 0
+        assert run_cli("family", "--gen", "weighted", "--sizes", "4,8,16", "--csv", "f.csv") == 0
+    finally:
+        os.umask(umask)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    names = ["a.json", "d.csv", "d.json", "f.csv", "w_F.csv", "w_G.csv"]
+    assert modes == dict.fromkeys(names, 0o644)
 
 
 class TestUsage:

@@ -401,6 +401,14 @@ class TestAtomicWrites:
         write_atomic(str(path), "new")
         assert path.read_text() == "new"
 
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        path.chmod(0o640)
+        write_atomic(str(path), "new")
+        assert path.read_text() == "new"
+        assert path.stat().st_mode & 0o777 == 0o640
+
     def test_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "out.txt"
         write_atomic(str(path), "data")

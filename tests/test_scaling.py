@@ -61,6 +61,17 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             FamilySpec("orthonormal", (8, 8, 16))
 
+    def test_rejects_unknown_parameters_by_name(self):
+        with pytest.raises(ValueError, match=r"unknown parameters \['complement_dim'\]"):
+            FamilySpec("youngGeneral", (8, 16, 32), {"complement_dim": 3})
+
+    def test_fills_and_types_the_parameters(self):
+        spec = FamilySpec("gaborPunctured", (1, 2, 3), {"seed": 4.0, "halfWidth": 7})
+        assert spec.parameters == {
+            "seed": 4, "probeIndex": 0, "complementDim": 1, "halfWidth": 7.0, "samplesPerUnit": 16,
+        }
+        assert [type(v) for v in spec.parameters.values()] == [int, int, int, float, int]
+
 
 class TestRunFamily:
     def test_weighted_dual_bound_diverges_quadratically(self):
@@ -277,7 +288,7 @@ class TestRunFamily:
         monkeypatch.setattr(
             "rieszlab.scaling._build_member", lambda generator_id, size, params: (system, None)
         )
-        row = _evaluate_size("rieszSeeded", 10, {})
+        row = _evaluate_size("rieszSeeded", 10, FamilySpec("rieszSeeded", (10, 11, 12)).parameters)
         assert row.duality_residual == 0.0
         assert row.bessel_upper_dual == 1.0 / row.riesz_lower
 
@@ -295,6 +306,22 @@ class TestRunFamily:
         monkeypatch.setattr(scaling, "_build_member", halve_partner)
         with pytest.raises(CriteriaDisagreementError, match="^size 8: A_F B_G = "):
             run_family(FamilySpec(generator, (8, 16, 32)))
+
+    def test_partner_below_the_other_bound_is_caught(self, monkeypatch):
+        # Halving g_1 of the weighted pair leaves A_F B_G at 1 but takes
+        # B_F A_G from 1 to 1/4.
+        build = scaling._build_member
+
+        def halve_first_partner_column(generator_id, size, params):
+            system, partner = build(generator_id, size, params)
+            columns = partner.columns.copy()
+            columns[:, 0] *= 0.5
+            return system, VectorSequence.from_columns(columns)
+
+        monkeypatch.setattr(scaling, "_build_member", halve_first_partner_column)
+        message = "^size 8: A_F B_G = 1.0 and B_F A_G = 0.25 miss 1 by 0.75,"
+        with pytest.raises(CriteriaDisagreementError, match=message):
+            run_family(FamilySpec("weightedPair", (8, 16, 32)))
 
     def test_gabor_dual_bound_is_inverse_lower(self):
         report = run_family(
