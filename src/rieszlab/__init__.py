@@ -17,7 +17,6 @@ from .diagnostics import (
     Verdict,
     VerdictKind,
     bessel_bound,
-    biorthogonality_residual,
     classify,
     completeness_defect,
     equivalent_inner_product,
@@ -26,6 +25,7 @@ from .diagnostics import (
     span_distance,
 )
 from .duals import (
+    biorthogonality_residual,
     duality_identity_residual,
     injectivity_witness,
     minimal_dual,
@@ -70,7 +70,6 @@ from .scaling import (
     run_family,
 )
 from .seqcore import (
-    AmbientSpace,
     CoefficientVector,
     VectorSequence,
     analysis,

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import diagnostics, duals, generators, matrixio, scaling
-from .diagnostics import BIORTHOGONALITY_TOL, TWO_ROUTE_RTOL, VerdictKind
+from .diagnostics import TWO_ROUTE_RTOL, VerdictKind
 from .errors import (
     CriteriaDisagreementError,
     FitDomainError,
@@ -91,7 +91,7 @@ def _tolerances() -> dict:
     return {
         "rankToleranceScale": RANK_TOL_SCALE,
         "twoRouteRelative": TWO_ROUTE_RTOL,
-        "biorthogonality": BIORTHOGONALITY_TOL,
+        "biorthogonality": duals.BIORTHOGONALITY_TOL,
     }
 
 

@@ -31,9 +31,9 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .duals import BIORTHOGONALITY_TOL, minimal_dual
 from .errors import (
     CriteriaDisagreementError,
-    DimensionError,
     IllConditionedError,
     NotARieszBasisError,
 )
@@ -52,9 +52,6 @@ from .seqcore import (
 #: Relative agreement demanded between the Gram-eigenvalue and
 #: singular-value computations of the same bound.
 TWO_ROUTE_RTOL = 1e-8
-
-#: Residual below which a pair counts as biorthogonal.
-BIORTHOGONALITY_TOL = 1e-8
 
 #: Safety factor on the eigensolver accuracy floor.  A dense Hermitian
 #: eigensolver returns lambda_min with absolute error on the order of
@@ -209,20 +206,6 @@ def gram_spectrum(seq: VectorSequence) -> GramSpectrum:
     return GramSpectrum(lambda_min, float(lam[-1]), _gram_route(seq, lam)[0])
 
 
-def _check_pair(seq: VectorSequence, partner: VectorSequence) -> None:
-    if seq.count != partner.count or seq.dim != partner.dim:
-        raise DimensionError(
-            f"shape mismatch: {seq.dim}x{seq.count} vs {partner.dim}x{partner.count}"
-        )
-
-
-def biorthogonality_residual(seq: VectorSequence, partner: VectorSequence) -> float:
-    """max over (j, k) of |<f_k, g_j> - delta_jk|."""
-    _check_pair(seq, partner)
-    cross = partner._kernel.conj().T @ seq._kernel
-    return float(np.abs(cross - np.eye(seq.count)).max())
-
-
 def equivalent_inner_product(seq: VectorSequence) -> np.ndarray:
     """Positive-definite W with <x, y>_W = y^H W x making the system orthonormal.
 
@@ -281,10 +264,8 @@ def classify(seq: VectorSequence) -> Verdict:
             f"column route says {kind.value}, Gram route says {vote.value}"
         )
     if kind is not VerdictKind.LINEARLY_DEPENDENT:
-        from . import duals  # deferred; duals depends on this module
-
         with suppress(IllConditionedError):  # the dual or its SVD is refused: abstain
-            _pair_inequality(seq, duals.minimal_dual(seq), minimal=True)
+            _pair_inequality(seq, minimal_dual(seq), minimal=True)
     conditioning = math.inf if lower == 0.0 else upper / lower
     report = BoundsReport(lower, upper, defect, conditioning)
     return Verdict(kind, report)

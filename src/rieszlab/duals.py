@@ -13,12 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import (
-    BIORTHOGONALITY_TOL,
-    _check_pair,
-    biorthogonality_residual,
-)
 from .errors import (
+    DimensionError,
     IllConditionedError,
     NoBiorthogonalSequenceError,
     NotBiorthogonalError,
@@ -31,6 +27,23 @@ from .seqcore import (
     coefficient_entries,
     synthesis,
 )
+
+#: Residual below which a pair counts as biorthogonal.
+BIORTHOGONALITY_TOL = 1e-8
+
+
+def _check_pair(seq: VectorSequence, partner: VectorSequence) -> None:
+    if seq.count != partner.count or seq.dim != partner.dim:
+        raise DimensionError(
+            f"shape mismatch: {seq.dim}x{seq.count} vs {partner.dim}x{partner.count}"
+        )
+
+
+def biorthogonality_residual(seq: VectorSequence, partner: VectorSequence) -> float:
+    """max over (j, k) of |<f_k, g_j> - delta_jk|."""
+    _check_pair(seq, partner)
+    cross = partner._kernel.conj().T @ seq._kernel
+    return float(np.abs(cross - np.eye(seq.count)).max())
 
 
 class _AcceptedDual(NamedTuple):

@@ -15,10 +15,9 @@ designated partner gets its residual from the rank decision, not from a built
 dual: the minimal dual's reconstruction map is the orthogonal projector onto
 the span, so the residual is exactly 0 for a complete system and 1 otherwise.
 
-`run_family` first checks every size's preconditions, smallest first, and
-only then builds members: it evaluates the sizes one after another, smallest
-first, on the calling thread, so a failing size stops the study before any
-larger member is built.
+`run_family` evaluates the sizes one after another, smallest first, on the
+calling thread, checking each size's preconditions before building its
+member, so a failing size stops the study before any larger member is built.
 """
 
 from __future__ import annotations
@@ -26,7 +25,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,11 +82,11 @@ class GrowthFit(NamedTuple):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A generator, its sizes and its parameters; those left out take their defaults."""
+    """A generator, its sizes and its read-only parameters; those left out take their defaults."""
 
     generator_id: str
     sizes: Tuple[int, ...]
-    parameters: dict = field(default_factory=dict)
+    parameters: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.generator_id not in GENERATOR_IDS:
@@ -101,10 +101,10 @@ class FamilySpec:
         unknown = sorted(set(self.parameters) - set(_PARAMETER_DEFAULTS))
         if unknown:
             raise ValueError(f"unknown parameters {unknown}; known: {tuple(_PARAMETER_DEFAULTS)}")
-        parameters = {
+        parameters = MappingProxyType({
             name: type(default)(self.parameters.get(name, default))
             for name, default in _PARAMETER_DEFAULTS.items()
-        }
+        })
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "parameters", parameters)
 
@@ -239,10 +239,11 @@ def _size_errors(size: int):
         raise annotated from exc
 
 
-def _check_preconditions(generator_id: str, size: int, params: dict) -> None:
-    """Every precondition of one size that needs no member built: the Young
-    size rules, then the probe index against the size's ambient dimension (the
-    grid for the Gabor families)."""
+def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
+    """One report row, computed on the calling thread.  The preconditions that
+    need no member built come first: the Young size rules, then the probe
+    index against the size's ambient dimension (the grid for the Gabor
+    families)."""
     with _size_errors(size):
         if generator_id == "youngExample" and size < 2:
             raise ValueError("youngExample needs ambient dimension >= 2")
@@ -252,16 +253,10 @@ def _check_preconditions(generator_id: str, size: int, params: dict) -> None:
         index = params["probeIndex"]
         if not 0 <= index < dim:
             raise ValueError(f"probe index {index} outside ambient dimension {dim}")
-
-
-def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
-    """One report row, computed on the calling thread.  The size's
-    preconditions are the caller's to check (`_check_preconditions`)."""
-    with _size_errors(size):
         system, partner = _build_member(generator_id, size, params)
         lower, upper = diagnostics.riesz_bounds(system)
         probe = np.zeros(system.dim, dtype=complex)
-        probe[params["probeIndex"]] = 1.0
+        probe[index] = 1.0
         defect_distance = diagnostics.span_distance(system, probe)
         dual_upper = duality_residual = None
         if partner is not None:
@@ -299,13 +294,13 @@ def _assemble_report(rows: Sequence[SizeMetrics]) -> ScalingReport:
 def run_family(spec: FamilySpec) -> ScalingReport:
     """Evaluate a generator family across its sizes and fit growth exponents.
 
-    Every size's preconditions are checked, smallest first, before any member
-    is built.  The sizes are then evaluated one after another, smallest first,
-    on the calling thread, so the first failing size is the smallest one and
-    no larger size is built after it.
+    The sizes are evaluated one after another, smallest first, on the
+    calling thread, so no larger size is built after a failing one.  A size's
+    preconditions fail only if they fail at every smaller size (the Young
+    rules fail below a threshold, and the probe bound, the ambient dimension,
+    does not decrease with size), so a precondition failure is reported at
+    the smallest size, before any member is built.
     """
-    for size in spec.sizes:
-        _check_preconditions(spec.generator_id, size, spec.parameters)
     return _assemble_report(
         [_evaluate_size(spec.generator_id, s, spec.parameters) for s in spec.sizes]
     )

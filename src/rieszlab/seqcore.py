@@ -53,21 +53,13 @@ _SIGMA_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 _SIGMA_CEILING = float(np.sqrt(np.finfo(float).max))
 
 
-def _as_complex_matrix(values, name: str, copy: bool = True) -> np.ndarray:
-    """A validated C-contiguous complex128 copy of a matrix, allocated once
-    whatever its dtype and layout; without `copy`, such an array is itself."""
+def _as_complex_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarray:
+    """A validated C-contiguous complex128 array of `ndim` dimensions, allocated
+    once whatever its dtype and layout; without `copy`, such an array is itself."""
     arr = np.array(values, dtype=complex, order="C", copy=copy or None)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def _as_complex_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
-    if arr.ndim != 1:
-        raise DimensionError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        shape_name = "two-dimensional" if ndim == 2 else "one-dimensional"
+        raise DimensionError(f"{name} must be {shape_name}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -88,34 +80,20 @@ def _kernel_view(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class AmbientSpace:
-    """Finite model of the ambient space: complex n-space."""
-
-    dim: int
-
-    def __post_init__(self) -> None:
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"ambient dimension must be a positive integer, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
-
-
-@dataclass(frozen=True)
 class VectorSequence:
-    """Vectors f_1..f_m stored as the columns of an (ambient.dim x m) matrix.
+    """Vectors f_1..f_m stored as the columns of a (dim x m) matrix; the
+    ambient space is complex dim-space, dim the row count.
 
     `columns` is a read-only complex128 copy of the input.  Its kernel view,
     kept beside it, is what the diagnostics and duals factor and multiply.
     """
 
-    ambient: AmbientSpace
     columns: np.ndarray
 
     def __post_init__(self, copy: bool = True) -> None:
-        cols = _as_complex_matrix(self.columns, "columns", copy)
-        if cols.shape[0] != self.ambient.dim:
-            raise DimensionError(
-                f"columns have {cols.shape[0]} rows but the ambient dimension is {self.ambient.dim}"
-            )
+        cols = _as_complex_array(self.columns, "columns", 2, copy)
+        if cols.shape[0] < 1:
+            raise ValueError(f"ambient dimension must be a positive integer, got {cols.shape[0]}")
         if cols.shape[1] < 1:
             raise ValueError("a vector sequence needs at least one member")
         object.__setattr__(self, "columns", _read_only(cols))
@@ -127,28 +105,21 @@ class VectorSequence:
         """A sequence that takes over `columns`, a fresh array no caller keeps:
         checked as the constructor checks, but frozen in place, not copied."""
         seq = object.__new__(cls)
-        object.__setattr__(seq, "ambient", AmbientSpace(len(columns) if columns.ndim == 2 else 1))
         object.__setattr__(seq, "columns", columns)
         seq.__post_init__(copy=False)
         return seq
 
     @classmethod
     def from_columns(cls, columns) -> "VectorSequence":
-        # __post_init__ checks the columns once; a non-2-D shape gets a placeholder dimension.
-        shape = np.shape(columns)
-        return cls(AmbientSpace(shape[0] if len(shape) == 2 else 1), columns)
+        return cls(columns)
 
     @property
     def dim(self) -> int:
-        return self.ambient.dim
+        return self.columns.shape[0]
 
     @property
     def count(self) -> int:
         return self.columns.shape[1]
-
-    def member(self, k: int) -> np.ndarray:
-        """The k-th vector (0-based)."""
-        return self.columns[:, k]
 
 
 @dataclass(frozen=True)
@@ -158,8 +129,8 @@ class CoefficientVector:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        vec = _as_complex_vector(self.entries, "entries")
-        object.__setattr__(self, "entries", _read_only(vec.copy()))
+        vec = _as_complex_array(self.entries, "entries", 1)
+        object.__setattr__(self, "entries", _read_only(vec))
 
     def __len__(self) -> int:
         return self.entries.shape[0]
@@ -177,11 +148,11 @@ def coefficient_entries(coeffs) -> np.ndarray:
     """Coerce a CoefficientVector or array-like into a validated 1-d array."""
     if isinstance(coeffs, CoefficientVector):
         return coeffs.entries
-    return _as_complex_vector(coeffs, "coefficients")
+    return _as_complex_array(coeffs, "coefficients", 1, copy=False)
 
 
 def _ambient_vector(vector, dim: int) -> np.ndarray:
-    vec = _as_complex_vector(vector, "vector")
+    vec = _as_complex_array(vector, "vector", 1, copy=False)
     if vec.shape[0] != dim:
         raise DimensionError(f"vector has length {vec.shape[0]}, expected ambient dimension {dim}")
     return vec

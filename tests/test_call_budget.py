@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import rieszlab
-from rieszlab import VectorSequence, classify, diagnostics, duals, random_riesz
+from rieszlab import VectorSequence, classify, duals, random_riesz
 from rieszlab.cli import main
 from rieszlab.generators import (
     RIESZ_CONDITION_LIMIT,
@@ -172,14 +172,13 @@ def test_cli_reads_the_accepted_biorthogonality_residual(
     command, monkeypatch, matrix_file, tmp_path, capsys
 ):
     calls = []
-    original = diagnostics.biorthogonality_residual
+    original = duals.biorthogonality_residual
 
     def spy(*args):
         calls.append(args)
         return original(*args)
 
-    for module in (diagnostics, duals):
-        monkeypatch.setattr(module, "biorthogonality_residual", spy)
+    monkeypatch.setattr(duals, "biorthogonality_residual", spy)
     seq = independent_system()
     path = matrix_file(seq)
     extra = ["-o", str(tmp_path / "dual.csv")] if command == "dual" else []

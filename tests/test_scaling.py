@@ -72,6 +72,12 @@ class TestFamilySpec:
         }
         assert [type(v) for v in spec.parameters.values()] == [int, int, int, float, int]
 
+    def test_parameters_are_read_only(self):
+        spec = FamilySpec("youngGeneral", (8, 16, 32))
+        with pytest.raises(TypeError):
+            spec.parameters["complement_dim"] = 3
+        assert "complement_dim" not in spec.parameters
+
 
 class TestRunFamily:
     def test_weighted_dual_bound_diverges_quadratically(self):
@@ -125,7 +131,7 @@ class TestRunFamily:
         ],
         ids=lambda spec: spec.generator_id,
     )
-    def test_pool_matches_inline_evaluation(self, spec):
+    def test_rows_are_the_per_size_evaluations(self, spec):
         inline = [_evaluate_size(spec.generator_id, s, spec.parameters) for s in spec.sizes]
         assert list(run_family(spec).per_size) == inline
 
