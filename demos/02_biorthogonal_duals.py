@@ -28,7 +28,7 @@ print(f"reconstruction residual  : {rl.duality_identity_residual(system, dual):.
 print()
 print("Coefficients survive the round trip through the dual:")
 c = np.array([2.0, -1.0 + 0.5j])
-recovered = np.asarray(rl.injectivity_witness(system, dual, c))
+recovered = rl.injectivity_witness(system, dual, c)
 print(f"c         = {c}")
 print(f"recovered = {np.round(recovered, 12)}")
 

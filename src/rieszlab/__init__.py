@@ -70,10 +70,8 @@ from .scaling import (
     run_family,
 )
 from .seqcore import (
-    CoefficientVector,
     VectorSequence,
     analysis,
-    frame_apply,
     inner,
     synthesis,
 )

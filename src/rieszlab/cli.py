@@ -293,6 +293,13 @@ def _cmd_gabor(args) -> int:
     return EXIT_OK
 
 
+def _add_parameter(cmd: argparse.ArgumentParser, flag: str, name: str) -> None:
+    """The flag of family parameter `name`, typed and defaulted by its entry
+    in `scaling._PARAMETER_DEFAULTS`."""
+    default = scaling._PARAMETER_DEFAULTS[name]
+    cmd.add_argument(flag, type=type(default), default=default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rieszlab",
@@ -315,19 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("example", help="write a named example system to CSV")
     cmd.add_argument("name", choices=_EXAMPLE_NAMES)
     cmd.add_argument("--n", type=int, required=True, help="size parameter of the construction")
-    cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--complement-dim", type=int, default=1)
+    _add_parameter(cmd, "--seed", "seed")
+    _add_parameter(cmd, "--complement-dim", "complementDim")
     cmd.add_argument("--out", "-o", metavar="PREFIX", help="output prefix (default: the name)")
     cmd.set_defaults(func=_cmd_example)
 
     cmd = sub.add_parser("family", help="run a truncation-scaling study")
     cmd.add_argument("--gen", required=True, help="generator name (young, weighted, ...)")
     cmd.add_argument("--sizes", required=True, help="comma-separated, strictly increasing")
-    cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--probe-index", type=int, default=0)
-    cmd.add_argument("--complement-dim", type=int, default=1)
-    cmd.add_argument("--half-width", type=float, default=6.0)
-    cmd.add_argument("--samples", type=int, default=16)
+    _add_parameter(cmd, "--seed", "seed")
+    _add_parameter(cmd, "--probe-index", "probeIndex")
+    _add_parameter(cmd, "--complement-dim", "complementDim")
+    _add_parameter(cmd, "--half-width", "halfWidth")
+    _add_parameter(cmd, "--samples", "samplesPerUnit")
     cmd.add_argument("--json", metavar="PATH")
     cmd.add_argument("--csv", metavar="PATH", help="per-size metrics as flat CSV")
     cmd.set_defaults(func=_cmd_family)
@@ -339,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--a", type=float, default=1.0)
     cmd.add_argument("--b", type=float, default=1.0)
     cmd.add_argument("--nodes", metavar="PATH", help="point-set CSV for --set file")
-    cmd.add_argument("--half-width", type=float, default=6.0)
-    cmd.add_argument("--samples", type=int, default=16)
+    _add_parameter(cmd, "--half-width", "halfWidth")
+    _add_parameter(cmd, "--samples", "samplesPerUnit")
     cmd.add_argument("--refine", metavar="RATES", help="extra sampling rates, e.g. 8,32")
     cmd.add_argument("--dump-matrix", metavar="PATH")
     cmd.add_argument("--json", metavar="PATH")

@@ -24,7 +24,6 @@ from .seqcore import (
     _gram_entries,
     _independent,
     analysis,
-    coefficient_entries,
     synthesis,
 )
 
@@ -127,5 +126,4 @@ def injectivity_witness(seq: VectorSequence, partner: VectorSequence, coeffs):
         raise NotBiorthogonalError(
             f"pair is not biorthogonal: residual {residual:.3e} exceeds {BIORTHOGONALITY_TOL:.0e}"
         )
-    c = coefficient_entries(coeffs)
-    return analysis(partner, synthesis(seq, c))
+    return analysis(partner, synthesis(seq, coeffs))

@@ -147,7 +147,7 @@ def riesz_from_operator(operator) -> VectorSequence:
     v = np.asarray(operator, dtype=complex)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise DimensionError(f"operator must be square, got shape {v.shape}")
-    seq = VectorSequence.from_columns(v)
+    seq = VectorSequence(v)
     if not _independent(seq):
         raise SingularOperatorError("operator is numerically singular")
     return seq

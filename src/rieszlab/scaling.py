@@ -162,6 +162,8 @@ def fit_growth(sizes: Sequence[int], values: Sequence[float]) -> GrowthFit:
     v = np.asarray(values, dtype=float)
     if s.ndim != 1 or s.shape != v.shape or s.size < 3:
         raise ValueError("need matching size/value lists of length >= 3")
+    if not np.all(np.isfinite(s) & (s > 0.0)) or np.all(s == s[0]):
+        raise ValueError("sizes must be positive, finite and not all equal")
     if np.any(v <= 0.0) or not np.all(np.isfinite(v)):
         raise FitDomainError("growth fits require strictly positive finite values")
     x = np.log(s)

@@ -1,5 +1,5 @@
-"""Vector-system data model, the synthesis / analysis / frame operators and
-the per-system spectral record.
+"""Vector-system data model, the synthesis and analysis operators and the
+per-system spectral record.
 
 A truncated sequence (f_k)_{k=1..m} in an n-dimensional complex space is
 stored as the columns of an n-by-m matrix.  The inner product used across
@@ -79,13 +79,14 @@ def _kernel_view(arr: np.ndarray) -> np.ndarray:
     return _read_only(np.array(arr.real, dtype=float, order="C"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorSequence:
     """Vectors f_1..f_m stored as the columns of a (dim x m) matrix; the
     ambient space is complex dim-space, dim the row count.
 
     `columns` is a read-only complex128 copy of the input.  Its kernel view,
     kept beside it, is what the diagnostics and duals factor and multiply.
+    Sequences compare and hash by identity, as each owns its spectral record.
     """
 
     columns: np.ndarray
@@ -122,33 +123,9 @@ class VectorSequence:
         return self.columns.shape[1]
 
 
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Finite coefficient vector, the stand-in for an l^2 sequence."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        vec = _as_complex_array(self.entries, "entries", 1)
-        object.__setattr__(self, "entries", _read_only(vec))
-
-    def __len__(self) -> int:
-        return self.entries.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.entries, dtype=dtype)
-
-
 def inner(x, y) -> complex:
     """The package-wide inner product <x, y> = y^H x."""
     return complex(np.vdot(np.asarray(y, dtype=complex), np.asarray(x, dtype=complex)))
-
-
-def coefficient_entries(coeffs) -> np.ndarray:
-    """Coerce a CoefficientVector or array-like into a validated 1-d array."""
-    if isinstance(coeffs, CoefficientVector):
-        return coeffs.entries
-    return _as_complex_array(coeffs, "coefficients", 1, copy=False)
 
 
 def _ambient_vector(vector, dim: int) -> np.ndarray:
@@ -160,22 +137,16 @@ def _ambient_vector(vector, dim: int) -> np.ndarray:
 
 def synthesis(seq: VectorSequence, coeffs) -> np.ndarray:
     """Sum_k c_k f_k, the synthesis operator applied to the coefficients."""
-    c = coefficient_entries(coeffs)
+    c = _as_complex_array(coeffs, "coefficients", 1, copy=False)
     if c.shape[0] != seq.count:
         raise DimensionError(f"{c.shape[0]} coefficients supplied for {seq.count} vectors")
     return seq.columns @ c
 
 
-def analysis(seq: VectorSequence, vector) -> CoefficientVector:
-    """The coefficient vector (<h, f_k>)_k, adjoint of synthesis."""
+def analysis(seq: VectorSequence, vector) -> np.ndarray:
+    """The coefficients (<h, f_k>)_k, adjoint of synthesis."""
     h = _ambient_vector(vector, seq.dim)
-    return CoefficientVector(seq.columns.conj().T @ h)
-
-
-def frame_apply(seq: VectorSequence, vector) -> np.ndarray:
-    """Sum_k <h, f_k> f_k, i.e. synthesis composed with analysis."""
-    h = _ambient_vector(vector, seq.dim)
-    return seq.columns @ (seq.columns.conj().T @ h)
+    return seq.columns.conj().T @ h
 
 
 def _rank_scale(shape, sigma_max: float = 1.0) -> float:

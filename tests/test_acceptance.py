@@ -100,7 +100,7 @@ def test_criterion_2_dual_route_certifies_bases():
         assert classify(seq).kind is VerdictKind.RIESZ_BASIS
         rng = np.random.default_rng(5000 + i)
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        witness = np.asarray(injectivity_witness(seq, dual, c))
+        witness = injectivity_witness(seq, dual, c)
         deviation = np.linalg.norm(witness - c) / max(1.0, np.linalg.norm(c))
         assert deviation <= 1e-8
         worst_biorth = max(worst_biorth, biorth)

@@ -18,7 +18,7 @@ from rieszlab import (
     young_example,
     young_general,
 )
-from rieszlab import cli, matrixio
+from rieszlab import cli, matrixio, scaling
 from rieszlab.cli import build_parser, main
 from rieszlab.matrixio import read_matrix, write_matrix
 
@@ -596,6 +596,28 @@ def _numeric_flags(command):
         if action.type in SWEEP_VALUES
         for value in SWEEP_VALUES[action.type]
     ]
+
+
+#: Destination of each family-parameter flag -> the parameter it sets.
+PARAMETER_FLAGS = {
+    "seed": "seed", "probe_index": "probeIndex", "complement_dim": "complementDim",
+    "half_width": "halfWidth", "samples": "samplesPerUnit",
+}
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_parameter_flags_read_the_family_defaults(shift, monkeypatch):
+    defaults = {name: value + shift for name, value in scaling._PARAMETER_DEFAULTS.items()}
+    monkeypatch.setattr(scaling, "_PARAMETER_DEFAULTS", defaults)
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = [
+        (command, action) for command, parser in subparsers.choices.items()
+        for action in parser._actions if action.dest in PARAMETER_FLAGS
+    ]
+    assert len(flags) == 9
+    for command, action in flags:
+        default = defaults[PARAMETER_FLAGS[action.dest]]
+        assert (action.default, action.type) == (default, type(default)), (command, action.dest)
 
 
 SWEEP_CASES = {

@@ -200,12 +200,13 @@ class TestInjectivityWitness:
     def test_zero_coefficients(self):
         seq = orthonormal(3)
         out = injectivity_witness(seq, seq, np.zeros(3))
-        np.testing.assert_allclose(np.asarray(out), np.zeros(3), atol=1e-15)
+        np.testing.assert_allclose(out, np.zeros(3), atol=1e-15)
 
     def test_young_unit_coefficient(self):
         pair = young_example(4)
         out = injectivity_witness(pair.primal, pair.partner, [1, 0, 0, 0])
-        np.testing.assert_allclose(np.asarray(out), [1, 0, 0, 0], atol=1e-14)
+        assert type(out) is np.ndarray and out.shape == (4,)
+        np.testing.assert_allclose(out, [1, 0, 0, 0], atol=1e-14)
 
     def test_recovers_random_coefficients(self):
         rng = np.random.default_rng(0)
@@ -213,7 +214,7 @@ class TestInjectivityWitness:
             seq = random_seq(seed, 6, 6)
             dual = minimal_dual(seq)
             c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            out = np.asarray(injectivity_witness(seq, dual, c))
+            out = injectivity_witness(seq, dual, c)
             assert np.linalg.norm(out - c) <= 1e-8 * max(1.0, np.linalg.norm(c))
 
     def test_rejects_non_biorthogonal_pair(self):
@@ -221,6 +222,11 @@ class TestInjectivityWitness:
         skewed = VectorSequence.from_columns(2.0 * np.eye(3))
         with pytest.raises(NotBiorthogonalError):
             injectivity_witness(seq, skewed, [1, 0, 0])
+
+    def test_rejects_non_finite_coefficients(self):
+        seq = orthonormal(2)
+        with pytest.raises(ValueError, match="^coefficients contains non-finite entries$"):
+            injectivity_witness(seq, seq, [1, np.inf])
 
 
 class TestReconstructionShadow:

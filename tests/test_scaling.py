@@ -47,6 +47,14 @@ class TestFitGrowth:
         with pytest.raises(ValueError):
             fit_growth([1, 2], [1.0, 2.0])
 
+    @pytest.mark.parametrize("sizes", [
+        [0, 1, 2], [-1, 1, 2], [1, 2, float("inf")], [1, float("nan"), 2], [2, 2, 2],
+    ])
+    def test_rejects_sizes_it_cannot_fit(self, sizes):
+        with pytest.raises(ValueError, match="^sizes must be positive, finite and not all equal$") as info:
+            fit_growth(sizes, [1.0, 2.0, 3.0])
+        assert not isinstance(info.value, FitDomainError)
+
 
 class TestFamilySpec:
     def test_rejects_unknown_generator(self):
