@@ -6,10 +6,12 @@ cell is ignored.  Values are written with 17 significant digits and the
 imaginary part only when it is nonzero, so a write/read round trip
 reproduces every float64 exactly, except that an imaginary -0.0 reads back
 as 0.0.  Matrix files carry a header line "# dim=<n> count=<m>" which, when
-present on input, must match the parsed shape.  Matrix rows are parsed and
-formatted one at a time: on read, one grammar match and one complex()
-conversion of the whole row; on write, one `%` format per row.  All writes
-go through a temp file plus rename.
+present on input, must match the parsed shape.  On read, every row is matched
+against the ASCII row grammar; rows that match are converted in blocks of up
+to `_BLOCK_ROWS` by one `np.loadtxt` each, and rows outside it (other
+whitespace, non-ASCII digits, a bad cell) take the per-cell path with its row
+and column messages.  On write, one `%` format per row.  All writes go
+through a temp file plus rename.
 """
 
 from __future__ import annotations
@@ -29,15 +31,22 @@ from .seqcore import VectorSequence
 
 SCHEMA_VERSION = 1
 
-_UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_NUMBER = rf"[+-]?{_UNSIGNED}"
-_CELL = rf"{_NUMBER}(?:[+-]{_UNSIGNED}i)?"
+# Possessive quantifiers (Python 3.11+) never give characters back.  That loses
+# no match here: each run ends only at a character it cannot take (a digit run
+# at ".", "e", a sign, "i", a space, "," or the end), so the greedy forms accept
+# the same cells and rows; the matcher just skips attempts that cannot succeed.
+_UNSIGNED = r"(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?+\d++)?+"
+_NUMBER = rf"[+-]?+{_UNSIGNED}"
+_CELL = rf"{_NUMBER}(?:[+-]{_UNSIGNED}i)?+"
 _CELL_RE = re.compile(_CELL)
 # A whole row of cells with spaces or tabs around them.  ASCII-only, so a row
 # with other whitespace or non-ASCII digits takes the per-cell path, which
 # accepts or rejects it exactly as `parse_complex` does.
-_PADDED_CELL = rf"[ \t]*{_CELL}[ \t]*"
-_ROW_RE = re.compile(rf"{_PADDED_CELL}(?:,{_PADDED_CELL})*", re.ASCII)
+_PADDED_CELL = rf"[ \t]*+{_CELL}[ \t]*+"
+_ROW_RE = re.compile(rf"{_PADDED_CELL}(?:,{_PADDED_CELL})*+", re.ASCII)
+# Grammar-checked rows converted by one `np.loadtxt` call: enough to spread its
+# fixed cost, few enough that no more than one block of lines is ever held.
+_BLOCK_ROWS = 64
 _HEADER_RE = re.compile(r"^#\s*dim=(\d+)\s+count=(\d+)\s*$")
 # Cell templates by the sign of the imaginary part: zero, positive, negative.
 _REAL_CELL, _PLUS_CELL, _MINUS_CELL = "%.17g", "%.17g+%.17gi", "%.17g-%.17gi"
@@ -126,6 +135,18 @@ def _parse_cells(path: str, i: int, line: str) -> list:
     return row
 
 
+def _load_rows(block: list, matrix: np.ndarray, stop: int) -> None:
+    """Converts `block`, grammar-checked rows with "j" for "i", into the rows of
+    `matrix` that end before `stop`, and empties it.  The grammar admits no
+    parentheses, "j", "inf" or "nan", so `np.loadtxt` reads each part as
+    float() would, to the same bits."""
+    if block:
+        matrix[stop - len(block) : stop] = np.loadtxt(
+            block, dtype=complex, delimiter=",", ndmin=2, comments=None
+        )
+        block.clear()
+
+
 def _matrix_layout(handle):
     """One pass over an open matrix file, keeping no line: the header (a first
     non-blank line starting with "#", else None), the number of non-blank data
@@ -151,10 +172,11 @@ def read_matrix(path: str, check_shape=None) -> VectorSequence:
     """The matrix file at `path` as a VectorSequence.  `check_shape`, if
     given, is called with the data row count and the first row's width as
     soon as both are known, before any cell is converted or any array
-    allocated; it refuses the file by raising.  The open file is read twice,
-    one line at a time: once for its shape, which `check_shape` sees, and once
-    for its cells, so a refused file is never held in memory.  A second pass
-    that does not find the first pass's rows raises `MatrixParseError`."""
+    allocated; it refuses the file by raising.  The open file is read twice:
+    once for its shape, which `check_shape` sees, one line at a time, and once
+    for its cells, holding at most `_BLOCK_ROWS` lines, so a refused file is
+    never held in memory.  A second pass that does not find the first pass's
+    rows raises `MatrixParseError`."""
     with _text(path) as handle:
         header, rows, width, ragged = _matrix_layout(handle)
         if header is None and not rows:
@@ -176,16 +198,21 @@ def read_matrix(path: str, check_shape=None) -> VectorSequence:
         data = (line.rstrip("\n") for line in handle if not line.isspace())
         if header is not None:
             next(data, None)
-        seen = 0
+        seen, block = 0, []
         for line in data:
             if seen < len(matrix):
                 if _ROW_RE.fullmatch(line):
-                    row = [complex(cell) for cell in line.replace("i", "j").split(",")]
+                    if line.count(",") + 1 != width:
+                        raise _changed(path)
+                    block.append(line.replace("i", "j"))
+                    if len(block) == _BLOCK_ROWS:
+                        _load_rows(block, matrix, seen + 1)
                 else:
+                    _load_rows(block, matrix, seen)
                     row = _parse_cells(path, seen + 1, line)
-                if len(row) != width:
-                    raise _changed(path)
-                matrix[seen] = row
+                    if len(row) != width:
+                        raise _changed(path)
+                    matrix[seen] = row
             seen += 1
     if seen != rows:
         raise _changed(path)
@@ -195,6 +222,7 @@ def read_matrix(path: str, check_shape=None) -> VectorSequence:
         raise MatrixParseError(
             f"{path}: header announces shape {expected_shape}, parsed {matrix.shape}"
         )
+    _load_rows(block, matrix, len(matrix))
     try:
         return VectorSequence._adopt(matrix)
     except ValueError as exc:

@@ -4,7 +4,8 @@ These deliberately avoid the library's own computation paths: distances come
 from an explicit orthonormal-basis projector, spectral quantities from dense
 eigensolves of explicitly assembled matrices, and Gabor values from adaptive
 quadrature of the underlying integrals.  Matrix CSV text has a per-cell
-reference formatter, and sampled Gabor systems a dense per-node builder.
+reference formatter and a character-level recognizer of the cell grammar, and
+sampled Gabor systems a dense per-node builder.
 The `complex_*` oracles redo the library's kernels on complex128 copies, so a
 real system factored in real arithmetic can be checked against complex
 arithmetic.
@@ -34,6 +35,53 @@ def matrix_text_by_cells(columns):
     lines = [f"# dim={cols.shape[0]} count={cols.shape[1]}"]
     lines += [",".join(format_complex(z) for z in row) for row in cols]
     return "\n".join(lines) + "\n"
+
+
+def _digits_end(text, i):
+    """The index just past the run of decimal digits (any Unicode Nd) at `i`."""
+    while i < len(text) and text[i].isdecimal():
+        i += 1
+    return i
+
+
+def _unsigned_end(text, i):
+    """The index just past the `unsigned` that starts at `i`, or None if none does:
+    digits [ "." [ digits ] ] or "." digits, then an optional exponent
+    ("e" | "E") [ "+" | "-" ] digits."""
+    j = _digits_end(text, i)
+    if j < len(text) and text[j] == ".":
+        k = _digits_end(text, j + 1)
+        if j == i and k == j + 1:
+            return None  # "." with no digit on either side
+        j = k
+    elif j == i:
+        return None
+    if j < len(text) and text[j] in "eE":
+        j += 1
+        if j < len(text) and text[j] in "+-":
+            j += 1
+        k = _digits_end(text, j)
+        if k == j:
+            return None  # an exponent needs digits; nothing else may follow an "e"
+        j = k
+    return j
+
+
+def is_cell(text):
+    """Whether `text` is one matrix CSV cell of the README grammar, scanned
+    character by character:
+
+        cell     = number [ ("+" | "-") unsigned "i" ]
+        number   = [ "+" | "-" ] unsigned
+    """
+    i = 1 if text.startswith(("+", "-")) else 0
+    i = _unsigned_end(text, i)
+    if i is not None and i < len(text) and text[i] in "+-":
+        i = _unsigned_end(text, i + 1)
+        if i is None or i == len(text) or text[i] != "i":
+            return False
+        i += 1
+    return i == len(text)
 
 
 def projector_distance(columns, vector):

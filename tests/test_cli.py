@@ -1,12 +1,16 @@
 import argparse
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rieszlab import (
     VectorSequence,
@@ -641,3 +645,60 @@ def test_numeric_flag_sweep_never_exits_1(argv, tmp_path, capsys):
     else:
         [line] = err.splitlines()
         assert line.startswith("error: ")
+
+
+# File contents for the fuzz below: arbitrary bytes, and rows of equal width
+# built from valid cells (most of them succeed) or from cells that may also be
+# malformed or non-finite.
+_valid_cell = st.sampled_from(
+    ["0", "1", "-1", "2", "-3", "1-2i", ".5", "1e-300", " 1 ", "\t2", "\u0663", "-0"]
+)
+_any_cell = st.one_of(_valid_cell, st.sampled_from(["x", "", "1e400", "1+2j", "inf"]))
+
+
+def _fuzz_text(cell):
+    rows = st.integers(1, 3).flatmap(
+        lambda width: st.lists(st.lists(cell, min_size=width, max_size=width).map(",".join),
+                               min_size=1, max_size=3)
+    )
+    return st.builds(
+        lambda header, rows, newline: header + "".join(row + newline for row in rows),
+        st.sampled_from(["", "", "# dim=2 count=2\n", "# x\n"]),
+        rows,
+        st.sampled_from(["\n", "\r\n"]),
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    content=st.one_of(
+        st.binary(max_size=48),
+        *(_fuzz_text(cell).map(str.encode) for cell in (_valid_cell, _any_cell)),
+    )
+)
+def test_matrix_commands_on_arbitrary_bytes(content, fuzz_dir):
+    """`analyze` and `dual` on any file: a documented exit code, one error line
+    and no traceback on failure, no temp file left, and a dual file either
+    absent or complete."""
+    for path in fuzz_dir.iterdir():
+        path.unlink()
+    src, out, report = fuzz_dir / "in.csv", fuzz_dir / "dual.csv", fuzz_dir / "dual.json"
+    src.write_bytes(content)
+    for argv in (["analyze", str(src)], ["dual", str(src), "-o", str(out), "--json", str(report)]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert stderr.getvalue() == ""
+        else:
+            [line] = stderr.getvalue().splitlines()
+            assert line.startswith("error: ")
+    assert not list(fuzz_dir.glob("*.tmp"))
+    if out.exists():
+        assert read_matrix(str(out)).columns.shape == read_matrix(str(src)).columns.shape

@@ -1,11 +1,16 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
-from rieszlab import MatrixParseError, PointSet2D, VectorSequence, lattice_points
+from rieszlab import MatrixParseError, PointSet2D, VectorSequence, lattice_points, random_riesz
+from rieszlab import matrixio
 from rieszlab.matrixio import (
     finite_or_none,
     matrix_text,
@@ -189,6 +194,225 @@ class TestMatrixTextIdentity:
         expected.imag[expected.imag == 0.0] = 0.0
         assert np.any(np.signbit(columns.imag) & (columns.imag == 0.0))
         assert bits(read_matrix(str(path)).columns).tolist() == bits(expected).tolist()
+
+
+# Reader edge cases: the file's bytes and the exact message after "<path>: ".
+# Recorded from the reader as it was when every cell went through complex(),
+# so they also pin that block conversion changed no message.
+ERROR_CORPUS = [
+    *[
+        (
+            f"# dim=2 count=2\n1,0\n0,{cell}\n".encode(),
+            f"row 2, column 2: invalid complex cell {cell!r}",
+        )
+        # np.loadtxt alone would read "1.5e3i" as 1500j and "1+2j", "inf" and
+        # "nan" as numbers: the grammar, not loadtxt, decides what a cell is.
+        for cell in ["1.5e3i", "1+2j", "inf", "nan", "(1+2i)", "1_0", "1e", "--3", "0x10"]
+    ],
+    (b"1,,2\n3,4,5\n", "row 1, column 2: invalid complex cell ''"),
+    (b"1,2,\n3,4,\n", "row 1, column 3: invalid complex cell ''"),
+    (b"1e400,0\n0,1\n", "columns contains non-finite entries"),
+    (b"1,0\n0,\xff\n", "not UTF-8 text (byte 6: invalid start byte)"),
+    (
+        b"\xef\xbb\xbf# dim=2 count=2\n1,0\n0,1\n",
+        "row 1, column 1: invalid complex cell '\\ufeff# dim=2 count=2'",
+    ),
+    (b"# dim=3 count=2\n1,0\n0,1\n", "header announces shape (3, 2), parsed (2, 2)"),
+    (b"1,2\n3\n", "row 2 has 1 cells, expected 2"),
+    (b"# dim=2 count=2\n", "header but no data rows"),
+    (b"", "empty matrix file"),
+    (b"# rows=2\n1,0\n", "malformed header '# rows=2'"),
+    ("1,0\n\u00a00,x\u00a0\n".encode(), "row 2, column 2: invalid complex cell 'x'"),
+]
+
+VALUE_CORPUS = [
+    (b"-.0-.0i\n", [[complex(-0.0, -0.0)]]),
+    (b"1.+2.i\n", [[1 + 2j]]),
+    (b"2.2250738585072011e-308\n", [[2.2250738585072011e-308]]),
+    (b"\t-.0-.0i\t, 1.+2.i \r\n2.2250738585072011e-308,\t5e-324\r\n",
+     [[complex(-0.0, -0.0), 1 + 2j], [2.2250738585072011e-308, 5e-324]]),
+]
+
+
+class TestEdgeCaseCorpus:
+    @pytest.mark.parametrize("data, message", ERROR_CORPUS, ids=lambda value: repr(value)[:24])
+    def test_refused_with_its_message(self, data, message, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_bytes(data)
+        with pytest.raises(MatrixParseError) as info:
+            read_matrix(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("data, expected", VALUE_CORPUS, ids=lambda value: repr(value)[:24])
+    def test_reads_bit_for_bit(self, data, expected, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_bytes(data)
+        assert bits(read_matrix(str(path)).columns).tolist() == bits(expected).tolist()
+
+
+# The row pattern with greedy quantifiers, before they became possessive: the
+# reference for the row language.
+GREEDY_ROW_RE = re.compile(
+    r"[ \t]*[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?(?:[+-](?:\d+(?:\.\d*)?|\.\d+)"
+    r"(?:[eE][+-]?\d+)?i)?[ \t]*(?:,[ \t]*[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+    r"(?:[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?i)?[ \t]*)*",
+    re.ASCII,
+)
+ROW_ALPHABET = "0123456789.eE+-ij, \t\u00a0\u2003\u0663"
+ROW_TOKENS = ["0", "7", "12", ".", "e", "E", "+", "-", "i", "j", ",", " ", "\t", "\u00a0",
+              "\u2003", "\u0663", "1.5", "e-3", "2i", "5e-324", "1e400", "-.0"]
+_digits = st.text("0123456789", min_size=1, max_size=3)
+
+
+def _optional(strategy):
+    return st.one_of(st.just(""), strategy)
+
+
+_unsigned = st.builds(
+    "{}{}".format,
+    st.one_of(
+        _digits,
+        st.builds("{}.{}".format, _digits, _optional(_digits)),
+        _digits.map(".{}".format),
+    ),
+    _optional(
+        st.builds("{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), _digits)
+    ),
+)
+_cell = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "+", "-"]),
+    _unsigned,
+    _optional(st.builds("{}{}i".format, st.sampled_from("+-"), _unsigned)),
+)
+_padding = st.sampled_from(["", " ", "\t", " \t "])
+# Random text, near misses from tokens, and rows built from the grammar itself.
+rows = st.one_of(
+    st.text(ROW_ALPHABET, max_size=24),
+    st.lists(st.sampled_from(ROW_TOKENS), max_size=12).map("".join),
+    st.lists(st.builds("{}{}{}".format, _padding, _cell, _padding), min_size=1, max_size=4).map(
+        ",".join
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def scratch_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("matrixio") / "matrix.csv"
+
+
+def per_cell(row):
+    """Each stripped cell of `row` through `parse_complex`, None where it refuses."""
+    values = []
+    for cell in row.split(","):
+        try:
+            values.append(parse_complex(cell.strip()))
+        except MatrixParseError:
+            values.append(None)
+    return values
+
+
+class TestGrammarOracle:
+    """The cell grammar against the character-level recognizer in `oracles`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row=rows)
+    @example(row="1.5e3i")
+    @example(row="\u00a01-2i\u2003,\u0663")
+    @example(row=" 1e400 ,\t-.0-.0i")
+    def test_row_grammar_agrees_with_the_recognizer(self, row, scratch_path):
+        values = per_cell(row)
+        assert [value is not None for value in values] == [
+            oracles.is_cell(cell.strip()) for cell in row.split(",")
+        ]
+        fast = matrixio._ROW_RE.fullmatch(row) is not None
+        assert fast == (GREEDY_ROW_RE.fullmatch(row) is not None)
+        if not fast:
+            return
+        # A row the fast grammar takes is one the per-cell path takes, read to the same bits.
+        assert None not in values
+        scratch_path.write_text(row + "\n")
+        if np.all(np.isfinite(values)):
+            assert bits(read_matrix(str(scratch_path)).columns).tolist() == bits([values]).tolist()
+        else:
+            with pytest.raises(MatrixParseError, match="non-finite entries"):
+                read_matrix(str(scratch_path))
+
+
+FLOAT_MAX = np.finfo(float).max
+
+
+class TestBlockConversion:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        columns=hnp.arrays(
+            complex,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=70),
+            elements=st.complex_numbers(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @example(
+        columns=np.array([[complex(-0.0, 5e-324), complex(FLOAT_MAX, -FLOAT_MAX)],
+                          [complex(-FLOAT_MAX, 2.2250738585072014e-308), complex(5e-324, -5e-324)]])
+    )
+    @example(columns=injected_matrix(4, 70, 70))
+    def test_write_read_round_trip_is_bit_exact(self, columns, scratch_path):
+        write_matrix(str(scratch_path), VectorSequence(columns))
+        # The one exception: a zero imaginary part is not written, so -0.0 reads back as 0.0.
+        expected = columns.copy()
+        expected.imag[expected.imag == 0.0] = 0.0
+        assert bits(read_matrix(str(scratch_path)).columns).tolist() == bits(expected).tolist()
+
+    def test_row_outside_the_grammar_between_grammar_rows(self, tmp_path, monkeypatch):
+        lines = matrix_text(VectorSequence(injected_matrix(5, 150, 3))).splitlines()
+        # Data row 100 sits inside the second block, so that block is cut short.
+        lines[100] = f"\u00a0{lines[100]}\u00a0"
+        path = tmp_path / "matrix.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        per_cell_rows = []
+        parse_cells = matrixio._parse_cells
+
+        def spy(file, i, line):
+            per_cell_rows.append(i)
+            return parse_cells(file, i, line)
+
+        monkeypatch.setattr(matrixio, "_parse_cells", spy)
+        expected = [[parse_complex(cell.strip()) for cell in line.split(",")] for line in lines[1:]]
+        assert bits(read_matrix(str(path)).columns).tolist() == bits(expected).tolist()
+        assert per_cell_rows == [100]
+
+    def test_grammar_rows_take_one_loadtxt_per_block(self, tmp_path, monkeypatch):
+        seq = random_riesz(256, seed=3)
+        path = tmp_path / "riesz.csv"
+        write_matrix(str(path), seq)
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(matrixio.np, "loadtxt", spy)
+        monkeypatch.setattr(matrixio, "_parse_cells", lambda *args: pytest.fail("per-cell path"))
+        back = read_matrix(str(path))
+        assert sum(calls) == 256 and len(calls) <= -(-256 // matrixio._BLOCK_ROWS)
+        expected = seq.columns.copy()
+        expected.imag[expected.imag == 0.0] = 0.0
+        assert bits(back.columns).tolist() == bits(expected).tolist()
+
+    @pytest.mark.parametrize("edited", ["70,0,0", "70"], ids=["widened", "narrowed"])
+    def test_row_changed_inside_a_block_is_refused(self, edited, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_text("".join(f"{k},0\n" for k in range(100)))
+
+        def rewrite(rows, width):
+            text = path.read_text().replace("\n70,0\n", f"\n{edited}\n")
+            with open(path, "r+") as handle:
+                handle.truncate(0)
+                handle.write(text)
+
+        with pytest.raises(MatrixParseError, match="changed while it was read"):
+            read_matrix(str(path), rewrite)
 
 
 class TestMatrixFiles:
