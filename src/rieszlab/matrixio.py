@@ -6,17 +6,24 @@ cell is ignored.  Values are written with 17 significant digits and the
 imaginary part only when it is nonzero, so a write/read round trip
 reproduces every float64 exactly, except that an imaginary -0.0 reads back
 as 0.0.  Matrix files carry a header line "# dim=<n> count=<m>" which, when
-present on input, must match the parsed shape.  On read, every row is matched
-against the ASCII row grammar; rows that match are converted in blocks of up
-to `_BLOCK_ROWS` by one `np.loadtxt` each, and rows outside it (other
-whitespace, non-ASCII digits, a bad cell) take the per-cell path with its row
-and column messages.  On write, one `%` format per row.  All writes go
-through a temp file plus rename.
+present on input, must match the parsed shape.  On read, a leading UTF-8
+byte-order mark is skipped and every row is matched against the ASCII row
+grammar; rows that match are converted in blocks of up to `_BLOCK_ROWS` by
+one `np.loadtxt` each, and rows outside it (other whitespace, non-ASCII
+digits, a bad cell) take the per-cell path with its row and column messages;
+a cell that overflows float64 is named by row and column on either path.  On
+write, blocks of about `_WRITE_CELLS` cells are formatted in numpy with the
+exact digits of "%.17g", and `format_float` formats the rare value whose
+digits the fast route cannot certify.  All writes go through a temp file plus
+rename.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import json
+import math
 import os
 import re
 import secrets
@@ -47,9 +54,11 @@ _ROW_RE = re.compile(rf"{_PADDED_CELL}(?:,{_PADDED_CELL})*+", re.ASCII)
 # Grammar-checked rows converted by one `np.loadtxt` call: enough to spread its
 # fixed cost, few enough that no more than one block of lines is ever held.
 _BLOCK_ROWS = 64
+# Cells formatted together on write (at least one row): enough to spread
+# numpy's per-call cost, few enough that a block's buffers, about 300 bytes a
+# cell, stay near 1 MB.
+_WRITE_CELLS = 4096
 _HEADER_RE = re.compile(r"^#\s*dim=(\d+)\s+count=(\d+)\s*$")
-# Cell templates by the sign of the imaginary part: zero, positive, negative.
-_REAL_CELL, _PLUS_CELL, _MINUS_CELL = "%.17g", "%.17g+%.17gi", "%.17g-%.17gi"
 
 
 def format_float(value: float) -> str:
@@ -85,23 +94,195 @@ def write_atomic(path: str, text: str) -> None:
             os.unlink(tmp_path)
 
 
-def _row_text(row: np.ndarray) -> str:
-    """One matrix row as CSV: one template per cell, one `%` over the row's values."""
-    templates, values = [], []
-    for real, imag in zip(row.real.tolist(), row.imag.tolist()):
-        if imag == 0.0:
-            templates.append(_REAL_CELL)
-            values.append(real)
-        else:
-            templates.append(_PLUS_CELL if imag > 0 else _MINUS_CELL)
-            values += (real, abs(imag))
-    return ",".join(templates) % tuple(values)
+# Matrix text is built in numpy, `_WRITE_CELLS` cells at a time, with the
+# digits of `format_float` (Python's correctly rounded "%.17g").  A nonzero
+# |x| = m * 2**e, 0.5 <= m < 1, has decimal exponent k (10**k <= |x| <
+# 10**(k + 1)) and 17-digit significand N = round(m * C), C = 2**e * 10**(16 -
+# k), where 10**16 <= m * C < 10**17.  For each binary exponent e, k takes one
+# of two values, told apart by a threshold on m, and both scales C are held as
+# double-doubles C_hi + C_lo, all computed once from exact integers.
+# m * C_hi = hi + l exactly (Dekker's TwoProduct with Veltkamp's split, as
+# numpy has no fused multiply-add), and lo = l + m * C_lo is within 1e-14 of
+# m * C - hi: hi < 2**57 gives |l| <= 8, and C_hi < 2e17 gives m * C_lo <=
+# 2**-53 * C_hi < 23, so the two roundings in lo cost at most 2**-53 * (23 +
+# 31) < 6e-15, and the double-double's own error m * |C - C_hi - C_lo| is at
+# most 2**-106 * C_hi < 3e-15.
+# hi is an even integer (at least 10**16 > 2**53), so N = hi + rint(lo) is
+# certain whenever lo is farther than `_TIE_MARGIN` (far above 1e-14) from an
+# integer plus 1/2; N = 10**17 carries into N = 10**16 and k + 1.  Any other
+# value, a decimal tie included, is formatted by `format_float`.
+_EMIN = -1073  # np.frexp(5e-324) == (0.5, -1073)
+_EXPONENTS = 1024 - _EMIN + 1
+_TIE_MARGIN = 2.0**-40
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's constant for 53-bit significands
+# A value's text is laid out in `_WIDTH` byte slots, of which a mask picks its
+# characters: the lead (a cell's "," or "\n", before the real part), the sign
+# (or the "+"/"-" before an imaginary part), "0.000" for -4 <= k < 0, the 17
+# digits with a "." slot after each of the first 16, "e", the exponent's sign
+# and three digits, and the tail ("i" after an imaginary part).
+_LEAD, _SIGN, _ZERO, _POINT, _ZEROS, _DIGITS, _EXP, _TAIL = 0, 1, 2, 3, 4, 7, 40, 45
+_WIDTH = 46
+# Layouts: fixed notation for k = -4..16 (forms 0..20), then exponents of two
+# and of three digits; a layout is (variant, form, significant digits 1..17).
+_FORMS = 23
+_REAL, _REAL_NEGATIVE, _IMAG, _NO_IMAG = range(4)
+
+
+def _ratio(e: int, q: int) -> tuple:
+    """2**e * 10**q as a numerator and a denominator, both integers."""
+    return 2 ** max(e, 0) * 10 ** max(q, 0), 2 ** max(-e, 0) * 10 ** max(-q, 0)
+
+
+def _double_double(num: int, den: int) -> tuple:
+    """num / den as hi + lo, each correctly rounded, as int / int is."""
+    hi = num / den
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - p * den) / (den * q)
+
+
+@functools.cache
+def _binade(e: int) -> tuple:
+    """For |x| = m * 2**e with 0.5 <= m < 1: the least m at which the decimal
+    exponent k is one more than at m = 0.5 (1.0 if none), then k at m = 0.5
+    and one more, and for each the scale C = 2**e * 10**(16 - k) as a
+    double-double."""
+    k = math.floor((e - 1) * math.log10(2))  # floor(log10(2**(e - 1))), or one off
+    num, den = _ratio(e - 1, -k)  # 2**(e - 1) / 10**k, in [1, 10) for the right k
+    k += (num >= 10 * den) - (num < den)
+    num, den = _ratio(-e, k + 1)  # 10**(k + 1) / 2**e, rounded up below
+    threshold = min(num / den, 1.0)
+    p, q = threshold.as_integer_ratio()
+    if p * den < num * q:
+        threshold = math.nextafter(threshold, 1.0)
+    scales = [_double_double(*_ratio(e, 16 - j)) for j in (k, k + 1)]
+    return threshold, ((k, k + 1), *zip(*scales))
+
+
+def _veltkamp(a: np.ndarray) -> tuple:
+    """a split into a high part of 26 bits and the rest, both exact."""
+    c = _SPLIT * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _slots(form: int, digits: int) -> list:
+    """The slots of a value in `form` with `digits` significant digits, without
+    lead, sign or tail: the rules of "%.17g" after trailing zeros are stripped."""
+    shown = [_DIGITS + 2 * i for i in range(digits)]
+    if form >= 21:
+        point = [_DIGITS + 1] if digits > 1 else []
+        return shown + point + [_EXP, _EXP + 1, _EXP + 3, _EXP + 4] + [_EXP + 2] * (form == 22)
+    k = form - 4
+    if k < 0:
+        return [_ZERO, _POINT, *range(_ZEROS, _ZEROS - k - 1), *shown]
+    point = [_DIGITS + 2 * k + 1] if digits > k + 1 else []
+    return [_DIGITS + 2 * i for i in range(max(digits, k + 1))] + point
+
+
+@functools.cache
+def _tables() -> tuple:
+    """The masks of every layout, the ASCII text of 0000..9999 as uint32 words,
+    and the trailing zeros of each of those four-digit groups (4 for 0000)."""
+    value = np.zeros((_FORMS, 18, _WIDTH), dtype=bool)
+    for form in range(_FORMS):
+        for digits in range(1, 18):
+            value[form, digits, _slots(form, digits)] = True
+    masks = np.zeros((4, _FORMS, 18, _WIDTH), dtype=bool)
+    masks[:_NO_IMAG] = value
+    masks[[_REAL, _REAL_NEGATIVE], :, :, _LEAD] = True
+    masks[[_REAL_NEGATIVE, _IMAG], :, :, _SIGN] = True
+    masks[_IMAG, :, :, _TAIL] = True
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T + ord("0")
+    words = np.ascontiguousarray(digits).view(np.uint32).reshape(-1)
+    zeros = sum(np.arange(10_000) % 10**j == 0 for j in range(1, 5))
+    return masks.reshape(-1, _WIDTH), words, zeros
+
+
+def _significands(a: np.ndarray) -> tuple:
+    """For each a >= 0: the 17 significant digits N of its "%.17g" text as an
+    integer, its decimal exponent k, and whether N and k are certified; N and
+    k are 0 where they are not, and where a is 0."""
+    m, e = np.frexp(a)
+    binade = e - _EMIN
+    present = np.zeros(_EXPONENTS, dtype=bool)
+    present[binade] = True
+    thresholds = np.ones(_EXPONENTS)
+    pairs = np.zeros((3, _EXPONENTS, 2))
+    for i in np.flatnonzero(present).tolist():
+        thresholds[i], pairs[:, i] = _binade(i + _EMIN)
+    key = 2 * binade + (m >= thresholds[binade])
+    k, c_hi, c_lo = (np.take(table.reshape(-1), key) for table in pairs)
+    hi = m * c_hi
+    m1, m2 = _veltkamp(m)
+    c1, c2 = _veltkamp(c_hi)
+    lo = (((m1 * c1 - hi) + m1 * c2 + m2 * c1) + m2 * c2) + m * c_lo
+    rounded = np.rint(lo)
+    n = hi.astype(np.int64) + rounded.astype(np.int64)
+    exact = (np.abs(lo - rounded) < 0.5 - _TIE_MARGIN) & (n >= 10**16) & (n <= 10**17)
+    carry = n == 10**17
+    n[carry] = 10**16
+    n[~exact] = 0
+    return n, np.where(exact, k.astype(np.intp) + carry, 0), exact
+
+
+def _block_text(block: np.ndarray, template: np.ndarray) -> str:
+    """The rows of `block` as CSV text, each row led by "\n"; `template`
+    holds the constant slots of one row's values."""
+    masks, words, group_zeros = _tables()
+    v = block.view(float).reshape(-1)
+    a = np.abs(v)
+    n, k, exact = _significands(a)
+    first, rest = np.divmod(n, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    groups = (first, *np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
+    text = np.empty((v.size, 5), dtype=np.uint32)
+    for j, group in enumerate(groups):
+        text[:, j] = np.take(words, group)
+    digits = text.view(np.uint8)[:, 3:]
+    significant = 17 - np.take(group_zeros, groups[-1])
+    ends = np.flatnonzero(groups[-1] == 0)
+    significant[ends] = 17 - np.argmax(digits[ends, ::-1] != ord("0"), axis=1)
+    significant[~exact] = 1
+
+    scientific = (k < -4) | (k > 16)
+    form = np.where(scientific, 21 + (np.abs(k) >= 100), k + 4)
+    variant = np.empty((v.size // 2, 2), dtype=np.intp)
+    variant[:, 0] = np.signbit(v[0::2])
+    variant[:, 1] = np.where(v[1::2] == 0.0, _NO_IMAG, _IMAG)
+    mask = np.take(masks, (variant.reshape(-1) * _FORMS + form) * 18 + significant, axis=0)
+
+    out = np.empty((len(block), template.size), dtype=np.uint8)
+    out[:] = template.reshape(-1)
+    out = out.reshape(v.size, _WIDTH)
+    out[:, _DIGITS : _DIGITS + 33 : 2] = digits
+    out[1::2, _SIGN] = np.where(v[1::2] > 0, ord("+"), ord("-"))
+    wide = np.flatnonzero(scientific)
+    out[wide, _EXP + 1] = np.where(k[wide] < 0, ord("-"), ord("+"))
+    out[wide, _EXP + 2 : _EXP + 5] = np.take(words, np.abs(k[wide])).view(np.uint8).reshape(-1, 4)[:, 1:]
+    for i in np.flatnonzero(~exact & (a > 0)).tolist():
+        value = format_float(a[i]).encode()
+        mask[i, _ZERO:_TAIL] = False
+        mask[i, _ZERO : _ZERO + len(value)] = True
+        out[i, _ZERO : _ZERO + len(value)] = np.frombuffer(value, dtype=np.uint8)
+    return np.compress(mask.reshape(-1), out.reshape(-1)).tobytes().decode("ascii")
 
 
 def matrix_text(seq: VectorSequence) -> str:
-    lines = [f"# dim={seq.dim} count={seq.count}"]
-    lines.extend(_row_text(row) for row in seq.columns)
-    return "\n".join(lines) + "\n"
+    rows, cols = seq.columns.shape
+    # The constant slots of one row's values: two per cell, the real part first.
+    template = np.zeros((cols, 2, _WIDTH), dtype=np.uint8)
+    template[..., _SIGN] = ord("-")
+    template[..., [_ZERO, *range(_ZEROS, _ZEROS + 3)]] = ord("0")
+    template[..., [_POINT, *range(_DIGITS + 1, _DIGITS + 32, 2)]] = ord(".")
+    template[..., _EXP] = ord("e")
+    template[:, 0, _LEAD] = ord(",")
+    template[0, 0, _LEAD] = ord("\n")
+    template[:, 1, _TAIL] = ord("i")
+    step = max(1, _WRITE_CELLS // cols)
+    parts = [f"# dim={rows} count={cols}"]
+    parts += [_block_text(seq.columns[i : i + step], template) for i in range(0, rows, step)]
+    parts.append("\n")
+    return "".join(parts)
 
 
 def write_matrix(path: str, seq: VectorSequence) -> None:
@@ -111,12 +292,16 @@ def write_matrix(path: str, seq: VectorSequence) -> None:
 @contextmanager
 def _text(path: str):
     """The file opened for reading, to be iterated line by line; text that is
-    not UTF-8 fails to parse."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
+    not UTF-8 fails to parse.  A leading UTF-8 byte-order mark is skipped, also
+    after `seek(0)`."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        try:
             yield handle
-    except UnicodeDecodeError as exc:
-        raise MatrixParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+        except UnicodeDecodeError as exc:
+            # exc.start counts from the start of the bytes the decoder was last
+            # given, which end at the file position.
+            byte = handle.buffer.tell() - len(exc.object) + exc.start
+            raise MatrixParseError(f"{path}: not UTF-8 text (byte {byte}: {exc.reason})") from exc
 
 
 def _changed(path: str) -> MatrixParseError:
@@ -124,26 +309,39 @@ def _changed(path: str) -> MatrixParseError:
     return MatrixParseError(f"{path}: file changed while it was read")
 
 
+def _non_finite(path: str, i: int, j: int, cell: str) -> MatrixParseError:
+    """The error for a cell whose text overflows float64, such as "1e400"."""
+    return MatrixParseError(f"{path}: row {i}, column {j}: non-finite cell {cell!r}")
+
+
 def _parse_cells(path: str, i: int, line: str) -> list:
     """Row `i` cell by cell, for rows outside the fast grammar; errors name row and column."""
     row = []
     for j, cell in enumerate(line.split(","), start=1):
         try:
-            row.append(parse_complex(cell.strip()))
+            value = parse_complex(cell.strip())
         except MatrixParseError as exc:
             raise MatrixParseError(f"{path}: row {i}, column {j}: {exc}") from exc
+        if not cmath.isfinite(value):
+            raise _non_finite(path, i, j, cell.strip())
+        row.append(value)
     return row
 
 
-def _load_rows(block: list, matrix: np.ndarray, stop: int) -> None:
+def _load_rows(path: str, block: list, matrix: np.ndarray, stop: int) -> None:
     """Converts `block`, grammar-checked rows with "j" for "i", into the rows of
     `matrix` that end before `stop`, and empties it.  The grammar admits no
     parentheses, "j", "inf" or "nan", so `np.loadtxt` reads each part as
-    float() would, to the same bits."""
+    float() would, to the same bits, and a non-finite value comes only from a
+    cell that overflows; the first one is named."""
     if block:
-        matrix[stop - len(block) : stop] = np.loadtxt(
-            block, dtype=complex, delimiter=",", ndmin=2, comments=None
-        )
+        start = stop - len(block)
+        matrix[start:stop] = np.loadtxt(block, dtype=complex, delimiter=",", ndmin=2, comments=None)
+        overflow = np.flatnonzero(~np.isfinite(matrix[start:stop]))
+        if overflow.size:
+            i, j = divmod(int(overflow[0]), matrix.shape[1])
+            cell = block[i].split(",")[j].strip().replace("j", "i")
+            raise _non_finite(path, start + i + 1, j + 1, cell)
         block.clear()
 
 
@@ -206,9 +404,9 @@ def read_matrix(path: str, check_shape=None) -> VectorSequence:
                         raise _changed(path)
                     block.append(line.replace("i", "j"))
                     if len(block) == _BLOCK_ROWS:
-                        _load_rows(block, matrix, seen + 1)
+                        _load_rows(path, block, matrix, seen + 1)
                 else:
-                    _load_rows(block, matrix, seen)
+                    _load_rows(path, block, matrix, seen)
                     row = _parse_cells(path, seen + 1, line)
                     if len(row) != width:
                         raise _changed(path)
@@ -216,13 +414,14 @@ def read_matrix(path: str, check_shape=None) -> VectorSequence:
             seen += 1
     if seen != rows:
         raise _changed(path)
+    # Every cell error, in file order, comes before the errors about the file's shape.
+    _load_rows(path, block, matrix, len(matrix))
     if ragged is not None:
         raise MatrixParseError(f"{path}: row {ragged[0] + 1} has {ragged[1]} cells, expected {width}")
     if expected_shape is not None and matrix.shape != expected_shape:
         raise MatrixParseError(
             f"{path}: header announces shape {expected_shape}, parsed {matrix.shape}"
         )
-    _load_rows(block, matrix, len(matrix))
     try:
         return VectorSequence._adopt(matrix)
     except ValueError as exc:

@@ -1,6 +1,8 @@
 import json
+import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -196,9 +198,93 @@ class TestMatrixTextIdentity:
         assert bits(read_matrix(str(path)).columns).tolist() == bits(expected).tolist()
 
 
+def finite_floats(bits):
+    """The float64 values of `bits`, with an exponent bit cleared where the pattern is inf or nan."""
+    bits = bits.copy()
+    bits[~np.isfinite(bits.view(float))] ^= np.uint64(1 << 62)
+    return bits.view(float)
+
+
+def ulps_around(x, count):
+    """x and the `count` floats on either side of it."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+# Doubles just below 10**k whose 17-digit rounding carries into the next decade.
+CARRIES = [1e-305, 1e-243, 1e-176, 1e-79, 1e-14, 1e98, 1e129]
+# Exact 18-digit ties: the 17-digit rounding goes to even.
+TIES = [1125899906842623.75, 1125899906842624.25, 1000000000000000.25, 1000000000000000.75,
+        562949953421311.875, 140737488355327.875]
+HARD_VALUES = np.array(
+    [x for k in range(-323, 309) for x in ulps_around(float(f"1e{k}"), 4)]
+    + [2.0**k for k in range(-1074, 1024)]
+    + [np.nextafter(2.0**k, 0.0) for k in range(-1073, 1024)]
+    + [5e-324 * m for m in (1, 2, 3, 10, 1000, 2**51 - 1, 2**51, 2**52 - 1)]
+    + [k / 8 for k in range(-2000, 2001)]
+    + CARRIES + TIES
+    + [1e308, 1.7976931348623157e308, 2.2250738585072014e-308, 1e16, 1e17, 1e-4, 1e-5, 0.0, -0.0]
+)
+
+
+class TestVectorizedFormat:
+    """`matrix_text` equals the per-cell "%.17g" reference where a formatter
+    that scales by powers of ten is most likely to slip."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        bits=hnp.arrays(
+            np.uint64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=8).map(lambda s: (s[0], 2 * s[1])),
+            elements=st.integers(0, 2**64 - 1),
+        )
+    )
+    def test_arbitrary_bit_patterns(self, bits):
+        columns = finite_floats(bits).view(complex)
+        assert matrix_text(VectorSequence(columns)) == oracles.matrix_text_by_cells(columns)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_hard_values_in_either_part(self, sign):
+        # Each value beside a signed zero in the other part, then beside another value.
+        values = sign * HARD_VALUES
+        zeros = np.full_like(values, sign * 0.0)
+        columns = np.zeros(3 * len(values) + (-3 * len(values)) % 16, dtype=complex)
+        columns.real[: 3 * len(values)] = np.concatenate([values, zeros, values])
+        columns.imag[: 3 * len(values)] = np.concatenate([zeros, values, values[::-1]])
+        columns = columns.reshape(-1, 16)
+        assert matrix_text(VectorSequence(columns)) == oracles.matrix_text_by_cells(columns)
+
+    def test_carries_and_ties_are_what_they_claim(self):
+        for x in CARRIES:
+            text = format(x, ".17g")
+            assert Fraction(x) < Fraction(text) and text.startswith("1e")
+        for x in TIES:
+            digits = Fraction(x) * 10 ** (16 - math.floor(math.log10(x)))
+            assert digits.denominator == 2
+
+    def test_fallback_alone_gives_the_same_bytes(self, monkeypatch):
+        columns = np.concatenate([injected_matrix(6, 24, 12), HARD_VALUES[:2400].reshape(-1, 12)])
+        formatted = []
+        format_float = matrixio.format_float
+        # No margin is wide enough, so every nonzero part is formatted by format_float.
+        monkeypatch.setattr(matrixio, "_TIE_MARGIN", 0.5)
+        monkeypatch.setattr(matrixio, "format_float", lambda x: formatted.append(x) or format_float(x))
+        assert matrix_text(VectorSequence(columns)) == oracles.matrix_text_by_cells(columns)
+        assert len(formatted) == np.count_nonzero(columns.view(float))
+
+    def test_gaussian_values_need_no_fallback(self, monkeypatch):
+        monkeypatch.setattr(matrixio, "format_float", lambda x: pytest.fail(f"fallback for {x!r}"))
+        matrix_text(VectorSequence(oracles.random_columns(7, 130, 70)))
+
+
 # Reader edge cases: the file's bytes and the exact message after "<path>: ".
 # Recorded from the reader as it was when every cell went through complex(),
-# so they also pin that block conversion changed no message.
+# so they also pin that block conversion changed no message; since then a
+# non-finite cell is named by row and column on either path, and the byte of a
+# decoding error is counted from the start of the file.
 ERROR_CORPUS = [
     *[
         (
@@ -211,12 +297,13 @@ ERROR_CORPUS = [
     ],
     (b"1,,2\n3,4,5\n", "row 1, column 2: invalid complex cell ''"),
     (b"1,2,\n3,4,\n", "row 1, column 3: invalid complex cell ''"),
-    (b"1e400,0\n0,1\n", "columns contains non-finite entries"),
+    (b"1e400,0\n0,1\n", "row 1, column 1: non-finite cell '1e400'"),
+    (b"1,0\n0,1-1e999i\n", "row 2, column 2: non-finite cell '1-1e999i'"),
+    ("1,0\n0,\u00a01e400\n".encode(), "row 2, column 2: non-finite cell '1e400'"),
+    (b"1,1e400\n1,2,3\n", "row 1, column 2: non-finite cell '1e400'"),
     (b"1,0\n0,\xff\n", "not UTF-8 text (byte 6: invalid start byte)"),
-    (
-        b"\xef\xbb\xbf# dim=2 count=2\n1,0\n0,1\n",
-        "row 1, column 1: invalid complex cell '\\ufeff# dim=2 count=2'",
-    ),
+    (b"\xef\xbb\xbf1,0\n0,\xff\n", "not UTF-8 text (byte 9: invalid start byte)"),
+    (b"1,0\n" * 5000 + b"0,\xff\n", "not UTF-8 text (byte 20002: invalid start byte)"),
     (b"# dim=3 count=2\n1,0\n0,1\n", "header announces shape (3, 2), parsed (2, 2)"),
     (b"1,2\n3\n", "row 2 has 1 cells, expected 2"),
     (b"# dim=2 count=2\n", "header but no data rows"),
@@ -231,6 +318,8 @@ VALUE_CORPUS = [
     (b"2.2250738585072011e-308\n", [[2.2250738585072011e-308]]),
     (b"\t-.0-.0i\t, 1.+2.i \r\n2.2250738585072011e-308,\t5e-324\r\n",
      [[complex(-0.0, -0.0), 1 + 2j], [2.2250738585072011e-308, 5e-324]]),
+    # A leading UTF-8 byte-order mark is skipped on both passes.
+    (b"\xef\xbb\xbf# dim=2 count=2\n1,0\n0,1\n", [[1, 0], [0, 1]]),
 ]
 
 
@@ -335,7 +424,7 @@ class TestGrammarOracle:
         if np.all(np.isfinite(values)):
             assert bits(read_matrix(str(scratch_path)).columns).tolist() == bits([values]).tolist()
         else:
-            with pytest.raises(MatrixParseError, match="non-finite entries"):
+            with pytest.raises(MatrixParseError, match=r"row 1, column \d+: non-finite cell"):
                 read_matrix(str(scratch_path))
 
 
@@ -522,6 +611,16 @@ class TestPointSetFiles:
         path = tmp_path / "nodes.csv"
         path.write_text("# tau,mu\n0,0\n1,0\n")
         assert read_point_set(str(path)).nodes == ((0.0, 0.0), (1.0, 0.0))
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "nodes.csv"
+        path.write_bytes(b"\xef\xbb\xbf# tau,mu\n0,0\n1,0.5\n")
+        counts = []
+        assert read_point_set(str(path), counts.append).nodes == ((0.0, 0.0), (1.0, 0.5))
+        assert counts == [2]
+        path.write_bytes(b"\xef\xbb\xbf0,0\n1,\xff\n")
+        with pytest.raises(MatrixParseError, match=r"not UTF-8 text \(byte 9: invalid start byte\)"):
+            read_point_set(str(path))
 
     def test_count_check_sees_node_lines_before_any_conversion(self, tmp_path):
         path = tmp_path / "nodes.csv"
