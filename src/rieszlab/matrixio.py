@@ -8,14 +8,14 @@ reproduces every float64 exactly, except that an imaginary -0.0 reads back
 as 0.0.  Matrix files carry a header line "# dim=<n> count=<m>" which, when
 present on input, must match the parsed shape.  On read, a leading UTF-8
 byte-order mark is skipped and every row is matched against the ASCII row
-grammar; rows that match are converted in blocks of up to `_BLOCK_ROWS` by
-one `np.loadtxt` each, and rows outside it (other whitespace, non-ASCII
-digits, a bad cell) take the per-cell path with its row and column messages;
-a cell that overflows float64 is named by row and column on either path.  On
-write, blocks of about `_WRITE_CELLS` cells are formatted in numpy with the
-exact digits of "%.17g", and `format_float` formats the rare value whose
-digits the fast route cannot certify.  All writes go through a temp file plus
-rename.
+grammar; one `np.loadtxt` call converts the whole file from a stream of
+checked rows.  Rows that match go in as they are; rows outside it (other
+whitespace, non-ASCII digits, a bad cell) are read cell by cell, with their
+row and column messages, and go in as the text of their values.  A cell that
+overflows float64 is named by row and column.  On write, blocks of about
+`_WRITE_CELLS` cells are formatted in numpy with the exact digits of "%.17g",
+and `format_float` formats the rare value whose digits the fast route cannot
+certify.  All writes go through a temp file plus rename.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import re
 import secrets
 import stat
 from contextlib import contextmanager, suppress
+from itertools import islice
 
 import numpy as np
 
@@ -51,9 +52,6 @@ _CELL_RE = re.compile(_CELL)
 # accepts or rejects it exactly as `parse_complex` does.
 _PADDED_CELL = rf"[ \t]*+{_CELL}[ \t]*+"
 _ROW_RE = re.compile(rf"{_PADDED_CELL}(?:,{_PADDED_CELL})*+", re.ASCII)
-# Grammar-checked rows converted by one `np.loadtxt` call: enough to spread its
-# fixed cost, few enough that no more than one block of lines is ever held.
-_BLOCK_ROWS = 64
 # Cells formatted together on write (at least one row): enough to spread
 # numpy's per-call cost, few enough that a block's buffers, about 300 bytes a
 # cell, stay near 1 MB.
@@ -328,23 +326,6 @@ def _parse_cells(path: str, i: int, line: str) -> list:
     return row
 
 
-def _load_rows(path: str, block: list, matrix: np.ndarray, stop: int) -> None:
-    """Converts `block`, grammar-checked rows with "j" for "i", into the rows of
-    `matrix` that end before `stop`, and empties it.  The grammar admits no
-    parentheses, "j", "inf" or "nan", so `np.loadtxt` reads each part as
-    float() would, to the same bits, and a non-finite value comes only from a
-    cell that overflows; the first one is named."""
-    if block:
-        start = stop - len(block)
-        matrix[start:stop] = np.loadtxt(block, dtype=complex, delimiter=",", ndmin=2, comments=None)
-        overflow = np.flatnonzero(~np.isfinite(matrix[start:stop]))
-        if overflow.size:
-            i, j = divmod(int(overflow[0]), matrix.shape[1])
-            cell = block[i].split(",")[j].strip().replace("j", "i")
-            raise _non_finite(path, start + i + 1, j + 1, cell)
-        block.clear()
-
-
 def _matrix_layout(handle):
     """One pass over an open matrix file, keeping no line: the header (a first
     non-blank line starting with "#", else None), the number of non-blank data
@@ -366,15 +347,44 @@ def _matrix_layout(handle):
     return header, rows, width, ragged
 
 
+def _data_lines(handle, header):
+    """The open file's non-blank lines after its header, read from its start."""
+    handle.seek(0)
+    data = (line.rstrip("\n") for line in handle if not line.isspace())
+    if header is not None:
+        next(data, None)
+    return data
+
+
+def _row_stream(path: str, data, width: int, kept: int):
+    """The first `kept` rows of `data` as lines for `np.loadtxt`, ending after
+    them without reading another line.  A row in the fast grammar goes in with
+    "j" for "i": the grammar admits no parentheses, "j", "inf" or "nan", so
+    loadtxt reads each part as float() would, to the same bits, and only a cell
+    that overflows reads as non-finite.  Any other row is read cell by cell and
+    goes in as the "%.17g" text of its values.  A row not `width` cells wide,
+    or fewer than `kept` rows, means the file changed after its first pass."""
+    for i, line in enumerate(data, start=1):
+        if line.count(",") + 1 != width:
+            raise _changed(path)
+        if _ROW_RE.fullmatch(line):
+            yield line.replace("i", "j")
+        else:
+            yield ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in _parse_cells(path, i, line))
+        if i == kept:
+            return
+    raise _changed(path)
+
+
 def read_matrix(path: str, check_shape=None) -> VectorSequence:
     """The matrix file at `path` as a VectorSequence.  `check_shape`, if
     given, is called with the data row count and the first row's width as
     soon as both are known, before any cell is converted or any array
-    allocated; it refuses the file by raising.  The open file is read twice:
-    once for its shape, which `check_shape` sees, one line at a time, and once
-    for its cells, holding at most `_BLOCK_ROWS` lines, so a refused file is
-    never held in memory.  A second pass that does not find the first pass's
-    rows raises `MatrixParseError`."""
+    allocated; it refuses the file by raising.  The open file is read twice,
+    a line at a time: once for its shape, which `check_shape` sees, and once
+    for its cells, streamed into one `np.loadtxt` call, so no file is held in
+    memory.  A second pass that does not find the first pass's rows raises
+    `MatrixParseError`."""
     with _text(path) as handle:
         header, rows, width, ragged = _matrix_layout(handle)
         if header is None and not rows:
@@ -389,43 +399,28 @@ def read_matrix(path: str, check_shape=None) -> VectorSequence:
             raise MatrixParseError(f"{path}: header but no data rows")
         if check_shape is not None:
             check_shape(rows, width)
-        # Only the rows before the first ragged one are allocated, so the array is
+        # Only the rows before the first ragged one are read, so the array is
         # never larger than the text; their cells are checked before that row's error.
-        matrix = np.empty((rows if ragged is None else ragged[0], width), dtype=complex)
-        handle.seek(0)
-        data = (line.rstrip("\n") for line in handle if not line.isspace())
-        if header is not None:
-            next(data, None)
-        seen, block = 0, []
-        for line in data:
-            if seen < len(matrix):
-                if _ROW_RE.fullmatch(line):
-                    if line.count(",") + 1 != width:
-                        raise _changed(path)
-                    block.append(line.replace("i", "j"))
-                    if len(block) == _BLOCK_ROWS:
-                        _load_rows(path, block, matrix, seen + 1)
-                else:
-                    _load_rows(path, block, matrix, seen)
-                    row = _parse_cells(path, seen + 1, line)
-                    if len(row) != width:
-                        raise _changed(path)
-                    matrix[seen] = row
-            seen += 1
-    if seen != rows:
-        raise _changed(path)
-    # Every cell error, in file order, comes before the errors about the file's shape.
-    _load_rows(path, block, matrix, len(matrix))
+        kept = rows if ragged is None else ragged[0]
+        data = _data_lines(handle, header)
+        matrix = np.loadtxt(_row_stream(path, data, width, kept), dtype=complex, delimiter=",",
+                            ndmin=2, comments=None, max_rows=kept)
+        if kept + sum(1 for _ in data) != rows:
+            raise _changed(path)
+        overflow = np.flatnonzero(~np.isfinite(matrix))
+        if overflow.size:
+            i, j = divmod(int(overflow[0]), width)
+            cells = next(islice(_data_lines(handle, header), i, None), "").split(",")
+            if j >= len(cells):
+                raise _changed(path)
+            raise _non_finite(path, i + 1, j + 1, cells[j].strip())
     if ragged is not None:
         raise MatrixParseError(f"{path}: row {ragged[0] + 1} has {ragged[1]} cells, expected {width}")
     if expected_shape is not None and matrix.shape != expected_shape:
         raise MatrixParseError(
             f"{path}: header announces shape {expected_shape}, parsed {matrix.shape}"
         )
-    try:
-        return VectorSequence._adopt(matrix)
-    except ValueError as exc:
-        raise MatrixParseError(f"{path}: {exc}") from exc
+    return VectorSequence._adopt(matrix)
 
 
 def point_set_text(points: PointSet2D) -> str:
@@ -461,9 +456,13 @@ def read_point_set(path: str, check_count=None) -> PointSet2D:
             if len(cells) != 2:
                 raise MatrixParseError(f"{path}: line {i} needs two columns, got {len(cells)}")
             try:
-                nodes.append((float(cells[0]), float(cells[1])))
+                node = (float(cells[0]), float(cells[1]))
             except ValueError as exc:
                 raise MatrixParseError(f"{path}: line {i}: {exc}") from exc
+            for cell, value in zip(cells, node):
+                if not math.isfinite(value):
+                    raise MatrixParseError(f"{path}: line {i}: non-finite coordinate {cell.strip()!r}")
+            nodes.append(node)
     if len(nodes) != count:
         raise _changed(path)
     if not nodes:

@@ -355,10 +355,11 @@ class TestUsage:
 # holds basis.csv (a 3x3 basis), ill.csv, wide.csv, far.csv, utf16.csv (not
 # UTF-8), big.csv, small.csv and smaller.csv (a 6x6 basis scaled by 1e160,
 # 1e-160 and 1e-170), row8192.csv (1x8192), row8193.csv (1x8193),
-# column8193.csv (8193x1), nodes8193.csv (8193 nodes) and outdir/.  The
-# size-guard rows use sizes that are refused before anything large is
-# allocated.  row8192.csv is estimated at exactly the limit, 8192^2 complex
-# entries, and is accepted: its Gram route eigensolves a 1x1 product.
+# column8193.csv (8193x1), nodes8193.csv (8193 nodes), overflow_nodes.csv (a
+# coordinate "1e400" on line 2) and outdir/.  The size-guard rows use sizes
+# that are refused before anything large is allocated.  row8192.csv is
+# estimated at exactly the limit, 8192^2 complex entries, and is accepted: its
+# Gram route eigensolves a 1x1 product.
 EXIT_CODE_TABLE = [
     ("family-json-written",
      ["family", "--gen", "weighted", "--sizes", "4,8,16", "--json", "{dir}/f.json"], 0, None),
@@ -449,6 +450,8 @@ EXIT_CODE_TABLE = [
      "byte limit"),
     ("gabor-node-file-oversize", ["gabor", "--set", "file", "--nodes", "{dir}/nodes8193.csv"],
      2, "byte limit"),
+    ("gabor-node-overflow", ["gabor", "--set", "file", "--nodes", "{dir}/overflow_nodes.csv"],
+     2, "overflow_nodes.csv: line 2: non-finite coordinate '1e400'"),
     ("family-gabor-grid-oversize",
      ["family", "--gen", "gaborPunctured", "--sizes", "1,2,3", "--samples", "700"], 2,
      "byte limit"),
@@ -481,6 +484,7 @@ def test_exit_codes(argv, code, message, tmp_path, capsys):
     (tmp_path / "row8193.csv").write_text(",".join(["1"] * 8193) + "\n")
     (tmp_path / "column8193.csv").write_text("1\n" * 8193)
     (tmp_path / "nodes8193.csv").write_text("".join(f"{i},0\n" for i in range(8193)))
+    (tmp_path / "overflow_nodes.csv").write_text("0,0\n1e400,1\n")
     basis = random_riesz(6, seed=3).columns
     for name, scale in (("big", 1e160), ("small", 1e-160), ("smaller", 1e-170)):
         write_matrix(str(tmp_path / f"{name}.csv"), VectorSequence.from_columns(scale * basis))

@@ -282,9 +282,9 @@ class TestVectorizedFormat:
 
 # Reader edge cases: the file's bytes and the exact message after "<path>: ".
 # Recorded from the reader as it was when every cell went through complex(),
-# so they also pin that block conversion changed no message; since then a
-# non-finite cell is named by row and column on either path, and the byte of a
-# decoding error is counted from the start of the file.
+# so they also pin that converting through `np.loadtxt` changed no message;
+# since then a non-finite cell is named by row and column on either path, and
+# the byte of a decoding error is counted from the start of the file.
 ERROR_CORPUS = [
     *[
         (
@@ -301,6 +301,9 @@ ERROR_CORPUS = [
     (b"1,0\n0,1-1e999i\n", "row 2, column 2: non-finite cell '1-1e999i'"),
     ("1,0\n0,\u00a01e400\n".encode(), "row 2, column 2: non-finite cell '1e400'"),
     (b"1,1e400\n1,2,3\n", "row 1, column 2: non-finite cell '1e400'"),
+    # Every row is checked before any value is: a bad cell on a later row is
+    # reported before a cell that overflows on an earlier one.
+    (b"1e400,0\n0,x\n", "row 2, column 2: invalid complex cell 'x'"),
     (b"1,0\n0,\xff\n", "not UTF-8 text (byte 6: invalid start byte)"),
     (b"\xef\xbb\xbf1,0\n0,\xff\n", "not UTF-8 text (byte 9: invalid start byte)"),
     (b"1,0\n" * 5000 + b"0,\xff\n", "not UTF-8 text (byte 20002: invalid start byte)"),
@@ -454,8 +457,14 @@ class TestBlockConversion:
 
     def test_row_outside_the_grammar_between_grammar_rows(self, tmp_path, monkeypatch):
         lines = matrix_text(VectorSequence(injected_matrix(5, 150, 3))).splitlines()
-        # Data row 100 sits inside the second block, so that block is cut short.
+        # Data rows 100 to 103 take the per-cell path and go to np.loadtxt as
+        # the text of their values: signed zeros in either part, subnormals and
+        # the largest finite values must come back bit for bit.
         lines[100] = f"\u00a0{lines[100]}\u00a0"
+        lines[101] = "\u00a0-0-0i,-0,0-0i"
+        lines[102] = "5e-324-4.9406564584124654e-324i,\u20032.2250738585072009e-308,-0+5e-324i"
+        top = "1.7976931348623157e308"
+        lines[103] = f"{top}-{top}i,-{top},\u00a00+{top}i"
         path = tmp_path / "matrix.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         per_cell_rows = []
@@ -468,9 +477,9 @@ class TestBlockConversion:
         monkeypatch.setattr(matrixio, "_parse_cells", spy)
         expected = [[parse_complex(cell.strip()) for cell in line.split(",")] for line in lines[1:]]
         assert bits(read_matrix(str(path)).columns).tolist() == bits(expected).tolist()
-        assert per_cell_rows == [100]
+        assert per_cell_rows == [100, 101, 102, 103]
 
-    def test_grammar_rows_take_one_loadtxt_per_block(self, tmp_path, monkeypatch):
+    def test_grammar_rows_take_one_loadtxt_call(self, tmp_path, monkeypatch):
         seq = random_riesz(256, seed=3)
         path = tmp_path / "riesz.csv"
         write_matrix(str(path), seq)
@@ -478,16 +487,29 @@ class TestBlockConversion:
         loadtxt = np.loadtxt
 
         def spy(*args, **kwargs):
-            calls.append(len(args[0]))
+            calls.append(kwargs["max_rows"])
             return loadtxt(*args, **kwargs)
 
         monkeypatch.setattr(matrixio.np, "loadtxt", spy)
         monkeypatch.setattr(matrixio, "_parse_cells", lambda *args: pytest.fail("per-cell path"))
         back = read_matrix(str(path))
-        assert sum(calls) == 256 and len(calls) <= -(-256 // matrixio._BLOCK_ROWS)
+        assert calls == [256]
         expected = seq.columns.copy()
         expected.imag[expected.imag == 0.0] = 0.0
         assert bits(back.columns).tolist() == bits(expected).tolist()
+
+    def test_reading_256_by_256_allocates_under_1_5_mb(self, tmp_path):
+        # The 1 MiB result is the one large allocation: no line list or block is held.
+        path = tmp_path / "riesz.csv"
+        write_matrix(str(path), random_riesz(256, seed=3))
+        tracemalloc.start()
+        try:
+            back = read_matrix(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.columns.shape == (256, 256)
+        assert peak < 1.5 * 2**20
 
     @pytest.mark.parametrize("edited", ["70,0,0", "70"], ids=["widened", "narrowed"])
     def test_row_changed_inside_a_block_is_refused(self, edited, tmp_path):
@@ -675,6 +697,14 @@ class TestPointSetFiles:
         path.write_text("0,0\n1\n")
         with pytest.raises(MatrixParseError, match="line 2"):
             read_point_set(str(path))
+
+    @pytest.mark.parametrize("cell", ["1e400", "nan", "inf"])
+    def test_non_finite_coordinate_names_its_line(self, cell, tmp_path):
+        path = tmp_path / "nodes.csv"
+        path.write_text(f"0,0\n1, {cell}\n{cell},2\n")
+        with pytest.raises(MatrixParseError) as info:
+            read_point_set(str(path))
+        assert str(info.value) == f"{path}: line 2: non-finite coordinate {cell!r}"
 
     def test_duplicate_nodes_rejected(self, tmp_path):
         path = tmp_path / "nodes.csv"
