@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .duals import BIORTHOGONALITY_TOL, minimal_dual
+from .duals import BIORTHOGONALITY_TOL, _minus_identity, minimal_dual
 from .errors import (
     CriteriaDisagreementError,
     IllConditionedError,
@@ -223,7 +223,7 @@ def equivalent_inner_product(seq: VectorSequence) -> np.ndarray:
     u, sigma, _ = np.linalg.svd(f)
     w = (u / sigma**2) @ u.conj().T
     w = (w + w.conj().T) / 2.0
-    residual = float(np.abs(f.conj().T @ w @ f - np.eye(seq.count)).max())
+    residual = float(np.abs(_minus_identity(f.conj().T @ w @ f)).max())
     if residual > BIORTHOGONALITY_TOL:
         raise IllConditionedError(
             f"W-Gram identity residual {residual:.3e} exceeds {BIORTHOGONALITY_TOL:.0e}"

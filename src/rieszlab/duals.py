@@ -38,11 +38,17 @@ def _check_pair(seq: VectorSequence, partner: VectorSequence) -> None:
         )
 
 
+def _minus_identity(square: np.ndarray) -> np.ndarray:
+    """`square` - I, formed in place on the diagonal of `square`, a fresh
+    product; the same bits as `square - np.eye(n)` without two more n x n arrays."""
+    square[np.diag_indices_from(square)] -= 1.0
+    return square
+
+
 def biorthogonality_residual(seq: VectorSequence, partner: VectorSequence) -> float:
     """max over (j, k) of |<f_k, g_j> - delta_jk|."""
     _check_pair(seq, partner)
-    cross = partner._kernel.conj().T @ seq._kernel
-    return float(np.abs(cross - np.eye(seq.count)).max())
+    return float(np.abs(_minus_identity(partner._kernel.conj().T @ seq._kernel)).max())
 
 
 class _AcceptedDual(NamedTuple):
@@ -89,6 +95,7 @@ def _construct_dual(seq: VectorSequence):
     except np.linalg.LinAlgError as exc:
         return IllConditionedError, f"Gram factorization failed: {exc}"
     partner = VectorSequence._adopt(np.conjugate(dual_adjoint.T, dtype=complex, order="C"))
+    del dual_adjoint  # not held beside the residual's product and its copy of the partner
     residual = biorthogonality_residual(seq, partner)
     if residual > BIORTHOGONALITY_TOL:
         return IllConditionedError, (
@@ -110,9 +117,9 @@ def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> f
     f, g = seq._kernel, partner._kernel
     if 2 * seq.count < seq.dim:
         q = np.linalg.qr(np.concatenate([f, g], axis=1))[0]
-        compressed = (q.conj().T @ f) @ (g.conj().T @ q) - np.eye(q.shape[1])
+        compressed = _minus_identity((q.conj().T @ f) @ (g.conj().T @ q))
         return max(float(np.linalg.norm(compressed, 2)), 1.0)
-    return float(np.linalg.norm(f @ g.conj().T - np.eye(seq.dim), 2))
+    return float(np.linalg.norm(_minus_identity(f @ g.conj().T), 2))
 
 
 def injectivity_witness(seq: VectorSequence, partner: VectorSequence, coeffs):

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -125,6 +126,20 @@ class TestDual:
         src = tmp_path / "ill.csv"
         src.write_text("1,1\n0,1e-10\n")
         assert run_cli("dual", str(src), "-o", str(tmp_path / "d.csv")) == 3
+
+    def test_dual_of_256_by_256_allocates_under_7_5_mb(self, tmp_path, capsys):
+        # The input array is 1 MiB; the dual's own arrays and one block of
+        # written text are held at once, never the dual's whole text.
+        src, out = tmp_path / "riesz.csv", tmp_path / "dual.csv"
+        write_matrix(str(src), random_riesz(256, seed=3))
+        assert run_cli("dual", str(src), "-o", str(out)) == 0  # fills cached tables
+        tracemalloc.start()
+        try:
+            assert run_cli("dual", str(src), "-o", str(out)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5e6
 
 
 #: `example` arguments and the systems they name, primal first.

@@ -21,6 +21,8 @@ from rieszlab import (
     weighted_pair,
     young_example,
 )
+from rieszlab import diagnostics
+from rieszlab.duals import _minus_identity
 from rieszlab.seqcore import _rank
 
 
@@ -239,3 +241,70 @@ class TestReconstructionShadow:
             assert completeness_defect(dual) == 0
             assert duality_identity_residual(seq, dual) <= 1e-8
             assert classify(seq).kind is VerdictKind.RIESZ_BASIS
+
+
+def old_biorthogonality_residual(seq, partner):
+    cross = partner._kernel.conj().T @ seq._kernel
+    return float(np.abs(cross - np.eye(seq.count)).max())
+
+
+def old_duality_identity_residual(seq, partner):
+    f, g = seq._kernel, partner._kernel
+    if 2 * seq.count < seq.dim:
+        q = np.linalg.qr(np.concatenate([f, g], axis=1))[0]
+        compressed = (q.conj().T @ f) @ (g.conj().T @ q) - np.eye(q.shape[1])
+        return max(float(np.linalg.norm(compressed, 2)), 1.0)
+    return float(np.linalg.norm(f @ g.conj().T - np.eye(seq.dim), 2))
+
+
+def columns(seed, dim, count, complex_entries):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((dim, count))
+    if complex_entries:
+        values = values + 1j * rng.standard_normal((dim, count))
+    return VectorSequence.from_columns(values)
+
+
+class TestIdentitySubtraction:
+    """Every residual subtracts the identity in place, with the bits of `x - np.eye(n)`."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_the_eye_difference_with_negative_zeros(self, dtype):
+        x = np.random.default_rng(3).standard_normal((5, 5)).astype(dtype)
+        x[[0, 1, 2], [0, 1, 2]] = [-0.0, 1.0, -1.0]
+        if dtype is complex:
+            x[3, 3] = complex(-0.0, -0.0)
+            x[4, 4] = complex(1.0, -0.0)
+            x[0, 1] = complex(-0.0, -0.0)
+        expected = x - np.eye(5)
+        got = _minus_identity(x)
+        assert got is x
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("dim, count", [(7, 7), (9, 3)], ids=["square", "tall"])
+    def test_residuals_keep_their_bits(self, dim, count, complex_entries):
+        seq = columns(10 + dim, dim, count, complex_entries)
+        # The minimal dual and an unrelated partner, whose tall identity residual exceeds 1.
+        for partner in (minimal_dual(seq), columns(20 + dim, dim, count, complex_entries)):
+            assert (partner._kernel.dtype == complex) is complex_entries
+            new = biorthogonality_residual(seq, partner)
+            assert new.hex() == old_biorthogonality_residual(seq, partner).hex()
+            new = duality_identity_residual(seq, partner)
+            assert new.hex() == old_duality_identity_residual(seq, partner).hex()
+        assert duality_identity_residual(seq, partner) > 1.0
+
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_w_gram_check_keeps_its_bits(self, complex_entries, monkeypatch):
+        seq = columns(31, 6, 6, complex_entries)
+        w = diagnostics.equivalent_inner_product(seq)
+        w = w if complex_entries else np.ascontiguousarray(w.real)
+        f = seq._kernel
+        old = float(np.abs(f.conj().T @ w @ f - np.eye(seq.count)).max())
+        # The check accepts at a tolerance of exactly the old residual and refuses one ulp below.
+        monkeypatch.setattr(diagnostics, "BIORTHOGONALITY_TOL", old)
+        diagnostics.equivalent_inner_product(seq)
+        monkeypatch.setattr(diagnostics, "BIORTHOGONALITY_TOL", np.nextafter(old, 0.0))
+        with pytest.raises(IllConditionedError, match="W-Gram identity residual"):
+            diagnostics.equivalent_inner_product(seq)

@@ -526,6 +526,33 @@ class TestBlockConversion:
             read_matrix(str(path), rewrite)
 
 
+class TestStreamedWrite:
+    @pytest.mark.parametrize("rows, cols", [(300, 40), (3, 5000), (1, 1)])
+    def test_file_matches_per_cell_reference(self, rows, cols, tmp_path):
+        # Blocks of 102 rows (the last one short), of one row, and a single cell.
+        columns = oracles.random_columns(rows, rows, cols)
+        path = tmp_path / "m.csv"
+        write_matrix(str(path), VectorSequence(columns))
+        assert path.read_text() == oracles.matrix_text_by_cells(columns)
+
+    def test_writing_512_by_512_holds_one_block(self, tmp_path):
+        # The file's text, 10.8 MB here, is never held, let alone twice: the
+        # peak is one block's, the same for 128 rows as for 512.
+        peaks = {}
+        for rows in (128, 512):
+            seq = VectorSequence(oracles.random_columns(rows, rows, 512))
+            path = tmp_path / f"m{rows}.csv"
+            write_matrix(str(path), seq)  # fills the formatter's cached tables
+            tracemalloc.start()
+            try:
+                write_matrix(str(path), seq)
+                peaks[rows] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[512] < 6e6
+        assert peaks[512] < 1.1 * peaks[128]
+
+
 class TestMatrixFiles:
     def test_round_trip_exact(self, tmp_path):
         seq = VectorSequence.from_columns(oracles.random_columns(3, 5, 7))
@@ -773,3 +800,28 @@ class TestAtomicWrites:
             write_atomic(str(target), "data")
         assert info.value.filename == str(target)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "subdir"]
+
+    def test_writes_chunks_in_order(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_atomic(str(path), iter(["a,", "b\n", "", "c\n"]))
+        assert path.read_text() == "a,b\nc\n"
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "replaced"])
+    def test_failing_chunks_leave_the_path_as_it_was(self, existing, tmp_path):
+        path = tmp_path / "out.txt"
+        if existing:
+            path.write_bytes(b"old\n")
+            path.chmod(0o640)
+
+        def chunks():
+            yield "first block\n"
+            raise RuntimeError("second block failed")
+
+        with pytest.raises(RuntimeError, match="second block failed"):
+            write_atomic(str(path), chunks())
+        assert not list(tmp_path.glob("*.tmp"))
+        if existing:
+            assert path.read_bytes() == b"old\n"
+            assert path.stat().st_mode & 0o777 == 0o640
+        else:
+            assert list(tmp_path.iterdir()) == []
