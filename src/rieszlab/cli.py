@@ -2,11 +2,11 @@
 
 Subcommands: analyze, dual, example, family, gabor.  Exit codes are stable:
 0 ok; 2 an argument, flag value or input file that the library rejects with a
-ValueError, an unreadable or unwritable path, or a command whose largest dense
-array (estimated from its flags or from an input file's shape) exceeds 1 GiB;
-3 numeric failure; 4 no biorthogonal dual; 5 unsafe Gabor truncation.  All
-randomness sits behind --seed (default 0); identical invocations produce
-byte-identical outputs.
+ValueError, an unreadable or unwritable path, a command whose largest dense
+array (estimated from its flags or from an input file's shape) exceeds 1 GiB,
+or a command that runs out of memory (MemoryError); 3 numeric failure; 4 no
+biorthogonal dual; 5 unsafe Gabor truncation.  All randomness sits behind
+--seed (default 0); identical invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -57,15 +57,17 @@ class UsageError(Exception):
     pass
 
 
-def _check_size(what: str, rows: int, cols: int) -> None:
-    """Refuse a command whose largest dense array, estimated as a rows x cols
-    complex matrix, would exceed _MAX_ARRAY_BYTES."""
+def _check_size(what: str, rows: int, cols: int) -> int:
+    """The bytes of a command's largest dense array, estimated as a rows x
+    cols complex matrix; a command whose estimate exceeds _MAX_ARRAY_BYTES
+    is refused."""
     nbytes = 16 * rows * cols
     if nbytes > _MAX_ARRAY_BYTES:
         raise UsageError(
             f"{what} needs a {rows}x{cols} complex array ({nbytes:.3g} bytes), "
             f"over the {_MAX_ARRAY_BYTES}-byte limit"
         )
+    return nbytes
 
 
 def _gabor_nodes(kind: str, index: int) -> int:
@@ -382,6 +384,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (UsageError, ValueError, OSError) as exc:  # MatrixParseError, DimensionError, ...
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return EXIT_USAGE
     except NoBiorthogonalSequenceError:
         print("error: no biorthogonal sequence exists (minimality fails)", file=sys.stderr)

@@ -54,11 +54,10 @@ _CELL_RE = re.compile(_CELL)
 _PADDED_CELL = rf"[ \t]*+{_CELL}[ \t]*+"
 _ROW_RE = re.compile(rf"{_PADDED_CELL}(?:,{_PADDED_CELL})*+", re.ASCII)
 # Cells formatted and written together (at least one row): enough to spread
-# numpy's per-call cost.  Writing peaks at about 3.6 MB traced, about 870
-# bytes a cell of a block: 1.3 MB of it is the index array np.compress builds,
-# and 0.2 MB the text of the block before, which `_matrix_chunks` holds.  As
-# blocks are written one at a time, that is the writer's whole footprint
-# whatever the matrix size.
+# numpy's per-call cost.  Writing peaks at about 2.8 MB traced, about 690
+# bytes a cell of a block, 0.2 MB of it the text of the block before, which
+# `_matrix_chunks` holds.  As blocks are written one at a time, that is the
+# writer's whole footprint whatever the matrix size.
 _WRITE_CELLS = 4096
 _HEADER_RE = re.compile(r"^#\s*dim=(\d+)\s+count=(\d+)\s*$")
 
@@ -267,7 +266,9 @@ def _block_text(block: np.ndarray, template: np.ndarray) -> str:
         mask[i, _ZERO:_TAIL] = False
         mask[i, _ZERO : _ZERO + len(value)] = True
         out[i, _ZERO : _ZERO + len(value)] = np.frombuffer(value, dtype=np.uint8)
-    return np.compress(mask.reshape(-1), out.reshape(-1)).tobytes().decode("ascii")
+    # The unselected slots become NUL bytes, which no text holds, and are dropped.
+    out *= mask
+    return out.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _matrix_chunks(seq: VectorSequence):

@@ -5,13 +5,32 @@ from an explicit orthonormal-basis projector, spectral quantities from dense
 eigensolves of explicitly assembled matrices, and Gabor values from adaptive
 quadrature of the underlying integrals.  Matrix CSV text has a per-cell
 reference formatter and a character-level recognizer of the cell grammar, and
-sampled Gabor systems a dense per-node builder.
+sampled Gabor systems a dense per-node builder, and seeded random Riesz bases
+the one-line draw the generator's in-place arithmetic must reproduce.
 The `complex_*` oracles redo the library's kernels on complex128 copies, so a
 real system factored in real arithmetic can be checked against complex
 arithmetic.
 """
 
+import math
+
 import numpy as np
+
+
+def gaussian_draw(rng, n):
+    """The complex Gaussian draw of `generators.random_riesz`, as one expression."""
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+
+
+def random_riesz_columns(n, seed):
+    """The columns `generators.random_riesz(n, seed)` must return: draws
+    redrawn until the condition number is at most 1e6."""
+    rng = np.random.default_rng(seed)
+    while True:
+        columns = gaussian_draw(rng, n)
+        sigma = np.linalg.svd(columns, compute_uv=False)
+        if sigma[-1] > 0.0 and sigma[0] / sigma[-1] <= 1e6:
+            return columns
 
 
 def random_columns(seed, dim, count):

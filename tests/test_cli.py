@@ -5,7 +5,6 @@ import os
 import stat
 import subprocess
 import sys
-import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memtrace import traced_peak
 from rieszlab import (
     VectorSequence,
     alternating_weighted_pair,
@@ -23,7 +23,7 @@ from rieszlab import (
     young_example,
     young_general,
 )
-from rieszlab import cli, matrixio, scaling
+from rieszlab import cli, diagnostics, generators, matrixio, scaling
 from rieszlab.cli import build_parser, main
 from rieszlab.matrixio import read_matrix, write_matrix
 
@@ -132,13 +132,8 @@ class TestDual:
         # written text are held at once, never the dual's whole text.
         src, out = tmp_path / "riesz.csv", tmp_path / "dual.csv"
         write_matrix(str(src), random_riesz(256, seed=3))
-        assert run_cli("dual", str(src), "-o", str(out)) == 0  # fills cached tables
-        tracemalloc.start()
-        try:
-            assert run_cli("dual", str(src), "-o", str(out)) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, code = traced_peak(lambda: run_cli("dual", str(src), "-o", str(out)))
+        assert code == 0
         assert peak < 7.5e6
 
 
@@ -516,6 +511,34 @@ def test_exit_codes(argv, code, message, tmp_path, capsys):
     assert not any((tmp_path / "outdir").iterdir())
     if code not in (0, 2):
         assert set(tmp_path.rglob("*")) == before
+
+
+#: Each command with a step that raises MemoryError in its place: for `dual`,
+#: the writer's formatting, once the output's temp file is open.
+_OUT_OF_MEMORY = [
+    (["analyze", "{dir}/basis.csv"], diagnostics, "classify"),
+    (["dual", "{dir}/basis.csv", "-o", "{dir}/dual.csv"], matrixio, "_block_text"),
+    (["example", "riesz", "--n", "4", "-o", "{dir}/riesz"], generators, "random_riesz"),
+    (["family", "--gen", "riesz", "--sizes", "4,8,16"], scaling, "run_family"),
+    (["gabor", "--set", "lattice"], generators, "gaussian_gabor"),
+]
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 8.00 GiB for an array", ""])
+@pytest.mark.parametrize("argv, module, name", _OUT_OF_MEMORY,
+                         ids=[argv[0] for argv, _, _ in _OUT_OF_MEMORY])
+def test_out_of_memory_exits_2_with_one_line(argv, module, name, message, tmp_path, capsys,
+                                             monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    write_identity(tmp_path / "basis.csv")
+    monkeypatch.setattr(module, name, out_of_memory)
+    assert run_cli(*(arg.replace("{dir}", str(tmp_path)) for arg in argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["basis.csv"]
 
 
 def test_oversize_node_file_is_refused_before_any_conversion(tmp_path, capsys, monkeypatch):

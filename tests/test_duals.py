@@ -1,9 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 import oracles
+from memtrace import traced_peak
 from rieszlab import (
     DimensionError,
     IllConditionedError,
@@ -163,12 +162,7 @@ class TestDualityIdentityResidual:
     def test_tall_pair_never_forms_the_ambient_square(self):
         seq = VectorSequence.from_columns(np.ones((3000, 1)))
         dual = minimal_dual(seq)
-        tracemalloc.start()
-        try:
-            residual = duality_identity_residual(seq, dual)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, residual = traced_peak(lambda: duality_identity_residual(seq, dual))
         assert residual == pytest.approx(1.0, rel=1e-14)
         assert peak < 10e6  # the 3000 x 3000 complex residual alone is 144 MB
 

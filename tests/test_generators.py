@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from rieszlab import matrixio
+from rieszlab import generators, matrixio
 from rieszlab import (
     DimensionError,
     GaborDiscretization,
@@ -34,6 +34,20 @@ from rieszlab import (
 from rieszlab.seqcore import _gram_entries
 
 GAUSS_NORM = 2.0 ** -0.25  # L2 norm of exp(-pi x^2)
+
+
+class _Draws:
+    """Stands in for a numpy Generator, handing out the given standard normal draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, size=None, out=None):
+        draw = np.array(self.draws.pop(0), dtype=float)
+        if out is None:
+            return draw
+        out[...] = draw
+        return out
 
 
 def pair_systems(pair):
@@ -104,6 +118,24 @@ class TestBasicGenerators:
         b = random_riesz(6, seed=7)
         np.testing.assert_array_equal(a.columns, b.columns)
         assert classify(a).kind is VerdictKind.RIESZ_BASIS
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 255, 256, 512])
+    def test_random_riesz_bits_match_the_one_line_draw(self, n):
+        for seed in (0, (11, n), (11, n, 2)):
+            expected = oracles.random_riesz_columns(n, seed)
+            assert np.array_equal(random_riesz(n, seed=seed).columns.view(np.uint64),
+                                  expected.view(np.uint64)), seed
+
+    def test_draw_keeps_the_sign_of_each_zero(self):
+        # numpy's ziggurat can return -0.0: every sign of zero in x and in y,
+        # beside nonzero values of both signs, gives the one-line draw's bits.
+        zeros = [-0.0, 0.0]
+        pairs = [(x, y) for x in zeros + [1.5, -2.5] for y in zeros + [0.75, -1.25]]
+        x = np.array([p[0] for p in pairs]).reshape(4, 4)
+        y = np.array([p[1] for p in pairs]).reshape(4, 4)
+        expected = oracles.gaussian_draw(_Draws(x, y), 4)
+        assert np.array_equal(generators._complex_gaussian(_Draws(x, y), 4).view(np.uint64),
+                              expected.view(np.uint64))
 
     def test_random_riesz_condition_cap(self):
         for seed in range(10):

@@ -1,7 +1,6 @@
 import json
 import math
 import re
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from memtrace import traced_peak
 from rieszlab import MatrixParseError, PointSet2D, VectorSequence, lattice_points, random_riesz
 from rieszlab import matrixio
 from rieszlab.matrixio import (
@@ -502,12 +502,7 @@ class TestBlockConversion:
         # The 1 MiB result is the one large allocation: no line list or block is held.
         path = tmp_path / "riesz.csv"
         write_matrix(str(path), random_riesz(256, seed=3))
-        tracemalloc.start()
-        try:
-            back = read_matrix(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, back = traced_peak(lambda: read_matrix(str(path)))
         assert back.columns.shape == (256, 256)
         assert peak < 1.5 * 2**20
 
@@ -542,13 +537,7 @@ class TestStreamedWrite:
         for rows in (128, 512):
             seq = VectorSequence(oracles.random_columns(rows, rows, 512))
             path = tmp_path / f"m{rows}.csv"
-            write_matrix(str(path), seq)  # fills the formatter's cached tables
-            tracemalloc.start()
-            try:
-                write_matrix(str(path), seq)
-                peaks[rows] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks[rows] = traced_peak(lambda: write_matrix(str(path), seq))[0]
         assert peaks[512] < 6e6
         assert peaks[512] < 1.1 * peaks[128]
 
@@ -599,14 +588,11 @@ class TestMatrixFiles:
         def refuse(rows, width):
             raise ValueError(f"{rows}x{width}")
 
-        tracemalloc.start()
-        try:
+        def refused_read():
             with pytest.raises(ValueError, match="^100000x2$"):
                 read_matrix(str(path), refuse)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+
+        assert traced_peak(refused_read)[0] < 2**20
 
     @pytest.mark.parametrize(
         "edit",
@@ -694,14 +680,11 @@ class TestPointSetFiles:
         def refuse(count):
             raise ValueError(f"{count} node lines")
 
-        tracemalloc.start()
-        try:
+        def refused_read():
             with pytest.raises(ValueError, match="^100000 node lines$"):
                 read_point_set(str(path), refuse)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+
+        assert traced_peak(refused_read)[0] < 2**20
 
     @pytest.mark.parametrize(
         "edit", ["0,0\n", "0,0\n1,0\n2,0\n"], ids=["truncated", "appended"]
@@ -746,12 +729,7 @@ class TestPointSetFiles:
         # Distinctness needs no N x N array, so the peak grows with N alone.
         path = tmp_path / "nodes.csv"
         path.write_text("".join(f"{i % 60},{i // 60}\n" for i in range(3000)))
-        tracemalloc.start()
-        try:
-            points = read_point_set(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, points = traced_peak(lambda: read_point_set(str(path)))
         assert len(points) == 3000
         assert peak < 5 * 2**20
 

@@ -1,0 +1,99 @@
+"""Traced peak memory per CLI command, as a multiple of its largest array.
+
+The twin of test_call_budget.py.  `cli._check_size` refuses a command whose
+largest dense array, estimated as a rows x cols complex matrix from its flags
+or its input file's shape, exceeds 1 GiB, but the command's peak is a
+multiple of that array.  Each entry of BUDGETS pins the traced peak of one
+warm run (see memtrace.traced_peak) divided by that estimate, for three
+sizes per command.  Ceilings may only go down.  tracemalloc does not see the
+work buffers numpy.linalg allocates inside LAPACK, so resident memory is
+higher.  At the smallest sizes the writer's one block of text, about 2.7 MB
+whatever the matrix size, sets `dual`'s peak.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from memtrace import traced_peak
+from rieszlab import VectorSequence, cli
+from rieszlab.matrixio import write_matrix
+
+#: (command, input or generator, size) -> ceiling on traced peak / estimate:
+#: the multiple measured with numpy 2.4.6 plus 1%, rounded up.  The size is
+#: the matrix side for analyze and dual, --n for example, the largest of
+#: --sizes for family and --max-index for gabor.
+BUDGETS = {
+    ("analyze", "complex", 64): 5.14,
+    ("analyze", "complex", 128): 5.08,
+    ("analyze", "complex", 256): 5.06,
+    ("analyze", "real", 64): 4.61,
+    ("analyze", "real", 128): 4.57,
+    ("analyze", "real", 256): 4.56,
+    ("dual", "complex", 64): 43.44,
+    ("dual", "complex", 128): 13.85,
+    ("dual", "complex", 256): 5.75,
+    ("dual", "real", 64): 44.46,
+    ("dual", "real", 128): 14.13,
+    ("dual", "real", 256): 6.2,
+    ("example", "riesz", 128): 11.79,
+    ("example", "riesz", 256): 3.72,
+    ("example", "riesz", 512): 1.7,
+    ("family", "riesz", 128): 1.54,
+    ("family", "riesz", 256): 1.52,
+    ("family", "riesz", 512): 1.52,
+    ("gabor", "lattice", 2): 3.94,
+    ("gabor", "lattice", 4): 2.52,
+    ("gabor", "lattice", 8): 2.52,
+}
+
+
+def _matrix_file(kind, n, path):
+    if kind == "complex":
+        columns = oracles.random_columns(n, n, n)
+    else:
+        columns = np.random.default_rng(n).standard_normal((n, n))
+    write_matrix(str(path), VectorSequence(columns))
+    return str(path)
+
+
+def _argv(command, kind, size, tmp_path):
+    report = ["--json", str(tmp_path / "report.json")]
+    if command == "analyze":
+        return ["analyze", _matrix_file(kind, size, tmp_path / "in.csv"), *report]
+    if command == "dual":
+        source = _matrix_file(kind, size, tmp_path / "in.csv")
+        return ["dual", source, "-o", str(tmp_path / "dual.csv"), *report]
+    if command == "example":
+        return ["example", kind, "--n", str(size), "-o", str(tmp_path / "example")]
+    if command == "family":
+        sizes = f"{size // 4},{size // 2},{size}"
+        return ["family", "--gen", kind, "--sizes", sizes, *report]
+    # Time shifts up to --max-index stay three widths inside the grid.
+    window = ["--half-width", str(size + 4)]
+    return ["gabor", "--set", kind, "--max-index", str(size), *window, *report]
+
+
+@pytest.fixture
+def estimates(monkeypatch):
+    """The bytes of every largest array `cli._check_size` estimates, in call order."""
+    seen = []
+    check = cli._check_size
+
+    def spy(what, rows, cols):
+        seen.append(check(what, rows, cols))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "_check_size", spy)
+    return seen
+
+
+@pytest.mark.parametrize("command, kind, size", BUDGETS)
+def test_traced_peak_within_budget(command, kind, size, estimates, tmp_path, capsys):
+    argv = _argv(command, kind, size, tmp_path)
+    peak, code = traced_peak(lambda: cli.main(argv))
+    assert code == 0, capsys.readouterr().err
+    multiple = peak / max(estimates)
+    assert multiple <= BUDGETS[command, kind, size], (
+        f"traced peak {peak} bytes is {multiple:.3f} times the largest array"
+    )

@@ -1,7 +1,6 @@
 import ast
 import inspect
 import textwrap
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from memtrace import traced_peak
 import rieszlab
 from rieszlab import (
     DimensionError,
@@ -128,12 +128,7 @@ class TestTypes:
         values = np.random.default_rng(0).standard_normal((1000, 1000)).astype(dtype)
         if dtype is complex:
             values.imag = 1.0
-        tracemalloc.start()
-        try:
-            seq = VectorSequence.from_columns(values)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, seq = traced_peak(lambda: VectorSequence.from_columns(values))
         assert peak < 24 * 2**20
         assert values.flags.writeable and not np.shares_memory(seq.columns, values)
 
