@@ -41,17 +41,6 @@ EXIT_TRUNCATION = 5
 #: that would need more are refused as usage errors before anything is built.
 _MAX_ARRAY_BYTES = 1 << 30
 
-_FAMILY_ALIASES = {
-    "orthonormal": "orthonormal",
-    "weighted": "weightedPair",
-    "alternating": "alternatingWeightedPair",
-    "young": "youngExample",
-    "youngGeneral": "youngGeneral",
-    "riesz": "rieszSeeded",
-}
-
-_EXAMPLE_NAMES = tuple(_FAMILY_ALIASES)
-
 
 class UsageError(Exception):
     pass
@@ -70,9 +59,9 @@ def _check_size(what: str, rows: int, cols: int) -> int:
     return nbytes
 
 
-def _gabor_nodes(kind: str, index: int) -> int:
-    """Node count of a lattice, punctured or ALS set (punctured counted as full)."""
-    return 2 + 4 * index if kind == "als" else (2 * index + 1) ** 2
+def _aliases() -> dict:
+    """Each family alias, also its `example` name, and the family's generator id."""
+    return {family.alias: gid for gid, family in scaling._FAMILIES.items() if family.alias}
 
 
 def _read_matrix(path: str) -> VectorSequence:
@@ -158,19 +147,16 @@ def _cmd_dual(args) -> int:
 
 
 def _example_systems(args):
-    name = args.name
-    n = args.n
+    name, n = args.name, args.n
     if n < 1:
         raise UsageError("--n must be >= 1")
-    extra_rows = {"young": 1, "youngGeneral": args.complement_dim}.get(name, 0)
+    generator_id = _aliases()[name]
+    params = {"seed": args.seed, "complementDim": args.complement_dim}
+    extra_rows = scaling._FAMILIES[generator_id].rows(params)
     _check_size(f"example {name} --n {n}", n + max(extra_rows, 0), n)
-    if name == "riesz":
-        # A family member of size n draws from the seed (seed, n); `example
-        # riesz` draws from the bare --seed, which fixes its seeded output.
-        return generators.random_riesz(n, seed=args.seed), None
-    # A family member's size is its ambient dimension, n plus the extra rows.
-    params = {"complementDim": args.complement_dim}
-    return scaling._build_member(_FAMILY_ALIASES[name], n + extra_rows, params)
+    # The member's size is its ambient dimension, n plus the extra rows; it
+    # draws from the bare --seed, where a study's member draws from (seed, size).
+    return scaling._build_member(generator_id, n + extra_rows, params)
 
 
 def _cmd_example(args) -> int:
@@ -207,7 +193,7 @@ def _discretization(half_width: float, samples: int):
 
 
 def _cmd_family(args) -> int:
-    generator_id = _FAMILY_ALIASES.get(args.gen, args.gen)
+    generator_id = _aliases().get(args.gen, args.gen)
     sizes = _parse_int_list(args.sizes, "--sizes")
     parameters = {
         "seed": args.seed,
@@ -218,11 +204,11 @@ def _cmd_family(args) -> int:
     }
     spec = scaling.FamilySpec(generator_id, sizes, parameters)
     side = sizes[-1]
-    if generator_id.startswith("gabor"):
+    nodes = scaling._FAMILIES[generator_id].nodes
+    if nodes:
         # A member is grid x nodes; max(grid, nodes) squared is one simple rule.
-        kind = {"gaborPunctured": "punctured", "gaborALS": "als"}.get(generator_id, "lattice")
         grid = _discretization(args.half_width, args.samples).sample_count
-        side = max(grid, _gabor_nodes(kind, sizes[-1]))
+        side = max(grid, nodes(sizes[-1]))
     _check_size(f"family --gen {args.gen} --sizes {args.sizes}", side, side)
     report = scaling.run_family(spec)
     payload = {
@@ -249,7 +235,8 @@ def _gabor_points(args, sample_count: int):
         if not args.nodes:
             raise UsageError("--set file requires --nodes PATH")
         return matrixio.read_point_set(args.nodes, check_count), f"nodes {args.nodes}"
-    check_count(_gabor_nodes(args.set, args.nmax if args.set == "als" else args.max_index))
+    [nodes] = (f.nodes for f in scaling._FAMILIES.values() if f.gabor_set == args.set)
+    check_count(nodes(args.nmax if args.set == "als" else args.max_index))
     if args.set == "lattice":
         return generators.lattice_points(args.a, args.b, args.max_index), (
             f"lattice a={args.a} b={args.b} maxIndex={args.max_index}"
@@ -322,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=_cmd_dual)
 
     cmd = sub.add_parser("example", help="write a named example system to CSV")
-    cmd.add_argument("name", choices=_EXAMPLE_NAMES)
+    cmd.add_argument("name", choices=tuple(_aliases()))
     cmd.add_argument("--n", type=int, required=True, help="size parameter of the construction")
     _add_parameter(cmd, "--seed", "seed")
     _add_parameter(cmd, "--complement-dim", "complementDim")

@@ -27,7 +27,6 @@ import json
 import math
 import os
 import re
-import secrets
 import stat
 from contextlib import contextmanager, suppress
 from itertools import islice
@@ -81,7 +80,7 @@ def write_atomic(path: str, text) -> None:
     a new file gets 0o666 under the umask and a replaced file keeps its mode."""
     tmp_path = None
     try:
-        name = os.path.join(os.path.dirname(os.path.abspath(path)), f"{secrets.token_hex(8)}.tmp")
+        name = os.path.join(os.path.dirname(os.path.abspath(path)), f"{os.urandom(8).hex()}.tmp")
         fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp_path = name  # only once created: a file that was there is not ours to remove
         with suppress(FileNotFoundError):

@@ -1,10 +1,10 @@
 """Truncation-scaling studies: how system metrics grow with size.
 
-A family spec names a generator and a strictly increasing list of sizes.  For
-the weighted, alternating, Young, orthonormal and seeded-random families the
-size is the ambient dimension of the truncation (the Young construction with
-ambient dimension n uses n-1 vectors); for the Gabor families it is the
-lattice index bound, with the grid fixed by the discretization parameters.
+A family spec names a generator and a strictly increasing list of sizes.  Each
+generator is one `_FAMILIES` record, all that `scaling` and `cli` know of it, so
+a new family is one record plus its generator.  The size is the ambient
+dimension (the Young construction with ambient dimension n uses n-1 vectors),
+or for a Gabor family the lattice index bound, on the discretization's grid.
 
 Per size the study records the two-sided bound constants, the distance from a
 probe vector to the span, the dual's upper bound constant and the
@@ -26,13 +26,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import diagnostics, duals, generators
 from .errors import FitDomainError
-from .generators import GaborDiscretization, PointSet2D
+from .generators import GaborDiscretization, GeneratedPair, PointSet2D
 from .seqcore import VectorSequence, _independent
 
 #: Values below this are treated as "essentially zero" by the verdict rules.
@@ -41,22 +41,54 @@ ESSENTIALLY_ZERO = 1e-6
 _EXPONENT_BAND = 0.2
 _FIT_QUALITY_MIN = 0.9
 
-GENERATOR_IDS = (
-    "orthonormal",
-    "weightedPair",
-    "alternatingWeightedPair",
-    "youngExample",
-    "youngGeneral",
-    "rieszSeeded",
-    "gaborPunctured",
-    "gaborALS",
-    "gaborFullLattice",
-)
-
 #: Each family parameter and its default, whose type is the parameter's.
 _PARAMETER_DEFAULTS = {
     "seed": 0, "probeIndex": 0, "complementDim": 1, "halfWidth": 6.0, "samplesPerUnit": 16
 }
+
+
+class _Family(NamedTuple):
+    """A generator family: its `family --gen` alias and `example` name, or None;
+    the build of its member of a size, which calls `generators` when it runs,
+    so a wrapped or patched generator is the one called; the rows a member has
+    beyond its vectors, which `example` adds to --n, and the message refusing a
+    size of no more rows; for a Gabor family, its `gabor --set` kind and the node
+    count of an index bound, which make the grid the ambient dimension."""
+
+    alias: Optional[str]
+    build: Callable[[int, Mapping[str, object]], GeneratedPair]
+    rows: Callable[[Mapping[str, object]], int] = lambda p: 0
+    too_small: str = ""
+    gabor_set: Optional[str] = None
+    nodes: Optional[Callable[[int], int]] = None
+
+
+_FAMILIES = {
+    "orthonormal": _Family("orthonormal", lambda n, p: GeneratedPair(generators.orthonormal(n))),
+    "weightedPair": _Family("weighted", lambda n, p: generators.weighted_pair(n)),
+    "alternatingWeightedPair": _Family(
+        "alternating", lambda n, p: generators.alternating_weighted_pair(n)),
+    "youngExample": _Family(
+        "young", lambda n, p: generators.young_example(n - 1),
+        lambda p: 1, "youngExample needs ambient dimension >= 2"),
+    "youngGeneral": _Family(
+        "youngGeneral", lambda n, p: generators.young_general(
+            n - p["complementDim"], n - p["complementDim"], p["complementDim"]),
+        lambda p: p["complementDim"], "ambient dimension must exceed the complement dimension"),
+    "rieszSeeded": _Family(
+        "riesz", lambda n, p: GeneratedPair(generators.random_riesz(n, seed=p["seed"]))),
+    "gaborPunctured": _Family(
+        None, lambda n, p: _gabor_member(generators.punctured_lattice(n), p),
+        gabor_set="punctured", nodes=lambda index: (2 * index + 1) ** 2),  # counted as full
+    "gaborALS": _Family(
+        None, lambda n, p: _gabor_member(generators.als_point_set(n), p),
+        gabor_set="als", nodes=lambda index: 2 + 4 * index),
+    "gaborFullLattice": _Family(
+        None, lambda n, p: _gabor_member(generators.lattice_points(1.0, 1.0, n), p),
+        gabor_set="lattice", nodes=lambda index: (2 * index + 1) ** 2),
+}
+
+GENERATOR_IDS = tuple(_FAMILIES)
 
 #: JSON metric name -> SizeMetrics attribute.
 METRIC_FIELDS = (
@@ -89,9 +121,9 @@ class FamilySpec:
     parameters: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.generator_id not in GENERATOR_IDS:
+        if self.generator_id not in _FAMILIES:
             raise ValueError(
-                f"unknown generator {self.generator_id!r}; expected one of {GENERATOR_IDS}"
+                f"unknown generator {self.generator_id!r}; expected one of {tuple(_FAMILIES)}"
             )
         sizes = tuple(int(s) for s in self.sizes)
         if len(sizes) < 3:
@@ -196,33 +228,14 @@ def _gabor_disc(params: dict) -> GaborDiscretization:
     return GaborDiscretization(params["halfWidth"], params["samplesPerUnit"])
 
 
+def _gabor_member(points: PointSet2D, params: Mapping[str, object]) -> GeneratedPair:
+    return GeneratedPair(generators.gaussian_gabor(points, _gabor_disc(params)))
+
+
 def _build_member(generator_id: str, size: int, params: dict):
     """Build one truncation; returns (system, designated partner or None)."""
-    if generator_id == "orthonormal":
-        return generators.orthonormal(size), None
-    if generator_id == "weightedPair":
-        pair = generators.weighted_pair(size)
-        return pair.primal, pair.partner
-    if generator_id == "alternatingWeightedPair":
-        pair = generators.alternating_weighted_pair(size)
-        return pair.primal, pair.partner
-    if generator_id == "youngExample":
-        pair = generators.young_example(size - 1)
-        return pair.primal, pair.partner
-    if generator_id == "youngGeneral":
-        complement = params["complementDim"]
-        pair = generators.young_general(size - complement, size - complement, complement)
-        return pair.primal, pair.partner
-    if generator_id == "rieszSeeded":
-        return generators.random_riesz(size, seed=(params["seed"], size)), None
-    disc = _gabor_disc(params)
-    if generator_id == "gaborPunctured":
-        points = generators.punctured_lattice(size)
-    elif generator_id == "gaborALS":
-        points = generators.als_point_set(size)
-    else:  # gaborFullLattice
-        points = generators.lattice_points(1.0, 1.0, size)
-    return generators.gaussian_gabor(points, disc), None
+    pair = _FAMILIES[generator_id].build(size, params)
+    return pair.primal, pair.partner
 
 
 @contextmanager
@@ -243,19 +256,19 @@ def _size_errors(size: int):
 
 def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
     """One report row, computed on the calling thread.  The preconditions that
-    need no member built come first: the Young size rules, then the probe
-    index against the size's ambient dimension (the grid for the Gabor
-    families)."""
+    need no member built come first: the family's size rule, then the probe
+    index against the size's ambient dimension (the grid for a Gabor family).
+    The member of size n draws from the seed (seed, n), its own stream."""
+    family = _FAMILIES[generator_id]
     with _size_errors(size):
-        if generator_id == "youngExample" and size < 2:
-            raise ValueError("youngExample needs ambient dimension >= 2")
-        if generator_id == "youngGeneral" and size <= params["complementDim"]:
-            raise ValueError("ambient dimension must exceed the complement dimension")
-        dim = _gabor_disc(params).sample_count if generator_id.startswith("gabor") else size
+        if size <= family.rows(params):
+            raise ValueError(family.too_small)
+        dim = _gabor_disc(params).sample_count if family.nodes else size
         index = params["probeIndex"]
         if not 0 <= index < dim:
             raise ValueError(f"probe index {index} outside ambient dimension {dim}")
-        system, partner = _build_member(generator_id, size, params)
+        member_params = {**params, "seed": (params["seed"], size)}
+        system, partner = _build_member(generator_id, size, member_params)
         lower, upper = diagnostics.riesz_bounds(system)
         probe = np.zeros(system.dim, dtype=complex)
         probe[index] = 1.0
@@ -298,8 +311,8 @@ def run_family(spec: FamilySpec) -> ScalingReport:
 
     The sizes are evaluated one after another, smallest first, on the
     calling thread, so no larger size is built after a failing one.  A size's
-    preconditions fail only if they fail at every smaller size (the Young
-    rules fail below a threshold, and the probe bound, the ambient dimension,
+    preconditions fail only if they fail at every smaller size (a size rule
+    fails below a threshold, and the probe bound, the ambient dimension,
     does not decrease with size), so a precondition failure is reported at
     the smallest size, before any member is built.
     """

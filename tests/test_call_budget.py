@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import rieszlab
-from rieszlab import VectorSequence, classify, duals, random_riesz
+from rieszlab import VectorSequence, classify, duals, random_riesz, scaling
 from rieszlab.cli import main
 from rieszlab.generators import (
     RIESZ_CONDITION_LIMIT,
@@ -245,20 +245,29 @@ def test_gabor_refine_factors_each_rate_once(lapack_calls, capsys):
 # for the probe distance.  A family without a designated partner reads its
 # dual metrics off that SVD's rank decision and builds no dual; a designated
 # partner adds its SVD and eigensolve and one SVD inside the identity-residual
-# norm.  Three sizes per family; the Gabor and Young members are incomplete.
-@pytest.mark.parametrize(
-    "generator, sizes, budget",
-    [
-        ("rieszSeeded", (8, 16, 32), (3, 0, 0, 0)),
-        ("orthonormal", (8, 16, 32), (3, 0, 0, 0)),
-        ("gaborPunctured", (1, 2, 3), (3, 0, 0, 3)),
-        ("weightedPair", (8, 16, 32), (9, 3, 0, 0)),
-        ("youngExample", (8, 16, 32), (9, 3, 0, 3)),
-    ],
-)
+# norm.  Three sizes per family, every family of `scaling._FAMILIES`; the
+# Gabor and Young members are incomplete.
+FAMILY_BUDGETS = [
+    ("rieszSeeded", (8, 16, 32), (3, 0, 0, 0)),
+    ("orthonormal", (8, 16, 32), (3, 0, 0, 0)),
+    ("gaborPunctured", (1, 2, 3), (3, 0, 0, 3)),
+    ("weightedPair", (8, 16, 32), (9, 3, 0, 0)),
+    ("youngExample", (8, 16, 32), (9, 3, 0, 3)),
+    ("alternatingWeightedPair", (8, 16, 32), (9, 3, 0, 0)),
+    ("youngGeneral", (8, 16, 32), (9, 3, 0, 3)),
+    ("gaborALS", (1, 2, 3), (3, 0, 0, 3)),
+    ("gaborFullLattice", (1, 2, 3), (3, 0, 0, 3)),
+]
+
+
+@pytest.mark.parametrize("generator, sizes, budget", FAMILY_BUDGETS)
 def test_run_family(generator, sizes, budget, lapack_calls):
     run_family(FamilySpec(generator, sizes))
     assert_within(lapack_calls, *budget)
+
+
+def test_every_family_has_a_budget():
+    assert sorted(row[0] for row in FAMILY_BUDGETS) == sorted(scaling._FAMILIES)
 
 
 @pytest.mark.parametrize(

@@ -360,6 +360,128 @@ class TestUsage:
         assert json.loads(proc.stdout)["verdict"] == "RieszBasis"
 
 
+#: The help texts at 80 columns, as argparse formats them on Python 3.11.
+HELP_TEXTS = {
+    (): """\
+usage: rieszlab [-h] {analyze,dual,example,family,gabor} ...
+
+Diagnostics for finite vector systems: two-sided bounds, duals, named
+examples, Gabor systems and scaling studies.
+
+positional arguments:
+  {analyze,dual,example,family,gabor}
+    analyze             classify a matrix file and report its bounds
+    dual                write the minimal biorthogonal dual of a matrix file
+    example             write a named example system to CSV
+    family              run a truncation-scaling study
+    gabor               build a Gaussian Gabor system and report bounds
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("family",): """\
+usage: rieszlab family [-h] --gen GEN --sizes SIZES [--seed SEED]
+                       [--probe-index PROBE_INDEX]
+                       [--complement-dim COMPLEMENT_DIM]
+                       [--half-width HALF_WIDTH] [--samples SAMPLES]
+                       [--json PATH] [--csv PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --gen GEN             generator name (young, weighted, ...)
+  --sizes SIZES         comma-separated, strictly increasing
+  --seed SEED
+  --probe-index PROBE_INDEX
+  --complement-dim COMPLEMENT_DIM
+  --half-width HALF_WIDTH
+  --samples SAMPLES
+  --json PATH
+  --csv PATH            per-size metrics as flat CSV
+""",
+    ("example",): """\
+usage: rieszlab example [-h] --n N [--seed SEED]
+                        [--complement-dim COMPLEMENT_DIM] [--out PREFIX]
+                        {orthonormal,weighted,alternating,young,youngGeneral,riesz}
+
+positional arguments:
+  {orthonormal,weighted,alternating,young,youngGeneral,riesz}
+
+options:
+  -h, --help            show this help message and exit
+  --n N                 size parameter of the construction
+  --seed SEED
+  --complement-dim COMPLEMENT_DIM
+  --out PREFIX, -o PREFIX
+                        output prefix (default: the name)
+""",
+    ("gabor",): """\
+usage: rieszlab gabor [-h] --set {lattice,punctured,als,file}
+                      [--max-index MAX_INDEX] [--nmax NMAX] [--a A] [--b B]
+                      [--nodes PATH] [--half-width HALF_WIDTH]
+                      [--samples SAMPLES] [--refine RATES]
+                      [--dump-matrix PATH] [--json PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --set {lattice,punctured,als,file}
+  --max-index MAX_INDEX
+  --nmax NMAX
+  --a A
+  --b B
+  --nodes PATH          point-set CSV for --set file
+  --half-width HALF_WIDTH
+  --samples SAMPLES
+  --refine RATES        extra sampling rates, e.g. 8,32
+  --dump-matrix PATH
+  --json PATH
+""",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse layout of Python 3.11")
+@pytest.mark.parametrize("command", list(HELP_TEXTS), ids=lambda c: " ".join(c) or "rieszlab")
+def test_help_text(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(*command, "--help") == 0
+    assert capsys.readouterr() == (HELP_TEXTS[command], "")
+
+
+def test_unknown_generator_lists_the_ids(capsys):
+    assert run_cli("family", "--gen", "nope", "--sizes", "1,2,3") == 2
+    assert capsys.readouterr() == ("", (
+        "error: unknown generator 'nope'; expected one of ('orthonormal', 'weightedPair', "
+        "'alternatingWeightedPair', 'youngExample', 'youngGeneral', 'rieszSeeded', "
+        "'gaborPunctured', 'gaborALS', 'gaborFullLattice')\n"
+    ))
+
+
+def test_a_family_is_one_table_record(tmp_path, monkeypatch, capsys):
+    # The pair (2 e_k), (e_k / 2): one record, and nothing else, makes it a
+    # `family` generator under its id and its alias, and an `example` name.
+    def build(n, params):
+        return generators.GeneratedPair(
+            *(VectorSequence.from_columns(scale * np.eye(n)) for scale in (2.0, 0.5))
+        )
+
+    monkeypatch.setitem(scaling._FAMILIES, "doubled", scaling._Family("twice", build))
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    for gen in ("doubled", "twice"):
+        assert run_cli("family", "--gen", gen, "--sizes", "2,3,4") == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err == "" and report["input"] == "family:doubled sizes=2,3,4 seed=0"
+        assert [row["size"] for row in report["perSize"]] == [2, 3, 4]
+        for row in report["perSize"]:
+            assert row["rieszLowerF"] == pytest.approx(4.0)
+            assert row["besselUpperDual"] == pytest.approx(0.25)
+            assert row["dualityResidual"] == pytest.approx(0.0, abs=1e-12)
+    assert run_cli("example", "twice", "--n", "3", "-o", str(tmp_path / "t")) == 0
+    assert capsys.readouterr().out.splitlines() == [str(tmp_path / f"t_{s}.csv") for s in "FG"]
+    for side, scale in (("F", 2.0), ("G", 0.5)):
+        np.testing.assert_array_equal(read_matrix(str(tmp_path / f"t_{side}.csv")).columns,
+                                      scale * np.eye(3))
+
+
 # One row per failure mode of the documented exit codes 0/2/3/4/5, beside the
 # cases the classes above already cover.  {dir} is the test's directory, which
 # holds basis.csv (a 3x3 basis), ill.csv, wide.csv, far.csv, utf16.csv (not

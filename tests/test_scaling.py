@@ -143,6 +143,15 @@ class TestRunFamily:
         inline = [_evaluate_size(spec.generator_id, s, spec.parameters) for s in spec.sizes]
         assert list(run_family(spec).per_size) == inline
 
+    @pytest.mark.parametrize("generator", [g for g, f in scaling._FAMILIES.items() if f.nodes])
+    def test_node_count_is_the_members_column_count(self, generator):
+        # The size check's count; a punctured lattice is counted as the full one.
+        family = scaling._FAMILIES[generator]
+        params = FamilySpec(generator, (1, 2, 3)).parameters
+        for index in (1, 2, 3):
+            count = family.build(index, params).primal.count
+            assert family.nodes(index) == count + (generator == "gaborPunctured")
+
     def test_every_size_failing_reports_the_smallest(self):
         # Sizes are evaluated smallest first, so the smallest failure is the first.
         with pytest.raises(ValueError, match="^size 1: "):
