@@ -13,9 +13,11 @@ for nodes (t1, m1), (t2, m2).
 
 A sampled Gabor system is built from its distinct time shifts and
 modulations: a (2M+1)^2 lattice needs the Gaussian envelope at 2M+1 shifts
-and the phase at 2M+1 modulations, not at every node, and the columns are
-bit-identical to evaluating both factors at every node, except for the sign of
-an underflowed zero (see `gaussian_gabor`).
+and the phase at 2M+1 modulations, not at every node.  Each phase is the
+product of two small exponential tables, one over a coarse grid and one over
+the fine offsets within a coarse step, so an L-point grid costs about
+2 sqrt(L) complex exponentials per distinct modulation instead of L; the
+entries agree with the per-node formula to rounding (see `gaussian_gabor`).
 
 Every generator except `riesz_from_operator`, whose caller owns the operator,
 builds a fresh C-contiguous complex128 array and hands it to the private
@@ -251,6 +253,18 @@ def young_general(subspace_dim: int, n_vectors: int, complement_dim: int = 1) ->
     return GeneratedPair(VectorSequence._adopt(primal_cols), VectorSequence._adopt(partner_cols))
 
 
+def _phase_table(x: np.ndarray, mus: np.ndarray, samples_per_unit: int) -> np.ndarray:
+    """exp(2 pi i mu x) on the nonempty grid x of step 1/samples_per_unit, one
+    column per mu, as the product of a coarse table at every step-th grid
+    point and a fine table over the offsets b/samples_per_unit, b < step =
+    isqrt(len(x))."""
+    step = math.isqrt(x.size)
+    coarse = np.exp(2j * np.pi * x[::step, None] * mus)
+    fine = np.exp(2j * np.pi * (np.arange(step) / samples_per_unit)[:, None] * mus)
+    # Row a*step + b is coarse[a] * fine[b]; the rows past the grid are dropped.
+    return (coarse[:, None] * fine).reshape(-1, mus.size)[: x.size]
+
+
 def gaussian_gabor(points: PointSet2D, disc: GaborDiscretization) -> VectorSequence:
     """Sampled Gaussian Gabor system, one column per node (tau, mu).
 
@@ -260,13 +274,22 @@ def gaussian_gabor(points: PointSet2D, disc: GaborDiscretization) -> VectorSeque
 
     The build is separable: the normalized envelope is evaluated once per
     distinct tau and the phase once per distinct mu, and each column is the
-    product of its node's two factors.  Entries are bit-identical to the
-    per-node formula, since each one goes through the same operations on the
-    same operands, with one exception: where |x_l - tau| exceeds about 15.4
-    (possible once X > 9.2) the envelope underflows, and the sign of the zero
-    imaginary part depends on the multiply loop numpy picks for the operands'
-    layout.  Distinct values are told apart by their bit pattern, so -0.0 and
-    0.0 each keep the factor the per-node formula gives them.
+    product of its node's two factors.  Distinct values are told apart by
+    their bit pattern, so -0.0 and 0.0 each keep their own factor.
+
+    The phase comes from two tables.  With L grid points and a step
+    B = isqrt(L), exp(2 pi i mu x) is evaluated at the coarse points
+    x_0, x_B, x_2B, ... and exp(2 pi i mu b/s) at the fine offsets b < B;
+    the phase at x_(aB+b) is their product.  That is ceil(L/B) + B complex
+    exponentials per distinct mu, about 2 sqrt(L), and one complex multiply
+    per entry.  Entries move from the per-node formula in their last bits
+    but are as accurate: each lies within 4 eps * (1 + 2 pi |mu| X) times
+    its modulus of the exact phase at -X + l/s, as the per-node formula's
+    entries do.  Two properties hold exactly.  The phase angle of -mu is
+    the negated angle of mu, and a product of conjugates is the conjugate
+    of the product, so the columns of (tau, mu) and (tau, -mu) are exact
+    conjugates, up to the sign of a zero (as where x_l = 0).  A column with
+    mu = +-0 is real, its entries bit-identical to the per-node formula's.
     """
     taus, mus = np.array(points.nodes).T
     safe = disc.half_width - SAFE_WINDOW_MARGIN
@@ -278,7 +301,7 @@ def gaussian_gabor(points: PointSet2D, disc: GaborDiscretization) -> VectorSeque
     tau_keys, tau_index = np.unique(taus.view(np.uint64), return_inverse=True)
     mu_keys, mu_index = np.unique(mus.view(np.uint64), return_inverse=True)
     envelopes = disc.normalization * np.exp(-np.pi * (x[:, None] - tau_keys.view(float)) ** 2)
-    phases = np.exp(2j * np.pi * x[:, None] * mu_keys.view(float))
+    phases = _phase_table(x, mu_keys.view(float), disc.samples_per_unit)
     # Gathered by np.take, the product is C-contiguous: adopted, not copied.
     columns = np.take(envelopes, tau_index, axis=1) * np.take(phases, mu_index, axis=1)
     return VectorSequence._adopt(columns)

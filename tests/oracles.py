@@ -10,9 +10,12 @@ the one-line draw the generator's in-place arithmetic must reproduce.
 The `complex_*` oracles redo the library's kernels on complex128 copies, so a
 real system factored in real arithmetic can be checked against complex
 arithmetic.
+Sampled Gabor phases also have an exact-argument reference, reduced in
+rational arithmetic.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -178,14 +181,31 @@ def dense_separation(nodes):
 
 def dense_gabor_columns(nodes, disc):
     """Sampled Gabor columns with both factors evaluated at every (grid point, node):
-    sqrt(1/s) * exp(-pi (x - tau)^2) * exp(2 pi i mu x), the operations of
-    `generators.gaussian_gabor` in the same order, without its distinct-value split."""
+    sqrt(1/s) * exp(-pi (x - tau)^2) * exp(2 pi i mu x), the per-node formula
+    that `generators.gaussian_gabor` matches to rounding, without its
+    distinct-value split or its phase table."""
     x = disc.grid()
     taus = np.array([t for t, _ in nodes])
     mus = np.array([m for _, m in nodes])
     envelopes = np.exp(-np.pi * (x[:, None] - taus[None, :]) ** 2)
     phases = np.exp(2j * np.pi * x[:, None] * mus[None, :])
     return disc.normalization * envelopes * phases
+
+
+def exact_gabor_phases(mus, disc, rows):
+    """exp(2 pi i mu x_l) at the ideal grid points x_l = -X + l/s, one row per l
+    in `rows` and one column per mu.  mu * x_l is reduced exactly, in rational
+    arithmetic, to its remainder r in [-1/2, 1/2] from the nearest integer, so
+    only cos(2 pi r) and sin(2 pi r) round."""
+    half_width = Fraction(disc.half_width)
+    phases = np.empty((len(rows), len(mus)), dtype=complex)
+    for j, mu in enumerate(mus):
+        mu = Fraction(mu)
+        for i, l in enumerate(rows):
+            turns = mu * (Fraction(int(l), disc.samples_per_unit) - half_width)
+            angle = 2.0 * math.pi * float(turns - round(turns))
+            phases[i, j] = complex(math.cos(angle), math.sin(angle))
+    return phases
 
 
 def gaussian_inner_product(tau1, mu1, tau2, mu2):

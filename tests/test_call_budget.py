@@ -13,6 +13,7 @@ eigensolved matrix, which pins the Gram route to the smaller Gram product.
 
 import inspect
 import json
+import math
 import sys
 import threading
 from collections import Counter, defaultdict
@@ -364,3 +365,26 @@ def test_gabor_lattice_evaluates_each_factor_once_per_distinct_value(monkeypatch
     disc = GaborDiscretization(8.0, 16)
     gaussian_gabor(lattice_points(1.0, 1.0, max_index), disc)
     assert 0 < sum(counted) <= disc.sample_count * 2 * (2 * max_index + 1)
+
+
+def test_gabor_phase_table_evaluates_two_small_tables_per_modulation(monkeypatch):
+    # Jittered nodes have as many distinct modulations as nodes.  Each one
+    # costs ceil(L/B) coarse and B fine complex exponentials, B = isqrt(L),
+    # not one per grid point.
+    counted = []
+    original = np.exp
+
+    def exp(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            counted.append(np.size(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", exp)
+    nodes = np.array(lattice_points(1.0, 1.0, 3).nodes)
+    nodes += np.random.default_rng(5).uniform(-0.2, 0.2, nodes.shape)
+    points = PointSet2D(tuple(map(tuple, nodes)))
+    disc = GaborDiscretization(8.0, 16)
+    gaussian_gabor(points, disc)
+    rows, step = disc.sample_count, math.isqrt(disc.sample_count)
+    assert len({m for _, m in points.nodes}) == len(points)
+    assert 0 < sum(counted) <= (-(-rows // step) + step) * len(points)

@@ -34,6 +34,18 @@ from rieszlab import (
 from rieszlab.seqcore import _gram_entries
 
 GAUSS_NORM = 2.0 ** -0.25  # L2 norm of exp(-pi x^2)
+EPS = np.finfo(float).eps
+#: A sampled Gabor entry lies within this many eps * (1 + 2 pi |mu| X) times
+#: its modulus of the exact phase at -X + l/s; both the phase table and the
+#: dense per-node formula stay below 1.4 on the sets tested here.
+PHASE_ERROR_BOUND = 4.0
+#: The absolute floor of that bound, for envelopes that underflow.
+PHASE_ERROR_FLOOR = 4 * np.finfo(float).smallest_subnormal
+
+_JITTER = np.array(lattice_points(1.0, 1.0, 2).nodes)
+_JITTER += np.random.default_rng(7).uniform(-0.2, 0.2, _JITTER.shape)
+#: Jittered nodes together with their mirror images (tau, -mu).
+SYMMETRIC_JITTERED = PointSet2D(tuple((t, s * m) for t, m in _JITTER for s in (1.0, -1.0)))
 
 
 class _Draws:
@@ -48,6 +60,26 @@ class _Draws:
             return draw
         out[...] = draw
         return out
+
+
+def phase_errors(columns, points, disc, rows):
+    """Each entry's distance from envelope * exact phase, in units of
+    eps * (1 + 2 pi |mu| X) * envelope + PHASE_ERROR_FLOOR."""
+    taus, mus = np.array(points.nodes).T
+    envelope = disc.normalization * np.exp(-np.pi * (disc.grid()[rows, None] - taus) ** 2)
+    keys, index = np.unique(mus, return_inverse=True)
+    exact = envelope * oracles.exact_gabor_phases(keys, disc, rows)[:, index]
+    scale = EPS * (1.0 + 2.0 * np.pi * np.abs(mus) * disc.half_width) * envelope
+    return np.abs(columns[rows] - exact) / (scale + PHASE_ERROR_FLOOR)
+
+
+def assert_phase_contract(points, disc, reference):
+    """`gaussian_gabor(points, disc)` meets PHASE_ERROR_BOUND on every row, and
+    its largest error is at most twice that of the reference columns."""
+    rows = np.arange(disc.sample_count)
+    built = phase_errors(gaussian_gabor(points, disc).columns, points, disc, rows)
+    assert built.max() <= PHASE_ERROR_BOUND
+    assert built.max() <= 2.0 * phase_errors(reference, points, disc, rows).max()
 
 
 def pair_systems(pair):
@@ -399,14 +431,13 @@ class TestGaussianGabor:
 
     def test_columns_match_direct_formula(self):
         node = (1.5, -2.0)
-        system = gaussian_gabor(PointSet2D((node,)), self.disc)
         x = self.disc.grid()
-        expected = (
+        direct = (
             self.disc.normalization
             * np.exp(-np.pi * (x - node[0]) ** 2)
             * np.exp(2j * np.pi * node[1] * x)
         )
-        np.testing.assert_allclose(system.columns[:, 0], expected, rtol=1e-14)
+        assert_phase_contract(PointSet2D((node,)), self.disc, direct[:, None])
 
     @pytest.mark.parametrize("disc", [GaborDiscretization(8.0, 16), GaborDiscretization(7.5, 10)])
     @pytest.mark.parametrize(
@@ -427,24 +458,62 @@ class TestGaussianGabor:
              "jittered", "single", "signed-zeros"],
     )
     def test_bit_identical_to_dense_formula(self, points, disc):
-        # With |tau| <= X - 3, no grid point lies more than 2X - 3 <= 13 from a
-        # node's shift, short of the ~15.4 where the envelope underflows and a
-        # zero's sign may depend on numpy's multiply loop.
-        built = gaussian_gabor(points, disc).columns
-        dense = oracles.dense_gabor_columns(points.nodes, disc)
-        np.testing.assert_array_equal(built.view(np.uint64), dense.view(np.uint64))
+        # Accuracy against the exact phase, no worse than twice the dense
+        # formula's; the ids are kept from the bit-for-bit contract this replaced.
+        assert_phase_contract(points, disc, oracles.dense_gabor_columns(points.nodes, disc))
 
     def test_jittered_file_set_is_bit_identical_to_dense_formula(self, tmp_path):
-        # The nodes a `gabor --set file` command reads: written at 17 digits, read back.
+        # The nodes a `gabor --set file` command reads: written at 17 digits,
+        # read back.  The id is kept, as above.
         jittered = np.array(lattice_points(1.0, 1.0, 3).nodes)
         jittered += np.random.default_rng(11).uniform(-0.2, 0.2, jittered.shape)
         path = str(tmp_path / "nodes.csv")
         matrixio.write_point_set(path, PointSet2D(tuple(map(tuple, jittered))))
         points = matrixio.read_point_set(path)
         disc = GaborDiscretization(8.0, 16)
-        built = gaussian_gabor(points, disc).columns
-        dense = oracles.dense_gabor_columns(points.nodes, disc)
+        assert_phase_contract(points, disc, oracles.dense_gabor_columns(points.nodes, disc))
+
+    @pytest.mark.parametrize(
+        "points",
+        [lattice_points(1.0, 1.0, 3), punctured_lattice(4), als_point_set(4), SYMMETRIC_JITTERED],
+        ids=["lattice", "punctured", "als", "symmetric-jittered"],
+    )
+    @pytest.mark.parametrize("disc", [GaborDiscretization(8.0, 16), GaborDiscretization(7.5, 10)])
+    def test_opposite_modulations_give_conjugate_columns(self, points, disc):
+        # Exact as values: where x_l = 0 both columns read 1 + 0i times the envelope.
+        columns = gaussian_gabor(points, disc).columns
+        index = {node: k for k, node in enumerate(points.nodes)}
+        pairs = [(k, index[(t, -m)]) for (t, m), k in index.items() if m > 0.0]
+        assert pairs
+        for k, j in pairs:
+            np.testing.assert_array_equal(columns[:, k], columns[:, j].conj())
+
+    @pytest.mark.parametrize("disc", [GaborDiscretization(8.0, 16), GaborDiscretization(7.5, 10)])
+    def test_unmodulated_columns_are_the_dense_formula_bit_for_bit(self, disc):
+        points = PointSet2D(((0.0, 0.0), (1.0, -0.0), (-0.5, 0.0), (2.0, 1.5), (0.25, -1.5)))
+        unmodulated = [k for k, (_, m) in enumerate(points.nodes) if m == 0.0]
+        built = np.ascontiguousarray(gaussian_gabor(points, disc).columns[:, unmodulated])
+        dense = np.ascontiguousarray(oracles.dense_gabor_columns(points.nodes, disc)[:, unmodulated])
+        assert not built.imag.any()
         np.testing.assert_array_equal(built.view(np.uint64), dense.view(np.uint64))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 8, 9])
+    def test_phase_table_on_short_grids(self, rows):
+        # Grids too short for a safe window: the table alone, against the exact phase.
+        disc = GaborDiscretization(rows / 16, 8)
+        mus = np.array([0.0, -0.0, 0.5, -1.75, 3.0, 1.0 / 3.0])
+        table = generators._phase_table(disc.grid(), mus, disc.samples_per_unit)
+        exact = oracles.exact_gabor_phases(mus, disc, range(rows))
+        assert table.shape == (rows, mus.size)
+        scale = EPS * (1.0 + 2.0 * np.pi * np.abs(mus) * disc.half_width)
+        assert (np.abs(table - exact) <= PHASE_ERROR_BOUND * scale).all()
+
+    @pytest.mark.parametrize("rows", [64, 100, 144, 256, 89, 97, 101, 103, 107])
+    def test_square_and_prime_grid_lengths(self, rows):
+        disc = GaborDiscretization(rows / 16, 8)
+        points = lattice_points(0.5, 1.25, 2)
+        assert gaussian_gabor(points, disc).columns.shape == (rows, len(points))
+        assert_phase_contract(points, disc, oracles.dense_gabor_columns(points.nodes, disc))
 
     @pytest.mark.parametrize(
         "points", [lattice_points(1.0, 1.0, 2), punctured_lattice(2), als_point_set(2)],
