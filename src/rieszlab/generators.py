@@ -18,6 +18,10 @@ product of two small exponential tables, one over a coarse grid and one over
 the fine offsets within a coarse step, so an L-point grid costs about
 2 sqrt(L) complex exponentials per distinct modulation instead of L; the
 entries agree with the per-node formula to rounding (see `gaussian_gabor`).
+The distinct values are found once per point set and kept with it, so each
+rate of a refinement reuses them.  The system is assembled in the array it
+returns: the phases are gathered into it and the gathered envelopes
+multiplied into them in place.
 
 Every generator except `riesz_from_operator`, whose caller owns the operator,
 builds a fresh C-contiguous complex128 array and hands it to the private
@@ -27,6 +31,7 @@ it in place instead of copying it.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -35,7 +40,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError, SingularOperatorError, TruncationError
-from .seqcore import VectorSequence, _independent, _singular_values
+from .seqcore import VectorSequence, _independent, _read_only, _singular_values
 
 #: Time shifts must stay this far from the grid edge; three widths of the
 #: Gaussian leave a tail amplitude of exp(-9 pi) ~ 5e-13.
@@ -74,6 +79,19 @@ class PointSet2D:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    @functools.cached_property
+    def _split(self) -> tuple:
+        """The node analysis `gaussian_gabor` reads, once per point set: the
+        time shifts, then the distinct shifts and their inverse index, then
+        the distinct modulations and theirs.  Values are told apart by their
+        float64 bit pattern, so the keys are uint64.  The arrays are
+        read-only; derived from the frozen nodes, they take no part in
+        equality or hashing."""
+        taus, mus = np.array(self.nodes).T
+        tau_keys, tau_index = np.unique(taus.view(np.uint64), return_inverse=True)
+        mu_keys, mu_index = np.unique(mus.view(np.uint64), return_inverse=True)
+        return tuple(map(_read_only, (taus, tau_keys, tau_index, mu_keys, mu_index)))
 
 
 @dataclass(frozen=True)
@@ -275,7 +293,14 @@ def gaussian_gabor(points: PointSet2D, disc: GaborDiscretization) -> VectorSeque
     The build is separable: the normalized envelope is evaluated once per
     distinct tau and the phase once per distinct mu, and each column is the
     product of its node's two factors.  Distinct values are told apart by
-    their bit pattern, so -0.0 and 0.0 each keep their own factor.
+    their bit pattern, so -0.0 and 0.0 each keep their own factor; the point
+    set finds them on the first build and keeps them.  The phase table is
+    gathered into the result and freed before the envelopes are built, and
+    the gathered envelopes are multiplied into the result in place, so the
+    build holds the result, one factor table and one gathered envelope copy
+    (half the result's bytes) at most.  The product is phase * envelope, in
+    that order: numpy's complex multiply may fuse a product and a sum, so
+    where a product underflows the operand order sets the sign of its zero.
 
     The phase comes from two tables.  With L grid points and a step
     B = isqrt(L), exp(2 pi i mu x) is evaluated at the coarse points
@@ -291,19 +316,17 @@ def gaussian_gabor(points: PointSet2D, disc: GaborDiscretization) -> VectorSeque
     conjugates, up to the sign of a zero (as where x_l = 0).  A column with
     mu = +-0 is real, its entries bit-identical to the per-node formula's.
     """
-    taus, mus = np.array(points.nodes).T
+    taus, tau_keys, tau_index, mu_keys, mu_index = points._split
     safe = disc.half_width - SAFE_WINDOW_MARGIN
     outside = np.flatnonzero(np.abs(taus) > safe)
     if outside.size:
         tau, mu = points.nodes[outside[0]]
         raise TruncationError(f"node ({tau}, {mu}) outside the safe window |tau| <= {safe}")
     x = disc.grid()
-    tau_keys, tau_index = np.unique(taus.view(np.uint64), return_inverse=True)
-    mu_keys, mu_index = np.unique(mus.view(np.uint64), return_inverse=True)
+    # The gathered phases become the result, C-contiguous: adopted, not copied.
+    columns = np.take(_phase_table(x, mu_keys.view(float), disc.samples_per_unit), mu_index, axis=1)
     envelopes = disc.normalization * np.exp(-np.pi * (x[:, None] - tau_keys.view(float)) ** 2)
-    phases = _phase_table(x, mu_keys.view(float), disc.samples_per_unit)
-    # Gathered by np.take, the product is C-contiguous: adopted, not copied.
-    columns = np.take(envelopes, tau_index, axis=1) * np.take(phases, mu_index, axis=1)
+    np.multiply(columns, np.take(envelopes, tau_index, axis=1), out=columns)
     return VectorSequence._adopt(columns)
 
 

@@ -32,7 +32,7 @@ kernel view.  The column route (the column SVD and the least-squares solve of
 `span_distance`, which depend only on the singular values and the complex
 span) reads the real twin [real columns, sqrt(2) Re f, sqrt(2) Im f] = F U,
 U unitary, instead, when the complex columns split exactly into conjugate
-pairs (f, conj f).
+pairs (f, conj f), checked entry by entry in float comparisons.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ def _as_complex_array(values, name: str, ndim: int, copy: bool = True) -> np.nda
     if arr.ndim != ndim:
         shape_name = "two-dimensional" if ndim == 2 else "one-dimensional"
         raise DimensionError(f"{name} must be {shape_name}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # An entry is finite when both its parts are: one pass over the float64 view.
+    if not np.isfinite(arr.view(float)).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -213,7 +214,11 @@ def _real_twin(seq: VectorSequence) -> np.ndarray:
     complex span of F.  Pairs are found by their column sums, which must
     match up exactly and uniquely, and confirmed entry by entry (-0.0 equals
     0.0, as in the kernel view); any miss keeps the complex kernel.  A
-    system whose sums cannot pair is left before anything is copied.
+    system whose sums cannot pair is left before anything is copied.  The
+    first member of each pair has its real and imaginary parts written
+    straight into the twin; each partner is then checked against them as
+    floats, real parts equal and imaginary parts negated, so no complex copy
+    of either member is made.  Only a confirmed twin is scaled by sqrt(2).
     """
     cols, kernel = seq.columns, seq._kernel
     if kernel is not cols:
@@ -233,15 +238,19 @@ def _real_twin(seq: VectorSequence) -> np.ndarray:
     if not np.array_equal(low, high.conj()) or np.any(low[1:] == low[:-1]):
         return kernel
     complex_index = np.flatnonzero(is_complex)
-    pairs = cols[:, complex_index[ranked[0::2]]]
-    partners = cols[:, complex_index[ranked[1::2]]]
-    if not np.array_equal(pairs, np.conjugate(partners, out=partners)):
-        return kernel
-    real_count, pair_count = cols.shape[1] - complex_index.size, pairs.shape[1]
+    members, partners = complex_index[ranked[0::2]], complex_index[ranked[1::2]]
+    real_count, pair_count = cols.shape[1] - complex_index.size, members.size
     twin = np.empty(cols.shape, order="F")
+    real_part = twin[:, real_count:real_count + pair_count]
+    imag_part = twin[:, real_count + pair_count:]
+    real_part[...] = cols.real[:, members]
+    imag_part[...] = cols.imag[:, members]
+    if not (np.array_equal(real_part, cols.real[:, partners])
+            and np.array_equal(imag_part, -cols.imag[:, partners])):
+        return kernel
     twin[:, :real_count] = cols.real[:, ~is_complex]
-    np.multiply(pairs.real, np.sqrt(2.0), out=twin[:, real_count:real_count + pair_count])
-    np.multiply(pairs.imag, np.sqrt(2.0), out=twin[:, real_count + pair_count:])
+    real_part *= np.sqrt(2.0)
+    imag_part *= np.sqrt(2.0)
     return _read_only(twin)
 
 

@@ -11,13 +11,17 @@ The `complex_*` oracles redo the library's kernels on complex128 copies, so a
 real system factored in real arithmetic can be checked against complex
 arithmetic.
 Sampled Gabor phases also have an exact-argument reference, reduced in
-rational arithmetic.
+rational arithmetic.  Two references keep the gather-based forms the in-place
+Gabor build and the real twin must reproduce bit for bit; the Gabor one takes
+its phase table from the library, since only the assembly is under test.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from rieszlab import generators
 
 
 def gaussian_draw(rng, n):
@@ -190,6 +194,56 @@ def dense_gabor_columns(nodes, disc):
     envelopes = np.exp(-np.pi * (x[:, None] - taus[None, :]) ** 2)
     phases = np.exp(2j * np.pi * x[:, None] * mus[None, :])
     return disc.normalization * envelopes * phases
+
+
+def gathered_gabor_columns(points, disc):
+    """Sampled Gabor columns assembled from gathered copies of both factor
+    tables, `np.take(envelopes) * np.take(phases)`, each table built once per
+    distinct value (by bit pattern) as `generators.gaussian_gabor` builds it.
+
+    numpy may evaluate a product of two temporaries in the buffer of one of
+    them: for a product of at least 256 KiB it computes phases * envelopes in
+    the phase buffer.  Its complex multiply may fuse a product and a sum, so
+    the operand order can set the sign of an imaginary part whose product
+    underflows to zero; below that size this reference takes the envelope
+    first and such a zero may take the other sign."""
+    taus, mus = np.array(points.nodes).T
+    x = disc.grid()
+    tau_keys, tau_index = np.unique(taus.view(np.uint64), return_inverse=True)
+    mu_keys, mu_index = np.unique(mus.view(np.uint64), return_inverse=True)
+    envelopes = disc.normalization * np.exp(-np.pi * (x[:, None] - tau_keys.view(float)) ** 2)
+    phases = generators._phase_table(x, mu_keys.view(float), disc.samples_per_unit)
+    return np.take(envelopes, tau_index, axis=1) * np.take(phases, mu_index, axis=1)
+
+
+def gathered_real_twin(columns):
+    """The real twin [real columns, sqrt(2) Re f, sqrt(2) Im f] of complex
+    columns that split exactly into conjugate pairs (f, conj f), built from
+    complex copies of both members of every pair, column-major; None when
+    they do not split.  Pairs are matched by their column sums as
+    `seqcore._real_twin` matches them."""
+    cols = np.asarray(columns)
+    sums = cols.sum(axis=0)
+    is_complex = sums.imag != 0.0
+    is_complex[~is_complex] = cols.imag[:, ~is_complex].any(axis=0)
+    sums = sums[is_complex]
+    if sums.size % 2:
+        return None
+    ranked = np.lexsort((sums.imag, np.abs(sums.imag), sums.real))
+    low, high = sums[ranked[0::2]], sums[ranked[1::2]]
+    if not np.array_equal(low, high.conj()) or np.any(low[1:] == low[:-1]):
+        return None
+    complex_index = np.flatnonzero(is_complex)
+    pairs = cols[:, complex_index[ranked[0::2]]]
+    partners = cols[:, complex_index[ranked[1::2]]]
+    if not np.array_equal(pairs, np.conjugate(partners)):
+        return None
+    real_count, pair_count = cols.shape[1] - complex_index.size, pairs.shape[1]
+    twin = np.empty(cols.shape, order="F")
+    twin[:, :real_count] = cols.real[:, ~is_complex]
+    np.multiply(pairs.real, np.sqrt(2.0), out=twin[:, real_count:real_count + pair_count])
+    np.multiply(pairs.imag, np.sqrt(2.0), out=twin[:, real_count + pair_count:])
+    return twin
 
 
 def exact_gabor_phases(mus, disc, rows):

@@ -242,6 +242,26 @@ def test_gabor_refine_factors_each_rate_once(lapack_calls, capsys):
     assert_within(lapack_calls, svd=3, eigvalsh=0, solve=0)
 
 
+def test_gabor_refine_analyzes_its_point_set_once(monkeypatch, tmp_path, capsys):
+    # Three rates, one node analysis: np.unique runs once for the shifts and
+    # once for the modulations, on the first build.
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(np.size(a[0])) or unique(*a, **k))
+    nodes = np.array(lattice_points(1.0, 1.0, 2).nodes)
+    nodes += np.random.default_rng(3).uniform(-0.2, 0.2, nodes.shape)
+    path = str(tmp_path / "nodes.csv")
+    write_point_set(path, PointSet2D(tuple(map(tuple, nodes))))
+    for argv, count in (
+        (["gabor", "--set", "punctured", "--max-index", "2"], 24),
+        (["gabor", "--set", "file", "--nodes", path], 25),
+    ):
+        calls.clear()
+        assert main([*argv, "--samples", "32", "--refine", "24,40"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["refinement"]["perSize"]) == 3
+        assert calls == [count, count]
+
+
 # Per size: the member's SVD and, for an incomplete member only, one lstsq
 # for the probe distance.  A family without a designated partner reads its
 # dual metrics off that SVD's rank decision and builds no dual; a designated

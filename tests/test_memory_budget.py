@@ -16,13 +16,14 @@ import pytest
 
 import oracles
 from memtrace import traced_peak
-from rieszlab import VectorSequence, cli
-from rieszlab.matrixio import write_matrix
+from rieszlab import PointSet2D, VectorSequence, cli, lattice_points
+from rieszlab.matrixio import write_matrix, write_point_set
 
 #: (command, input or generator, size) -> ceiling on traced peak / estimate:
 #: the multiple measured with numpy 2.4.6 plus 1%, rounded up.  The size is
 #: the matrix side for analyze and dual, --n for example, the largest of
-#: --sizes for family and --max-index for gabor.
+#: --sizes for family, and for gabor the --max-index of the lattice, or of
+#: the jittered lattice window a file holds.
 BUDGETS = {
     ("analyze", "complex", 64): 5.14,
     ("analyze", "complex", 128): 5.08,
@@ -42,9 +43,12 @@ BUDGETS = {
     ("family", "riesz", 128): 1.54,
     ("family", "riesz", 256): 1.52,
     ("family", "riesz", 512): 1.52,
-    ("gabor", "lattice", 2): 3.94,
-    ("gabor", "lattice", 4): 2.52,
-    ("gabor", "lattice", 8): 2.52,
+    ("gabor", "lattice", 2): 2.72,
+    ("gabor", "lattice", 4): 2.01,
+    ("gabor", "lattice", 8): 2.02,
+    ("gabor", "file", 2): 3.33,
+    ("gabor", "file", 4): 2.46,
+    ("gabor", "file", 8): 2.12,
 }
 
 
@@ -55,6 +59,17 @@ def _matrix_file(kind, n, path):
         columns = np.random.default_rng(n).standard_normal((n, n))
     write_matrix(str(path), VectorSequence(columns))
     return str(path)
+
+
+def _jittered_file(max_index, tmp_path):
+    """The integer lattice window up to max_index, each node moved by up to 0.2
+    in each coordinate: every shift and modulation distinct, and no column the
+    conjugate of another, so the system is factored in complex arithmetic."""
+    nodes = np.array(lattice_points(1.0, 1.0, max_index).nodes)
+    nodes += np.random.default_rng(max_index).uniform(-0.2, 0.2, nodes.shape)
+    path = str(tmp_path / "nodes.csv")
+    write_point_set(path, PointSet2D(tuple(map(tuple, nodes))))
+    return path
 
 
 def _argv(command, kind, size, tmp_path):
@@ -69,8 +84,10 @@ def _argv(command, kind, size, tmp_path):
     if command == "family":
         sizes = f"{size // 4},{size // 2},{size}"
         return ["family", "--gen", kind, "--sizes", sizes, *report]
-    # Time shifts up to --max-index stay three widths inside the grid.
+    # Time shifts up to --max-index (plus jitter) stay three widths inside the grid.
     window = ["--half-width", str(size + 4)]
+    if kind == "file":
+        return ["gabor", "--set", "file", "--nodes", _jittered_file(size, tmp_path), *window, *report]
     return ["gabor", "--set", kind, "--max-index", str(size), *window, *report]
 
 

@@ -109,7 +109,8 @@ class TestTypes:
         isfinite = np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda arr: calls.append(arr.shape) or isfinite(arr))
         VectorSequence.from_columns(np.eye(4))
-        assert calls == [(4, 4)]
+        # One call, on the float64 view: both parts of all 16 entries.
+        assert calls == [(4, 8)]
 
     def test_sequence_needs_members(self):
         with pytest.raises(ValueError):
@@ -305,6 +306,27 @@ def test_near_miss_stays_complex(name):
     np.testing.assert_array_equal(_singular_values(seq), oracles.complex_singular_values(cols))
 
 
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("member", [0, 1])
+def test_gabor_pair_one_ulp_off_stays_complex(member, part):
+    # The pair (1, 1), (1, -1) of a punctured lattice, one entry of one member
+    # moved by one ulp where the envelope is about 1e-67: the column sums stay
+    # exact conjugates, so only the check of the partner's entries can fall back.
+    points = punctured_lattice(2)
+    cols = np.array(gaussian_gabor(points, GaborDiscretization(6.0, 16)).columns)
+    pair = [points.nodes.index((1.0, 1.0)), points.nodes.index((1.0, -1.0))]
+    assert oracles.gathered_real_twin(cols) is not None
+    before = cols[:, pair].sum(axis=0)
+    values = getattr(cols, part)
+    values[0, pair[member]] = np.nextafter(values[0, pair[member]], np.inf)
+    np.testing.assert_array_equal(cols[:, pair].sum(axis=0), before)
+    assert before[0] == before[1].conjugate()
+    seq = VectorSequence(cols)
+    assert oracles.gathered_real_twin(cols) is None
+    assert _real_twin(seq) is seq.columns
+    np.testing.assert_array_equal(_singular_values(seq), oracles.complex_singular_values(cols))
+
+
 def test_pair_with_real_column_sum_gets_a_twin():
     f = np.array([[1 + 1j], [2 - 1j], [0.5]])
     seq = VectorSequence.from_columns(np.concatenate([f.conj(), np.ones((3, 1)), f], axis=1))
@@ -360,6 +382,58 @@ class TestSynthesis:
     def test_rejects_non_finite_coefficients(self):
         with pytest.raises(ValueError, match="^coefficients contains non-finite entries$"):
             synthesis(orthonormal(2), [1, np.inf])
+
+
+#: Each checked input: (its name in the message, its shape, the call).
+_FINITENESS_CALLERS = {
+    "constructor": ("columns", (3, 2), VectorSequence),
+    "adopt": ("columns", (3, 2), VectorSequence._adopt),
+    "synthesis": ("coefficients", (3,), lambda c: synthesis(orthonormal(3), c)),
+    "analysis": ("vector", (3,), lambda h: analysis(orthonormal(3), h)),
+}
+#: Layouts `_as_complex_array` takes as they are (C-order, and a 2-D input
+#: whose size-1 axis has a zero stride) or copies first (strided, column-major).
+_LAYOUTS = {
+    "c-order": lambda a: a,
+    "strided": lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+    "column-major": np.asfortranarray,
+    "size-1-axis": lambda a: a.reshape(-1)[:, None],
+}
+_CALLER_LAYOUTS = [
+    (caller, layout) for caller, (_, shape, _) in _FINITENESS_CALLERS.items()
+    for layout in _LAYOUTS if len(shape) == 2 or layout != "size-1-axis"
+]
+
+
+def _entries(shape, layout):
+    return _LAYOUTS[layout](np.arange(1.0, np.prod(shape) + 1.0).reshape(shape) * (1 - 1j))
+
+
+@pytest.mark.parametrize("caller, layout", _CALLER_LAYOUTS)
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_one_non_finite_part_is_rejected_with_the_same_message(caller, layout, part, value):
+    name, shape, call = _FINITENESS_CALLERS[caller]
+    entries = _entries(shape, layout)
+    entries.flat[-1] = complex(value, 1.0) if part == "real" else complex(1.0, value)
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+        call(entries)
+
+
+@pytest.mark.parametrize("caller, layout", _CALLER_LAYOUTS)
+def test_negative_zero_parts_are_finite(caller, layout):
+    _, shape, call = _FINITENESS_CALLERS[caller]
+    entries = _entries(shape, layout)
+    entries.flat[:3] = [complex(-0.0, -0.0), complex(-0.0, 2.0), complex(1.0, -0.0)]
+    call(entries)
+
+
+def test_real_input_with_a_non_finite_entry_is_rejected():
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^columns contains non-finite entries$"):
+            VectorSequence(np.array([[1.0, value], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="^coefficients contains non-finite entries$"):
+            synthesis(orthonormal(2), np.array([value, 1.0]))
 
 
 class TestAnalysis:
