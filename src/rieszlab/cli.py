@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from decimal import Context
 
 import numpy as np
 
@@ -48,12 +49,14 @@ class UsageError(Exception):
 
 def _check_size(what: str, rows: int, cols: int) -> int:
     """The bytes of a command's largest dense array, estimated as a rows x
-    cols complex matrix; a command whose estimate exceeds _MAX_ARRAY_BYTES
-    is refused."""
+    cols complex matrix; a command whose estimate exceeds _MAX_ARRAY_BYTES is
+    refused, naming the estimate to 3 digits, also beyond the float range."""
     nbytes = 16 * rows * cols
     if nbytes > _MAX_ARRAY_BYTES:
+        big = nbytes > sys.float_info.max
+        size = Context(prec=3).create_decimal(nbytes).normalize() if big else nbytes
         raise UsageError(
-            f"{what} needs a {rows}x{cols} complex array ({nbytes:.3g} bytes), "
+            f"{what} needs a {rows}x{cols} complex array ({size:.3g} bytes), "
             f"over the {_MAX_ARRAY_BYTES}-byte limit"
         )
     return nbytes

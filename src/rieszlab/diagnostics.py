@@ -185,7 +185,7 @@ def span_distance(seq: VectorSequence, vector) -> float:
     h = _kernel_view(_ambient_vector(vector, seq.dim))
     if _rank(seq) == seq.dim:
         return 0.0
-    # Row-major like the kernel view, so the residual product rounds alike.
+    # Row-major like `columns`, so the residual product rounds alike.
     view = np.ascontiguousarray(_real_twin(seq))
     if view.dtype == float and h.dtype == complex:
         h = np.stack([h.real, h.imag], axis=1)
@@ -219,7 +219,7 @@ def equivalent_inner_product(seq: VectorSequence) -> np.ndarray:
         raise NotARieszBasisError(
             f"equivalent inner product requires a Riesz basis, got {verdict.kind.value}"
         )
-    f = seq._kernel
+    f = seq.columns
     u, sigma, _ = np.linalg.svd(f)
     w = (u / sigma**2) @ u.conj().T
     w = (w + w.conj().T) / 2.0

@@ -48,7 +48,7 @@ def _minus_identity(square: np.ndarray) -> np.ndarray:
 def biorthogonality_residual(seq: VectorSequence, partner: VectorSequence) -> float:
     """max over (j, k) of |<f_k, g_j> - delta_jk|."""
     _check_pair(seq, partner)
-    return float(np.abs(_minus_identity(partner._kernel.conj().T @ seq._kernel)).max())
+    return float(np.abs(_minus_identity(partner.columns.conj().T @ seq.columns)).max())
 
 
 class _AcceptedDual(NamedTuple):
@@ -91,10 +91,10 @@ def _construct_dual(seq: VectorSequence):
             "columns are linearly dependent (not minimal); no biorthogonal sequence exists"
         )
     try:
-        dual_adjoint = np.linalg.solve(_gram_entries(seq), seq._kernel.conj().T)
+        dual_adjoint = np.linalg.solve(_gram_entries(seq), seq.columns.conj().T)
     except np.linalg.LinAlgError as exc:
         return IllConditionedError, f"Gram factorization failed: {exc}"
-    partner = VectorSequence._adopt(np.conjugate(dual_adjoint.T, dtype=complex, order="C"))
+    partner = VectorSequence._adopt(np.conjugate(dual_adjoint.T, order="C"))
     del dual_adjoint  # not held beside the residual's product and its copy of the partner
     residual = biorthogonality_residual(seq, partner)
     if residual > BIORTHOGONALITY_TOL:
@@ -114,7 +114,7 @@ def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> f
     max(||(Q^H F)(G^H Q) - I||, 1) exactly, from a 2 count x 2 count SVD.
     """
     _check_pair(seq, partner)
-    f, g = seq._kernel, partner._kernel
+    f, g = seq.columns, partner.columns
     if 2 * seq.count < seq.dim:
         q = np.linalg.qr(np.concatenate([f, g], axis=1))[0]
         compressed = _minus_identity((q.conj().T @ f) @ (g.conj().T @ q))

@@ -24,9 +24,9 @@ returns: the phases are gathered into it and the gathered envelopes
 multiplied into them in place.
 
 Every generator except `riesz_from_operator`, whose caller owns the operator,
-builds a fresh C-contiguous complex128 array and hands it to the private
-`VectorSequence._adopt`, which checks it as the constructor does and freezes
-it in place instead of copying it.
+builds a fresh C-contiguous array, float64 for the real families, and hands it
+to the private `VectorSequence._adopt`, which checks it as the constructor does
+and freezes it in place instead of copying it.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def orthonormal(n: int) -> VectorSequence:
     """The identity columns e_1..e_n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return VectorSequence._adopt(np.eye(n, dtype=complex))
+    return VectorSequence._adopt(np.eye(n))
 
 
 def riesz_from_operator(operator) -> VectorSequence:
@@ -216,8 +216,8 @@ def weighted_pair(n: int) -> GeneratedPair:
     if n < 1:
         raise ValueError("n must be >= 1")
     k = np.arange(1, n + 1, dtype=float)
-    primal = VectorSequence._adopt(np.diag(1.0 / k).astype(complex))
-    partner = VectorSequence._adopt(np.diag(k).astype(complex))
+    primal = VectorSequence._adopt(np.diag(1.0 / k))
+    partner = VectorSequence._adopt(np.diag(k))
     return GeneratedPair(primal, partner)
 
 
@@ -230,8 +230,8 @@ def alternating_weighted_pair(n: int) -> GeneratedPair:
         raise ValueError("n must be >= 1")
     k = np.arange(1, n + 1, dtype=float)
     weights = np.where(k == 1, 1.0, np.where(k % 2 == 0, k, 1.0 / k))
-    primal = VectorSequence._adopt(np.diag(weights).astype(complex))
-    partner = VectorSequence._adopt(np.diag(1.0 / weights).astype(complex))
+    primal = VectorSequence._adopt(np.diag(weights))
+    partner = VectorSequence._adopt(np.diag(1.0 / weights))
     return GeneratedPair(primal, partner)
 
 
@@ -262,8 +262,8 @@ def young_general(subspace_dim: int, n_vectors: int, complement_dim: int = 1) ->
             f"cannot pick {n_vectors} orthonormal vectors in a {subspace_dim}-dimensional subspace"
         )
     dim = complement_dim + subspace_dim
-    partner_cols = np.zeros((dim, n_vectors), dtype=complex)
-    primal_cols = np.zeros((dim, n_vectors), dtype=complex)
+    partner_cols = np.zeros((dim, n_vectors))
+    primal_cols = np.zeros((dim, n_vectors))
     for k in range(n_vectors):
         partner_cols[complement_dim + k, k] = 1.0
         primal_cols[complement_dim + k, k] = 1.0

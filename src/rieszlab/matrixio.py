@@ -292,7 +292,8 @@ def _matrix_chunks(seq: VectorSequence):
     step = max(1, _WRITE_CELLS // cols)
     held = f"# dim={rows} count={cols}"
     for i in range(0, rows, step):
-        text = _block_text(seq.columns[i : i + step], template)
+        # A real system's block is formatted as complex with zero imaginary parts.
+        text = _block_text(seq.columns[i : i + step].astype(complex, copy=False), template)
         yield held
         held = text
     yield held

@@ -88,8 +88,6 @@ _FAMILIES = {
         gabor_set="lattice", nodes=lambda index: (2 * index + 1) ** 2),
 }
 
-GENERATOR_IDS = tuple(_FAMILIES)
-
 #: JSON metric name -> SizeMetrics attribute.
 METRIC_FIELDS = (
     ("rieszLowerF", "riesz_lower"),

@@ -18,21 +18,19 @@ Gram product is the smaller of F^H F and F F^H: a wide system (more vectors
 than dimensions) is eigensolved on its dim x dim side, which shares the
 nonzero spectrum of the count x count Gram matrix.
 
-The public array `VectorSequence.columns` is always read-only complex128.  The
-public constructors copy their input, so a caller's array never changes a
+Each VectorSequence keeps one read-only array, `columns`, which every
+factorization and product reads: float64 when no entry has a nonzero
+imaginary part (-0.0 counts as zero), so a real system is factored in real
+arithmetic at about a quarter of the complex flops, and complex128 otherwise.
+The public constructors copy their input, so a caller's array never changes a
 sequence; the library's own producers (the generators except
 `riesz_from_operator`, `read_matrix`, the minimal dual) hand a fresh array to
 the private `VectorSequence._adopt`, which checks it alike and freezes it in
-place.
-
-Factorizations and products read a kernel view: for an array without a
-nonzero imaginary part it is the real part as float64, factored in real
-arithmetic at about a quarter of the complex flops; any other array is its own
-kernel view.  The column route (the column SVD and the least-squares solve of
+place.  The column route (the column SVD and the least-squares solve of
 `span_distance`, which depend only on the singular values and the complex
 span) reads the real twin [real columns, sqrt(2) Re f, sqrt(2) Im f] = F U,
-U unitary, instead, when the complex columns split exactly into conjugate
-pairs (f, conj f), checked entry by entry in float comparisons.
+U unitary, instead, when complex columns split exactly into conjugate pairs
+(f, conj f), checked entry by entry in float comparisons.
 """
 
 from __future__ import annotations
@@ -53,10 +51,12 @@ _SIGMA_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 _SIGMA_CEILING = float(np.sqrt(np.finfo(float).max))
 
 
-def _as_complex_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarray:
+def _as_complex_array(values, name: str, ndim: int, copy: bool = True, keep_real=False) -> np.ndarray:
     """A validated C-contiguous complex128 array of `ndim` dimensions, allocated
-    once whatever its dtype and layout; without `copy`, such an array is itself."""
-    arr = np.array(values, dtype=complex, order="C", copy=copy or None)
+    once whatever its dtype and layout; with `keep_real`, a float64 `values`
+    stays float64; without `copy`, such an array is itself."""
+    dtype = float if keep_real and getattr(values, "dtype", None) == float else complex
+    arr = np.array(values, dtype=dtype, order="C", copy=copy or None)
     if arr.ndim != ndim:
         shape_name = "two-dimensional" if ndim == 2 else "one-dimensional"
         raise DimensionError(f"{name} must be {shape_name}, got shape {arr.shape}")
@@ -72,12 +72,11 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _kernel_view(arr: np.ndarray) -> np.ndarray:
-    """The array LAPACK and BLAS see: the real part of `arr` as a frozen
-    contiguous float64 copy when no entry has a nonzero imaginary part (-0.0
-    counts as zero), otherwise `arr` itself."""
-    if arr.imag.any():
+    """`arr`, or for a complex `arr` without a nonzero imaginary part (-0.0
+    counts as zero) a contiguous float64 copy of its real part."""
+    if arr.dtype == float or arr.imag.any():
         return arr
-    return _read_only(np.array(arr.real, dtype=float, order="C"))
+    return np.array(arr.real, dtype=float, order="C")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,27 +84,26 @@ class VectorSequence:
     """Vectors f_1..f_m stored as the columns of a (dim x m) matrix; the
     ambient space is complex dim-space, dim the row count.
 
-    `columns` is a read-only complex128 copy of the input.  Its kernel view,
-    kept beside it, is what the diagnostics and duals factor and multiply.
-    Sequences compare and hash by identity, as each owns its spectral record.
+    `columns` is a read-only copy of the input, float64 when no entry has a
+    nonzero imaginary part, else complex128; every kernel reads it.  Sequences
+    compare and hash by identity, as each owns its spectral record.
     """
 
     columns: np.ndarray
 
     def __post_init__(self, copy: bool = True) -> None:
-        cols = _as_complex_array(self.columns, "columns", 2, copy)
+        cols = _as_complex_array(self.columns, "columns", 2, copy, keep_real=True)
         if cols.shape[0] < 1:
             raise ValueError(f"ambient dimension must be a positive integer, got {cols.shape[0]}")
         if cols.shape[1] < 1:
             raise ValueError("a vector sequence needs at least one member")
-        object.__setattr__(self, "columns", _read_only(cols))
-        object.__setattr__(self, "_kernel", _kernel_view(cols))
+        object.__setattr__(self, "columns", _read_only(_kernel_view(cols)))
         object.__setattr__(self, "_record", _SpectralRecord())
 
     @classmethod
     def _adopt(cls, columns: np.ndarray) -> "VectorSequence":
         """A sequence that takes over `columns`, a fresh array no caller keeps:
-        checked as the constructor checks, but frozen in place, not copied."""
+        checked as the constructor checks, and frozen in place if kept as it is."""
         seq = object.__new__(cls)
         object.__setattr__(seq, "columns", columns)
         seq.__post_init__(copy=False)
@@ -168,12 +166,11 @@ class _SpectralRecord:
     real arithmetic.  The twin is not kept, even for a tall system of rank
     below its dimension: its one later reader, `span_distance` of an
     incomplete system, rebuilds it with a copy and no factorization.  The Gram
-    product, its spectrum and the dual depend on the columns themselves and
-    come from the kernel view, so they are real only for a real system.  The
-    product is Hermitian positive semidefinite by construction.  The record
-    lives and dies with its sequence and holds no U/V factors.  Threads racing
-    on a first read may each compute an entry; the first stored value is the
-    one every caller gets.
+    product, its spectrum and the dual are computed from `columns`, so they
+    are real only for a real system.  The product is Hermitian positive
+    semidefinite by construction.  The record lives and dies with its
+    sequence and holds no U/V factors.  Threads racing on a first read may
+    each compute an entry; the first stored value is the one every caller gets.
     """
 
     def fill(self, name: str, compute):
@@ -204,39 +201,39 @@ def _representable_sigma(seq: VectorSequence) -> np.ndarray:
 
 
 def _real_twin(seq: VectorSequence) -> np.ndarray:
-    """The column-route view, built afresh on each call: when the complex columns
-    split exactly into conjugate pairs (f, conj f), the real twin [real columns,
-    sqrt(2) Re f, sqrt(2) Im f], frozen float64 in column-major order (the
-    layout np.linalg.svd copies its input into); otherwise the kernel view.
+    """The column-route view: for a complex system whose columns split exactly
+    into conjugate pairs (f, conj f), the real twin [real columns, sqrt(2) Re f,
+    sqrt(2) Im f], built afresh on each call, frozen float64 in column-major
+    order (the layout np.linalg.svd copies its input into); else `columns`.
 
     The twin is F U with U unitary (a 2x2 block (1, -i; 1, i)/sqrt(2) per
     pair, times a column permutation), so it has the singular values and the
     complex span of F.  Pairs are found by their column sums, which must
     match up exactly and uniquely, and confirmed entry by entry (-0.0 equals
-    0.0, as in the kernel view); any miss keeps the complex kernel.  A
+    0.0, as in the choice of a real `columns`); any miss keeps `columns`.  A
     system whose sums cannot pair is left before anything is copied.  The
     first member of each pair has its real and imaginary parts written
     straight into the twin; each partner is then checked against them as
     floats, real parts equal and imaginary parts negated, so no complex copy
     of either member is made.  Only a confirmed twin is scaled by sqrt(2).
     """
-    cols, kernel = seq.columns, seq._kernel
-    if kernel is not cols:
-        return kernel
+    cols = seq.columns
+    if cols.dtype == float:
+        return cols
     sums = cols.sum(axis=0)
     # A nonzero imaginary sum marks a complex column; the others are searched.
     is_complex = sums.imag != 0.0
     is_complex[~is_complex] = cols.imag[:, ~is_complex].any(axis=0)
     sums = sums[is_complex]
     if sums.size % 2:
-        return kernel
+        return cols
     # Ascending real part, then |imag|, then imag: a conjugate pair is
     # adjacent, its member with imag <= 0 first.
     ranked = np.lexsort((sums.imag, np.abs(sums.imag), sums.real))
     low, high = sums[ranked[0::2]], sums[ranked[1::2]]
     # Two pairs with one sum would make the pairing ambiguous.
     if not np.array_equal(low, high.conj()) or np.any(low[1:] == low[:-1]):
-        return kernel
+        return cols
     complex_index = np.flatnonzero(is_complex)
     members, partners = complex_index[ranked[0::2]], complex_index[ranked[1::2]]
     real_count, pair_count = cols.shape[1] - complex_index.size, members.size
@@ -247,7 +244,7 @@ def _real_twin(seq: VectorSequence) -> np.ndarray:
     imag_part[...] = cols.imag[:, members]
     if not (np.array_equal(real_part, cols.real[:, partners])
             and np.array_equal(imag_part, -cols.imag[:, partners])):
-        return kernel
+        return cols
     twin[:, :real_count] = cols.real[:, ~is_complex]
     real_part *= np.sqrt(2.0)
     imag_part *= np.sqrt(2.0)
@@ -267,7 +264,7 @@ def _independent(seq: VectorSequence) -> bool:
 def _gram_entries(seq: VectorSequence) -> np.ndarray:
     """The smaller Gram product: F^H F, or for a wide system F F^H, the Gram
     product of F^H.  The two share their nonzero spectrum."""
-    f = seq._kernel.conj().T if seq.count > seq.dim else seq._kernel
+    f = seq.columns.conj().T if seq.count > seq.dim else seq.columns
     return seq._record.fill("gram_entries", lambda: _read_only(f.conj().T @ f))
 
 

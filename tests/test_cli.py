@@ -12,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from memtrace import traced_peak
 from rieszlab import (
+    IllConditionedError,
     VectorSequence,
     alternating_weighted_pair,
     classify,
+    minimal_dual,
     orthonormal,
     random_riesz,
     weighted_pair,
@@ -598,6 +601,17 @@ EXIT_CODE_TABLE = [
      "no biorthogonal sequence exists"),
     ("gabor-file-node-outside-window", ["gabor", "--set", "file", "--nodes", "{dir}/far.csv"],
      5, "safe window"),
+    # An estimate beyond the float range once raised OverflowError as it was formatted.
+    ("example-n-beyond-float", ["example", "riesz", "--n", "1" + "0" * 160, "-o", "{dir}/r"], 2,
+     "complex array (1.6e+321 bytes), over the 1073741824-byte limit"),
+    ("family-sizes-beyond-float", ["family", "--gen", "weighted", "--sizes", "1,2,1" + "0" * 160],
+     2, "complex array (1.6e+321 bytes), over the 1073741824-byte limit"),
+    ("family-gabor-half-width-beyond-float",
+     ["family", "--gen", "gaborFullLattice", "--sizes", "1,2,3", "--half-width", "1e300"], 2,
+     "complex array (1.64e+604 bytes), over the 1073741824-byte limit"),
+    ("gabor-max-index-beyond-float",
+     ["gabor", "--set", "lattice", "--half-width", "1e300", "--max-index", "9" * 20], 2,
+     "complex array (2.05e+343 bytes), over the 1073741824-byte limit"),
 ]
 
 
@@ -633,6 +647,61 @@ def test_exit_codes(argv, code, message, tmp_path, capsys):
     assert not any((tmp_path / "outdir").iterdir())
     if code not in (0, 2):
         assert set(tmp_path.rglob("*")) == before
+
+
+# Usage errors pinned by their whole stderr line.  {dir} holds letter.csv, a
+# node file whose second line is "x,1", and comment.csv, a node file with only
+# a comment line.
+EXIT_LINE_TABLE = [
+    ("family-sizes-not-integers", ["family", "--gen", "weighted", "--sizes", "1,x,3"],
+     "--sizes expects a comma-separated integer list: "
+     "invalid literal for int() with base 10: 'x'"),
+    ("family-sizes-empty", ["family", "--gen", "weighted", "--sizes", ","],
+     "--sizes expects a comma-separated integer list"),
+    ("gabor-refine-empty", ["gabor", "--set", "lattice", "--refine", ","],
+     "--refine expects a comma-separated integer list"),
+    ("gabor-file-without-nodes", ["gabor", "--set", "file"], "--set file requires --nodes PATH"),
+    ("gabor-node-not-a-number", ["gabor", "--set", "file", "--nodes", "{dir}/letter.csv"],
+     "{dir}/letter.csv: line 2: could not convert string to float: 'x'"),
+    ("gabor-no-nodes", ["gabor", "--set", "file", "--nodes", "{dir}/comment.csv"],
+     "{dir}/comment.csv: no nodes found"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [row[1:] for row in EXIT_LINE_TABLE],
+    ids=[row[0] for row in EXIT_LINE_TABLE],
+)
+def test_usage_error_lines(argv, message, tmp_path, capsys):
+    (tmp_path / "letter.csv").write_text("0,0\nx,1\n")
+    (tmp_path / "comment.csv").write_text("# tau,mu\n")
+    before = set(tmp_path.rglob("*"))
+    assert run_cli(*(arg.replace("{dir}", str(tmp_path)) for arg in argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message.replace('{dir}', str(tmp_path))}\n"
+    assert set(tmp_path.rglob("*")) == before
+
+
+def test_analyze_reports_a_refused_dual_as_null_residuals(tmp_path, capsys):
+    # Q1 diag(1 .. 1e-10) Q2: a Riesz basis whose minimal dual misses the
+    # 1e-8 biorthogonality contract, so analyze reports it without residuals.
+    q1 = np.linalg.qr(oracles.random_columns(0, 12, 12))[0]
+    q2 = np.linalg.qr(oracles.random_columns(1, 12, 12))[0]
+    seq = VectorSequence.from_columns(q1 @ np.diag(np.geomspace(1.0, 1e-10, 12)) @ q2)
+    assert seq.columns.dtype == np.complex128
+    with pytest.raises(IllConditionedError, match="biorthogonality residual"):
+        minimal_dual(seq)
+    path = tmp_path / "ill.csv"
+    write_matrix(str(path), seq)
+    assert run_cli("analyze", str(path)) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == ""
+    assert report["verdict"] == "RieszBasis"
+    assert report["residuals"] == {"biorthogonality": None, "dualityIdentity": None}
+    assert report["gramSpectrum"]["bijective"] is False
 
 
 #: Each command with a step that raises MemoryError in its place: for `dual`,

@@ -238,12 +238,12 @@ class TestReconstructionShadow:
 
 
 def old_biorthogonality_residual(seq, partner):
-    cross = partner._kernel.conj().T @ seq._kernel
+    cross = partner.columns.conj().T @ seq.columns
     return float(np.abs(cross - np.eye(seq.count)).max())
 
 
 def old_duality_identity_residual(seq, partner):
-    f, g = seq._kernel, partner._kernel
+    f, g = seq.columns, partner.columns
     if 2 * seq.count < seq.dim:
         q = np.linalg.qr(np.concatenate([f, g], axis=1))[0]
         compressed = (q.conj().T @ f) @ (g.conj().T @ q) - np.eye(q.shape[1])
@@ -282,7 +282,7 @@ class TestIdentitySubtraction:
         seq = columns(10 + dim, dim, count, complex_entries)
         # The minimal dual and an unrelated partner, whose tall identity residual exceeds 1.
         for partner in (minimal_dual(seq), columns(20 + dim, dim, count, complex_entries)):
-            assert (partner._kernel.dtype == complex) is complex_entries
+            assert (partner.columns.dtype == complex) is complex_entries
             new = biorthogonality_residual(seq, partner)
             assert new.hex() == old_biorthogonality_residual(seq, partner).hex()
             new = duality_identity_residual(seq, partner)
@@ -294,7 +294,7 @@ class TestIdentitySubtraction:
         seq = columns(31, 6, 6, complex_entries)
         w = diagnostics.equivalent_inner_product(seq)
         w = w if complex_entries else np.ascontiguousarray(w.real)
-        f = seq._kernel
+        f = seq.columns
         old = float(np.abs(f.conj().T @ w @ f - np.eye(seq.count)).max())
         # The check accepts at a tolerance of exactly the old residual and refuses one ulp below.
         monkeypatch.setattr(diagnostics, "BIORTHOGONALITY_TOL", old)

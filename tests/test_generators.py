@@ -87,9 +87,9 @@ def pair_systems(pair):
     return [pair.primal, pair.partner]
 
 
-def assert_columns_adopted(build, monkeypatch):
-    """`build()` returns sequences whose columns are the arrays handed to
-    `VectorSequence._adopt`, frozen in place: no copy was made."""
+def assert_columns_adopted(build, monkeypatch, dtype=np.complex128):
+    """`build()` returns sequences whose columns are the `dtype` arrays handed
+    to `VectorSequence._adopt`, frozen in place: no copy was made."""
     adopted = []
     adopt = VectorSequence._adopt.__func__
     monkeypatch.setattr(
@@ -101,7 +101,7 @@ def assert_columns_adopted(build, monkeypatch):
     for seq, array in zip(systems, adopted):
         columns = seq.columns
         assert columns is array and columns.flags.owndata
-        assert columns.flags.c_contiguous and columns.dtype == np.complex128
+        assert columns.flags.c_contiguous and columns.dtype == dtype
         assert not columns.flags.writeable
 
 
@@ -125,19 +125,31 @@ class TestBasicGenerators:
             riesz_from_operator(np.ones((2, 3)))
 
     @pytest.mark.parametrize(
-        "build",
+        "build, dtype",
         [
-            lambda: [orthonormal(5)],
-            lambda: [random_riesz(6, seed=7)],
-            lambda: pair_systems(weighted_pair(5)),
-            lambda: pair_systems(alternating_weighted_pair(5)),
-            lambda: pair_systems(young_example(4)),
-            lambda: pair_systems(young_general(5, 4, complement_dim=2)),
+            (lambda: [orthonormal(5)], np.float64),
+            (lambda: [random_riesz(6, seed=7)], np.complex128),
+            (lambda: pair_systems(weighted_pair(5)), np.float64),
+            (lambda: pair_systems(alternating_weighted_pair(5)), np.float64),
+            (lambda: pair_systems(young_example(4)), np.float64),
+            (lambda: pair_systems(young_general(5, 4, complement_dim=2)), np.float64),
         ],
         ids=["orthonormal", "randomRiesz", "weighted", "alternating", "young", "youngGeneral"],
     )
-    def test_generators_own_their_columns_without_a_copy(self, build, monkeypatch):
-        assert_columns_adopted(build, monkeypatch)
+    def test_generators_own_their_columns_without_a_copy(self, build, dtype, monkeypatch):
+        assert_columns_adopted(build, monkeypatch, dtype)
+
+    @pytest.mark.parametrize(
+        "build, dtype",
+        [
+            (lambda: young_general(5, 4, complement_dim=2).primal, np.float64),
+            (lambda: random_riesz(6, seed=7), np.complex128),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_minimal_dual_owns_its_columns_without_a_copy(self, build, dtype, monkeypatch):
+        seq = build()
+        assert_columns_adopted(lambda: [minimal_dual(seq)], monkeypatch, dtype)
 
     def test_riesz_from_operator_copies_the_callers_array(self):
         operator = np.diag([2.0, 1.0]).astype(complex)

@@ -28,15 +28,15 @@ BUDGETS = {
     ("analyze", "complex", 64): 5.14,
     ("analyze", "complex", 128): 5.08,
     ("analyze", "complex", 256): 5.06,
-    ("analyze", "real", 64): 4.61,
-    ("analyze", "real", 128): 4.57,
-    ("analyze", "real", 256): 4.56,
+    ("analyze", "real", 64): 2.59,
+    ("analyze", "real", 128): 2.55,
+    ("analyze", "real", 256): 2.54,
     ("dual", "complex", 64): 43.44,
     ("dual", "complex", 128): 13.85,
     ("dual", "complex", 256): 5.75,
-    ("dual", "real", 64): 44.46,
-    ("dual", "real", 128): 14.13,
-    ("dual", "real", 256): 6.2,
+    ("dual", "real", 64): 43.44,
+    ("dual", "real", 128): 12.36,
+    ("dual", "real", 256): 4.24,
     ("example", "riesz", 128): 11.79,
     ("example", "riesz", 256): 3.72,
     ("example", "riesz", 512): 1.7,

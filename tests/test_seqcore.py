@@ -108,9 +108,12 @@ class TestTypes:
         calls = []
         isfinite = np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda arr: calls.append(arr.shape) or isfinite(arr))
-        VectorSequence.from_columns(np.eye(4))
-        # One call, on the float64 view: both parts of all 16 entries.
-        assert calls == [(4, 8)]
+        # One call, on the float64 array or on the complex array's float64
+        # view: every part of all 16 entries.
+        for values, checked in ((np.eye(4), (4, 4)), (np.eye(4) + 1j, (4, 8))):
+            calls.clear()
+            VectorSequence.from_columns(values)
+            assert calls == [checked]
 
     def test_sequence_needs_members(self):
         with pytest.raises(ValueError):
@@ -124,13 +127,14 @@ class TestTypes:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_input_is_copied_once(self, dtype):
-        # One complex128 copy is 15.3 MiB; a real input adds its 7.6 MiB
-        # float64 kernel view.  A second complex copy would pass 30 MiB.
+        # One float64 copy is 7.6 MiB and one complex128 copy 15.3 MiB; a
+        # second copy of either would pass its bound.
         values = np.random.default_rng(0).standard_normal((1000, 1000)).astype(dtype)
         if dtype is complex:
             values.imag = 1.0
         peak, seq = traced_peak(lambda: VectorSequence.from_columns(values))
-        assert peak < 24 * 2**20
+        assert peak < (12 if dtype is float else 24) * 2**20
+        assert seq.columns.dtype == dtype
         assert values.flags.writeable and not np.shares_memory(seq.columns, values)
 
     @pytest.mark.parametrize("build", [
@@ -146,17 +150,25 @@ class TestTypes:
             build(np.array([[1.0, np.inf], [0.0, 1.0]], dtype=complex))
 
     def test_adopt_freezes_a_fresh_array_in_place(self):
-        values = np.arange(6, dtype=complex).reshape(3, 2)
-        seq = VectorSequence._adopt(values)
-        assert seq.columns is values and not values.flags.writeable
-        assert seq.dim == 3 and seq.count == 2
+        # A float64 array, and a complex128 one with a nonzero imaginary part.
+        for values in (np.arange(6.0).reshape(3, 2), np.arange(6.0).reshape(3, 2) + 1j):
+            seq = VectorSequence._adopt(values)
+            assert seq.columns is values and not values.flags.writeable
+            assert seq.dim == 3 and seq.count == 2
 
     def test_adopt_converts_other_layouts_and_dtypes(self):
-        values = np.asfortranarray(np.arange(6.0).reshape(3, 2))
-        seq = VectorSequence._adopt(values)
-        assert seq.columns.dtype == np.complex128 and seq.columns.flags.c_contiguous
-        assert values.flags.writeable and not np.shares_memory(seq.columns, values)
-        np.testing.assert_array_equal(seq.columns, values)
+        # Each becomes a fresh C-contiguous float64 array: a real-valued complex
+        # array keeps only its real part.
+        for values in (
+            np.asfortranarray(np.arange(6.0).reshape(3, 2)),
+            np.arange(6, dtype=complex).reshape(3, 2),
+            np.arange(6, dtype=np.int64).reshape(3, 2),
+        ):
+            seq = VectorSequence._adopt(values)
+            assert seq.columns.dtype == np.float64 and seq.columns.flags.c_contiguous
+            assert not seq.columns.flags.writeable
+            assert values.flags.writeable and not np.shares_memory(seq.columns, values)
+            np.testing.assert_array_equal(seq.columns, values)
 
     @pytest.mark.parametrize("columns, error, match", [
         (np.array([[np.nan, 1.0]], dtype=complex), ValueError, "non-finite"),
@@ -184,38 +196,40 @@ class TestTypes:
 
 
 class TestKernelView:
-    """Factorizations read a float64 view of a system without a nonzero
-    imaginary part; the public arrays stay complex128 and read-only."""
+    """A system without a nonzero imaginary part stores float64 columns, the
+    array every factorization reads; the arrays stay read-only."""
 
-    def test_real_system_keeps_complex_public_arrays(self):
+    def test_real_system_stores_float64_columns(self):
         seq = young_example(6).primal
         partner = minimal_dual(seq)
-        assert seq._kernel.dtype == np.float64 and partner._kernel.dtype == np.float64
         for arr in (seq.columns, partner.columns):
-            assert arr.dtype == np.complex128 and not arr.flags.writeable
+            assert arr.dtype == np.float64 and not arr.flags.writeable
         assert not _gram_entries(seq).flags.writeable and not _gram_eigenvalues(seq).flags.writeable
+        assert _gram_entries(seq).dtype == np.float64
         assert equivalent_inner_product(weighted_pair(4).primal).dtype == np.complex128
 
     def test_kernel_view_is_a_frozen_copy(self):
-        values = np.eye(3)
-        seq = VectorSequence.from_columns(values)
-        assert not seq._kernel.flags.writeable and seq._kernel.flags.c_contiguous
-        assert not np.shares_memory(seq._kernel, values)
-        np.testing.assert_array_equal(seq._kernel, values)
+        for values in (np.eye(3), np.eye(3, dtype=complex)):
+            seq = VectorSequence.from_columns(values)
+            assert seq.columns.dtype == np.float64
+            assert not seq.columns.flags.writeable and seq.columns.flags.c_contiguous
+            assert not np.shares_memory(seq.columns, values)
+            np.testing.assert_array_equal(seq.columns, values)
 
     def test_tiny_imaginary_part_stays_complex(self):
         values = np.eye(3, dtype=complex)
         values[1, 2] = 1e-300j
         seq = VectorSequence.from_columns(values)
-        assert seq._kernel is seq.columns
+        assert seq.columns.dtype == np.complex128
+        np.testing.assert_array_equal(seq.columns, values)
 
     def test_negative_zero_imaginary_parts_are_real(self):
         values = np.eye(3, dtype=complex)
         values.imag = -0.0
         assert np.signbit(values.imag).all()
         seq = VectorSequence.from_columns(values)
-        assert seq._kernel.dtype == np.float64
-        np.testing.assert_array_equal(seq._kernel, np.eye(3))
+        assert seq.columns.dtype == np.float64
+        np.testing.assert_array_equal(seq.columns, np.eye(3))
 
 
 def conjugation_closed(seed, dim, pairs, reals):
@@ -248,7 +262,7 @@ def test_real_twin_matches_complex_arithmetic(seed, pairs, reals, shape):
     count = 2 * pairs + reals
     dim = {"tall": count + 3, "square": count, "wide": max(count - 2, 1)}[shape]
     seq = VectorSequence.from_columns(conjugation_closed(seed, dim, pairs, reals))
-    assert _real_twin(seq).dtype == np.float64 and seq._kernel is seq.columns
+    assert _real_twin(seq).dtype == np.float64 and seq.columns.dtype == np.complex128
     sigma = oracles.complex_singular_values(seq.columns)
     np.testing.assert_allclose(_singular_values(seq), sigma, rtol=0, atol=1e-13 * sigma[0])
     rank = int(np.count_nonzero(sigma > sigma[0] * max(seq.columns.shape) * RANK_TOL_SCALE))
@@ -357,7 +371,7 @@ def test_spectral_record_keeps_no_twin():
 
 def test_real_system_column_view_is_its_kernel():
     seq = young_example(6).primal
-    assert _real_twin(seq) is seq._kernel
+    assert _real_twin(seq) is seq.columns
 
 
 class TestSynthesis:
