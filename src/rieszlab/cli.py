@@ -257,7 +257,9 @@ def _cmd_gabor(args) -> int:
         rates = sorted(set(_parse_int_list(args.refine, "--refine")) | {args.samples})
         refine_discs = [_discretization(args.half_width, s) for s in rates]
     points, source = _gabor_points(args, (refine_discs or [disc])[-1].sample_count)
-    system = generators.gaussian_gabor(points, disc)
+    # The bounds and the defect read the real twin where the nodes pair up;
+    # only --dump-matrix needs the complex system.
+    system = generators._gabor_twin(points, disc)
     lower, upper = diagnostics.riesz_bounds(system)
     payload = {
         "schemaVersion": SCHEMA_VERSION,
@@ -274,12 +276,12 @@ def _cmd_gabor(args) -> int:
     if refine_discs:
         # The base rate reuses `system`, so each rate is built and factored once.
         systems = (
-            (d.samples_per_unit, system if d == disc else generators.gaussian_gabor(points, d))
+            (d.samples_per_unit, system if d == disc else generators._gabor_twin(points, d))
             for d in refine_discs
         )
         payload["refinement"] = scaling._refinement_report(systems).to_dict()
     if args.dump_matrix:
-        matrixio.write_matrix(args.dump_matrix, system)
+        matrixio.write_matrix(args.dump_matrix, generators.gaussian_gabor(points, disc))
         payload["matrixPath"] = args.dump_matrix
     _emit(payload, args.json)
     return EXIT_OK

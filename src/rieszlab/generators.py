@@ -20,8 +20,18 @@ the fine offsets within a coarse step, so an L-point grid costs about
 entries agree with the per-node formula to rounding (see `gaussian_gabor`).
 The distinct values are found once per point set and kept with it, so each
 rate of a refinement reuses them.  The system is assembled in the array it
-returns: the phases are gathered into it and the gathered envelopes
+returns: the phases are written into it and the gathered envelopes
 multiplied into them in place.
+
+The bounds and the rank of a system depend only on its singular values,
+which its real twin F U (U unitary) shares.  The point set also keeps its
+node pairing, (tau, mu) with (tau, -mu), and where every node has a partner
+the private `_gabor_twin` builds that float64 twin straight from the nodes,
+with the factor tables of `gaussian_gabor`, in the layout
+`seqcore._real_twin` gives the complex system's twin, and with the same
+bits but for the sign of a zero.  `gabor` and the Gabor families read the
+twin at every rate; the complex system is built for `gabor --dump-matrix`
+and for a set that does not pair up.
 
 Every generator except `riesz_from_operator`, whose caller owns the operator,
 builds a fresh C-contiguous array, float64 for the real families, and hands it
@@ -82,16 +92,23 @@ class PointSet2D:
 
     @functools.cached_property
     def _split(self) -> tuple:
-        """The node analysis `gaussian_gabor` reads, once per point set: the
-        time shifts, then the distinct shifts and their inverse index, then
-        the distinct modulations and theirs.  Values are told apart by their
-        float64 bit pattern, so the keys are uint64.  The arrays are
-        read-only; derived from the frozen nodes, they take no part in
-        equality or hashing."""
+        """The node analysis the Gabor builds read, once per point set: the
+        time shifts, then the distinct shifts and their inverse index, the
+        distinct modulations and theirs, and last the node pairing.  Distinct
+        values are told apart by their float64 bit pattern, so the keys are
+        uint64.  The pairing gives each node the index of its partner
+        (tau, -mu), matched by float equality as `seqcore._real_twin` matches
+        conjugate columns, so (-0.0, mu) pairs with (0.0, -mu); a node with
+        mu = +-0 is its own partner, and a node without one reads -1.  The
+        arrays are read-only; derived from the frozen nodes, they take no part
+        in equality or hashing."""
         taus, mus = np.array(self.nodes).T
         tau_keys, tau_index = np.unique(taus.view(np.uint64), return_inverse=True)
         mu_keys, mu_index = np.unique(mus.view(np.uint64), return_inverse=True)
-        return tuple(map(_read_only, (taus, tau_keys, tau_index, mu_keys, mu_index)))
+        # Float tuples compare and hash by value: -0.0 finds 0.0.
+        index = {node: k for k, node in enumerate(self.nodes)}
+        partner = np.array([index.get((t, -m), -1) for t, m in self.nodes])
+        return tuple(map(_read_only, (taus, tau_keys, tau_index, mu_keys, mu_index, partner)))
 
 
 @dataclass(frozen=True)
@@ -271,16 +288,40 @@ def young_general(subspace_dim: int, n_vectors: int, complement_dim: int = 1) ->
     return GeneratedPair(VectorSequence._adopt(primal_cols), VectorSequence._adopt(partner_cols))
 
 
-def _phase_table(x: np.ndarray, mus: np.ndarray, samples_per_unit: int) -> np.ndarray:
+def _phase_table(x: np.ndarray, mus: np.ndarray, samples_per_unit: int,
+                 columns=slice(None)) -> np.ndarray:
     """exp(2 pi i mu x) on the nonempty grid x of step 1/samples_per_unit, one
-    column per mu, as the product of a coarse table at every step-th grid
-    point and a fine table over the offsets b/samples_per_unit, b < step =
-    isqrt(len(x))."""
+    column per entry of mus[columns], as the product of a coarse table at
+    every step-th grid point and a fine table over the offsets
+    b/samples_per_unit, b < step = isqrt(len(x)).  Both tables are evaluated
+    once per mu and gathered to their columns, and their products are
+    written straight into the result."""
     step = math.isqrt(x.size)
-    coarse = np.exp(2j * np.pi * x[::step, None] * mus)
-    fine = np.exp(2j * np.pi * (np.arange(step) / samples_per_unit)[:, None] * mus)
-    # Row a*step + b is coarse[a] * fine[b]; the rows past the grid are dropped.
-    return (coarse[:, None] * fine).reshape(-1, mus.size)[: x.size]
+    coarse = np.exp(2j * np.pi * x[::step, None] * mus)[:, columns]
+    fine = np.exp(2j * np.pi * (np.arange(step) / samples_per_unit)[:, None] * mus)[:, columns]
+    table = np.empty((x.size, coarse.shape[1]), dtype=complex)
+    # Row a*step + b is coarse[a] * fine[b]: the whole blocks of step rows,
+    # then the rows left over, which take the first fine offsets.
+    whole = x.size // step
+    np.multiply(coarse[:whole, None], fine, out=table[:whole * step].reshape(whole, step, -1))
+    np.multiply(coarse[whole:], fine[:x.size - whole * step], out=table[whole * step:])
+    return table
+
+
+def _gabor_tables(points: PointSet2D, disc: GaborDiscretization, mu_columns) -> tuple:
+    """The factor tables of a sampled Gabor system, after its safe-window
+    check: `_phase_table` over columns `mu_columns` of the distinct
+    modulations, and the normalized envelope at each distinct shift."""
+    taus, tau_keys, _, mu_keys, _, _ = points._split
+    safe = disc.half_width - SAFE_WINDOW_MARGIN
+    outside = np.flatnonzero(np.abs(taus) > safe)
+    if outside.size:
+        tau, mu = points.nodes[outside[0]]
+        raise TruncationError(f"node ({tau}, {mu}) outside the safe window |tau| <= {safe}")
+    x = disc.grid()
+    phases = _phase_table(x, mu_keys.view(float), disc.samples_per_unit, mu_columns)
+    envelopes = disc.normalization * np.exp(-np.pi * (x[:, None] - tau_keys.view(float)) ** 2)
+    return phases, envelopes
 
 
 def gaussian_gabor(points: PointSet2D, disc: GaborDiscretization) -> VectorSequence:
@@ -294,40 +335,69 @@ def gaussian_gabor(points: PointSet2D, disc: GaborDiscretization) -> VectorSeque
     distinct tau and the phase once per distinct mu, and each column is the
     product of its node's two factors.  Distinct values are told apart by
     their bit pattern, so -0.0 and 0.0 each keep their own factor; the point
-    set finds them on the first build and keeps them.  The phase table is
-    gathered into the result and freed before the envelopes are built, and
-    the gathered envelopes are multiplied into the result in place, so the
-    build holds the result, one factor table and one gathered envelope copy
-    (half the result's bytes) at most.  The product is phase * envelope, in
-    that order: numpy's complex multiply may fuse a product and a sum, so
-    where a product underflows the operand order sets the sign of its zero.
+    set finds them on the first build and keeps them.  The phases are
+    written straight into the result and the gathered envelopes multiplied
+    into it in place, so the build holds the result, the envelope table and
+    one gathered envelope copy (half the result's bytes) at most.  The
+    product is phase * envelope, in that order: numpy's complex multiply may
+    fuse a product and a sum, so where a product underflows the operand
+    order sets the sign of its zero.
 
     The phase comes from two tables.  With L grid points and a step
     B = isqrt(L), exp(2 pi i mu x) is evaluated at the coarse points
     x_0, x_B, x_2B, ... and exp(2 pi i mu b/s) at the fine offsets b < B;
     the phase at x_(aB+b) is their product.  That is ceil(L/B) + B complex
     exponentials per distinct mu, about 2 sqrt(L), and one complex multiply
-    per entry.  Entries move from the per-node formula in their last bits
-    but are as accurate: each lies within 4 eps * (1 + 2 pi |mu| X) times
-    its modulus of the exact phase at -X + l/s, as the per-node formula's
-    entries do.  Two properties hold exactly.  The phase angle of -mu is
-    the negated angle of mu, and a product of conjugates is the conjugate
-    of the product, so the columns of (tau, mu) and (tau, -mu) are exact
-    conjugates, up to the sign of a zero (as where x_l = 0).  A column with
-    mu = +-0 is real, its entries bit-identical to the per-node formula's.
+    per entry; both tables are gathered to the nodes, so no table over the
+    whole grid is built.  Entries move from the per-node formula in their
+    last bits but are as accurate: each lies within 4 eps * (1 + 2 pi |mu| X)
+    times its modulus of the exact phase at -X + l/s, as the per-node
+    formula's entries do.  Two properties hold exactly.  The phase angle of
+    -mu is the negated angle of mu, and a product of conjugates is the
+    conjugate of the product, so the columns of (tau, mu) and (tau, -mu) are
+    exact conjugates, up to the sign of a zero (as where x_l = 0).  A column
+    with mu = +-0 is real, its entries bit-identical to the per-node
+    formula's.
     """
-    taus, tau_keys, tau_index, mu_keys, mu_index = points._split
-    safe = disc.half_width - SAFE_WINDOW_MARGIN
-    outside = np.flatnonzero(np.abs(taus) > safe)
-    if outside.size:
-        tau, mu = points.nodes[outside[0]]
-        raise TruncationError(f"node ({tau}, {mu}) outside the safe window |tau| <= {safe}")
-    x = disc.grid()
-    # The gathered phases become the result, C-contiguous: adopted, not copied.
-    columns = np.take(_phase_table(x, mu_keys.view(float), disc.samples_per_unit), mu_index, axis=1)
-    envelopes = disc.normalization * np.exp(-np.pi * (x[:, None] - tau_keys.view(float)) ** 2)
-    np.multiply(columns, np.take(envelopes, tau_index, axis=1), out=columns)
+    _, _, tau_index, _, mu_index, _ = points._split
+    # The phases become the result, C-contiguous: adopted, not copied.
+    columns, envelopes = _gabor_tables(points, disc, mu_index)
+    np.multiply(columns, envelopes[:, tau_index], out=columns)
     return VectorSequence._adopt(columns)
+
+
+def _gabor_twin(points: PointSet2D, disc: GaborDiscretization) -> VectorSequence:
+    """The real twin of `gaussian_gabor(points, disc)`, a float64 system built
+    from the node pairing without the complex system; for a set not closed
+    under mu -> -mu, `gaussian_gabor(points, disc)` itself.
+
+    Its columns are those of `seqcore._real_twin`: the columns of the real
+    nodes (mu = +-0), whose phase is exactly 1, so each is its envelope; then
+    for each pair, ordered by its first node, sqrt(2) Re f and then, in a
+    second block, sqrt(2) Im f of that node's column f.  Each of those
+    entries is sqrt(2) * (Re phase * envelope), in that order, the rounding
+    of the twin of the complex system, so the two agree bit for bit but for
+    the sign of a zero where an envelope underflows.  The twin is F U with U
+    unitary, so it has the singular values and the complex span of F, all
+    that the bounds, the rank and `span_distance` read.
+    """
+    _, _, tau_index, _, mu_index, partner = points._split
+    if (partner < 0).any():
+        return gaussian_gabor(points, disc)
+    node = np.arange(partner.size)
+    real, first = np.flatnonzero(partner == node), np.flatnonzero(node < partner)
+    phases, envelopes = _gabor_tables(points, disc, slice(None))
+    twin = np.empty((disc.sample_count, partner.size))
+    twin[:, :real.size] = envelopes[:, tau_index[real]]
+    pair_envelopes = envelopes[:, tau_index[first]]
+    # Each block is computed in a contiguous gather and copied in: ufuncs
+    # writing the strided blocks directly buffer them, more slowly.
+    for part, start in ((phases.real, real.size), (phases.imag, real.size + first.size)):
+        block = part[:, mu_index[first]]
+        block *= pair_envelopes
+        block *= np.sqrt(2.0)
+        twin[:, start:start + first.size] = block
+    return VectorSequence._adopt(twin)
 
 
 def lattice_points(a: float, b: float, max_index: int) -> PointSet2D:

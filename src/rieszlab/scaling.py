@@ -227,7 +227,7 @@ def _gabor_disc(params: dict) -> GaborDiscretization:
 
 
 def _gabor_member(points: PointSet2D, params: Mapping[str, object]) -> GeneratedPair:
-    return GeneratedPair(generators.gaussian_gabor(points, _gabor_disc(params)))
+    return GeneratedPair(generators._gabor_twin(points, _gabor_disc(params)))
 
 
 def _build_member(generator_id: str, size: int, params: dict):

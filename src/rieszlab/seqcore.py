@@ -30,7 +30,11 @@ place.  The column route (the column SVD and the least-squares solve of
 `span_distance`, which depend only on the singular values and the complex
 span) reads the real twin [real columns, sqrt(2) Re f, sqrt(2) Im f] = F U,
 U unitary, instead, when complex columns split exactly into conjugate pairs
-(f, conj f), checked entry by entry in float comparisons.
+(f, conj f): pairs are found by their column sums, checked entry by entry in
+float comparisons, and laid out by their first column.  A sampled Gabor
+system whose nodes pair up is built as this twin from its nodes
+(`generators._gabor_twin`), in the same layout, so the search never runs
+for it.
 """
 
 from __future__ import annotations
@@ -74,7 +78,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def _kernel_view(arr: np.ndarray) -> np.ndarray:
     """`arr`, or for a complex `arr` without a nonzero imaginary part (-0.0
     counts as zero) a contiguous float64 copy of its real part."""
-    if arr.dtype == float or arr.imag.any():
+    # A nonzero imaginary part in the first row, as in every modulated Gabor
+    # system, settles it without the strided pass over the whole array.
+    if arr.dtype == float or arr[:1].imag.any() or arr.imag.any():
         return arr
     return np.array(arr.real, dtype=float, order="C")
 
@@ -212,10 +218,13 @@ def _real_twin(seq: VectorSequence) -> np.ndarray:
     match up exactly and uniquely, and confirmed entry by entry (-0.0 equals
     0.0, as in the choice of a real `columns`); any miss keeps `columns`.  A
     system whose sums cannot pair is left before anything is copied.  The
-    first member of each pair has its real and imaginary parts written
-    straight into the twin; each partner is then checked against them as
-    floats, real parts equal and imaginary parts negated, so no complex copy
-    of either member is made.  Only a confirmed twin is scaled by sqrt(2).
+    layout is canonical, whatever the sums: the real columns in their order,
+    then the pairs ordered by their first column, whose real and imaginary
+    parts are written straight into the twin.  Each second column is then
+    checked against them as floats, real parts equal and imaginary parts
+    negated, so no complex copy of either is made.  Only a confirmed twin is
+    scaled by sqrt(2).  `generators._gabor_twin` builds this layout from a
+    point set's nodes.
     """
     cols = seq.columns
     if cols.dtype == float:
@@ -236,14 +245,17 @@ def _real_twin(seq: VectorSequence) -> np.ndarray:
         return cols
     complex_index = np.flatnonzero(is_complex)
     members, partners = complex_index[ranked[0::2]], complex_index[ranked[1::2]]
-    real_count, pair_count = cols.shape[1] - complex_index.size, members.size
+    firsts, seconds = np.sort((members, partners), axis=0)
+    order = np.argsort(firsts)
+    firsts, seconds = firsts[order], seconds[order]
+    real_count, pair_count = cols.shape[1] - complex_index.size, firsts.size
     twin = np.empty(cols.shape, order="F")
     real_part = twin[:, real_count:real_count + pair_count]
     imag_part = twin[:, real_count + pair_count:]
-    real_part[...] = cols.real[:, members]
-    imag_part[...] = cols.imag[:, members]
-    if not (np.array_equal(real_part, cols.real[:, partners])
-            and np.array_equal(imag_part, -cols.imag[:, partners])):
+    real_part[...] = cols.real[:, firsts]
+    imag_part[...] = cols.imag[:, firsts]
+    if not (np.array_equal(real_part, cols.real[:, seconds])
+            and np.array_equal(imag_part, -cols.imag[:, seconds])):
         return cols
     twin[:, :real_count] = cols.real[:, ~is_complex]
     real_part *= np.sqrt(2.0)

@@ -221,7 +221,9 @@ def gathered_real_twin(columns):
     columns that split exactly into conjugate pairs (f, conj f), built from
     complex copies of both members of every pair, column-major; None when
     they do not split.  Pairs are matched by their column sums as
-    `seqcore._real_twin` matches them."""
+    `seqcore._real_twin` matches them, and laid out in its canonical order:
+    f is the first column of its pair, and the pairs follow their first
+    columns."""
     cols = np.asarray(columns)
     sums = cols.sum(axis=0)
     is_complex = sums.imag != 0.0
@@ -234,8 +236,11 @@ def gathered_real_twin(columns):
     if not np.array_equal(low, high.conj()) or np.any(low[1:] == low[:-1]):
         return None
     complex_index = np.flatnonzero(is_complex)
-    pairs = cols[:, complex_index[ranked[0::2]]]
-    partners = cols[:, complex_index[ranked[1::2]]]
+    matched = sorted(
+        sorted(pair) for pair in zip(complex_index[ranked[0::2]], complex_index[ranked[1::2]])
+    )
+    pairs = cols[:, [first for first, _ in matched]]
+    partners = cols[:, [second for _, second in matched]]
     if not np.array_equal(pairs, np.conjugate(partners)):
         return None
     real_count, pair_count = cols.shape[1] - complex_index.size, pairs.shape[1]

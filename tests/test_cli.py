@@ -229,7 +229,7 @@ class TestFamily:
             ("young_general",
              ["--gen", "youngGeneral", "--complement-dim", "3", "--sizes", "2,3,1200"],
              "error: size 2: ambient dimension must exceed the complement dimension"),
-            ("gaussian_gabor",
+            ("_gabor_twin",
              ["--gen", "gaborPunctured", "--sizes", "1,2,3", "--probe-index", "192"],
              "error: size 1: probe index 192 outside ambient dimension 192"),
         ],
@@ -298,6 +298,41 @@ class TestGabor:
         assert rates == [8, 16, 32]
         system = read_matrix(str(dump))
         assert system.count == 24
+
+    @pytest.mark.parametrize(
+        "flags, points",
+        [
+            (["--set", "lattice", "--b", "0.75"], generators.lattice_points(1.0, 0.75, 2)),
+            (["--set", "punctured", "--max-index", "2"], generators.punctured_lattice(2)),
+            (["--set", "als", "--nmax", "2"], generators.als_point_set(2)),
+            (["--set", "file"], generators.PointSet2D(
+                ((-0.0, 1.25), (0.5, 0.0), (0.0, -1.25), (-1.5, 0.5), (-1.5, -0.5)))),
+            (["--set", "file"], generators.PointSet2D(((0.0, 0.0), (1.0, 0.5), (-1.0, 1.5)))),
+        ],
+        ids=["lattice", "punctured", "als", "file-closed", "file-unpaired"],
+    )
+    def test_bounds_and_dump_are_those_of_the_complex_system(self, flags, points, tmp_path):
+        # Each rate reads the real twin built from the nodes where they pair
+        # up; its bounds and defect are the complex system's, bit for bit,
+        # and the dumped matrix is the complex system's file.
+        if flags[-1] == "file":
+            matrixio.write_point_set(str(tmp_path / "nodes.csv"), points)
+            flags = flags + ["--nodes", str(tmp_path / "nodes.csv")]
+        out, dump, reference = (tmp_path / name for name in ("g.json", "g.csv", "ref.csv"))
+        code = run_cli("gabor", *flags, "--refine", "12,24", "--dump-matrix", str(dump),
+                       "--json", str(out))
+        assert code == 0
+        report = json.loads(out.read_text())
+        rows = {row["size"]: row for row in report["refinement"]["perSize"]}
+        for rate in (12, 16, 24):
+            system = generators.gaussian_gabor(points, generators.GaborDiscretization(6.0, rate))
+            lower, upper = diagnostics.riesz_bounds(system)
+            assert (rows[rate]["rieszLowerF"], rows[rate]["besselUpperF"]) == (lower, upper)
+            if rate == 16:
+                assert report["bounds"] == {"rieszLower": lower, "besselUpper": upper}
+                assert report["defect"] == diagnostics.completeness_defect(system)
+                write_matrix(str(reference), system)
+        assert dump.read_bytes() == reference.read_bytes()
 
 
 def test_writers_create_files_with_the_umask_mode(tmp_path, monkeypatch, capsys):
@@ -711,7 +746,7 @@ _OUT_OF_MEMORY = [
     (["dual", "{dir}/basis.csv", "-o", "{dir}/dual.csv"], matrixio, "_block_text"),
     (["example", "riesz", "--n", "4", "-o", "{dir}/riesz"], generators, "random_riesz"),
     (["family", "--gen", "riesz", "--sizes", "4,8,16"], scaling, "run_family"),
-    (["gabor", "--set", "lattice"], generators, "gaussian_gabor"),
+    (["gabor", "--set", "lattice"], generators, "_gabor_twin"),
 ]
 
 

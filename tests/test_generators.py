@@ -47,6 +47,8 @@ _JITTER = np.array(lattice_points(1.0, 1.0, 2).nodes)
 _JITTER += np.random.default_rng(7).uniform(-0.2, 0.2, _JITTER.shape)
 #: Jittered nodes together with their mirror images (tau, -mu).
 SYMMETRIC_JITTERED = PointSet2D(tuple((t, s * m) for t, m in _JITTER for s in (1.0, -1.0)))
+#: Two pairs, one of them (-0.0, mu), (0.0, -mu), and a real node (tau, -0.0).
+SIGNED_ZERO_PAIRS = PointSet2D(((-0.0, 1.5), (1.0, 2.0), (1.0, -0.0), (0.0, -1.5), (1.0, -2.0)))
 
 
 class _Draws:
@@ -308,7 +310,7 @@ class TestPointSets:
 
     def test_node_analysis_is_read_only_and_split_by_bit_pattern(self):
         points = PointSet2D(((0.0, 1.0), (-0.0, 2.0), (0.0, -0.0), (2.0, 0.0), (2.0, 1.0)))
-        taus, tau_keys, tau_index, mu_keys, mu_index = points._split
+        taus, tau_keys, tau_index, mu_keys, mu_index, partner = points._split
         assert points._split is points._split
         assert not any(a.flags.writeable for a in points._split)
         # -0.0 and 0.0 are distinct values, each with its own key.
@@ -318,6 +320,12 @@ class TestPointSets:
         np.testing.assert_array_equal(tau_keys[tau_index], bits)
         bits = np.array([1.0, 2.0, -0.0, 0.0, 1.0]).view(np.uint64)
         np.testing.assert_array_equal(mu_keys[mu_index], bits)
+        # Nodes with mu = +-0 are their own partners; no other node has one.
+        np.testing.assert_array_equal(partner, [-1, -1, 2, 3, -1])
+
+    def test_node_pairing_matches_by_float_equality(self):
+        # (-0.0, 1.5) pairs with (0.0, -1.5), and (1.0, -0.0) with itself.
+        np.testing.assert_array_equal(SIGNED_ZERO_PAIRS._split[-1], [3, 4, 2, 0, 1])
 
     @pytest.mark.parametrize(
         "points",
@@ -503,6 +511,62 @@ class TestInPlaceAssembly:
         assert_same_bits(columns.real, reference.real)
         nonzero = reference.imag != 0.0
         assert_same_bits(columns.imag[nonzero], reference.imag[nonzero])
+
+
+def assert_same_bits_but_zero_signs(actual, expected):
+    """Equal as values, and bit for bit wherever the value is not zero."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    np.testing.assert_array_equal(actual, expected)
+    nonzero = expected != 0.0
+    assert_same_bits(actual[nonzero], expected[nonzero])
+
+
+#: The closed sets of ASSEMBLY_SETS at every grid of ASSEMBLY_DISCS, the
+#: envelopes that underflow at half-width 40 (as in
+#: test_underflowing_envelopes_keep_their_bits) and SIGNED_ZERO_PAIRS.
+CLOSED_CASES = {
+    **{f"{name}-{d.half_width}x{d.samples_per_unit}": (points, d)
+       for name, points in ASSEMBLY_SETS.items() if name not in ("jittered", "separated")
+       for d in ASSEMBLY_DISCS},
+    "underflow": (lattice_points(1.0, 1.0, 4), GaborDiscretization(40.0, 8)),
+    "signed-zero-pairs": (SIGNED_ZERO_PAIRS, GaborDiscretization(8.0, 16)),
+}
+
+
+class TestNodeBuiltTwin:
+    """`generators._gabor_twin` builds the real twin from the node pairing,
+    in the canonical layout of `seqcore._real_twin`, without the complex system."""
+
+    @pytest.mark.parametrize("case", CLOSED_CASES)
+    def test_twin_of_a_closed_set_is_the_canonical_twin(self, case):
+        points, disc = CLOSED_CASES[case]
+        reference = gaussian_gabor(points, disc)
+        twin = generators._gabor_twin(points, disc)
+        assert twin.columns.dtype == np.float64 and twin.columns.flags.c_contiguous
+        assert_same_bits_but_zero_signs(twin.columns, _real_twin(reference))
+        assert_same_bits(_singular_values(twin), _singular_values(reference))
+
+    @pytest.mark.parametrize("name", ["jittered", "separated"])
+    def test_a_set_without_a_pairing_falls_back_to_the_complex_system(self, name):
+        points, disc = ASSEMBLY_SETS[name], ASSEMBLY_DISCS[0]
+        assert (points._split[-1] < 0).any()
+        built = generators._gabor_twin(points, disc)
+        assert built.columns.dtype == np.complex128
+        assert_same_bits(built.columns, gaussian_gabor(points, disc).columns)
+
+    def test_an_unmodulated_set_is_its_envelopes(self):
+        points, disc = PointSet2D(((0.0, 0.0), (1.0, -0.0), (-0.5, 0.0))), ASSEMBLY_DISCS[1]
+        assert_same_bits(generators._gabor_twin(points, disc).columns, gaussian_gabor(points, disc).columns)
+
+    def test_twin_refuses_a_node_outside_the_safe_window(self):
+        with pytest.raises(TruncationError, match="safe window"):
+            generators._gabor_twin(lattice_points(3.0, 1.0, 2), GaborDiscretization(8.0, 8))
+
+    def test_twin_owns_its_array_without_a_copy(self, monkeypatch):
+        assert_columns_adopted(
+            lambda: [generators._gabor_twin(punctured_lattice(2), GaborDiscretization(6.0, 16))],
+            monkeypatch, np.float64,
+        )
 
 
 class TestGaussianGabor:

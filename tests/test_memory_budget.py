@@ -43,10 +43,10 @@ BUDGETS = {
     ("family", "riesz", 128): 1.54,
     ("family", "riesz", 256): 1.52,
     ("family", "riesz", 512): 1.52,
-    ("gabor", "lattice", 2): 2.72,
-    ("gabor", "lattice", 4): 2.01,
-    ("gabor", "lattice", 8): 2.02,
-    ("gabor", "file", 2): 3.33,
+    ("gabor", "lattice", 2): 1.54,
+    ("gabor", "lattice", 4): 1.40,
+    ("gabor", "lattice", 8): 1.33,
+    ("gabor", "file", 2): 3.19,
     ("gabor", "file", 4): 2.46,
     ("gabor", "file", 8): 2.12,
 }
