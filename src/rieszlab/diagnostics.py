@@ -253,7 +253,10 @@ def classify(seq: VectorSequence) -> Verdict:
     `CriteriaDisagreementError` signals a tolerance bug.  Each route factors
     its own matrix once (an SVD of F, an eigensolve of the smaller of F^H F
     and F F^H, the dual's solve and SVD) and keeps the factorization in that
-    matrix's spectral record; the dual's Gram product is never formed.
+    matrix's spectral record; the dual's Gram product is never formed.  A
+    system with at most one nonzero per row and column, and its dual, read
+    their singular values and Gram eigenvalues from their entries instead,
+    exactly, so only the dual's solve runs; every check still runs on them.
     """
     lower, upper, lam = _compared_routes(seq)
     defect = completeness_defect(seq)

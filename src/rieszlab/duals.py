@@ -23,6 +23,7 @@ from .seqcore import (
     VectorSequence,
     _gram_entries,
     _independent,
+    _monomial_moduli,
     analysis,
     synthesis,
 )
@@ -112,14 +113,21 @@ def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> f
     orthonormal basis from the reduced QR of [F G], R and its adjoint map
     span(Q) into itself, and R = -I on its nonzero complement, so the norm is
     max(||(Q^H F)(G^H Q) - I||, 1) exactly, from a 2 count x 2 count SVD.
+    A residual with at most one nonzero per row and column, such as that of
+    two diagonal systems, has its largest modulus as its norm, with no SVD.
     """
     _check_pair(seq, partner)
     f, g = seq.columns, partner.columns
     if 2 * seq.count < seq.dim:
         q = np.linalg.qr(np.concatenate([f, g], axis=1))[0]
         compressed = _minus_identity((q.conj().T @ f) @ (g.conj().T @ q))
-        return max(float(np.linalg.norm(compressed, 2)), 1.0)
-    return float(np.linalg.norm(_minus_identity(f @ g.conj().T), 2))
+        return max(_spectral_norm(compressed), 1.0)
+    return _spectral_norm(_minus_identity(f @ g.conj().T))
+
+
+def _spectral_norm(matrix: np.ndarray) -> float:
+    moduli = _monomial_moduli(matrix)
+    return float(np.linalg.norm(matrix, 2) if moduli is None else moduli.max())
 
 
 def injectivity_witness(seq: VectorSequence, partner: VectorSequence, coeffs):

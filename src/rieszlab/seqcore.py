@@ -35,6 +35,11 @@ float comparisons, and laid out by their first column.  A sampled Gabor
 system whose nodes pair up is built as this twin from its nodes
 (`generators._gabor_twin`), in the same layout, so the search never runs
 for it.
+
+A system with at most one nonzero per row and column (`_monomial_moduli`) is
+never factored: its singular values are the moduli of its entries, sorted,
+and its Gram eigenvalues their squares, both exact, so its two routes agree
+by construction.  Its entries alone select this path.
 """
 
 from __future__ import annotations
@@ -169,14 +174,17 @@ class _SpectralRecord:
     outcome of `duals.minimal_dual`, with the biorthogonality residual that
     accepted it).  sigma needs only the singular values, which the real twin
     shares with F, so a real or conjugation-closed system's sigma comes from
-    real arithmetic.  The twin is not kept, even for a tall system of rank
-    below its dimension: its one later reader, `span_distance` of an
-    incomplete system, rebuilds it with a copy and no factorization.  The Gram
-    product, its spectrum and the dual are computed from `columns`, so they
-    are real only for a real system.  The product is Hermitian positive
-    semidefinite by construction.  The record lives and dies with its
-    sequence and holds no U/V factors.  Threads racing on a first read may
-    each compute an entry; the first stored value is the one every caller gets.
+    real arithmetic.  For a system with at most one nonzero per row and
+    column, sigma is its sorted moduli and the eigenvalues their squares,
+    with no factorization; only the dual's solve forms its Gram product.  The
+    twin is not kept, even for a tall system of rank below its dimension: its
+    one later reader, `span_distance` of an incomplete system, rebuilds it
+    with a copy and no factorization.  The Gram product, its spectrum and the
+    dual are computed from `columns`, so they are real only for a real
+    system.  The product is Hermitian positive semidefinite by construction.
+    The record lives and dies with its sequence and holds no U/V factors.
+    Threads racing on a first read may each compute an entry; the first
+    stored value is the one every caller gets.
     """
 
     def fill(self, name: str, compute):
@@ -195,8 +203,13 @@ def _singular_values(seq: VectorSequence) -> np.ndarray:
 def _representable_sigma(seq: VectorSequence) -> np.ndarray:
     """Refuses a nonzero system unless every squared singular value from the
     rank threshold up to sigma_max is a normal float; beyond that range its
-    bounds, Gram spectrum and dual are not representable."""
-    sigma = np.linalg.svd(_real_twin(seq), compute_uv=False)
+    bounds, Gram spectrum and dual are not representable.  A system with at
+    most one nonzero per row and column takes its moduli, sorted, as sigma."""
+    moduli = _monomial_moduli(seq.columns)
+    if moduli is None:
+        sigma = np.linalg.svd(_real_twin(seq), compute_uv=False)
+    else:
+        sigma = np.sort(moduli)[::-1][:min(seq.columns.shape)]
     tol = _rank_scale(seq.columns.shape, float(sigma[0]))
     if sigma[0] > 0.0 and not _SIGMA_FLOOR <= tol <= sigma[0] <= _SIGMA_CEILING:
         raise IllConditionedError(
@@ -204,6 +217,22 @@ def _representable_sigma(seq: VectorSequence) -> np.ndarray:
             "down to the rank threshold must be normal floats"
         )
     return _read_only(sigma)
+
+
+def _monomial_moduli(arr: np.ndarray):
+    """For a matrix with at most one nonzero per row and per column (-0.0
+    counts as zero, as in `_kernel_view`), the modulus of each column's
+    nonzero, 0.0 for a zero column; else None.  Up to row and column
+    permutations and unimodular factors such a matrix is a rectangular
+    diagonal of these moduli, so they are exactly its singular values.  A
+    first column with two nonzeros, as in a dense system, settles it before
+    the full scan."""
+    if np.count_nonzero(arr[:, 0]) > 1:
+        return None
+    nonzero = arr != 0
+    if np.count_nonzero(nonzero, axis=0).max() > 1 or np.count_nonzero(nonzero, axis=1).max() > 1:
+        return None
+    return np.abs(arr[nonzero.argmax(axis=0), np.arange(arr.shape[1])])
 
 
 def _real_twin(seq: VectorSequence) -> np.ndarray:
@@ -281,7 +310,14 @@ def _gram_entries(seq: VectorSequence) -> np.ndarray:
 
 
 def _gram_eigenvalues(seq: VectorSequence) -> np.ndarray:
-    """Ascending eigenvalues of the record's Gram product; one eigensolve per system."""
-    return seq._record.fill(
-        "gram_eigenvalues", lambda: _read_only(np.linalg.eigvalsh(_gram_entries(seq)))
-    )
+    """Ascending eigenvalues of the record's Gram product; one eigensolve per
+    system, or for a system with at most one nonzero per row and column, whose
+    Gram product is diagonal, its squared moduli without the product."""
+    return seq._record.fill("gram_eigenvalues", lambda: _read_only(_gram_spectrum(seq)))
+
+
+def _gram_spectrum(seq: VectorSequence) -> np.ndarray:
+    moduli = _monomial_moduli(seq.columns)
+    if moduli is None:
+        return np.linalg.eigvalsh(_gram_entries(seq))
+    return np.sort(moduli)[-min(seq.columns.shape):] ** 2

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import rieszlab
-from rieszlab import VectorSequence, classify, duals, random_riesz, scaling
+from rieszlab import VectorSequence, classify, duals, random_riesz, scaling, seqcore
 from rieszlab.cli import main
 from rieszlab.generators import (
     RIESZ_CONDITION_LIMIT,
@@ -31,6 +31,7 @@ from rieszlab.generators import (
     gaussian_gabor,
     lattice_points,
     riesz_from_operator,
+    weighted_pair,
     young_general,
 )
 from rieszlab.matrixio import write_matrix, write_point_set
@@ -190,6 +191,70 @@ def test_cli_reads_the_accepted_biorthogonality_residual(
     assert residual == original(seq, duals.minimal_dual(seq))
 
 
+def permuted_weighted_pair():
+    columns = weighted_pair(24).primal.columns
+    return VectorSequence.from_columns(columns[:, np.random.default_rng(6).permutation(24)])
+
+
+def _near_monomial_systems():
+    """Matrices that miss "at most one nonzero per row and column" by one entry
+    or more, each past a first column with a single nonzero."""
+    diagonal = np.diag(np.arange(1.0, 7.0))
+    subnormal = diagonal.copy()
+    subnormal[4, 1] = 5e-324
+    extra = np.zeros((1, 6))
+    extra[0, 3] = 2.0
+    dense = np.random.default_rng(9).standard_normal((6, 6))
+    dense[:, 0] = np.eye(6)[0]
+    return {
+        "subnormal-off-diagonal": subnormal,
+        "two-in-a-column": np.vstack([diagonal, extra]),
+        "two-in-a-row": np.hstack([diagonal, extra.T]),
+        "dense-first-column-e1": dense,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_near_monomial_systems()))
+def test_near_monomial_system_is_factored(name, lapack_calls):
+    cols = _near_monomial_systems()[name]
+    assert seqcore._monomial_moduli(cols) is None
+    seq = VectorSequence.from_columns(cols)
+    lapack_calls.clear()
+    seqcore._singular_values(seq)
+    seqcore._gram_eigenvalues(seq)
+    assert dict(lapack_calls) == {"svd": 1, "eigvalsh": 1}
+
+
+def test_dense_identity_residual_keeps_its_svd(lapack_calls):
+    # A Riesz basis's residual F G^H - I is dense rounding noise.
+    seq = independent_system()
+    partner = rieszlab.minimal_dual(seq)
+    lapack_calls.clear()
+    duals.duality_identity_residual(seq, partner)
+    assert dict(lapack_calls) == {"svd": 1}
+
+
+def test_diagonal_identity_residual_is_its_largest_modulus(lapack_calls):
+    pair = rieszlab.alternating_weighted_pair(40)
+    products = np.diag(pair.primal.columns) * np.diag(pair.partner.columns)
+    lapack_calls.clear()
+    assert duals.duality_identity_residual(pair.primal, pair.partner) == np.abs(products - 1.0).max()
+    assert not lapack_calls
+
+
+@pytest.mark.parametrize("command", ["analyze", "dual"])
+def test_cli_permuted_diagonal_runs_only_the_dual_solve(
+    command, lapack_calls, matrix_file, tmp_path, capsys
+):
+    # The system, its dual and the identity residual each hold at most one
+    # nonzero per row and column, so only the dual's Gram solve factors.
+    path = matrix_file(permuted_weighted_pair())
+    extra = ["-o", str(tmp_path / "dual.csv")] if command == "dual" else []
+    lapack_calls.clear()
+    assert main([command, path, *extra]) == 0
+    assert_within(lapack_calls, svd=0, eigvalsh=0, solve=1)
+
+
 def test_analyze_dependent(lapack_calls, matrix_file, capsys):
     path = matrix_file(dependent_system())
     lapack_calls.clear()
@@ -265,17 +330,20 @@ def test_gabor_refine_analyzes_its_point_set_once(monkeypatch, tmp_path, capsys)
 # Per size: the member's SVD and, for an incomplete member only, one lstsq
 # for the probe distance.  A family without a designated partner reads its
 # dual metrics off that SVD's rank decision and builds no dual; a designated
-# partner adds its SVD and eigensolve and one SVD inside the identity-residual
-# norm.  Three sizes per family, every family of `scaling._FAMILIES`; the
-# Gabor and Young members are incomplete.
+# partner adds one SVD inside the identity-residual norm.  A matrix with at
+# most one nonzero per row and column needs none of these: the orthonormal
+# and the two weighted families' members, their partners and their residuals,
+# and the Young partners, read their spectra and norms from their entries.
+# Three sizes per family, every family of `scaling._FAMILIES`; the Gabor and
+# Young members are incomplete.
 FAMILY_BUDGETS = [
     ("rieszSeeded", (8, 16, 32), (3, 0, 0, 0)),
-    ("orthonormal", (8, 16, 32), (3, 0, 0, 0)),
+    ("orthonormal", (8, 16, 32), (0, 0, 0, 0)),
     ("gaborPunctured", (1, 2, 3), (3, 0, 0, 3)),
-    ("weightedPair", (8, 16, 32), (9, 3, 0, 0)),
-    ("youngExample", (8, 16, 32), (9, 3, 0, 3)),
-    ("alternatingWeightedPair", (8, 16, 32), (9, 3, 0, 0)),
-    ("youngGeneral", (8, 16, 32), (9, 3, 0, 3)),
+    ("weightedPair", (8, 16, 32), (0, 0, 0, 0)),
+    ("youngExample", (8, 16, 32), (6, 0, 0, 3)),
+    ("alternatingWeightedPair", (8, 16, 32), (0, 0, 0, 0)),
+    ("youngGeneral", (8, 16, 32), (6, 0, 0, 3)),
     ("gaborALS", (1, 2, 3), (3, 0, 0, 3)),
     ("gaborFullLattice", (1, 2, 3), (3, 0, 0, 3)),
 ]
@@ -294,9 +362,9 @@ def test_every_family_has_a_budget():
 @pytest.mark.parametrize(
     "generator, sizes, dtype",
     [
-        ("orthonormal", (8, 16, 32), float),
-        ("weightedPair", (8, 16, 32), float),
-        ("alternatingWeightedPair", (8, 16, 32), float),
+        ("orthonormal", (8, 16, 32), None),
+        ("weightedPair", (8, 16, 32), None),
+        ("alternatingWeightedPair", (8, 16, 32), None),
         ("youngExample", (8, 16, 32), float),
         ("youngGeneral", (8, 16, 32), float),
         ("rieszSeeded", (8, 16, 32), complex),
@@ -304,8 +372,12 @@ def test_every_family_has_a_budget():
     ],
 )
 def test_run_family_kernel_dtype(generator, sizes, dtype, lapack_calls):
+    # dtype None: a diagonal family reads every spectrum from its entries.
     run_family(FamilySpec(generator, sizes))
-    assert_computed_in(lapack_calls, dtype)
+    if dtype is None:
+        assert not lapack_calls, dict(lapack_calls)
+    else:
+        assert_computed_in(lapack_calls, dtype)
 
 
 def real_dense_basis():

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from memtrace import traced_peak
 import rieszlab
+from rieszlab import duals, seqcore
 from rieszlab import (
     DimensionError,
     VectorSequence,
@@ -372,6 +373,68 @@ def test_spectral_record_keeps_no_twin():
 def test_real_system_column_view_is_its_kernel():
     seq = young_example(6).primal
     assert _real_twin(seq) is seq.columns
+
+
+@st.composite
+def monomial_systems(draw):
+    """A dim x count matrix with at most one nonzero per row and per column,
+    moduli from 1e-150 to 1e150, real or complex, each zero part 0.0 or -0.0."""
+    dim, count = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rank = draw(st.integers(0, min(dim, count)))
+    rows = draw(st.permutations(range(dim)))[:rank]
+    cols = draw(st.permutations(range(count)))[:rank]
+    moduli = 10.0 ** draw(hnp.arrays(float, rank, elements=st.floats(-150.0, 150.0)))
+    zeros = np.where(draw(hnp.arrays(bool, (2, dim, count))), -0.0, 0.0)
+    if draw(st.booleans()):
+        system = np.empty((dim, count), dtype=complex)
+        system.real, system.imag = zeros
+        angles = draw(hnp.arrays(float, rank, elements=st.floats(0.0, 2 * np.pi)))
+        system[rows, cols] = moduli * np.exp(1j * angles)
+    else:
+        system = zeros[0]
+        signs = draw(hnp.arrays(float, rank, elements=st.sampled_from([-1.0, 1.0])))
+        system[rows, cols] = moduli * signs
+    return system
+
+
+def _outcome(call):
+    """What `call` returns, or the type and message of the package error it raises."""
+    try:
+        return call()
+    except rieszlab.RieszLabError as exc:
+        return type(exc), str(exc)
+
+
+def _verdict_summary(verdict):
+    if isinstance(verdict, tuple):
+        return verdict
+    return verdict.kind, verdict.bounds.completeness_defect
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=monomial_systems())
+@example(system=np.diag([1e-150, 3e-151]))  # rank threshold below the normal floats
+@example(system=np.diag([2e154, 1.0]))  # sigma_max above the square root of the largest float
+@example(system=np.array([[-0.0, 3.0 - 4.0j, 0.0], [1e-150j, -0.0, -0.0]]))
+@example(system=np.array([[0.0, -0.0], [-0.0, 0.0], [-2.0, -0.0]]))
+def test_monomial_closed_form_matches_the_factorizations(system):
+    closed = VectorSequence.from_columns(system)
+    sigma = _outcome(lambda: _singular_values(closed))
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (seqcore, duals):
+            patch.setattr(module, "_monomial_moduli", lambda arr: None)
+        factored = VectorSequence.from_columns(system)
+        svd = _outcome(lambda: _singular_values(factored))
+        factored_verdict = _verdict_summary(_outcome(lambda: classify(factored)))
+    assert _verdict_summary(_outcome(lambda: classify(closed))) == factored_verdict
+    if isinstance(svd, tuple):
+        # Out of range: the same IllConditionedError, word for word.
+        assert svd[0] is rieszlab.IllConditionedError and sigma == svd
+        return
+    moduli = np.sort(np.abs(system).max(axis=0))[::-1][:min(system.shape)]
+    np.testing.assert_array_equal(sigma, moduli)
+    assert np.all(np.abs(svd - sigma) <= 4 * np.finfo(float).eps * sigma)
+    np.testing.assert_array_equal(_gram_eigenvalues(closed), sigma[::-1] ** 2)
 
 
 class TestSynthesis:
