@@ -45,7 +45,6 @@ from .seqcore import (
     _kernel_view,
     _rank,
     _rank_scale,
-    _real_twin,
     _singular_values,
 )
 
@@ -176,21 +175,19 @@ def span_distance(seq: VectorSequence, vector) -> float:
     Exactly 0.0 when the columns' numerical rank equals the ambient dimension,
     the decision behind a completeness defect of 0; otherwise the residual of
     a least-squares solve that drops singular values at the same threshold.
-    The solve reads the column-route view, which has the span of the columns.
-    A vector without a nonzero imaginary part enters it as a real vector; a
-    complex vector against a real view enters as its real and imaginary
-    parts, two real right-hand sides whose residuals make up its own, so a
-    real view stays in real arithmetic.
+    A vector without a nonzero imaginary part enters the solve as a real
+    vector; a complex vector against real columns enters as its real and
+    imaginary parts, two real right-hand sides whose residuals make up its
+    own, so a real system stays in real arithmetic.
     """
     h = _kernel_view(_ambient_vector(vector, seq.dim))
     if _rank(seq) == seq.dim:
         return 0.0
-    # Row-major like `columns`, so the residual product rounds alike.
-    view = np.ascontiguousarray(_real_twin(seq))
-    if view.dtype == float and h.dtype == complex:
+    cols = seq.columns
+    if cols.dtype == float and h.dtype == complex:
         h = np.stack([h.real, h.imag], axis=1)
-    solution = np.linalg.lstsq(view, h, rcond=_rank_scale(seq.columns.shape))[0]
-    return float(np.linalg.norm(h - view @ solution))
+    solution = np.linalg.lstsq(cols, h, rcond=_rank_scale(cols.shape))[0]
+    return float(np.linalg.norm(h - cols @ solution))
 
 
 def gram_spectrum(seq: VectorSequence) -> GramSpectrum:

@@ -27,11 +27,10 @@ The bounds and the rank of a system depend only on its singular values,
 which its real twin F U (U unitary) shares.  The point set also keeps its
 node pairing, (tau, mu) with (tau, -mu), and where every node has a partner
 the private `_gabor_twin` builds that float64 twin straight from the nodes,
-with the factor tables of `gaussian_gabor`, in the layout
-`seqcore._real_twin` gives the complex system's twin, and with the same
-bits but for the sign of a zero.  `gabor` and the Gabor families read the
-twin at every rate; the complex system is built for `gabor --dump-matrix`
-and for a set that does not pair up.
+with the factor tables of `gaussian_gabor`.  `gabor`, the Gabor families
+and `scaling.gabor_refinement_study` read the twin at every rate; the
+complex system is built for `gabor --dump-matrix` and for a set that does
+not pair up.
 
 Every generator except `riesz_from_operator`, whose caller owns the operator,
 builds a fresh C-contiguous array, float64 for the real families, and hands it
@@ -97,11 +96,11 @@ class PointSet2D:
         distinct modulations and theirs, and last the node pairing.  Distinct
         values are told apart by their float64 bit pattern, so the keys are
         uint64.  The pairing gives each node the index of its partner
-        (tau, -mu), matched by float equality as `seqcore._real_twin` matches
-        conjugate columns, so (-0.0, mu) pairs with (0.0, -mu); a node with
-        mu = +-0 is its own partner, and a node without one reads -1.  The
-        arrays are read-only; derived from the frozen nodes, they take no part
-        in equality or hashing."""
+        (tau, -mu), matched by float equality, so (-0.0, mu) pairs with
+        (0.0, -mu), as their columns are conjugate; a node with mu = +-0 is
+        its own partner, and a node without one reads -1.  The arrays are
+        read-only; derived from the frozen nodes, they take no part in
+        equality or hashing."""
         taus, mus = np.array(self.nodes).T
         tau_keys, tau_index = np.unique(taus.view(np.uint64), return_inverse=True)
         mu_keys, mu_index = np.unique(mus.view(np.uint64), return_inverse=True)
@@ -371,15 +370,19 @@ def _gabor_twin(points: PointSet2D, disc: GaborDiscretization) -> VectorSequence
     from the node pairing without the complex system; for a set not closed
     under mu -> -mu, `gaussian_gabor(points, disc)` itself.
 
-    Its columns are those of `seqcore._real_twin`: the columns of the real
-    nodes (mu = +-0), whose phase is exactly 1, so each is its envelope; then
-    for each pair, ordered by its first node, sqrt(2) Re f and then, in a
-    second block, sqrt(2) Im f of that node's column f.  Each of those
-    entries is sqrt(2) * (Re phase * envelope), in that order, the rounding
-    of the twin of the complex system, so the two agree bit for bit but for
-    the sign of a zero where an envelope underflows.  The twin is F U with U
-    unitary, so it has the singular values and the complex span of F, all
-    that the bounds, the rank and `span_distance` read.
+    The twin is [real columns, sqrt(2) Re f, sqrt(2) Im f] in a canonical
+    layout: first the columns of the real nodes (mu = +-0) in node order,
+    whose phase is exactly 1, so each is its envelope; then for each pair,
+    ordered by its first node, sqrt(2) Re f, and then, in a second block in
+    the same order, sqrt(2) Im f of that first node's column f.  Each of
+    those entries is sqrt(2) * (Re phase * envelope), or the same with
+    Im phase, rounded in that order, as sqrt(2) Re f and sqrt(2) Im f round
+    when taken from `gaussian_gabor`'s columns: this layout gathered from
+    the complex system agrees with the twin bit for bit but for the sign of
+    a zero where an envelope underflows.  The twin is F U with U unitary (a
+    2x2 block (1, -i; 1, i)/sqrt(2) per pair, times a column permutation),
+    so it has the singular values and the complex span of F, all that the
+    bounds, the rank and `span_distance` read.
     """
     _, _, tau_index, _, mu_index, partner = points._split
     if (partner < 0).any():

@@ -334,6 +334,8 @@ def gabor_refinement_study(
 
     Rows are keyed by samples_per_unit; stable values across refinements mean
     the discrete bounds track the underlying system rather than the grid.
+    Each rate reads the system's real twin where the nodes pair up
+    (`generators._gabor_twin`), as `gabor --refine` does.
     """
     discs = list(discretizations)
     if not discs:
@@ -342,5 +344,5 @@ def gabor_refinement_study(
     if any(b <= a for a, b in zip(rates, rates[1:])):
         raise ValueError("discretizations must have strictly increasing sampling rates")
     return _refinement_report(
-        (disc.samples_per_unit, generators.gaussian_gabor(points, disc)) for disc in discs
+        (disc.samples_per_unit, generators._gabor_twin(points, disc)) for disc in discs
     )

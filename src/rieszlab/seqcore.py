@@ -26,15 +26,9 @@ The public constructors copy their input, so a caller's array never changes a
 sequence; the library's own producers (the generators except
 `riesz_from_operator`, `read_matrix`, the minimal dual) hand a fresh array to
 the private `VectorSequence._adopt`, which checks it alike and freezes it in
-place.  The column route (the column SVD and the least-squares solve of
-`span_distance`, which depend only on the singular values and the complex
-span) reads the real twin [real columns, sqrt(2) Re f, sqrt(2) Im f] = F U,
-U unitary, instead, when complex columns split exactly into conjugate pairs
-(f, conj f): pairs are found by their column sums, checked entry by entry in
-float comparisons, and laid out by their first column.  A sampled Gabor
-system whose nodes pair up is built as this twin from its nodes
-(`generators._gabor_twin`), in the same layout, so the search never runs
-for it.
+place.  A sampled Gabor system whose nodes pair up is built as its float64
+real twin, straight from its nodes (`generators._gabor_twin`); any other
+complex system is factored in complex arithmetic.
 
 A system with at most one nonzero per row and column (`_monomial_moduli`) is
 never factored: its singular values are the moduli of its entries, sorted,
@@ -168,20 +162,15 @@ def _rank_scale(shape, sigma_max: float = 1.0) -> float:
 class _SpectralRecord:
     """Factorizations of one VectorSequence, each computed on first read.
 
-    Entries: "sigma" (singular values of F, from `_real_twin`'s view),
-    "gram_entries" (the smaller Gram product: F^H F, or F F^H for a wide
-    system), "gram_eigenvalues" (its ascending eigenvalues) and "dual" (the
-    outcome of `duals.minimal_dual`, with the biorthogonality residual that
-    accepted it).  sigma needs only the singular values, which the real twin
-    shares with F, so a real or conjugation-closed system's sigma comes from
-    real arithmetic.  For a system with at most one nonzero per row and
-    column, sigma is its sorted moduli and the eigenvalues their squares,
-    with no factorization; only the dual's solve forms its Gram product.  The
-    twin is not kept, even for a tall system of rank below its dimension: its
-    one later reader, `span_distance` of an incomplete system, rebuilds it
-    with a copy and no factorization.  The Gram product, its spectrum and the
-    dual are computed from `columns`, so they are real only for a real
-    system.  The product is Hermitian positive semidefinite by construction.
+    Entries: "sigma" (singular values of F), "gram_entries" (the smaller
+    Gram product: F^H F, or F F^H for a wide system), "gram_eigenvalues" (its
+    ascending eigenvalues) and "dual" (the outcome of `duals.minimal_dual`,
+    with the biorthogonality residual that accepted it).  Every entry is
+    computed from `columns`, so it is real exactly when the system is.  For a
+    system with at most one nonzero per row and column, sigma is its sorted
+    moduli and the eigenvalues their squares, with no factorization; only the
+    dual's solve forms its Gram product.  The product is Hermitian positive
+    semidefinite by construction.
     The record lives and dies with its sequence and holds no U/V factors.
     Threads racing on a first read may each compute an entry; the first
     stored value is the one every caller gets.
@@ -195,8 +184,7 @@ class _SpectralRecord:
 
 
 def _singular_values(seq: VectorSequence) -> np.ndarray:
-    """Singular values of the columns, descending; one SVD per system, of its
-    column-route view."""
+    """Singular values of the columns, descending; one SVD per system."""
     return seq._record.fill("sigma", lambda: _representable_sigma(seq))
 
 
@@ -207,7 +195,7 @@ def _representable_sigma(seq: VectorSequence) -> np.ndarray:
     most one nonzero per row and column takes its moduli, sorted, as sigma."""
     moduli = _monomial_moduli(seq.columns)
     if moduli is None:
-        sigma = np.linalg.svd(_real_twin(seq), compute_uv=False)
+        sigma = np.linalg.svd(seq.columns, compute_uv=False)
     else:
         sigma = np.sort(moduli)[::-1][:min(seq.columns.shape)]
     tol = _rank_scale(seq.columns.shape, float(sigma[0]))
@@ -233,63 +221,6 @@ def _monomial_moduli(arr: np.ndarray):
     if np.count_nonzero(nonzero, axis=0).max() > 1 or np.count_nonzero(nonzero, axis=1).max() > 1:
         return None
     return np.abs(arr[nonzero.argmax(axis=0), np.arange(arr.shape[1])])
-
-
-def _real_twin(seq: VectorSequence) -> np.ndarray:
-    """The column-route view: for a complex system whose columns split exactly
-    into conjugate pairs (f, conj f), the real twin [real columns, sqrt(2) Re f,
-    sqrt(2) Im f], built afresh on each call, frozen float64 in column-major
-    order (the layout np.linalg.svd copies its input into); else `columns`.
-
-    The twin is F U with U unitary (a 2x2 block (1, -i; 1, i)/sqrt(2) per
-    pair, times a column permutation), so it has the singular values and the
-    complex span of F.  Pairs are found by their column sums, which must
-    match up exactly and uniquely, and confirmed entry by entry (-0.0 equals
-    0.0, as in the choice of a real `columns`); any miss keeps `columns`.  A
-    system whose sums cannot pair is left before anything is copied.  The
-    layout is canonical, whatever the sums: the real columns in their order,
-    then the pairs ordered by their first column, whose real and imaginary
-    parts are written straight into the twin.  Each second column is then
-    checked against them as floats, real parts equal and imaginary parts
-    negated, so no complex copy of either is made.  Only a confirmed twin is
-    scaled by sqrt(2).  `generators._gabor_twin` builds this layout from a
-    point set's nodes.
-    """
-    cols = seq.columns
-    if cols.dtype == float:
-        return cols
-    sums = cols.sum(axis=0)
-    # A nonzero imaginary sum marks a complex column; the others are searched.
-    is_complex = sums.imag != 0.0
-    is_complex[~is_complex] = cols.imag[:, ~is_complex].any(axis=0)
-    sums = sums[is_complex]
-    if sums.size % 2:
-        return cols
-    # Ascending real part, then |imag|, then imag: a conjugate pair is
-    # adjacent, its member with imag <= 0 first.
-    ranked = np.lexsort((sums.imag, np.abs(sums.imag), sums.real))
-    low, high = sums[ranked[0::2]], sums[ranked[1::2]]
-    # Two pairs with one sum would make the pairing ambiguous.
-    if not np.array_equal(low, high.conj()) or np.any(low[1:] == low[:-1]):
-        return cols
-    complex_index = np.flatnonzero(is_complex)
-    members, partners = complex_index[ranked[0::2]], complex_index[ranked[1::2]]
-    firsts, seconds = np.sort((members, partners), axis=0)
-    order = np.argsort(firsts)
-    firsts, seconds = firsts[order], seconds[order]
-    real_count, pair_count = cols.shape[1] - complex_index.size, firsts.size
-    twin = np.empty(cols.shape, order="F")
-    real_part = twin[:, real_count:real_count + pair_count]
-    imag_part = twin[:, real_count + pair_count:]
-    real_part[...] = cols.real[:, firsts]
-    imag_part[...] = cols.imag[:, firsts]
-    if not (np.array_equal(real_part, cols.real[:, seconds])
-            and np.array_equal(imag_part, -cols.imag[:, seconds])):
-        return cols
-    twin[:, :real_count] = cols.real[:, ~is_complex]
-    real_part *= np.sqrt(2.0)
-    imag_part *= np.sqrt(2.0)
-    return _read_only(twin)
 
 
 def _rank(seq: VectorSequence) -> int:

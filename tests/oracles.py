@@ -220,10 +220,11 @@ def gathered_real_twin(columns):
     """The real twin [real columns, sqrt(2) Re f, sqrt(2) Im f] of complex
     columns that split exactly into conjugate pairs (f, conj f), built from
     complex copies of both members of every pair, column-major; None when
-    they do not split.  Pairs are matched by their column sums as
-    `seqcore._real_twin` matches them, and laid out in its canonical order:
-    f is the first column of its pair, and the pairs follow their first
-    columns."""
+    they do not split.  Pairs are matched by their column sums, which must
+    pair up exactly and uniquely, and confirmed entry by entry.  The layout
+    is the canonical one `generators._gabor_twin` builds from a point set's
+    nodes: the real columns in their order, then the pairs ordered by their
+    first column, f being that first column."""
     cols = np.asarray(columns)
     sums = cols.sum(axis=0)
     is_complex = sums.imag != 0.0

@@ -6,9 +6,9 @@ diagnostics of one system reuse those factorizations.  Budgets may only go
 down.  The counters replace svd, eigvalsh, solve and lstsq in both
 numpy.linalg and its implementation module, so the SVD inside
 np.linalg.norm(x, 2) is counted too.  They also record the dtype each call
-computes in, which pins real systems, and the column route of
-conjugation-closed ones, to real arithmetic, and the shape of each
-eigensolved matrix, which pins the Gram route to the smaller Gram product.
+computes in, which pins real systems and the real twins of paired Gabor
+systems to real arithmetic, and the shape of each eigensolved matrix, which
+pins the Gram route to the smaller Gram product.
 """
 
 import inspect
@@ -24,6 +24,7 @@ import pytest
 import rieszlab
 from rieszlab import VectorSequence, classify, duals, random_riesz, scaling, seqcore
 from rieszlab.cli import main
+from rieszlab.diagnostics import TWO_ROUTE_RTOL
 from rieszlab.generators import (
     RIESZ_CONDITION_LIMIT,
     GaborDiscretization,
@@ -404,8 +405,8 @@ def test_cli_kernel_dtype(command, system, dtype, lapack_calls, matrix_file, tmp
 
 
 def test_gabor_kernel_dtype(lapack_calls, capsys):
-    # The conjugate nodes (tau, mu) and (tau, -mu) give conjugate columns, so
-    # the column route factors the system's real twin.
+    # The nodes pair up as (tau, mu) and (tau, -mu), so `gabor` builds and
+    # factors the system's real twin.
     assert main(["gabor", "--set", "punctured", "--max-index", "2"]) == 0
     assert_computed_in(lapack_calls, float)
 
@@ -419,15 +420,20 @@ def test_gabor_jittered_file_stays_complex(lapack_calls, tmp_path, capsys):
     assert_computed_in(lapack_calls, complex)
 
 
-def test_analyze_gabor_dump_factors_the_real_twin(lapack_calls, tmp_path, capsys):
-    # The read-back file pairs up as the generated system does: its SVD runs
-    # in float64, while the Gram route and the dual keep the complex columns.
-    dump = tmp_path / "gabor.csv"
-    assert main(["gabor", "--set", "punctured", "--max-index", "2", "--dump-matrix", str(dump)]) == 0
+def test_analyze_of_a_gabor_dump_keeps_its_bounds_and_budget(lapack_calls, tmp_path, capsys):
+    # `gabor` factors the real twin it builds from the nodes; `analyze` of the
+    # dumped complex matrix factors the complex system, within the standing
+    # budget, and agrees to the two-route tolerance.
+    dump, built, analyzed = (tmp_path / name for name in ("gabor.csv", "g.json", "a.json"))
+    assert main(["gabor", "--set", "punctured", "--max-index", "2",
+                 "--dump-matrix", str(dump), "--json", str(built)]) == 0
     lapack_calls.clear()
-    assert main(["analyze", str(dump)]) == 0
-    assert np.dtype(float) in lapack_calls.dtypes["svd"]
-    assert lapack_calls.dtypes["eigvalsh"] == lapack_calls.dtypes["solve"] == {np.dtype(complex)}
+    assert main(["analyze", str(dump), "--json", str(analyzed)]) == 0
+    assert_within(lapack_calls, svd=3, eigvalsh=1, solve=1)
+    expected, report = json.loads(built.read_text()), json.loads(analyzed.read_text())
+    assert report["defect"] == expected["defect"]
+    for name, value in expected["bounds"].items():
+        assert report["bounds"][name] == pytest.approx(value, rel=TWO_ROUTE_RTOL)
 
 
 @pytest.mark.parametrize(

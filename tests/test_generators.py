@@ -32,7 +32,7 @@ from rieszlab import (
     young_example,
     young_general,
 )
-from rieszlab.seqcore import _gram_entries, _real_twin, _singular_values
+from rieszlab.seqcore import _gram_entries, _singular_values
 
 GAUSS_NORM = 2.0 ** -0.25  # L2 norm of exp(-pi x^2)
 EPS = np.finfo(float).eps
@@ -463,10 +463,19 @@ def assert_same_bits(actual, expected):
     )
 
 
+def assert_same_bits_but_zero_signs(actual, expected):
+    """Equal as values, and bit for bit wherever the value is not zero."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    np.testing.assert_array_equal(actual, expected)
+    nonzero = expected != 0.0
+    assert_same_bits(actual[nonzero], expected[nonzero])
+
+
 class TestInPlaceAssembly:
     """`gaussian_gabor` multiplies the gathered envelopes into the gathered
-    phases in place, and `_real_twin` writes each pair's first member straight
-    into the twin; both keep the bits of the gathered-copy references."""
+    phases in place, and `_gabor_twin` multiplies each pair's gathered phase
+    parts by their envelopes; both keep the bits of the gathered-copy
+    references, the twin's but for the sign of a zero."""
 
     @pytest.mark.parametrize("disc", ASSEMBLY_DISCS, ids=lambda d: f"{d.half_width}x{d.samples_per_unit}")
     @pytest.mark.parametrize("name", ASSEMBLY_SETS)
@@ -477,13 +486,10 @@ class TestInPlaceAssembly:
         twin = oracles.gathered_real_twin(seq.columns)
         closed = name not in ("jittered", "separated")
         assert (twin is not None) == closed
-        if not closed:
-            assert _real_twin(seq) is seq.columns
-            return
-        built = _real_twin(seq)
-        assert built.flags.f_contiguous and not built.flags.writeable
-        assert_same_bits(built, twin)
-        assert_same_bits(_singular_values(seq), np.linalg.svd(twin, compute_uv=False))
+        if closed:
+            built = generators._gabor_twin(points, disc)
+            assert_same_bits_but_zero_signs(built.columns, twin)
+            assert_same_bits(_singular_values(built), np.linalg.svd(twin, compute_uv=False))
 
     def test_underflowing_envelopes_keep_their_bits(self):
         # Shifts up to 4 in a window of half-width 40: the envelopes underflow
@@ -496,7 +502,9 @@ class TestInPlaceAssembly:
         zeros = seq.columns.imag[seq.columns.imag == 0.0]
         assert np.signbit(zeros).any() and not np.signbit(zeros).all()
         assert_same_bits(seq.columns, oracles.gathered_gabor_columns(points, disc))
-        assert_same_bits(_real_twin(seq), oracles.gathered_real_twin(seq.columns))
+        assert_same_bits_but_zero_signs(
+            generators._gabor_twin(points, disc).columns, oracles.gathered_real_twin(seq.columns)
+        )
 
     def test_small_underflowing_system_differs_only_in_the_sign_of_zeros(self):
         # Below 256 KiB the reference multiplies the envelope first, into a
@@ -513,14 +521,6 @@ class TestInPlaceAssembly:
         assert_same_bits(columns.imag[nonzero], reference.imag[nonzero])
 
 
-def assert_same_bits_but_zero_signs(actual, expected):
-    """Equal as values, and bit for bit wherever the value is not zero."""
-    assert actual.dtype == expected.dtype and actual.shape == expected.shape
-    np.testing.assert_array_equal(actual, expected)
-    nonzero = expected != 0.0
-    assert_same_bits(actual[nonzero], expected[nonzero])
-
-
 #: The closed sets of ASSEMBLY_SETS at every grid of ASSEMBLY_DISCS, the
 #: envelopes that underflow at half-width 40 (as in
 #: test_underflowing_envelopes_keep_their_bits) and SIGNED_ZERO_PAIRS.
@@ -535,7 +535,8 @@ CLOSED_CASES = {
 
 class TestNodeBuiltTwin:
     """`generators._gabor_twin` builds the real twin from the node pairing,
-    in the canonical layout of `seqcore._real_twin`, without the complex system."""
+    in the canonical layout of `oracles.gathered_real_twin`, without the
+    complex system."""
 
     @pytest.mark.parametrize("case", CLOSED_CASES)
     def test_twin_of_a_closed_set_is_the_canonical_twin(self, case):
@@ -543,8 +544,9 @@ class TestNodeBuiltTwin:
         reference = gaussian_gabor(points, disc)
         twin = generators._gabor_twin(points, disc)
         assert twin.columns.dtype == np.float64 and twin.columns.flags.c_contiguous
-        assert_same_bits_but_zero_signs(twin.columns, _real_twin(reference))
-        assert_same_bits(_singular_values(twin), _singular_values(reference))
+        expected = oracles.gathered_real_twin(reference.columns)
+        assert_same_bits_but_zero_signs(twin.columns, expected)
+        assert_same_bits(_singular_values(twin), np.linalg.svd(expected, compute_uv=False))
 
     @pytest.mark.parametrize("name", ["jittered", "separated"])
     def test_a_set_without_a_pairing_falls_back_to_the_complex_system(self, name):

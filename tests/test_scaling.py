@@ -1,3 +1,4 @@
+import json
 import threading
 
 import pytest
@@ -12,12 +13,14 @@ from rieszlab import (
     VectorSequence,
     diagnostics,
     fit_growth,
+    matrixio,
     gabor_refinement_study,
     punctured_lattice,
     run_family,
     scaling,
     span_distance,
 )
+from rieszlab.cli import main
 from rieszlab.scaling import _evaluate_size
 
 
@@ -372,6 +375,17 @@ class TestGaborRefinement:
             TrendVerdict.STAYS_BOUNDED,
             TrendVerdict.STAYS_BOUNDED_BELOW,
         )
+
+    def test_report_is_the_cli_refinement_block(self, tmp_path):
+        # Both read the real twin built from the nodes at every rate.
+        out = tmp_path / "g.json"
+        argv = ["gabor", "--set", "punctured", "--max-index", "2", "--refine", "8,32"]
+        assert main([*argv, "--json", str(out)]) == 0
+        report = gabor_refinement_study(
+            punctured_lattice(2), [GaborDiscretization(6.0, s) for s in (8, 16, 32)]
+        )
+        expected = json.loads(matrixio.report_text({"refinement": report.to_dict()}))
+        assert json.loads(out.read_text())["refinement"] == expected["refinement"]
 
     def test_rejects_non_increasing_rates(self):
         points = PointSet2D(((0.0, 0.0),))

@@ -39,7 +39,6 @@ from rieszlab.seqcore import (
     _gram_entries,
     _rank,
     _rank_scale,
-    _real_twin,
     _singular_values,
 )
 
@@ -263,7 +262,6 @@ def test_real_twin_matches_complex_arithmetic(seed, pairs, reals, shape):
     count = 2 * pairs + reals
     dim = {"tall": count + 3, "square": count, "wide": max(count - 2, 1)}[shape]
     seq = VectorSequence.from_columns(conjugation_closed(seed, dim, pairs, reals))
-    assert _real_twin(seq).dtype == np.float64 and seq.columns.dtype == np.complex128
     sigma = oracles.complex_singular_values(seq.columns)
     np.testing.assert_allclose(_singular_values(seq), sigma, rtol=0, atol=1e-13 * sigma[0])
     rank = int(np.count_nonzero(sigma > sigma[0] * max(seq.columns.shape) * RANK_TOL_SCALE))
@@ -282,97 +280,20 @@ def test_real_twin_matches_complex_arithmetic(seed, pairs, reals, shape):
         assert span_distance(seq, h) == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
-def _near_misses():
-    f = oracles.random_columns(3, 6, 2)
-    real = np.random.default_rng(3).standard_normal((6, 1))
-    off = f[:, :1].conj()
-    off[2, 0] = np.nextafter(off[2, 0].real, np.inf) + 1j * off[2, 0].imag
-    # Dyadic entries sum exactly, so swapping two rows of the conjugate keeps
-    # its column sum while changing the column.
-    g = np.array([[1 + 2j], [3 + 4j], [0.5 - 1j]])
-    swapped = g.conj()[[1, 0, 2]]
-    real_sum = np.array([[1 + 1j], [2 - 1j]])
-    return {
-        "unmatched": np.concatenate([f, f.conj(), f[:, :1] + real], axis=1),
-        "unmatched-even": np.concatenate([f, real], axis=1),
-        "one-ulp-off": np.concatenate([f[:, :1], off, real], axis=1),
-        "conjugate-sums-only": np.concatenate([g, swapped], axis=1),
-        "duplicated-pair": np.concatenate([f[:, :1], f[:, :1].conj()] * 2 + [real], axis=1),
-        "duplicated-pair-real-sum": np.concatenate([real_sum, real_sum.conj()] * 2, axis=1),
-        "one-ulp-off-same-sum": np.concatenate([g, _one_ulp_off_conjugate(g)], axis=1),
-    }
-
-
-def _one_ulp_off_conjugate(g):
-    """conj(g) with one imaginary part moved by one ulp, but the same column
-    sum: the ulp is lost when the sum rounds, so only the entry-by-entry
-    check can tell the columns apart."""
-    off = g.conj()
-    off[0, 0] = off[0, 0].real + 1j * np.nextafter(off[0, 0].imag, 0.0)
-    assert off.sum() == g.conj().sum() and not np.array_equal(off, g.conj())
-    return off
-
-
-@pytest.mark.parametrize("name", sorted(_near_misses()))
-def test_near_miss_stays_complex(name):
-    cols = _near_misses()[name]
-    seq = VectorSequence.from_columns(cols)
-    assert _real_twin(seq) is seq.columns
-    np.testing.assert_array_equal(_singular_values(seq), oracles.complex_singular_values(cols))
-
-
-@pytest.mark.parametrize("part", ["real", "imag"])
-@pytest.mark.parametrize("member", [0, 1])
-def test_gabor_pair_one_ulp_off_stays_complex(member, part):
-    # The pair (1, 1), (1, -1) of a punctured lattice, one entry of one member
-    # moved by one ulp where the envelope is about 1e-67: the column sums stay
-    # exact conjugates, so only the check of the partner's entries can fall back.
-    points = punctured_lattice(2)
-    cols = np.array(gaussian_gabor(points, GaborDiscretization(6.0, 16)).columns)
-    pair = [points.nodes.index((1.0, 1.0)), points.nodes.index((1.0, -1.0))]
-    assert oracles.gathered_real_twin(cols) is not None
-    before = cols[:, pair].sum(axis=0)
-    values = getattr(cols, part)
-    values[0, pair[member]] = np.nextafter(values[0, pair[member]], np.inf)
-    np.testing.assert_array_equal(cols[:, pair].sum(axis=0), before)
-    assert before[0] == before[1].conjugate()
-    seq = VectorSequence(cols)
-    assert oracles.gathered_real_twin(cols) is None
-    assert _real_twin(seq) is seq.columns
-    np.testing.assert_array_equal(_singular_values(seq), oracles.complex_singular_values(cols))
-
-
-def test_pair_with_real_column_sum_gets_a_twin():
-    f = np.array([[1 + 1j], [2 - 1j], [0.5]])
-    seq = VectorSequence.from_columns(np.concatenate([f.conj(), np.ones((3, 1)), f], axis=1))
-    # Real columns first, then sqrt(2) Re and sqrt(2) Im of the member that
-    # sorts first (conj f: both sums are 3, and the sort is stable).
-    r = np.sqrt(2.0)
-    twin = np.array([[1, r, -r], [1, 2 * r, r], [1, 0.5 * r, 0]])
-    np.testing.assert_array_equal(_real_twin(seq), twin)
-
-
 def test_spectral_record_keeps_no_twin():
     seq = gaussian_gabor(punctured_lattice(2), GaborDiscretization(6.0, 16))
     h = oracles.random_columns(7, seq.dim, 1)[:, 0]
     distance = span_distance(seq, h)
     riesz_bounds(seq)
-    assert "sigma" in vars(seq._record) and "column_view" not in vars(seq._record)
+    assert "sigma" in vars(seq._record)
     assert not any(
         isinstance(entry, np.ndarray) and entry.shape == seq.columns.shape
         for entry in vars(seq._record).values()
     )
-    # The twin is built again for the solve, in real arithmetic, with the same result.
-    assert _real_twin(seq).dtype == np.float64
     assert span_distance(seq, h) == distance
     assert distance == pytest.approx(
         oracles.complex_lstsq_distance(seq.columns, h), rel=1e-10, abs=1e-12
     )
-
-
-def test_real_system_column_view_is_its_kernel():
-    seq = young_example(6).primal
-    assert _real_twin(seq) is seq.columns
 
 
 @st.composite
