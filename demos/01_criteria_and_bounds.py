@@ -29,7 +29,7 @@ print()
 print("=" * 70)
 print("A skewed basis: image of the orthonormal system under V = [[1,1],[0,1]]")
 print("=" * 70)
-skewed = rl.riesz_from_operator(np.array([[1.0, 1.0], [0.0, 1.0]]))
+skewed = rl.VectorSequence(np.array([[1.0, 1.0], [0.0, 1.0]]))
 verdict = rl.classify(skewed)
 lower, upper = rl.riesz_bounds(skewed)
 print(f"verdict      : {verdict.kind.value}")
@@ -40,8 +40,10 @@ print(f"sigma^2      : ({sigma[-1]**2:.6f}, {sigma[0]**2:.6f})")
 
 print()
 print("Under the inner product induced by W = (V V^H)^-1 the same system")
-print("is orthonormal again; its W-Gram matrix is the identity:")
-w = rl.equivalent_inner_product(skewed)
+print("is orthonormal again.  W = G G^H for the biorthogonal sequence G (the")
+print("minimal dual), and the W-Gram matrix is the identity:")
+dual = rl.minimal_dual(skewed).columns
+w = dual @ dual.conj().T
 w_gram = skewed.columns.conj().T @ w @ skewed.columns
 print(np.round(w_gram.real, 12))
 
@@ -49,9 +51,9 @@ print()
 print("=" * 70)
 print("Losing independence and losing completeness")
 print("=" * 70)
-dependent = rl.VectorSequence.from_columns(np.array([[1.0, 2.0], [0.0, 0.0]]))
+dependent = rl.VectorSequence(np.array([[1.0, 2.0], [0.0, 0.0]]))
 print(f"two parallel vectors        : {rl.classify(dependent).kind.value}")
-tall = rl.VectorSequence.from_columns(np.eye(4)[:, :2])
+tall = rl.VectorSequence(np.eye(4)[:, :2])
 print(f"two of four directions      : {rl.classify(tall).kind.value}"
       f" (defect {rl.completeness_defect(tall)})")
 h = np.array([0.0, 0.0, 1.0, 1.0])

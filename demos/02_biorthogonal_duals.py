@@ -16,7 +16,7 @@ import rieszlab as rl
 print("=" * 70)
 print("Minimal dual of a skewed pair in the plane")
 print("=" * 70)
-system = rl.VectorSequence.from_columns(np.array([[1.0, 1.0], [0.0, 1.0]]))
+system = rl.VectorSequence(np.array([[1.0, 1.0], [0.0, 1.0]]))
 dual = rl.minimal_dual(system)
 print("system columns:")
 print(system.columns.real)

@@ -19,7 +19,6 @@ from .diagnostics import (
     bessel_bound,
     classify,
     completeness_defect,
-    equivalent_inner_product,
     gram_spectrum,
     riesz_bounds,
     span_distance,
@@ -37,10 +36,8 @@ from .errors import (
     IllConditionedError,
     MatrixParseError,
     NoBiorthogonalSequenceError,
-    NotARieszBasisError,
     NotBiorthogonalError,
     RieszLabError,
-    SingularOperatorError,
     TruncationError,
 )
 from .generators import (
@@ -54,7 +51,6 @@ from .generators import (
     orthonormal,
     punctured_lattice,
     random_riesz,
-    riesz_from_operator,
     weighted_pair,
     young_example,
     young_general,
@@ -66,13 +62,11 @@ from .scaling import (
     SizeMetrics,
     TrendVerdict,
     fit_growth,
-    gabor_refinement_study,
     run_family,
 )
 from .seqcore import (
     VectorSequence,
     analysis,
-    inner,
     synthesis,
 )
 

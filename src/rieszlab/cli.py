@@ -25,8 +25,6 @@ from .errors import (
     FitDomainError,
     IllConditionedError,
     NoBiorthogonalSequenceError,
-    NotARieszBasisError,
-    SingularOperatorError,
     TruncationError,
 )
 from .matrixio import SCHEMA_VERSION, finite_or_none
@@ -368,8 +366,6 @@ def main(argv=None) -> int:
         IllConditionedError,
         CriteriaDisagreementError,
         FitDomainError,
-        SingularOperatorError,
-        NotARieszBasisError,
         np.linalg.LinAlgError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

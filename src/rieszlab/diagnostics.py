@@ -31,12 +31,8 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .duals import BIORTHOGONALITY_TOL, _minus_identity, minimal_dual
-from .errors import (
-    CriteriaDisagreementError,
-    IllConditionedError,
-    NotARieszBasisError,
-)
+from .duals import minimal_dual
+from .errors import CriteriaDisagreementError, IllConditionedError
 from .seqcore import (
     VectorSequence,
     _ambient_vector,
@@ -201,31 +197,6 @@ def gram_spectrum(seq: VectorSequence) -> GramSpectrum:
     lam = _compared_routes(seq)[2]
     lambda_min = 0.0 if seq.count > seq.dim else float(lam[0])
     return GramSpectrum(lambda_min, float(lam[-1]), _gram_route(seq, lam)[0])
-
-
-def equivalent_inner_product(seq: VectorSequence) -> np.ndarray:
-    """Positive-definite W with <x, y>_W = y^H W x making the system orthonormal.
-
-    W is the inverse of F F^H; under it the Gram matrix of the system is the
-    identity.  Only defined for a system that classifies as a Riesz basis.  W
-    is returned only if max |F^H W F - I| meets the 1e-8 contract; otherwise
-    IllConditionedError is raised.
-    """
-    verdict = classify(seq)
-    if verdict.kind is not VerdictKind.RIESZ_BASIS:
-        raise NotARieszBasisError(
-            f"equivalent inner product requires a Riesz basis, got {verdict.kind.value}"
-        )
-    f = seq.columns
-    u, sigma, _ = np.linalg.svd(f)
-    w = (u / sigma**2) @ u.conj().T
-    w = (w + w.conj().T) / 2.0
-    residual = float(np.abs(_minus_identity(f.conj().T @ w @ f)).max())
-    if residual > BIORTHOGONALITY_TOL:
-        raise IllConditionedError(
-            f"W-Gram identity residual {residual:.3e} exceeds {BIORTHOGONALITY_TOL:.0e}"
-        )
-    return w.astype(complex, copy=False)
 
 
 def _verdict_kind(independent: bool, defect: int) -> VerdictKind:

@@ -9,20 +9,12 @@ class DimensionError(RieszLabError, ValueError):
     """Operand shapes do not match."""
 
 
-class SingularOperatorError(RieszLabError):
-    """A numerically invertible operator was required."""
-
-
 class NoBiorthogonalSequenceError(RieszLabError):
     """Columns are linearly dependent, so no biorthogonal sequence exists."""
 
 
 class NotBiorthogonalError(RieszLabError):
     """The supplied pair fails the biorthogonality tolerance."""
-
-
-class NotARieszBasisError(RieszLabError):
-    """The input must classify as a Riesz basis for this operation."""
 
 
 class IllConditionedError(RieszLabError):

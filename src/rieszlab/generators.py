@@ -27,15 +27,13 @@ The bounds and the rank of a system depend only on its singular values,
 which its real twin F U (U unitary) shares.  The point set also keeps its
 node pairing, (tau, mu) with (tau, -mu), and where every node has a partner
 the private `_gabor_twin` builds that float64 twin straight from the nodes,
-with the factor tables of `gaussian_gabor`.  `gabor`, the Gabor families
-and `scaling.gabor_refinement_study` read the twin at every rate; the
-complex system is built for `gabor --dump-matrix` and for a set that does
-not pair up.
+with the factor tables of `gaussian_gabor`.  `gabor`, at every `--refine`
+rate, and the Gabor families read the twin; the complex system is built for
+`gabor --dump-matrix` and for a set that does not pair up.
 
-Every generator except `riesz_from_operator`, whose caller owns the operator,
-builds a fresh C-contiguous array, float64 for the real families, and hands it
-to the private `VectorSequence._adopt`, which checks it as the constructor does
-and freezes it in place instead of copying it.
+Every generator builds a fresh C-contiguous array, float64 for the real
+families, and hands it to the private `VectorSequence._adopt`, which checks it
+as the constructor does and freezes it in place instead of copying it.
 """
 
 from __future__ import annotations
@@ -48,8 +46,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, SingularOperatorError, TruncationError
-from .seqcore import VectorSequence, _independent, _read_only, _singular_values
+from .errors import DimensionError, TruncationError
+from .seqcore import VectorSequence, _read_only, _singular_values
 
 #: Time shifts must stay this far from the grid edge; three widths of the
 #: Gaussian leave a tail amplitude of exp(-9 pi) ~ 5e-13.
@@ -176,17 +174,6 @@ def orthonormal(n: int) -> VectorSequence:
     if n < 1:
         raise ValueError("n must be >= 1")
     return VectorSequence._adopt(np.eye(n))
-
-
-def riesz_from_operator(operator) -> VectorSequence:
-    """Columns V e_k for a numerically invertible square V."""
-    v = np.asarray(operator, dtype=complex)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise DimensionError(f"operator must be square, got shape {v.shape}")
-    seq = VectorSequence(v)
-    if not _independent(seq):
-        raise SingularOperatorError("operator is numerically singular")
-    return seq
 
 
 def _complex_gaussian(rng: np.random.Generator, n: int) -> np.ndarray:

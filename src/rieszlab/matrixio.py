@@ -47,6 +47,7 @@ _UNSIGNED = r"(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?+\d++)?+"
 _NUMBER = rf"[+-]?+{_UNSIGNED}"
 _CELL = rf"{_NUMBER}(?:[+-]{_UNSIGNED}i)?+"
 _CELL_RE = re.compile(_CELL)
+_NUMBER_RE = re.compile(_NUMBER)
 # A whole row of cells with spaces or tabs around them.  ASCII-only, so a row
 # with other whitespace or non-ASCII digits takes the per-cell path, which
 # accepts or rejects it exactly as `parse_complex` does.
@@ -460,7 +461,8 @@ def _is_node_line(text: str) -> bool:
 
 
 def read_point_set(path: str, check_count=None) -> PointSet2D:
-    """The point-set file at `path`.  `check_count`, if given, is called with the
+    """The point-set file at `path`, each coordinate a real number of the matrix
+    cell grammar, so `1_0` is refused.  `check_count`, if given, is called with the
     number of node lines before any cell is converted; it refuses by raising.
     The count comes from a first pass over the open file that keeps no line,
     so a refused file is never held in memory; a second pass that does not
@@ -485,6 +487,8 @@ def read_point_set(path: str, check_count=None) -> PointSet2D:
             for cell, value in zip(cells, node):
                 if not math.isfinite(value):
                     raise MatrixParseError(f"{path}: line {i}: non-finite coordinate {cell.strip()!r}")
+                if not _NUMBER_RE.fullmatch(cell.strip()):
+                    raise MatrixParseError(f"{path}: line {i}: invalid coordinate {cell.strip()!r}")
             nodes.append(node)
     if len(nodes) != count:
         raise _changed(path)

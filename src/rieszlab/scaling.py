@@ -18,6 +18,8 @@ the span, so the residual is exactly 0 for a complete system and 1 otherwise.
 `run_family` evaluates the sizes one after another, smallest first, on the
 calling thread, checking each size's preconditions before building its
 member, so a failing size stops the study before any larger member is built.
+The `gabor --refine` report is assembled the same way, from one row of bound
+constants per sampling rate (`_refinement_report`).
 """
 
 from __future__ import annotations
@@ -110,6 +112,14 @@ class GrowthFit(NamedTuple):
     r_squared: float
 
 
+def _whole(value, name: str) -> int:
+    """`int(value)`, refused where it differs from `value`, so 2.5 is not read as 2."""
+    whole = int(value)
+    if whole != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A generator, its sizes and its read-only parameters; those left out take their defaults."""
@@ -123,7 +133,7 @@ class FamilySpec:
             raise ValueError(
                 f"unknown generator {self.generator_id!r}; expected one of {tuple(_FAMILIES)}"
             )
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(_whole(s, "size") for s in self.sizes)
         if len(sizes) < 3:
             raise ValueError("a family needs at least three sizes for an exponent fit")
         if any(s < 1 for s in sizes) or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -131,8 +141,9 @@ class FamilySpec:
         unknown = sorted(set(self.parameters) - set(_PARAMETER_DEFAULTS))
         if unknown:
             raise ValueError(f"unknown parameters {unknown}; known: {tuple(_PARAMETER_DEFAULTS)}")
+        given = {**_PARAMETER_DEFAULTS, **self.parameters}
         parameters = MappingProxyType({
-            name: type(default)(self.parameters.get(name, default))
+            name: _whole(given[name], name) if type(default) is int else type(default)(given[name])
             for name, default in _PARAMETER_DEFAULTS.items()
         })
         object.__setattr__(self, "sizes", sizes)
@@ -325,24 +336,3 @@ def _refinement_report(systems: Iterable[Tuple[int, VectorSequence]]) -> Scaling
         SizeMetrics(rate, *diagnostics.riesz_bounds(system), None, None, None)
         for rate, system in systems
     ])
-
-
-def gabor_refinement_study(
-    points: PointSet2D, discretizations: Sequence[GaborDiscretization]
-) -> ScalingReport:
-    """Bound constants of one Gabor system under grid refinement.
-
-    Rows are keyed by samples_per_unit; stable values across refinements mean
-    the discrete bounds track the underlying system rather than the grid.
-    Each rate reads the system's real twin where the nodes pair up
-    (`generators._gabor_twin`), as `gabor --refine` does.
-    """
-    discs = list(discretizations)
-    if not discs:
-        raise ValueError("need at least one discretization")
-    rates = [d.samples_per_unit for d in discs]
-    if any(b <= a for a, b in zip(rates, rates[1:])):
-        raise ValueError("discretizations must have strictly increasing sampling rates")
-    return _refinement_report(
-        (disc.samples_per_unit, generators._gabor_twin(points, disc)) for disc in discs
-    )

@@ -23,12 +23,12 @@ factorization and product reads: float64 when no entry has a nonzero
 imaginary part (-0.0 counts as zero), so a real system is factored in real
 arithmetic at about a quarter of the complex flops, and complex128 otherwise.
 The public constructors copy their input, so a caller's array never changes a
-sequence; the library's own producers (the generators except
-`riesz_from_operator`, `read_matrix`, the minimal dual) hand a fresh array to
-the private `VectorSequence._adopt`, which checks it alike and freezes it in
-place.  A sampled Gabor system whose nodes pair up is built as its float64
-real twin, straight from its nodes (`generators._gabor_twin`); any other
-complex system is factored in complex arithmetic.
+sequence; the library's own producers (the generators, `read_matrix`, the
+minimal dual) hand a fresh array to the private `VectorSequence._adopt`, which
+checks it alike and freezes it in place.  A sampled Gabor system whose nodes
+pair up is built as its float64 real twin, straight from its nodes
+(`generators._gabor_twin`); any other complex system is factored in complex
+arithmetic.
 
 A system with at most one nonzero per row and column (`_monomial_moduli`) is
 never factored: its singular values are the moduli of its entries, sorted,
@@ -125,11 +125,6 @@ class VectorSequence:
     @property
     def count(self) -> int:
         return self.columns.shape[1]
-
-
-def inner(x, y) -> complex:
-    """The package-wide inner product <x, y> = y^H x."""
-    return complex(np.vdot(np.asarray(y, dtype=complex), np.asarray(x, dtype=complex)))
 
 
 def _ambient_vector(vector, dim: int) -> np.ndarray:

@@ -11,12 +11,14 @@ systems to real arithmetic, and the shape of each eigensolved matrix, which
 pins the Gram route to the smaller Gram product.
 """
 
+import ast
 import inspect
 import json
 import math
 import sys
 import threading
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,6 @@ from rieszlab.generators import (
     PointSet2D,
     gaussian_gabor,
     lattice_points,
-    riesz_from_operator,
     weighted_pair,
     young_general,
 )
@@ -131,6 +132,45 @@ def test_no_module_binds_linalg_functions():
             for attr, obj in vars(module).items():
                 if inspect.isfunction(obj):
                     assert id(obj) not in bound, f"{name}.{attr} binds a numpy.linalg function"
+
+
+#: The one function of the package that calls each kernel, so each route has
+#: one factorization.  The SVD that np.linalg.norm(x, 2) runs inside
+#: `duals._spectral_norm` is numpy's own call: the counters see it, this scan does not.
+KERNEL_SITES = {
+    "svd": ["seqcore._representable_sigma"],
+    "eigvalsh": ["seqcore._gram_spectrum"],
+    "solve": ["duals._construct_dual"],
+    "lstsq": ["diagnostics.span_distance"],
+}
+
+
+def kernel_sites(path):
+    """(kernel, "module.function") for each `np.linalg.<kernel>` in the module at `path`."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            assert not module.startswith("numpy.linalg"), f"{path.name} imports from {module}"
+        if (isinstance(node, ast.Attribute) and node.attr in KERNELS
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"):
+            sites.append((node.attr, f"{path.stem}.{function}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return sites
+
+
+def test_each_kernel_has_one_call_site():
+    found = defaultdict(list)
+    for path in sorted(Path(rieszlab.__file__).parent.glob("*.py")):
+        for kernel, site in kernel_sites(path):
+            found[kernel].append(site)
+    assert found == KERNEL_SITES
 
 
 def test_classify_independent_from_fresh_sequence(lapack_calls):
@@ -383,7 +423,7 @@ def test_run_family_kernel_dtype(generator, sizes, dtype, lapack_calls):
 
 def real_dense_basis():
     q = np.linalg.qr(np.random.default_rng(11).standard_normal((12, 12)))[0]
-    return riesz_from_operator(q * np.linspace(1.0, 3.0, 12))
+    return VectorSequence(q * np.linspace(1.0, 3.0, 12))
 
 
 @pytest.mark.parametrize("command", ["analyze", "dual"])

@@ -693,8 +693,9 @@ def test_exit_codes(argv, code, message, tmp_path, capsys):
 
 
 # Usage errors pinned by their whole stderr line.  {dir} holds letter.csv, a
-# node file whose second line is "x,1", and comment.csv, a node file with only
-# a comment line.
+# node file whose second line is "x,1", underscore.csv, whose first line is
+# "1_0,0", which float() would read as (10, 0), and comment.csv, a node file
+# with only a comment line.
 EXIT_LINE_TABLE = [
     ("family-sizes-not-integers", ["family", "--gen", "weighted", "--sizes", "1,x,3"],
      "--sizes expects a comma-separated integer list: "
@@ -706,6 +707,8 @@ EXIT_LINE_TABLE = [
     ("gabor-file-without-nodes", ["gabor", "--set", "file"], "--set file requires --nodes PATH"),
     ("gabor-node-not-a-number", ["gabor", "--set", "file", "--nodes", "{dir}/letter.csv"],
      "{dir}/letter.csv: line 2: could not convert string to float: 'x'"),
+    ("gabor-node-underscore", ["gabor", "--set", "file", "--nodes", "{dir}/underscore.csv"],
+     "{dir}/underscore.csv: line 1: invalid coordinate '1_0'"),
     ("gabor-no-nodes", ["gabor", "--set", "file", "--nodes", "{dir}/comment.csv"],
      "{dir}/comment.csv: no nodes found"),
 ]
@@ -718,6 +721,7 @@ EXIT_LINE_TABLE = [
 )
 def test_usage_error_lines(argv, message, tmp_path, capsys):
     (tmp_path / "letter.csv").write_text("0,0\nx,1\n")
+    (tmp_path / "underscore.csv").write_text("1_0,0\n0,1\n")
     (tmp_path / "comment.csv").write_text("# tau,mu\n")
     before = set(tmp_path.rglob("*"))
     assert run_cli(*(arg.replace("{dir}", str(tmp_path)) for arg in argv)) == 2

@@ -6,7 +6,8 @@ followed by a call, as in `generators.random_riesz(n, seed)`.  Its first part
 is `rieszlab`, one of its modules by bare name, a public name of the package,
 or `np`.  The scan covers README.md and the docstrings of the package
 modules and of tests/oracles.py, so a deleted or renamed private name cannot
-linger in them.
+linger in them.  The README's library-layout table names bare public names,
+each in the row of its module; each must be an attribute of that module.
 """
 
 import ast
@@ -78,3 +79,24 @@ def test_reference_resolves(source, reference):
 )
 def test_a_missing_name_does_not_resolve(reference):
     assert not resolves(reference)
+
+
+#: A row of the README's library-layout table: its module and its contents cell.
+TABLE_ROW = re.compile(r"^\| `rieszlab\.(\w+)` *\|(.*)\|$", re.MULTILINE)
+
+#: (module, name) for each backticked identifier in the table; the cli row's
+#: `rieszlab` is the command's name.
+TABLE_NAMES = sorted(
+    (module, name)
+    for module, cell in TABLE_ROW.findall((ROOT / "README.md").read_text())
+    for name in re.findall(r"`([A-Za-z_]\w*)`", cell) if name != "rieszlab"
+)
+
+
+def test_the_layout_table_is_scanned():
+    assert {module for module, _ in TABLE_NAMES} >= {"seqcore", "diagnostics", "duals", "scaling"}
+
+
+@pytest.mark.parametrize("module, name", TABLE_NAMES, ids=[f"{m}.{n}" for m, n in TABLE_NAMES])
+def test_layout_table_name_exists(module, name):
+    assert hasattr(NAMESPACE[module], name), f"README's {module} row names a missing `{name}`"

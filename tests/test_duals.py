@@ -20,7 +20,6 @@ from rieszlab import (
     weighted_pair,
     young_example,
 )
-from rieszlab import diagnostics
 from rieszlab.duals import _minus_identity
 from rieszlab.seqcore import _rank
 
@@ -288,17 +287,3 @@ class TestIdentitySubtraction:
             new = duality_identity_residual(seq, partner)
             assert new.hex() == old_duality_identity_residual(seq, partner).hex()
         assert duality_identity_residual(seq, partner) > 1.0
-
-    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
-    def test_w_gram_check_keeps_its_bits(self, complex_entries, monkeypatch):
-        seq = columns(31, 6, 6, complex_entries)
-        w = diagnostics.equivalent_inner_product(seq)
-        w = w if complex_entries else np.ascontiguousarray(w.real)
-        f = seq.columns
-        old = float(np.abs(f.conj().T @ w @ f - np.eye(seq.count)).max())
-        # The check accepts at a tolerance of exactly the old residual and refuses one ulp below.
-        monkeypatch.setattr(diagnostics, "BIORTHOGONALITY_TOL", old)
-        diagnostics.equivalent_inner_product(seq)
-        monkeypatch.setattr(diagnostics, "BIORTHOGONALITY_TOL", np.nextafter(old, 0.0))
-        with pytest.raises(IllConditionedError, match="W-Gram identity residual"):
-            diagnostics.equivalent_inner_product(seq)

@@ -10,7 +10,6 @@ from rieszlab import (
     DimensionError,
     GaborDiscretization,
     PointSet2D,
-    SingularOperatorError,
     TruncationError,
     VectorSequence,
     VerdictKind,
@@ -25,8 +24,6 @@ from rieszlab import (
     orthonormal,
     punctured_lattice,
     random_riesz,
-    riesz_bounds,
-    riesz_from_operator,
     span_distance,
     weighted_pair,
     young_example,
@@ -113,19 +110,6 @@ class TestBasicGenerators:
         np.testing.assert_array_equal(orthonormal(3).columns, np.eye(3))
         np.testing.assert_array_equal(_gram_entries(orthonormal(5)), np.eye(5))
 
-    def test_riesz_from_operator_identity(self):
-        np.testing.assert_array_equal(riesz_from_operator(np.eye(4)).columns, np.eye(4))
-
-    def test_riesz_from_operator_bounds(self):
-        seq = riesz_from_operator(np.diag([2.0, 1.0]))
-        assert riesz_bounds(seq) == pytest.approx((1.0, 4.0))
-
-    def test_riesz_from_operator_rejects_singular(self):
-        with pytest.raises(SingularOperatorError):
-            riesz_from_operator(np.array([[1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(DimensionError):
-            riesz_from_operator(np.ones((2, 3)))
-
     @pytest.mark.parametrize(
         "build, dtype",
         [
@@ -152,13 +136,6 @@ class TestBasicGenerators:
     def test_minimal_dual_owns_its_columns_without_a_copy(self, build, dtype, monkeypatch):
         seq = build()
         assert_columns_adopted(lambda: [minimal_dual(seq)], monkeypatch, dtype)
-
-    def test_riesz_from_operator_copies_the_callers_array(self):
-        operator = np.diag([2.0, 1.0]).astype(complex)
-        seq = riesz_from_operator(operator)
-        assert not np.shares_memory(seq.columns, operator) and operator.flags.writeable
-        operator[0, 0] = 5.0
-        assert seq.columns[0, 0] == 2.0
 
     def test_random_riesz_deterministic(self):
         a = random_riesz(6, seed=7)

@@ -729,6 +729,22 @@ class TestPointSetFiles:
             read_point_set(str(path))
         assert str(info.value) == f"{path}: line 2: non-finite coordinate {cell!r}"
 
+    @pytest.mark.parametrize("cell", ["1_0", " 1_000.5", "-2_5e1"])
+    def test_coordinate_outside_the_number_grammar_names_its_line(self, cell, tmp_path):
+        # float() reads each of these; the cell grammar refuses them.
+        path = tmp_path / "nodes.csv"
+        path.write_text(f"0,0\n1,{cell}\n")
+        with pytest.raises(MatrixParseError) as info:
+            read_point_set(str(path))
+        assert str(info.value) == f"{path}: line 2: invalid coordinate {cell.strip()!r}"
+
+    def test_coordinates_read_as_numbers_of_the_cell_grammar(self, tmp_path):
+        path = tmp_path / "nodes.csv"
+        path.write_text("\t+1.5e0 , .5\n-0,1.\n\u0661,2E-1\n")
+        nodes = read_point_set(str(path)).nodes
+        assert nodes == ((1.5, 0.5), (-0.0, 1.0), (1.0, 0.2))
+        assert math.copysign(1.0, nodes[1][0]) == -1.0
+
     def test_duplicate_nodes_rejected(self, tmp_path):
         path = tmp_path / "nodes.csv"
         path.write_text("0,0\n0,0\n")

@@ -7,15 +7,10 @@ from rieszlab import (
     CriteriaDisagreementError,
     FamilySpec,
     FitDomainError,
-    GaborDiscretization,
-    PointSet2D,
     TrendVerdict,
     VectorSequence,
     diagnostics,
     fit_growth,
-    matrixio,
-    gabor_refinement_study,
-    punctured_lattice,
     run_family,
     scaling,
     span_distance,
@@ -82,6 +77,21 @@ class TestFamilySpec:
             "seed": 4, "probeIndex": 0, "complementDim": 1, "halfWidth": 7.0, "samplesPerUnit": 16,
         }
         assert [type(v) for v in spec.parameters.values()] == [int, int, int, float, int]
+
+    @pytest.mark.parametrize(
+        "sizes, parameters, name",
+        [
+            ((2.5, 4, 8), {}, "size"),
+            ((2, 4, 8), {"probeIndex": 1.9}, "probeIndex"),
+            ((2, 4, 8), {"samplesPerUnit": 16.5}, "samplesPerUnit"),
+            ((2, 4, 8), {"seed": "3"}, "seed"),
+        ],
+        ids=["size", "probeIndex", "samplesPerUnit", "seedText"],
+    )
+    def test_refuses_an_integer_it_would_truncate(self, sizes, parameters, name):
+        value = parameters.get(name, sizes[0])
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            FamilySpec("orthonormal", sizes, parameters)
 
     def test_parameters_are_read_only(self):
         spec = FamilySpec("youngGeneral", (8, 16, 32))
@@ -358,45 +368,31 @@ class TestRunFamily:
 
 
 class TestGaborRefinement:
-    def test_single_node_bounds_coincide(self):
-        points = PointSet2D(((0.0, 0.0),))
-        report = gabor_refinement_study(points, [GaborDiscretization(6.0, 16)])
-        row = report.per_size[0]
-        assert row.riesz_lower == pytest.approx(row.bessel_upper, rel=1e-12)
-        assert row.bessel_upper == pytest.approx(2.0**-0.5, abs=1e-5)
+    """The `refinement` block of `gabor --refine`: the bounds at every rate."""
 
-    def test_punctured_upper_bound_stable(self):
-        points = punctured_lattice(3)
-        discs = [GaborDiscretization(6.0, s) for s in (8, 16, 32)]
-        report = gabor_refinement_study(points, discs)
-        uppers = [row.bessel_upper for row in report.per_size]
-        assert max(uppers) / min(uppers) - 1 < 0.05
-        assert report.verdicts["besselUpperF"] in (
-            TrendVerdict.STAYS_BOUNDED,
-            TrendVerdict.STAYS_BOUNDED_BELOW,
-        )
-
-    def test_report_is_the_cli_refinement_block(self, tmp_path):
-        # Both read the real twin built from the nodes at every rate.
+    @staticmethod
+    def refinement(tmp_path, *flags):
         out = tmp_path / "g.json"
-        argv = ["gabor", "--set", "punctured", "--max-index", "2", "--refine", "8,32"]
-        assert main([*argv, "--json", str(out)]) == 0
-        report = gabor_refinement_study(
-            punctured_lattice(2), [GaborDiscretization(6.0, s) for s in (8, 16, 32)]
+        assert main(["gabor", *flags, "--json", str(out)]) == 0
+        return json.loads(out.read_text())["refinement"]
+
+    def test_single_node_bounds_coincide(self, tmp_path):
+        nodes = tmp_path / "nodes.csv"
+        nodes.write_text("0,0\n")
+        block = self.refinement(tmp_path, "--set", "file", "--nodes", str(nodes), "--refine", "8,32")
+        assert [row["size"] for row in block["perSize"]] == [8, 16, 32]
+        for row in block["perSize"]:
+            assert row["rieszLowerF"] == pytest.approx(row["besselUpperF"], rel=1e-12)
+            assert row["besselUpperF"] == pytest.approx(2.0**-0.5, abs=1e-5)
+
+    def test_punctured_upper_bound_stable(self, tmp_path):
+        block = self.refinement(tmp_path, "--set", "punctured", "--max-index", "3", "--refine", "8,32")
+        uppers = [row["besselUpperF"] for row in block["perSize"]]
+        assert len(uppers) == 3 and max(uppers) / min(uppers) - 1 < 0.05
+        assert block["verdicts"]["besselUpperF"] in (
+            TrendVerdict.STAYS_BOUNDED.value,
+            TrendVerdict.STAYS_BOUNDED_BELOW.value,
         )
-        expected = json.loads(matrixio.report_text({"refinement": report.to_dict()}))
-        assert json.loads(out.read_text())["refinement"] == expected["refinement"]
-
-    def test_rejects_non_increasing_rates(self):
-        points = PointSet2D(((0.0, 0.0),))
-        with pytest.raises(ValueError):
-            gabor_refinement_study(
-                points, [GaborDiscretization(6.0, 16), GaborDiscretization(6.0, 16)]
-            )
-
-    def test_rejects_empty_discretizations(self):
-        with pytest.raises(ValueError):
-            gabor_refinement_study(PointSet2D(((0.0, 0.0),)), [])
 
 
 class TestReportSerialization:
