@@ -26,7 +26,6 @@ from .diagnostics import (
 from .duals import (
     biorthogonality_residual,
     duality_identity_residual,
-    injectivity_witness,
     minimal_dual,
 )
 from .errors import (
@@ -36,7 +35,6 @@ from .errors import (
     IllConditionedError,
     MatrixParseError,
     NoBiorthogonalSequenceError,
-    NotBiorthogonalError,
     RieszLabError,
     TruncationError,
 )
@@ -64,11 +62,7 @@ from .scaling import (
     fit_growth,
     run_family,
 )
-from .seqcore import (
-    VectorSequence,
-    analysis,
-    synthesis,
-)
+from .seqcore import VectorSequence
 
 __version__ = "0.1.0"
 

@@ -17,15 +17,12 @@ from .errors import (
     DimensionError,
     IllConditionedError,
     NoBiorthogonalSequenceError,
-    NotBiorthogonalError,
 )
 from .seqcore import (
     VectorSequence,
     _gram_entries,
     _independent,
     _monomial_moduli,
-    analysis,
-    synthesis,
 )
 
 #: Residual below which a pair counts as biorthogonal.
@@ -129,16 +126,3 @@ def _spectral_norm(matrix: np.ndarray) -> float:
     moduli = _monomial_moduli(matrix)
     return float(np.linalg.norm(matrix, 2) if moduli is None else moduli.max())
 
-
-def injectivity_witness(seq: VectorSequence, partner: VectorSequence, coeffs):
-    """Recover coefficients through the dual: (<sum_k c_k f_k, g_j>)_j.
-
-    For a biorthogonal pair this returns the input coefficients, which is the
-    computation showing the synthesis operator has no kernel.
-    """
-    residual = biorthogonality_residual(seq, partner)
-    if residual > BIORTHOGONALITY_TOL:
-        raise NotBiorthogonalError(
-            f"pair is not biorthogonal: residual {residual:.3e} exceeds {BIORTHOGONALITY_TOL:.0e}"
-        )
-    return analysis(partner, synthesis(seq, coeffs))

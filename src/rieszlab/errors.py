@@ -13,10 +13,6 @@ class NoBiorthogonalSequenceError(RieszLabError):
     """Columns are linearly dependent, so no biorthogonal sequence exists."""
 
 
-class NotBiorthogonalError(RieszLabError):
-    """The supplied pair fails the biorthogonality tolerance."""
-
-
 class IllConditionedError(RieszLabError):
     """Conditioning prevents meeting the dual-accuracy contract."""
 

@@ -113,8 +113,12 @@ class GrowthFit(NamedTuple):
 
 
 def _whole(value, name: str) -> int:
-    """`int(value)`, refused where it differs from `value`, so 2.5 is not read as 2."""
-    whole = int(value)
+    """`int(value)`, refused where it differs from `value`, so 2.5 is not read as 2,
+    or where there is none: inf, nan and text that is no integer."""
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):
+        whole = None
     if whole != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return whole

@@ -1,5 +1,4 @@
-"""Vector-system data model, the synthesis and analysis operators and the
-per-system spectral record.
+"""Vector-system data model and the per-system spectral record.
 
 A truncated sequence (f_k)_{k=1..m} in an n-dimensional complex space is
 stored as the columns of an n-by-m matrix.  The inner product used across
@@ -132,20 +131,6 @@ def _ambient_vector(vector, dim: int) -> np.ndarray:
     if vec.shape[0] != dim:
         raise DimensionError(f"vector has length {vec.shape[0]}, expected ambient dimension {dim}")
     return vec
-
-
-def synthesis(seq: VectorSequence, coeffs) -> np.ndarray:
-    """Sum_k c_k f_k, the synthesis operator applied to the coefficients."""
-    c = _as_complex_array(coeffs, "coefficients", 1, copy=False)
-    if c.shape[0] != seq.count:
-        raise DimensionError(f"{c.shape[0]} coefficients supplied for {seq.count} vectors")
-    return seq.columns @ c
-
-
-def analysis(seq: VectorSequence, vector) -> np.ndarray:
-    """The coefficients (<h, f_k>)_k, adjoint of synthesis."""
-    h = _ambient_vector(vector, seq.dim)
-    return seq.columns.conj().T @ h
 
 
 def _rank_scale(shape, sigma_max: float = 1.0) -> float:

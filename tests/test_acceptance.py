@@ -26,7 +26,6 @@ from rieszlab import (
     completeness_defect,
     duality_identity_residual,
     gaussian_gabor,
-    injectivity_witness,
     lattice_points,
     minimal_dual,
     orthonormal,
@@ -87,7 +86,7 @@ def test_criterion_1_cross_route_agreement():
 
 
 def test_criterion_2_dual_route_certifies_bases():
-    worst_biorth = worst_identity = worst_witness = 0.0
+    worst_biorth = worst_identity = worst_recovery = 0.0
     for i in range(200):
         n = 2 + (7 * i) % 63
         seq = random_riesz(n, seed=1000 + i)
@@ -99,13 +98,13 @@ def test_criterion_2_dual_route_certifies_bases():
         assert classify(seq).kind is VerdictKind.RIESZ_BASIS
         rng = np.random.default_rng(5000 + i)
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        witness = injectivity_witness(seq, dual, c)
-        deviation = np.linalg.norm(witness - c) / max(1.0, np.linalg.norm(c))
+        recovered = dual.columns.conj().T @ (seq.columns @ c)
+        deviation = np.linalg.norm(recovered - c) / max(1.0, np.linalg.norm(c))
         assert deviation <= 1e-8
         worst_biorth = max(worst_biorth, biorth)
         worst_identity = max(worst_identity, identity)
-        worst_witness = max(worst_witness, deviation)
-    _pass(2, f"200 bases: residuals <= {worst_biorth:.1e} / {worst_identity:.1e}, witness error <= {worst_witness:.1e}")
+        worst_recovery = max(worst_recovery, deviation)
+    _pass(2, f"200 bases: residuals <= {worst_biorth:.1e} / {worst_identity:.1e}, recovery error <= {worst_recovery:.1e}")
 
 
 def test_criterion_3_dual_defects_match():

@@ -3,12 +3,13 @@
 Counts are deterministic, unlike wall time, so they gate the factor-once
 design: each route factors its matrix once per system, and repeated
 diagnostics of one system reuse those factorizations.  Budgets may only go
-down.  The counters replace svd, eigvalsh, solve and lstsq in both
+down.  The counters replace svd, eigvalsh, solve, lstsq and qr in both
 numpy.linalg and its implementation module, so the SVD inside
 np.linalg.norm(x, 2) is counted too.  They also record the dtype each call
 computes in, which pins real systems and the real twins of paired Gabor
-systems to real arithmetic, and the shape of each eigensolved matrix, which
-pins the Gram route to the smaller Gram product.
+systems to real arithmetic, and the shape of each call's matrix, which pins
+the Gram route to the smaller Gram product and a tall pair's identity
+residual to a QR of [F G].
 """
 
 import ast
@@ -41,23 +42,23 @@ from rieszlab.scaling import FamilySpec, run_family
 
 # numpy >= 2 keeps the implementation in numpy.linalg._linalg, older numpy in numpy.linalg.linalg.
 _LINALG = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-KERNELS = ("svd", "eigvalsh", "solve", "lstsq")
+KERNELS = ("svd", "eigvalsh", "solve", "lstsq", "qr")
 
 
 class KernelCalls(Counter):
-    """Calls per kernel, per kernel the set of dtypes its calls computed in
-    (the result type of their array operands), and the shape of each matrix
-    passed to eigvalsh, in call order."""
+    """Calls per kernel, and per kernel the set of dtypes its calls computed
+    in (the result type of their array operands) and the shape of each
+    call's matrix, in call order."""
 
     def __init__(self):
         super().__init__()
         self.dtypes = defaultdict(set)
-        self.eigvalsh_shapes = []
+        self.shapes = defaultdict(list)
 
     def clear(self):
         super().clear()
         self.dtypes.clear()
-        self.eigvalsh_shapes.clear()
+        self.shapes.clear()
 
 
 @pytest.fixture
@@ -72,8 +73,7 @@ def lapack_calls(monkeypatch):
             with lock:
                 counts[_name] += 1
                 counts.dtypes[_name].add(dtype)
-                if _name == "eigvalsh":
-                    counts.eigvalsh_shapes.append(np.shape(args[0]))
+                counts.shapes[_name].append(np.shape(args[0]))
             return _original(*args, **kwargs)
 
         for namespace in (np.linalg, _LINALG):
@@ -81,8 +81,8 @@ def lapack_calls(monkeypatch):
     return counts
 
 
-def assert_within(counts, svd, eigvalsh, solve, lstsq=0):
-    budget = {"svd": svd, "eigvalsh": eigvalsh, "solve": solve, "lstsq": lstsq}
+def assert_within(counts, svd, eigvalsh, solve, lstsq=0, qr=0):
+    budget = {"svd": svd, "eigvalsh": eigvalsh, "solve": solve, "lstsq": lstsq, "qr": qr}
     over = {k: (counts[k], budget[k]) for k in KERNELS if counts[k] > budget[k]}
     assert not over, f"calls over budget (used, budget): {over}"
 
@@ -118,11 +118,14 @@ def test_counter_sees_direct_and_norm_svds(lapack_calls):
     np.linalg.norm(a, 2)
     np.linalg.eigvalsh(a.T @ a)
     np.linalg.lstsq(a, np.ones(3, dtype=complex))
-    assert dict(lapack_calls) == {"svd": 2, "eigvalsh": 1, "lstsq": 1}
+    np.linalg.qr(a)
+    assert dict(lapack_calls) == {"svd": 2, "eigvalsh": 1, "lstsq": 1, "qr": 1}
     assert lapack_calls.dtypes == {
-        "svd": {np.dtype(float)}, "eigvalsh": {np.dtype(float)}, "lstsq": {np.dtype(complex)}
+        "svd": {np.dtype(float)}, "eigvalsh": {np.dtype(float)}, "lstsq": {np.dtype(complex)},
+        "qr": {np.dtype(float)},
     }
-    assert lapack_calls.eigvalsh_shapes == [(2, 2)]
+    assert lapack_calls.shapes["eigvalsh"] == [(2, 2)]
+    assert lapack_calls.shapes["qr"] == [(3, 2)]
 
 
 def test_no_module_binds_linalg_functions():
@@ -142,6 +145,7 @@ KERNEL_SITES = {
     "eigvalsh": ["seqcore._gram_spectrum"],
     "solve": ["duals._construct_dual"],
     "lstsq": ["diagnostics.span_distance"],
+    "qr": ["duals.duality_identity_residual"],
 }
 
 
@@ -313,7 +317,7 @@ def test_analyze_wide_eigensolves_the_dim_side(lapack_calls, matrix_file, capsys
     lapack_calls.clear()
     assert main(["analyze", path]) == 0
     assert_within(lapack_calls, svd=1, eigvalsh=1, solve=0)
-    assert lapack_calls.eigvalsh_shapes == [(4, 4)]
+    assert lapack_calls.shapes["eigvalsh"] == [(4, 4)]
 
 
 def test_dual_dependent(lapack_calls, matrix_file, tmp_path, capsys):
@@ -469,11 +473,23 @@ def test_analyze_of_a_gabor_dump_keeps_its_bounds_and_budget(lapack_calls, tmp_p
                  "--dump-matrix", str(dump), "--json", str(built)]) == 0
     lapack_calls.clear()
     assert main(["analyze", str(dump), "--json", str(analyzed)]) == 0
-    assert_within(lapack_calls, svd=3, eigvalsh=1, solve=1)
+    # 48 columns in 192 rows: a tall pair, whose identity residual runs one QR.
+    assert_within(lapack_calls, svd=3, eigvalsh=1, solve=1, qr=1)
     expected, report = json.loads(built.read_text()), json.loads(analyzed.read_text())
     assert report["defect"] == expected["defect"]
     for name, value in expected["bounds"].items():
         assert report["bounds"][name] == pytest.approx(value, rel=TWO_ROUTE_RTOL)
+
+
+def test_family_tall_pairs_run_one_qr_each(lapack_calls, capsys):
+    # Sizes 4 and 5 pair 1 and 2 vectors with their partners in 4 and 5
+    # dimensions, so 2 count < dim and each identity residual is read from a
+    # 2 count x 2 count block after a QR of [F G]; size 6 (3 vectors) is not
+    # tall.  Per size: the member's SVD, the residual's SVD and the probe's lstsq.
+    argv = ["family", "--gen", "youngGeneral", "--sizes", "4,5,6", "--complement-dim", "3"]
+    assert main(argv) == 0
+    assert_within(lapack_calls, svd=6, eigvalsh=0, solve=0, lstsq=3, qr=2)
+    assert lapack_calls.shapes["qr"] == [(4, 2), (5, 4)]
 
 
 @pytest.mark.parametrize(

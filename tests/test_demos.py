@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package in src/, in
+Python's development mode with every warning an error."""
 
 import os
 import subprocess
@@ -19,7 +20,7 @@ def test_demos_exist():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -8,17 +8,26 @@ or `np`.  The scan covers README.md and the docstrings of the package
 modules and of tests/oracles.py, so a deleted or renamed private name cannot
 linger in them.  The README's library-layout table names bare public names,
 each in the row of its module; each must be an attribute of that module.
+
+A bare backticked snake_case name with an underscore, such as `minimal_dual`,
+must also exist: as an attribute of a package module or of a class one
+defines, as a parameter of a function or method one defines, or on a short
+allowlist of symbols and workload names.  tests/oracles.py may also name its
+own functions.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 import rieszlab
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,12 +35,15 @@ PACKAGE = Path(rieszlab.__file__).parent
 REFERENCE = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*)?`")
 
 #: Importing every module here also makes each an attribute of `rieszlab`.
+MODULES = {
+    info.name: importlib.import_module(f"rieszlab.{info.name}")
+    for info in pkgutil.iter_modules([str(PACKAGE)]) if not info.name.startswith("_")
+}
 NAMESPACE = {
     "np": np,
     "rieszlab": rieszlab,
     **{name: getattr(rieszlab, name) for name in rieszlab.__all__},
-    **{info.name: importlib.import_module(f"rieszlab.{info.name}")
-       for info in pkgutil.iter_modules([str(PACKAGE)]) if not info.name.startswith("_")},
+    **MODULES,
 }
 
 
@@ -100,3 +112,65 @@ def test_the_layout_table_is_scanned():
 @pytest.mark.parametrize("module, name", TABLE_NAMES, ids=[f"{m}.{n}" for m, n in TABLE_NAMES])
 def test_layout_table_name_exists(module, name):
     assert hasattr(NAMESPACE[module], name), f"README's {module} row names a missing `{name}`"
+
+
+#: A bare backticked snake_case name with an underscore, leading ones included.
+BARE_NAME = re.compile(r"`(_*[a-z][a-z0-9]*(?:_[a-z0-9]+)+)`")
+
+#: Bare names that name nothing in the package: math symbols and a benchmark
+#: workload.
+BARE_ALLOWED = {"sigma_max", "sigma_min", "family_sweep"}
+
+
+def defined_names(module):
+    """The attributes of `module` and of each class it defines, and the
+    parameters of each function it defines and of each class's methods."""
+    names = set(vars(module))
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(value):
+            names.update(dir(value), inspect.get_annotations(value))
+            routines = [member for _, member in inspect.getmembers(value, inspect.isroutine)]
+        else:
+            routines = [value] if inspect.isroutine(value) else []
+        for routine in routines:
+            with suppress(TypeError, ValueError):  # a builtin without a signature
+                names.update(inspect.signature(routine).parameters)
+    return names
+
+
+PACKAGE_NAMES = set().union(*map(defined_names, [rieszlab, *MODULES.values()]))
+ORACLE_NAMES = defined_names(oracles)
+
+
+def bare_name_exists(source, name):
+    own = ORACLE_NAMES if source == "tests/oracles.py" else set()
+    return name in PACKAGE_NAMES | own | BARE_ALLOWED
+
+
+BARE_NAMES = sorted({(source, name) for source, text in documents() for name in BARE_NAME.findall(text)})
+
+
+def test_bare_names_are_scanned():
+    assert {"README.md", "src/rieszlab/seqcore.py", "tests/oracles.py"} <= {s for s, _ in BARE_NAMES}
+    assert ("README.md", "minimal_dual") in BARE_NAMES
+
+
+@pytest.mark.parametrize("source, name", BARE_NAMES, ids=[f"{s}:{n}" for s, n in BARE_NAMES])
+def test_bare_name_exists(source, name):
+    assert bare_name_exists(source, name), f"{source} names `{name}`, which does not exist"
+
+
+@pytest.mark.parametrize("name", ["equivalent_inner_product", "gabor_refinement_study", "_real_twin"])
+def test_a_deleted_bare_name_does_not_exist(name):
+    assert not bare_name_exists("README.md", name)
+
+
+def test_a_parameter_or_class_attribute_exists_and_an_oracle_only_in_oracles():
+    # `check_shape` is a parameter of `read_matrix`, `from_columns` a method
+    # of `VectorSequence`, `lambda_min` a field of `GramSpectrum`.
+    for name in ("check_shape", "from_columns", "lambda_min"):
+        assert bare_name_exists("README.md", name)
+    assert bare_name_exists("tests/oracles.py", "format_complex")
+    assert not bare_name_exists("README.md", "format_complex")

@@ -7,14 +7,12 @@ from rieszlab import (
     DimensionError,
     IllConditionedError,
     NoBiorthogonalSequenceError,
-    NotBiorthogonalError,
     VectorSequence,
     VerdictKind,
     biorthogonality_residual,
     classify,
     completeness_defect,
     duality_identity_residual,
-    injectivity_witness,
     minimal_dual,
     orthonormal,
     weighted_pair,
@@ -189,39 +187,6 @@ class TestCoCompleteness:
     def test_propagates_missing_dual(self):
         with pytest.raises(NoBiorthogonalSequenceError):
             self.defects(seq_of([1, 0], [2, 0]))
-
-
-class TestInjectivityWitness:
-    def test_zero_coefficients(self):
-        seq = orthonormal(3)
-        out = injectivity_witness(seq, seq, np.zeros(3))
-        np.testing.assert_allclose(out, np.zeros(3), atol=1e-15)
-
-    def test_young_unit_coefficient(self):
-        pair = young_example(4)
-        out = injectivity_witness(pair.primal, pair.partner, [1, 0, 0, 0])
-        assert type(out) is np.ndarray and out.shape == (4,)
-        np.testing.assert_allclose(out, [1, 0, 0, 0], atol=1e-14)
-
-    def test_recovers_random_coefficients(self):
-        rng = np.random.default_rng(0)
-        for seed in range(6):
-            seq = random_seq(seed, 6, 6)
-            dual = minimal_dual(seq)
-            c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            out = injectivity_witness(seq, dual, c)
-            assert np.linalg.norm(out - c) <= 1e-8 * max(1.0, np.linalg.norm(c))
-
-    def test_rejects_non_biorthogonal_pair(self):
-        seq = orthonormal(3)
-        skewed = VectorSequence.from_columns(2.0 * np.eye(3))
-        with pytest.raises(NotBiorthogonalError):
-            injectivity_witness(seq, skewed, [1, 0, 0])
-
-    def test_rejects_non_finite_coefficients(self):
-        seq = orthonormal(2)
-        with pytest.raises(ValueError, match="^coefficients contains non-finite entries$"):
-            injectivity_witness(seq, seq, [1, np.inf])
 
 
 class TestReconstructionShadow:

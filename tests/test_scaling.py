@@ -85,11 +85,17 @@ class TestFamilySpec:
             ((2, 4, 8), {"probeIndex": 1.9}, "probeIndex"),
             ((2, 4, 8), {"samplesPerUnit": 16.5}, "samplesPerUnit"),
             ((2, 4, 8), {"seed": "3"}, "seed"),
+            ((2, 4, float("inf")), {}, "size"),
+            ((2, 4, 8), {"seed": float("inf")}, "seed"),
+            ((2, 4, 8), {"complementDim": -float("inf")}, "complementDim"),
+            ((2, 4, 8), {"seed": float("nan")}, "seed"),
+            ((2, 4, 8), {"seed": "three"}, "seed"),
         ],
-        ids=["size", "probeIndex", "samplesPerUnit", "seedText"],
+        ids=["size", "probeIndex", "samplesPerUnit", "seedText", "sizeInf", "seedInf",
+             "complementDimMinusInf", "seedNaN", "seedWord"],
     )
     def test_refuses_an_integer_it_would_truncate(self, sizes, parameters, name):
-        value = parameters.get(name, sizes[0])
+        value = parameters[name] if parameters else next(s for s in sizes if type(s) is not int)
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             FamilySpec("orthonormal", sizes, parameters)
 

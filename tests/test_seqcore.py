@@ -16,10 +16,8 @@ from rieszlab import duals, seqcore
 from rieszlab import (
     DimensionError,
     VectorSequence,
-    analysis,
     minimal_dual,
     orthonormal,
-    synthesis,
     weighted_pair,
     young_example,
 )
@@ -47,14 +45,14 @@ PUBLIC_NAMES = [
     "BoundsReport", "CriteriaDisagreementError",
     "DimensionError", "FamilySpec", "FitDomainError", "GaborDiscretization", "GeneratedPair",
     "GramSpectrum", "GrowthFit", "IllConditionedError", "MatrixParseError",
-    "NoBiorthogonalSequenceError", "NotBiorthogonalError", "PointSet2D",
+    "NoBiorthogonalSequenceError", "PointSet2D",
     "RieszBounds", "RieszLabError", "ScalingReport", "SizeMetrics",
     "TrendVerdict", "TruncationError", "VectorSequence", "Verdict", "VerdictKind",
-    "als_point_set", "alternating_weighted_pair", "analysis", "bessel_bound",
+    "als_point_set", "alternating_weighted_pair", "bessel_bound",
     "biorthogonality_residual", "classify", "completeness_defect", "duality_identity_residual",
-    "fit_growth", "gaussian_gabor", "gram_spectrum", "injectivity_witness", "lattice_points",
+    "fit_growth", "gaussian_gabor", "gram_spectrum", "lattice_points",
     "minimal_dual", "orthonormal", "punctured_lattice", "random_riesz", "riesz_bounds",
-    "run_family", "span_distance", "synthesis", "weighted_pair",
+    "run_family", "span_distance", "weighted_pair",
     "young_example", "young_general",
 ]
 
@@ -186,11 +184,12 @@ class TestTypes:
 
     def test_inner_convention(self):
         # <x, y> = y^H x: linear in the first slot, conjugate-linear in the
-        # second; analysis reads the coefficient <h, f_k> of each member f_k.
+        # second; entry (j, k) of the Gram product is <f_k, f_j>.
         x = np.array([1.0 + 1j, 0.0])
         y = np.array([2.0, 1j])
-        assert analysis(VectorSequence(y[:, None]), x) == pytest.approx([2.0 + 2j])
-        assert analysis(VectorSequence(x[:, None]), y) == pytest.approx([2.0 - 2j])
+        entries = _gram_entries(VectorSequence(np.column_stack([x, y])))
+        assert entries[1, 0] == pytest.approx(2.0 + 2j)  # <x, y>
+        assert entries[0, 1] == pytest.approx(2.0 - 2j)  # <y, x>
 
 
 class TestKernelView:
@@ -355,36 +354,11 @@ def test_monomial_closed_form_matches_the_factorizations(system):
     np.testing.assert_array_equal(_gram_eigenvalues(closed), sigma[::-1] ** 2)
 
 
-class TestSynthesis:
-    def test_identity_columns(self):
-        np.testing.assert_allclose(synthesis(orthonormal(3), [1, 2, 3]), [1, 2, 3])
-
-    def test_hand_sum(self):
-        seq = seq_of([1, 0], [1, 1])
-        np.testing.assert_allclose(synthesis(seq, [1, -1]), [0, -1])
-
-    def test_young_column_sum(self):
-        # brute-force oracle: add the four columns by hand
-        seq = young_example(4).primal
-        expected = seq.columns[:, 0] + seq.columns[:, 1] + seq.columns[:, 2] + seq.columns[:, 3]
-        np.testing.assert_allclose(synthesis(seq, [1, 1, 1, 1]), expected)
-        np.testing.assert_allclose(expected, [4, 1, 1, 1, 1])
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            synthesis(orthonormal(3), [1, 2])
-
-    def test_rejects_non_finite_coefficients(self):
-        with pytest.raises(ValueError, match="^coefficients contains non-finite entries$"):
-            synthesis(orthonormal(2), [1, np.inf])
-
-
 #: Each checked input: (its name in the message, its shape, the call).
 _FINITENESS_CALLERS = {
     "constructor": ("columns", (3, 2), VectorSequence),
     "adopt": ("columns", (3, 2), VectorSequence._adopt),
-    "synthesis": ("coefficients", (3,), lambda c: synthesis(orthonormal(3), c)),
-    "analysis": ("vector", (3,), lambda h: analysis(orthonormal(3), h)),
+    "span_distance": ("vector", (3,), lambda h: span_distance(orthonormal(3), h)),
 }
 #: Layouts `_as_complex_array` takes as they are (C-order, and a 2-D input
 #: whose size-1 axis has a zero stride) or copies first (strided, column-major).
@@ -427,38 +401,6 @@ def test_real_input_with_a_non_finite_entry_is_rejected():
     for value in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^columns contains non-finite entries$"):
             VectorSequence(np.array([[1.0, value], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="^coefficients contains non-finite entries$"):
-            synthesis(orthonormal(2), np.array([value, 1.0]))
-
-
-class TestAnalysis:
-    def test_identity_columns(self):
-        coeffs = analysis(orthonormal(2), np.array([3.0, 4.0j]))
-        np.testing.assert_allclose(coeffs, [3.0, 4.0j])
-
-    def test_returns_one_array_entry_per_vector(self):
-        seq = seq_of([1, 0], [1, 1], [0, 2])
-        coeffs = analysis(seq, [1, 1])
-        assert type(coeffs) is np.ndarray and coeffs.shape == (seq.count,)
-
-    def test_hand_inner_products(self):
-        seq = seq_of([1, 0], [1, 1])
-        np.testing.assert_allclose(analysis(seq, [1, 1]), [1, 2])
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            analysis(orthonormal(3), [1, 2])
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_adjoint_identity_random(self, seed):
-        rng = np.random.default_rng(seed)
-        cols = oracles.random_columns(seed, 6, 4)
-        seq = VectorSequence.from_columns(cols)
-        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        lhs = np.vdot(h, synthesis(seq, c))
-        rhs = np.sum(c * np.conj(analysis(seq, h)))
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestGram:
@@ -491,71 +433,6 @@ class TestGram:
         seq = VectorSequence.from_columns(cols)
         assert _rank(VectorSequence.from_columns(_gram_entries(seq))) == 3
         assert _rank(seq) == 3
-
-
-def frame_operator(seq, h):
-    """Sum_k <h, f_k> f_k: synthesis of the analysis coefficients."""
-    return synthesis(seq, analysis(seq, h))
-
-
-class TestFrameApply:
-    def test_orthonormal_resolution(self):
-        h = np.array([1.0, 2.0, 3.0 + 1j])
-        np.testing.assert_allclose(frame_operator(orthonormal(3), h), h)
-
-    def test_scaled_identity(self):
-        seq = VectorSequence.from_columns(2.0 * np.eye(3))
-        h = np.array([1.0, -1.0, 0.5])
-        np.testing.assert_allclose(frame_operator(seq, h), 4.0 * h)
-
-    def test_matches_matrix_assembly(self):
-        cols = oracles.random_columns(2, 5, 3)
-        seq = VectorSequence.from_columns(cols)
-        h = oracles.random_columns(3, 5, 1)[:, 0]
-        np.testing.assert_allclose(frame_operator(seq, h), (cols @ cols.conj().T) @ h, rtol=1e-12)
-
-
-_small_part = hnp.arrays(
-    np.float64,
-    st.tuples(st.integers(1, 6), st.integers(1, 6)),
-    elements=st.floats(-10, 10, allow_nan=False),
-)
-
-
-@settings(max_examples=50, deadline=None)
-@given(real=_small_part, data=st.data())
-def test_adjoint_identity_property(real, data):
-    imag = data.draw(
-        hnp.arrays(np.float64, real.shape, elements=st.floats(-10, 10, allow_nan=False))
-    )
-    seq = VectorSequence.from_columns(real + 1j * imag)
-    c = data.draw(
-        hnp.arrays(np.float64, (seq.count,), elements=st.floats(-5, 5, allow_nan=False))
-    )
-    h = data.draw(
-        hnp.arrays(np.float64, (seq.dim,), elements=st.floats(-5, 5, allow_nan=False))
-    )
-    lhs = np.vdot(h.astype(complex), synthesis(seq, c.astype(complex)))
-    rhs = np.sum(c * np.conj(analysis(seq, h.astype(complex))))
-    scale = 1.0 + abs(lhs) + abs(rhs)
-    assert abs(lhs - rhs) <= 1e-12 * scale
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    alpha=st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
-    beta=st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
-)
-def test_frame_operator_linearity_property(seed, alpha, beta):
-    rng = np.random.default_rng(seed)
-    seq = VectorSequence.from_columns(oracles.random_columns(seed, 4, 3))
-    h1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    h2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    combined = frame_operator(seq, alpha * h1 + beta * h2)
-    split = alpha * frame_operator(seq, h1) + beta * frame_operator(seq, h2)
-    scale = 1.0 + np.linalg.norm(combined) + np.linalg.norm(split)
-    assert np.linalg.norm(combined - split) <= 1e-12 * scale
 
 
 def test_rank_tolerance_scales_with_sigma():
