@@ -13,7 +13,7 @@ import numpy as np
 import rieszlab as rl
 
 disc = rl.GaborDiscretization(half_width=6.0, samples_per_unit=16)
-print(f"grid: {disc.sample_count} samples, step {disc.grid_step}")
+print(f"grid: {disc.sample_count} samples, step {1 / disc.samples_per_unit}")
 
 print()
 print("=" * 70)

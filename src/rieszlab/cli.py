@@ -218,9 +218,9 @@ def _cmd_family(args) -> int:
         "tolerances": _tolerances(),
     }
     payload.update(report.to_dict())
-    _emit(payload, args.json)
-    if args.csv:
+    if args.csv:  # written first, so a failed write leaves no report behind
         matrixio.write_atomic(args.csv, report.csv_text())
+    _emit(payload, args.json)
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,25 +102,6 @@ class GramSpectrum(NamedTuple):
     bijective: bool
 
 
-def _gram_route(seq: VectorSequence, lam: np.ndarray) -> Tuple[bool, Optional[VerdictKind]]:
-    """The Gram route's raw independence reading and its vote (None: abstain).
-
-    Eigenvalues count above the squared rank tolerance, floored at the
-    eigensolver's absolute accuracy on the matrix it solved (lam.size, which
-    is dim for a wide system).  A lambda_min below that zero but within
-    the accuracy of the squared rank tolerance is rounding noise of either
-    sign, so the route abstains there.
-    """
-    lambda_max = float(lam[-1])
-    rank_tol_sq = lambda_max * _rank_scale(seq.columns.shape) ** 2
-    eig_floor = _EIG_FLOOR_FACTOR * lam.size * float(np.finfo(float).eps) * lambda_max
-    rank = int(np.count_nonzero(lam > max(rank_tol_sq, eig_floor)))
-    independent = rank == seq.count
-    if not independent and lam[0] > rank_tol_sq - eig_floor:
-        return independent, None
-    return independent, _verdict_kind(independent, seq.dim - rank)
-
-
 def riesz_bounds(seq: VectorSequence) -> RieszBounds:
     """Optimal constants (A, B): extreme squared singular values of the columns.
 
@@ -134,11 +115,19 @@ def riesz_bounds(seq: VectorSequence) -> RieszBounds:
 
 
 def _compared_routes(seq: VectorSequence):
-    """(A, B) from the singular values and the ascending eigenvalues of the
-    record's Gram product, after asserting that both extremes agree along the
-    two routes: lambda_max with sigma_max^2, and lambda_min with the smallest
-    of the min(dim, count) singular values squared.  For a wide system the
-    product is F F^H, so lambda_min checks sigma_dim^2, not A = 0."""
+    """(A, B), the ascending eigenvalues of the record's Gram product, and the
+    Gram route's raw independence reading and vote (None: abstain), after
+    asserting that both extremes agree along the two routes: lambda_max with
+    sigma_max^2, and lambda_min with the smallest of the min(dim, count)
+    singular values squared.  For a wide system the product is F F^H, so
+    lambda_min checks sigma_dim^2, not A = 0.
+
+    The Gram route counts eigenvalues above the squared rank tolerance,
+    floored at the eigensolver's absolute accuracy on the matrix it solved
+    (lam.size, which is dim for a wide system).  A lambda_min below that zero
+    but within the accuracy of the squared rank tolerance is rounding noise of
+    either sign, so the route abstains there.
+    """
     lower, upper = riesz_bounds(seq)
     smallest = float(_singular_values(seq)[-1]) ** 2
     lam = _gram_eigenvalues(seq)
@@ -152,7 +141,13 @@ def _compared_routes(seq: VectorSequence):
             f"Gram spectrum ({lambda_min!r}, {lambda_max!r}) disagrees with "
             f"singular values squared ({smallest!r}, {upper!r})"
         )
-    return lower, upper, lam
+    rank_tol_sq = lambda_max * _rank_scale(seq.columns.shape) ** 2
+    eig_floor = _EIG_FLOOR_FACTOR * lam.size * float(np.finfo(float).eps) * lambda_max
+    rank = int(np.count_nonzero(lam > max(rank_tol_sq, eig_floor)))
+    independent = rank == seq.count
+    abstain = not independent and lambda_min > rank_tol_sq - eig_floor
+    vote = None if abstain else _verdict_kind(independent, seq.dim - rank)
+    return lower, upper, lam, independent, vote
 
 
 def bessel_bound(seq: VectorSequence) -> float:
@@ -172,16 +167,14 @@ def span_distance(seq: VectorSequence, vector) -> float:
     the decision behind a completeness defect of 0; otherwise the residual of
     a least-squares solve that drops singular values at the same threshold.
     A vector without a nonzero imaginary part enters the solve as a real
-    vector; a complex vector against real columns enters as its real and
-    imaginary parts, two real right-hand sides whose residuals make up its
-    own, so a real system stays in real arithmetic.
+    vector, so a real system's probe by a real vector, such as every e_i of
+    the family studies, stays in real arithmetic; a complex vector makes the
+    solve complex.
     """
     h = _kernel_view(_ambient_vector(vector, seq.dim))
     if _rank(seq) == seq.dim:
         return 0.0
     cols = seq.columns
-    if cols.dtype == float and h.dtype == complex:
-        h = np.stack([h.real, h.imag], axis=1)
     solution = np.linalg.lstsq(cols, h, rcond=_rank_scale(cols.shape))[0]
     return float(np.linalg.norm(h - cols @ solution))
 
@@ -194,9 +187,9 @@ def gram_spectrum(seq: VectorSequence) -> GramSpectrum:
     its lambda_min is exactly 0.0, as riesz_bounds reports A.  Asserts
     agreement with the singular-value route before returning.
     """
-    lam = _compared_routes(seq)[2]
+    _, _, lam, bijective, _ = _compared_routes(seq)
     lambda_min = 0.0 if seq.count > seq.dim else float(lam[0])
-    return GramSpectrum(lambda_min, float(lam[-1]), _gram_route(seq, lam)[0])
+    return GramSpectrum(lambda_min, float(lam[-1]), bijective)
 
 
 def _verdict_kind(independent: bool, defect: int) -> VerdictKind:
@@ -226,10 +219,9 @@ def classify(seq: VectorSequence) -> Verdict:
     their singular values and Gram eigenvalues from their entries instead,
     exactly, so only the dual's solve runs; every check still runs on them.
     """
-    lower, upper, lam = _compared_routes(seq)
+    lower, upper, _, _, vote = _compared_routes(seq)
     defect = completeness_defect(seq)
     kind = _verdict_kind(_independent(seq), defect)
-    vote = _gram_route(seq, lam)[1]
     if vote is not None and vote is not kind:
         raise CriteriaDisagreementError(
             f"column route says {kind.value}, Gram route says {vote.value}"

@@ -18,12 +18,7 @@ from .errors import (
     IllConditionedError,
     NoBiorthogonalSequenceError,
 )
-from .seqcore import (
-    VectorSequence,
-    _gram_entries,
-    _independent,
-    _monomial_moduli,
-)
+from .seqcore import VectorSequence, _gram_entries, _independent, _sigma
 
 #: Residual below which a pair counts as biorthogonal.
 BIORTHOGONALITY_TOL = 1e-8
@@ -118,11 +113,6 @@ def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> f
     if 2 * seq.count < seq.dim:
         q = np.linalg.qr(np.concatenate([f, g], axis=1))[0]
         compressed = _minus_identity((q.conj().T @ f) @ (g.conj().T @ q))
-        return max(_spectral_norm(compressed), 1.0)
-    return _spectral_norm(_minus_identity(f @ g.conj().T))
-
-
-def _spectral_norm(matrix: np.ndarray) -> float:
-    moduli = _monomial_moduli(matrix)
-    return float(np.linalg.norm(matrix, 2) if moduli is None else moduli.max())
+        return max(float(_sigma(compressed)[0]), 1.0)
+    return float(_sigma(_minus_identity(f @ g.conj().T))[0])
 

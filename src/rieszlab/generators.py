@@ -60,7 +60,7 @@ RIESZ_CONDITION_LIMIT = 1e6
 @dataclass(frozen=True)
 class PointSet2D:
     """Time-frequency nodes (tau, mu), distinct as float pairs: (-0.0, 0.0) is
-    (0.0, 0.0), and nodes closer than about 1e-162 are kept with separation 0.0."""
+    (0.0, 0.0), and nodes however close, even 1e-170 apart, are kept."""
 
     nodes: Tuple[Tuple[float, float], ...]
 
@@ -73,16 +73,6 @@ class PointSet2D:
         if len(set(nodes)) < len(nodes):
             raise ValueError("nodes must be pairwise distinct")
         object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def separation(self) -> float:
-        """Minimal pairwise Euclidean distance (+inf for a single node), one row at a time."""
-        arr = np.asarray(self.nodes)
-        return min(
-            (float(np.sqrt(((arr[i + 1:] - arr[i]) ** 2).sum(axis=1)).min())
-             for i in range(len(arr) - 1)),
-            default=math.inf,
-        )
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -136,10 +126,6 @@ class GaborDiscretization:
             raise ValueError("the window must hold a whole number of samples")
         object.__setattr__(self, "half_width", float(self.half_width))
         object.__setattr__(self, "samples_per_unit", int(self.samples_per_unit))
-
-    @property
-    def grid_step(self) -> float:
-        return 1.0 / self.samples_per_unit
 
     @property
     def normalization(self) -> float:

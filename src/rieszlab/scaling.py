@@ -114,14 +114,23 @@ class GrowthFit(NamedTuple):
 
 def _whole(value, name: str) -> int:
     """`int(value)`, refused where it differs from `value`, so 2.5 is not read as 2,
-    or where there is none: inf, nan and text that is no integer."""
+    or where there is none: inf, nan, None and text that is no integer."""
     try:
         whole = int(value)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         whole = None
-    if whole != value:
+    if whole is None or whole != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return whole
+
+
+def _number(value, name: str) -> float:
+    """`float(value)`, refused with the name where there is none: None and text
+    that is no number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -147,7 +156,7 @@ class FamilySpec:
             raise ValueError(f"unknown parameters {unknown}; known: {tuple(_PARAMETER_DEFAULTS)}")
         given = {**_PARAMETER_DEFAULTS, **self.parameters}
         parameters = MappingProxyType({
-            name: _whole(given[name], name) if type(default) is int else type(default)(given[name])
+            name: (_whole if type(default) is int else _number)(given[name], name)
             for name, default in _PARAMETER_DEFAULTS.items()
         })
         object.__setattr__(self, "sizes", sizes)

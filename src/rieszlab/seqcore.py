@@ -29,10 +29,13 @@ pair up is built as its float64 real twin, straight from its nodes
 (`generators._gabor_twin`); any other complex system is factored in complex
 arithmetic.
 
-A system with at most one nonzero per row and column (`_monomial_moduli`) is
-never factored: its singular values are the moduli of its entries, sorted,
-and its Gram eigenvalues their squares, both exact, so its two routes agree
-by construction.  Its entries alone select this path.
+Every singular value in the package comes from `_sigma`, which holds its one
+SVD: a system's own (the record's "sigma") and an identity residual's norm
+(`duals.duality_identity_residual`).  A matrix with at most one nonzero per
+row and column (`_monomial_moduli`) is never factored: its singular values
+are the moduli of its entries, sorted, and a system's Gram eigenvalues their
+squares, both exact, so its two routes agree by construction.  Its entries
+alone select this path.
 """
 
 from __future__ import annotations
@@ -53,11 +56,12 @@ _SIGMA_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 _SIGMA_CEILING = float(np.sqrt(np.finfo(float).max))
 
 
-def _as_complex_array(values, name: str, ndim: int, copy: bool = True, keep_real=False) -> np.ndarray:
-    """A validated C-contiguous complex128 array of `ndim` dimensions, allocated
-    once whatever its dtype and layout; with `keep_real`, a float64 `values`
-    stays float64; without `copy`, such an array is itself."""
-    dtype = float if keep_real and getattr(values, "dtype", None) == float else complex
+def _as_complex_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarray:
+    """A validated C-contiguous array of `ndim` dimensions, allocated once
+    whatever its dtype and layout: float64 for a float64 `values`, else
+    complex128; without `copy`, a float64 or complex128 C-contiguous `values`
+    is itself."""
+    dtype = float if getattr(values, "dtype", None) == float else complex
     arr = np.array(values, dtype=dtype, order="C", copy=copy or None)
     if arr.ndim != ndim:
         shape_name = "two-dimensional" if ndim == 2 else "one-dimensional"
@@ -96,7 +100,7 @@ class VectorSequence:
     columns: np.ndarray
 
     def __post_init__(self, copy: bool = True) -> None:
-        cols = _as_complex_array(self.columns, "columns", 2, copy, keep_real=True)
+        cols = _as_complex_array(self.columns, "columns", 2, copy)
         if cols.shape[0] < 1:
             raise ValueError(f"ambient dimension must be a positive integer, got {cols.shape[0]}")
         if cols.shape[1] < 1:
@@ -173,11 +177,7 @@ def _representable_sigma(seq: VectorSequence) -> np.ndarray:
     rank threshold up to sigma_max is a normal float; beyond that range its
     bounds, Gram spectrum and dual are not representable.  A system with at
     most one nonzero per row and column takes its moduli, sorted, as sigma."""
-    moduli = _monomial_moduli(seq.columns)
-    if moduli is None:
-        sigma = np.linalg.svd(seq.columns, compute_uv=False)
-    else:
-        sigma = np.sort(moduli)[::-1][:min(seq.columns.shape)]
+    sigma = _sigma(seq.columns)
     tol = _rank_scale(seq.columns.shape, float(sigma[0]))
     if sigma[0] > 0.0 and not _SIGMA_FLOOR <= tol <= sigma[0] <= _SIGMA_CEILING:
         raise IllConditionedError(
@@ -185,6 +185,15 @@ def _representable_sigma(seq: VectorSequence) -> np.ndarray:
             "down to the rank threshold must be normal floats"
         )
     return _read_only(sigma)
+
+
+def _sigma(matrix: np.ndarray) -> np.ndarray:
+    """Descending singular values of `matrix`: the package's one SVD, or for a
+    matrix with at most one nonzero per row and column its moduli, sorted."""
+    moduli = _monomial_moduli(matrix)
+    if moduli is None:
+        return np.linalg.svd(matrix, compute_uv=False)
+    return np.sort(moduli)[::-1][:min(matrix.shape)]
 
 
 def _monomial_moduli(arr: np.ndarray):
@@ -228,7 +237,6 @@ def _gram_eigenvalues(seq: VectorSequence) -> np.ndarray:
 
 
 def _gram_spectrum(seq: VectorSequence) -> np.ndarray:
-    moduli = _monomial_moduli(seq.columns)
-    if moduli is None:
+    if _monomial_moduli(seq.columns) is None:
         return np.linalg.eigvalsh(_gram_entries(seq))
-    return np.sort(moduli)[-min(seq.columns.shape):] ** 2
+    return _singular_values(seq)[::-1] ** 2

@@ -172,17 +172,6 @@ def gram_by_loops(columns):
     return out
 
 
-def dense_separation(nodes):
-    """Minimal pairwise distance of 2-D nodes from the dense N x N x 2 difference array."""
-    arr = np.asarray(nodes, dtype=float)
-    if len(arr) < 2:
-        return np.inf
-    diff = arr[:, None, :] - arr[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    dist[np.diag_indices(len(arr))] = np.inf
-    return float(dist.min())
-
-
 def dense_gabor_columns(nodes, disc):
     """Sampled Gabor columns with both factors evaluated at every (grid point, node):
     sqrt(1/s) * exp(-pi (x - tau)^2) * exp(2 pi i mu x), the per-node formula

@@ -557,6 +557,8 @@ EXIT_CODE_TABLE = [
     ("family-csv-is-directory",
      ["family", "--gen", "weighted", "--sizes", "4,8,16", "--json", "{dir}/f.json",
       "--csv", "{dir}/outdir"], 2, "outdir"),
+    ("family-csv-is-directory-no-json",
+     ["family", "--gen", "weighted", "--sizes", "4,8,16", "--csv", "{dir}/outdir"], 2, "outdir"),
     ("gabor-samples-zero", ["gabor", "--set", "lattice", "--samples", "0"], 2,
      "samples_per_unit must be a positive integer"),
     ("gabor-refine-rate-zero", ["gabor", "--set", "lattice", "--refine", "0,8"], 2,
@@ -680,10 +682,12 @@ def test_exit_codes(argv, code, message, tmp_path, capsys):
     (tmp_path / "outdir").mkdir()
     before = set(tmp_path.rglob("*"))
     assert run_cli(*(arg.replace("{dir}", str(tmp_path)) for arg in argv)) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     if code == 0:
         assert err == ""
     else:
+        # A failed command leaves no report, on stdout or in its --json file.
+        assert out == "" and not (tmp_path / "f.json").exists()
         [line] = err.splitlines()
         assert line.startswith("error: ") and message in line
     assert not list(tmp_path.rglob("*.tmp"))

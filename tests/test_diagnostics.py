@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from rieszlab import (
+    BoundsReport,
     CriteriaDisagreementError,
     DimensionError,
     GaborDiscretization,
@@ -27,7 +28,7 @@ from rieszlab import (
     young_example,
     young_general,
 )
-from rieszlab.diagnostics import _gram_route
+from rieszlab.diagnostics import _compared_routes
 from rieszlab.seqcore import RANK_TOL_SCALE, _gram_eigenvalues, _rank_scale, _singular_values
 
 
@@ -271,6 +272,35 @@ class TestClassify:
         assert verdict.bounds.riesz_lower == pytest.approx(1.0, rel=1e-10)
         assert verdict.bounds.completeness_defect == 1
 
+    def test_a_gram_vote_against_the_column_route_raises(self):
+        # sigma_min = 1e-6 is far above the rank threshold, so the column route
+        # says RieszBasis; a lambda_min forged to -1e-13 still agrees with
+        # sigma_min^2 within the two-route tolerance, but lies below the Gram
+        # route's zero by more than its accuracy, so that route votes dependent.
+        sigma = np.array([1.0, 0.5, 0.3, 0.2, 0.1, 1e-6])
+        rng = np.random.default_rng(5)
+        q1, q2 = (np.linalg.qr(rng.standard_normal((6, 6)))[0] for _ in range(2))
+        seq = VectorSequence(q1 @ np.diag(sigma) @ q2)
+        forged = np.sort(sigma**2)
+        forged[0] = -1e-13
+        seq._record.fill("gram_eigenvalues", lambda: forged)
+        with pytest.raises(CriteriaDisagreementError,
+                           match="^column route says RieszBasis, Gram route says LinearlyDependent$"):
+            classify(seq)
+
+    @pytest.mark.parametrize(
+        "lower, upper, defect, message",
+        [
+            (2.0, 1.0, 0, "^bounds must satisfy 0 <= A <= B, got A=2.0, B=1.0$"),
+            (-1.0, 1.0, 0, "^bounds must satisfy 0 <= A <= B, got A=-1.0, B=1.0$"),
+            (0.5, 1.0, -1, "^completeness defect cannot be negative$"),
+        ],
+        ids=["lowerAboveUpper", "negativeLower", "negativeDefect"],
+    )
+    def test_bounds_report_refuses_inconsistent_values(self, lower, upper, defect, message):
+        with pytest.raises(ValueError, match=message):
+            BoundsReport(lower, upper, defect, upper / lower if lower else np.inf)
+
     def test_routes_agree_on_random_mix(self):
         # Small-scale version of the full cross-route sweep in the acceptance
         # module: verdicts must match the construction with no disagreements.
@@ -392,7 +422,7 @@ def _route_votes(seq):
     """The column verdict, the Gram vote (None: abstains) and, for independent
     columns, whether the dual route checks (False: abstains)."""
     kind = classify(seq).kind
-    gram_vote = _gram_route(seq, _gram_eigenvalues(seq))[1]
+    gram_vote = _compared_routes(seq)[-1]
     if kind is VerdictKind.LINEARLY_DEPENDENT:
         return kind, gram_vote
     return kind, gram_vote, _dual_checks(seq)

@@ -111,6 +111,20 @@ class TestBasicGenerators:
         np.testing.assert_array_equal(_gram_entries(orthonormal(5)), np.eye(5))
 
     @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: orthonormal(0), "^n must be >= 1$"),
+            (lambda: weighted_pair(0), "^n must be >= 1$"),
+            (lambda: alternating_weighted_pair(0), "^n must be >= 1$"),
+            (lambda: PointSet2D(()), "^a point set needs at least one node$"),
+        ],
+        ids=["orthonormal", "weighted", "alternating", "pointSet"],
+    )
+    def test_an_empty_system_is_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize(
         "build, dtype",
         [
             (lambda: [orthonormal(5)], np.float64),
@@ -266,11 +280,8 @@ class TestPointSets:
             PointSet2D(((0.0, 0.0), (-0.0, 0.0)))
 
     def test_nodes_closer_than_squared_underflow_are_distinct(self):
-        # Their computed distance underflows to 0.0; as float pairs they differ.
-        assert PointSet2D(((0.0, 0.0), (1e-170, 0.0))).separation == 0.0
-
-    def test_single_node_separation(self):
-        assert PointSet2D(((0.0, 0.0),)).separation == math.inf
+        # Their squared distance underflows to 0.0; as float pairs they differ.
+        assert len(PointSet2D(((0.0, 0.0), (1e-170, 0.0)))) == 2
 
     @pytest.mark.parametrize("cached", [(), (0,), (1,), (0, 1)], ids=["none", "first", "second", "both"])
     def test_node_analysis_cache_keeps_equality_hash_and_pickle(self, cached):
@@ -304,28 +315,9 @@ class TestPointSets:
         # (-0.0, 1.5) pairs with (0.0, -1.5), and (1.0, -0.0) with itself.
         np.testing.assert_array_equal(SIGNED_ZERO_PAIRS._split[-1], [3, 4, 2, 0, 1])
 
-    @pytest.mark.parametrize(
-        "points",
-        [
-            lattice_points(0.5, 2.0, 3),
-            punctured_lattice(3),
-            als_point_set(4),
-            PointSet2D(tuple(
-                map(tuple, np.random.default_rng(17).uniform(-0.3, 0.3, (60, 2))
-                    + [(j, k) for j in range(6) for k in range(10)])
-            )),
-        ],
-        ids=["lattice", "punctured", "als", "jittered"],
-    )
-    def test_separation_matches_dense_formula(self, points):
-        assert points.separation == oracles.dense_separation(points.nodes)
-
     def test_lattice_counts(self):
         assert len(lattice_points(1.0, 1.0, 1)) == 9
         assert len(lattice_points(1.0, 1.0, 2)) == 25
-
-    def test_lattice_separation(self):
-        assert lattice_points(0.5, 2.0, 2).separation == pytest.approx(0.5)
 
     def test_punctured_counts(self):
         assert len(punctured_lattice(1)) == 8
@@ -358,7 +350,6 @@ class TestGaborDiscretization:
     def test_grid_geometry(self):
         disc = GaborDiscretization(6.0, 16)
         assert disc.sample_count == 192
-        assert disc.grid_step == pytest.approx(1.0 / 16)
         # squared scaling times sample count recovers the window length exactly
         assert disc.normalization**2 * disc.sample_count == pytest.approx(12.0, abs=1e-12)
         x = disc.grid()
@@ -402,12 +393,12 @@ class TestGaborDiscretization:
         assert GaborDiscretization(1 / 32, 16).sample_count == 1
 
 
-def separated_points(seed, radius, separation, draws=400):
-    """The uniform draws in [-radius, radius]^2 that keep at least `separation`
+def separated_points(seed, radius, gap, draws=400):
+    """The uniform draws in [-radius, radius]^2 that keep at least `gap`
     from every draw kept before them."""
     kept = []
     for node in np.random.default_rng(seed).uniform(-radius, radius, (draws, 2)):
-        if all(math.dist(node, other) >= separation for other in kept):
+        if all(math.dist(node, other) >= gap for other in kept):
             kept.append(tuple(node))
     return PointSet2D(tuple(kept))
 

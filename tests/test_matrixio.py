@@ -636,6 +636,16 @@ class TestMatrixFiles:
         seq = read_matrix(str(path), lambda rows, width: write_atomic(str(path), "5\n"))
         np.testing.assert_array_equal(seq.columns, np.eye(2))
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # Blank lines before, between and after the rows, some of them spaces.
+        path = tmp_path / "matrix.csv"
+        path.write_text("\n  \n# dim=2 count=3\n\n1,0+2i,0\n \t\n\n0,1,-3\n\n  \n")
+        plain = tmp_path / "plain.csv"
+        plain.write_text("# dim=2 count=3\n1,0+2i,0\n0,1,-3\n")
+        columns = read_matrix(str(path)).columns
+        np.testing.assert_array_equal(columns, [[1, 2j, 0], [0, 1, -3]])
+        assert columns.tobytes() == read_matrix(str(plain)).columns.tobytes()
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "matrix.csv"
         path.write_text("")

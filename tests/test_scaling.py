@@ -90,14 +90,21 @@ class TestFamilySpec:
             ((2, 4, 8), {"complementDim": -float("inf")}, "complementDim"),
             ((2, 4, 8), {"seed": float("nan")}, "seed"),
             ((2, 4, 8), {"seed": "three"}, "seed"),
+            ((2, 4, None), {}, "size"),
+            ((2, 4, 8), {"seed": None}, "seed"),
         ],
         ids=["size", "probeIndex", "samplesPerUnit", "seedText", "sizeInf", "seedInf",
-             "complementDimMinusInf", "seedNaN", "seedWord"],
+             "complementDimMinusInf", "seedNaN", "seedWord", "sizeNone", "seedNone"],
     )
     def test_refuses_an_integer_it_would_truncate(self, sizes, parameters, name):
         value = parameters[name] if parameters else next(s for s in sizes if type(s) is not int)
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             FamilySpec("orthonormal", sizes, parameters)
+
+    @pytest.mark.parametrize("value", [None, "wide", 1j], ids=["none", "word", "complex"])
+    def test_refuses_a_float_parameter_that_is_no_number(self, value):
+        with pytest.raises(ValueError, match=f"^halfWidth must be a number, got {value!r}$"):
+            FamilySpec("gaborPunctured", (1, 2, 3), {"halfWidth": value})
 
     def test_parameters_are_read_only(self):
         spec = FamilySpec("youngGeneral", (8, 16, 32))

@@ -338,8 +338,7 @@ def test_monomial_closed_form_matches_the_factorizations(system):
     closed = VectorSequence.from_columns(system)
     sigma = _outcome(lambda: _singular_values(closed))
     with pytest.MonkeyPatch.context() as patch:
-        for module in (seqcore, duals):
-            patch.setattr(module, "_monomial_moduli", lambda arr: None)
+        patch.setattr(seqcore, "_monomial_moduli", lambda arr: None)
         factored = VectorSequence.from_columns(system)
         svd = _outcome(lambda: _singular_values(factored))
         factored_verdict = _verdict_summary(_outcome(lambda: classify(factored)))
