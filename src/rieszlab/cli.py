@@ -69,8 +69,8 @@ def _read_matrix(path: str) -> VectorSequence:
     """A matrix file, refused if max(dim, count)^2 complex entries exceed the limit.
     The Gram route allocates min(dim, count)^2 and the identity residual dim^2
     unless the file is tall (2 count < dim); the rule keeps max(dim, count)^2,
-    so a wide file is refused past the same count as before.  The rule is
-    applied to the file's row count and width, before any cell is converted."""
+    one bound for every shape.  It is applied to the file's row count and
+    width, before any cell is converted."""
 
     def check_shape(rows: int, width: int) -> None:
         side = max(rows, width)
@@ -79,15 +79,18 @@ def _read_matrix(path: str) -> VectorSequence:
     return matrixio.read_matrix(path, check_shape)
 
 
-def _tolerances() -> dict:
-    return {
-        "rankToleranceScale": RANK_TOL_SCALE,
-        "twoRouteRelative": TWO_ROUTE_RTOL,
-        "biorthogonality": duals.BIORTHOGONALITY_TOL,
-    }
-
-
 def _emit(payload: dict, json_path) -> None:
+    """The report `payload` in its envelope, the schema version and the
+    tolerance constants, to `json_path` or else stdout."""
+    payload = {
+        **payload,
+        "schemaVersion": SCHEMA_VERSION,
+        "tolerances": {
+            "rankToleranceScale": RANK_TOL_SCALE,
+            "twoRouteRelative": TWO_ROUTE_RTOL,
+            "biorthogonality": duals.BIORTHOGONALITY_TOL,
+        },
+    }
     if json_path:
         matrixio.write_report(json_path, payload)
     else:
@@ -111,7 +114,6 @@ def _analysis_payload(seq: VectorSequence, source: str) -> dict:
                 "dualityIdentity": duals.duality_identity_residual(seq, partner),
             }
     return {
-        "schemaVersion": SCHEMA_VERSION,
         "input": source,
         "bounds": {
             "rieszLower": finite_or_none(verdict.bounds.riesz_lower),
@@ -126,7 +128,6 @@ def _analysis_payload(seq: VectorSequence, source: str) -> dict:
         },
         "residuals": {name: finite_or_none(value) for name, value in residuals.items()},
         "verdict": verdict.kind.value,
-        "tolerances": _tolerances(),
     }
 
 
@@ -152,7 +153,7 @@ def _example_systems(args):
     if n < 1:
         raise UsageError("--n must be >= 1")
     generator_id = _aliases()[name]
-    params = {"seed": args.seed, "complementDim": args.complement_dim}
+    params = {"seed": args.seed, "complementDim": args.complementDim}
     extra_rows = scaling._FAMILIES[generator_id].rows(params)
     _check_size(f"example {name} --n {n}", n + max(extra_rows, 0), n)
     # The member's size is its ambient dimension, n plus the extra rows; it
@@ -196,28 +197,20 @@ def _discretization(half_width: float, samples: int):
 def _cmd_family(args) -> int:
     generator_id = _aliases().get(args.gen, args.gen)
     sizes = _parse_int_list(args.sizes, "--sizes")
-    parameters = {
-        "seed": args.seed,
-        "probeIndex": args.probe_index,
-        "complementDim": args.complement_dim,
-        "halfWidth": args.half_width,
-        "samplesPerUnit": args.samples,
-    }
+    parameters = {name: getattr(args, name) for name in scaling._PARAMETER_DEFAULTS}
     spec = scaling.FamilySpec(generator_id, sizes, parameters)
     side = sizes[-1]
     nodes = scaling._FAMILIES[generator_id].nodes
     if nodes:
         # A member is grid x nodes; max(grid, nodes) squared is one simple rule.
-        grid = _discretization(args.half_width, args.samples).sample_count
+        grid = _discretization(args.halfWidth, args.samplesPerUnit).sample_count
         side = max(grid, nodes(sizes[-1]))
     _check_size(f"family --gen {args.gen} --sizes {args.sizes}", side, side)
     report = scaling.run_family(spec)
     payload = {
-        "schemaVersion": SCHEMA_VERSION,
         "input": f"family:{generator_id} sizes={','.join(map(str, sizes))} seed={args.seed}",
-        "tolerances": _tolerances(),
+        **report.to_dict(),
     }
-    payload.update(report.to_dict())
     if args.csv:  # written first, so a failed write leaves no report behind
         matrixio.write_atomic(args.csv, report.csv_text())
     _emit(payload, args.json)
@@ -249,19 +242,18 @@ def _gabor_points(args, sample_count: int):
 
 def _cmd_gabor(args) -> int:
     # Every grid is checked before any point set is read or system built.
-    disc = _discretization(args.half_width, args.samples)
+    disc = _discretization(args.halfWidth, args.samplesPerUnit)
     refine_discs = []
     if args.refine:
-        rates = sorted(set(_parse_int_list(args.refine, "--refine")) | {args.samples})
-        refine_discs = [_discretization(args.half_width, s) for s in rates]
+        rates = sorted(set(_parse_int_list(args.refine, "--refine")) | {args.samplesPerUnit})
+        refine_discs = [_discretization(args.halfWidth, s) for s in rates]
     points, source = _gabor_points(args, (refine_discs or [disc])[-1].sample_count)
     # The bounds and the defect read the real twin where the nodes pair up;
     # only --dump-matrix needs the complex system.
     system = generators._gabor_twin(points, disc)
     lower, upper = diagnostics.riesz_bounds(system)
     payload = {
-        "schemaVersion": SCHEMA_VERSION,
-        "input": f"gabor {source} halfWidth={args.half_width} samples={args.samples}",
+        "input": f"gabor {source} halfWidth={args.halfWidth} samples={args.samplesPerUnit}",
         "nodes": len(points),
         "gridSize": disc.sample_count,
         "bounds": {
@@ -269,7 +261,6 @@ def _cmd_gabor(args) -> int:
             "besselUpper": finite_or_none(upper),
         },
         "defect": diagnostics.completeness_defect(system),
-        "tolerances": _tolerances(),
     }
     if refine_discs:
         # The base rate reuses `system`, so each rate is built and factored once.
@@ -286,10 +277,12 @@ def _cmd_gabor(args) -> int:
 
 
 def _add_parameter(cmd: argparse.ArgumentParser, flag: str, name: str) -> None:
-    """The flag of family parameter `name`, typed and defaulted by its entry
-    in `scaling._PARAMETER_DEFAULTS`."""
+    """The flag of family parameter `name`, stored under that name and typed
+    and defaulted by its entry in `scaling._PARAMETER_DEFAULTS`; its metavar
+    is the one argparse derives from the flag."""
     default = scaling._PARAMETER_DEFAULTS[name]
-    cmd.add_argument(flag, type=type(default), default=default)
+    metavar = flag.lstrip("-").upper().replace("-", "_")
+    cmd.add_argument(flag, type=type(default), default=default, dest=name, metavar=metavar)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,7 +38,6 @@ from .seqcore import (
     _ambient_vector,
     _gram_eigenvalues,
     _independent,
-    _kernel_view,
     _rank,
     _rank_scale,
     _singular_values,
@@ -171,7 +170,7 @@ def span_distance(seq: VectorSequence, vector) -> float:
     the family studies, stays in real arithmetic; a complex vector makes the
     solve complex.
     """
-    h = _kernel_view(_ambient_vector(vector, seq.dim))
+    h = _ambient_vector(vector, seq.dim)
     if _rank(seq) == seq.dim:
         return 0.0
     cols = seq.columns

@@ -282,14 +282,22 @@ def _phase_table(x: np.ndarray, mus: np.ndarray, samples_per_unit: int,
 
 def _gabor_tables(points: PointSet2D, disc: GaborDiscretization, mu_columns) -> tuple:
     """The factor tables of a sampled Gabor system, after its safe-window
-    check: `_phase_table` over columns `mu_columns` of the distinct
-    modulations, and the normalized envelope at each distinct shift."""
-    taus, tau_keys, _, mu_keys, _, _ = points._split
+    check and its phase check: `_phase_table` over columns `mu_columns` of
+    the distinct modulations, and the normalized envelope at each distinct
+    shift."""
+    taus, tau_keys, _, mu_keys, mu_index, _ = points._split
     safe = disc.half_width - SAFE_WINDOW_MARGIN
     outside = np.flatnonzero(np.abs(taus) > safe)
     if outside.size:
         tau, mu = points.nodes[outside[0]]
         raise TruncationError(f"node ({tau}, {mu}) outside the safe window |tau| <= {safe}")
+    # A phase argument 2 pi mu x stays finite: |x| <= X on the coarse grid,
+    # and the fine offsets stay below 2X.
+    limit = sys.float_info.max / (4.0 * math.pi * disc.half_width)
+    overflow = np.flatnonzero(np.abs(mu_keys.view(float))[mu_index] > limit)
+    if overflow.size:
+        tau, mu = points.nodes[overflow[0]]
+        raise ValueError(f"node ({tau}, {mu}): |mu| above {limit:.3g} overflows its phase")
     x = disc.grid()
     phases = _phase_table(x, mu_keys.view(float), disc.samples_per_unit, mu_columns)
     envelopes = disc.normalization * np.exp(-np.pi * (x[:, None] - tau_keys.view(float)) ** 2)

@@ -29,7 +29,7 @@ import os
 import re
 import stat
 from contextlib import contextmanager, suppress
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -301,10 +301,6 @@ def _matrix_chunks(seq: VectorSequence):
     yield "\n"
 
 
-def matrix_text(seq: VectorSequence) -> str:
-    return "".join(_matrix_chunks(seq))
-
-
 def write_matrix(path: str, seq: VectorSequence) -> None:
     """The matrix file of `seq` at `path`, written one block at a time, so
     that no more than one block's text is held whatever the matrix size."""
@@ -350,18 +346,25 @@ def _parse_cells(path: str, i: int, line: str) -> list:
     return row
 
 
+def _data_lines(handle):
+    """The open file read from its start: its header (a first non-blank line
+    starting with "#", else None) and an iterator over the non-blank lines
+    after it, without their newlines."""
+    handle.seek(0)
+    lines = (line.rstrip("\n") for line in handle if not line.isspace())
+    first = next(lines, "")
+    if first.lstrip().startswith("#"):
+        return first, lines
+    return None, chain([first] if first else [], lines)
+
+
 def _matrix_layout(handle):
-    """One pass over an open matrix file, keeping no line: the header (a first
-    non-blank line starting with "#", else None), the number of non-blank data
-    lines, the cell count of the first of them, and the index and cell count
-    of the first one whose cell count differs (None if none does)."""
-    header, rows, width, ragged = None, 0, None, None
-    for line in handle:
-        if line.isspace():
-            continue
-        if not rows and header is None and line.lstrip().startswith("#"):
-            header = line.rstrip("\n")
-            continue
+    """One pass over an open matrix file, keeping no line: its header, the
+    number of data lines, the cell count of the first of them, and the index
+    and cell count of the first one whose cell count differs (None if none does)."""
+    header, data = _data_lines(handle)
+    rows, width, ragged = 0, None, None
+    for line in data:
         cells = line.count(",") + 1
         if width is None:
             width = cells
@@ -369,15 +372,6 @@ def _matrix_layout(handle):
             ragged = (rows, cells)
         rows += 1
     return header, rows, width, ragged
-
-
-def _data_lines(handle, header):
-    """The open file's non-blank lines after its header, read from its start."""
-    handle.seek(0)
-    data = (line.rstrip("\n") for line in handle if not line.isspace())
-    if header is not None:
-        next(data, None)
-    return data
 
 
 def _row_stream(path: str, data, width: int, kept: int):
@@ -426,7 +420,9 @@ def read_matrix(path: str, check_shape=None) -> VectorSequence:
         # Only the rows before the first ragged one are read, so the array is
         # never larger than the text; their cells are checked before that row's error.
         kept = rows if ragged is None else ragged[0]
-        data = _data_lines(handle, header)
+        second_header, data = _data_lines(handle)
+        if second_header != header:
+            raise _changed(path)
         matrix = np.loadtxt(_row_stream(path, data, width, kept), dtype=complex, delimiter=",",
                             ndmin=2, comments=None, max_rows=kept)
         if kept + sum(1 for _ in data) != rows:
@@ -434,7 +430,7 @@ def read_matrix(path: str, check_shape=None) -> VectorSequence:
         overflow = np.flatnonzero(~np.isfinite(matrix))
         if overflow.size:
             i, j = divmod(int(overflow[0]), width)
-            cells = next(islice(_data_lines(handle, header), i, None), "").split(",")
+            cells = next(islice(_data_lines(handle)[1], i, None), "").split(",")
             if j >= len(cells):
                 raise _changed(path)
             raise _non_finite(path, i + 1, j + 1, cells[j].strip())
@@ -447,13 +443,8 @@ def read_matrix(path: str, check_shape=None) -> VectorSequence:
     return VectorSequence._adopt(matrix)
 
 
-def point_set_text(points: PointSet2D) -> str:
-    lines = [f"{format_float(t)},{format_float(m)}" for t, m in points.nodes]
-    return "\n".join(lines) + "\n"
-
-
 def write_point_set(path: str, points: PointSet2D) -> None:
-    write_atomic(path, point_set_text(points))
+    write_atomic(path, (f"{format_float(t)},{format_float(m)}\n" for t, m in points.nodes))
 
 
 def _is_node_line(text: str) -> bool:

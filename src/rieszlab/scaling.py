@@ -292,7 +292,7 @@ def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
         member_params = {**params, "seed": (params["seed"], size)}
         system, partner = _build_member(generator_id, size, member_params)
         lower, upper = diagnostics.riesz_bounds(system)
-        probe = np.zeros(system.dim, dtype=complex)
+        probe = np.zeros(system.dim)
         probe[index] = 1.0
         defect_distance = diagnostics.span_distance(system, probe)
         dual_upper = duality_residual = None

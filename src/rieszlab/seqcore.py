@@ -18,16 +18,17 @@ than dimensions) is eigensolved on its dim x dim side, which shares the
 nonzero spectrum of the count x count Gram matrix.
 
 Each VectorSequence keeps one read-only array, `columns`, which every
-factorization and product reads: float64 when no entry has a nonzero
-imaginary part (-0.0 counts as zero), so a real system is factored in real
-arithmetic at about a quarter of the complex flops, and complex128 otherwise.
-The public constructors copy their input, so a caller's array never changes a
-sequence; the library's own producers (the generators, `read_matrix`, the
-minimal dual) hand a fresh array to the private `VectorSequence._adopt`, which
-checks it alike and freezes it in place.  A sampled Gabor system whose nodes
-pair up is built as its float64 real twin, straight from its nodes
-(`generators._gabor_twin`); any other complex system is factored in complex
-arithmetic.
+factorization and product reads.  `_as_array`, the one intake of the
+sequence's columns and of a probe vector, makes it float64 when no entry has
+a nonzero imaginary part (-0.0 counts as zero), so a real system is factored
+in real arithmetic at about a quarter of the complex flops, and complex128
+otherwise.  The public constructors copy their input, so a caller's array
+never changes a sequence; the library's own producers (the generators,
+`read_matrix`, the minimal dual) hand a fresh array to the private
+`VectorSequence._adopt`, which checks it alike and freezes it in place.  A
+sampled Gabor system whose nodes pair up is built as its float64 real twin,
+straight from its nodes (`generators._gabor_twin`); any other complex system
+is factored in complex arithmetic.
 
 Every singular value in the package comes from `_sigma`, which holds its one
 SVD: a system's own (the record's "sigma") and an identity residual's norm
@@ -56,11 +57,11 @@ _SIGMA_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 _SIGMA_CEILING = float(np.sqrt(np.finfo(float).max))
 
 
-def _as_complex_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarray:
-    """A validated C-contiguous array of `ndim` dimensions, allocated once
-    whatever its dtype and layout: float64 for a float64 `values`, else
-    complex128; without `copy`, a float64 or complex128 C-contiguous `values`
-    is itself."""
+def _as_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarray:
+    """A validated C-contiguous array of `ndim` dimensions: float64 when no
+    entry has a nonzero imaginary part (-0.0 counts as zero), else complex128.
+    Without `copy`, a float64 C-contiguous `values`, or a complex128 one with
+    a nonzero imaginary part, is itself."""
     dtype = float if getattr(values, "dtype", None) == float else complex
     arr = np.array(values, dtype=dtype, order="C", copy=copy or None)
     if arr.ndim != ndim:
@@ -69,22 +70,16 @@ def _as_complex_array(values, name: str, ndim: int, copy: bool = True) -> np.nda
     # An entry is finite when both its parts are: one pass over the float64 view.
     if not np.isfinite(arr.view(float)).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _kernel_view(arr: np.ndarray) -> np.ndarray:
-    """`arr`, or for a complex `arr` without a nonzero imaginary part (-0.0
-    counts as zero) a contiguous float64 copy of its real part."""
     # A nonzero imaginary part in the first row, as in every modulated Gabor
     # system, settles it without the strided pass over the whole array.
     if arr.dtype == float or arr[:1].imag.any() or arr.imag.any():
         return arr
     return np.array(arr.real, dtype=float, order="C")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,12 +95,12 @@ class VectorSequence:
     columns: np.ndarray
 
     def __post_init__(self, copy: bool = True) -> None:
-        cols = _as_complex_array(self.columns, "columns", 2, copy)
+        cols = _as_array(self.columns, "columns", 2, copy)
         if cols.shape[0] < 1:
             raise ValueError(f"ambient dimension must be a positive integer, got {cols.shape[0]}")
         if cols.shape[1] < 1:
             raise ValueError("a vector sequence needs at least one member")
-        object.__setattr__(self, "columns", _read_only(_kernel_view(cols)))
+        object.__setattr__(self, "columns", _read_only(cols))
         object.__setattr__(self, "_record", _SpectralRecord())
 
     @classmethod
@@ -131,7 +126,7 @@ class VectorSequence:
 
 
 def _ambient_vector(vector, dim: int) -> np.ndarray:
-    vec = _as_complex_array(vector, "vector", 1, copy=False)
+    vec = _as_array(vector, "vector", 1, copy=False)
     if vec.shape[0] != dim:
         raise DimensionError(f"vector has length {vec.shape[0]}, expected ambient dimension {dim}")
     return vec
@@ -198,7 +193,7 @@ def _sigma(matrix: np.ndarray) -> np.ndarray:
 
 def _monomial_moduli(arr: np.ndarray):
     """For a matrix with at most one nonzero per row and per column (-0.0
-    counts as zero, as in `_kernel_view`), the modulus of each column's
+    counts as zero, as in `_as_array`), the modulus of each column's
     nonzero, 0.0 for a zero column; else None.  Up to row and column
     permutations and unimodular factors such a matrix is a rectangular
     diagonal of these moduli, so they are exactly its singular values.  A

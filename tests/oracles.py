@@ -56,7 +56,7 @@ def format_complex(value):
 
 
 def matrix_text_by_cells(columns):
-    """The text `matrixio.matrix_text` must produce, one `format_complex` per cell."""
+    """The text `matrixio.write_matrix` must write, one `format_complex` per cell."""
     cols = np.asarray(columns, dtype=complex)
     lines = [f"# dim={cols.shape[0]} count={cols.shape[1]}"]
     lines += [",".join(format_complex(z) for z in row) for row in cols]

@@ -26,7 +26,7 @@ from rieszlab import (
     young_example,
     young_general,
 )
-from rieszlab import cli, diagnostics, generators, matrixio, scaling
+from rieszlab import cli, diagnostics, duals, generators, matrixio, scaling, seqcore
 from rieszlab.cli import build_parser, main
 from rieszlab.matrixio import read_matrix, write_matrix
 
@@ -189,7 +189,7 @@ class TestExample:
         systems = built if isinstance(built, list) else [built.primal, built.partner]
         files = sorted(tmp_path.iterdir())
         assert [path.name for path in files] == ["x_F.csv", "x_G.csv"][: len(systems)]
-        assert [path.read_text() for path in files] == [matrixio.matrix_text(s) for s in systems]
+        assert [path.read_text() for path in files] == ["".join(matrixio._matrix_chunks(s)) for s in systems]
 
 
 class TestFamily:
@@ -528,13 +528,42 @@ def test_a_family_is_one_table_record(tmp_path, monkeypatch, capsys):
                                       scale * np.eye(3))
 
 
+#: One command of each report kind; {dir} holds basis.csv, a 3x3 basis.
+REPORT_COMMANDS = {
+    "analyze": ["analyze", "{dir}/basis.csv"],
+    "dual": ["dual", "{dir}/basis.csv", "-o", "{dir}/d.csv"],
+    "family": ["family", "--gen", "weighted", "--sizes", "2,3,4"],
+    "gabor": ["gabor", "--set", "lattice", "--max-index", "1"],
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "json"])
+@pytest.mark.parametrize("argv", REPORT_COMMANDS.values(), ids=REPORT_COMMANDS.keys())
+def test_every_report_carries_the_schema_version_and_the_tolerances(argv, to_file, tmp_path,
+                                                                    capsys):
+    write_identity(tmp_path / "basis.csv")
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    if to_file:
+        argv += ["--json", str(tmp_path / "report.json")]
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out
+    report = json.loads((tmp_path / "report.json").read_text() if to_file else out)
+    assert report["schemaVersion"] == 1
+    assert report["tolerances"] == {
+        "rankToleranceScale": seqcore.RANK_TOL_SCALE,
+        "twoRouteRelative": diagnostics.TWO_ROUTE_RTOL,
+        "biorthogonality": duals.BIORTHOGONALITY_TOL,
+    }
+
+
 # One row per failure mode of the documented exit codes 0/2/3/4/5, beside the
 # cases the classes above already cover.  {dir} is the test's directory, which
 # holds basis.csv (a 3x3 basis), ill.csv, wide.csv, far.csv, utf16.csv (not
 # UTF-8), big.csv, small.csv and smaller.csv (a 6x6 basis scaled by 1e160,
 # 1e-160 and 1e-170), row8192.csv (1x8192), row8193.csv (1x8193),
 # column8193.csv (8193x1), nodes8193.csv (8193 nodes), overflow_nodes.csv (a
-# coordinate "1e400" on line 2) and outdir/.  The size-guard rows use sizes
+# coordinate "1e400" on line 2), huge_mu_nodes.csv (a node (0, 1e308)) and
+# outdir/.  The size-guard rows use sizes
 # that are refused before anything large is allocated.  row8192.csv is
 # estimated at exactly the limit, 8192^2 complex entries, and is accepted: its
 # Gram route eigensolves a 1x1 product.
@@ -632,6 +661,16 @@ EXIT_CODE_TABLE = [
      2, "byte limit"),
     ("gabor-node-overflow", ["gabor", "--set", "file", "--nodes", "{dir}/overflow_nodes.csv"],
      2, "overflow_nodes.csv: line 2: non-finite coordinate '1e400'"),
+    # A modulation whose phase 2 pi mu x would overflow, refused before any
+    # table is built; the limit at X = 6 is 2.38e306.
+    ("gabor-modulation-overflows-phase",
+     ["gabor", "--set", "lattice", "--b", "1e308", "--max-index", "1"], 2,
+     "error: node (-1.0, -1e+308): |mu| above 2.38e+306 overflows its phase"),
+    ("gabor-node-modulation-overflows-phase",
+     ["gabor", "--set", "file", "--nodes", "{dir}/huge_mu_nodes.csv"], 2,
+     "error: node (0.0, 1e+308): |mu| above 2.38e+306 overflows its phase"),
+    ("gabor-modulation-below-phase-limit",
+     ["gabor", "--set", "lattice", "--b", "1e306", "--max-index", "1"], 0, None),
     ("family-gabor-grid-oversize",
      ["family", "--gen", "gaborPunctured", "--sizes", "1,2,3", "--samples", "700"], 2,
      "byte limit"),
@@ -676,6 +715,7 @@ def test_exit_codes(argv, code, message, tmp_path, capsys):
     (tmp_path / "column8193.csv").write_text("1\n" * 8193)
     (tmp_path / "nodes8193.csv").write_text("".join(f"{i},0\n" for i in range(8193)))
     (tmp_path / "overflow_nodes.csv").write_text("0,0\n1e400,1\n")
+    (tmp_path / "huge_mu_nodes.csv").write_text("0,0\n0,1e308\n")
     basis = random_riesz(6, seed=3).columns
     for name, scale in (("big", 1e160), ("small", 1e-160), ("smaller", 1e-170)):
         write_matrix(str(tmp_path / f"{name}.csv"), VectorSequence.from_columns(scale * basis))
@@ -886,10 +926,10 @@ def _numeric_flags(command):
     ]
 
 
-#: Destination of each family-parameter flag -> the parameter it sets.
+#: Each family-parameter flag -> the parameter it sets, also its destination.
 PARAMETER_FLAGS = {
-    "seed": "seed", "probe_index": "probeIndex", "complement_dim": "complementDim",
-    "half_width": "halfWidth", "samples": "samplesPerUnit",
+    "--seed": "seed", "--probe-index": "probeIndex", "--complement-dim": "complementDim",
+    "--half-width": "halfWidth", "--samples": "samplesPerUnit",
 }
 
 
@@ -900,12 +940,15 @@ def test_parameter_flags_read_the_family_defaults(shift, monkeypatch):
     [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     flags = [
         (command, action) for command, parser in subparsers.choices.items()
-        for action in parser._actions if action.dest in PARAMETER_FLAGS
+        for action in parser._actions if set(action.option_strings) & set(PARAMETER_FLAGS)
     ]
     assert len(flags) == 9
     for command, action in flags:
-        default = defaults[PARAMETER_FLAGS[action.dest]]
-        assert (action.default, action.type) == (default, type(default)), (command, action.dest)
+        [flag] = action.option_strings
+        name = PARAMETER_FLAGS[flag]
+        default = defaults[name]
+        assert (action.dest, action.default, action.type) == (name, default, type(default)), (
+            command, flag)
 
 
 SWEEP_CASES = {

@@ -590,6 +590,16 @@ class TestGaussianGabor:
         system = gaussian_gabor(PointSet2D(((3.0, 0.0),)), self.disc)
         assert np.linalg.norm(system.columns[:, 0]) == pytest.approx(GAUSS_NORM, abs=1e-5)
 
+    @pytest.mark.parametrize("build", [gaussian_gabor, generators._gabor_twin], ids=["complex", "twin"])
+    def test_rejects_a_modulation_whose_phase_overflows(self, build):
+        # |mu| <= max / (4 pi X), 2.38e306 at X = 6, keeps 2 pi mu x finite.
+        # A node above it is refused before any table is built, so numpy
+        # warns of no overflow (every warning fails the test).
+        with pytest.raises(ValueError, match=r"^node \(1\.0, 3e\+306\): \|mu\| above 2\.38e\+306"):
+            build(PointSet2D(((0.0, 0.0), (1.0, 3e306), (1.0, -3e306))), self.disc)
+        system = build(PointSet2D(((0.0, 2.3e306), (0.0, -2.3e306))), self.disc)
+        assert np.isfinite(system.columns).all()
+
     def test_columns_match_direct_formula(self):
         node = (1.5, -2.0)
         x = self.disc.grid()

@@ -15,9 +15,7 @@ from rieszlab import MatrixParseError, PointSet2D, VectorSequence, lattice_point
 from rieszlab import matrixio
 from rieszlab.matrixio import (
     finite_or_none,
-    matrix_text,
     parse_complex,
-    point_set_text,
     read_matrix,
     read_point_set,
     report_text,
@@ -43,9 +41,14 @@ def stored(values):
     return arr if arr.imag.any() else arr.real
 
 
+def written_text(seq):
+    """The text `write_matrix` writes for `seq`: its chunks, joined."""
+    return "".join(matrixio._matrix_chunks(seq))
+
+
 def cell_text(z):
-    """One cell as `matrix_text` writes it."""
-    return matrix_text(VectorSequence.from_columns([[z]])).splitlines()[1]
+    """One cell as `write_matrix` writes it."""
+    return written_text(VectorSequence.from_columns([[z]])).splitlines()[1]
 
 
 def read_text(tmp_path, text):
@@ -187,12 +190,12 @@ def injected_matrix(seed, dim, count):
 
 
 class TestMatrixTextIdentity:
-    """`matrix_text` equals the per-cell reference byte for byte, and round-trips bit for bit."""
+    """The written text equals the per-cell reference byte for byte, and round-trips bit for bit."""
 
     @pytest.mark.parametrize("seed, dim, count", [(0, 1, 1), (1, 7, 3), (2, 3, 9), (3, 40, 40)])
     def test_matches_per_cell_reference(self, seed, dim, count):
         columns = injected_matrix(seed, dim, count)
-        assert matrix_text(VectorSequence.from_columns(columns)) == oracles.matrix_text_by_cells(
+        assert written_text(VectorSequence.from_columns(columns)) == oracles.matrix_text_by_cells(
             columns
         )
 
@@ -242,7 +245,7 @@ HARD_VALUES = np.array(
 
 
 class TestVectorizedFormat:
-    """`matrix_text` equals the per-cell "%.17g" reference where a formatter
+    """The written text equals the per-cell "%.17g" reference where a formatter
     that scales by powers of ten is most likely to slip."""
 
     @settings(max_examples=80, deadline=None)
@@ -255,7 +258,7 @@ class TestVectorizedFormat:
     )
     def test_arbitrary_bit_patterns(self, bits):
         columns = finite_floats(bits).view(complex)
-        assert matrix_text(VectorSequence(columns)) == oracles.matrix_text_by_cells(columns)
+        assert written_text(VectorSequence(columns)) == oracles.matrix_text_by_cells(columns)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_hard_values_in_either_part(self, sign):
@@ -266,7 +269,7 @@ class TestVectorizedFormat:
         columns.real[: 3 * len(values)] = np.concatenate([values, zeros, values])
         columns.imag[: 3 * len(values)] = np.concatenate([zeros, values, values[::-1]])
         columns = columns.reshape(-1, 16)
-        assert matrix_text(VectorSequence(columns)) == oracles.matrix_text_by_cells(columns)
+        assert written_text(VectorSequence(columns)) == oracles.matrix_text_by_cells(columns)
 
     def test_carries_and_ties_are_what_they_claim(self):
         for x in CARRIES:
@@ -283,12 +286,12 @@ class TestVectorizedFormat:
         # No margin is wide enough, so every nonzero part is formatted by format_float.
         monkeypatch.setattr(matrixio, "_TIE_MARGIN", 0.5)
         monkeypatch.setattr(matrixio, "format_float", lambda x: formatted.append(x) or format_float(x))
-        assert matrix_text(VectorSequence(columns)) == oracles.matrix_text_by_cells(columns)
+        assert written_text(VectorSequence(columns)) == oracles.matrix_text_by_cells(columns)
         assert len(formatted) == np.count_nonzero(columns.view(float))
 
     def test_gaussian_values_need_no_fallback(self, monkeypatch):
         monkeypatch.setattr(matrixio, "format_float", lambda x: pytest.fail(f"fallback for {x!r}"))
-        matrix_text(VectorSequence(oracles.random_columns(7, 130, 70)))
+        written_text(VectorSequence(oracles.random_columns(7, 130, 70)))
 
 
 # Reader edge cases: the file's bytes and the exact message after "<path>: ".
@@ -324,6 +327,10 @@ ERROR_CORPUS = [
     (b"", "empty matrix file"),
     (b"# rows=2\n1,0\n", "malformed header '# rows=2'"),
     ("1,0\n\u00a00,x\u00a0\n".encode(), "row 2, column 2: invalid complex cell 'x'"),
+    # Only a first non-blank line is a header; a later "#" line is a data row.
+    (b"# dim=1 count=1\n# dim=1 count=1\n1\n",
+     "row 1, column 1: invalid complex cell '# dim=1 count=1'"),
+    (b"1\n# x\n", "row 2, column 1: invalid complex cell '# x'"),
 ]
 
 VALUE_CORPUS = [
@@ -334,6 +341,8 @@ VALUE_CORPUS = [
      [[complex(-0.0, -0.0), 1 + 2j], [2.2250738585072011e-308, 5e-324]]),
     # A leading UTF-8 byte-order mark is skipped on both passes.
     (b"\xef\xbb\xbf# dim=2 count=2\n1,0\n0,1\n", [[1, 0], [0, 1]]),
+    # Blank lines before the header are skipped, as everywhere.
+    (b"\n \t\n# dim=2 count=1\n1\n\n2\n", [[1], [2]]),
 ]
 
 
@@ -469,7 +478,7 @@ class TestBlockConversion:
         assert bits(back).tolist() == bits(stored(expected)).tolist()
 
     def test_row_outside_the_grammar_between_grammar_rows(self, tmp_path, monkeypatch):
-        lines = matrix_text(VectorSequence(injected_matrix(5, 150, 3))).splitlines()
+        lines = written_text(VectorSequence(injected_matrix(5, 150, 3))).splitlines()
         # Data rows 100 to 103 take the per-cell path and go to np.loadtxt as
         # the text of their values: signed zeros in either part, subnormals and
         # the largest finite values must come back bit for bit.
@@ -613,8 +622,9 @@ class TestMatrixFiles:
             lambda text: text[: text.rindex("0,1")],  # truncated to one row
             lambda text: text + "0,1\n",  # a third row
             lambda text: text.replace("0,1", "0,1,2"),  # a wider row
+            lambda text: "# dim=2 count=2\n" + text,  # a header
         ],
-        ids=["truncated", "appended", "widened"],
+        ids=["truncated", "appended", "widened", "header-added"],
     )
     def test_file_changed_between_passes_is_refused(self, tmp_path, edit):
         # check_shape runs between the passes; the open file is edited in place.
@@ -654,7 +664,7 @@ class TestMatrixFiles:
 
     def test_text_shape(self):
         seq = VectorSequence.from_columns(np.eye(2))
-        assert matrix_text(seq) == "# dim=2 count=2\n1,0\n0,1\n"
+        assert written_text(seq) == "# dim=2 count=2\n1,0\n0,1\n"
 
 
 class TestPointSetFiles:
@@ -761,8 +771,10 @@ class TestPointSetFiles:
         with pytest.raises(MatrixParseError):
             read_point_set(str(path))
 
-    def test_text_format(self):
-        assert point_set_text(PointSet2D(((0.0, 0.5),))) == "0,0.5\n"
+    def test_text_format(self, tmp_path):
+        path = tmp_path / "nodes.csv"
+        write_point_set(str(path), PointSet2D(((0.0, 0.5), (-1.5, 0.1))))
+        assert path.read_text() == "0,0.5\n-1.5,0.10000000000000001\n"
 
     def test_reading_3000_nodes_allocates_under_5_mb(self, tmp_path):
         # Distinctness needs no N x N array, so the peak grows with N alone.

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from memtrace import traced_peak
 import rieszlab
-from rieszlab import duals, seqcore
+from rieszlab import diagnostics, seqcore
 from rieszlab import (
     DimensionError,
     VectorSequence,
@@ -192,7 +192,7 @@ class TestTypes:
         assert entries[0, 1] == pytest.approx(2.0 - 2j)  # <y, x>
 
 
-class TestKernelView:
+class TestArrayIntake:
     """A system without a nonzero imaginary part stores float64 columns, the
     array every factorization reads; the arrays stay read-only."""
 
@@ -203,29 +203,6 @@ class TestKernelView:
             assert arr.dtype == np.float64 and not arr.flags.writeable
         assert not _gram_entries(seq).flags.writeable and not _gram_eigenvalues(seq).flags.writeable
         assert _gram_entries(seq).dtype == np.float64
-
-    def test_kernel_view_is_a_frozen_copy(self):
-        for values in (np.eye(3), np.eye(3, dtype=complex)):
-            seq = VectorSequence.from_columns(values)
-            assert seq.columns.dtype == np.float64
-            assert not seq.columns.flags.writeable and seq.columns.flags.c_contiguous
-            assert not np.shares_memory(seq.columns, values)
-            np.testing.assert_array_equal(seq.columns, values)
-
-    def test_tiny_imaginary_part_stays_complex(self):
-        values = np.eye(3, dtype=complex)
-        values[1, 2] = 1e-300j
-        seq = VectorSequence.from_columns(values)
-        assert seq.columns.dtype == np.complex128
-        np.testing.assert_array_equal(seq.columns, values)
-
-    def test_negative_zero_imaginary_parts_are_real(self):
-        values = np.eye(3, dtype=complex)
-        values.imag = -0.0
-        assert np.signbit(values.imag).all()
-        seq = VectorSequence.from_columns(values)
-        assert seq.columns.dtype == np.float64
-        np.testing.assert_array_equal(seq.columns, np.eye(3))
 
 
 def conjugation_closed(seed, dim, pairs, reals):
@@ -359,7 +336,7 @@ _FINITENESS_CALLERS = {
     "adopt": ("columns", (3, 2), VectorSequence._adopt),
     "span_distance": ("vector", (3,), lambda h: span_distance(orthonormal(3), h)),
 }
-#: Layouts `_as_complex_array` takes as they are (C-order, and a 2-D input
+#: Layouts `_as_array` takes as they are (C-order, and a 2-D input
 #: whose size-1 axis has a zero stride) or copies first (strided, column-major).
 _LAYOUTS = {
     "c-order": lambda a: a,
@@ -394,6 +371,56 @@ def test_negative_zero_parts_are_finite(caller, layout):
     entries = _entries(shape, layout)
     entries.flat[:3] = [complex(-0.0, -0.0), complex(-0.0, 2.0), complex(1.0, -0.0)]
     call(entries)
+
+
+def _intake_values(kind, shape):
+    """Entries of one of `_INTAKE_KINDS`: real ones as float64, or complex
+    with nonzero imaginary parts, with only -0.0 ones (the first entry
+    -0.0 - 0.0i), or with one nonzero imaginary part, in the last entry."""
+    values = np.arange(1.0, np.prod(shape) + 1.0).reshape(shape) * (1 - 1j)
+    if kind == "float64":
+        return values.real.copy()
+    if kind != "complex":
+        values.imag = -0.0
+        values.flat[0] = complex(-0.0, -0.0)
+    if kind == "tiny-imaginary-part-last":
+        values.flat[-1] = complex(values.flat[-1].real, 1e-300)
+    return values
+
+
+_INTAKE_KINDS = ["float64", "complex", "negative-zero-imaginary-parts", "tiny-imaginary-part-last"]
+_INTAKE_LAYOUTS = ["c-order", "list", "strided", "column-major"]
+
+
+@pytest.mark.parametrize("caller", list(_FINITENESS_CALLERS))
+@pytest.mark.parametrize("layout", _INTAKE_LAYOUTS)
+@pytest.mark.parametrize("kind", _INTAKE_KINDS)
+def test_intake_stores_float64_exactly_when_no_imaginary_part_is_nonzero(
+    caller, layout, kind, monkeypatch
+):
+    """The one intake, `seqcore._as_array`, as each of its callers keeps its
+    input: a sequence's columns, or the vector `span_distance` solves with."""
+    _, shape, call = _FINITENESS_CALLERS[caller]
+    values = _intake_values(kind, shape)
+    given = values.tolist() if layout == "list" else _LAYOUTS[layout](values)
+    vectors = []
+    ambient_vector = diagnostics._ambient_vector
+
+    def spy(*args):
+        vectors.append(ambient_vector(*args))
+        return vectors[-1]
+
+    monkeypatch.setattr(diagnostics, "_ambient_vector", spy)
+    result = call(given)
+    kept = vectors[0] if caller == "span_distance" else result.columns
+    real = kind in ("float64", "negative-zero-imaginary-parts")
+    expected = values.real if real else values
+    assert kept.dtype == expected.dtype and kept.flags.c_contiguous
+    assert kept.tobytes() == np.ascontiguousarray(expected).tobytes()
+    if caller != "span_distance":
+        assert not kept.flags.writeable
+    if caller == "constructor":
+        assert not np.shares_memory(kept, values) and not np.shares_memory(kept, given)
 
 
 def test_real_input_with_a_non_finite_entry_is_rejected():
