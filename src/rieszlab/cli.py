@@ -41,10 +41,6 @@ EXIT_TRUNCATION = 5
 _MAX_ARRAY_BYTES = 1 << 30
 
 
-class UsageError(Exception):
-    pass
-
-
 def _check_size(what: str, rows: int, cols: int) -> int:
     """The bytes of a command's largest dense array, estimated as a rows x
     cols complex matrix; a command whose estimate exceeds _MAX_ARRAY_BYTES is
@@ -53,7 +49,7 @@ def _check_size(what: str, rows: int, cols: int) -> int:
     if nbytes > _MAX_ARRAY_BYTES:
         big = nbytes > sys.float_info.max
         size = Context(prec=3).create_decimal(nbytes).normalize() if big else nbytes
-        raise UsageError(
+        raise ValueError(
             f"{what} needs a {rows}x{cols} complex array ({size:.3g} bytes), "
             f"over the {_MAX_ARRAY_BYTES}-byte limit"
         )
@@ -148,22 +144,18 @@ def _cmd_dual(args) -> int:
     return EXIT_OK
 
 
-def _example_systems(args):
+def _cmd_example(args) -> int:
     name, n = args.name, args.n
     if n < 1:
-        raise UsageError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     generator_id = _aliases()[name]
     params = {"seed": args.seed, "complementDim": args.complementDim}
     extra_rows = scaling._FAMILIES[generator_id].rows(params)
     _check_size(f"example {name} --n {n}", n + max(extra_rows, 0), n)
     # The member's size is its ambient dimension, n plus the extra rows; it
     # draws from the bare --seed, where a study's member draws from (seed, size).
-    return scaling._build_member(generator_id, n + extra_rows, params)
-
-
-def _cmd_example(args) -> int:
-    primal, partner = _example_systems(args)
-    prefix = args.out or args.name
+    primal, partner = scaling._build_member(generator_id, n + extra_rows, params)
+    prefix = args.out or name
     primal_path = f"{prefix}_F.csv"
     matrixio.write_matrix(primal_path, primal)
     written = [primal_path]
@@ -180,9 +172,9 @@ def _parse_int_list(text: str, flag: str):
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise UsageError(f"{flag} expects a comma-separated integer list: {exc}") from exc
+        raise ValueError(f"{flag} expects a comma-separated integer list: {exc}") from exc
     if not values:
-        raise UsageError(f"{flag} expects a comma-separated integer list")
+        raise ValueError(f"{flag} expects a comma-separated integer list")
     return values
 
 
@@ -191,7 +183,7 @@ def _discretization(half_width: float, samples: int):
     try:
         return generators.GaborDiscretization(half_width, samples)
     except ValueError as exc:
-        raise UsageError(f"--half-width {half_width} at {samples} samples per unit: {exc}") from exc
+        raise ValueError(f"--half-width {half_width} at {samples} samples per unit: {exc}") from exc
 
 
 def _cmd_family(args) -> int:
@@ -227,7 +219,7 @@ def _gabor_points(args, sample_count: int):
         _check_size(what, max(sample_count, nodes), nodes)
     if args.set == "file":
         if not args.nodes:
-            raise UsageError("--set file requires --nodes PATH")
+            raise ValueError("--set file requires --nodes PATH")
         return matrixio.read_point_set(args.nodes, check_count), f"nodes {args.nodes}"
     [nodes] = (f.nodes for f in scaling._FAMILIES.values() if f.gabor_set == args.set)
     check_count(nodes(args.nmax if args.set == "als" else args.max_index))
@@ -363,7 +355,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (UsageError, ValueError, OSError) as exc:  # MatrixParseError, DimensionError, ...
+    except (ValueError, OSError) as exc:  # MatrixParseError, DimensionError, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

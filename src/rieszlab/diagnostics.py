@@ -32,10 +32,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .duals import minimal_dual
-from .errors import CriteriaDisagreementError, IllConditionedError
+from .errors import CriteriaDisagreementError, DimensionError, IllConditionedError
 from .seqcore import (
     VectorSequence,
-    _ambient_vector,
+    _as_array,
     _gram_eigenvalues,
     _independent,
     _rank,
@@ -170,7 +170,9 @@ def span_distance(seq: VectorSequence, vector) -> float:
     the family studies, stays in real arithmetic; a complex vector makes the
     solve complex.
     """
-    h = _ambient_vector(vector, seq.dim)
+    h = _as_array(vector, "vector", 1, copy=False)
+    if h.shape[0] != seq.dim:
+        raise DimensionError(f"vector has length {h.shape[0]}, expected ambient dimension {seq.dim}")
     if _rank(seq) == seq.dim:
         return 0.0
     cols = seq.columns

@@ -18,7 +18,7 @@ from .errors import (
     IllConditionedError,
     NoBiorthogonalSequenceError,
 )
-from .seqcore import VectorSequence, _gram_entries, _independent, _sigma
+from .seqcore import VectorSequence, _gram_entries, _independent, _recorded, _sigma
 
 #: Residual below which a pair counts as biorthogonal.
 BIORTHOGONALITY_TOL = 1e-8
@@ -70,14 +70,15 @@ def minimal_dual(seq: VectorSequence) -> VectorSequence:
 def _accepted_dual(seq: VectorSequence) -> _AcceptedDual:
     """The minimal dual with the biorthogonality residual that accepted it,
     read from the system's spectral record; raises as `minimal_dual` does."""
-    outcome = seq._record.fill("dual", lambda: _construct_dual(seq))
+    outcome = _dual_outcome(seq)
     if isinstance(outcome, _AcceptedDual):
         return outcome
     error_type, message = outcome
     raise error_type(message)
 
 
-def _construct_dual(seq: VectorSequence):
+@_recorded
+def _dual_outcome(seq: VectorSequence):
     """The accepted minimal dual, or the (error type, message) that refuses it."""
     if not _independent(seq):
         return NoBiorthogonalSequenceError, (

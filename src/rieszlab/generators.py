@@ -218,7 +218,7 @@ def alternating_weighted_pair(n: int) -> GeneratedPair:
     if n < 1:
         raise ValueError("n must be >= 1")
     k = np.arange(1, n + 1, dtype=float)
-    weights = np.where(k == 1, 1.0, np.where(k % 2 == 0, k, 1.0 / k))
+    weights = np.where(k % 2 == 0, k, 1.0 / k)
     primal = VectorSequence._adopt(np.diag(weights))
     partner = VectorSequence._adopt(np.diag(1.0 / weights))
     return GeneratedPair(primal, partner)
@@ -395,14 +395,10 @@ def lattice_points(a: float, b: float, max_index: int) -> PointSet2D:
 
 
 def punctured_lattice(max_index: int) -> PointSet2D:
-    """The integer lattice window with the node (1, 0) removed."""
-    if max_index < 1:
-        raise ValueError("max_index must be >= 1")
-    span = range(-max_index, max_index + 1)
-    nodes = tuple(
-        (float(j), float(k)) for j in span for k in span if (j, k) != (1, 0)
-    )
-    return PointSet2D(nodes)
+    """The integer lattice window with the node (1, 0) removed: the nodes of
+    `lattice_points(1.0, 1.0, max_index)`, in their order, without (1, 0)."""
+    window = lattice_points(1.0, 1.0, max_index).nodes
+    return PointSet2D(tuple(node for node in window if node != (1.0, 0.0)))
 
 
 def als_point_set(n_max: int) -> PointSet2D:

@@ -9,10 +9,11 @@ as 0.0.  Matrix files carry a header line "# dim=<n> count=<m>" which, when
 present on input, must match the parsed shape.  On read, a leading UTF-8
 byte-order mark is skipped and every row is matched against the ASCII row
 grammar; one `np.loadtxt` call converts the whole file from a stream of
-checked rows.  Rows that match go in as they are; rows outside it (other
-whitespace, non-ASCII digits, a bad cell) are read cell by cell, with their
-row and column messages, and go in as the text of their values.  A cell that
-overflows float64 is named by row and column.  On write, blocks of about
+checked rows, to float64 when no data line contains an "i".  Rows that
+match go in as they are; rows outside it (other whitespace, non-ASCII digits,
+a bad cell) are read cell by cell, with their row and column messages, and go
+in as the text of their values.  A cell that overflows float64 is named by
+row and column.  On write, blocks of about
 `_WRITE_CELLS` cells are formatted in numpy with the exact digits of "%.17g",
 and `format_float` formats the rare value whose digits the fast route cannot
 certify; each block is written as soon as it is formatted, so a matrix file
@@ -360,35 +361,41 @@ def _data_lines(handle):
 
 def _matrix_layout(handle):
     """One pass over an open matrix file, keeping no line: its header, the
-    number of data lines, the cell count of the first of them, and the index
-    and cell count of the first one whose cell count differs (None if none does)."""
+    number of data lines, the cell count of the first of them, the index and
+    cell count of the first one whose cell count differs (None if none does),
+    and whether any of them contains "i", without which no cell is complex."""
     header, data = _data_lines(handle)
-    rows, width, ragged = 0, None, None
+    rows, width, ragged, imaginary = 0, None, None, False
     for line in data:
         cells = line.count(",") + 1
         if width is None:
             width = cells
         elif ragged is None and cells != width:
             ragged = (rows, cells)
+        imaginary = imaginary or "i" in line
         rows += 1
-    return header, rows, width, ragged
+    return header, rows, width, ragged, imaginary
 
 
-def _row_stream(path: str, data, width: int, kept: int):
+def _row_stream(path: str, data, width: int, kept: int, imaginary: bool):
     """The first `kept` rows of `data` as lines for `np.loadtxt`, ending after
     them without reading another line.  A row in the fast grammar goes in with
     "j" for "i": the grammar admits no parentheses, "j", "inf" or "nan", so
     loadtxt reads each part as float() would, to the same bits, and only a cell
     that overflows reads as non-finite.  Any other row is read cell by cell and
-    goes in as the "%.17g" text of its values.  A row not `width` cells wide,
-    or fewer than `kept` rows, means the file changed after its first pass."""
+    goes in as the "%.17g" text of its values, of their real parts unless the
+    file is `imaginary`.  A row not `width` cells wide, an "i" in a file whose
+    first pass saw none, or fewer than `kept` rows, means the file changed
+    after its first pass."""
     for i, line in enumerate(data, start=1):
-        if line.count(",") + 1 != width:
+        if line.count(",") + 1 != width or (not imaginary and "i" in line):
             raise _changed(path)
         if _ROW_RE.fullmatch(line):
             yield line.replace("i", "j")
-        else:
+        elif imaginary:
             yield ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in _parse_cells(path, i, line))
+        else:
+            yield ",".join(f"{z.real:.17g}" for z in _parse_cells(path, i, line))
         if i == kept:
             return
     raise _changed(path)
@@ -404,7 +411,7 @@ def read_matrix(path: str, check_shape=None) -> VectorSequence:
     memory.  A second pass that does not find the first pass's rows raises
     `MatrixParseError`."""
     with _text(path) as handle:
-        header, rows, width, ragged = _matrix_layout(handle)
+        header, rows, width, ragged, imaginary = _matrix_layout(handle)
         if header is None and not rows:
             raise MatrixParseError(f"{path}: empty matrix file")
         expected_shape = None
@@ -423,7 +430,9 @@ def read_matrix(path: str, check_shape=None) -> VectorSequence:
         second_header, data = _data_lines(handle)
         if second_header != header:
             raise _changed(path)
-        matrix = np.loadtxt(_row_stream(path, data, width, kept), dtype=complex, delimiter=",",
+        # A file without an "i" is real: read as float64, with no complex twin.
+        matrix = np.loadtxt(_row_stream(path, data, width, kept, imaginary),
+                            dtype=complex if imaginary else float, delimiter=",",
                             ndmin=2, comments=None, max_rows=kept)
         if kept + sum(1 for _ in data) != rows:
             raise _changed(path)

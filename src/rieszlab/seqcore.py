@@ -12,10 +12,11 @@ and the Gram matrix has entry (j, k) = <f_k, f_j> = (F^H F)[j, k].
 
 All values are immutable; every operation is a pure function, so instances
 can be shared freely across threads.  Each VectorSequence keeps its
-factorizations, once computed, in a private `_SpectralRecord`.  The record's
-Gram product is the smaller of F^H F and F F^H: a wide system (more vectors
-than dimensions) is eigensolved on its dim x dim side, which shares the
-nonzero spectrum of the count x count Gram matrix.
+factorizations, once computed, in its spectral record, a private dict whose
+entries are each the value of one function decorated with `_recorded`.  The
+record's Gram product is the smaller of F^H F and F F^H: a wide system (more
+vectors than dimensions) is eigensolved on its dim x dim side, which shares
+the nonzero spectrum of the count x count Gram matrix.
 
 Each VectorSequence keeps one read-only array, `columns`, which every
 factorization and product reads.  `_as_array`, the one intake of the
@@ -31,16 +32,17 @@ straight from its nodes (`generators._gabor_twin`); any other complex system
 is factored in complex arithmetic.
 
 Every singular value in the package comes from `_sigma`, which holds its one
-SVD: a system's own (the record's "sigma") and an identity residual's norm
-(`duals.duality_identity_residual`).  A matrix with at most one nonzero per
-row and column (`_monomial_moduli`) is never factored: its singular values
-are the moduli of its entries, sorted, and a system's Gram eigenvalues their
-squares, both exact, so its two routes agree by construction.  Its entries
-alone select this path.
+SVD: a system's own (the record's `_singular_values`) and an identity
+residual's norm (`duals.duality_identity_residual`).  A matrix with at most
+one nonzero per row and column (`_monomial_moduli`) is never factored: its
+singular values are the moduli of its entries, sorted, and a system's Gram
+eigenvalues their squares, both exact, so its two routes agree by
+construction.  Its entries alone select this path.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +103,7 @@ class VectorSequence:
         if cols.shape[1] < 1:
             raise ValueError("a vector sequence needs at least one member")
         object.__setattr__(self, "columns", _read_only(cols))
-        object.__setattr__(self, "_record", _SpectralRecord())
+        object.__setattr__(self, "_record", {})
 
     @classmethod
     def _adopt(cls, columns: np.ndarray) -> "VectorSequence":
@@ -125,50 +127,44 @@ class VectorSequence:
         return self.columns.shape[1]
 
 
-def _ambient_vector(vector, dim: int) -> np.ndarray:
-    vec = _as_array(vector, "vector", 1, copy=False)
-    if vec.shape[0] != dim:
-        raise DimensionError(f"vector has length {vec.shape[0]}, expected ambient dimension {dim}")
-    return vec
-
-
 def _rank_scale(shape, sigma_max: float = 1.0) -> float:
     """The shared rank threshold sigma_max * max(n, m) * RANK_TOL_SCALE of an
     n x m matrix; at the default sigma_max it is the threshold's relative scale."""
     return sigma_max * max(shape) * RANK_TOL_SCALE
 
 
-class _SpectralRecord:
-    """Factorizations of one VectorSequence, each computed on first read.
+def _recorded(compute):
+    """`compute(seq)` as an entry of the spectral record of `seq`, a private
+    dict: computed on first read and kept under the function's name.
 
-    Entries: "sigma" (singular values of F), "gram_entries" (the smaller
-    Gram product: F^H F, or F F^H for a wide system), "gram_eigenvalues" (its
-    ascending eigenvalues) and "dual" (the outcome of `duals.minimal_dual`,
-    with the biorthogonality residual that accepted it).  Every entry is
-    computed from `columns`, so it is real exactly when the system is.  For a
-    system with at most one nonzero per row and column, sigma is its sorted
-    moduli and the eigenvalues their squares, with no factorization; only the
-    dual's solve forms its Gram product.  The product is Hermitian positive
-    semidefinite by construction.
-    The record lives and dies with its sequence and holds no U/V factors.
-    Threads racing on a first read may each compute an entry; the first
-    stored value is the one every caller gets.
+    The record's entries are the singular values of F, the smaller Gram
+    product (F^H F, or F F^H for a wide system), its ascending eigenvalues and
+    the outcome of `duals.minimal_dual`, with the biorthogonality residual
+    that accepted it.  Every entry is computed from `columns`, so it is real
+    exactly when the system is.  For a system with at most one nonzero per
+    row and column, the singular values are its sorted moduli and the
+    eigenvalues their squares, with no factorization; only the dual's solve
+    forms its Gram product.  The product is Hermitian positive semidefinite
+    by construction.  The record lives and dies with its sequence and holds
+    no U/V factors.  Threads racing on a first read may each compute an
+    entry; the first stored value is the one every caller gets.
     """
+    name = compute.__name__
 
-    def fill(self, name: str, compute):
+    @functools.wraps(compute)
+    def read(seq: VectorSequence):
         try:
-            return self.__dict__[name]
+            return seq._record[name]
         except KeyError:
-            return self.__dict__.setdefault(name, compute())
+            return seq._record.setdefault(name, compute(seq))
+
+    return read
 
 
+@_recorded
 def _singular_values(seq: VectorSequence) -> np.ndarray:
-    """Singular values of the columns, descending; one SVD per system."""
-    return seq._record.fill("sigma", lambda: _representable_sigma(seq))
-
-
-def _representable_sigma(seq: VectorSequence) -> np.ndarray:
-    """Refuses a nonzero system unless every squared singular value from the
+    """Singular values of the columns, descending; one SVD per system.
+    Refuses a nonzero system unless every squared singular value from the
     rank threshold up to sigma_max is a normal float; beyond that range its
     bounds, Gram spectrum and dual are not representable.  A system with at
     most one nonzero per row and column takes its moduli, sorted, as sigma."""
@@ -217,21 +213,19 @@ def _independent(seq: VectorSequence) -> bool:
     return _rank(seq) == seq.count
 
 
+@_recorded
 def _gram_entries(seq: VectorSequence) -> np.ndarray:
     """The smaller Gram product: F^H F, or for a wide system F F^H, the Gram
     product of F^H.  The two share their nonzero spectrum."""
     f = seq.columns.conj().T if seq.count > seq.dim else seq.columns
-    return seq._record.fill("gram_entries", lambda: _read_only(f.conj().T @ f))
+    return _read_only(f.conj().T @ f)
 
 
+@_recorded
 def _gram_eigenvalues(seq: VectorSequence) -> np.ndarray:
     """Ascending eigenvalues of the record's Gram product; one eigensolve per
     system, or for a system with at most one nonzero per row and column, whose
     Gram product is diagonal, its squared moduli without the product."""
-    return seq._record.fill("gram_eigenvalues", lambda: _read_only(_gram_spectrum(seq)))
-
-
-def _gram_spectrum(seq: VectorSequence) -> np.ndarray:
     if _monomial_moduli(seq.columns) is None:
-        return np.linalg.eigvalsh(_gram_entries(seq))
-    return _singular_values(seq)[::-1] ** 2
+        return _read_only(np.linalg.eigvalsh(_gram_entries(seq)))
+    return _read_only(_singular_values(seq)[::-1] ** 2)

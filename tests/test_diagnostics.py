@@ -207,7 +207,7 @@ class TestWideGramSide:
         seq = _wide_systems()[name]
         lam = np.array(_gram_eigenvalues(_wide_systems()[name]))
         lam[0] += 1e-6 * lam[-1]
-        seq._record.fill("gram_eigenvalues", lambda: lam)
+        seq._record["_gram_eigenvalues"] = lam
         with pytest.raises(CriteriaDisagreementError, match="Gram spectrum"):
             classify(seq)
 
@@ -283,7 +283,7 @@ class TestClassify:
         seq = VectorSequence(q1 @ np.diag(sigma) @ q2)
         forged = np.sort(sigma**2)
         forged[0] = -1e-13
-        seq._record.fill("gram_eigenvalues", lambda: forged)
+        seq._record["_gram_eigenvalues"] = forged
         with pytest.raises(CriteriaDisagreementError,
                            match="^column route says RieszBasis, Gram route says LinearlyDependent$"):
             classify(seq)
@@ -492,7 +492,7 @@ def _scale_kept_sigma(seq, index, factor=1 + 1e-6):
     """Replace one of seq's kept singular values by a scaled copy."""
     sigma = np.array(_singular_values(seq))
     sigma[index] *= factor
-    vars(seq._record)["sigma"] = sigma
+    seq._record["_singular_values"] = sigma
 
 
 class TestDualIdentityRoute:

@@ -1,10 +1,14 @@
-"""Every name a module imports at module level is read in that module.
+"""Every name a module imports at module level is read in that module, and
+every private name a package module defines is named again in the package.
 
-The check covers each package module but `__init__.py`, whose imports are
-the public re-exports, and each test module.  A name bound by a module-level
-`import` or `from ... import` counts as read when it appears as a name
-anywhere in the module's code; a mention inside a string does not count.
-`from __future__` imports bind no name.
+The import check covers each package module but `__init__.py`, whose imports
+are the public re-exports, and each test module.  A name bound by a
+module-level `import` or `from ... import` counts as read when it appears as a
+name anywhere in the module's code; a mention inside a string does not count.
+`from __future__` imports bind no name.  The private-name check covers the
+module-level functions, classes and constants of every package module whose
+names start with "_" but are not dunders: each must be read, as a name, an
+attribute or an import, somewhere in the package besides its definition.
 """
 
 import ast
@@ -13,9 +17,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "rieszlab").glob("*.py"))
 SOURCES = sorted(
-    [path for path in (ROOT / "src" / "rieszlab").glob("*.py") if path.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
+    [path for path in PACKAGE if path.name != "__init__.py"] + list((ROOT / "tests").glob("*.py"))
 )
 
 
@@ -49,3 +53,57 @@ def test_an_import_named_only_in_a_string_is_unused():
         "np.zeros(os.sep)\nd()\n'b'\n"
     )
     assert unused_imports(source) == ["b"]
+
+
+def private_definitions(source):
+    """The private, non-dunder names that `source` binds at module level by
+    `def`, `class` or assignment."""
+    defined = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in defined if name.startswith("_") and not name.endswith("__")}
+
+
+def read_names(sources):
+    """Every name that `sources` read: as a loaded name, an attribute or an import."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_definition_is_read_in_the_package():
+    sources = [path.read_text() for path in PACKAGE]
+    read = read_names(sources)
+    unread = {
+        f"{path.stem}.{name}"
+        for path, source in zip(PACKAGE, sources)
+        for name in private_definitions(source) - read
+    }
+    assert unread == set()
+
+
+def test_a_private_name_only_defined_or_assigned_is_unread():
+    source = "_A = 1\n_B = _A\n_C: int = 2\ndef _f(): pass\nclass _K: pass\n__all__ = []\n"
+    assert private_definitions(source) == {"_A", "_B", "_C", "_f", "_K"}
+    assert private_definitions(source) - read_names([source]) == {"_B", "_C", "_f", "_K"}
+
+
+def test_only_seqcore_touches_the_spectral_record():
+    touching = {
+        path.name
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_record"
+    }
+    assert touching == {"seqcore.py"}

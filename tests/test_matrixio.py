@@ -520,15 +520,23 @@ class TestBlockConversion:
         expected.imag[expected.imag == 0.0] = 0.0
         assert bits(back.columns).tolist() == bits(stored(expected)).tolist()
 
-    def test_reading_256_by_256_allocates_under_1_5_mb(self, tmp_path):
-        # The 1 MiB result is the one large allocation: no line list or block is held.
+    @pytest.mark.parametrize(
+        "part, ceiling", [(np.asarray, 1.5 * 2**20), (np.real, 0.75 * 2**20)], ids=["complex", "real"]
+    )
+    def test_reading_256_by_256_allocates_under_1_5_mb(self, part, ceiling, tmp_path):
+        # The result, 1 MiB complex or 0.5 MiB real, is the one large
+        # allocation: no line list or block is held, and a file without an
+        # imaginary part is read as float64, with no complex array to demote.
+        seq = VectorSequence(part(random_riesz(256, seed=3).columns))
         path = tmp_path / "riesz.csv"
-        write_matrix(str(path), random_riesz(256, seed=3))
+        write_matrix(str(path), seq)
         peak, back = traced_peak(lambda: read_matrix(str(path)))
-        assert back.columns.shape == (256, 256)
-        assert peak < 1.5 * 2**20
+        assert bits(back.columns).tolist() == bits(seq.columns).tolist()
+        assert peak < ceiling
 
-    @pytest.mark.parametrize("edited", ["70,0,0", "70"], ids=["widened", "narrowed"])
+    @pytest.mark.parametrize(
+        "edited", ["70,0,0", "70", "70+1i,0"], ids=["widened", "narrowed", "made-complex"]
+    )
     def test_row_changed_inside_a_block_is_refused(self, edited, tmp_path):
         path = tmp_path / "matrix.csv"
         path.write_text("".join(f"{k},0\n" for k in range(100)))

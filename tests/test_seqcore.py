@@ -258,10 +258,10 @@ def test_spectral_record_keeps_no_twin():
     h = oracles.random_columns(7, seq.dim, 1)[:, 0]
     distance = span_distance(seq, h)
     riesz_bounds(seq)
-    assert "sigma" in vars(seq._record)
+    assert "_singular_values" in seq._record
     assert not any(
         isinstance(entry, np.ndarray) and entry.shape == seq.columns.shape
-        for entry in vars(seq._record).values()
+        for entry in seq._record.values()
     )
     assert span_distance(seq, h) == distance
     assert distance == pytest.approx(
@@ -404,13 +404,13 @@ def test_intake_stores_float64_exactly_when_no_imaginary_part_is_nonzero(
     values = _intake_values(kind, shape)
     given = values.tolist() if layout == "list" else _LAYOUTS[layout](values)
     vectors = []
-    ambient_vector = diagnostics._ambient_vector
+    as_array = diagnostics._as_array
 
-    def spy(*args):
-        vectors.append(ambient_vector(*args))
+    def spy(*args, **kwargs):
+        vectors.append(as_array(*args, **kwargs))
         return vectors[-1]
 
-    monkeypatch.setattr(diagnostics, "_ambient_vector", spy)
+    monkeypatch.setattr(diagnostics, "_as_array", spy)
     result = call(given)
     kept = vectors[0] if caller == "span_distance" else result.columns
     real = kind in ("float64", "negative-zero-imaginary-parts")
