@@ -163,12 +163,15 @@ def span_distance(seq: VectorSequence, vector) -> float:
     """Euclidean distance from a vector to the span of the columns.
 
     Exactly 0.0 when the columns' numerical rank equals the ambient dimension,
-    the decision behind a completeness defect of 0; otherwise the residual of
-    a least-squares solve that drops singular values at the same threshold.
-    A vector without a nonzero imaginary part enters the solve as a real
+    the decision behind a completeness defect of 0.  For independent columns
+    (numerical rank == count < dim) it is |R[count, count]|, with R from the
+    Householder QR of [F h]: the norm of h's component orthogonal to span F,
+    with no Q formed and no subtraction.  For dependent columns it is the
+    residual of a least-squares solve that drops singular values at the rank
+    threshold.  A vector without a nonzero imaginary part enters as a real
     vector, so a real system's probe by a real vector, such as every e_i of
     the family studies, stays in real arithmetic; a complex vector makes the
-    solve complex.
+    factorization complex.
     """
     h = _as_array(vector, "vector", 1, copy=False)
     if h.shape[0] != seq.dim:
@@ -176,6 +179,8 @@ def span_distance(seq: VectorSequence, vector) -> float:
     if _rank(seq) == seq.dim:
         return 0.0
     cols = seq.columns
+    if _independent(seq):
+        return float(abs(np.linalg.qr(np.column_stack([cols, h]), mode="r")[seq.count, seq.count]))
     solution = np.linalg.lstsq(cols, h, rcond=_rank_scale(cols.shape))[0]
     return float(np.linalg.norm(h - cols @ solution))
 

@@ -106,8 +106,15 @@ def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> f
     orthonormal basis from the reduced QR of [F G], R and its adjoint map
     span(Q) into itself, and R = -I on its nonzero complement, so the norm is
     max(||(Q^H F)(G^H Q) - I||, 1) exactly, from a 2 count x 2 count SVD.
-    A residual with at most one nonzero per row and column, such as that of
-    two diagonal systems, has its largest modulus as its norm, with no SVD.
+
+    Any other pair forms R and takes the norm of its block of nonzero rows
+    and columns, which has R's nonzero singular values: a Young pair's R is
+    nonzero only in its complement rows, so its norm is that of a
+    complement_dim x dim block, and with one complement row its Euclidean
+    norm, with no SVD.  A dense R goes to the SVD as it is, uncopied, and an
+    all-zero R reads 0.0.  A residual with at most one nonzero per row and
+    column, such as that of two diagonal systems, has its largest modulus as
+    its norm, with no SVD.
     """
     _check_pair(seq, partner)
     f, g = seq.columns, partner.columns
@@ -115,5 +122,11 @@ def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> f
         q = np.linalg.qr(np.concatenate([f, g], axis=1))[0]
         compressed = _minus_identity((q.conj().T @ f) @ (g.conj().T @ q))
         return max(float(_sigma(compressed)[0]), 1.0)
-    return float(_sigma(_minus_identity(f @ g.conj().T))[0])
+    residual = _minus_identity(f @ g.conj().T)
+    rows, cols = np.any(residual, axis=1), np.any(residual, axis=0)
+    if not rows.any():
+        return 0.0
+    if not (rows.all() and cols.all()):
+        residual = residual[np.ix_(rows, cols)]
+    return float(_sigma(residual)[0])
 

@@ -23,10 +23,12 @@ factorization and product reads.  `_as_array`, the one intake of the
 sequence's columns and of a probe vector, makes it float64 when no entry has
 a nonzero imaginary part (-0.0 counts as zero), so a real system is factored
 in real arithmetic at about a quarter of the complex flops, and complex128
-otherwise.  The public constructors copy their input, so a caller's array
-never changes a sequence; the library's own producers (the generators,
-`read_matrix`, the minimal dual) hand a fresh array to the private
-`VectorSequence._adopt`, which checks it alike and freezes it in place.  A
+otherwise.  It reads a complex128 input's imaginary parts before it copies,
+so a real-valued one is copied once, straight to float64.  The public
+constructors copy their input, so a caller's array never changes a sequence;
+the library's own producers (the generators, `read_matrix`, the minimal dual)
+hand a fresh array to the private `VectorSequence._adopt`, which checks it
+alike and freezes it in place.  A
 sampled Gabor system whose nodes pair up is built as its float64 real twin,
 straight from its nodes (`generators._gabor_twin`); any other complex system
 is factored in complex arithmetic.
@@ -37,12 +39,16 @@ residual's norm (`duals.duality_identity_residual`).  A matrix with at most
 one nonzero per row and column (`_monomial_moduli`) is never factored: its
 singular values are the moduli of its entries, sorted, and a system's Gram
 eigenvalues their squares, both exact, so its two routes agree by
-construction.  Its entries alone select this path.
+construction.  Its entries alone select this path.  Any other one-row or
+one-column matrix, such as a single vector or the one complement row of a
+Young pair's identity residual, is not factored either: its one singular
+value is its Euclidean norm, taken by `math.hypot`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,20 +69,30 @@ def _as_array(values, name: str, ndim: int, copy: bool = True) -> np.ndarray:
     """A validated C-contiguous array of `ndim` dimensions: float64 when no
     entry has a nonzero imaginary part (-0.0 counts as zero), else complex128.
     Without `copy`, a float64 C-contiguous `values`, or a complex128 one with
-    a nonzero imaginary part, is itself."""
-    dtype = float if getattr(values, "dtype", None) == float else complex
-    arr = np.array(values, dtype=dtype, order="C", copy=copy or None)
+    a nonzero imaginary part, is itself.  A complex128 `values` of `ndim`
+    dimensions is checked before it is copied, so a real-valued one is copied
+    once, straight to float64."""
+    dtype = getattr(values, "dtype", None)
+    if dtype == complex and values.ndim == ndim and not _has_imaginary(values):
+        values, dtype = values.real, float
+    arr = np.array(values, dtype=float if dtype == float else complex, order="C", copy=copy or None)
     if arr.ndim != ndim:
         shape_name = "two-dimensional" if ndim == 2 else "one-dimensional"
         raise DimensionError(f"{name} must be {shape_name}, got shape {arr.shape}")
     # An entry is finite when both its parts are: one pass over the float64 view.
     if not np.isfinite(arr.view(float)).all():
         raise ValueError(f"{name} contains non-finite entries")
-    # A nonzero imaginary part in the first row, as in every modulated Gabor
-    # system, settles it without the strided pass over the whole array.
-    if arr.dtype == float or arr[:1].imag.any() or arr.imag.any():
+    # A float64 or complex128 input has been settled before the copy.
+    if dtype in (float, complex) or _has_imaginary(arr):
         return arr
     return np.array(arr.real, dtype=float, order="C")
+
+
+def _has_imaginary(arr: np.ndarray) -> bool:
+    """Whether a complex array has an entry with a nonzero imaginary part.  One
+    in the first row, as in every modulated Gabor system, settles it without
+    the strided pass over the whole array."""
+    return bool(arr[:1].imag.any() or arr.imag.any())
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -167,7 +183,8 @@ def _singular_values(seq: VectorSequence) -> np.ndarray:
     Refuses a nonzero system unless every squared singular value from the
     rank threshold up to sigma_max is a normal float; beyond that range its
     bounds, Gram spectrum and dual are not representable.  A system with at
-    most one nonzero per row and column takes its moduli, sorted, as sigma."""
+    most one nonzero per row and column takes its moduli, sorted, as sigma,
+    and any other single vector or one-row system its Euclidean norm."""
     sigma = _sigma(seq.columns)
     tol = _rank_scale(seq.columns.shape, float(sigma[0]))
     if sigma[0] > 0.0 and not _SIGMA_FLOOR <= tol <= sigma[0] <= _SIGMA_CEILING:
@@ -179,12 +196,19 @@ def _singular_values(seq: VectorSequence) -> np.ndarray:
 
 
 def _sigma(matrix: np.ndarray) -> np.ndarray:
-    """Descending singular values of `matrix`: the package's one SVD, or for a
-    matrix with at most one nonzero per row and column its moduli, sorted."""
+    """Descending singular values of `matrix`: the package's one SVD; for a
+    matrix with at most one nonzero per row and column its moduli, sorted;
+    and otherwise for a one-row or one-column matrix its one singular value,
+    its Euclidean norm.  `math.hypot` takes that norm over the real and
+    imaginary parts scaled by the largest of them, so it neither overflows
+    nor underflows where the SVD's value would not, and errs by under one
+    unit in the last place."""
     moduli = _monomial_moduli(matrix)
-    if moduli is None:
-        return np.linalg.svd(matrix, compute_uv=False)
-    return np.sort(moduli)[::-1][:min(matrix.shape)]
+    if moduli is not None:
+        return np.sort(moduli)[::-1][:min(matrix.shape)]
+    if min(matrix.shape) == 1:
+        return np.array([math.hypot(*matrix.ravel().view(float).tolist())])
+    return np.linalg.svd(matrix, compute_uv=False)
 
 
 def _monomial_moduli(arr: np.ndarray):

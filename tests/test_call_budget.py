@@ -137,15 +137,18 @@ def test_no_module_binds_linalg_functions():
                     assert id(obj) not in bound, f"{name}.{attr} binds a numpy.linalg function"
 
 
-#: The one function of the package that calls each kernel, so each route has
-#: one factorization; and the one that calls np.linalg.norm, for a vector's
-#: norm, so no matrix 2-norm runs an SVD this scan cannot see.
+#: The functions of the package that call each kernel, so each route has one
+#: factorization: one per kernel, but for qr, which factors [F h] for the probe
+#: distance and [F G] for a tall pair's identity residual; and the one that
+#: calls np.linalg.norm, for a vector's norm, so no matrix 2-norm runs an SVD
+#: this scan cannot see.  (`seqcore._sigma` takes a one-row or one-column
+#: matrix's norm with math.hypot, which runs no LAPACK.)
 KERNEL_SITES = {
     "svd": ["seqcore._sigma"],
     "eigvalsh": ["seqcore._gram_eigenvalues"],
     "solve": ["duals._dual_outcome"],
     "lstsq": ["diagnostics.span_distance"],
-    "qr": ["duals.duality_identity_residual"],
+    "qr": ["diagnostics.span_distance", "duals.duality_identity_residual"],
     "norm": ["diagnostics.span_distance"],
 }
 
@@ -374,25 +377,28 @@ def test_gabor_refine_analyzes_its_point_set_once(monkeypatch, tmp_path, capsys)
         assert calls == [count, count]
 
 
-# Per size: the member's SVD and, for an incomplete member only, one lstsq
-# for the probe distance.  A family without a designated partner reads its
+# Per size: the member's SVD and, for an incomplete member only, one QR of
+# [F h] for the probe distance (every incomplete member here is independent,
+# so none needs lstsq).  A family without a designated partner reads its
 # dual metrics off that SVD's rank decision and builds no dual; a designated
-# partner adds one SVD inside the identity-residual norm.  A matrix with at
-# most one nonzero per row and column needs none of these: the orthonormal
-# and the two weighted families' members, their partners and their residuals,
-# and the Young partners, read their spectra and norms from their entries.
-# Three sizes per family, every family of `scaling._FAMILIES`; the Gabor and
-# Young members are incomplete.
+# partner's identity residual is normed on its nonzero block, which for the
+# Young pairs is one row at the default complement dimension 1: its
+# Euclidean norm, with no SVD.  A matrix with at most one nonzero per row and
+# column needs none of these: the orthonormal and the two weighted families'
+# members, their partners and their residuals, and the Young partners, read
+# their spectra and norms from their entries.  Three sizes per family, every
+# family of `scaling._FAMILIES`; the Gabor and Young members are incomplete.
+# Columns: svd, eigvalsh, solve, lstsq, qr.
 FAMILY_BUDGETS = [
-    ("rieszSeeded", (8, 16, 32), (3, 0, 0, 0)),
-    ("orthonormal", (8, 16, 32), (0, 0, 0, 0)),
-    ("gaborPunctured", (1, 2, 3), (3, 0, 0, 3)),
-    ("weightedPair", (8, 16, 32), (0, 0, 0, 0)),
-    ("youngExample", (8, 16, 32), (6, 0, 0, 3)),
-    ("alternatingWeightedPair", (8, 16, 32), (0, 0, 0, 0)),
-    ("youngGeneral", (8, 16, 32), (6, 0, 0, 3)),
-    ("gaborALS", (1, 2, 3), (3, 0, 0, 3)),
-    ("gaborFullLattice", (1, 2, 3), (3, 0, 0, 3)),
+    ("rieszSeeded", (8, 16, 32), (3, 0, 0, 0, 0)),
+    ("orthonormal", (8, 16, 32), (0, 0, 0, 0, 0)),
+    ("gaborPunctured", (1, 2, 3), (3, 0, 0, 0, 3)),
+    ("weightedPair", (8, 16, 32), (0, 0, 0, 0, 0)),
+    ("youngExample", (8, 16, 32), (3, 0, 0, 0, 3)),
+    ("alternatingWeightedPair", (8, 16, 32), (0, 0, 0, 0, 0)),
+    ("youngGeneral", (8, 16, 32), (3, 0, 0, 0, 3)),
+    ("gaborALS", (1, 2, 3), (3, 0, 0, 0, 3)),
+    ("gaborFullLattice", (1, 2, 3), (3, 0, 0, 0, 3)),
 ]
 
 
@@ -487,11 +493,15 @@ def test_family_tall_pairs_run_one_qr_each(lapack_calls, capsys):
     # Sizes 4 and 5 pair 1 and 2 vectors with their partners in 4 and 5
     # dimensions, so 2 count < dim and each identity residual is read from a
     # 2 count x 2 count block after a QR of [F G]; size 6 (3 vectors) is not
-    # tall.  Per size: the member's SVD, the residual's SVD and the probe's lstsq.
+    # tall, and its residual's SVD runs on the 3 x 6 block of complement rows.
+    # Per size: the member's SVD, the probe's QR of [F h], then the
+    # residual's QR (tall sizes only) and SVD.  Size 4's one-column member
+    # takes its Euclidean norm as its singular value, with no SVD.
     argv = ["family", "--gen", "youngGeneral", "--sizes", "4,5,6", "--complement-dim", "3"]
     assert main(argv) == 0
-    assert_within(lapack_calls, svd=6, eigvalsh=0, solve=0, lstsq=3, qr=2)
-    assert lapack_calls.shapes["qr"] == [(4, 2), (5, 4)]
+    assert_within(lapack_calls, svd=5, eigvalsh=0, solve=0, lstsq=0, qr=5)
+    assert lapack_calls.shapes["qr"] == [(4, 2), (4, 2), (5, 3), (5, 4), (6, 4)]
+    assert lapack_calls.shapes["svd"] == [(2, 2), (5, 2), (4, 4), (6, 3), (3, 6)]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from rieszlab import (
@@ -97,11 +99,14 @@ class TestSpanDistance:
         seq = seq_of([1, 0, 0], [1, 1, 0])
         assert span_distance(seq, [3, 2, 0]) <= 1e-12
 
-    @pytest.mark.parametrize("n, expected", [(4, 1 / np.sqrt(5)), (9, 1 / np.sqrt(10))])
+    # 1 / sqrt(size) for the family's size n + 1, from the QR probe distance.
+    @pytest.mark.parametrize(
+        "n, expected", [(n, 1 / np.sqrt(n + 1)) for n in (4, 9, 1, 7, 99, 255, 511)]
+    )
     def test_young_closed_form(self, n, expected):
         seq = young_example(n).primal
         target = e(0, n + 1)
-        assert span_distance(seq, target) == pytest.approx(expected, rel=1e-10)
+        assert span_distance(seq, target) == pytest.approx(expected, rel=1e-14)
         assert oracles.projector_distance(seq.columns, target) == pytest.approx(expected, rel=1e-10)
 
     def test_matches_projector_oracle(self):
@@ -143,6 +148,59 @@ class TestSpanDistance:
             expected = oracles.projector_distance(cols, h)
             assert expected > 0.1
             assert span_distance(seq, h) == pytest.approx(expected, rel=1e-10)
+
+
+class TestProbeDistance:
+    """Independent incomplete columns: |R[count, count]| of the Householder QR
+    of [F h]; dependent columns: lstsq at the rank threshold; complete: 0.0."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), log_kappa=st.floats(0.0, 8.0),
+           shape=st.sampled_from([(12, 11), (20, 5), (64, 30), (9, 1)]))
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_agrees_with_lstsq_within_kappa_eps(self, complex_entries, seed, log_kappa, shape):
+        dim, count = shape
+        rng = np.random.default_rng(seed)
+
+        def draw(rows, cols):
+            values = rng.standard_normal((rows, cols))
+            return values + 1j * rng.standard_normal((rows, cols)) if complex_entries else values
+
+        kappa = 10.0 ** log_kappa
+        q1, q2 = np.linalg.qr(draw(dim, count))[0], np.linalg.qr(draw(count, count))[0]
+        seq = VectorSequence.from_columns((q1 * np.logspace(0.0, -log_kappa, count)) @ q2)
+        h = draw(dim, 1)[:, 0]
+        assert completeness_defect(seq) == dim - count
+        cols = seq.columns
+        solution = np.linalg.lstsq(cols, h, rcond=_rank_scale(cols.shape))[0]
+        expected = np.linalg.norm(h - cols @ solution)
+        bound = dim * kappa * np.finfo(float).eps * np.linalg.norm(h)
+        assert abs(span_distance(seq, h) - expected) <= bound
+
+    @pytest.mark.parametrize("size, complement", [(20, 2), (320, 2), (72, 3), (512, 3), (511, 4)])
+    def test_young_general_closed_form(self, size, complement):
+        # e_1 is shared by the classes[0] = ceil(d / c) vectors k = 0, c, 2c, ...
+        vectors = size - complement
+        distance = span_distance(young_general(vectors, vectors, complement).primal, e(0, size))
+        assert distance == pytest.approx(1 / np.sqrt(-(-vectors // complement) + 1), rel=1e-14)
+
+    def test_dependent_system_keeps_lstsq_at_the_rank_threshold(self, monkeypatch):
+        cols = oracles.random_columns(5, 8, 3)
+        seq = VectorSequence.from_columns(np.column_stack([cols, cols[:, 0] + cols[:, 1]]))
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(k) or lstsq(*a, **k))
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: pytest.fail("qr on a dependent system"))
+        h = oracles.random_columns(6, 8, 1)[:, 0]
+        assert span_distance(seq, h) == pytest.approx(
+            oracles.projector_distance(cols, h), rel=1e-10)
+        assert calls == [{"rcond": _rank_scale((8, 4))}]
+
+    def test_complete_system_is_exactly_zero_without_a_factorization(self, monkeypatch):
+        seq = random_riesz(8, seed=2)  # factored in its draw
+        for name in ("qr", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, **k: pytest.fail("factored"))
+        assert span_distance(seq, oracles.random_columns(7, 8, 1)[:, 0]) == 0.0
 
 
 class TestGramSpectrum:

@@ -4,7 +4,7 @@ A reference is a backticked span that is a dotted name, such as
 `generators._gabor_twin`, `rieszlab.cli.main` or `np.linalg.svd`, optionally
 followed by a call, as in `generators.random_riesz(n, seed)`.  Its first part
 is `rieszlab`, one of its modules by bare name, a public name of the package,
-or `np`.  The scan covers README.md and the docstrings of the package
+`np` or `math`.  The scan covers README.md and the docstrings of the package
 modules and of tests/oracles.py, so a deleted or renamed private name cannot
 linger in them.  The README's library-layout table names bare public names,
 each in the row of its module; each must be an attribute of that module.
@@ -19,6 +19,7 @@ own functions.
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
 import re
 from contextlib import suppress
@@ -41,6 +42,7 @@ MODULES = {
 }
 NAMESPACE = {
     "np": np,
+    "math": math,
     "rieszlab": rieszlab,
     **{name: getattr(rieszlab, name) for name in rieszlab.__all__},
     **MODULES,

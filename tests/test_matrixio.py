@@ -534,6 +534,17 @@ class TestBlockConversion:
         assert bits(back.columns).tolist() == bits(seq.columns).tolist()
         assert peak < ceiling
 
+    def test_real_valued_complex_array_is_copied_once_as_float64(self):
+        # The constructor checks the imaginary parts before it copies, so the
+        # 0.5 MiB float64 copy is the one large allocation, not a 1 MiB complex
+        # copy and then its real parts.
+        values = random_riesz(256, seed=3).columns.real.astype(complex)
+        values.imag[::3] = -0.0
+        peak, seq = traced_peak(lambda: VectorSequence(values))
+        assert seq.columns.dtype == np.float64 and seq.columns.flags.c_contiguous
+        assert bits(seq.columns).tolist() == bits(values.real).tolist()
+        assert peak < 0.75 * 2**20
+
     @pytest.mark.parametrize(
         "edited", ["70,0,0", "70", "70+1i,0"], ids=["widened", "narrowed", "made-complex"]
     )
