@@ -19,7 +19,7 @@ from decimal import Context
 import numpy as np
 
 from . import diagnostics, duals, generators, matrixio, scaling
-from .diagnostics import TWO_ROUTE_RTOL, VerdictKind
+from .diagnostics import VerdictKind
 from .errors import (
     CriteriaDisagreementError,
     FitDomainError,
@@ -28,7 +28,7 @@ from .errors import (
     TruncationError,
 )
 from .matrixio import SCHEMA_VERSION, finite_or_none
-from .seqcore import RANK_TOL_SCALE, VectorSequence
+from .seqcore import ERROR_BAR_FACTOR, RANK_TOL_SCALE, VectorSequence
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -77,14 +77,17 @@ def _read_matrix(path: str) -> VectorSequence:
 
 def _emit(payload: dict, json_path) -> None:
     """The report `payload` in its envelope, the schema version and the
-    tolerance constants, to `json_path` or else stdout."""
+    tolerance constants, to `json_path` or else stdout.  `twoRouteRelative`
+    is a schema-1 key that no check reads: the routes are compared within
+    error bars of `errorBarFactor`."""
     payload = {
         **payload,
         "schemaVersion": SCHEMA_VERSION,
         "tolerances": {
             "rankToleranceScale": RANK_TOL_SCALE,
-            "twoRouteRelative": TWO_ROUTE_RTOL,
+            "twoRouteRelative": 1e-8,
             "biorthogonality": duals.BIORTHOGONALITY_TOL,
+            "errorBarFactor": ERROR_BAR_FACTOR,
         },
     }
     if json_path:
@@ -209,11 +212,30 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
+#: The point-set flags each `gabor --set` kind reads, with their defaults; a
+#: flag the chosen set does not read is refused.
+_GABOR_FLAGS = {
+    "lattice": {"max_index": 2, "a": 1.0, "b": 1.0},
+    "punctured": {"max_index": 2},
+    "als": {"nmax": 1},
+    "file": {"nodes": None},
+}
+
+
 def _gabor_points(args, sample_count: int):
     """The point set of --set and its description, after a size check of its
     sample_count x nodes system whose nodes factor is also a node cap: from the
-    flags before any node is built, or for --set file from its node-line count."""
+    flags before any node is built, or for --set file from its node-line count.
+    A point-set flag that --set does not read is refused, and one it reads but
+    was not given takes the set's default."""
     what = f"gabor --set {args.set}"
+    read = _GABOR_FLAGS[args.set]
+    unread = [name for flags in _GABOR_FLAGS.values() for name in flags
+              if name not in read and getattr(args, name) is not None]
+    if unread:
+        raise ValueError(f"--set {args.set} does not read --{unread[0].replace('_', '-')}")
+    args = argparse.Namespace(**{**vars(args), **{
+        name: default for name, default in read.items() if getattr(args, name) is None}})
 
     def check_count(nodes: int) -> None:
         _check_size(what, max(sample_count, nodes), nodes)
@@ -318,10 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("gabor", help="build a Gaussian Gabor system and report bounds")
     cmd.add_argument("--set", required=True, choices=("lattice", "punctured", "als", "file"))
-    cmd.add_argument("--max-index", type=int, default=2)
-    cmd.add_argument("--nmax", type=int, default=1)
-    cmd.add_argument("--a", type=float, default=1.0)
-    cmd.add_argument("--b", type=float, default=1.0)
+    # Each set's defaults are in _GABOR_FLAGS, so a flag left out reads None.
+    cmd.add_argument("--max-index", type=int)
+    cmd.add_argument("--nmax", type=int)
+    cmd.add_argument("--a", type=float)
+    cmd.add_argument("--b", type=float)
     cmd.add_argument("--nodes", metavar="PATH", help="point-set CSV for --set file")
     _add_parameter(cmd, "--half-width", "halfWidth")
     _add_parameter(cmd, "--samples", "samplesPerUnit")

@@ -8,8 +8,9 @@ namely the extreme eigenvalues of the Gram matrix, equivalently the extreme
 squared singular values of the column matrix.  `classify` evaluates the
 criterion through independent routes (singular values of the columns, Gram
 spectrum, and a biorthogonal-dual route when a dual exists) and demands that
-they agree; a disagreement is a tolerance bug, never a valid outcome.  Every
-route reads its factorization from the system's spectral record.
+they agree within the rounding error bars of `seqcore._error_bar`; a
+disagreement is a tolerance bug, never a valid outcome.  Every route reads its
+factorization from the system's spectral record.
 
 The dual route rests on the paper's key inequality.  For a biorthogonal pair
 (F, G) and any coefficients c,
@@ -36,25 +37,13 @@ from .errors import CriteriaDisagreementError, DimensionError, IllConditionedErr
 from .seqcore import (
     VectorSequence,
     _as_array,
+    _error_bar,
     _gram_eigenvalues,
     _independent,
     _rank,
     _rank_scale,
     _singular_values,
 )
-
-#: Relative agreement demanded between the Gram-eigenvalue and
-#: singular-value computations of the same bound.
-TWO_ROUTE_RTOL = 1e-8
-
-#: Safety factor on the eigensolver accuracy floor.  A dense Hermitian
-#: eigensolver returns lambda_min with absolute error on the order of
-#: m * eps * lambda_max, so bijectivity decisions on the Gram route cannot
-#: resolve eigenvalues below that scale.  An SVD's squared singular values
-#: carry errors of the same order, so the pair inequality's tolerance
-#: (`_pair_inequality`) uses the same factor.
-_EIG_FLOOR_FACTOR = 8.0
-
 
 class VerdictKind(str, Enum):
     RIESZ_BASIS = "RieszBasis"
@@ -119,32 +108,33 @@ def _compared_routes(seq: VectorSequence):
     asserting that both extremes agree along the two routes: lambda_max with
     sigma_max^2, and lambda_min with the smallest of the min(dim, count)
     singular values squared.  For a wide system the product is F F^H, so
-    lambda_min checks sigma_dim^2, not A = 0.
+    lambda_min checks sigma_dim^2, not A = 0.  A pair agrees when
+    |lambda - sigma^2| <= err_lambda + (2 sigma + err_sigma) err_sigma, the
+    error bars of the eigensolve (its size, lambda_max) and of the SVD
+    (max(dim, count), sigma_max).
 
     The Gram route counts eigenvalues above the squared rank tolerance,
-    floored at the eigensolver's absolute accuracy on the matrix it solved
-    (lam.size, which is dim for a wide system).  A lambda_min below that zero
-    but within the accuracy of the squared rank tolerance is rounding noise of
-    either sign, so the route abstains there.
+    floored at err_lambda.  A lambda_min below that zero but within
+    err_lambda of the squared rank tolerance is rounding noise of either
+    sign, so the route abstains there.
     """
     lower, upper = riesz_bounds(seq)
-    smallest = float(_singular_values(seq)[-1]) ** 2
+    sigma = _singular_values(seq)
     lam = _gram_eigenvalues(seq)
     lambda_min, lambda_max = float(lam[0]), float(lam[-1])
-    scale = max(lambda_max, upper)
-    if scale > 0.0 and (
-        abs(lambda_max - upper) > TWO_ROUTE_RTOL * scale
-        or abs(lambda_min - smallest) > TWO_ROUTE_RTOL * scale
-    ):
-        raise CriteriaDisagreementError(
-            f"Gram spectrum ({lambda_min!r}, {lambda_max!r}) disagrees with "
-            f"singular values squared ({smallest!r}, {upper!r})"
-        )
+    err_lam = _error_bar(lam.size, lambda_max)
+    top, bottom = float(sigma[0]), float(sigma[-1])
+    err_sigma = _error_bar(max(seq.columns.shape), top)
+    for value, s in ((lambda_max, top), (lambda_min, bottom)):
+        if abs(value - s * s) > err_lam + (2.0 * s + err_sigma) * err_sigma:
+            raise CriteriaDisagreementError(
+                f"Gram spectrum ({lambda_min!r}, {lambda_max!r}) disagrees with "
+                f"singular values squared ({bottom ** 2!r}, {upper!r})"
+            )
     rank_tol_sq = lambda_max * _rank_scale(seq.columns.shape) ** 2
-    eig_floor = _EIG_FLOOR_FACTOR * lam.size * float(np.finfo(float).eps) * lambda_max
-    rank = int(np.count_nonzero(lam > max(rank_tol_sq, eig_floor)))
+    rank = int(np.count_nonzero(lam > max(rank_tol_sq, err_lam)))
     independent = rank == seq.count
-    abstain = not independent and lambda_min > rank_tol_sq - eig_floor
+    abstain = not independent and lambda_min > rank_tol_sq - err_lam
     vote = None if abstain else _verdict_kind(independent, seq.dim - rank)
     return lower, upper, lam, independent, vote
 
@@ -210,13 +200,15 @@ def classify(seq: VectorSequence) -> Verdict:
     """Classify a system, cross-checking every available criterion route.
 
     The column route (singular values of the columns) decides the verdict.
-    The Gram route votes from the Gram spectrum, abstaining where lambda_min
-    is within the eigensolver's accuracy of the squared rank tolerance, and
-    its vote must match the column route.  For independent columns the dual
-    route checks the paper's identity on the minimal dual: A_F B_G and
-    B_F A_G must both equal 1 within `_pair_inequality`'s tolerance, which
-    compares each extreme of the dual's spectrum with an extreme of F's; it
-    abstains where the dual or its factorization is refused as ill-conditioned.
+    Its extreme singular values squared must agree with the Gram spectrum's
+    extremes within their error bars.  The Gram route votes from the Gram
+    spectrum, abstaining where lambda_min is within its error bar of the
+    squared rank tolerance, and its vote must match the column route.  For
+    independent columns the dual route checks the paper's identity on the
+    minimal dual: A_F B_G and B_F A_G must both equal 1 within
+    `_pair_inequality`'s error bar, which compares each extreme of the dual's
+    spectrum with an extreme of F's; it abstains where the dual or its
+    factorization is refused as ill-conditioned.
     `CriteriaDisagreementError` signals a tolerance bug.  Each route factors
     its own matrix once (an SVD of F, an eigensolve of the smaller of F^H F
     and F F^H, the dual's solve and SVD) and keeps the factorization in that
@@ -243,12 +235,13 @@ def classify(seq: VectorSequence) -> Verdict:
 def _pair_inequality(seq: VectorSequence, partner: VectorSequence, minimal: bool = False) -> None:
     """Raises `CriteriaDisagreementError` unless A_F B_G >= 1 and B_F A_G >= 1
     for F = seq and a biorthogonal partner G, with equality for the minimal
-    dual, each within 8 count eps B_F B_G: A_F from an SVD carries an absolute
-    error of order count eps B_F, which the product scales by B_G, and
-    symmetrically for A_G.  Both sides' bounds are read from their records."""
+    dual, each within the error bar of size count and scale B_F B_G: A_F
+    from an SVD errs by up to the bar of scale B_F, which the product scales
+    by B_G, and symmetrically for A_G.  Both sides' bounds are read from
+    their records."""
     lower, upper = riesz_bounds(seq)
     partner_lower, partner_upper = riesz_bounds(partner)
-    tol = _EIG_FLOOR_FACTOR * seq.count * float(np.finfo(float).eps) * upper * partner_upper
+    tol = _error_bar(seq.count, upper * partner_upper)
     ab, ba = lower * partner_upper, upper * partner_lower
     miss = max(abs(ab - 1.0), abs(ba - 1.0)) if minimal else 1.0 - min(ab, ba)
     if miss > tol:

@@ -35,10 +35,7 @@ import numpy as np
 from . import diagnostics, duals, generators
 from .errors import FitDomainError
 from .generators import GaborDiscretization, GeneratedPair, PointSet2D
-from .seqcore import VectorSequence, _independent
-
-#: Values below this are treated as "essentially zero" by the verdict rules.
-ESSENTIALLY_ZERO = 1e-6
+from .seqcore import VectorSequence, _error_bar, _independent
 
 _EXPONENT_BAND = 0.2
 _FIT_QUALITY_MIN = 0.9
@@ -165,12 +162,16 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class SizeMetrics:
+    """One report row.  `_extent`, max(dim, count) of the row's system, sizes
+    its cells' error bars (`_error_bars`) and appears in no output."""
+
     size: int
     riesz_lower: float
     bessel_upper: float
     defect_distance: Optional[float]
     bessel_upper_dual: Optional[float]
     duality_residual: Optional[float]
+    _extent: int = field(default=1, repr=False)
 
 
 @dataclass(frozen=True)
@@ -235,15 +236,16 @@ def fit_growth(sizes: Sequence[int], values: Sequence[float]) -> GrowthFit:
     return GrowthFit(slope, r_squared)
 
 
-def _trend_verdict(values: Sequence[float], fit: Optional[GrowthFit]) -> TrendVerdict:
+def _trend_verdict(fit: Optional[GrowthFit], floored: bool) -> TrendVerdict:
+    """A trusted fit's exponent outside the band decides; otherwise a series
+    with a cell at the floor (within its error bar of 0) is bounded, and any
+    other bounded below."""
     if fit is not None and fit.r_squared > _FIT_QUALITY_MIN:
         if fit.exponent > _EXPONENT_BAND:
             return TrendVerdict.DIVERGES
         if fit.exponent < -_EXPONENT_BAND:
             return TrendVerdict.VANISHES_TO_ZERO
-    if min(values) > ESSENTIALLY_ZERO:
-        return TrendVerdict.STAYS_BOUNDED_BELOW
-    return TrendVerdict.STAYS_BOUNDED
+    return TrendVerdict.STAYS_BOUNDED if floored else TrendVerdict.STAYS_BOUNDED_BELOW
 
 
 def _gabor_disc(params: dict) -> GaborDiscretization:
@@ -306,25 +308,46 @@ def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
             # metrics are available without forming the dual.
             dual_upper = 1.0 / lower
             duality_residual = 0.0 if diagnostics.completeness_defect(system) == 0 else 1.0
-    return SizeMetrics(size, lower, upper, defect_distance, dual_upper, duality_residual)
+    return SizeMetrics(size, lower, upper, defect_distance, dual_upper, duality_residual,
+                       max(system.columns.shape))
+
+
+def _error_bars(row: SizeMetrics) -> dict:
+    """Each metric's rounding error bar, by attribute: of size the row's `_extent`
+    and the scale of the cell's computation, B_F for both bounds, the norm
+    bound max(sqrt(B_F), 1) of [F h] for the probe distance, B_G for the dual's
+    bound and sqrt(B_F B_G) for the identity residual."""
+    upper, dual_upper = row.bessel_upper, row.bessel_upper_dual
+    scales = {"riesz_lower": upper, "bessel_upper": upper,
+              "defect_distance": max(upper ** 0.5, 1.0)}
+    if dual_upper is not None:
+        scales.update(bessel_upper_dual=dual_upper, duality_residual=(upper * dual_upper) ** 0.5)
+    return {attr: _error_bar(row._extent, scale) for attr, scale in scales.items()}
 
 
 def _assemble_report(rows: Sequence[SizeMetrics]) -> ScalingReport:
+    """Each metric's fit and verdict from its cells and their error bars.  A
+    series with a cell within its bar of 0 touches the floor: it is rounding
+    noise there, not a power law, and gets no fit.  A series whose cells
+    agree within their bars, some one value lying in every cell's interval,
+    is flat: it reads as constant, exponent 0.0 with r^2 1.0, as
+    `fit_growth` reads exactly constant values."""
+    bars = [_error_bars(row) for row in rows]
     fits = {}
     verdicts = {}
     for json_name, attr in METRIC_FIELDS:
-        pairs = [(row.size, getattr(row, attr)) for row in rows if getattr(row, attr) is not None]
-        if not pairs:
+        cells = [(row.size, getattr(row, attr), bar[attr])
+                 for row, bar in zip(rows, bars) if getattr(row, attr) is not None]
+        if not cells:
             continue
-        sizes = [s for s, _ in pairs]
-        values = [v for _, v in pairs]
+        sizes, values, errs = zip(*cells)
+        floored = any(v <= e for v, e in zip(values, errs))
         fit = None
-        # Series touching the essentially-zero floor are rounding noise, not
-        # power laws; they are reported without a growth fit.
-        if len(values) >= 3 and min(values) > ESSENTIALLY_ZERO:
-            fit = fit_growth(sizes, values)
+        if len(values) >= 3 and not floored:
+            flat = max(v - e for v, e in zip(values, errs)) <= min(v + e for v, e in zip(values, errs))
+            fit = GrowthFit(0.0, 1.0) if flat else fit_growth(sizes, values)
             fits[json_name] = fit
-        verdicts[json_name] = _trend_verdict(values, fit)
+        verdicts[json_name] = _trend_verdict(fit, floored)
     return ScalingReport(tuple(rows), fits, verdicts)
 
 
@@ -346,6 +369,7 @@ def run_family(spec: FamilySpec) -> ScalingReport:
 def _refinement_report(systems: Iterable[Tuple[int, VectorSequence]]) -> ScalingReport:
     """One report row per (sampling rate, sampled Gabor system) pair, in the given order."""
     return _assemble_report([
-        SizeMetrics(rate, *diagnostics.riesz_bounds(system), None, None, None)
+        SizeMetrics(rate, *diagnostics.riesz_bounds(system), None, None, None,
+                    max(system.columns.shape))
         for rate, system in systems
     ])

@@ -43,6 +43,9 @@ construction.  Its entries alone select this path.  Any other one-row or
 one-column matrix, such as a single vector or the one complement row of a
 Young pair's identity residual, is not factored either: its one singular
 value is its Euclidean norm, taken by `math.hypot`.
+
+Every threshold that asks how large rounding is, in any module, reads
+`_error_bar`, and this is the one module that reads machine epsilon.
 """
 
 from __future__ import annotations
@@ -59,6 +62,12 @@ from .errors import DimensionError, IllConditionedError
 #: sigma_max * max(n, m) * RANK_TOL_SCALE.  One constant serves both the
 #: completeness-defect and bijectivity tests.
 RANK_TOL_SCALE = 1e-12
+
+#: Multiple c of size * eps * scale in every rounding error bar (`_error_bar`).
+ERROR_BAR_FACTOR = 8.0
+
+#: The package's one reading of machine epsilon.
+_EPS = float(np.finfo(float).eps)
 
 #: Range whose squares are normal floats.
 _SIGMA_FLOOR = float(np.sqrt(np.finfo(float).tiny))
@@ -147,6 +156,15 @@ def _rank_scale(shape, sigma_max: float = 1.0) -> float:
     """The shared rank threshold sigma_max * max(n, m) * RANK_TOL_SCALE of an
     n x m matrix; at the default sigma_max it is the threshold's relative scale."""
     return sigma_max * max(shape) * RANK_TOL_SCALE
+
+
+def _error_bar(size: int, scale: float) -> float:
+    """The rounding error bar ERROR_BAR_FACTOR * size * eps * scale of a value
+    computed by a backward-stable factorization of a problem of `size` whose
+    largest value is `scale` (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 19): every threshold that asks how large rounding
+    is reads it."""
+    return ERROR_BAR_FACTOR * size * _EPS * scale
 
 
 def _recorded(compute):

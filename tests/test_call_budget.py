@@ -27,7 +27,6 @@ import pytest
 import rieszlab
 from rieszlab import VectorSequence, classify, duals, random_riesz, scaling, seqcore
 from rieszlab.cli import main
-from rieszlab.diagnostics import TWO_ROUTE_RTOL
 from rieszlab.generators import (
     RIESZ_CONDITION_LIMIT,
     GaborDiscretization,
@@ -43,6 +42,8 @@ from rieszlab.scaling import FamilySpec, run_family
 # numpy >= 2 keeps the implementation in numpy.linalg._linalg, older numpy in numpy.linalg.linalg.
 _LINALG = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
 KERNELS = ("svd", "eigvalsh", "solve", "lstsq", "qr")
+#: Relative agreement of two commands' bounds for the same system.
+BOUNDS_RTOL = 1e-8
 
 
 class KernelCalls(Counter):
@@ -486,7 +487,7 @@ def test_analyze_of_a_gabor_dump_keeps_its_bounds_and_budget(lapack_calls, tmp_p
     expected, report = json.loads(built.read_text()), json.loads(analyzed.read_text())
     assert report["defect"] == expected["defect"]
     for name, value in expected["bounds"].items():
-        assert report["bounds"][name] == pytest.approx(value, rel=TWO_ROUTE_RTOL)
+        assert report["bounds"][name] == pytest.approx(value, rel=BOUNDS_RTOL)
 
 
 def test_family_tall_pairs_run_one_qr_each(lapack_calls, capsys):

@@ -140,6 +140,9 @@ class TestDual:
         assert peak < 7.5e6
 
 
+#: Relative agreement of the bounds of a system and of its real twin.
+BOUNDS_RTOL = 1e-8
+
 #: `example` arguments and the systems they name, primal first.
 _NAMED_EXAMPLES = [
     (["orthonormal"], lambda: [orthonormal(5)]),
@@ -332,7 +335,7 @@ class TestGabor:
             assert (twin is not None) == paired
             lower, upper = diagnostics.riesz_bounds(system)
             got = (rows[rate]["rieszLowerF"], rows[rate]["besselUpperF"])
-            np.testing.assert_allclose(got, (lower, upper), rtol=diagnostics.TWO_ROUTE_RTOL)
+            np.testing.assert_allclose(got, (lower, upper), rtol=BOUNDS_RTOL)
             if twin is not None:
                 lower, upper = diagnostics.riesz_bounds(VectorSequence.from_columns(twin))
             assert got == (lower, upper)
@@ -551,8 +554,9 @@ def test_every_report_carries_the_schema_version_and_the_tolerances(argv, to_fil
     assert report["schemaVersion"] == 1
     assert report["tolerances"] == {
         "rankToleranceScale": seqcore.RANK_TOL_SCALE,
-        "twoRouteRelative": diagnostics.TWO_ROUTE_RTOL,
+        "twoRouteRelative": 1e-8,
         "biorthogonality": duals.BIORTHOGONALITY_TOL,
+        "errorBarFactor": seqcore.ERROR_BAR_FACTOR,
     }
 
 
@@ -749,6 +753,16 @@ EXIT_LINE_TABLE = [
     ("gabor-refine-empty", ["gabor", "--set", "lattice", "--refine", ","],
      "--refine expects a comma-separated integer list"),
     ("gabor-file-without-nodes", ["gabor", "--set", "file"], "--set file requires --nodes PATH"),
+    # A point-set flag that the chosen set does not read is refused, not ignored.
+    ("gabor-punctured-reads-no-a", ["gabor", "--set", "punctured", "--a", "3"],
+     "--set punctured does not read --a"),
+    ("gabor-als-reads-no-max-index", ["gabor", "--set", "als", "--max-index", "40"],
+     "--set als does not read --max-index"),
+    ("gabor-lattice-reads-no-nodes", ["gabor", "--set", "lattice", "--nodes", "{dir}/letter.csv"],
+     "--set lattice does not read --nodes"),
+    ("gabor-file-reads-no-nmax",
+     ["gabor", "--set", "file", "--nodes", "{dir}/letter.csv", "--nmax", "2"],
+     "--set file does not read --nmax"),
     ("gabor-node-not-a-number", ["gabor", "--set", "file", "--nodes", "{dir}/letter.csv"],
      "{dir}/letter.csv: line 2: could not convert string to float: 'x'"),
     ("gabor-node-underscore", ["gabor", "--set", "file", "--nodes", "{dir}/underscore.csv"],

@@ -30,8 +30,14 @@ from rieszlab import (
     young_example,
     young_general,
 )
-from rieszlab.diagnostics import _compared_routes
+from rieszlab.diagnostics import _compared_routes, _pair_inequality
 from rieszlab.seqcore import RANK_TOL_SCALE, _gram_eigenvalues, _rank_scale, _singular_values
+
+
+def _bar(size, scale):
+    """The error model's bar 8 * size * eps * scale, written out here so that a
+    change to the package's constant fails the boundary tests."""
+    return 8.0 * size * np.finfo(float).eps * scale
 
 
 def seq_of(*vectors):
@@ -330,21 +336,27 @@ class TestClassify:
         assert verdict.bounds.riesz_lower == pytest.approx(1.0, rel=1e-10)
         assert verdict.bounds.completeness_defect == 1
 
-    def test_a_gram_vote_against_the_column_route_raises(self):
-        # sigma_min = 1e-6 is far above the rank threshold, so the column route
-        # says RieszBasis; a lambda_min forged to -1e-13 still agrees with
-        # sigma_min^2 within the two-route tolerance, but lies below the Gram
-        # route's zero by more than its accuracy, so that route votes dependent.
-        sigma = np.array([1.0, 0.5, 0.3, 0.2, 0.1, 1e-6])
-        rng = np.random.default_rng(5)
-        q1, q2 = (np.linalg.qr(rng.standard_normal((6, 6)))[0] for _ in range(2))
-        seq = VectorSequence(q1 @ np.diag(sigma) @ q2)
+    @staticmethod
+    def _near_threshold_system(below):
+        """sigma_min just above the rank threshold t, so the column route says
+        RieszBasis, with lambda_min forged to t^2 - below * err_lambda: within
+        the two-route bars of sigma_min^2 for below <= 1."""
+        threshold = _rank_scale((6, 6))
+        sigma = np.array([1.0, 0.5, 0.3, 0.2, 0.1, threshold * (1 + 1e-6)])
+        seq = VectorSequence(np.diag(sigma))
         forged = np.sort(sigma**2)
-        forged[0] = -1e-13
+        forged[0] = threshold**2 - below * _bar(6, 1.0)
         seq._record["_gram_eigenvalues"] = forged
+        return seq
+
+    def test_a_gram_vote_against_the_column_route_raises(self):
+        # At the edge of the Gram route's abstain band that route votes dependent.
         with pytest.raises(CriteriaDisagreementError,
                            match="^column route says RieszBasis, Gram route says LinearlyDependent$"):
-            classify(seq)
+            classify(self._near_threshold_system(1.0))
+
+    def test_the_gram_route_abstains_inside_its_band(self):
+        assert classify(self._near_threshold_system(0.5)).kind is VerdictKind.RIESZ_BASIS
 
     @pytest.mark.parametrize(
         "lower, upper, defect, message",
@@ -562,10 +574,11 @@ class TestDualIdentityRoute:
         assert _dual_checks(seq)
 
     def test_scaled_primal_sigma_min_is_caught(self):
-        # F's own two routes cannot see this: 2e-6 A is below 1e-8 B.
+        # F's own two routes see this first: 2e-6 A is 2e-9 B, over four
+        # decades above the bar 8 * 64 * eps * B that they agree within.
         seq = _geometric_basis(64, 1e-3)
         _scale_kept_sigma(seq, -1)
-        with pytest.raises(CriteriaDisagreementError, match="A_F B_G = 1"):
+        with pytest.raises(CriteriaDisagreementError, match="Gram spectrum"):
             classify(seq)
 
     @pytest.mark.parametrize("index", [0, -1], ids=["sigma_max", "sigma_min"])
@@ -585,6 +598,56 @@ class TestDualIdentityRoute:
         with pytest.raises(IllConditionedError):
             minimal_dual(seq)
         assert classify(seq).kind is VerdictKind.RIESZ_BASIS
+
+
+class TestErrorBarBoundary:
+    """Each threshold of the error model, on both sides of its bar."""
+
+    @pytest.mark.parametrize("side", ["max", "min"])
+    @pytest.mark.parametrize("bars, raises", [(0.9, False), (1.1, True)], ids=["inside", "outside"])
+    def test_two_route_check(self, side, bars, raises):
+        # A diagonal system's sigma and lambda = sigma^2 are exact, so the
+        # forged eigenvalue is off by `bars` times its allowance
+        # err_lambda + (2 sigma + err_sigma) err_sigma, both bars of size 4.
+        sigma = np.array([1.0, 0.5, 0.25, 0.125])
+        seq = VectorSequence(np.diag(sigma))
+        s = sigma[0] if side == "max" else sigma[-1]
+        allowance = _bar(4, 1.0) + (2 * s + _bar(4, 1.0)) * _bar(4, 1.0)
+        lam = np.sort(sigma**2)
+        lam[-1 if side == "max" else 0] += bars * allowance
+        seq._record["_gram_eigenvalues"] = lam
+        if raises:
+            with pytest.raises(CriteriaDisagreementError, match="Gram spectrum"):
+                classify(seq)
+        else:
+            assert classify(seq).kind is VerdictKind.RIESZ_BASIS
+
+    @pytest.mark.parametrize("minimal", [False, True], ids=["partner", "minimal"])
+    @pytest.mark.parametrize("bars, raises", [(0.5, False), (2.0, True)], ids=["inside", "outside"])
+    def test_pair_inequality(self, minimal, bars, raises):
+        # F = diag(1, 1/2) and G = diag(1, 2): A_F B_G = B_F A_G = 1.  B_G is
+        # forged down so A_F B_G misses 1 by `bars` times the bar of size 2
+        # and scale B_F B_G = 4.
+        primal, partner = VectorSequence(np.diag([1.0, 0.5])), VectorSequence(np.diag([1.0, 2.0]))
+        partner._record["_singular_values"] = np.array([2.0 * np.sqrt(1 - bars * _bar(2, 4.0)), 1.0])
+        if raises:
+            with pytest.raises(CriteriaDisagreementError, match="miss 1 by"):
+                _pair_inequality(primal, partner, minimal)
+        else:
+            _pair_inequality(primal, partner, minimal)
+
+    @pytest.mark.parametrize("factor", [50, 1 / 50, 2, 0.5], ids=["x50", "div50", "x2", "half"])
+    @pytest.mark.parametrize("bound_ratio", [1e-10, 1e-12])
+    def test_forged_lower_bound_is_caught(self, bound_ratio, factor):
+        # A Riesz basis whose dual is refused, so only F's two routes check A:
+        # A off by a factor of 2 is over 8 bars away from lambda_min.
+        seq = _geometric_basis(64, bound_ratio)
+        assert seq.columns.dtype == np.complex128
+        assert classify(_geometric_basis(64, bound_ratio)).kind is VerdictKind.RIESZ_BASIS
+        assert not _dual_checks(seq)
+        _scale_kept_sigma(seq, -1, np.sqrt(factor))
+        with pytest.raises(CriteriaDisagreementError, match="Gram spectrum"):
+            classify(seq)
 
 
 class TestRepresentableScale:

@@ -9,6 +9,8 @@ name anywhere in the module's code; a mention inside a string does not count.
 module-level functions, classes and constants of every package module whose
 names start with "_" but are not dunders: each must be read, as a name, an
 attribute or an import, somewhere in the package besides its definition.
+Machine epsilon, `np.finfo(...).eps` or `sys.float_info.epsilon`, is read in
+`seqcore` alone, whose `_error_bar` is every threshold's rounding bar.
 """
 
 import ast
@@ -107,3 +109,32 @@ def test_only_seqcore_touches_the_spectral_record():
         if isinstance(node, ast.Attribute) and node.attr == "_record"
     }
     assert touching == {"seqcore.py"}
+
+
+def reads_machine_epsilon(source):
+    """Whether `source` reads `finfo(...).eps` or `float_info.epsilon`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "eps" and isinstance(node.value, ast.Call):
+            func = node.value.func
+            if getattr(func, "attr", getattr(func, "id", None)) == "finfo":
+                return True
+        if isinstance(node, ast.Attribute) and node.attr == "epsilon":
+            if getattr(node.value, "attr", getattr(node.value, "id", None)) == "float_info":
+                return True
+    return False
+
+
+def test_only_seqcore_reads_machine_epsilon():
+    reading = {path.name for path in PACKAGE if reads_machine_epsilon(path.read_text())}
+    assert reading == {"seqcore.py"}
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("import numpy as np\nx = np.finfo(float).eps\n", True),
+    ("from numpy import finfo\nx = 2 * finfo(np.float64).eps\n", True),
+    ("import sys\nx = sys.float_info.epsilon\n", True),
+    ("from sys import float_info\nx = float_info.epsilon\n", True),
+    ("import sys, numpy as np\nx = np.finfo(float).tiny + sys.float_info.max\n", False),
+])
+def test_a_machine_epsilon_read_is_seen(source, reads):
+    assert reads_machine_epsilon(source) is reads

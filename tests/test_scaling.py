@@ -1,6 +1,7 @@
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from rieszlab import (
@@ -16,7 +17,21 @@ from rieszlab import (
     span_distance,
 )
 from rieszlab.cli import main
-from rieszlab.scaling import _evaluate_size
+from rieszlab.scaling import GrowthFit, SizeMetrics, _assemble_report, _evaluate_size, _trend_verdict
+
+
+def _bar(size, scale):
+    """The error model's bar 8 * size * eps * scale, written out here so that a
+    change to the package's constant fails the boundary tests."""
+    return 8.0 * size * np.finfo(float).eps * scale
+
+
+def _rows(lowers, uppers, extents=None):
+    """Report rows of sizes 10, 20, 40 with the given bounds and no other
+    metric, each of the given extent or else its size."""
+    sizes = (10, 20, 40)
+    return [SizeMetrics(n, a, b, None, None, None, e)
+            for n, a, b, e in zip(sizes, lowers, uppers, extents or sizes)]
 
 
 class TestFitGrowth:
@@ -52,6 +67,73 @@ class TestFitGrowth:
         with pytest.raises(ValueError, match="^sizes must be positive, finite and not all equal$") as info:
             fit_growth(sizes, [1.0, 2.0, 3.0])
         assert not isinstance(info.value, FitDomainError)
+
+
+class TestTrendVerdict:
+    """The verdict's two constants, each on both sides of its boundary."""
+
+    @pytest.mark.parametrize("exponent, verdict", [
+        (0.25, TrendVerdict.DIVERGES), (-0.25, TrendVerdict.VANISHES_TO_ZERO),
+        (0.15, TrendVerdict.STAYS_BOUNDED_BELOW), (-0.15, TrendVerdict.STAYS_BOUNDED_BELOW),
+    ])
+    def test_exponent_band(self, exponent, verdict):
+        assert _trend_verdict(GrowthFit(exponent, 0.99), floored=False) is verdict
+
+    @pytest.mark.parametrize("r_squared, verdict", [
+        (0.95, TrendVerdict.DIVERGES), (0.8, TrendVerdict.STAYS_BOUNDED_BELOW),
+    ])
+    def test_fit_quality(self, r_squared, verdict):
+        assert _trend_verdict(GrowthFit(1.0, r_squared), floored=False) is verdict
+
+    @pytest.mark.parametrize("fit", [None, GrowthFit(0.0, 1.0), GrowthFit(1.0, 0.8)])
+    def test_an_untrusted_floored_series_stays_bounded(self, fit):
+        assert _trend_verdict(fit, floored=True) is TrendVerdict.STAYS_BOUNDED
+
+
+class TestErrorBars:
+    """Floor and flat series, decided by each cell's error bar."""
+
+    @pytest.mark.parametrize("bars, fitted", [(2.0, True), (0.5, False)], ids=["above", "at"])
+    def test_floor(self, bars, fitted):
+        # A = bars * 8 n eps B at n = 10, 20, 40: a cell within its bar of 0 is
+        # the floor, and its series gets no fit.
+        report = _assemble_report(_rows([bars * _bar(n, 1.0) for n in (10, 20, 40)], [1.0] * 3))
+        assert ("rieszLowerF" in report.fits) is fitted
+        if fitted:
+            assert report.fits["rieszLowerF"].exponent == pytest.approx(1.0)
+            assert report.verdicts["rieszLowerF"] is TrendVerdict.DIVERGES
+        else:
+            assert report.verdicts["rieszLowerF"] is TrendVerdict.STAYS_BOUNDED
+
+    @pytest.mark.parametrize("bars, flat", [(1.5, True), (3.0, False)], ids=["within", "beyond"])
+    def test_flat(self, bars, flat):
+        # B = (1, 1 + d, 1) with d = bars * 8 * 10 * eps, each cell of extent 10:
+        # cells of that bar share a value when d is at most two bars.
+        d = bars * _bar(10, 1.0)
+        report = _assemble_report(_rows([0.5] * 3, [1.0, 1.0 + d, 1.0], (10, 10, 10)))
+        fit = report.fits["besselUpperF"]
+        assert (fit == GrowthFit(0.0, 1.0)) is flat
+        assert report.verdicts["besselUpperF"] is TrendVerdict.STAYS_BOUNDED_BELOW
+
+    def test_rounding_flat_series_read_as_constant(self):
+        # Each series agrees to a few ulps, whose power-law fit was noise.
+        young = run_family(FamilySpec("youngGeneral", (9, 18, 36, 72), {"complementDim": 3}))
+        gabor = run_family(FamilySpec("gaborPunctured", (1, 2, 3),
+                                      {"halfWidth": 7.0, "samplesPerUnit": 24}))
+        assert young.fits["rieszLowerF"] == GrowthFit(0.0, 1.0)
+        assert gabor.fits["defectDistanceF"] == GrowthFit(0.0, 1.0)
+        assert [row.defect_distance for row in gabor.per_size] != [1.0] * 3
+
+    def test_a_vanishing_lower_bound_keeps_its_fit_below_1e_6(self):
+        report = run_family(FamilySpec("weightedPair", (256, 512, 1024, 2048)))
+        assert report.per_size[-1].riesz_lower == 2048.0**-2 < 1e-6
+        assert report.fits["rieszLowerF"] == GrowthFit(-2.0, 1.0)
+        assert report.verdicts["rieszLowerF"] is TrendVerdict.VANISHES_TO_ZERO
+
+    def test_extent_is_in_no_output(self):
+        report = run_family(FamilySpec("youngExample", (8, 16, 32)))
+        assert [row._extent for row in report.per_size] == [8, 16, 32]
+        assert "xtent" not in json.dumps(report.to_dict()) + report.csv_text()
 
 
 class TestFamilySpec:
