@@ -2,7 +2,8 @@
 
 Subcommands: analyze, dual, example, family, gabor.  Exit codes are stable:
 0 ok; 2 an argument, flag value or input file that the library rejects with a
-ValueError, an unreadable or unwritable path, a command whose largest dense
+ValueError, a flag the chosen family or point set does not read, an
+unreadable or unwritable path, a command whose largest dense
 array (estimated from its flags or from an input file's shape) exceeds 1 GiB,
 or a command that runs out of memory (MemoryError); 3 numeric failure; 4 no
 biorthogonal dual; 5 unsafe Gabor truncation.  All randomness sits behind
@@ -152,22 +153,19 @@ def _cmd_example(args) -> int:
     if n < 1:
         raise ValueError("--n must be >= 1")
     generator_id = _aliases()[name]
-    params = {"seed": args.seed, "complementDim": args.complementDim}
+    # A parameter flag left out is not in `args`; its default is the family's.
+    given = {k: v for k, v in vars(args).items() if k in scaling._PARAMETER_DEFAULTS}
+    params = scaling._parameters(generator_id, given)
     extra_rows = scaling._FAMILIES[generator_id].rows(params)
     _check_size(f"example {name} --n {n}", n + max(extra_rows, 0), n)
     # The member's size is its ambient dimension, n plus the extra rows; it
     # draws from the bare --seed, where a study's member draws from (seed, size).
     primal, partner = scaling._build_member(generator_id, n + extra_rows, params)
-    prefix = args.out or name
-    primal_path = f"{prefix}_F.csv"
-    matrixio.write_matrix(primal_path, primal)
-    written = [primal_path]
-    if partner is not None:
-        partner_path = f"{prefix}_G.csv"
-        matrixio.write_matrix(partner_path, partner)
-        written.append(partner_path)
-    for path in written:
-        sys.stdout.write(path + "\n")
+    written = [(f"{args.out or name}_{side}.csv", system)
+               for side, system in (("F", primal), ("G", partner)) if system is not None]
+    for path, system in written:
+        matrixio.write_matrix(path, system)
+    sys.stdout.write("".join(path + "\n" for path, _ in written))
     return EXIT_OK
 
 
@@ -192,18 +190,20 @@ def _discretization(half_width: float, samples: int):
 def _cmd_family(args) -> int:
     generator_id = _aliases().get(args.gen, args.gen)
     sizes = _parse_int_list(args.sizes, "--sizes")
-    parameters = {name: getattr(args, name) for name in scaling._PARAMETER_DEFAULTS}
-    spec = scaling.FamilySpec(generator_id, sizes, parameters)
+    given = {k: v for k, v in vars(args).items() if k in scaling._PARAMETER_DEFAULTS}
+    spec = scaling.FamilySpec(generator_id, sizes, given)
+    params = spec.parameters
     side = sizes[-1]
-    nodes = scaling._FAMILIES[generator_id].nodes
-    if nodes:
+    kind = scaling._FAMILIES[generator_id].gabor_set
+    if kind:
         # A member is grid x nodes; max(grid, nodes) squared is one simple rule.
-        grid = _discretization(args.halfWidth, args.samplesPerUnit).sample_count
-        side = max(grid, nodes(sizes[-1]))
+        grid = _discretization(params["halfWidth"], params["samplesPerUnit"]).sample_count
+        side = max(grid, scaling._POINT_SETS[kind][2](sizes[-1]))
     _check_size(f"family --gen {args.gen} --sizes {args.sizes}", side, side)
     report = scaling.run_family(spec)
     payload = {
-        "input": f"family:{generator_id} sizes={','.join(map(str, sizes))} seed={args.seed}",
+        "input": f"family:{generator_id} sizes={','.join(map(str, sizes))} "
+                 f"seed={params.get('seed', 0)}",
         **report.to_dict(),
     }
     if args.csv:  # written first, so a failed write leaves no report behind
@@ -212,46 +212,30 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
-#: The point-set flags each `gabor --set` kind reads, with their defaults; a
-#: flag the chosen set does not read is refused.
-_GABOR_FLAGS = {
-    "lattice": {"max_index": 2, "a": 1.0, "b": 1.0},
-    "punctured": {"max_index": 2},
-    "als": {"nmax": 1},
-    "file": {"nodes": None},
-}
-
-
 def _gabor_points(args, sample_count: int):
     """The point set of --set and its description, after a size check of its
     sample_count x nodes system whose nodes factor is also a node cap: from the
     flags before any node is built, or for --set file from its node-line count.
     A point-set flag that --set does not read is refused, and one it reads but
-    was not given takes the set's default."""
+    was not given takes the kind's default in `scaling._POINT_SETS`."""
     what = f"gabor --set {args.set}"
-    read = _GABOR_FLAGS[args.set]
-    unread = [name for flags in _GABOR_FLAGS.values() for name in flags
-              if name not in read and getattr(args, name) is not None]
+    kinds = {**scaling._POINT_SETS, "file": ({"nodes": None},)}
+    flags = kinds[args.set][0]
+    unread = [name for kind in kinds.values() for name in kind[0]
+              if name not in flags and name in args]
     if unread:
         raise ValueError(f"--set {args.set} does not read --{unread[0].replace('_', '-')}")
-    args = argparse.Namespace(**{**vars(args), **{
-        name: default for name, default in read.items() if getattr(args, name) is None}})
 
     def check_count(nodes: int) -> None:
         _check_size(what, max(sample_count, nodes), nodes)
     if args.set == "file":
-        if not args.nodes:
+        if not getattr(args, "nodes", None):
             raise ValueError("--set file requires --nodes PATH")
         return matrixio.read_point_set(args.nodes, check_count), f"nodes {args.nodes}"
-    [nodes] = (f.nodes for f in scaling._FAMILIES.values() if f.gabor_set == args.set)
-    check_count(nodes(args.nmax if args.set == "als" else args.max_index))
-    if args.set == "lattice":
-        return generators.lattice_points(args.a, args.b, args.max_index), (
-            f"lattice a={args.a} b={args.b} maxIndex={args.max_index}"
-        )
-    if args.set == "punctured":
-        return generators.punctured_lattice(args.max_index), f"punctured maxIndex={args.max_index}"
-    return generators.als_point_set(args.nmax), f"als nmax={args.nmax}"
+    _, points, count, description = kinds[args.set]
+    values = {name: getattr(args, name, default) for name, default in flags.items()}
+    check_count(count(next(iter(values.values()))))
+    return points(values), description.format(**values)
 
 
 def _cmd_gabor(args) -> int:
@@ -290,13 +274,15 @@ def _cmd_gabor(args) -> int:
     return EXIT_OK
 
 
-def _add_parameter(cmd: argparse.ArgumentParser, flag: str, name: str) -> None:
-    """The flag of family parameter `name`, stored under that name and typed
-    and defaulted by its entry in `scaling._PARAMETER_DEFAULTS`; its metavar
-    is the one argparse derives from the flag."""
-    default = scaling._PARAMETER_DEFAULTS[name]
+def _add_parameter(cmd: argparse.ArgumentParser, flag: str, name: str,
+                   default=argparse.SUPPRESS) -> None:
+    """The flag of family parameter `name`, stored under that name and typed by
+    its entry in `scaling._PARAMETER_DEFAULTS`; left out, it is absent from the
+    namespace unless a `default` is given.  Its metavar is the one argparse
+    derives from the flag."""
     metavar = flag.lstrip("-").upper().replace("-", "_")
-    cmd.add_argument(flag, type=type(default), default=default, dest=name, metavar=metavar)
+    kind = type(scaling._PARAMETER_DEFAULTS[name])
+    cmd.add_argument(flag, type=kind, default=default, dest=name, metavar=metavar)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,14 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("gabor", help="build a Gaussian Gabor system and report bounds")
     cmd.add_argument("--set", required=True, choices=("lattice", "punctured", "als", "file"))
-    # Each set's defaults are in _GABOR_FLAGS, so a flag left out reads None.
-    cmd.add_argument("--max-index", type=int)
-    cmd.add_argument("--nmax", type=int)
-    cmd.add_argument("--a", type=float)
-    cmd.add_argument("--b", type=float)
-    cmd.add_argument("--nodes", metavar="PATH", help="point-set CSV for --set file")
-    _add_parameter(cmd, "--half-width", "halfWidth")
-    _add_parameter(cmd, "--samples", "samplesPerUnit")
+    # Each kind's defaults are in scaling._POINT_SETS; every kind reads the grid.
+    for flag, kind in (("--max-index", int), ("--nmax", int), ("--a", float), ("--b", float)):
+        cmd.add_argument(flag, type=kind, default=argparse.SUPPRESS)
+    cmd.add_argument("--nodes", metavar="PATH", default=argparse.SUPPRESS,
+                     help="point-set CSV for --set file")
+    for flag, name in (("--half-width", "halfWidth"), ("--samples", "samplesPerUnit")):
+        _add_parameter(cmd, flag, name, scaling._PARAMETER_DEFAULTS[name])
     cmd.add_argument("--refine", metavar="RATES", help="extra sampling rates, e.g. 8,32")
     cmd.add_argument("--dump-matrix", metavar="PATH")
     cmd.add_argument("--json", metavar="PATH")

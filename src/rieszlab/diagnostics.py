@@ -56,7 +56,7 @@ class BoundsReport:
     """Optimal bound constants plus the completeness defect.
 
     `conditioning` is bessel_upper / riesz_lower, or +inf for a dependent
-    system (riesz_lower == 0).
+    system (riesz_lower == 0).  A <= B holds exactly: `classify` squares both from one sorted sigma.
     """
 
     riesz_lower: float
@@ -65,7 +65,7 @@ class BoundsReport:
     conditioning: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.riesz_lower <= self.bessel_upper * (1 + 1e-12) + 1e-300:
+        if not 0.0 <= self.riesz_lower <= self.bessel_upper:
             raise ValueError(
                 f"bounds must satisfy 0 <= A <= B, got A={self.riesz_lower}, B={self.bessel_upper}"
             )

@@ -2,7 +2,8 @@
 
 A family spec names a generator and a strictly increasing list of sizes.  Each
 generator is one `_FAMILIES` record, all that `scaling` and `cli` know of it, so
-a new family is one record plus its generator.  The size is the ambient
+a new family is one record, naming the parameters it reads, plus its generator
+or its `_POINT_SETS` kind, the `gabor --set` table.  The size is the ambient
 dimension (the Young construction with ambient dimension n uses n-1 vectors),
 or for a Gabor family the lattice index bound, on the discretization's grid.
 
@@ -34,33 +35,47 @@ import numpy as np
 
 from . import diagnostics, duals, generators
 from .errors import FitDomainError
-from .generators import GaborDiscretization, GeneratedPair, PointSet2D
+from .generators import GaborDiscretization, GeneratedPair
 from .seqcore import VectorSequence, _error_bar, _independent
 
 _EXPONENT_BAND = 0.2
 _FIT_QUALITY_MIN = 0.9
 
 #: Each family parameter and its default, whose type is the parameter's.
-_PARAMETER_DEFAULTS = {
-    "seed": 0, "probeIndex": 0, "complementDim": 1, "halfWidth": 6.0, "samplesPerUnit": 16
-}
+_PARAMETER_DEFAULTS = {"seed": 0, "probeIndex": 0, "complementDim": 1, "halfWidth": 6.0,
+                       "samplesPerUnit": 16}
 
 
 class _Family(NamedTuple):
     """A generator family: its `family --gen` alias and `example` name, or None;
-    the build of its member of a size, which calls `generators` when it runs,
-    so a wrapped or patched generator is the one called; the rows a member has
-    beyond its vectors, which `example` adds to --n, and the message refusing a
-    size of no more rows; for a Gabor family, its `gabor --set` kind and the node
-    count of an index bound, which make the grid the ambient dimension."""
+    the build of its member of a size, which calls `generators` when it runs, so
+    a patched generator is the one called; the rows a member has beyond its
+    vectors, which `example` adds to --n, and the message refusing a size of no
+    more rows; the parameters it reads besides probeIndex; for a Gabor family, in
+    place of a build, its `_POINT_SETS` kind, whose grid is the ambient dimension."""
 
     alias: Optional[str]
-    build: Callable[[int, Mapping[str, object]], GeneratedPair]
+    build: Optional[Callable[[int, Mapping[str, object]], GeneratedPair]]
     rows: Callable[[Mapping[str, object]], int] = lambda p: 0
     too_small: str = ""
+    reads: Tuple[str, ...] = ()
     gabor_set: Optional[str] = None
-    nodes: Optional[Callable[[int], int]] = None
 
+
+#: Each `gabor --set` kind built from flags: its flags and defaults, the index
+#: bound first; its points, which call `generators` when they run; its node
+#: count at an index bound (punctured counted as full); its description.
+_POINT_SETS = {
+    "lattice": ({"max_index": 2, "a": 1.0, "b": 1.0},
+                lambda f: generators.lattice_points(f["a"], f["b"], f["max_index"]),
+                lambda index: (2 * index + 1) ** 2, "lattice a={a} b={b} maxIndex={max_index}"),
+    "punctured": ({"max_index": 2}, lambda f: generators.punctured_lattice(f["max_index"]),
+                  lambda index: (2 * index + 1) ** 2, "punctured maxIndex={max_index}"),
+    "als": ({"nmax": 1}, lambda f: generators.als_point_set(f["nmax"]),
+            lambda index: 2 + 4 * index, "als nmax={nmax}"),
+}
+
+_GRID = ("halfWidth", "samplesPerUnit")
 
 _FAMILIES = {
     "orthonormal": _Family("orthonormal", lambda n, p: GeneratedPair(generators.orthonormal(n))),
@@ -73,18 +88,14 @@ _FAMILIES = {
     "youngGeneral": _Family(
         "youngGeneral", lambda n, p: generators.young_general(
             n - p["complementDim"], n - p["complementDim"], p["complementDim"]),
-        lambda p: p["complementDim"], "ambient dimension must exceed the complement dimension"),
+        lambda p: p["complementDim"], "ambient dimension must exceed the complement dimension",
+        ("complementDim",)),
     "rieszSeeded": _Family(
-        "riesz", lambda n, p: GeneratedPair(generators.random_riesz(n, seed=p["seed"]))),
-    "gaborPunctured": _Family(
-        None, lambda n, p: _gabor_member(generators.punctured_lattice(n), p),
-        gabor_set="punctured", nodes=lambda index: (2 * index + 1) ** 2),  # counted as full
-    "gaborALS": _Family(
-        None, lambda n, p: _gabor_member(generators.als_point_set(n), p),
-        gabor_set="als", nodes=lambda index: 2 + 4 * index),
-    "gaborFullLattice": _Family(
-        None, lambda n, p: _gabor_member(generators.lattice_points(1.0, 1.0, n), p),
-        gabor_set="lattice", nodes=lambda index: (2 * index + 1) ** 2),
+        "riesz", lambda n, p: GeneratedPair(generators.random_riesz(n, seed=p["seed"])),
+        reads=("seed",)),
+    "gaborPunctured": _Family(None, None, reads=_GRID, gabor_set="punctured"),
+    "gaborALS": _Family(None, None, reads=_GRID, gabor_set="als"),
+    "gaborFullLattice": _Family(None, None, reads=_GRID, gabor_set="lattice"),
 }
 
 #: JSON metric name -> SizeMetrics attribute.
@@ -130,9 +141,23 @@ def _number(value, name: str) -> float:
         raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
+def _parameters(generator_id: str, given: Mapping[str, object]) -> Mapping[str, object]:
+    """The read-only parameters a family reads, probeIndex and its `reads`, each
+    given one converted to its default's type and the others at their defaults;
+    a given one that it does not read is refused, after all are converted."""
+    typed = {name: (_whole if type(_PARAMETER_DEFAULTS[name]) is int else _number)(value, name)
+             for name, value in given.items() if name in _PARAMETER_DEFAULTS}
+    reads = ("probeIndex", *_FAMILIES[generator_id].reads)
+    unread = sorted(set(given) - set(reads))
+    if unread:
+        raise ValueError(f"{generator_id} does not read {unread}")
+    return MappingProxyType({name: typed.get(name, default)
+                             for name, default in _PARAMETER_DEFAULTS.items() if name in reads})
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """A generator, its sizes and its read-only parameters; those left out take their defaults."""
+    """A generator, its sizes and the parameters it reads (`_parameters`)."""
 
     generator_id: str
     sizes: Tuple[int, ...]
@@ -148,16 +173,8 @@ class FamilySpec:
             raise ValueError("a family needs at least three sizes for an exponent fit")
         if any(s < 1 for s in sizes) or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("sizes must be positive and strictly increasing")
-        unknown = sorted(set(self.parameters) - set(_PARAMETER_DEFAULTS))
-        if unknown:
-            raise ValueError(f"unknown parameters {unknown}; known: {tuple(_PARAMETER_DEFAULTS)}")
-        given = {**_PARAMETER_DEFAULTS, **self.parameters}
-        parameters = MappingProxyType({
-            name: (_whole if type(default) is int else _number)(given[name], name)
-            for name, default in _PARAMETER_DEFAULTS.items()
-        })
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "parameters", _parameters(self.generator_id, self.parameters))
 
 
 @dataclass(frozen=True)
@@ -181,14 +198,11 @@ class ScalingReport:
     verdicts: dict
 
     def to_dict(self) -> dict:
-        rows = []
-        for row in self.per_size:
-            record = {"size": row.size}
-            for json_name, attr in METRIC_FIELDS:
-                record[json_name] = getattr(row, attr)
-            rows.append(record)
         return {
-            "perSize": rows,
+            "perSize": [
+                {"size": row.size, **{name: getattr(row, attr) for name, attr in METRIC_FIELDS}}
+                for row in self.per_size
+            ],
             "fits": {
                 name: {"exponent": fit.exponent, "r2": fit.r_squared}
                 for name, fit in self.fits.items()
@@ -229,10 +243,7 @@ def fit_growth(sizes: Sequence[int], values: Sequence[float]) -> GrowthFit:
     residuals = y - (slope * x + intercept)
     ss_res = float(residuals @ residuals)
     ss_tot = float((y - y.mean()) @ (y - y.mean()))
-    if ss_tot == 0.0:
-        r_squared = 1.0
-    else:
-        r_squared = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
+    r_squared = 1.0 if ss_tot == 0.0 else min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
     return GrowthFit(slope, r_squared)
 
 
@@ -248,17 +259,19 @@ def _trend_verdict(fit: Optional[GrowthFit], floored: bool) -> TrendVerdict:
     return TrendVerdict.STAYS_BOUNDED if floored else TrendVerdict.STAYS_BOUNDED_BELOW
 
 
-def _gabor_disc(params: dict) -> GaborDiscretization:
+def _gabor_disc(params: Mapping[str, object]) -> GaborDiscretization:
     return GaborDiscretization(params["halfWidth"], params["samplesPerUnit"])
 
 
-def _gabor_member(points: PointSet2D, params: Mapping[str, object]) -> GeneratedPair:
-    return GeneratedPair(generators._gabor_twin(points, _gabor_disc(params)))
-
-
-def _build_member(generator_id: str, size: int, params: dict):
-    """Build one truncation; returns (system, designated partner or None)."""
-    pair = _FAMILIES[generator_id].build(size, params)
+def _build_member(generator_id: str, size: int, params: Mapping[str, object]):
+    """Build one truncation; returns (system, designated partner or None).  A
+    Gabor family's member is its kind at index bound `size`, on the grid of `params`."""
+    family = _FAMILIES[generator_id]
+    if family.gabor_set:
+        flags, points = _POINT_SETS[family.gabor_set][:2]
+        nodes = points({**flags, next(iter(flags)): size})
+        return generators._gabor_twin(nodes, _gabor_disc(params)), None
+    pair = family.build(size, params)
     return pair.primal, pair.partner
 
 
@@ -287,11 +300,11 @@ def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
     with _size_errors(size):
         if size <= family.rows(params):
             raise ValueError(family.too_small)
-        dim = _gabor_disc(params).sample_count if family.nodes else size
+        dim = _gabor_disc(params).sample_count if family.gabor_set else size
         index = params["probeIndex"]
         if not 0 <= index < dim:
             raise ValueError(f"probe index {index} outside ambient dimension {dim}")
-        member_params = {**params, "seed": (params["seed"], size)}
+        member_params = {k: (v, size) if k == "seed" else v for k, v in params.items()}
         system, partner = _build_member(generator_id, size, member_params)
         lower, upper = diagnostics.riesz_bounds(system)
         probe = np.zeros(system.dim)

@@ -45,7 +45,8 @@ Young pair's identity residual, is not factored either: its one singular
 value is its Euclidean norm, taken by `math.hypot`.
 
 Every threshold that asks how large rounding is, in any module, reads
-`_error_bar`, and this is the one module that reads machine epsilon.
+`_error_bar`, and this is the one module that reads machine epsilon.  The
+`1e-9` wholeness test of a Gabor window is an input tolerance, not a rounding bar.
 """
 
 from __future__ import annotations

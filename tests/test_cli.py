@@ -763,6 +763,26 @@ EXIT_LINE_TABLE = [
     ("gabor-file-reads-no-nmax",
      ["gabor", "--set", "file", "--nodes", "{dir}/letter.csv", "--nmax", "2"],
      "--set file does not read --nmax"),
+    # A family or example flag that the family does not read is refused, not ignored.
+    ("family-weighted-reads-no-seed",
+     ["family", "--gen", "weighted", "--sizes", "4,8,16", "--seed", "5", "--half-width", "-1",
+      "--complement-dim", "9", "--json", "{dir}/f.json"],
+     "weightedPair does not read ['complementDim', 'halfWidth', 'seed']"),
+    ("family-riesz-reads-no-complement-dim",
+     ["family", "--gen", "riesz", "--sizes", "8,12,16", "--complement-dim", "5", "--samples", "3",
+      "--csv", "{dir}/f.csv"],
+     "rieszSeeded does not read ['complementDim', 'samplesPerUnit']"),
+    ("family-gabor-reads-no-seed", ["family", "--gen", "gaborPunctured", "--sizes", "1,2,3",
+                                    "--seed", "4"], "gaborPunctured does not read ['seed']"),
+    ("example-weighted-reads-no-seed",
+     ["example", "weighted", "--n", "4", "--seed", "9", "--complement-dim", "3", "-o", "{dir}/w"],
+     "weightedPair does not read ['complementDim', 'seed']"),
+    ("example-weighted-reads-no-seed-writes-nothing",
+     ["example", "weighted", "--n", "4", "--seed", "9", "-o", "{dir}/PREFIX"],
+     "weightedPair does not read ['seed']"),
+    ("example-riesz-reads-no-complement-dim",
+     ["example", "riesz", "--n", "4", "--complement-dim", "2", "-o", "{dir}/r"],
+     "rieszSeeded does not read ['complementDim']"),
     ("gabor-node-not-a-number", ["gabor", "--set", "file", "--nodes", "{dir}/letter.csv"],
      "{dir}/letter.csv: line 2: could not convert string to float: 'x'"),
     ("gabor-node-underscore", ["gabor", "--set", "file", "--nodes", "{dir}/underscore.csv"],
@@ -948,9 +968,14 @@ PARAMETER_FLAGS = {
 
 
 @pytest.mark.parametrize("shift", [0, 1])
-def test_parameter_flags_read_the_family_defaults(shift, monkeypatch):
+def test_parameter_flags_read_the_family_defaults(shift, monkeypatch, capsys):
+    # A `family` or `example` flag left out is absent from the namespace, and
+    # the parameters the family reads take their defaults from
+    # `_PARAMETER_DEFAULTS`; gabor's grid flags, which every kind reads, keep
+    # those defaults in the parser.
     defaults = {name: value + shift for name, value in scaling._PARAMETER_DEFAULTS.items()}
     monkeypatch.setattr(scaling, "_PARAMETER_DEFAULTS", defaults)
+    monkeypatch.setattr(cli, "_parser", build_parser)
     [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     flags = [
         (command, action) for command, parser in subparsers.choices.items()
@@ -960,9 +985,26 @@ def test_parameter_flags_read_the_family_defaults(shift, monkeypatch):
     for command, action in flags:
         [flag] = action.option_strings
         name = PARAMETER_FLAGS[flag]
-        default = defaults[name]
-        assert (action.dest, action.default, action.type) == (name, default, type(default)), (
+        default = defaults[name] if command == "gabor" else argparse.SUPPRESS
+        assert (action.dest, action.default, action.type) == (name, default, type(defaults[name])), (
             command, flag)
+    read = []
+
+    def stop(*args):
+        read.append(dict(args[-1] if len(args) == 3 else args[0].parameters))
+        raise ValueError("stopped")
+
+    monkeypatch.setattr(scaling, "run_family", stop)
+    monkeypatch.setattr(scaling, "_build_member", stop)
+    for generator, family in scaling._FAMILIES.items():
+        expected = {name: value for name, value in defaults.items()
+                    if name == "probeIndex" or name in family.reads}
+        assert run_cli("family", "--gen", generator, "--sizes", "3,4,5") == 2
+        if family.alias:
+            assert run_cli("example", family.alias, "--n", "3") == 2
+        assert read == [expected] * (1 + bool(family.alias)), generator
+        read.clear()
+    assert capsys.readouterr().out == ""
 
 
 SWEEP_CASES = {

@@ -371,6 +371,14 @@ class TestClassify:
         with pytest.raises(ValueError, match=message):
             BoundsReport(lower, upper, defect, upper / lower if lower else np.inf)
 
+    @pytest.mark.parametrize("upper", [1.0, 3.7, 5e-324, 1e300])
+    def test_bounds_report_admits_a_equal_to_b_and_nothing_above(self, upper):
+        # classify squares A and B from one descending sigma, so A <= B is exact.
+        assert BoundsReport(upper, upper, 0, 1.0).riesz_lower == upper
+        above = float(np.nextafter(upper, np.inf))
+        with pytest.raises(ValueError, match="^bounds must satisfy 0 <= A <= B"):
+            BoundsReport(above, upper, 0, upper / above)
+
     def test_routes_agree_on_random_mix(self):
         # Small-scale version of the full cross-route sweep in the acceptance
         # module: verdicts must match the construction with no disagreements.

@@ -520,6 +520,24 @@ class TestBlockConversion:
         expected.imag[expected.imag == 0.0] = 0.0
         assert bits(back.columns).tolist() == bits(stored(expected)).tolist()
 
+    def test_overflow_rescan_that_finds_the_file_changed_is_refused(self, tmp_path, monkeypatch):
+        # The cell that overflowed is looked up again by row and column; a
+        # file narrowed after its cells were read no longer has that column.
+        path = tmp_path / "overflow.csv"
+        path.write_text("1,1e400\n0,1\n")
+        loadtxt = np.loadtxt
+
+        def narrow_after(*args, **kwargs):
+            matrix = loadtxt(*args, **kwargs)
+            with open(path, "r+") as handle:
+                handle.truncate(0)
+                handle.write("1\n0\n")
+            return matrix
+
+        monkeypatch.setattr(matrixio.np, "loadtxt", narrow_after)
+        with pytest.raises(MatrixParseError, match="changed while it was read"):
+            read_matrix(str(path))
+
     @pytest.mark.parametrize(
         "part, ceiling", [(np.asarray, 1.5 * 2**20), (np.real, 0.75 * 2**20)], ids=["complex", "real"]
     )

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 
 import numpy as np
@@ -150,15 +151,42 @@ class TestFamilySpec:
             FamilySpec("orthonormal", (8, 8, 16))
 
     def test_rejects_unknown_parameters_by_name(self):
-        with pytest.raises(ValueError, match=r"unknown parameters \['complement_dim'\]"):
+        with pytest.raises(ValueError, match=r"^youngGeneral does not read \['complement_dim'\]$"):
             FamilySpec("youngGeneral", (8, 16, 32), {"complement_dim": 3})
 
-    def test_fills_and_types_the_parameters(self):
-        spec = FamilySpec("gaborPunctured", (1, 2, 3), {"seed": 4.0, "halfWidth": 7})
-        assert spec.parameters == {
-            "seed": 4, "probeIndex": 0, "complementDim": 1, "halfWidth": 7.0, "samplesPerUnit": 16,
-        }
-        assert [type(v) for v in spec.parameters.values()] == [int, int, int, float, int]
+    @pytest.mark.parametrize(
+        "generator, parameters",
+        [("weightedPair", {"seed": 3}), ("rieszSeeded", {"complementDim": 2}),
+         ("youngGeneral", {"halfWidth": 7.0}), ("gaborALS", {"seed": 4, "complementDim": 2})],
+        ids=["weightedPair", "rieszSeeded", "youngGeneral", "gaborALS"],
+    )
+    def test_refuses_a_parameter_the_family_does_not_read(self, generator, parameters):
+        unread = sorted(parameters)
+        with pytest.raises(ValueError, match=rf"^{generator} does not read {re.escape(str(unread))}$"):
+            FamilySpec(generator, (2, 3, 4), parameters)
+
+    def test_types_every_given_parameter_before_refusing_an_unread_one(self):
+        with pytest.raises(ValueError, match="^seed must be an integer, got 2.5$"):
+            FamilySpec("weightedPair", (2, 3, 4), {"seed": 2.5})
+
+    @pytest.mark.parametrize(
+        "generator, given, parameters",
+        [
+            ("gaborPunctured", {"halfWidth": 7, "probeIndex": 2.0},
+             {"probeIndex": 2, "halfWidth": 7.0, "samplesPerUnit": 16}),
+            ("rieszSeeded", {"seed": 4.0}, {"seed": 4, "probeIndex": 0}),
+            ("youngGeneral", {"complementDim": 3.0}, {"probeIndex": 0, "complementDim": 3}),
+            ("weightedPair", {}, {"probeIndex": 0}),
+        ],
+        ids=["gaborPunctured", "rieszSeeded", "youngGeneral", "weightedPair"],
+    )
+    def test_fills_and_types_the_parameters(self, generator, given, parameters):
+        spec = FamilySpec(generator, (1, 2, 3) if generator == "gaborPunctured" else (8, 16, 32),
+                          given)
+        assert spec.parameters == parameters
+        assert [type(v) for v in spec.parameters.values()] == [
+            type(scaling._PARAMETER_DEFAULTS[name]) for name in parameters]
+        assert list(spec.parameters) == list(parameters)
 
     @pytest.mark.parametrize(
         "sizes, parameters, name",
@@ -251,14 +279,32 @@ class TestRunFamily:
         inline = [_evaluate_size(spec.generator_id, s, spec.parameters) for s in spec.sizes]
         assert list(run_family(spec).per_size) == inline
 
-    @pytest.mark.parametrize("generator", [g for g, f in scaling._FAMILIES.items() if f.nodes])
+    @pytest.mark.parametrize("generator", [g for g, f in scaling._FAMILIES.items() if f.gabor_set])
     def test_node_count_is_the_members_column_count(self, generator):
         # The size check's count; a punctured lattice is counted as the full one.
-        family = scaling._FAMILIES[generator]
+        count = scaling._POINT_SETS[scaling._FAMILIES[generator].gabor_set][2]
         params = FamilySpec(generator, (1, 2, 3)).parameters
         for index in (1, 2, 3):
-            count = family.build(index, params).primal.count
-            assert family.nodes(index) == count + (generator == "gaborPunctured")
+            system, _ = scaling._build_member(generator, index, params)
+            assert count(index) == system.count + (generator == "gaborPunctured")
+
+    @pytest.mark.parametrize("generator", list(scaling._FAMILIES))
+    def test_reads_lists_the_parameters_the_build_reads(self, generator):
+        # Every key the member's build and its row count read, and no other,
+        # is in the record's `reads`; probeIndex is read by the study itself.
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, name):
+                read.add(name)
+                return super().__getitem__(name)
+
+        params = Recording(scaling._PARAMETER_DEFAULTS)
+        family = scaling._FAMILIES[generator]
+        size = 3 if family.gabor_set else 4
+        scaling._build_member(generator, size, params)
+        family.rows(params)
+        assert read == set(family.reads)
 
     def test_every_size_failing_reports_the_smallest(self):
         # Sizes are evaluated smallest first, so the smallest failure is the first.
