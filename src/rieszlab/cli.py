@@ -170,13 +170,13 @@ def _cmd_example(args) -> int:
 
 
 def _parse_int_list(text: str, flag: str):
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"{flag} expects a comma-separated integer list")
     try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in parts)
     except ValueError as exc:
         raise ValueError(f"{flag} expects a comma-separated integer list: {exc}") from exc
-    if not values:
-        raise ValueError(f"{flag} expects a comma-separated integer list")
-    return values
 
 
 def _discretization(half_width: float, samples: int):
@@ -201,9 +201,9 @@ def _cmd_family(args) -> int:
         side = max(grid, scaling._POINT_SETS[kind][2](sizes[-1]))
     _check_size(f"family --gen {args.gen} --sizes {args.sizes}", side, side)
     report = scaling.run_family(spec)
+    named = "".join(f" {name}={value}" for name, value in params.items())
     payload = {
-        "input": f"family:{generator_id} sizes={','.join(map(str, sizes))} "
-                 f"seed={params.get('seed', 0)}",
+        "input": f"family:{generator_id} sizes={','.join(map(str, sizes))}{named}",
         **report.to_dict(),
     }
     if args.csv:  # written first, so a failed write leaves no report behind

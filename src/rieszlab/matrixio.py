@@ -6,14 +6,16 @@ cell is ignored.  Values are written with 17 significant digits and the
 imaginary part only when it is nonzero, so a write/read round trip
 reproduces every float64 exactly, except that an imaginary -0.0 reads back
 as 0.0.  Matrix files carry a header line "# dim=<n> count=<m>" which, when
-present on input, must match the parsed shape.  On read, a leading UTF-8
-byte-order mark is skipped and every row is matched against the ASCII row
-grammar; one `np.loadtxt` call converts the whole file from a stream of
-checked rows, to float64 when no data line contains an "i".  Rows that
-match go in as they are; rows outside it (other whitespace, non-ASCII digits,
-a bad cell) are read cell by cell, with their row and column messages, and go
-in as the text of their values.  A cell that overflows float64 is named by
-row and column.  On write, blocks of about
+present on input, must match the parsed shape.  A point-set file is a real
+two-column matrix file without a header, one node (tau, mu) a row; its blank
+and "#" lines are skipped.  Both are read by `_read_table`: a
+leading UTF-8 byte-order mark is skipped and every row is matched against
+the ASCII row grammar; one `np.loadtxt` call converts the whole file from a
+stream of checked rows, to float64 when no data line contains an "i".  Rows
+that match go in as they are; rows outside it (other whitespace, non-ASCII
+digits, a bad cell) are read cell by cell, with their row and column
+messages, and go in as the text of their values.  A cell that overflows
+float64 is named by row and column.  On write, blocks of about
 `_WRITE_CELLS` cells are formatted in numpy with the exact digits of "%.17g",
 and `format_float` formats the rare value whose digits the fast route cannot
 certify; each block is written as soon as it is formatted, so a matrix file
@@ -48,7 +50,6 @@ _UNSIGNED = r"(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?+\d++)?+"
 _NUMBER = rf"[+-]?+{_UNSIGNED}"
 _CELL = rf"{_NUMBER}(?:[+-]{_UNSIGNED}i)?+"
 _CELL_RE = re.compile(_CELL)
-_NUMBER_RE = re.compile(_NUMBER)
 # A whole row of cells with spaces or tabs around them.  ASCII-only, so a row
 # with other whitespace or non-ASCII digits takes the per-cell path, which
 # accepts or rejects it exactly as `parse_complex` does.
@@ -359,12 +360,21 @@ def _data_lines(handle):
     return None, chain([first] if first else [], lines)
 
 
-def _matrix_layout(handle):
-    """One pass over an open matrix file, keeping no line: its header, the
-    number of data lines, the cell count of the first of them, the index and
-    cell count of the first one whose cell count differs (None if none does),
-    and whether any of them contains "i", without which no cell is complex."""
-    header, data = _data_lines(handle)
+def _node_lines(handle):
+    """The open file read from its start: no header, and an iterator over the
+    lines that are neither blank nor "#" comments, without their newlines."""
+    handle.seek(0)
+    return None, (line.rstrip("\n") for line in handle
+                  if not line.isspace() and not line.lstrip().startswith("#"))
+
+
+def _matrix_layout(handle, lines):
+    """One pass over an open file, keeping no line: the header and data lines
+    of the line source `lines`, the number of data lines, the cell count of
+    the first of them, the index and cell count of the first one whose cell
+    count differs (None if none does), and whether any of them contains "i",
+    without which no cell is complex."""
+    header, data = lines(handle)
     rows, width, ragged, imaginary = 0, None, None, False
     for line in data:
         cells = line.count(",") + 1
@@ -377,16 +387,16 @@ def _matrix_layout(handle):
     return header, rows, width, ragged, imaginary
 
 
-def _row_stream(path: str, data, width: int, kept: int, imaginary: bool):
-    """The first `kept` rows of `data` as lines for `np.loadtxt`, ending after
-    them without reading another line.  A row in the fast grammar goes in with
-    "j" for "i": the grammar admits no parentheses, "j", "inf" or "nan", so
-    loadtxt reads each part as float() would, to the same bits, and only a cell
-    that overflows reads as non-finite.  Any other row is read cell by cell and
-    goes in as the "%.17g" text of its values, of their real parts unless the
-    file is `imaginary`.  A row not `width` cells wide, an "i" in a file whose
-    first pass saw none, or fewer than `kept` rows, means the file changed
-    after its first pass."""
+def _row_stream(path: str, data, width: int, imaginary: bool):
+    """The rows of `data` as lines for `np.loadtxt`, whose row limit ends the
+    read.  A row in the fast grammar goes in with "j" for "i": the grammar
+    admits no parentheses, "j", "inf" or "nan", so loadtxt reads each part as
+    float() would, to the same bits, and only a cell that overflows reads as
+    non-finite.  Any other row is read cell by cell and goes in as the "%.17g"
+    text of its values, of their real parts unless the file is `imaginary`.
+    A row not `width` cells wide, an "i" in a file whose first pass saw none,
+    or rows that run out before loadtxt stops, means the file changed after
+    its first pass."""
     for i, line in enumerate(data, start=1):
         if line.count(",") + 1 != width or (not imaginary and "i" in line):
             raise _changed(path)
@@ -396,59 +406,66 @@ def _row_stream(path: str, data, width: int, kept: int, imaginary: bool):
             yield ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in _parse_cells(path, i, line))
         else:
             yield ",".join(f"{z.real:.17g}" for z in _parse_cells(path, i, line))
-        if i == kept:
-            return
     raise _changed(path)
 
 
-def read_matrix(path: str, check_shape=None) -> VectorSequence:
-    """The matrix file at `path` as a VectorSequence.  `check_shape`, if
-    given, is called with the data row count and the first row's width as
-    soon as both are known, before any cell is converted or any array
-    allocated; it refuses the file by raising.  The open file is read twice,
-    a line at a time: once for its shape, which `check_shape` sees, and once
-    for its cells, streamed into one `np.loadtxt` call, so no file is held in
-    memory.  A second pass that does not find the first pass's rows raises
-    `MatrixParseError`."""
+def _read_table(path: str, lines, check):
+    """The header and the cells of the file at `path`, whose header and data
+    lines come from the line source `lines`.  `check` is called with the
+    header, the data row count and the first row's width as soon as all are
+    known, before any cell is converted or any array allocated; it refuses
+    the file by raising.  The open file is read twice, a line at a time: once
+    for its layout, which `check` sees, and once for its cells, streamed into
+    one `np.loadtxt` call, so no file is held in memory.  A second pass that
+    does not find the first pass's rows raises `MatrixParseError`."""
     with _text(path) as handle:
-        header, rows, width, ragged, imaginary = _matrix_layout(handle)
-        if header is None and not rows:
-            raise MatrixParseError(f"{path}: empty matrix file")
-        expected_shape = None
-        if header is not None:
-            match = _HEADER_RE.match(header.strip())
-            if not match:
-                raise MatrixParseError(f"{path}: malformed header {header!r}")
-            expected_shape = (int(match.group(1)), int(match.group(2)))
-        if not rows:
-            raise MatrixParseError(f"{path}: header but no data rows")
-        if check_shape is not None:
-            check_shape(rows, width)
+        header, rows, width, ragged, imaginary = _matrix_layout(handle, lines)
+        check(header, rows, width)
         # Only the rows before the first ragged one are read, so the array is
         # never larger than the text; their cells are checked before that row's error.
         kept = rows if ragged is None else ragged[0]
-        second_header, data = _data_lines(handle)
+        second_header, data = lines(handle)
         if second_header != header:
             raise _changed(path)
         # A file without an "i" is real: read as float64, with no complex twin.
-        matrix = np.loadtxt(_row_stream(path, data, width, kept, imaginary),
-                            dtype=complex if imaginary else float, delimiter=",",
-                            ndmin=2, comments=None, max_rows=kept)
+        table = np.loadtxt(_row_stream(path, data, width, imaginary),
+                           dtype=complex if imaginary else float, delimiter=",",
+                           ndmin=2, comments=None, max_rows=kept)
         if kept + sum(1 for _ in data) != rows:
             raise _changed(path)
-        overflow = np.flatnonzero(~np.isfinite(matrix))
+        overflow = np.flatnonzero(~np.isfinite(table))
         if overflow.size:
             i, j = divmod(int(overflow[0]), width)
-            cells = next(islice(_data_lines(handle)[1], i, None), "").split(",")
+            cells = next(islice(lines(handle)[1], i, None), "").split(",")
             if j >= len(cells):
                 raise _changed(path)
             raise _non_finite(path, i + 1, j + 1, cells[j].strip())
     if ragged is not None:
         raise MatrixParseError(f"{path}: row {ragged[0] + 1} has {ragged[1]} cells, expected {width}")
-    if expected_shape is not None and matrix.shape != expected_shape:
-        raise MatrixParseError(
-            f"{path}: header announces shape {expected_shape}, parsed {matrix.shape}"
-        )
+    return header, table
+
+
+def read_matrix(path: str, check_shape=None) -> VectorSequence:
+    """The matrix file at `path` as a VectorSequence, read by `_read_table`.
+    `check_shape`, if given, is called with the data row count and the first
+    row's width before any cell is converted or any array allocated; it
+    refuses the file by raising."""
+
+    def check(header, rows: int, width: int) -> None:
+        if header is None and not rows:
+            raise MatrixParseError(f"{path}: empty matrix file")
+        if header is not None and not _HEADER_RE.match(header.strip()):
+            raise MatrixParseError(f"{path}: malformed header {header!r}")
+        if not rows:
+            raise MatrixParseError(f"{path}: header but no data rows")
+        if check_shape is not None:
+            check_shape(rows, width)
+
+    header, matrix = _read_table(path, _data_lines, check)
+    if header is not None:
+        shape = tuple(map(int, _HEADER_RE.match(header.strip()).groups()))
+        if matrix.shape != shape:
+            raise MatrixParseError(f"{path}: header announces shape {shape}, parsed {matrix.shape}")
     return VectorSequence._adopt(matrix)
 
 
@@ -456,46 +473,26 @@ def write_point_set(path: str, points: PointSet2D) -> None:
     write_atomic(path, (f"{format_float(t)},{format_float(m)}\n" for t, m in points.nodes))
 
 
-def _is_node_line(text: str) -> bool:
-    return bool(text) and not text.startswith("#")
-
-
 def read_point_set(path: str, check_count=None) -> PointSet2D:
-    """The point-set file at `path`, each coordinate a real number of the matrix
-    cell grammar, so `1_0` is refused.  `check_count`, if given, is called with the
-    number of node lines before any cell is converted; it refuses by raising.
-    The count comes from a first pass over the open file that keeps no line,
-    so a refused file is never held in memory; a second pass that does not
-    find that many node lines raises `MatrixParseError`."""
-    with _text(path) as handle:
-        count = sum(_is_node_line(line.strip()) for line in handle)
+    """The point-set file at `path`: a real two-column matrix file without a
+    header, whose blank and "#" lines are skipped, read by `_read_table`.
+    `check_count`, if given, is called with the number of node rows before
+    anything else is checked, any cell converted or any array allocated; it
+    refuses the file by raising."""
+
+    def check(header, rows: int, width: int) -> None:
         if check_count is not None:
-            check_count(count)
-        handle.seek(0)
-        nodes = []
-        for i, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not _is_node_line(text):
-                continue
-            cells = text.split(",")
-            if len(cells) != 2:
-                raise MatrixParseError(f"{path}: line {i} needs two columns, got {len(cells)}")
-            try:
-                node = (float(cells[0]), float(cells[1]))
-            except ValueError as exc:
-                raise MatrixParseError(f"{path}: line {i}: {exc}") from exc
-            for cell, value in zip(cells, node):
-                if not math.isfinite(value):
-                    raise MatrixParseError(f"{path}: line {i}: non-finite coordinate {cell.strip()!r}")
-                if not _NUMBER_RE.fullmatch(cell.strip()):
-                    raise MatrixParseError(f"{path}: line {i}: invalid coordinate {cell.strip()!r}")
-            nodes.append(node)
-    if len(nodes) != count:
-        raise _changed(path)
-    if not nodes:
-        raise MatrixParseError(f"{path}: no nodes found")
+            check_count(rows)
+        if not rows:
+            raise MatrixParseError(f"{path}: no nodes found")
+        if width != 2:
+            raise MatrixParseError(f"{path}: a point set needs two columns, got {width}")
+
+    nodes = _read_table(path, _node_lines, check)[1]
+    if np.iscomplexobj(nodes):
+        raise MatrixParseError(f"{path}: coordinates must be real")
     try:
-        return PointSet2D(tuple(nodes))
+        return PointSet2D(nodes.tolist())
     except ValueError as exc:
         raise MatrixParseError(f"{path}: {exc}") from exc
 

@@ -518,7 +518,7 @@ def test_a_family_is_one_table_record(tmp_path, monkeypatch, capsys):
         assert run_cli("family", "--gen", gen, "--sizes", "2,3,4") == 0
         out, err = capsys.readouterr()
         report = json.loads(out)
-        assert err == "" and report["input"] == "family:doubled sizes=2,3,4 seed=0"
+        assert err == "" and report["input"] == "family:doubled sizes=2,3,4 probeIndex=0"
         assert [row["size"] for row in report["perSize"]] == [2, 3, 4]
         for row in report["perSize"]:
             assert row["rieszLowerF"] == pytest.approx(4.0)
@@ -566,7 +566,7 @@ def test_every_report_carries_the_schema_version_and_the_tolerances(argv, to_fil
 # UTF-8), big.csv, small.csv and smaller.csv (a 6x6 basis scaled by 1e160,
 # 1e-160 and 1e-170), row8192.csv (1x8192), row8193.csv (1x8193),
 # column8193.csv (8193x1), nodes8193.csv (8193 nodes), overflow_nodes.csv (a
-# coordinate "1e400" on line 2), huge_mu_nodes.csv (a node (0, 1e308)) and
+# coordinate "1e400" in row 2), huge_mu_nodes.csv (a node (0, 1e308)) and
 # outdir/.  The size-guard rows use sizes
 # that are refused before anything large is allocated.  row8192.csv is
 # estimated at exactly the limit, 8192^2 complex entries, and is accepted: its
@@ -664,7 +664,7 @@ EXIT_CODE_TABLE = [
     ("gabor-node-file-oversize", ["gabor", "--set", "file", "--nodes", "{dir}/nodes8193.csv"],
      2, "byte limit"),
     ("gabor-node-overflow", ["gabor", "--set", "file", "--nodes", "{dir}/overflow_nodes.csv"],
-     2, "overflow_nodes.csv: line 2: non-finite coordinate '1e400'"),
+     2, "overflow_nodes.csv: row 2, column 1: non-finite cell '1e400'"),
     # A modulation whose phase 2 pi mu x would overflow, refused before any
     # table is built; the limit at X = 6 is 2.38e306.
     ("gabor-modulation-overflows-phase",
@@ -752,6 +752,11 @@ EXIT_LINE_TABLE = [
      "--sizes expects a comma-separated integer list"),
     ("gabor-refine-empty", ["gabor", "--set", "lattice", "--refine", ","],
      "--refine expects a comma-separated integer list"),
+    # An empty item is refused, not dropped, as an empty CSV cell is.
+    ("family-sizes-empty-item", ["family", "--gen", "weighted", "--sizes", "4,,8,16"],
+     "--sizes expects a comma-separated integer list"),
+    ("gabor-refine-empty-items", ["gabor", "--set", "lattice", "--refine", ",24,"],
+     "--refine expects a comma-separated integer list"),
     ("gabor-file-without-nodes", ["gabor", "--set", "file"], "--set file requires --nodes PATH"),
     # A point-set flag that the chosen set does not read is refused, not ignored.
     ("gabor-punctured-reads-no-a", ["gabor", "--set", "punctured", "--a", "3"],
@@ -784,9 +789,9 @@ EXIT_LINE_TABLE = [
      ["example", "riesz", "--n", "4", "--complement-dim", "2", "-o", "{dir}/r"],
      "rieszSeeded does not read ['complementDim']"),
     ("gabor-node-not-a-number", ["gabor", "--set", "file", "--nodes", "{dir}/letter.csv"],
-     "{dir}/letter.csv: line 2: could not convert string to float: 'x'"),
+     "{dir}/letter.csv: row 2, column 1: invalid complex cell 'x'"),
     ("gabor-node-underscore", ["gabor", "--set", "file", "--nodes", "{dir}/underscore.csv"],
-     "{dir}/underscore.csv: line 1: invalid coordinate '1_0'"),
+     "{dir}/underscore.csv: row 1, column 1: invalid complex cell '1_0'"),
     ("gabor-no-nodes", ["gabor", "--set", "file", "--nodes", "{dir}/comment.csv"],
      "{dir}/comment.csv: no nodes found"),
 ]

@@ -10,7 +10,10 @@ module-level functions, classes and constants of every package module whose
 names start with "_" but are not dunders: each must be read, as a name, an
 attribute or an import, somewhere in the package besides its definition.
 Machine epsilon, `np.finfo(...).eps` or `sys.float_info.epsilon`, is read in
-`seqcore` alone, whose `_error_bar` is every threshold's rounding bar.
+`seqcore` alone, whose `_error_bar` is every threshold's rounding bar.  Files
+are opened for reading by the builtin `open` in `matrixio._text` alone and
+converted by `np.loadtxt` in `matrixio._read_table` alone, the one reader of
+matrix and point-set files.
 """
 
 import ast
@@ -138,3 +141,46 @@ def test_only_seqcore_reads_machine_epsilon():
 ])
 def test_a_machine_epsilon_read_is_seen(source, reads):
     assert reads_machine_epsilon(source) is reads
+
+
+#: The one site of each reading call: every file read is opened by `_text`,
+#: and every matrix or point-set file converted by `_read_table`.
+READER_SITES = {"open": ["matrixio._text"], "loadtxt": ["matrixio._read_table"]}
+
+
+def reader_sites(source, module):
+    """(call, "module.function") for each call of the builtin `open` or of an
+    attribute `loadtxt` in `source`."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                sites.append(("open", f"{module}.{function}"))
+            elif isinstance(func, ast.Attribute) and func.attr == "loadtxt":
+                sites.append(("loadtxt", f"{module}.{function}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_one_file_reader():
+    found = {"open": [], "loadtxt": []}
+    for path in PACKAGE:
+        for call, site in reader_sites(path.read_text(), path.stem):
+            found[call].append(site)
+    assert found == READER_SITES
+
+
+def test_a_reader_call_is_seen():
+    source = (
+        "import os, numpy as np\n"
+        "def f(p):\n    with open(p) as h:\n        return np.loadtxt(h)\n"
+        "def g(p):\n    return os.open(p, 0), os.fdopen(p)\n"
+    )
+    assert reader_sites(source, "m") == [("open", "m.f"), ("loadtxt", "m.f")]

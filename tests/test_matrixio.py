@@ -772,19 +772,68 @@ class TestPointSetFiles:
         with pytest.raises(MatrixParseError, match="changed while it was read"):
             read_point_set(str(path), rewrite)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nodes=st.lists(
+            st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)
+                        | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, FLOAT_MAX, -FLOAT_MAX])] * 2),
+            min_size=1, max_size=40, unique=True,
+        )
+    )
+    @example(nodes=[(-0.0, 5e-324), (FLOAT_MAX, -FLOAT_MAX), (-5e-324, 0.0), (-FLOAT_MAX, 1.0)])
+    def test_write_read_round_trip_is_bit_exact(self, nodes, scratch_path):
+        # Distinct as float pairs, as a PointSet2D requires; read back in order.
+        write_point_set(str(scratch_path), PointSet2D(nodes))
+        back = read_point_set(str(scratch_path)).nodes
+        assert bits(back).tolist() == bits(nodes).tolist()
+
+    def test_one_loadtxt_call_per_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "nodes.csv"
+        path.write_text("# tau,mu\n" + "".join(f"{i % 60},{i // 60}\n" for i in range(3000)))
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["max_rows"])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(matrixio.np, "loadtxt", spy)
+        points = read_point_set(str(path))
+        assert calls == [3000]
+        assert points.nodes[-1] == (59.0, 49.0)
+
+    @pytest.mark.parametrize("row", ["1", "1,2,3"])
+    def test_first_row_of_another_width_is_refused(self, row, tmp_path):
+        path = tmp_path / "nodes.csv"
+        path.write_text(f"# tau,mu\n{row}\n0,0\n")
+        with pytest.raises(MatrixParseError) as info:
+            read_point_set(str(path))
+        assert str(info.value) == f"{path}: a point set needs two columns, got {row.count(',') + 1}"
+
+    @pytest.mark.parametrize("cell", ["1+2i", "1+0i"])
+    def test_complex_coordinates_are_refused(self, cell, tmp_path):
+        path = tmp_path / "nodes.csv"
+        path.write_text(f"0,0\n{cell},1\n")
+        with pytest.raises(MatrixParseError) as info:
+            read_point_set(str(path))
+        assert str(info.value) == f"{path}: coordinates must be real"
+
     def test_bad_line(self, tmp_path):
         path = tmp_path / "nodes.csv"
         path.write_text("0,0\n1\n")
-        with pytest.raises(MatrixParseError, match="line 2"):
+        with pytest.raises(MatrixParseError, match="row 2 has 1 cells, expected 2"):
             read_point_set(str(path))
 
     @pytest.mark.parametrize("cell", ["1e400", "nan", "inf"])
     def test_non_finite_coordinate_names_its_line(self, cell, tmp_path):
+        # As in a matrix file: a cell that overflows reads as non-finite, and
+        # "nan" and "inf" are outside the cell grammar.
         path = tmp_path / "nodes.csv"
         path.write_text(f"0,0\n1, {cell}\n{cell},2\n")
         with pytest.raises(MatrixParseError) as info:
             read_point_set(str(path))
-        assert str(info.value) == f"{path}: line 2: non-finite coordinate {cell!r}"
+        reason = "non-finite cell" if cell == "1e400" else "invalid complex cell"
+        assert str(info.value) == f"{path}: row 2, column 2: {reason} {cell!r}"
 
     @pytest.mark.parametrize("cell", ["1_0", " 1_000.5", "-2_5e1"])
     def test_coordinate_outside_the_number_grammar_names_its_line(self, cell, tmp_path):
@@ -793,7 +842,7 @@ class TestPointSetFiles:
         path.write_text(f"0,0\n1,{cell}\n")
         with pytest.raises(MatrixParseError) as info:
             read_point_set(str(path))
-        assert str(info.value) == f"{path}: line 2: invalid coordinate {cell.strip()!r}"
+        assert str(info.value) == f"{path}: row 2, column 2: invalid complex cell {cell.strip()!r}"
 
     def test_coordinates_read_as_numbers_of_the_cell_grammar(self, tmp_path):
         path = tmp_path / "nodes.csv"
