@@ -9,13 +9,17 @@ as 0.0.  Matrix files carry a header line "# dim=<n> count=<m>" which, when
 present on input, must match the parsed shape.  A point-set file is a real
 two-column matrix file without a header, one node (tau, mu) a row; its blank
 and "#" lines are skipped.  Both are read by `_read_table`: a
-leading UTF-8 byte-order mark is skipped and every row is matched against
-the ASCII row grammar; one `np.loadtxt` call converts the whole file from a
-stream of checked rows, to float64 when no data line contains an "i".  Rows
-that match go in as they are; rows outside it (other whitespace, non-ASCII
+leading UTF-8 byte-order mark is skipped, and one `np.loadtxt` call converts
+the whole file from a stream of checked rows, to float64 when no data line
+contains an "i".  The rows are checked a block of about `_READ_CHARS`
+characters at a time: a block that `_plain` passes goes in as it is, as
+numpy reads no cell of it that the grammar refuses.  The rows of any other
+block are matched one at a time against the ASCII row grammar: rows that
+match go in as they are, and rows outside it (other whitespace, non-ASCII
 digits, a bad cell) are read cell by cell, with their row and column
-messages, and go in as the text of their values.  A cell that overflows
-float64 is named by row and column.  On write, blocks of about
+messages, and go in as the text of their values.  A cell numpy refuses in a
+passed block is named by a third pass through the grammar, and a cell that
+overflows float64 by row and column.  On write, blocks of about
 `_WRITE_CELLS` cells are formatted in numpy with the exact digits of "%.17g",
 and `format_float` formats the rare value whose digits the fast route cannot
 certify; each block is written as soon as it is formatted, so a matrix file
@@ -31,6 +35,7 @@ import math
 import os
 import re
 import stat
+from collections import deque
 from contextlib import contextmanager, suppress
 from itertools import chain, islice
 
@@ -55,6 +60,18 @@ _CELL_RE = re.compile(_CELL)
 # accepts or rejects it exactly as `parse_complex` does.
 _PADDED_CELL = rf"[ \t]*+{_CELL}[ \t]*+"
 _ROW_RE = re.compile(rf"{_PADDED_CELL}(?:,{_PADDED_CELL})*+", re.ASCII)
+# Characters of the rows `_plain` checks together.  A block's rows and their
+# joined text are all the stream holds besides `np.loadtxt`'s own state; a
+# block of 64 K characters set the traced peak of `analyze` of a 64 x 64 file.
+_READ_CHARS = 8192
+# `_plain`'s class of each byte: a digit or "." (1), a sign (2), "i" (3), the
+# grammar's other characters (4), and 0 for any other byte.
+_KIND_DIGIT, _KIND_SIGN, _KIND_UNIT = 1, 2, 3
+_KINDS = bytes(
+    next((kind for kind, chars in enumerate(("0123456789.", "+-", "i", "eE, \t"), start=1)
+          if chr(byte) in chars), 0)
+    for byte in range(256)
+)
 # Cells formatted and written together (at least one row): enough to spread
 # numpy's per-call cost.  Writing peaks at about 2.8 MB traced, about 690
 # bytes a cell of a block, 0.2 MB of it the text of the block before, which
@@ -387,25 +404,64 @@ def _matrix_layout(handle, lines):
     return header, rows, width, ragged, imaginary
 
 
-def _row_stream(path: str, data, width: int, imaginary: bool):
-    """The rows of `data` as lines for `np.loadtxt`, whose row limit ends the
-    read.  A row in the fast grammar goes in with "j" for "i": the grammar
-    admits no parentheses, "j", "inf" or "nan", so loadtxt reads each part as
-    float() would, to the same bits, and only a cell that overflows reads as
-    non-finite.  Any other row is read cell by cell and goes in as the "%.17g"
-    text of its values, of their real parts unless the file is `imaginary`.
+def _blocks(data):
+    """The lines of `data` in lists of at least `_READ_CHARS` characters, the
+    last list possibly fewer."""
+    block, chars = [], 0
+    for line in data:
+        block.append(line)
+        chars += len(line)
+        if chars >= _READ_CHARS:
+            yield block
+            block, chars = [], 0
+    if block:
+        yield block
+
+
+def _plain(text: str) -> bool:
+    """Whether numpy's complex parser reads no cell of `text`, one block's
+    rows joined by "," (so no row's sign follows the row before), that the
+    grammar refuses; its float parser reads fewer.  Over the grammar's
+    characters the complex parser reads the grammar's cells and two more
+    forms: bare imaginaries ("2j", "1e+2j") and doubled signs ("1++2j",
+    "1+-2j").  So a text passes if it holds no other character, no two
+    adjacent signs, and as many "i" as signs after a digit or "." (an
+    imaginary part's sign): each cell the parser reads holds as many of
+    either, except a bare imaginary, which holds one "i" more."""
+    if not text.isascii():
+        return False
+    kinds = np.frombuffer(text.encode("ascii").translate(_KINDS), dtype=np.uint8)
+    signs = kinds[1:] == _KIND_SIGN
+    separators = signs & (kinds[:-1] == _KIND_DIGIT)
+    return bool(kinds.all() and not (signs & (kinds[:-1] == _KIND_SIGN)).any()
+                and np.count_nonzero(kinds == _KIND_UNIT) == np.count_nonzero(separators))
+
+
+def _row_stream(path: str, data, width: int, imaginary: bool, trusted: bool = True):
+    """The rows of `data` as lines for `np.loadtxt`, checked a block of about
+    `_READ_CHARS` characters at a time.  A row of a block that `_plain`
+    passes, or else a row in the fast grammar, goes in with "j" for "i": the
+    grammar admits no parentheses, "j", "inf" or "nan", so loadtxt reads each
+    part as float() would, to the same bits, and only a cell that overflows
+    reads as non-finite.  Any other row is read cell by cell, which names a
+    bad cell, and goes in as the "%.17g" text of its values, of their real
+    parts unless the file is `imaginary`.  Unless `trusted`, no block passes.
     A row not `width` cells wide, an "i" in a file whose first pass saw none,
-    or rows that run out before loadtxt stops, means the file changed after
-    its first pass."""
-    for i, line in enumerate(data, start=1):
-        if line.count(",") + 1 != width or (not imaginary and "i" in line):
-            raise _changed(path)
-        if _ROW_RE.fullmatch(line):
-            yield line.replace("i", "j")
-        elif imaginary:
-            yield ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in _parse_cells(path, i, line))
-        else:
-            yield ",".join(f"{z.real:.17g}" for z in _parse_cells(path, i, line))
+    or rows that run out before loadtxt's row limit ends the read, means the
+    file changed after its first pass."""
+    start = 1
+    for block in _blocks(data):
+        plain = trusted and _plain(",".join(block))
+        for i, line in enumerate(block, start):
+            if line.count(",") + 1 != width or (not imaginary and "i" in line):
+                raise _changed(path)
+            if plain or _ROW_RE.fullmatch(line):
+                yield line.replace("i", "j")
+            elif imaginary:
+                yield ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in _parse_cells(path, i, line))
+            else:
+                yield ",".join(f"{z.real:.17g}" for z in _parse_cells(path, i, line))
+        start += len(block)
     raise _changed(path)
 
 
@@ -422,15 +478,25 @@ def _read_table(path: str, lines, check):
         header, rows, width, ragged, imaginary = _matrix_layout(handle, lines)
         check(header, rows, width)
         # Only the rows before the first ragged one are read, so the array is
-        # never larger than the text; their cells are checked before that row's error.
+        # never larger than the text; their cells are checked before that row's
+        # error.  The stream sees no row past them, as its blocks read ahead.
         kept = rows if ragged is None else ragged[0]
         second_header, data = lines(handle)
         if second_header != header:
             raise _changed(path)
-        # A file without an "i" is real: read as float64, with no complex twin.
-        table = np.loadtxt(_row_stream(path, data, width, imaginary),
-                           dtype=complex if imaginary else float, delimiter=",",
-                           ndmin=2, comments=None, max_rows=kept)
+        try:
+            # A file without an "i" is real: read as float64, with no complex twin.
+            table = np.loadtxt(_row_stream(path, islice(data, kept), width, imaginary),
+                               dtype=complex if imaginary else float, delimiter=",",
+                               ndmin=2, comments=None, max_rows=kept)
+        except (MatrixParseError, UnicodeError):
+            raise
+        except ValueError:
+            # loadtxt refused a cell of a block `_plain` passed, such as "1.2.3".
+            # A third pass reads every row through the grammar and raises: the
+            # first bad cell's error, or, if it finds none, the file changed.
+            rows_again = islice(lines(handle)[1], kept)
+            deque(_row_stream(path, rows_again, width, imaginary, trusted=False), maxlen=0)
         if kept + sum(1 for _ in data) != rows:
             raise _changed(path)
         overflow = np.flatnonzero(~np.isfinite(table))

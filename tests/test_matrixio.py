@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import re
@@ -398,13 +399,25 @@ _cell = st.builds(
     _optional(st.builds("{}{}i".format, st.sampled_from("+-"), _unsigned)),
 )
 _padding = st.sampled_from(["", " ", "\t", " \t "])
-# Random text, near misses from tokens, and rows built from the grammar itself.
+_number = st.builds("{}{}".format, st.sampled_from(["", "+", "-"]), _unsigned)
+# Cells numpy's complex parser reads and the grammar refuses (bare
+# imaginaries, doubled signs), and an imaginary part without its "i", which
+# both refuse: beside grammar cells their counts of "i" and of signs can balance.
+_near_cell = st.one_of(
+    st.builds("{}i".format, _number),
+    st.builds("{}{}{}i".format, _number, st.sampled_from(["++", "+-"]), _unsigned),
+    st.builds("{}{}{}".format, _number, st.sampled_from("+-"), _unsigned),
+)
+# Random text, near misses from tokens, rows built from the grammar itself,
+# and grammar rows with near cells among them.
 rows = st.one_of(
     st.text(ROW_ALPHABET, max_size=24),
     st.lists(st.sampled_from(ROW_TOKENS), max_size=12).map("".join),
     st.lists(st.builds("{}{}{}".format, _padding, _cell, _padding), min_size=1, max_size=4).map(
         ",".join
     ),
+    st.lists(st.builds("{}{}{}".format, _padding, st.one_of(_cell, _near_cell), _padding),
+             min_size=1, max_size=4).map(",".join),
 )
 
 
@@ -424,35 +437,96 @@ def per_cell(row):
     return values
 
 
+def read_by_cells(row):
+    """What reading a file of the one line `row` gives, from its cells one at a
+    time: their values as stored, or the message of the first cell that the
+    grammar refuses or that overflows."""
+    if row.isspace() or not row:
+        return "empty matrix file"
+    values = per_cell(row)
+    for j, (cell, value) in enumerate(zip(row.split(","), values), start=1):
+        if value is None:
+            return f"row 1, column {j}: invalid complex cell {cell.strip()!r}"
+        if not cmath.isfinite(value):
+            return f"row 1, column {j}: non-finite cell {cell.strip()!r}"
+    return stored([values])
+
+
 class TestGrammarOracle:
-    """The cell grammar against the character-level recognizer in `oracles`."""
+    """The cell grammar against the character-level recognizer in `oracles`,
+    and the reader against the grammar."""
 
     @settings(max_examples=200, deadline=None)
     @given(row=rows)
     @example(row="1.5e3i")
     @example(row="\u00a01-2i\u2003,\u0663")
     @example(row=" 1e400 ,\t-.0-.0i")
-    def test_row_grammar_agrees_with_the_recognizer(self, row, scratch_path):
+    def test_row_grammar_agrees_with_the_recognizer(self, row):
         values = per_cell(row)
         assert [value is not None for value in values] == [
             oracles.is_cell(cell.strip()) for cell in row.split(",")
         ]
         fast = matrixio._ROW_RE.fullmatch(row) is not None
         assert fast == (GREEDY_ROW_RE.fullmatch(row) is not None)
-        if not fast:
-            return
-        # A row the fast grammar takes is one the per-cell path takes, read to the same bits.
-        assert None not in values
-        scratch_path.write_text(row + "\n")
-        if np.all(np.isfinite(values)):
-            back = read_matrix(str(scratch_path)).columns
-            assert bits(back).tolist() == bits(stored([values])).tolist()
-        else:
-            with pytest.raises(MatrixParseError, match=r"row 1, column \d+: non-finite cell"):
+        # A row the fast grammar takes is one the per-cell path takes.
+        assert None not in values or not fast
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=rows)
+    @example(row="1.5e3i")
+    @example(row="\u00a01-2i\u2003,\u0663")
+    @example(row=" 1e400 ,\t-.0-.0i")
+    # Rows numpy's complex parser alone would take, or that pass the block
+    # check for numpy to refuse.
+    @example(row="2i")
+    @example(row="+2i")
+    @example(row="1++2i")
+    @example(row="1+-2i")
+    @example(row="1e+2i")
+    @example(row="1-2,3i")
+    @example(row="1.2.3")
+    @example(row="1e400,1.2.3")
+    def test_reader_takes_a_row_iff_the_grammar_takes_every_cell(self, row, scratch_path):
+        # Taken to the same bits, or refused with the message of its first bad cell.
+        scratch_path.write_text(row + "\n", encoding="utf-8")
+        expected = read_by_cells(row)
+        if isinstance(expected, str):
+            with pytest.raises(MatrixParseError) as info:
                 read_matrix(str(scratch_path))
+            assert str(info.value) == f"{scratch_path}: {expected}"
+        else:
+            assert bits(read_matrix(str(scratch_path)).columns).tolist() == bits(expected).tolist()
 
 
 FLOAT_MAX = np.finfo(float).max
+
+
+def row_spy(monkeypatch):
+    """The rows `matrixio` matches against its row pattern, in order, from now on."""
+    matched = []
+    row_re = matrixio._ROW_RE
+
+    class RowSpy:
+        def fullmatch(self, line):
+            matched.append(line)
+            return row_re.fullmatch(line)
+
+    monkeypatch.setattr(matrixio, "_ROW_RE", RowSpy())
+    return matched
+
+
+def block_rows(lines, index):
+    """The indices of the lines read in one block with `lines[index]`, if
+    `lines` are a file's data lines: a block ends at the first line with
+    which it holds `matrixio._READ_CHARS` characters, or at the last line."""
+    start, chars = 0, 0
+    for k, line in enumerate(lines):
+        chars += len(line)
+        if chars >= matrixio._READ_CHARS or k == len(lines) - 1:
+            if index <= k:
+                return range(start, k + 1)
+            start, chars = k + 1, 0
+    raise IndexError(index)
 
 
 class TestBlockConversion:
@@ -514,11 +588,37 @@ class TestBlockConversion:
 
         monkeypatch.setattr(matrixio.np, "loadtxt", spy)
         monkeypatch.setattr(matrixio, "_parse_cells", lambda *args: pytest.fail("per-cell path"))
+        matched = row_spy(monkeypatch)
         back = read_matrix(str(path))
         assert calls == [256]
         expected = seq.columns.copy()
         expected.imag[expected.imag == 0.0] = 0.0
         assert bits(back.columns).tolist() == bits(stored(expected)).tolist()
+        # Every block passes the block check, so no row meets the row pattern.
+        assert matched == []
+
+
+    def test_a_non_ascii_row_sends_only_its_block_through_the_row_pattern(self, tmp_path,
+                                                                           monkeypatch):
+        lines = written_text(VectorSequence(oracles.random_columns(7, 2000, 4))).splitlines()[1:]
+        lines[1200] = f"\u00a0{lines[1200]}"
+        block = block_rows(lines, 1200)
+        assert 1 < len(block) < len(lines)
+        path = tmp_path / "matrix.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        matched = row_spy(monkeypatch)
+        per_cell_rows = []
+        parse_cells = matrixio._parse_cells
+
+        def spy(file, i, line):
+            per_cell_rows.append(i)
+            return parse_cells(file, i, line)
+
+        monkeypatch.setattr(matrixio, "_parse_cells", spy)
+        expected = [[parse_complex(cell.strip()) for cell in line.split(",")] for line in lines]
+        assert bits(read_matrix(str(path)).columns).tolist() == bits(stored(expected)).tolist()
+        assert matched == [lines[k] for k in block]
+        assert per_cell_rows == [1201]
 
     def test_overflow_rescan_that_finds_the_file_changed_is_refused(self, tmp_path, monkeypatch):
         # The cell that overflowed is looked up again by row and column; a
@@ -543,7 +643,8 @@ class TestBlockConversion:
     )
     def test_reading_256_by_256_allocates_under_1_5_mb(self, part, ceiling, tmp_path):
         # The result, 1 MiB complex or 0.5 MiB real, is the one large
-        # allocation: no line list or block is held, and a file without an
+        # allocation: besides one line, no more than one block of rows, about
+        # `matrixio._READ_CHARS` characters, is held, and a file without an
         # imaginary part is read as float64, with no complex array to demote.
         seq = VectorSequence(part(random_riesz(256, seed=3).columns))
         path = tmp_path / "riesz.csv"
@@ -572,6 +673,63 @@ class TestBlockConversion:
 
         def rewrite(rows, width):
             text = path.read_text().replace("\n70,0\n", f"\n{edited}\n")
+            with open(path, "r+") as handle:
+                handle.truncate(0)
+                handle.write(text)
+
+        with pytest.raises(MatrixParseError, match="changed while it was read"):
+            read_matrix(str(path), rewrite)
+
+
+    @pytest.mark.parametrize("width", [3, 256])
+    def test_ragged_row_beyond_the_first_block_is_named(self, width, tmp_path):
+        # Blocks of 340 rows, or of 4; the ragged row is inside a block, which a
+        # stream reading past the rows before it would meet and find changed.
+        lines = [",".join(f"{k}.5-{j}i" for j in range(width)) for k in range(12000 // width)]
+        ragged = 3 * len(lines) // 4
+        lines[ragged] += ",0"
+        assert block_rows(lines, ragged).start not in (0, ragged)
+        path = tmp_path / "matrix.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MatrixParseError) as info:
+            read_matrix(str(path))
+        message = f"row {ragged + 1} has {width + 1} cells, expected {width}"
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "row, column, cell",
+        [
+            ("1.2.3,1", 1, "1.2.3"),  # a block that passes the block check, refused by numpy
+            ("2i,1-2", 1, "2i"),  # as many "i" as imaginary signs, numpy refusing the second cell
+            ("1,2i", 2, "2i"),  # a bare imaginary, which fails the block check
+            ("x,1", 1, "x"),
+        ],
+        ids=["refused-by-numpy", "balanced-counts", "bare-imaginary", "other-character"],
+    )
+    def test_bad_cell_beyond_the_first_block_is_named(self, row, column, cell, tmp_path):
+        # About 580 rows to a block; an overflow in the first block is outranked.
+        lines = [f"{k},{k}.5-1e-3i" for k in range(3000)]
+        lines[2] = "1e400,0"
+        lines[2000] = row
+        assert block_rows(lines, 2000).start > 0
+        path = tmp_path / "matrix.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MatrixParseError) as info:
+            read_matrix(str(path))
+        message = f"row 2001, column {column}: invalid complex cell {cell!r}"
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "edited", ["2500,0,0", "2500", "2500+1i,0"], ids=["widened", "narrowed", "made-complex"]
+    )
+    def test_row_changed_beyond_the_first_block_is_refused(self, edited, tmp_path):
+        lines = [f"{k},0" for k in range(3000)]
+        assert block_rows(lines, 2500).start > 0
+        path = tmp_path / "matrix.csv"
+        path.write_text("\n".join(lines) + "\n")
+
+        def rewrite(rows, width):
+            text = path.read_text().replace("\n2500,0\n", f"\n{edited}\n")
             with open(path, "r+") as handle:
                 handle.truncate(0)
                 handle.write(text)
