@@ -12,18 +12,17 @@ and "#" lines are skipped.  Both are read by `_read_table`: a
 leading UTF-8 byte-order mark is skipped, and one `np.loadtxt` call converts
 the whole file from a stream of checked rows, to float64 when no data line
 contains an "i".  The rows are checked a block of about `_READ_CHARS`
-characters at a time: a block that `_plain` passes goes in as it is, as
-numpy reads no cell of it that the grammar refuses.  The rows of any other
-block are matched one at a time against the ASCII row grammar: rows that
-match go in as they are, and rows outside it (other whitespace, non-ASCII
-digits, a bad cell) are read cell by cell, with their row and column
-messages, and go in as the text of their values.  A cell numpy refuses in a
-passed block is named by a third pass through the grammar, and a cell that
-overflows float64 by row and column.  On write, blocks of about
-`_WRITE_CELLS` cells are formatted in numpy with the exact digits of "%.17g",
-and `format_float` formats the rare value whose digits the fast route cannot
-certify; each block is written as soon as it is formatted, so a matrix file
-is never held in memory.  All writes go through a temp file plus rename.
+characters at a time, on one accept path: a block that `_plain` passes, as
+it is or else in its ASCII form (the form in which float() reads text),
+goes in, as numpy reads no cell of it that the grammar refuses.  On the one
+error path (a block refused in both forms, a cell numpy refuses, or a cell
+that overflows float64) `_name_error` reads the rows again cell by cell and
+names the first bad cell, else the first cell that overflows, by row and
+column.  On write, blocks of about `_WRITE_CELLS` cells are formatted in
+numpy with the exact digits of "%.17g", and `format_float` formats the rare
+value whose digits the fast route cannot certify; each block is written as
+soon as it is formatted, so a matrix file is never held in memory.  All
+writes go through a temp file plus rename.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import math
 import os
 import re
 import stat
-from collections import deque
+import unicodedata
 from contextlib import contextmanager, suppress
 from itertools import chain, islice
 
@@ -49,17 +48,12 @@ SCHEMA_VERSION = 1
 
 # Possessive quantifiers (Python 3.11+) never give characters back.  That loses
 # no match here: each run ends only at a character it cannot take (a digit run
-# at ".", "e", a sign, "i", a space, "," or the end), so the greedy forms accept
-# the same cells and rows; the matcher just skips attempts that cannot succeed.
+# at ".", "e", a sign, "i" or the end), so the greedy forms accept the same
+# cells; the matcher just skips attempts that cannot succeed.
 _UNSIGNED = r"(?:\d++(?:\.\d*+)?+|\.\d++)(?:[eE][+-]?+\d++)?+"
 _NUMBER = rf"[+-]?+{_UNSIGNED}"
 _CELL = rf"{_NUMBER}(?:[+-]{_UNSIGNED}i)?+"
 _CELL_RE = re.compile(_CELL)
-# A whole row of cells with spaces or tabs around them.  ASCII-only, so a row
-# with other whitespace or non-ASCII digits takes the per-cell path, which
-# accepts or rejects it exactly as `parse_complex` does.
-_PADDED_CELL = rf"[ \t]*+{_CELL}[ \t]*+"
-_ROW_RE = re.compile(rf"{_PADDED_CELL}(?:,{_PADDED_CELL})*+", re.ASCII)
 # Characters of the rows `_plain` checks together.  A block's rows and their
 # joined text are all the stream holds besides `np.loadtxt`'s own state; a
 # block of 64 K characters set the traced peak of `analyze` of a 64 x 64 file.
@@ -346,23 +340,29 @@ def _changed(path: str) -> MatrixParseError:
     return MatrixParseError(f"{path}: file changed while it was read")
 
 
-def _non_finite(path: str, i: int, j: int, cell: str) -> MatrixParseError:
-    """The error for a cell whose text overflows float64, such as "1e400"."""
-    return MatrixParseError(f"{path}: row {i}, column {j}: non-finite cell {cell!r}")
-
-
 def _parse_cells(path: str, i: int, line: str) -> list:
-    """Row `i` cell by cell, for rows outside the fast grammar; errors name row and column."""
+    """The values of row `i`, read cell by cell; a bad cell's error names row and column."""
     row = []
     for j, cell in enumerate(line.split(","), start=1):
         try:
-            value = parse_complex(cell.strip())
+            row.append(parse_complex(cell.strip()))
         except MatrixParseError as exc:
             raise MatrixParseError(f"{path}: row {i}, column {j}: {exc}") from exc
-        if not cmath.isfinite(value):
-            raise _non_finite(path, i, j, cell.strip())
-        row.append(value)
     return row
+
+
+def _name_error(path: str, data):
+    """Raise the error of a file whose fast read stopped, from its kept rows
+    `data` read cell by cell: the first bad cell's, else the first
+    non-finite cell's, else the file changed while it was read, as then the
+    fast read met rows that are not there now."""
+    overflow = None
+    for i, line in enumerate(data, start=1):
+        for j, value in enumerate(_parse_cells(path, i, line), start=1):
+            if overflow is None and not cmath.isfinite(value):
+                cell = line.split(",")[j - 1].strip()
+                overflow = MatrixParseError(f"{path}: row {i}, column {j}: non-finite cell {cell!r}")
+    raise overflow or _changed(path)
 
 
 def _data_lines(handle):
@@ -437,31 +437,34 @@ def _plain(text: str) -> bool:
                 and np.count_nonzero(kinds == _KIND_UNIT) == np.count_nonzero(separators))
 
 
-def _row_stream(path: str, data, width: int, imaginary: bool, trusted: bool = True):
+def _ascii_form(text: str) -> str:
+    """`text` as float() and complex() read it: CPython's own transform, which
+    writes each Unicode decimal digit as its ASCII digit and each whitespace
+    character as a space."""
+    return text.translate({ord(char): " " if char.isspace() else str(unicodedata.decimal(char, char))
+                           for char in set(text)})
+
+
+def _row_stream(path: str, data, width: int, imaginary: bool):
     """The rows of `data` as lines for `np.loadtxt`, checked a block of about
-    `_READ_CHARS` characters at a time.  A row of a block that `_plain`
-    passes, or else a row in the fast grammar, goes in with "j" for "i": the
-    grammar admits no parentheses, "j", "inf" or "nan", so loadtxt reads each
-    part as float() would, to the same bits, and only a cell that overflows
-    reads as non-finite.  Any other row is read cell by cell, which names a
-    bad cell, and goes in as the "%.17g" text of its values, of their real
-    parts unless the file is `imaginary`.  Unless `trusted`, no block passes.
-    A row not `width` cells wide, an "i" in a file whose first pass saw none,
-    or rows that run out before loadtxt's row limit ends the read, means the
-    file changed after its first pass."""
-    start = 1
+    `_READ_CHARS` characters at a time.  A block that `_plain` passes, as it
+    is or else in its ASCII form, goes in with "j" for "i": the grammar
+    admits no parentheses, "j", "inf" or "nan", so loadtxt reads each part as
+    float() would, to the same bits, and only a cell that overflows reads as
+    non-finite.  Any other block stops the read with ValueError, as a cell
+    loadtxt refuses does.  A row not `width` cells wide, an "i" in a file
+    whose first pass saw none, or rows that run out before loadtxt's row
+    limit ends the read, means the file changed after its first pass."""
     for block in _blocks(data):
-        plain = trusted and _plain(",".join(block))
-        for i, line in enumerate(block, start):
+        for line in block:
             if line.count(",") + 1 != width or (not imaginary and "i" in line):
                 raise _changed(path)
-            if plain or _ROW_RE.fullmatch(line):
-                yield line.replace("i", "j")
-            elif imaginary:
-                yield ",".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in _parse_cells(path, i, line))
-            else:
-                yield ",".join(f"{z.real:.17g}" for z in _parse_cells(path, i, line))
-        start += len(block)
+        if not _plain(",".join(block)):
+            block = [_ascii_form(line) for line in block]
+            if not _plain(",".join(block)):
+                raise ValueError("a block outside the grammar's characters")
+        for line in block:
+            yield line.replace("i", "j")
     raise _changed(path)
 
 
@@ -492,20 +495,13 @@ def _read_table(path: str, lines, check):
         except (MatrixParseError, UnicodeError):
             raise
         except ValueError:
-            # loadtxt refused a cell of a block `_plain` passed, such as "1.2.3".
-            # A third pass reads every row through the grammar and raises: the
-            # first bad cell's error, or, if it finds none, the file changed.
-            rows_again = islice(lines(handle)[1], kept)
-            deque(_row_stream(path, rows_again, width, imaginary, trusted=False), maxlen=0)
+            table = None
+        if table is None or not np.isfinite(table).all():
+            # A block refused in both forms, a cell loadtxt refused or one
+            # that overflowed: the kept rows are read again to name the cell.
+            _name_error(path, islice(lines(handle)[1], kept))
         if kept + sum(1 for _ in data) != rows:
             raise _changed(path)
-        overflow = np.flatnonzero(~np.isfinite(table))
-        if overflow.size:
-            i, j = divmod(int(overflow[0]), width)
-            cells = next(islice(lines(handle)[1], i, None), "").split(",")
-            if j >= len(cells):
-                raise _changed(path)
-            raise _non_finite(path, i + 1, j + 1, cells[j].strip())
     if ragged is not None:
         raise MatrixParseError(f"{path}: row {ragged[0] + 1} has {ragged[1]} cells, expected {width}")
     return header, table

@@ -371,21 +371,14 @@ class TestUsage:
         # the first row shows that the size rule wins over a parse error.
         src = tmp_path / "tall.csv"
         src.write_text("oops\n" + "1\n" * 8192)
-        matched, parsed = [], []
-        row_re = matrixio._ROW_RE
-
-        class RowSpy:
-            def fullmatch(self, line):
-                matched.append(line)
-                return row_re.fullmatch(line)
-
-        monkeypatch.setattr(matrixio, "_ROW_RE", RowSpy())
+        converted, parsed = [], []
+        monkeypatch.setattr(matrixio, "_ascii_form", converted.append)
         monkeypatch.setattr(matrixio, "_parse_cells", lambda *args: parsed.append(args))
         extra = ["-o", str(tmp_path / "d.csv")] if command == "dual" else []
         assert run_cli(command, str(src), *extra) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert "8193x8193 complex array" in line and "byte limit" in line
-        assert matched == [] and parsed == []
+        assert converted == [] and parsed == []
 
     def test_no_arguments(self):
         assert run_cli() == 2

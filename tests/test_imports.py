@@ -13,7 +13,8 @@ Machine epsilon, `np.finfo(...).eps` or `sys.float_info.epsilon`, is read in
 `seqcore` alone, whose `_error_bar` is every threshold's rounding bar.  Files
 are opened for reading by the builtin `open` in `matrixio._text` alone and
 converted by `np.loadtxt` in `matrixio._read_table` alone, the one reader of
-matrix and point-set files.
+matrix and point-set files, whose cells are read one at a time, by
+`matrixio._parse_cells`, only in `matrixio._name_error`, its one error path.
 """
 
 import ast
@@ -144,13 +145,18 @@ def test_a_machine_epsilon_read_is_seen(source, reads):
 
 
 #: The one site of each reading call: every file read is opened by `_text`,
-#: and every matrix or point-set file converted by `_read_table`.
-READER_SITES = {"open": ["matrixio._text"], "loadtxt": ["matrixio._read_table"]}
+#: every matrix or point-set file converted by `_read_table`, and a cell read
+#: on its own only by the naming pass, `_name_error`.
+READER_SITES = {
+    "open": ["matrixio._text"],
+    "loadtxt": ["matrixio._read_table"],
+    "_parse_cells": ["matrixio._name_error"],
+}
 
 
 def reader_sites(source, module):
-    """(call, "module.function") for each call of the builtin `open` or of an
-    attribute `loadtxt` in `source`."""
+    """(call, "module.function") for each call of the builtin `open`, of a
+    name `_parse_cells` or of an attribute `loadtxt` in `source`."""
     sites = []
 
     def visit(node, function):
@@ -158,8 +164,8 @@ def reader_sites(source, module):
             function = node.name
         if isinstance(node, ast.Call):
             func = node.func
-            if isinstance(func, ast.Name) and func.id == "open":
-                sites.append(("open", f"{module}.{function}"))
+            if isinstance(func, ast.Name) and func.id in ("open", "_parse_cells"):
+                sites.append((func.id, f"{module}.{function}"))
             elif isinstance(func, ast.Attribute) and func.attr == "loadtxt":
                 sites.append(("loadtxt", f"{module}.{function}"))
         for child in ast.iter_child_nodes(node):
@@ -170,7 +176,7 @@ def reader_sites(source, module):
 
 
 def test_one_file_reader():
-    found = {"open": [], "loadtxt": []}
+    found = {call: [] for call in READER_SITES}
     for path in PACKAGE:
         for call, site in reader_sites(path.read_text(), path.stem):
             found[call].append(site)
@@ -181,6 +187,6 @@ def test_a_reader_call_is_seen():
     source = (
         "import os, numpy as np\n"
         "def f(p):\n    with open(p) as h:\n        return np.loadtxt(h)\n"
-        "def g(p):\n    return os.open(p, 0), os.fdopen(p)\n"
+        "def g(p):\n    return os.open(p, 0), os.fdopen(p), _parse_cells(p, 1, '')\n"
     )
-    assert reader_sites(source, "m") == [("open", "m.f"), ("loadtxt", "m.f")]
+    assert reader_sites(source, "m") == [("open", "m.f"), ("loadtxt", "m.f"), ("_parse_cells", "m.g")]

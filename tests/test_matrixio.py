@@ -1,7 +1,6 @@
 import cmath
 import json
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -74,7 +73,7 @@ class TestCellGrammar:
         ("1.", 1 + 0j),
         (".5e-3", 5e-4 + 0j),
         ("1e308-1e308i", complex(1e308, -1e308)),
-        # Outside the row fast path: the per-cell path reads these as before.
+        # Other whitespace and decimal digits: read in their ASCII form, as complex() reads them.
         ("\u00a01-2i\u2003", 1 - 2j),
         ("\x1c3\x1f", 3 + 0j),
         ("\u0663", 3 + 0j),
@@ -298,8 +297,9 @@ class TestVectorizedFormat:
 # Reader edge cases: the file's bytes and the exact message after "<path>: ".
 # Recorded from the reader as it was when every cell went through complex(),
 # so they also pin that converting through `np.loadtxt` changed no message;
-# since then a non-finite cell is named by row and column on either path, and
-# the byte of a decoding error is counted from the start of the file.
+# since then a non-finite cell is named by row and column, a bad cell on any
+# row outranks it, and the byte of a decoding error is counted from the start
+# of the file.
 ERROR_CORPUS = [
     *[
         (
@@ -316,9 +316,15 @@ ERROR_CORPUS = [
     (b"1,0\n0,1-1e999i\n", "row 2, column 2: non-finite cell '1-1e999i'"),
     ("1,0\n0,\u00a01e400\n".encode(), "row 2, column 2: non-finite cell '1e400'"),
     (b"1,1e400\n1,2,3\n", "row 1, column 2: non-finite cell '1e400'"),
-    # Every row is checked before any value is: a bad cell on a later row is
-    # reported before a cell that overflows on an earlier one.
+    # Every row is checked before a cell that overflows is named: a bad cell
+    # is reported before an overflow on an earlier row or column, whatever
+    # the whitespace around either.
     (b"1e400,0\n0,x\n", "row 2, column 2: invalid complex cell 'x'"),
+    ("\u00a01e400,0\n0,x\n".encode(), "row 2, column 2: invalid complex cell 'x'"),
+    (b"1e400,x\n0,1\n", "row 1, column 2: invalid complex cell 'x'"),
+    ("1e400\u00a0,0\n1.2.3,0\n".encode(), "row 2, column 1: invalid complex cell '1.2.3'"),
+    # Else the first cell that overflows, in file order.
+    ("1e400,0\n0,\u00a01e999\n".encode(), "row 1, column 1: non-finite cell '1e400'"),
     (b"1,0\n0,\xff\n", "not UTF-8 text (byte 6: invalid start byte)"),
     (b"\xef\xbb\xbf1,0\n0,\xff\n", "not UTF-8 text (byte 9: invalid start byte)"),
     (b"1,0\n" * 5000 + b"0,\xff\n", "not UTF-8 text (byte 20002: invalid start byte)"),
@@ -363,18 +369,15 @@ class TestEdgeCaseCorpus:
         assert bits(read_matrix(str(path)).columns).tolist() == bits(stored(expected)).tolist()
 
 
-# The row pattern with greedy quantifiers, before they became possessive: the
-# reference for the row language.
-GREEDY_ROW_RE = re.compile(
-    r"[ \t]*[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?(?:[+-](?:\d+(?:\.\d*)?|\.\d+)"
-    r"(?:[eE][+-]?\d+)?i)?[ \t]*(?:,[ \t]*[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-    r"(?:[+-](?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?i)?[ \t]*)*",
-    re.ASCII,
-)
-ROW_ALPHABET = "0123456789.eE+-ij, \t\u00a0\u2003\u0663"
-ROW_TOKENS = ["0", "7", "12", ".", "e", "E", "+", "-", "i", "j", ",", " ", "\t", "\u00a0",
-              "\u2003", "\u0663", "1.5", "e-3", "2i", "5e-324", "1e400", "-.0"]
-_digits = st.text("0123456789", min_size=1, max_size=3)
+# Unicode whitespace and decimal digits beside ASCII ones: the reader takes
+# their ASCII form, so the oracle reads it against the grammar too.
+UNICODE_SPACES = "\u00a0\u2003\u3000\x0c\x1c"
+UNICODE_DIGITS = "\u0660\u0661\u0663\u0669\uff10\uff15\uff19"
+ROW_ALPHABET = f"0123456789.eE+-ij, \t{UNICODE_SPACES}{UNICODE_DIGITS}"
+ROW_TOKENS = ["0", "7", "12", ".", "e", "E", "+", "-", "i", "j", ",", " ", "\t", *UNICODE_SPACES,
+              "\u0663", "\uff17", "1.5", "e-3", "2i", "5e-324", "1e400", "-.0"]
+_digits = st.one_of(st.text("0123456789", min_size=1, max_size=3),
+                    st.text(f"0123456789{UNICODE_DIGITS}", min_size=1, max_size=3))
 
 
 def _optional(strategy):
@@ -398,7 +401,7 @@ _cell = st.builds(
     _unsigned,
     _optional(st.builds("{}{}i".format, st.sampled_from("+-"), _unsigned)),
 )
-_padding = st.sampled_from(["", " ", "\t", " \t "])
+_padding = st.sampled_from(["", " ", "\t", " \t ", *UNICODE_SPACES, "\u3000\t\x1c"])
 _number = st.builds("{}{}".format, st.sampled_from(["", "+", "-"]), _unsigned)
 # Cells numpy's complex parser reads and the grammar refuses (bare
 # imaginaries, doubled signs), and an imaginary part without its "i", which
@@ -440,15 +443,17 @@ def per_cell(row):
 def read_by_cells(row):
     """What reading a file of the one line `row` gives, from its cells one at a
     time: their values as stored, or the message of the first cell that the
-    grammar refuses or that overflows."""
+    grammar refuses, else of the first cell that overflows."""
     if row.isspace() or not row:
         return "empty matrix file"
     values = per_cell(row)
-    for j, (cell, value) in enumerate(zip(row.split(","), values), start=1):
+    cells = [cell.strip() for cell in row.split(",")]
+    for j, (cell, value) in enumerate(zip(cells, values), start=1):
         if value is None:
-            return f"row 1, column {j}: invalid complex cell {cell.strip()!r}"
+            return f"row 1, column {j}: invalid complex cell {cell!r}"
+    for j, (cell, value) in enumerate(zip(cells, values), start=1):
         if not cmath.isfinite(value):
-            return f"row 1, column {j}: non-finite cell {cell.strip()!r}"
+            return f"row 1, column {j}: non-finite cell {cell!r}"
     return stored([values])
 
 
@@ -461,15 +466,10 @@ class TestGrammarOracle:
     @example(row="1.5e3i")
     @example(row="\u00a01-2i\u2003,\u0663")
     @example(row=" 1e400 ,\t-.0-.0i")
-    def test_row_grammar_agrees_with_the_recognizer(self, row):
-        values = per_cell(row)
-        assert [value is not None for value in values] == [
+    def test_cell_grammar_agrees_with_the_recognizer(self, row):
+        assert [value is not None for value in per_cell(row)] == [
             oracles.is_cell(cell.strip()) for cell in row.split(",")
         ]
-        fast = matrixio._ROW_RE.fullmatch(row) is not None
-        assert fast == (GREEDY_ROW_RE.fullmatch(row) is not None)
-        # A row the fast grammar takes is one the per-cell path takes.
-        assert None not in values or not fast
 
     @settings(max_examples=300, deadline=None)
     @given(row=rows)
@@ -486,8 +486,11 @@ class TestGrammarOracle:
     @example(row="1-2,3i")
     @example(row="1.2.3")
     @example(row="1e400,1.2.3")
+    @example(row="\u00a01e400,x")
+    @example(row="1e400\u3000,\uff11.2.3")
     def test_reader_takes_a_row_iff_the_grammar_takes_every_cell(self, row, scratch_path):
-        # Taken to the same bits, or refused with the message of its first bad cell.
+        # Taken to the same bits, or refused with the message of its first bad
+        # cell, else of its first cell that overflows.
         scratch_path.write_text(row + "\n", encoding="utf-8")
         expected = read_by_cells(row)
         if isinstance(expected, str):
@@ -501,18 +504,29 @@ class TestGrammarOracle:
 FLOAT_MAX = np.finfo(float).max
 
 
-def row_spy(monkeypatch):
-    """The rows `matrixio` matches against its row pattern, in order, from now on."""
-    matched = []
-    row_re = matrixio._ROW_RE
+def read_spies(monkeypatch):
+    """The `max_rows` of each `np.loadtxt` call, the rows `matrixio` puts in
+    their ASCII form and the row numbers it reads cell by cell, in order,
+    from now on."""
+    calls, converted, parsed = [], [], []
+    loadtxt, ascii_form, parse_cells = np.loadtxt, matrixio._ascii_form, matrixio._parse_cells
 
-    class RowSpy:
-        def fullmatch(self, line):
-            matched.append(line)
-            return row_re.fullmatch(line)
+    def loadtxt_spy(*args, **kwargs):
+        calls.append(kwargs["max_rows"])
+        return loadtxt(*args, **kwargs)
 
-    monkeypatch.setattr(matrixio, "_ROW_RE", RowSpy())
-    return matched
+    def ascii_spy(line):
+        converted.append(line)
+        return ascii_form(line)
+
+    def parse_spy(file, i, line):
+        parsed.append(i)
+        return parse_cells(file, i, line)
+
+    monkeypatch.setattr(matrixio.np, "loadtxt", loadtxt_spy)
+    monkeypatch.setattr(matrixio, "_ascii_form", ascii_spy)
+    monkeypatch.setattr(matrixio, "_parse_cells", parse_spy)
+    return calls, converted, parsed
 
 
 def block_rows(lines, index):
@@ -553,9 +567,9 @@ class TestBlockConversion:
 
     def test_row_outside_the_grammar_between_grammar_rows(self, tmp_path, monkeypatch):
         lines = written_text(VectorSequence(injected_matrix(5, 150, 3))).splitlines()
-        # Data rows 100 to 103 take the per-cell path and go to np.loadtxt as
-        # the text of their values: signed zeros in either part, subnormals and
-        # the largest finite values must come back bit for bit.
+        # Data rows 100 to 103 hold other whitespace: their block goes to
+        # np.loadtxt in its ASCII form, and signed zeros in either part,
+        # subnormals and the largest finite values come back bit for bit.
         lines[100] = f"\u00a0{lines[100]}\u00a0"
         lines[101] = "\u00a0-0-0i,-0,0-0i"
         lines[102] = "5e-324-4.9406564584124654e-324i,\u20032.2250738585072009e-308,-0+5e-324i"
@@ -563,66 +577,70 @@ class TestBlockConversion:
         lines[103] = f"{top}-{top}i,-{top},\u00a00+{top}i"
         path = tmp_path / "matrix.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        per_cell_rows = []
-        parse_cells = matrixio._parse_cells
-
-        def spy(file, i, line):
-            per_cell_rows.append(i)
-            return parse_cells(file, i, line)
-
-        monkeypatch.setattr(matrixio, "_parse_cells", spy)
+        calls, converted, parsed = read_spies(monkeypatch)
         expected = [[parse_complex(cell.strip()) for cell in line.split(",")] for line in lines[1:]]
         assert bits(read_matrix(str(path)).columns).tolist() == bits(stored(expected)).tolist()
-        assert per_cell_rows == [100, 101, 102, 103]
+        assert calls == [150] and parsed == []
+        assert lines[100:104] == [line for line in converted if not line.isascii()]
 
     def test_grammar_rows_take_one_loadtxt_call(self, tmp_path, monkeypatch):
         seq = random_riesz(256, seed=3)
         path = tmp_path / "riesz.csv"
         write_matrix(str(path), seq)
-        calls = []
-        loadtxt = np.loadtxt
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs["max_rows"])
-            return loadtxt(*args, **kwargs)
-
-        monkeypatch.setattr(matrixio.np, "loadtxt", spy)
-        monkeypatch.setattr(matrixio, "_parse_cells", lambda *args: pytest.fail("per-cell path"))
-        matched = row_spy(monkeypatch)
+        calls, converted, parsed = read_spies(monkeypatch)
         back = read_matrix(str(path))
-        assert calls == [256]
         expected = seq.columns.copy()
         expected.imag[expected.imag == 0.0] = 0.0
         assert bits(back.columns).tolist() == bits(stored(expected)).tolist()
-        # Every block passes the block check, so no row meets the row pattern.
-        assert matched == []
+        # Every block passes the block check as it is: no row is put in its
+        # ASCII form or read cell by cell.
+        assert calls == [256] and converted == [] and parsed == []
 
-
-    def test_a_non_ascii_row_sends_only_its_block_through_the_row_pattern(self, tmp_path,
-                                                                           monkeypatch):
+    def test_a_non_ascii_row_puts_only_its_block_in_ascii_form(self, tmp_path, monkeypatch):
         lines = written_text(VectorSequence(oracles.random_columns(7, 2000, 4))).splitlines()[1:]
         lines[1200] = f"\u00a0{lines[1200]}"
         block = block_rows(lines, 1200)
         assert 1 < len(block) < len(lines)
         path = tmp_path / "matrix.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        matched = row_spy(monkeypatch)
-        per_cell_rows = []
-        parse_cells = matrixio._parse_cells
-
-        def spy(file, i, line):
-            per_cell_rows.append(i)
-            return parse_cells(file, i, line)
-
-        monkeypatch.setattr(matrixio, "_parse_cells", spy)
+        calls, converted, parsed = read_spies(monkeypatch)
         expected = [[parse_complex(cell.strip()) for cell in line.split(",")] for line in lines]
         assert bits(read_matrix(str(path)).columns).tolist() == bits(stored(expected)).tolist()
-        assert matched == [lines[k] for k in block]
-        assert per_cell_rows == [1201]
+        assert calls == [2000] and parsed == []
+        assert converted == [lines[k] for k in block]
 
-    def test_overflow_rescan_that_finds_the_file_changed_is_refused(self, tmp_path, monkeypatch):
-        # The cell that overflowed is looked up again by row and column; a
-        # file narrowed after its cells were read no longer has that column.
+    @pytest.mark.parametrize("part", [np.asarray, np.real], ids=["complex", "real"])
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            *[lambda text, space=space: space + text.replace(",", f"{space},{space}")
+                                          .replace("\n", f"{space}\n{space}")
+              for space in ["\u00a0", "\u3000", "\x0c", "\x1c"]],
+            *[lambda text, zero=zero: text.translate({ord("0") + d: zero + d for d in range(10)})
+              for zero in [0x0660, 0xFF10]],
+        ],
+        ids=["no-break-space", "ideographic-space", "form-feed", "file-separator",
+             "arabic-indic-digits", "fullwidth-digits"],
+    )
+    def test_non_ascii_file_reads_as_its_ascii_twin(self, rewrite, part, tmp_path, monkeypatch):
+        # 20 to 40 blocks, every one refused as it is and passed in its ASCII
+        # form: one loadtxt call converts them all, and no cell is parsed.
+        seq = VectorSequence(part(oracles.random_columns(11, 300, 24)))
+        twin = tmp_path / "twin.csv"
+        write_matrix(str(twin), seq)
+        text = twin.read_text()
+        path = tmp_path / "matrix.csv"
+        path.write_text(text[: text.index("\n") + 1] + rewrite(text[text.index("\n") + 1 :]),
+                        encoding="utf-8")
+        calls, converted, parsed = read_spies(monkeypatch)
+        back = read_matrix(str(path)).columns
+        assert calls == [300] and parsed == [] and len(converted) == 300
+        assert bits(back).tolist() == bits(read_matrix(str(twin)).columns).tolist()
+        assert bits(back).tolist() == bits(seq.columns).tolist()
+
+    def test_naming_pass_that_finds_the_file_changed_is_refused(self, tmp_path, monkeypatch):
+        # A cell that overflowed is named by reading the rows again; a file
+        # narrowed after its cells were read no longer holds it.
         path = tmp_path / "overflow.csv"
         path.write_text("1,1e400\n0,1\n")
         loadtxt = np.loadtxt
