@@ -156,11 +156,11 @@ def _cmd_example(args) -> int:
     # A parameter flag left out is not in `args`; its default is the family's.
     given = {k: v for k, v in vars(args).items() if k in scaling._PARAMETER_DEFAULTS}
     params = scaling._parameters(generator_id, given)
-    extra_rows = scaling._FAMILIES[generator_id].rows(params)
-    _check_size(f"example {name} --n {n}", n + max(extra_rows, 0), n)
-    # The member's size is its ambient dimension, n plus the extra rows; it
-    # draws from the bare --seed, where a study's member draws from (seed, size).
-    primal, partner = scaling._build_member(generator_id, n + extra_rows, params)
+    dim, count = scaling._FAMILIES[generator_id].shape(n, params)
+    _check_size(f"example {name} --n {n}", n + max(dim - count, 0), n)
+    # The member's size is its ambient dimension, n plus its extra rows dim - count;
+    # it draws from the bare --seed, where a study's member draws from (seed, size).
+    primal, partner = scaling._build_member(generator_id, n + dim - count, params)
     written = [(f"{args.out or name}_{side}.csv", system)
                for side, system in (("F", primal), ("G", partner)) if system is not None]
     for path, system in written:
@@ -179,26 +179,14 @@ def _parse_int_list(text: str, flag: str):
         raise ValueError(f"{flag} expects a comma-separated integer list: {exc}") from exc
 
 
-def _discretization(half_width: float, samples: int):
-    """The Gabor grid of --half-width and a sampling rate; a rejected grid is a usage error."""
-    try:
-        return generators.GaborDiscretization(half_width, samples)
-    except ValueError as exc:
-        raise ValueError(f"--half-width {half_width} at {samples} samples per unit: {exc}") from exc
-
-
 def _cmd_family(args) -> int:
     generator_id = _aliases().get(args.gen, args.gen)
     sizes = _parse_int_list(args.sizes, "--sizes")
     given = {k: v for k, v in vars(args).items() if k in scaling._PARAMETER_DEFAULTS}
     spec = scaling.FamilySpec(generator_id, sizes, given)
     params = spec.parameters
-    side = sizes[-1]
-    kind = scaling._FAMILIES[generator_id].gabor_set
-    if kind:
-        # A member is grid x nodes; max(grid, nodes) squared is one simple rule.
-        grid = _discretization(params["halfWidth"], params["samplesPerUnit"]).sample_count
-        side = max(grid, scaling._POINT_SETS[kind][2](sizes[-1]))
+    # A member is dim x count; max(dim, count) squared is one simple rule.
+    side = max(scaling._FAMILIES[generator_id].shape(sizes[-1], params))
     _check_size(f"family --gen {args.gen} --sizes {args.sizes}", side, side)
     report = scaling.run_family(spec)
     named = "".join(f" {name}={value}" for name, value in params.items())
@@ -218,7 +206,6 @@ def _gabor_points(args, sample_count: int):
     flags before any node is built, or for --set file from its node-line count.
     A point-set flag that --set does not read is refused, and one it reads but
     was not given takes the kind's default in `scaling._POINT_SETS`."""
-    what = f"gabor --set {args.set}"
     kinds = {**scaling._POINT_SETS, "file": ({"nodes": None},)}
     flags = kinds[args.set][0]
     unread = [name for kind in kinds.values() for name in kind[0]
@@ -227,25 +214,26 @@ def _gabor_points(args, sample_count: int):
         raise ValueError(f"--set {args.set} does not read --{unread[0].replace('_', '-')}")
 
     def check_count(nodes: int) -> None:
-        _check_size(what, max(sample_count, nodes), nodes)
+        _check_size(f"gabor --set {args.set}", max(sample_count, nodes), nodes)
     if args.set == "file":
         if not getattr(args, "nodes", None):
             raise ValueError("--set file requires --nodes PATH")
         return matrixio.read_point_set(args.nodes, check_count), f"nodes {args.nodes}"
-    _, points, count, description = kinds[args.set]
     values = {name: getattr(args, name, default) for name, default in flags.items()}
-    check_count(count(next(iter(values.values()))))
-    return points(values), description.format(**values)
+    return scaling._point_set(args.set, values, check_count), kinds[args.set][3].format(**values)
 
 
 def _cmd_gabor(args) -> int:
-    # Every grid is checked before any point set is read or system built.
-    disc = _discretization(args.halfWidth, args.samplesPerUnit)
+    # Every grid is checked before any point set is read, and the lowest rate
+    # against the points' modulations before any system is built.
+    disc = scaling._gabor_grid(args.halfWidth, args.samplesPerUnit)
     refine_discs = []
     if args.refine:
         rates = sorted(set(_parse_int_list(args.refine, "--refine")) | {args.samplesPerUnit})
-        refine_discs = [_discretization(args.halfWidth, s) for s in rates]
-    points, source = _gabor_points(args, (refine_discs or [disc])[-1].sample_count)
+        refine_discs = [scaling._gabor_grid(args.halfWidth, s) for s in rates]
+    discs = refine_discs or [disc]
+    points, source = _gabor_points(args, discs[-1].sample_count)
+    scaling._check_rate(points, discs[0].samples_per_unit)
     # The bounds and the defect read the real twin where the nodes pair up;
     # only --dump-matrix needs the complex system.
     system = generators._gabor_twin(points, disc)

@@ -2,10 +2,11 @@
 
 A family spec names a generator and a strictly increasing list of sizes.  Each
 generator is one `_FAMILIES` record, all that `scaling` and `cli` know of it, so
-a new family is one record, naming the parameters it reads, plus its generator
-or its `_POINT_SETS` kind, the `gabor --set` table.  The size is the ambient
-dimension (the Young construction with ambient dimension n uses n-1 vectors),
-or for a Gabor family the lattice index bound, on the discretization's grid.
+a new family is one record: its build, the shape (dim, count) of its member of a
+size and the parameters it reads.  The size is the ambient dimension (the Young
+construction with ambient dimension n uses n-1 vectors), or for a Gabor family
+the index bound of its `_POINT_SETS` kind, the `gabor --set` table, on the grid
+of its parameters.
 
 Per size the study records the two-sided bound constants, the distance from a
 probe vector to the span, the dual's upper bound constant and the
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import diagnostics, duals, generators
 from .errors import FitDomainError
-from .generators import GaborDiscretization, GeneratedPair
+from .generators import GaborDiscretization, GeneratedPair, PointSet2D
 from .seqcore import VectorSequence, _error_bar, _independent
 
 _EXPONENT_BAND = 0.2
@@ -49,33 +50,68 @@ _PARAMETER_DEFAULTS = {"seed": 0, "probeIndex": 0, "complementDim": 1, "halfWidt
 class _Family(NamedTuple):
     """A generator family: its `family --gen` alias and `example` name, or None;
     the build of its member of a size, which calls `generators` when it runs, so
-    a patched generator is the one called; the rows a member has beyond its
-    vectors, which `example` adds to --n, and the message refusing a size of no
-    more rows; the parameters it reads besides probeIndex; for a Gabor family, in
-    place of a build, its `_POINT_SETS` kind, whose grid is the ambient dimension."""
+    a patched generator is the one called; the shape (dim, count) of that
+    member, known before it is built, and the message refusing a size whose
+    member has no vector; the parameters it reads besides probeIndex."""
 
     alias: Optional[str]
-    build: Optional[Callable[[int, Mapping[str, object]], GeneratedPair]]
-    rows: Callable[[Mapping[str, object]], int] = lambda p: 0
+    build: Callable[[int, Mapping[str, object]], GeneratedPair]
+    shape: Callable[[int, Mapping[str, object]], Tuple[int, int]] = lambda n, p: (n, n)
     too_small: str = ""
     reads: Tuple[str, ...] = ()
-    gabor_set: Optional[str] = None
 
 
 #: Each `gabor --set` kind built from flags: its flags and defaults, the index
 #: bound first; its points, which call `generators` when they run; its node
-#: count at an index bound (punctured counted as full); its description.
+#: count at an index bound; its description.
 _POINT_SETS = {
     "lattice": ({"max_index": 2, "a": 1.0, "b": 1.0},
                 lambda f: generators.lattice_points(f["a"], f["b"], f["max_index"]),
                 lambda index: (2 * index + 1) ** 2, "lattice a={a} b={b} maxIndex={max_index}"),
     "punctured": ({"max_index": 2}, lambda f: generators.punctured_lattice(f["max_index"]),
-                  lambda index: (2 * index + 1) ** 2, "punctured maxIndex={max_index}"),
+                  lambda index: (2 * index + 1) ** 2 - 1, "punctured maxIndex={max_index}"),
     "als": ({"nmax": 1}, lambda f: generators.als_point_set(f["nmax"]),
             lambda index: 2 + 4 * index, "als nmax={nmax}"),
 }
 
-_GRID = ("halfWidth", "samplesPerUnit")
+
+def _point_set(kind: str, flags: Mapping[str, object], check_count=lambda nodes: None):
+    """The points of `gabor --set` kind at `flags`, once `check_count` has seen their count."""
+    _, points, count, _ = _POINT_SETS[kind]
+    check_count(count(next(iter(flags.values()))))
+    return points(flags)
+
+
+def _gabor_grid(half_width: float, samples: int) -> GaborDiscretization:
+    """The Gabor grid of --half-width and a sampling rate; a rejected grid is a usage error."""
+    try:
+        return generators.GaborDiscretization(half_width, samples)
+    except ValueError as exc:
+        raise ValueError(f"--half-width {half_width} at {samples} samples per unit: {exc}") from exc
+
+
+def _check_rate(points: PointSet2D, rate: int) -> None:
+    """Refuses a sampling rate at which a column of `points` aliases: a column
+    of modulation mu is resolved only when the rate exceeds 2 (|mu| + 2), as
+    the Gaussian's spectrum reaches about 2 beyond mu."""
+    top = max(abs(mu) for _, mu in points.nodes)
+    bound = 2.0 * (top + 2.0)
+    if not rate > bound:
+        raise ValueError(f"{rate} samples per unit do not exceed 2 (max |mu| + 2) = {bound} "
+                         f"at max |mu| {top}: the columns alias")
+
+
+def _gabor_family(kind: str) -> _Family:
+    """The family of `gabor --set` kind at index bound n, on its parameters' grid."""
+    flags, _, count, _ = _POINT_SETS[kind]
+    grid = lambda p: _gabor_grid(p["halfWidth"], p["samplesPerUnit"])
+    def build(n, p):
+        points, disc = _point_set(kind, {**flags, next(iter(flags)): n}), grid(p)
+        _check_rate(points, disc.samples_per_unit)
+        return GeneratedPair(generators._gabor_twin(points, disc))
+    shape = lambda n, p: (grid(p).sample_count, count(n))
+    return _Family(None, build, shape, reads=("halfWidth", "samplesPerUnit"))
+
 
 _FAMILIES = {
     "orthonormal": _Family("orthonormal", lambda n, p: GeneratedPair(generators.orthonormal(n))),
@@ -84,18 +120,18 @@ _FAMILIES = {
         "alternating", lambda n, p: generators.alternating_weighted_pair(n)),
     "youngExample": _Family(
         "young", lambda n, p: generators.young_example(n - 1),
-        lambda p: 1, "youngExample needs ambient dimension >= 2"),
+        lambda n, p: (n, n - 1), "youngExample needs ambient dimension >= 2"),
     "youngGeneral": _Family(
         "youngGeneral", lambda n, p: generators.young_general(
             n - p["complementDim"], n - p["complementDim"], p["complementDim"]),
-        lambda p: p["complementDim"], "ambient dimension must exceed the complement dimension",
-        ("complementDim",)),
+        lambda n, p: (n, n - p["complementDim"]),
+        "ambient dimension must exceed the complement dimension", ("complementDim",)),
     "rieszSeeded": _Family(
         "riesz", lambda n, p: GeneratedPair(generators.random_riesz(n, seed=p["seed"])),
         reads=("seed",)),
-    "gaborPunctured": _Family(None, None, reads=_GRID, gabor_set="punctured"),
-    "gaborALS": _Family(None, None, reads=_GRID, gabor_set="als"),
-    "gaborFullLattice": _Family(None, None, reads=_GRID, gabor_set="lattice"),
+    "gaborPunctured": _gabor_family("punctured"),
+    "gaborALS": _gabor_family("als"),
+    "gaborFullLattice": _gabor_family("lattice"),
 }
 
 #: JSON metric name -> SizeMetrics attribute.
@@ -259,19 +295,9 @@ def _trend_verdict(fit: Optional[GrowthFit], floored: bool) -> TrendVerdict:
     return TrendVerdict.STAYS_BOUNDED if floored else TrendVerdict.STAYS_BOUNDED_BELOW
 
 
-def _gabor_disc(params: Mapping[str, object]) -> GaborDiscretization:
-    return GaborDiscretization(params["halfWidth"], params["samplesPerUnit"])
-
-
 def _build_member(generator_id: str, size: int, params: Mapping[str, object]):
-    """Build one truncation; returns (system, designated partner or None).  A
-    Gabor family's member is its kind at index bound `size`, on the grid of `params`."""
-    family = _FAMILIES[generator_id]
-    if family.gabor_set:
-        flags, points = _POINT_SETS[family.gabor_set][:2]
-        nodes = points({**flags, next(iter(flags)): size})
-        return generators._gabor_twin(nodes, _gabor_disc(params)), None
-    pair = family.build(size, params)
+    """Build one truncation; returns (system, designated partner or None)."""
+    pair = _FAMILIES[generator_id].build(size, params)
     return pair.primal, pair.partner
 
 
@@ -293,14 +319,14 @@ def _size_errors(size: int):
 
 def _evaluate_size(generator_id: str, size: int, params: dict) -> SizeMetrics:
     """One report row, computed on the calling thread.  The preconditions that
-    need no member built come first: the family's size rule, then the probe
-    index against the size's ambient dimension (the grid for a Gabor family).
+    need no member built come first, read from its shape: a member without a
+    vector is refused, then the probe index is checked against its dimension.
     The member of size n draws from the seed (seed, n), its own stream."""
     family = _FAMILIES[generator_id]
     with _size_errors(size):
-        if size <= family.rows(params):
+        dim, count = family.shape(size, params)
+        if count < 1:
             raise ValueError(family.too_small)
-        dim = _gabor_disc(params).sample_count if family.gabor_set else size
         index = params["probeIndex"]
         if not 0 <= index < dim:
             raise ValueError(f"probe index {index} outside ambient dimension {dim}")

@@ -353,7 +353,7 @@ def test_gabor_without_refine(lapack_calls, capsys):
 
 
 def test_gabor_refine_factors_each_rate_once(lapack_calls, capsys):
-    argv = ["gabor", "--set", "punctured", "--max-index", "2", "--samples", "16", "--refine", "8,32"]
+    argv = ["gabor", "--set", "punctured", "--max-index", "2", "--samples", "16", "--refine", "12,32"]
     assert main(argv) == 0
     assert_within(lapack_calls, svd=3, eigvalsh=0, solve=0)
 

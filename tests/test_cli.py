@@ -292,13 +292,13 @@ class TestGabor:
         out = tmp_path / "g.json"
         dump = tmp_path / "system.csv"
         code = run_cli(
-            "gabor", "--set", "punctured", "--max-index", "2", "--refine", "8,32",
+            "gabor", "--set", "punctured", "--max-index", "2", "--refine", "12,32",
             "--dump-matrix", str(dump), "--json", str(out),
         )
         assert code == 0
         report = json.loads(out.read_text())
         rates = [row["size"] for row in report["refinement"]["perSize"]]
-        assert rates == [8, 16, 32]
+        assert rates == [12, 16, 32]
         system = read_matrix(str(dump))
         assert system.count == 24
 
@@ -614,7 +614,7 @@ EXIT_CODE_TABLE = [
     ("family-gabor-sizes-oversize",
      ["family", "--gen", "gaborPunctured", "--sizes", "1,2,100000"], 2, "byte limit"),
     ("gabor-samples-oversize", ["gabor", "--set", "punctured", "--samples", "1000000000"], 2,
-     "12000000000x25 complex array"),
+     "12000000000x24 complex array"),
     ("gabor-refine-oversize", ["gabor", "--set", "lattice", "--refine", "8,1000000000"], 2,
      "12000000000x25 complex array"),
     ("gabor-half-width-oversize", ["gabor", "--set", "lattice", "--half-width", "1e9"], 2,
@@ -658,16 +658,35 @@ EXIT_CODE_TABLE = [
      2, "byte limit"),
     ("gabor-node-overflow", ["gabor", "--set", "file", "--nodes", "{dir}/overflow_nodes.csv"],
      2, "overflow_nodes.csv: row 2, column 1: non-finite cell '1e400'"),
-    # A modulation whose phase 2 pi mu x would overflow, refused before any
-    # table is built; the limit at X = 6 is 2.38e306.
-    ("gabor-modulation-overflows-phase",
+    # A rate that does not exceed 2 (max |mu| + 2), at the base rate, a --refine
+    # rate or a family size, is refused before any system is built: the columns
+    # alias.  A modulation whose phase 2 pi mu x would overflow is far beyond
+    # every rate, so it is refused by this rule first.
+    ("gabor-lattice-aliases",
+     ["gabor", "--set", "lattice", "--b", "8", "--max-index", "1"], 2,
+     "error: 16 samples per unit do not exceed 2 (max |mu| + 2) = 20.0 at max |mu| 8.0: "
+     "the columns alias"),
+    ("gabor-far-modulation-aliases",
+     ["gabor", "--set", "lattice", "--b", "1e5", "--max-index", "1"], 2,
+     "error: 16 samples per unit do not exceed 2 (max |mu| + 2) = 200004.0 at max |mu| "
+     "100000.0: the columns alias"),
+    ("gabor-refine-rate-at-the-bound", ["gabor", "--set", "punctured", "--refine", "8,24"], 2,
+     "error: 8 samples per unit do not exceed 2 (max |mu| + 2) = 8.0 at max |mu| 2.0: "
+     "the columns alias"),
+    ("gabor-refine-rate-above-the-bound", ["gabor", "--set", "punctured", "--refine", "9,24"],
+     0, None),
+    ("gabor-overflowing-modulation-aliases",
      ["gabor", "--set", "lattice", "--b", "1e308", "--max-index", "1"], 2,
-     "error: node (-1.0, -1e+308): |mu| above 2.38e+306 overflows its phase"),
-    ("gabor-node-modulation-overflows-phase",
+     "error: 16 samples per unit do not exceed 2 (max |mu| + 2) = inf at max |mu| 1e+308: "
+     "the columns alias"),
+    ("gabor-file-modulation-aliases",
      ["gabor", "--set", "file", "--nodes", "{dir}/huge_mu_nodes.csv"], 2,
-     "error: node (0.0, 1e+308): |mu| above 2.38e+306 overflows its phase"),
-    ("gabor-modulation-below-phase-limit",
-     ["gabor", "--set", "lattice", "--b", "1e306", "--max-index", "1"], 0, None),
+     "error: 16 samples per unit do not exceed 2 (max |mu| + 2) = inf at max |mu| 1e+308: "
+     "the columns alias"),
+    ("family-gabor-aliases",
+     ["family", "--gen", "gaborPunctured", "--sizes", "1,2,3", "--samples", "2"], 2,
+     "error: size 1: 2 samples per unit do not exceed 2 (max |mu| + 2) = 6.0 at max |mu| "
+     "1.0: the columns alias"),
     ("family-gabor-grid-oversize",
      ["family", "--gen", "gaborPunctured", "--sizes", "1,2,3", "--samples", "700"], 2,
      "byte limit"),
@@ -872,6 +891,24 @@ def test_oversize_node_file_is_refused_before_any_conversion(tmp_path, capsys, m
     assert "8193x8193 complex array" in line and "byte limit" in line
 
 
+def test_family_size_guard_at_its_exact_limit(monkeypatch, capsys):
+    # The guard reads the largest member's shape, here (grid, nodes): a grid of
+    # 2 X s = 8192 samples is estimated at exactly the limit, 8192^2 complex
+    # entries, and accepted; one of 8193 is refused before any member is built.
+    built = []
+    build = scaling._build_member
+    monkeypatch.setattr(scaling, "_build_member", lambda *args: built.append(args[1]) or build(*args))
+    argv = ("family", "--gen", "gaborFullLattice", "--sizes", "1,2,3", "--samples", "32")
+    assert run_cli(*argv, "--half-width", "128") == 0
+    assert built == [1, 2, 3]
+    built.clear()
+    capsys.readouterr()
+    assert run_cli(*argv, "--half-width", "128.015625") == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert "8193x8193 complex array" in line and "byte limit" in line
+    assert built == []
+
+
 # A usage error with its usage text, an unknown subcommand, a good run of each
 # computing command and an exit-5 gabor: the parser `main` keeps across calls
 # must answer every one as a fresh parser does.
@@ -881,7 +918,7 @@ PARSER_REUSE_ARGV = [
     ["analyze", "{dir}/basis.csv", "--json", "{dir}/a.json"],
     ["dual", "{dir}/basis.csv", "-o", "{dir}/d.csv"],
     ["family", "--gen", "weighted", "--sizes", "4,8,16", "--csv", "{dir}/f.csv"],
-    ["gabor", "--set", "punctured", "--refine", "8,24"],
+    ["gabor", "--set", "punctured", "--refine", "12,24"],
     ["gabor", "--set", "lattice", "--half-width", "4"],
 ]
 

@@ -5,7 +5,9 @@ The import check covers each package module but `__init__.py`, whose imports
 are the public re-exports, and each test module.  A name bound by a
 module-level `import` or `from ... import` counts as read when it appears as a
 name anywhere in the module's code; a mention inside a string does not count.
-`from __future__` imports bind no name.  The private-name check covers the
+`from __future__` imports bind no name.  Every import in the package, at
+module level or inside a function, names the package itself, a module of the
+standard library or numpy, its one runtime dependency.  The private-name check covers the
 module-level functions, classes and constants of every package module whose
 names start with "_" but are not dunders: each must be read, as a name, an
 attribute or an import, somewhere in the package besides its definition.
@@ -18,6 +20,7 @@ matrix and point-set files, whose cells are read one at a time, by
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +62,33 @@ def test_an_import_named_only_in_a_string_is_unused():
         "np.zeros(os.sep)\nd()\n'b'\n"
     )
     assert unused_imports(source) == ["b"]
+
+
+def foreign_imports(source):
+    """The top-level modules that `source` imports anywhere, sorted, but for the
+    package itself (a relative import or `rieszlab`), the standard library and numpy."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - sys.stdlib_module_names - {"rieszlab", "numpy"})
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    assert {path.name: foreign_imports(path.read_text()) for path in PACKAGE} == {
+        path.name: [] for path in PACKAGE}
+
+
+def test_a_foreign_import_is_seen():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy.linalg as la\nfrom . import scaling\nfrom .errors import E\n"
+        "from rieszlab import cli\nimport scipy.linalg\n"
+        "def f():\n    from pandas import DataFrame\n    import hypothesis as h\n"
+    )
+    assert foreign_imports(source) == ["hypothesis", "pandas", "scipy"]
 
 
 def private_definitions(source):

@@ -62,10 +62,11 @@ def _matrix_file(kind, n, path):
 
 
 def _jittered_file(max_index, tmp_path):
-    """The integer lattice window up to max_index, each node moved by up to 0.2
-    in each coordinate: every shift and modulation distinct, and no column the
-    conjugate of another, so the system is factored in complex arithmetic."""
-    nodes = np.array(lattice_points(1.0, 1.0, max_index).nodes)
+    """The lattice window of steps (1, 0.5) up to max_index, each node moved by
+    up to 0.2 in each coordinate: every shift and modulation distinct, and no
+    column the conjugate of another, so the system is factored in complex
+    arithmetic."""
+    nodes = np.array(lattice_points(1.0, 0.5, max_index).nodes)
     nodes += np.random.default_rng(max_index).uniform(-0.2, 0.2, nodes.shape)
     path = str(tmp_path / "nodes.csv")
     write_point_set(path, PointSet2D(tuple(map(tuple, nodes))))
@@ -84,11 +85,13 @@ def _argv(command, kind, size, tmp_path):
     if command == "family":
         sizes = f"{size // 4},{size // 2},{size}"
         return ["family", "--gen", kind, "--sizes", sizes, *report]
-    # Time shifts up to --max-index (plus jitter) stay three widths inside the grid.
+    # Time shifts up to --max-index (plus jitter) stay three widths inside the
+    # grid, and modulations of step 0.5 keep the 16 samples per unit above the
+    # aliasing bound 2 (max |mu| + 2).
     window = ["--half-width", str(size + 4)]
     if kind == "file":
         return ["gabor", "--set", "file", "--nodes", _jittered_file(size, tmp_path), *window, *report]
-    return ["gabor", "--set", kind, "--max-index", str(size), *window, *report]
+    return ["gabor", "--set", kind, "--max-index", str(size), "--b", "0.5", *window, *report]
 
 
 @pytest.fixture

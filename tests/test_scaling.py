@@ -223,6 +223,20 @@ class TestFamilySpec:
         assert "complement_dim" not in spec.parameters
 
 
+#: Each family at three sizes, every parameter it reads away from its default.
+SHAPE_CASES = [
+    ("orthonormal", (1, 5, 9), {"probeIndex": 1}),
+    ("weightedPair", (1, 5, 9), {"probeIndex": 1}),
+    ("alternatingWeightedPair", (1, 5, 9), {"probeIndex": 1}),
+    ("youngExample", (2, 5, 9), {"probeIndex": 1}),
+    ("youngGeneral", (4, 5, 9), {"probeIndex": 1, "complementDim": 3}),
+    ("rieszSeeded", (1, 5, 9), {"probeIndex": 1, "seed": 4}),
+    ("gaborPunctured", (1, 2, 3), {"probeIndex": 1, "halfWidth": 7.0, "samplesPerUnit": 24}),
+    ("gaborALS", (1, 2, 3), {"probeIndex": 1, "halfWidth": 7.0, "samplesPerUnit": 24}),
+    ("gaborFullLattice", (1, 2, 3), {"probeIndex": 1, "halfWidth": 7.0, "samplesPerUnit": 24}),
+]
+
+
 class TestRunFamily:
     def test_weighted_dual_bound_diverges_quadratically(self):
         report = run_family(FamilySpec("weightedPair", (8, 16, 32, 64)))
@@ -269,7 +283,7 @@ class TestRunFamily:
         [
             FamilySpec("rieszSeeded", (4, 6, 8, 12), {"seed": 3}),
             FamilySpec("youngExample", (8, 16, 32)),
-            FamilySpec("gaborPunctured", (1, 2, 3), {"halfWidth": 6.0, "samplesPerUnit": 8}),
+            FamilySpec("gaborPunctured", (1, 2, 3), {"halfWidth": 6.0, "samplesPerUnit": 12}),
             FamilySpec("weightedPair", (8, 16, 32, 64)),
             FamilySpec("youngGeneral", (8, 16, 32), {"complementDim": 2}),
         ],
@@ -279,19 +293,27 @@ class TestRunFamily:
         inline = [_evaluate_size(spec.generator_id, s, spec.parameters) for s in spec.sizes]
         assert list(run_family(spec).per_size) == inline
 
-    @pytest.mark.parametrize("generator", [g for g, f in scaling._FAMILIES.items() if f.gabor_set])
-    def test_node_count_is_the_members_column_count(self, generator):
-        # The size check's count; a punctured lattice is counted as the full one.
-        count = scaling._POINT_SETS[scaling._FAMILIES[generator].gabor_set][2]
-        params = FamilySpec(generator, (1, 2, 3)).parameters
-        for index in (1, 2, 3):
-            system, _ = scaling._build_member(generator, index, params)
-            assert count(index) == system.count + (generator == "gaborPunctured")
+    @pytest.mark.parametrize("generator, sizes, given", SHAPE_CASES, ids=[c[0] for c in SHAPE_CASES])
+    def test_shape_is_the_built_members_shape(self, generator, sizes, given):
+        # The shape that the size rules and the size guard read, known before
+        # the member is built, is the member's own (dim, count).
+        params = FamilySpec(generator, sizes, given).parameters
+        family = scaling._FAMILIES[generator]
+        for size in sizes:
+            system, partner = scaling._build_member(generator, size, params)
+            assert family.shape(size, params) == (system.dim, system.count)
+            assert partner is None or (partner.dim, partner.count) == (system.dim, system.count)
+
+    def test_shape_cases_cover_every_family_and_parameter(self):
+        assert [generator for generator, _, _ in SHAPE_CASES] == list(scaling._FAMILIES)
+        for generator, _, given in SHAPE_CASES:
+            assert set(given) == {"probeIndex", *scaling._FAMILIES[generator].reads}
+            assert all(value != scaling._PARAMETER_DEFAULTS[name] for name, value in given.items())
 
     @pytest.mark.parametrize("generator", list(scaling._FAMILIES))
     def test_reads_lists_the_parameters_the_build_reads(self, generator):
-        # Every key the member's build and its row count read, and no other,
-        # is in the record's `reads`; probeIndex is read by the study itself.
+        # Every key the member's build and its shape read, and no other, is in
+        # the record's `reads`; probeIndex is read by the study itself.
         read = set()
 
         class Recording(dict):
@@ -301,10 +323,18 @@ class TestRunFamily:
 
         params = Recording(scaling._PARAMETER_DEFAULTS)
         family = scaling._FAMILIES[generator]
-        size = 3 if family.gabor_set else 4
-        scaling._build_member(generator, size, params)
-        family.rows(params)
+        scaling._build_member(generator, 3, params)
+        family.shape(3, params)
         assert read == set(family.reads)
+
+    @pytest.mark.parametrize("generator, given, smallest", [
+        ("youngExample", {}, 2), ("youngGeneral", {"complementDim": 3}, 4)])
+    def test_size_rule_refuses_a_member_without_a_vector(self, generator, given, smallest):
+        # The smallest size has a member of one vector; one below it has none.
+        run_family(FamilySpec(generator, (smallest, smallest + 1, smallest + 2), given))
+        message = re.escape(f"size {smallest - 1}: {scaling._FAMILIES[generator].too_small}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_family(FamilySpec(generator, (smallest - 1, smallest, smallest + 1), given))
 
     def test_every_size_failing_reports_the_smallest(self):
         # Sizes are evaluated smallest first, so the smallest failure is the first.
@@ -527,7 +557,7 @@ class TestGaborRefinement:
             assert row["besselUpperF"] == pytest.approx(2.0**-0.5, abs=1e-5)
 
     def test_punctured_upper_bound_stable(self, tmp_path):
-        block = self.refinement(tmp_path, "--set", "punctured", "--max-index", "3", "--refine", "8,32")
+        block = self.refinement(tmp_path, "--set", "punctured", "--max-index", "3", "--refine", "12,32")
         uppers = [row["besselUpperF"] for row in block["perSize"]]
         assert len(uppers) == 3 and max(uppers) / min(uppers) - 1 < 0.05
         assert block["verdicts"]["besselUpperF"] in (
