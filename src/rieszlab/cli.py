@@ -3,11 +3,13 @@
 Subcommands: analyze, dual, example, family, gabor.  Exit codes are stable:
 0 ok; 2 an argument, flag value or input file that the library rejects with a
 ValueError, a flag the chosen family or point set does not read, an
-unreadable or unwritable path, a command whose largest dense
-array (estimated from its flags or from an input file's shape) exceeds 1 GiB,
-or a command that runs out of memory (MemoryError); 3 numeric failure; 4 no
-biorthogonal dual; 5 unsafe Gabor truncation.  All randomness sits behind
---seed (default 0); identical invocations produce byte-identical outputs.
+unreadable or unwritable path, a command whose largest dense array (estimated
+from its flags or from an input file's shape) exceeds 1 GiB, or a command that
+runs out of memory (MemoryError); 3 numeric failure; 4 no biorthogonal dual;
+5 unsafe Gabor truncation.  All randomness sits behind --seed (default 0);
+identical invocations produce byte-identical outputs.  `gabor` reads its point
+set from `scaling._POINT_SETS` and its systems from `scaling._sampled`, as the
+Gabor families do, and adds only the size check and the report.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import functools
 import sys
 from decimal import Context
+from itertools import chain
 
 import numpy as np
 
@@ -202,61 +205,45 @@ def _cmd_family(args) -> int:
 
 def _gabor_points(args, sample_count: int):
     """The point set of --set and its description, after a size check of its
-    sample_count x nodes system whose nodes factor is also a node cap: from the
-    flags before any node is built, or for --set file from its node-line count.
-    A point-set flag that --set does not read is refused, and one it reads but
+    sample_count x nodes system whose nodes factor is also a node cap, made
+    before any node is built or any cell of a node file converted.  A
+    point-set flag that --set does not read is refused, and one it reads but
     was not given takes the kind's default in `scaling._POINT_SETS`."""
-    kinds = {**scaling._POINT_SETS, "file": ({"nodes": None},)}
-    flags = kinds[args.set][0]
-    unread = [name for kind in kinds.values() for name in kind[0]
+    flags, _, _, description = scaling._POINT_SETS[args.set]
+    unread = [name for kind in scaling._POINT_SETS.values() for name in kind[0]
               if name not in flags and name in args]
     if unread:
         raise ValueError(f"--set {args.set} does not read --{unread[0].replace('_', '-')}")
-
-    def check_count(nodes: int) -> None:
-        _check_size(f"gabor --set {args.set}", max(sample_count, nodes), nodes)
-    if args.set == "file":
-        if not getattr(args, "nodes", None):
-            raise ValueError("--set file requires --nodes PATH")
-        return matrixio.read_point_set(args.nodes, check_count), f"nodes {args.nodes}"
+    check_count = lambda n: _check_size(f"gabor --set {args.set}", max(sample_count, n), n)
     values = {name: getattr(args, name, default) for name, default in flags.items()}
-    return scaling._point_set(args.set, values, check_count), kinds[args.set][3].format(**values)
+    return scaling._point_set(args.set, values, check_count), description.format(**values)
 
 
 def _cmd_gabor(args) -> int:
-    # Every grid is checked before any point set is read, and the lowest rate
-    # against the points' modulations before any system is built.
-    disc = scaling._gabor_grid(args.halfWidth, args.samplesPerUnit)
-    refine_discs = []
-    if args.refine:
-        rates = sorted(set(_parse_int_list(args.refine, "--refine")) | {args.samplesPerUnit})
-        refine_discs = [scaling._gabor_grid(args.halfWidth, s) for s in rates]
-    discs = refine_discs or [disc]
-    points, source = _gabor_points(args, discs[-1].sample_count)
-    scaling._check_rate(points, discs[0].samples_per_unit)
-    # The bounds and the defect read the real twin where the nodes pair up;
-    # only --dump-matrix needs the complex system.
-    system = generators._gabor_twin(points, disc)
+    # Every grid is checked before any point set is read: the base rate's
+    # first, then the other --refine rates in rising order.
+    base = scaling._gabor_grid(args.halfWidth, args.samplesPerUnit)
+    refine = _parse_int_list(args.refine, "--refine") if args.refine else ()
+    rates = [base.samples_per_unit, *sorted(set(refine) - {base.samples_per_unit})]
+    grids = [base, *(scaling._gabor_grid(args.halfWidth, s) for s in rates[1:])]
+    points, source = _gabor_points(args, max(grid.sample_count for grid in grids))
+    # The bounds and the defect read the real twin where the nodes pair up.
+    systems = scaling._sampled(points, grids)
+    system = next(systems)
     lower, upper = diagnostics.riesz_bounds(system)
     payload = {
         "input": f"gabor {source} halfWidth={args.halfWidth} samples={args.samplesPerUnit}",
         "nodes": len(points),
-        "gridSize": disc.sample_count,
-        "bounds": {
-            "rieszLower": finite_or_none(lower),
-            "besselUpper": finite_or_none(upper),
-        },
+        "gridSize": base.sample_count,
+        "bounds": {"rieszLower": finite_or_none(lower), "besselUpper": finite_or_none(upper)},
         "defect": diagnostics.completeness_defect(system),
     }
-    if refine_discs:
-        # The base rate reuses `system`, so each rate is built and factored once.
-        systems = (
-            (d.samples_per_unit, system if d == disc else generators._gabor_twin(points, d))
-            for d in refine_discs
-        )
-        payload["refinement"] = scaling._refinement_report(systems).to_dict()
+    if args.refine:
+        payload["refinement"] = scaling._refinement_report(rates, chain([system], systems)).to_dict()
     if args.dump_matrix:
-        matrixio.write_matrix(args.dump_matrix, generators.gaussian_gabor(points, disc))
+        # Where the nodes do not pair up, `system` is the complex system itself.
+        dump = system if np.iscomplexobj(system.columns) else generators.gaussian_gabor(points, base)
+        matrixio.write_matrix(args.dump_matrix, dump)
         payload["matrixPath"] = args.dump_matrix
     _emit(payload, args.json)
     return EXIT_OK
@@ -313,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=_cmd_family)
 
     cmd = sub.add_parser("gabor", help="build a Gaussian Gabor system and report bounds")
-    cmd.add_argument("--set", required=True, choices=("lattice", "punctured", "als", "file"))
+    cmd.add_argument("--set", required=True, choices=tuple(scaling._POINT_SETS))
     # Each kind's defaults are in scaling._POINT_SETS; every kind reads the grid.
     for flag, kind in (("--max-index", int), ("--nmax", int), ("--a", float), ("--b", float)):
         cmd.add_argument(flag, type=kind, default=argparse.SUPPRESS)

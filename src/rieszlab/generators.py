@@ -27,9 +27,9 @@ The bounds and the rank of a system depend only on its singular values,
 which its real twin F U (U unitary) shares.  The point set also keeps its
 node pairing, (tau, mu) with (tau, -mu), and where every node has a partner
 the private `_gabor_twin` builds that float64 twin straight from the nodes,
-with the factor tables of `gaussian_gabor`.  `gabor`, at every `--refine`
-rate, and the Gabor families read the twin; the complex system is built for
-`gabor --dump-matrix` and for a set that does not pair up.
+with the factor tables of `gaussian_gabor`.  `gabor` and the Gabor families
+read the twin, drawn from `scaling._sampled`; the complex system is built for a
+set that does not pair up, and for `gabor --dump-matrix` of one that does.
 
 Every generator builds a fresh C-contiguous array, float64 for the real
 families, and hands it to the private `VectorSequence._adopt`, which checks it

@@ -535,7 +535,7 @@ def write_point_set(path: str, points: PointSet2D) -> None:
     write_atomic(path, (f"{format_float(t)},{format_float(m)}\n" for t, m in points.nodes))
 
 
-def read_point_set(path: str, check_count=None) -> PointSet2D:
+def read_point_set(path: str, check_count=lambda rows: None) -> PointSet2D:
     """The point-set file at `path`: a real two-column matrix file without a
     header, whose blank and "#" lines are skipped, read by `_read_table`.
     `check_count`, if given, is called with the number of node rows before
@@ -543,8 +543,7 @@ def read_point_set(path: str, check_count=None) -> PointSet2D:
     refuses the file by raising."""
 
     def check(header, rows: int, width: int) -> None:
-        if check_count is not None:
-            check_count(rows)
+        check_count(rows)
         if not rows:
             raise MatrixParseError(f"{path}: no nodes found")
         if width != 2:

@@ -20,8 +20,10 @@ the span, so the residual is exactly 0 for a complete system and 1 otherwise.
 `run_family` evaluates the sizes one after another, smallest first, on the
 calling thread, checking each size's preconditions before building its
 member, so a failing size stops the study before any larger member is built.
-The `gabor --refine` report is assembled the same way, from one row of bound
-constants per sampling rate (`_refinement_report`).
+Every sampled Gabor system, of a Gabor family's member or of `gabor` at each
+rate, is drawn from `_sampled`, which refuses an aliasing lowest rate before it
+builds any.  The `gabor --refine` report is assembled as a study is, from one
+row of bound constants per sampling rate (`_refinement_report`).
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import diagnostics, duals, generators
+from . import diagnostics, duals, generators, matrixio
 from .errors import FitDomainError
 from .generators import GaborDiscretization, GeneratedPair, PointSet2D
 from .seqcore import VectorSequence, _error_bar, _independent
@@ -61,25 +63,36 @@ class _Family(NamedTuple):
     reads: Tuple[str, ...] = ()
 
 
-#: Each `gabor --set` kind built from flags: its flags and defaults, the index
-#: bound first; its points, which call `generators` when they run; its node
-#: count at an index bound; its description.
+def _indexed(flags, build, count, description):
+    """A `_POINT_SETS` kind whose points check their count at the index bound, its first flag."""
+    points = lambda f, check_count: (check_count(count(next(iter(f.values())))), build(f))[1]
+    return flags, points, count, description
+
+
+#: Each `gabor --set` kind: its flags and defaults, the index bound or node file first;
+#: its points at (flags, check_count), which call `generators` or `matrixio` as they run
+#: and check their node count first; the count at an index bound, if any; its description.
 _POINT_SETS = {
-    "lattice": ({"max_index": 2, "a": 1.0, "b": 1.0},
-                lambda f: generators.lattice_points(f["a"], f["b"], f["max_index"]),
-                lambda index: (2 * index + 1) ** 2, "lattice a={a} b={b} maxIndex={max_index}"),
-    "punctured": ({"max_index": 2}, lambda f: generators.punctured_lattice(f["max_index"]),
-                  lambda index: (2 * index + 1) ** 2 - 1, "punctured maxIndex={max_index}"),
-    "als": ({"nmax": 1}, lambda f: generators.als_point_set(f["nmax"]),
-            lambda index: 2 + 4 * index, "als nmax={nmax}"),
+    "lattice": _indexed({"max_index": 2, "a": 1.0, "b": 1.0},
+                        lambda f: generators.lattice_points(f["a"], f["b"], f["max_index"]),
+                        lambda index: (2 * index + 1) ** 2, "lattice a={a} b={b} maxIndex={max_index}"),
+    "punctured": _indexed({"max_index": 2}, lambda f: generators.punctured_lattice(f["max_index"]),
+                          lambda index: (2 * index + 1) ** 2 - 1, "punctured maxIndex={max_index}"),
+    "als": _indexed({"nmax": 1}, lambda f: generators.als_point_set(f["nmax"]),
+                    lambda index: 2 + 4 * index, "als nmax={nmax}"),
+    "file": ({"nodes": None}, lambda f, check: matrixio.read_point_set(f["nodes"], check),
+             None, "nodes {nodes}"),
 }
 
 
 def _point_set(kind: str, flags: Mapping[str, object], check_count=lambda nodes: None):
-    """The points of `gabor --set` kind at `flags`, once `check_count` has seen their count."""
-    _, points, count, _ = _POINT_SETS[kind]
-    check_count(count(next(iter(flags.values()))))
-    return points(flags)
+    """The points of `gabor --set` kind at `flags`, once `check_count` has seen
+    their count; a flag without a default, the node file, must be given a path."""
+    defaults, points, _, _ = _POINT_SETS[kind]
+    missing = [name for name, default in defaults.items() if default is None and not flags[name]]
+    if missing:
+        raise ValueError(f"--set {kind} requires --{missing[0]} PATH")
+    return points(flags, check_count)
 
 
 def _gabor_grid(half_width: float, samples: int) -> GaborDiscretization:
@@ -90,25 +103,26 @@ def _gabor_grid(half_width: float, samples: int) -> GaborDiscretization:
         raise ValueError(f"--half-width {half_width} at {samples} samples per unit: {exc}") from exc
 
 
-def _check_rate(points: PointSet2D, rate: int) -> None:
-    """Refuses a sampling rate at which a column of `points` aliases: a column
-    of modulation mu is resolved only when the rate exceeds 2 (|mu| + 2), as
-    the Gaussian's spectrum reaches about 2 beyond mu."""
+def _sampled(points: PointSet2D, grids: Sequence[GaborDiscretization]) -> Iterator[VectorSequence]:
+    """The sampled Gabor system of `points` on each of `grids`, in their order, each
+    built (`generators._gabor_twin`) as it is drawn, once a lowest rate at which a
+    column aliases is refused: a column of modulation mu is resolved only when the
+    rate exceeds 2 (|mu| + 2), as the Gaussian's spectrum reaches about 2 beyond mu."""
     top = max(abs(mu) for _, mu in points.nodes)
     bound = 2.0 * (top + 2.0)
+    rate = min(grid.samples_per_unit for grid in grids)
     if not rate > bound:
         raise ValueError(f"{rate} samples per unit do not exceed 2 (max |mu| + 2) = {bound} "
                          f"at max |mu| {top}: the columns alias")
+    return (generators._gabor_twin(points, grid) for grid in grids)
 
 
 def _gabor_family(kind: str) -> _Family:
     """The family of `gabor --set` kind at index bound n, on its parameters' grid."""
     flags, _, count, _ = _POINT_SETS[kind]
     grid = lambda p: _gabor_grid(p["halfWidth"], p["samplesPerUnit"])
-    def build(n, p):
-        points, disc = _point_set(kind, {**flags, next(iter(flags)): n}), grid(p)
-        _check_rate(points, disc.samples_per_unit)
-        return GeneratedPair(generators._gabor_twin(points, disc))
+    build = lambda n, p: GeneratedPair(
+        next(_sampled(_point_set(kind, {**flags, next(iter(flags)): n}), [grid(p)])))
     shape = lambda n, p: (grid(p).sample_count, count(n))
     return _Family(None, build, shape, reads=("halfWidth", "samplesPerUnit"))
 
@@ -405,10 +419,9 @@ def run_family(spec: FamilySpec) -> ScalingReport:
     )
 
 
-def _refinement_report(systems: Iterable[Tuple[int, VectorSequence]]) -> ScalingReport:
-    """One report row per (sampling rate, sampled Gabor system) pair, in the given order."""
-    return _assemble_report([
-        SizeMetrics(rate, *diagnostics.riesz_bounds(system), None, None, None,
-                    max(system.columns.shape))
-        for rate, system in systems
-    ])
+def _refinement_report(rates: Iterable[int], systems: Iterable[VectorSequence]) -> ScalingReport:
+    """One report row per sampling rate and its sampled Gabor system, in rising rate
+    order; `map` keeps no system past its row, so each goes before the next is built."""
+    row = lambda rate, system: SizeMetrics(rate, *diagnostics.riesz_bounds(system), None, None,
+                                           None, max(system.columns.shape))
+    return _assemble_report(sorted(map(row, rates, systems), key=lambda row: row.size))

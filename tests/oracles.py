@@ -11,7 +11,8 @@ The `complex_*` oracles redo the library's kernels on complex128 copies, so a
 real system factored in real arithmetic can be checked against complex
 arithmetic.
 Sampled Gabor phases also have an exact-argument reference, reduced in
-rational arithmetic.  Two references keep the gather-based forms the in-place
+rational arithmetic, and sampled Gabor systems the closed-form Gram matrix of
+the continuous system they discretize.  Two references keep the gather-based forms the in-place
 Gabor build and the real twin must reproduce bit for bit; the Gabor one takes
 its phase table from the library, since only the assembly is under test.
 """
@@ -272,3 +273,18 @@ def gaussian_inner_product(tau1, mu1, tau2, mu2):
     re = quad(lambda x: integrand(x, "re"), -np.inf, np.inf)[0]
     im = quad(lambda x: integrand(x, "im"), -np.inf, np.inf)[0]
     return abs(complex(re, im))
+
+
+def gabor_gram(nodes):
+    """The Gram matrix of the Gaussian Gabor system at `nodes` on the whole
+    line, in closed form (Groechenig, Foundations of Time-Frequency Analysis,
+    2001): entry (j, k) = <f_k, f_j> is
+
+        2^(-1/2) exp(-pi (dt^2 + dm^2) / 2) exp(-pi i (m_j - m_k)(t_j + t_k))
+
+    with dt = t_j - t_k and dm = m_j - m_k.  No grid, window or sampling rate
+    enters, so a sampled system's bounds at an admissible rate must match its
+    extreme eigenvalues to rounding."""
+    t, m = np.array(nodes, dtype=float).T
+    dt, dm, ts = t[:, None] - t, m[:, None] - m, t[:, None] + t
+    return 2.0 ** -0.5 * np.exp(-np.pi * (dt ** 2 + dm ** 2) / 2) * np.exp(-1j * np.pi * dm * ts)

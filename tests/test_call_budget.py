@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import rieszlab
-from rieszlab import VectorSequence, classify, duals, random_riesz, scaling, seqcore
+from rieszlab import VectorSequence, classify, duals, generators, random_riesz, scaling, seqcore
 from rieszlab.cli import main
 from rieszlab.generators import (
     RIESZ_CONDITION_LIMIT,
@@ -376,6 +376,29 @@ def test_gabor_refine_analyzes_its_point_set_once(monkeypatch, tmp_path, capsys)
         assert main([*argv, "--samples", "32", "--refine", "24,40"]) == 0
         assert len(json.loads(capsys.readouterr().out)["refinement"]["perSize"]) == 3
         assert calls == [count, count]
+
+
+@pytest.mark.parametrize("refine, rates", [([], [16]), (["--refine", "24,32"], [16, 24, 32])],
+                         ids=["base", "refine"])
+def test_gabor_builds_each_rate_once_with_or_without_a_dump(refine, rates, monkeypatch, tmp_path,
+                                                             capsys):
+    # Nodes that do not pair up are sampled as the complex system itself, which
+    # is the system --dump-matrix writes: one build of factor tables per rate
+    # either way, and the dump holds the bytes of that system's file.
+    built = []
+    tables = generators._gabor_tables
+    monkeypatch.setattr(generators, "_gabor_tables",
+                        lambda points, disc, columns: built.append(disc.samples_per_unit)
+                        or tables(points, disc, columns))
+    points = PointSet2D(((0.0, 0.0), (1.0, 0.5), (-1.0, 1.5)))
+    path, dump, reference = (str(tmp_path / name) for name in ("nodes.csv", "g.csv", "ref.csv"))
+    write_point_set(path, points)
+    for extra in ([], ["--dump-matrix", dump]):
+        built.clear()
+        assert main(["gabor", "--set", "file", "--nodes", path, *refine, *extra]) == 0
+        assert sorted(built) == rates
+    write_matrix(reference, gaussian_gabor(points, GaborDiscretization(6.0, 16)))
+    assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # Per size: the member's SVD and, for an incomplete member only, one QR of

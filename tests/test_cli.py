@@ -752,6 +752,25 @@ def test_exit_codes(argv, code, message, tmp_path, capsys):
         assert set(tmp_path.rglob("*")) == before
 
 
+#: The rows of EXIT_CODE_TABLE whose sampling rate aliases: each is refused
+#: before any system is built, so no factor table of a Gabor build is made.
+_ALIASING_ROWS = [{row[0]: row for row in EXIT_CODE_TABLE}[name] for name in (
+    "gabor-lattice-aliases", "gabor-far-modulation-aliases", "gabor-refine-rate-at-the-bound",
+    "gabor-overflowing-modulation-aliases", "gabor-file-modulation-aliases", "family-gabor-aliases",
+)]
+
+
+@pytest.mark.parametrize("argv, code, message", [row[1:] for row in _ALIASING_ROWS],
+                         ids=[row[0] for row in _ALIASING_ROWS])
+def test_an_aliasing_rate_builds_no_system(argv, code, message, tmp_path, monkeypatch, capsys):
+    (tmp_path / "huge_mu_nodes.csv").write_text("0,0\n0,1e308\n")
+    built = []
+    monkeypatch.setattr(generators, "_gabor_tables", lambda *args: built.append(args))
+    assert run_cli(*(arg.replace("{dir}", str(tmp_path)) for arg in argv)) == code == 2
+    assert message in capsys.readouterr().err
+    assert built == []
+
+
 # Usage errors pinned by their whole stderr line.  {dir} holds letter.csv, a
 # node file whose second line is "x,1", underscore.csv, whose first line is
 # "1_0,0", which float() would read as (10, 0), and comment.csv, a node file

@@ -17,6 +17,8 @@ are opened for reading by the builtin `open` in `matrixio._text` alone and
 converted by `np.loadtxt` in `matrixio._read_table` alone, the one reader of
 matrix and point-set files, whose cells are read one at a time, by
 `matrixio._parse_cells`, only in `matrixio._name_error`, its one error path.
+Every sampled Gabor system is built by `generators._gabor_twin`, called in
+`scaling._sampled` alone, the one sampler, which refuses an aliasing rate first.
 """
 
 import ast
@@ -184,9 +186,9 @@ READER_SITES = {
 }
 
 
-def reader_sites(source, module):
-    """(call, "module.function") for each call of the builtin `open`, of a
-    name `_parse_cells` or of an attribute `loadtxt` in `source`."""
+def call_sites(source, module, names, attributes):
+    """(call, "module.function") for each call in `source` of a bare name in
+    `names` or of an attribute in `attributes`, in source order."""
     sites = []
 
     def visit(node, function):
@@ -194,15 +196,21 @@ def reader_sites(source, module):
             function = node.name
         if isinstance(node, ast.Call):
             func = node.func
-            if isinstance(func, ast.Name) and func.id in ("open", "_parse_cells"):
+            if isinstance(func, ast.Name) and func.id in names:
                 sites.append((func.id, f"{module}.{function}"))
-            elif isinstance(func, ast.Attribute) and func.attr == "loadtxt":
-                sites.append(("loadtxt", f"{module}.{function}"))
+            elif isinstance(func, ast.Attribute) and func.attr in attributes:
+                sites.append((func.attr, f"{module}.{function}"))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(ast.parse(source), None)
     return sites
+
+
+def reader_sites(source, module):
+    """(call, "module.function") for each call of the builtin `open`, of a
+    name `_parse_cells` or of an attribute `loadtxt` in `source`."""
+    return call_sites(source, module, ("open", "_parse_cells"), ("loadtxt",))
 
 
 def test_one_file_reader():
@@ -220,3 +228,25 @@ def test_a_reader_call_is_seen():
         "def g(p):\n    return os.open(p, 0), os.fdopen(p), _parse_cells(p, 1, '')\n"
     )
     assert reader_sites(source, "m") == [("open", "m.f"), ("loadtxt", "m.f"), ("_parse_cells", "m.g")]
+
+
+def sampler_sites(source, module):
+    """(call, "module.function") for each call of `_gabor_twin` in `source`,
+    by bare name or as an attribute."""
+    return call_sites(source, module, ("_gabor_twin",), ("_gabor_twin",))
+
+
+def test_one_sampler():
+    found = [site for path in PACKAGE for site in sampler_sites(path.read_text(), path.stem)]
+    assert found == [("_gabor_twin", "scaling._sampled")]
+
+
+def test_a_second_sampler_call_is_seen():
+    source = (
+        "from . import generators\nfrom .generators import _gabor_twin\n"
+        "def _sampled(points, grids):\n"
+        "    return (generators._gabor_twin(points, grid) for grid in grids)\n"
+        "def gabor(points, grid):\n"
+        "    return _gabor_twin(points, grid), generators.gaussian_gabor(points, grid)\n"
+    )
+    assert sampler_sites(source, "m") == [("_gabor_twin", "m._sampled"), ("_gabor_twin", "m.gabor")]

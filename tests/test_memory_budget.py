@@ -23,7 +23,8 @@ from rieszlab.matrixio import write_matrix, write_point_set
 #: the multiple measured with numpy 2.4.6 plus 1%, rounded up.  The size is
 #: the matrix side for analyze and dual, --n for example, the largest of
 #: --sizes for family, and for gabor the --max-index of the lattice, or of
-#: the jittered lattice window a file holds.
+#: the jittered lattice window a file holds; "refine" is the lattice at four
+#: rates, the base rate among them.
 BUDGETS = {
     ("analyze", "complex", 64): 5.14,
     ("analyze", "complex", 128): 5.08,
@@ -49,6 +50,9 @@ BUDGETS = {
     ("gabor", "file", 2): 3.19,
     ("gabor", "file", 4): 2.46,
     ("gabor", "file", 8): 2.12,
+    ("gabor", "refine", 2): 1.81,
+    ("gabor", "refine", 4): 1.71,
+    ("gabor", "refine", 8): 1.66,
 }
 
 
@@ -91,6 +95,11 @@ def _argv(command, kind, size, tmp_path):
     window = ["--half-width", str(size + 4)]
     if kind == "file":
         return ["gabor", "--set", "file", "--nodes", _jittered_file(size, tmp_path), *window, *report]
+    if kind == "refine":
+        # The base rate between the others: each rate's system is released
+        # once its row is read, so the peak holds the base system and one more.
+        return ["gabor", "--set", "lattice", "--max-index", str(size), "--b", "0.5", *window,
+                "--samples", "32", "--refine", "40,24,48", *report]
     return ["gabor", "--set", kind, "--max-index", str(size), "--b", "0.5", *window, *report]
 
 

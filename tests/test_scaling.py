@@ -5,20 +5,27 @@ import threading
 import numpy as np
 import pytest
 
+import oracles
 from rieszlab import (
     CriteriaDisagreementError,
     FamilySpec,
     FitDomainError,
     TrendVerdict,
     VectorSequence,
+    PointSet2D,
+    als_point_set,
     diagnostics,
     fit_growth,
+    lattice_points,
+    punctured_lattice,
     run_family,
     scaling,
     span_distance,
 )
 from rieszlab.cli import main
+from rieszlab.matrixio import write_point_set
 from rieszlab.scaling import GrowthFit, SizeMetrics, _assemble_report, _evaluate_size, _trend_verdict
+from rieszlab.seqcore import _error_bar
 
 
 def _bar(size, scale):
@@ -564,6 +571,59 @@ class TestGaborRefinement:
             TrendVerdict.STAYS_BOUNDED.value,
             TrendVerdict.STAYS_BOUNDED_BELOW.value,
         )
+
+
+#: The jittered window of `lattice_points(1.0, 0.5, 2)`: every node moved by up
+#: to 0.2 in each coordinate, so no node has a partner (tau, -mu) and `gabor`
+#: factors the complex system.
+_UNPAIRED = PointSet2D(tuple(map(tuple, np.array(lattice_points(1.0, 0.5, 2).nodes)
+                                 + np.random.default_rng(4).uniform(-0.2, 0.2, (25, 2)))))
+
+
+class TestClosedFormGram:
+    """Sampled bounds against the extreme eigenvalues of `oracles.gabor_gram`,
+    the continuous system's Gram matrix, within the rounding bar of a Gram of
+    that many nodes and that upper bound: at a rate well above the aliasing
+    bound and nodes three widths inside the window, sampling and truncation
+    move the bounds by far less than rounding does."""
+
+    @staticmethod
+    def assert_matches_the_gram(points, lower, upper):
+        exact = np.linalg.eigvalsh(oracles.gabor_gram(points.nodes))
+        bar = _error_bar(len(points), exact[-1])
+        assert abs(lower - exact[0]) <= bar and abs(upper - exact[-1]) <= bar, (
+            lower - exact[0], upper - exact[-1], bar)
+
+    @pytest.mark.parametrize("flags, points", [
+        (["--set", "lattice"], lattice_points(1.0, 1.0, 2)),
+        (["--set", "lattice", "--a", "1.5", "--b", "2"], lattice_points(1.5, 2.0, 2)),
+        (["--set", "punctured", "--max-index", "3"], punctured_lattice(3)),
+        (["--set", "als", "--nmax", "2"], als_point_set(2)),
+        (["--set", "file"], _UNPAIRED),
+    ], ids=["lattice", "lattice-a1.5-b2", "punctured", "als", "file-unpaired"])
+    def test_gabor_bounds_and_every_refinement_row(self, flags, points, tmp_path, capsys):
+        # The base rate lies between the --refine rates, which come unsorted.
+        if flags[-1] == "file":
+            write_point_set(str(tmp_path / "nodes.csv"), points)
+            flags = [*flags, "--nodes", str(tmp_path / "nodes.csv")]
+        assert main(["gabor", *flags, "--samples", "24", "--refine", "32,16"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        bounds = report["bounds"]
+        self.assert_matches_the_gram(points, bounds["rieszLower"], bounds["besselUpper"])
+        rows = report["refinement"]["perSize"]
+        assert [row["size"] for row in rows] == [16, 24, 32]
+        for row in rows:
+            self.assert_matches_the_gram(points, row["rieszLowerF"], row["besselUpperF"])
+
+    @pytest.mark.parametrize("generator, points", [
+        ("gaborPunctured", punctured_lattice),
+        ("gaborALS", als_point_set),
+        ("gaborFullLattice", lambda n: lattice_points(1.0, 1.0, n)),
+    ])
+    def test_gabor_family_sizes(self, generator, points):
+        report = run_family(FamilySpec(generator, (1, 2, 3)))
+        for row in report.per_size:
+            self.assert_matches_the_gram(points(row.size), row.riesz_lower, row.bessel_upper)
 
 
 class TestReportSerialization:
