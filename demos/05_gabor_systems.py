@@ -55,7 +55,7 @@ print("Grid refinement: the bounds track the system, not the grid")
 print("=" * 70)
 points = rl.punctured_lattice(2)
 uppers = []
-for rate in (8, 16, 32):
+for rate in (12, 16, 32):
     lower, upper = rl.riesz_bounds(rl.gaussian_gabor(points, rl.GaborDiscretization(6.0, rate)))
     uppers.append(upper)
     print(f"  s = {rate:2d}: A = {lower:.8f}, B = {upper:.8f}")

@@ -7,9 +7,10 @@ unreadable or unwritable path, a command whose largest dense array (estimated
 from its flags or from an input file's shape) exceeds 1 GiB, or a command that
 runs out of memory (MemoryError); 3 numeric failure; 4 no biorthogonal dual;
 5 unsafe Gabor truncation.  All randomness sits behind --seed (default 0);
-identical invocations produce byte-identical outputs.  `gabor` reads its point
-set from `scaling._POINT_SETS` and its systems from `scaling._sampled`, as the
-Gabor families do, and adds only the size check and the report.
+identical invocations produce byte-identical outputs.  Every parameter flag
+is read by `scaling._parameters` before anything else the flags decide.
+`gabor` reads its point set from `scaling._POINT_SETS` and its systems from
+`scaling._sampled`, as the Gabor families do, and adds the size check and the report.
 """
 
 from __future__ import annotations
@@ -151,15 +152,19 @@ def _cmd_dual(args) -> int:
     return EXIT_OK
 
 
+def _given(args) -> dict:
+    """The parameter flags given; one left out is not in `args` and takes its default."""
+    return {k: v for k, v in vars(args).items() if k in scaling._PARAMETER_DEFAULTS}
+
+
 def _cmd_example(args) -> int:
     name, n = args.name, args.n
     if n < 1:
         raise ValueError("--n must be >= 1")
     generator_id = _aliases()[name]
-    # A parameter flag left out is not in `args`; its default is the family's.
-    given = {k: v for k, v in vars(args).items() if k in scaling._PARAMETER_DEFAULTS}
-    params = scaling._parameters(generator_id, given)
-    dim, count = scaling._FAMILIES[generator_id].shape(n, params)
+    family = scaling._FAMILIES[generator_id]
+    params = scaling._parameters(generator_id, family.reads, _given(args))
+    dim, count = family.shape(n, params)
     _check_size(f"example {name} --n {n}", n + max(dim - count, 0), n)
     # The member's size is its ambient dimension, n plus its extra rows dim - count;
     # it draws from the bare --seed, where a study's member draws from (seed, size).
@@ -185,8 +190,7 @@ def _parse_int_list(text: str, flag: str):
 def _cmd_family(args) -> int:
     generator_id = _aliases().get(args.gen, args.gen)
     sizes = _parse_int_list(args.sizes, "--sizes")
-    given = {k: v for k, v in vars(args).items() if k in scaling._PARAMETER_DEFAULTS}
-    spec = scaling.FamilySpec(generator_id, sizes, given)
+    spec = scaling.FamilySpec(generator_id, sizes, _given(args))
     params = spec.parameters
     # A member is dim x count; max(dim, count) squared is one simple rule.
     side = max(scaling._FAMILIES[generator_id].shape(sizes[-1], params))
@@ -203,36 +207,28 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
-def _gabor_points(args, sample_count: int):
-    """The point set of --set and its description, after a size check of its
-    sample_count x nodes system whose nodes factor is also a node cap, made
-    before any node is built or any cell of a node file converted.  A
-    point-set flag that --set does not read is refused, and one it reads but
-    was not given takes the kind's default in `scaling._POINT_SETS`."""
-    flags, _, _, description = scaling._POINT_SETS[args.set]
-    unread = [name for kind in scaling._POINT_SETS.values() for name in kind[0]
-              if name not in flags and name in args]
-    if unread:
-        raise ValueError(f"--set {args.set} does not read --{unread[0].replace('_', '-')}")
-    check_count = lambda n: _check_size(f"gabor --set {args.set}", max(sample_count, n), n)
-    values = {name: getattr(args, name, default) for name, default in flags.items()}
-    return scaling._point_set(args.set, values, check_count), description.format(**values)
-
-
 def _cmd_gabor(args) -> int:
-    # Every grid is checked before any point set is read: the base rate's
-    # first, then the other --refine rates in rising order.
-    base = scaling._gabor_grid(args.halfWidth, args.samplesPerUnit)
+    # The parameters come first, then every grid, before any point set is read:
+    # the base rate's first, then the other --refine rates in rising order.
+    # The size check of the sample_count x nodes system, whose nodes factor is
+    # also a node cap, is made before any node is built or any cell of a node
+    # file converted.
+    reads, read_points, _ = scaling._POINT_SETS[args.set]
+    params = scaling._parameters(f"--set {args.set}", reads, _given(args))
+    base = scaling._gabor_grid(params["halfWidth"], params["samplesPerUnit"])
     refine = _parse_int_list(args.refine, "--refine") if args.refine else ()
     rates = [base.samples_per_unit, *sorted(set(refine) - {base.samples_per_unit})]
-    grids = [base, *(scaling._gabor_grid(args.halfWidth, s) for s in rates[1:])]
-    points, source = _gabor_points(args, max(grid.sample_count for grid in grids))
+    grids = [base, *(scaling._gabor_grid(params["halfWidth"], s) for s in rates[1:])]
+    sample_count = max(grid.sample_count for grid in grids)
+    points = read_points(params, lambda n: _check_size(
+        f"gabor --set {args.set}", max(sample_count, n), n))
     # The bounds and the defect read the real twin where the nodes pair up.
     systems = scaling._sampled(points, grids)
     system = next(systems)
     lower, upper = diagnostics.riesz_bounds(system)
+    named = "".join(f" {name}={value}" for name, value in params.items())
     payload = {
-        "input": f"gabor {source} halfWidth={args.halfWidth} samples={args.samplesPerUnit}",
+        "input": f"gabor:{args.set}{named}",
         "nodes": len(points),
         "gridSize": base.sample_count,
         "bounds": {"rieszLower": finite_or_none(lower), "besselUpper": finite_or_none(upper)},
@@ -249,15 +245,14 @@ def _cmd_gabor(args) -> int:
     return EXIT_OK
 
 
-def _add_parameter(cmd: argparse.ArgumentParser, flag: str, name: str,
-                   default=argparse.SUPPRESS) -> None:
-    """The flag of family parameter `name`, stored under that name and typed by
-    its entry in `scaling._PARAMETER_DEFAULTS`; left out, it is absent from the
-    namespace unless a `default` is given.  Its metavar is the one argparse
-    derives from the flag."""
-    metavar = flag.lstrip("-").upper().replace("-", "_")
+def _add_parameter(cmd: argparse.ArgumentParser, flag: str, name: str, **shown) -> None:
+    """The flag of parameter `name`, stored under that name and typed by its
+    entry in `scaling._PARAMETER_DEFAULTS`; left out, it is absent from the
+    namespace.  Its metavar is the one argparse derives from the flag unless
+    `shown` names one, as it may name a help text."""
+    shown.setdefault("metavar", flag.lstrip("-").upper().replace("-", "_"))
     kind = type(scaling._PARAMETER_DEFAULTS[name])
-    cmd.add_argument(flag, type=kind, default=default, dest=name, metavar=metavar)
+    cmd.add_argument(flag, type=kind, default=argparse.SUPPRESS, dest=name, **shown)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,14 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("gabor", help="build a Gaussian Gabor system and report bounds")
     cmd.add_argument("--set", required=True, choices=tuple(scaling._POINT_SETS))
-    # Each kind's defaults are in scaling._POINT_SETS; every kind reads the grid.
-    for flag, kind in (("--max-index", int), ("--nmax", int), ("--a", float), ("--b", float)):
-        cmd.add_argument(flag, type=kind, default=argparse.SUPPRESS)
-    cmd.add_argument("--nodes", metavar="PATH", default=argparse.SUPPRESS,
-                     help="point-set CSV for --set file")
-    for flag, name in (("--half-width", "halfWidth"), ("--samples", "samplesPerUnit")):
-        _add_parameter(cmd, flag, name, scaling._PARAMETER_DEFAULTS[name])
-    cmd.add_argument("--refine", metavar="RATES", help="extra sampling rates, e.g. 8,32")
+    for flag, name in (("--max-index", "maxIndex"), ("--nmax", "nmax"), ("--a", "a"), ("--b", "b")):
+        _add_parameter(cmd, flag, name)
+    _add_parameter(cmd, "--nodes", "nodes", metavar="PATH", help="point-set CSV for --set file")
+    _add_parameter(cmd, "--half-width", "halfWidth")
+    _add_parameter(cmd, "--samples", "samplesPerUnit")
+    cmd.add_argument("--refine", metavar="RATES", help="extra sampling rates, e.g. 12,32")
     cmd.add_argument("--dump-matrix", metavar="PATH")
     cmd.add_argument("--json", metavar="PATH")
     cmd.set_defaults(func=_cmd_gabor)

@@ -3,9 +3,8 @@
 Matrix cells are whitespace-free complex numbers, "a" or "a+bi"/"a-bi" with
 decimal or scientific mantissas ("1-2i", "3", "0+1i"); whitespace around a
 cell is ignored.  Values are written with 17 significant digits and the
-imaginary part only when it is nonzero, so a write/read round trip
-reproduces every float64 exactly, except that an imaginary -0.0 reads back
-as 0.0.  Matrix files carry a header line "# dim=<n> count=<m>" which, when
+imaginary part unless it is +0.0 (an imaginary -0.0 is written "-0i"), so a
+write/read round trip reproduces every float64 exactly.  Matrix files carry a header line "# dim=<n> count=<m>" which, when
 present on input, must match the parsed shape.  A point-set file is a real
 two-column matrix file without a header, one node (tau, mu) a row; its blank
 and "#" lines are skipped.  Both are read by `_read_table`: a
@@ -263,7 +262,7 @@ def _block_text(block: np.ndarray, template: np.ndarray) -> str:
     form = np.where(scientific, 21 + (np.abs(k) >= 100), k + 4)
     variant = np.empty((v.size // 2, 2), dtype=np.intp)
     variant[:, 0] = np.signbit(v[0::2])
-    variant[:, 1] = np.where(v[1::2] == 0.0, _NO_IMAG, _IMAG)
+    variant[:, 1] = np.where((v[1::2] == 0.0) & ~np.signbit(v[1::2]), _NO_IMAG, _IMAG)
     mask = np.take(masks, (variant.reshape(-1) * _FORMS + form) * 18 + significant, axis=0)
 
     out = np.empty((len(block), template.size), dtype=np.uint8)

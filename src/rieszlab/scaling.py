@@ -6,7 +6,9 @@ a new family is one record: its build, the shape (dim, count) of its member of a
 size and the parameters it reads.  The size is the ambient dimension (the Young
 construction with ambient dimension n uses n-1 vectors), or for a Gabor family
 the index bound of its `_POINT_SETS` kind, the `gabor --set` table, on the grid
-of its parameters.
+of its parameters.  Every parameter of a family, an example or a point-set
+kind has its default in `_PARAMETER_DEFAULTS` and is read by `_parameters`,
+so a new one is one default, one flag and one name in a record's `reads`.
 
 Per size the study records the two-sided bound constants, the distance from a
 probe vector to the span, the dual's upper bound constant and the
@@ -44,9 +46,14 @@ from .seqcore import VectorSequence, _error_bar, _independent
 _EXPONENT_BAND = 0.2
 _FIT_QUALITY_MIN = 0.9
 
-#: Each family parameter and its default, whose type is the parameter's.
+#: Each parameter of a family, an example or a `gabor --set` kind and its default,
+#: whose type is the parameter's; `_parameters` reads them all.
 _PARAMETER_DEFAULTS = {"seed": 0, "probeIndex": 0, "complementDim": 1, "halfWidth": 6.0,
-                       "samplesPerUnit": 16}
+                       "samplesPerUnit": 16, "maxIndex": 2, "nmax": 1, "a": 1.0, "b": 1.0,
+                       "nodes": ""}
+
+#: The parameters of the Gabor grid, which every Gabor family and `gabor --set` kind reads.
+_GRID = ("halfWidth", "samplesPerUnit")
 
 
 class _Family(NamedTuple):
@@ -63,36 +70,32 @@ class _Family(NamedTuple):
     reads: Tuple[str, ...] = ()
 
 
-def _indexed(flags, build, count, description):
-    """A `_POINT_SETS` kind whose points check their count at the index bound, its first flag."""
-    points = lambda f, check_count: (check_count(count(next(iter(f.values())))), build(f))[1]
-    return flags, points, count, description
+def _indexed(reads, build, count):
+    """A `_POINT_SETS` kind whose points check their count at the index bound, first in `reads`."""
+    points = lambda p, check_count: (check_count(count(p[reads[0]])), build(p))[1]
+    return reads, points, count
 
 
-#: Each `gabor --set` kind: its flags and defaults, the index bound or node file first;
-#: its points at (flags, check_count), which call `generators` or `matrixio` as they run
-#: and check their node count first; the count at an index bound, if any; its description.
+def _node_file(p: Mapping[str, object], check_count) -> PointSet2D:
+    """The points of `--set file`: its node file, which must be named."""
+    if not p["nodes"]:
+        raise ValueError("--set file requires --nodes PATH")
+    return matrixio.read_point_set(p["nodes"], check_count)
+
+
+#: Each `gabor --set` kind: the parameters it reads, the index bound or node file first;
+#: its points at (parameters, check_count), which call `generators` or `matrixio` as they
+#: run and check their node count first; the count at an index bound, if any.
 _POINT_SETS = {
-    "lattice": _indexed({"max_index": 2, "a": 1.0, "b": 1.0},
-                        lambda f: generators.lattice_points(f["a"], f["b"], f["max_index"]),
-                        lambda index: (2 * index + 1) ** 2, "lattice a={a} b={b} maxIndex={max_index}"),
-    "punctured": _indexed({"max_index": 2}, lambda f: generators.punctured_lattice(f["max_index"]),
-                          lambda index: (2 * index + 1) ** 2 - 1, "punctured maxIndex={max_index}"),
-    "als": _indexed({"nmax": 1}, lambda f: generators.als_point_set(f["nmax"]),
-                    lambda index: 2 + 4 * index, "als nmax={nmax}"),
-    "file": ({"nodes": None}, lambda f, check: matrixio.read_point_set(f["nodes"], check),
-             None, "nodes {nodes}"),
+    "lattice": _indexed(("maxIndex", "a", "b", *_GRID),
+                        lambda p: generators.lattice_points(p["a"], p["b"], p["maxIndex"]),
+                        lambda index: (2 * index + 1) ** 2),
+    "punctured": _indexed(("maxIndex", *_GRID), lambda p: generators.punctured_lattice(p["maxIndex"]),
+                          lambda index: (2 * index + 1) ** 2 - 1),
+    "als": _indexed(("nmax", *_GRID), lambda p: generators.als_point_set(p["nmax"]),
+                    lambda index: 2 + 4 * index),
+    "file": (("nodes", *_GRID), _node_file, None),
 }
-
-
-def _point_set(kind: str, flags: Mapping[str, object], check_count=lambda nodes: None):
-    """The points of `gabor --set` kind at `flags`, once `check_count` has seen
-    their count; a flag without a default, the node file, must be given a path."""
-    defaults, points, _, _ = _POINT_SETS[kind]
-    missing = [name for name, default in defaults.items() if default is None and not flags[name]]
-    if missing:
-        raise ValueError(f"--set {kind} requires --{missing[0]} PATH")
-    return points(flags, check_count)
 
 
 def _gabor_grid(half_width: float, samples: int) -> GaborDiscretization:
@@ -118,13 +121,13 @@ def _sampled(points: PointSet2D, grids: Sequence[GaborDiscretization]) -> Iterat
 
 
 def _gabor_family(kind: str) -> _Family:
-    """The family of `gabor --set` kind at index bound n, on its parameters' grid."""
-    flags, _, count, _ = _POINT_SETS[kind]
+    """The family of `gabor --set` kind at index bound n, else at its defaults, on its grid."""
+    reads, points, count = _POINT_SETS[kind]
     grid = lambda p: _gabor_grid(p["halfWidth"], p["samplesPerUnit"])
-    build = lambda n, p: GeneratedPair(
-        next(_sampled(_point_set(kind, {**flags, next(iter(flags)): n}), [grid(p)])))
+    build = lambda n, p: GeneratedPair(next(_sampled(
+        points({**_PARAMETER_DEFAULTS, reads[0]: n}, lambda nodes: None), [grid(p)])))
     shape = lambda n, p: (grid(p).sample_count, count(n))
-    return _Family(None, build, shape, reads=("halfWidth", "samplesPerUnit"))
+    return _Family(None, build, shape, reads=_GRID)
 
 
 _FAMILIES = {
@@ -191,16 +194,17 @@ def _number(value, name: str) -> float:
         raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
-def _parameters(generator_id: str, given: Mapping[str, object]) -> Mapping[str, object]:
-    """The read-only parameters a family reads, probeIndex and its `reads`, each
-    given one converted to its default's type and the others at their defaults;
-    a given one that it does not read is refused, after all are converted."""
-    typed = {name: (_whole if type(_PARAMETER_DEFAULTS[name]) is int else _number)(value, name)
+def _parameters(owner: str, reads: Sequence[str], given: Mapping[str, object]) -> Mapping[str, object]:
+    """The read-only parameters `reads` of a family, an example or a `gabor --set`
+    kind, in `_PARAMETER_DEFAULTS` order: each given one converted to its
+    default's type and the others at their defaults; a given parameter that
+    `owner` does not read is refused, after all are converted."""
+    convert = {int: _whole, float: _number, str: lambda value, name: value}
+    typed = {name: convert[type(_PARAMETER_DEFAULTS[name])](value, name)
              for name, value in given.items() if name in _PARAMETER_DEFAULTS}
-    reads = ("probeIndex", *_FAMILIES[generator_id].reads)
     unread = sorted(set(given) - set(reads))
     if unread:
-        raise ValueError(f"{generator_id} does not read {unread}")
+        raise ValueError(f"{owner} does not read {unread}")
     return MappingProxyType({name: typed.get(name, default)
                              for name, default in _PARAMETER_DEFAULTS.items() if name in reads})
 
@@ -224,7 +228,8 @@ class FamilySpec:
         if any(s < 1 for s in sizes) or any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("sizes must be positive and strictly increasing")
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "parameters", _parameters(self.generator_id, self.parameters))
+        reads = ("probeIndex", *_FAMILIES[self.generator_id].reads)
+        object.__setattr__(self, "parameters", _parameters(self.generator_id, reads, self.parameters))
 
 
 @dataclass(frozen=True)

@@ -47,18 +47,22 @@ def random_columns(seed, dim, count):
 
 
 def format_complex(value):
-    """One matrix CSV cell: 17 significant digits, the imaginary part only when nonzero."""
+    """One matrix CSV cell: 17 significant digits, the imaginary part unless it is +0.0."""
     z = complex(value)
     real = format(z.real, ".17g")
-    if z.imag == 0.0:
+    if z.imag == 0.0 and math.copysign(1.0, z.imag) > 0:
         return real
-    sign = "+" if z.imag > 0 else "-"
+    sign = "+" if math.copysign(1.0, z.imag) > 0 else "-"
     return f"{real}{sign}{format(abs(z.imag), '.17g')}i"
 
 
 def matrix_text_by_cells(columns):
-    """The text `matrixio.write_matrix` must write, one `format_complex` per cell."""
+    """The text `matrixio.write_matrix` must write, one `format_complex` per cell,
+    for a system of `columns`: one without a nonzero imaginary part is real, so
+    each of its imaginary parts is +0.0."""
     cols = np.asarray(columns, dtype=complex)
+    if not cols.imag.any():
+        cols = cols.real.astype(complex)
     lines = [f"# dim={cols.shape[0]} count={cols.shape[1]}"]
     lines += [",".join(format_complex(z) for z in row) for row in cols]
     return "\n".join(lines) + "\n"

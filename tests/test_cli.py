@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -473,7 +474,7 @@ options:
   --nodes PATH          point-set CSV for --set file
   --half-width HALF_WIDTH
   --samples SAMPLES
-  --refine RATES        extra sampling rates, e.g. 8,32
+  --refine RATES        extra sampling rates, e.g. 12,32
   --dump-matrix PATH
   --json PATH
 """,
@@ -791,14 +792,17 @@ EXIT_LINE_TABLE = [
     ("gabor-file-without-nodes", ["gabor", "--set", "file"], "--set file requires --nodes PATH"),
     # A point-set flag that the chosen set does not read is refused, not ignored.
     ("gabor-punctured-reads-no-a", ["gabor", "--set", "punctured", "--a", "3"],
-     "--set punctured does not read --a"),
+     "--set punctured does not read ['a']"),
     ("gabor-als-reads-no-max-index", ["gabor", "--set", "als", "--max-index", "40"],
-     "--set als does not read --max-index"),
+     "--set als does not read ['maxIndex']"),
     ("gabor-lattice-reads-no-nodes", ["gabor", "--set", "lattice", "--nodes", "{dir}/letter.csv"],
-     "--set lattice does not read --nodes"),
+     "--set lattice does not read ['nodes']"),
     ("gabor-file-reads-no-nmax",
      ["gabor", "--set", "file", "--nodes", "{dir}/letter.csv", "--nmax", "2"],
-     "--set file does not read --nmax"),
+     "--set file does not read ['nmax']"),
+    # An unread flag is refused before a grid that the flags cannot form.
+    ("gabor-unread-flag-before-bad-grid", ["gabor", "--set", "punctured", "--a", "3", "--samples", "0"],
+     "--set punctured does not read ['a']"),
     # A family or example flag that the family does not read is refused, not ignored.
     ("family-weighted-reads-no-seed",
      ["family", "--gen", "weighted", "--sizes", "4,8,16", "--seed", "5", "--half-width", "-1",
@@ -1014,20 +1018,22 @@ def _numeric_flags(command):
     ]
 
 
-#: Each family-parameter flag -> the parameter it sets, also its destination.
+#: Each parameter flag -> the parameter it sets, also its destination.
 PARAMETER_FLAGS = {
     "--seed": "seed", "--probe-index": "probeIndex", "--complement-dim": "complementDim",
-    "--half-width": "halfWidth", "--samples": "samplesPerUnit",
+    "--half-width": "halfWidth", "--samples": "samplesPerUnit", "--max-index": "maxIndex",
+    "--nmax": "nmax", "--a": "a", "--b": "b", "--nodes": "nodes",
 }
 
 
 @pytest.mark.parametrize("shift", [0, 1])
-def test_parameter_flags_read_the_family_defaults(shift, monkeypatch, capsys):
-    # A `family` or `example` flag left out is absent from the namespace, and
-    # the parameters the family reads take their defaults from
-    # `_PARAMETER_DEFAULTS`; gabor's grid flags, which every kind reads, keep
-    # those defaults in the parser.
-    defaults = {name: value + shift for name, value in scaling._PARAMETER_DEFAULTS.items()}
+def test_parameter_flags_read_the_family_defaults(shift, tmp_path, monkeypatch, capsys):
+    # A parameter flag left out is absent from the namespace, and the
+    # parameters that a family, an example or a `gabor --set` kind reads take
+    # their defaults from `_PARAMETER_DEFAULTS`.
+    nodes = tmp_path / "nodes.csv"
+    defaults = {name: (str(nodes) if shift else value) if isinstance(value, str) else value + shift
+                for name, value in scaling._PARAMETER_DEFAULTS.items()}
     monkeypatch.setattr(scaling, "_PARAMETER_DEFAULTS", defaults)
     monkeypatch.setattr(cli, "_parser", build_parser)
     [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
@@ -1035,13 +1041,12 @@ def test_parameter_flags_read_the_family_defaults(shift, monkeypatch, capsys):
         (command, action) for command, parser in subparsers.choices.items()
         for action in parser._actions if set(action.option_strings) & set(PARAMETER_FLAGS)
     ]
-    assert len(flags) == 9
+    assert len(flags) == 14
     for command, action in flags:
         [flag] = action.option_strings
         name = PARAMETER_FLAGS[flag]
-        default = defaults[name] if command == "gabor" else argparse.SUPPRESS
-        assert (action.dest, action.default, action.type) == (name, default, type(defaults[name])), (
-            command, flag)
+        assert (action.dest, action.default, action.type) == (
+            name, argparse.SUPPRESS, type(defaults[name])), (command, flag)
     read = []
 
     def stop(*args):
@@ -1051,14 +1056,76 @@ def test_parameter_flags_read_the_family_defaults(shift, monkeypatch, capsys):
     monkeypatch.setattr(scaling, "run_family", stop)
     monkeypatch.setattr(scaling, "_build_member", stop)
     for generator, family in scaling._FAMILIES.items():
-        expected = {name: value for name, value in defaults.items()
-                    if name == "probeIndex" or name in family.reads}
+        reads = {name: defaults[name] for name in family.reads}
         assert run_cli("family", "--gen", generator, "--sizes", "3,4,5") == 2
         if family.alias:
             assert run_cli("example", family.alias, "--n", "3") == 2
-        assert read == [expected] * (1 + bool(family.alias)), generator
+        # A study also reads probeIndex; an example reads only the family's `reads`.
+        study = {"probeIndex": defaults["probeIndex"], **reads}
+        assert read == [study] + [reads] * bool(family.alias), generator
         read.clear()
     assert capsys.readouterr().out == ""
+
+    # Each `gabor --set` kind builds its points and its grid from the defaults.
+    sampled = []
+
+    def stop_sampling(points, grids):
+        sampled.append((points, [(grid.half_width, grid.samples_per_unit) for grid in grids]))
+        raise ValueError("stopped")
+
+    monkeypatch.setattr(scaling, "_sampled", stop_sampling)
+    file_points = generators.PointSet2D(((0.0, 0.0), (1.0, 0.5)))
+    matrixio.write_point_set(str(nodes), file_points)
+    kinds = {
+        "lattice": generators.lattice_points(defaults["a"], defaults["b"], defaults["maxIndex"]),
+        "punctured": generators.punctured_lattice(defaults["maxIndex"]),
+        "als": generators.als_point_set(defaults["nmax"]),
+        "file": file_points if shift else None,  # the default "" names no file
+    }
+    assert list(kinds) == list(scaling._POINT_SETS)
+    grid = [(defaults["halfWidth"], defaults["samplesPerUnit"])]
+    for kind, points in kinds.items():
+        assert run_cli("gabor", "--set", kind) == 2
+        assert sampled == ([] if points is None else [(points, grid)]), kind
+        sampled.clear()
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: stopped" if shift else "error: --set file requires --nodes PATH")
+
+
+def test_the_help_refine_example_runs_on_every_index_built_kind(capsys):
+    # The --refine rates that `gabor --help` gives pass the sampling rule at
+    # the default flags of each kind built from an index bound.
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    [refine] = [a for a in subparsers.choices["gabor"]._actions if "--refine" in a.option_strings]
+    [rates] = re.findall(r"e\.g\. (\S+)$", refine.help)
+    for kind, (_, _, count) in scaling._POINT_SETS.items():
+        if count is not None:
+            assert run_cli("gabor", "--set", kind, "--refine", rates) == 0, kind
+            report = json.loads(capsys.readouterr().out)
+            assert {row["size"] for row in report["refinement"]["perSize"]} >= {
+                int(rate) for rate in rates.split(",")}
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["gabor", "--set", "lattice", "--a", "1.25", "--b", "0.75", "--max-index", "1",
+      "--half-width", "5", "--samples", "20"],
+     "gabor:lattice halfWidth=5.0 samplesPerUnit=20 maxIndex=1 a=1.25 b=0.75"),
+    (["gabor", "--set", "punctured", "--max-index", "1", "--samples", "24"],
+     "gabor:punctured halfWidth=6.0 samplesPerUnit=24 maxIndex=1"),
+    (["gabor", "--set", "als", "--nmax", "2", "--half-width", "7"],
+     "gabor:als halfWidth=7.0 samplesPerUnit=16 nmax=2"),
+    (["gabor", "--set", "file", "--nodes", "{dir}/nodes.csv", "--samples", "12"],
+     "gabor:file halfWidth=6.0 samplesPerUnit=12 nodes={dir}/nodes.csv"),
+    (["family", "--gen", "gaborALS", "--sizes", "1,2,3", "--half-width", "7", "--samples", "20",
+      "--probe-index", "1"],
+     "family:gaborALS sizes=1,2,3 probeIndex=1 halfWidth=7.0 samplesPerUnit=20"),
+], ids=["lattice", "punctured", "als", "file", "family-gaborALS"])
+def test_input_names_every_parameter_read(argv, source, tmp_path, capsys):
+    # A report's `input` names the kind and each parameter it read, given or
+    # at its default, in `_PARAMETER_DEFAULTS` order.
+    (tmp_path / "nodes.csv").write_text("0,0\n1,0.5\n")
+    assert run_cli(*(arg.replace("{dir}", str(tmp_path)) for arg in argv)) == 0
+    assert json.loads(capsys.readouterr().out)["input"] == source.replace("{dir}", str(tmp_path))
 
 
 SWEEP_CASES = {

@@ -16,6 +16,7 @@ allowlist of symbols and workload names.  tests/oracles.py may also name its
 own functions.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -176,3 +177,77 @@ def test_a_parameter_or_class_attribute_exists_and_an_oracle_only_in_oracles():
         assert bare_name_exists("README.md", name)
     assert bare_name_exists("tests/oracles.py", "format_complex")
     assert not bare_name_exists("README.md", "format_complex")
+
+
+#: The README's flag table: its header, then one row per kind list.
+FLAG_TABLE = "| Command and kind | Flags it reads (default) |\n|---|---|\n"
+#: A backticked flag and its default in parentheses, if it has one shown.
+FLAG = re.compile(r"`(--[\w-]+)`(?: \(([^)]*)\))?")
+
+
+def flag_table_problems(text):
+    """What the README's flag table gets wrong: each flag must be one of its
+    command's parameter flags (flag -> parameter by its `dest`), its default
+    the parameter's `_PARAMETER_DEFAULTS` entry (none shown for an empty
+    one), and each kind's parameters those its record reads: `probeIndex`
+    and the `reads` of a `_FAMILIES` record for `family`, the record's
+    `reads` for `example`, a `_POINT_SETS` kind's `reads` for `gabor`."""
+    scaling, cli = MODULES["scaling"], MODULES["cli"]
+    [subparsers] = [action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    dests = {command: {flag: action.dest for action in parser._actions for flag in action.option_strings}
+             for command, parser in subparsers.choices.items()}
+    every = {"family": list(scaling._FAMILIES), "gabor": list(scaling._POINT_SETS)}
+    aliases = cli._aliases()
+    table = {}
+    problems = []
+    rows = text[text.index(FLAG_TABLE) + len(FLAG_TABLE):].split("\n\n")[0].splitlines()
+    for row in rows:
+        kinds_cell, flags_cell = row.strip("|").split("|")
+        kinds = []
+        for item in kinds_cell.split(","):
+            words = item.strip().strip("`").split()
+            if words[0] in ("family", "example", "gabor"):
+                command = words[0]
+            if words[0] == "every":
+                kinds += [(command, kind) for kind in every[command]]
+            elif len(words) > 1 or words[0] != command:
+                kinds.append((command, aliases.get(words[-1], words[-1])))
+        for flag, default in FLAG.findall(flags_cell):
+            for command, kind in kinds:
+                name = dests[command].get(flag)
+                if name not in scaling._PARAMETER_DEFAULTS:
+                    problems.append(f"{command} has no parameter flag {flag}")
+                    continue
+                expected = str(scaling._PARAMETER_DEFAULTS[name])
+                if default != expected:
+                    problems.append(f"{flag} defaults to {expected!r}, not {default!r}")
+                table.setdefault((command, kind), set()).add(name)
+    code = {("family", gid): {"probeIndex", *family.reads} for gid, family in scaling._FAMILIES.items()}
+    code.update({("example", gid): set(family.reads)
+                 for gid, family in scaling._FAMILIES.items() if family.alias and family.reads})
+    code.update({("gabor", kind): set(reads) for kind, (reads, _, _) in scaling._POINT_SETS.items()})
+    problems += [f"{' '.join(kind)} reads {sorted(code.get(kind, ()))}, not {sorted(table.get(kind, ()))}"
+                 for kind in sorted(set(code) | set(table)) if code.get(kind) != table.get(kind)]
+    return problems
+
+
+def test_the_flag_table_is_the_parameter_table():
+    assert flag_table_problems((ROOT / "README.md").read_text()) == []
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (("`--nmax` (1)", "`--nmax` (2)"), "--nmax defaults to '1', not '2'"),
+    (("`--max-index` (2), `--a` (1.0)", "`--max-index` (2)"),
+     "gabor lattice reads ['a', 'b', 'halfWidth', 'maxIndex', 'samplesPerUnit'], "
+     "not ['b', 'halfWidth', 'maxIndex', 'samplesPerUnit']"),
+    (("`--nmax` (1)", "`--n-max` (1)"), "gabor has no parameter flag --n-max"),
+    (("`family --gen riesz`,", "`family --gen riesz`, `weighted`,"),
+     "family weightedPair reads ['probeIndex'], not ['probeIndex', 'seed']"),
+    (("`gabor --set als`", "`gabor --set als`, `example riesz`"),
+     "example has no parameter flag --nmax"),
+], ids=["wrong-default", "missing-flag", "unknown-flag", "wrong-kind", "wrong-command"])
+def test_a_wrong_flag_table_is_caught(edit, problem):
+    text = (ROOT / "README.md").read_text()
+    assert edit[0] in text
+    assert problem in flag_table_problems(text.replace(edit[0], edit[1], 1))

@@ -153,8 +153,12 @@ class TestCellGrammar:
 
     def test_format_signed_zeros(self):
         assert cell_text(complex(-0.0, 0.0)) == "-0"
-        assert cell_text(complex(0.0, -0.0)) == "0"
         assert cell_text(complex(-0.0, -2.5)) == "-0-2.5i"
+        # A complex system writes an imaginary -0.0 and omits only +0.0; a
+        # system without a nonzero imaginary part is real and writes neither.
+        row = [complex(0.0, -0.0), complex(-0.0, -0.0), complex(1.0, 0.0), 1j]
+        assert written_text(VectorSequence.from_columns([row])).splitlines()[1] == "0-0i,-0-0i,1,0+1i"
+        assert cell_text(complex(0.0, -0.0)) == "0"
 
     @pytest.mark.parametrize("seed", range(5))
     def test_format_parse_round_trip_is_exact(self, seed, tmp_path):
@@ -204,12 +208,9 @@ class TestMatrixTextIdentity:
         columns = injected_matrix(seed, dim, count)
         path = tmp_path / "matrix.csv"
         write_matrix(str(path), VectorSequence.from_columns(columns))
-        # A zero imaginary part is not written, so -0.0 there reads back as 0.0;
-        # every other bit survives.
-        expected = columns.copy()
-        expected.imag[expected.imag == 0.0] = 0.0
+        # An imaginary -0.0 is written "-0i" and survives, as every other bit does.
         assert np.any(np.signbit(columns.imag) & (columns.imag == 0.0))
-        assert bits(read_matrix(str(path)).columns).tolist() == bits(stored(expected)).tolist()
+        assert bits(read_matrix(str(path)).columns).tolist() == bits(stored(columns)).tolist()
 
 
 def finite_floats(bits):
@@ -559,11 +560,8 @@ class TestBlockConversion:
     @example(columns=injected_matrix(4, 70, 70))
     def test_write_read_round_trip_is_bit_exact(self, columns, scratch_path):
         write_matrix(str(scratch_path), VectorSequence(columns))
-        # The one exception: a zero imaginary part is not written, so -0.0 reads back as 0.0.
-        expected = columns.copy()
-        expected.imag[expected.imag == 0.0] = 0.0
         back = read_matrix(str(scratch_path)).columns
-        assert bits(back).tolist() == bits(stored(expected)).tolist()
+        assert bits(back).tolist() == bits(stored(columns)).tolist()
 
     def test_row_outside_the_grammar_between_grammar_rows(self, tmp_path, monkeypatch):
         lines = written_text(VectorSequence(injected_matrix(5, 150, 3))).splitlines()
