@@ -3,7 +3,8 @@
 Subcommands: analyze, dual, example, family, gabor.  Exit codes are stable:
 0 ok; 2 an argument, flag value or input file that the library rejects with a
 ValueError, a flag the chosen family or point set does not read, an
-unreadable or unwritable path, a command whose largest dense array (estimated
+unreadable or unwritable path, an output path that names an input's or another
+output's file, a command whose largest dense array (estimated
 from its flags or from an input file's shape) exceeds 1 GiB, or a command that
 runs out of memory (MemoryError); 3 numeric failure; 4 no biorthogonal dual;
 5 unsafe Gabor truncation.  All randomness sits behind --seed (default 0);
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from decimal import Context
 from itertools import chain
@@ -24,7 +26,6 @@ from itertools import chain
 import numpy as np
 
 from . import diagnostics, duals, generators, matrixio, scaling
-from .diagnostics import VerdictKind
 from .errors import (
     CriteriaDisagreementError,
     FitDomainError,
@@ -80,6 +81,30 @@ def _read_matrix(path: str) -> VectorSequence:
     return matrixio.read_matrix(path, check_shape)
 
 
+#: The path flags of every command, by dest: the files it reads, then those it writes.
+_PATHS = {"input": "input", "nodes": "--nodes", "out": "--out", "csv": "--csv",
+          "dump_matrix": "--dump-matrix", "json": "--json"}
+
+
+def _refuse_shared_paths(args) -> None:
+    """Refuses an output flag that names an input's or another output's file,
+    before any file is read or written.  `write_atomic` replaces an output's
+    directory entry, the real path of its parent plus its base name, so a
+    symlink named as an output is replaced, not its target; an input is read
+    through its links, so it is also known by its own real path."""
+    named = {}  # each entry or real path named so far, and the flag that named it
+    for dest, flag in _PATHS.items():
+        path = getattr(args, dest, None)
+        if path:
+            head, tail = os.path.split(path)
+            entry = os.path.join(os.path.realpath(head), tail)
+            if entry in named:
+                raise ValueError(f"{named[entry]} and {flag} name the same file {path}")
+            named[entry] = flag
+            if dest in ("input", "nodes"):
+                named[os.path.realpath(path)] = flag
+
+
 def _emit(payload: dict, json_path) -> None:
     """The report `payload` in its envelope, the schema version and the
     tolerance constants, to `json_path` or else stdout.  `twoRouteRelative`
@@ -102,21 +127,17 @@ def _emit(payload: dict, json_path) -> None:
 
 
 def _analysis_payload(seq: VectorSequence, source: str) -> dict:
-    # classify, gram_spectrum and the dual, with the biorthogonality residual
-    # that accepted it, all read seq's spectral record.
+    # classify, gram_spectrum and the dual's outcome, with the biorthogonality
+    # residual that accepted it, all read seq's spectral record.
     verdict = diagnostics.classify(seq)
     spectrum = diagnostics.gram_spectrum(seq)
+    outcome = duals._dual_outcome(seq)
     residuals = {"biorthogonality": None, "dualityIdentity": None}
-    if verdict.kind is not VerdictKind.LINEARLY_DEPENDENT:
-        try:
-            partner, biorthogonality = duals._accepted_dual(seq)
-        except IllConditionedError:
-            pass
-        else:
-            residuals = {
-                "biorthogonality": biorthogonality,
-                "dualityIdentity": duals.duality_identity_residual(seq, partner),
-            }
+    if isinstance(outcome, duals._AcceptedDual):
+        residuals = {
+            "biorthogonality": outcome.biorthogonality_residual,
+            "dualityIdentity": duals.duality_identity_residual(seq, outcome.partner),
+        }
     return {
         "input": source,
         "bounds": {
@@ -322,6 +343,7 @@ def main(argv=None) -> int:
     # The one place that maps an error to an exit code, by type.  Numeric errors
     # come first, as FitDomainError and LinAlgError are ValueErrors too.
     try:
+        _refuse_shared_paths(args)
         return args.func(args)
     except (
         IllConditionedError,

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .duals import minimal_dual
+from .duals import _AcceptedDual, _dual_outcome
 from .errors import CriteriaDisagreementError, DimensionError, IllConditionedError
 from .seqcore import (
     VectorSequence,
@@ -207,8 +207,8 @@ def classify(seq: VectorSequence) -> Verdict:
     independent columns the dual route checks the paper's identity on the
     minimal dual: A_F B_G and B_F A_G must both equal 1 within
     `_pair_inequality`'s error bar, which compares each extreme of the dual's
-    spectrum with an extreme of F's; it abstains where the dual or its
-    factorization is refused as ill-conditioned.
+    spectrum with an extreme of F's; it abstains where the dual's recorded
+    outcome is a refusal, or where the partner's own SVD refuses its range.
     `CriteriaDisagreementError` signals a tolerance bug.  Each route factors
     its own matrix once (an SVD of F, an eigensolve of the smaller of F^H F
     and F F^H, the dual's solve and SVD) and keeps the factorization in that
@@ -224,9 +224,10 @@ def classify(seq: VectorSequence) -> Verdict:
         raise CriteriaDisagreementError(
             f"column route says {kind.value}, Gram route says {vote.value}"
         )
-    if kind is not VerdictKind.LINEARLY_DEPENDENT:
-        with suppress(IllConditionedError):  # the dual or its SVD is refused: abstain
-            _pair_inequality(seq, minimal_dual(seq), minimal=True)
+    outcome = _dual_outcome(seq)
+    if isinstance(outcome, _AcceptedDual):
+        with suppress(IllConditionedError):  # the partner's SVD is refused: abstain
+            _pair_inequality(seq, outcome.partner, minimal=True)
     conditioning = math.inf if lower == 0.0 else upper / lower
     report = BoundsReport(lower, upper, defect, conditioning)
     return Verdict(kind, report)

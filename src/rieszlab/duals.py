@@ -59,27 +59,22 @@ def minimal_dual(seq: VectorSequence) -> VectorSequence:
     otherwise IllConditionedError is raised instead of returning a silently
     degraded dual.
 
-    The outcome is kept in the system's spectral record: later calls return
-    the same partner, or raise a fresh error of the same type and message.
+    The outcome is the entry `_dual_outcome` of the system's spectral record,
+    which `classify` and `analyze` read as a value: this returns its partner,
+    or raises a fresh error of its recorded type and message, on every call.
     The partner has its own record, independent of the system's.  A real
     system's partner is real.
     """
-    return _accepted_dual(seq).partner
-
-
-def _accepted_dual(seq: VectorSequence) -> _AcceptedDual:
-    """The minimal dual with the biorthogonality residual that accepted it,
-    read from the system's spectral record; raises as `minimal_dual` does."""
     outcome = _dual_outcome(seq)
     if isinstance(outcome, _AcceptedDual):
-        return outcome
+        return outcome.partner
     error_type, message = outcome
     raise error_type(message)
 
 
 @_recorded
 def _dual_outcome(seq: VectorSequence):
-    """The accepted minimal dual, or the (error type, message) that refuses it."""
+    """`minimal_dual`'s outcome: the accepted dual, or the (error type, message) refusing it."""
     if not _independent(seq):
         return NoBiorthogonalSequenceError, (
             "columns are linearly dependent (not minimal); no biorthogonal sequence exists"

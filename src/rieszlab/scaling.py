@@ -197,11 +197,13 @@ def _number(value, name: str) -> float:
 def _parameters(owner: str, reads: Sequence[str], given: Mapping[str, object]) -> Mapping[str, object]:
     """The read-only parameters `reads` of a family, an example or a `gabor --set`
     kind, in `_PARAMETER_DEFAULTS` order: each given one converted to its
-    default's type and the others at their defaults; a given parameter that
-    `owner` does not read is refused, after all are converted."""
+    default's type and the others at their defaults; a negative seed, and then
+    a given parameter that `owner` does not read, is refused after all are converted."""
     convert = {int: _whole, float: _number, str: lambda value, name: value}
     typed = {name: convert[type(_PARAMETER_DEFAULTS[name])](value, name)
              for name, value in given.items() if name in _PARAMETER_DEFAULTS}
+    if typed.get("seed", 0) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {typed['seed']}")
     unread = sorted(set(given) - set(reads))
     if unread:
         raise ValueError(f"{owner} does not read {unread}")

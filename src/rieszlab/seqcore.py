@@ -174,8 +174,9 @@ def _recorded(compute):
 
     The record's entries are the singular values of F, the smaller Gram
     product (F^H F, or F F^H for a wide system), its ascending eigenvalues and
-    the outcome of `duals.minimal_dual`, with the biorthogonality residual
-    that accepted it.  Every entry is computed from `columns`, so it is real
+    the outcome of `duals.minimal_dual`, read as a value: the partner with the
+    biorthogonality residual that accepted it, or the refusal's (error type,
+    message).  Every entry is computed from `columns`, so it is real
     exactly when the system is.  For a system with at most one nonzero per
     row and column, the singular values are its sorted moduli and the
     eigenvalues their squares, with no factorization; only the dual's solve

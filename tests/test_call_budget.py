@@ -36,7 +36,8 @@ from rieszlab.generators import (
     weighted_pair,
     young_general,
 )
-from rieszlab.matrixio import write_matrix, write_point_set
+from rieszlab.errors import IllConditionedError, NoBiorthogonalSequenceError
+from rieszlab.matrixio import read_matrix, write_matrix, write_point_set
 from rieszlab.scaling import FamilySpec, run_family
 
 # numpy >= 2 keeps the implementation in numpy.linalg._linalg, older numpy in numpy.linalg.linalg.
@@ -240,6 +241,51 @@ def test_cli_reads_the_accepted_biorthogonality_residual(
     assert len(calls) == 1
     residual = json.loads(report.read_text())["residuals"]["biorthogonality"]
     assert residual == original(seq, duals.minimal_dual(seq))
+
+
+def _dual_outcome_system(name):
+    """An accepted basis; a refused one, Q1 diag(1 .. 1e-10) Q2, whose dual
+    misses the 1e-8 residual contract; and a dependent one, with a duplicated
+    column.  Built before the counters are cleared: their QRs are not counted."""
+    if name == "accepted":
+        return random_riesz(12)
+    if name == "refused":
+        rng = np.random.default_rng(3)
+        q1, q2 = (np.linalg.qr(rng.standard_normal((12, 12)))[0] for _ in range(2))
+        return VectorSequence.from_columns(q1 * np.geomspace(1.0, 1e-10, 12) @ q2)
+    columns = random_riesz(12).columns.copy()
+    columns[:, 5] = columns[:, 2]
+    return VectorSequence.from_columns(columns)
+
+
+@pytest.mark.parametrize("name, error, solves", [
+    ("accepted", None, 1),
+    ("refused", IllConditionedError, 1),
+    ("dependent", NoBiorthogonalSequenceError, 0),
+])
+def test_analyze_reports_the_recorded_dual_outcome(
+    name, error, solves, lapack_calls, matrix_file, capsys
+):
+    # analyze's residuals are null exactly when minimal_dual raises, and
+    # otherwise the residuals of the recorded, accepted dual; a dependent
+    # system's refusal is recorded without a solve.
+    path = matrix_file(_dual_outcome_system(name))
+    lapack_calls.clear()
+    assert main(["analyze", path]) == 0
+    assert lapack_calls["solve"] == solves
+    residuals = json.loads(capsys.readouterr().out)["residuals"]
+    seq = read_matrix(path)
+    if error is not None:
+        with pytest.raises(error):
+            duals.minimal_dual(seq)
+        assert residuals == {"biorthogonality": None, "dualityIdentity": None}
+    else:
+        outcome = duals._dual_outcome(seq)
+        assert duals.minimal_dual(seq) is outcome.partner
+        assert residuals == {
+            "biorthogonality": outcome.biorthogonality_residual,
+            "dualityIdentity": duals.duality_identity_residual(seq, outcome.partner),
+        }
 
 
 def permuted_weighted_pair():

@@ -639,7 +639,7 @@ EXIT_CODE_TABLE = [
      ["family", "--gen", "orthonormal", "--sizes", "4,8,16", "--probe-index", "99"], 2,
      "probe index 99"),
     ("family-seed-negative", ["family", "--gen", "riesz", "--sizes", "4,8,16", "--seed", "-1"],
-     2, "size 4"),
+     2, "seed must be a non-negative integer, got -1"),
     ("example-seed-negative", ["example", "riesz", "--n", "4", "--seed", "-1", "-o", "{dir}/r"],
      2, "non-negative"),
     ("family-young-size-one", ["family", "--gen", "young", "--sizes", "1,2,3"], 2, "size 1"),
@@ -774,8 +774,9 @@ def test_an_aliasing_rate_builds_no_system(argv, code, message, tmp_path, monkey
 
 # Usage errors pinned by their whole stderr line.  {dir} holds letter.csv, a
 # node file whose second line is "x,1", underscore.csv, whose first line is
-# "1_0,0", which float() would read as (10, 0), and comment.csv, a node file
-# with only a comment line.
+# "1_0,0", which float() would read as (10, 0), comment.csv, a node file
+# with only a comment line, and basis.csv, the 2 x 2 identity, which is also a
+# node file of two nodes.
 EXIT_LINE_TABLE = [
     ("family-sizes-not-integers", ["family", "--gen", "weighted", "--sizes", "1,x,3"],
      "--sizes expects a comma-separated integer list: "
@@ -829,6 +830,29 @@ EXIT_LINE_TABLE = [
      "{dir}/underscore.csv: row 1, column 1: invalid complex cell '1_0'"),
     ("gabor-no-nodes", ["gabor", "--set", "file", "--nodes", "{dir}/comment.csv"],
      "{dir}/comment.csv: no nodes found"),
+    # A negative seed is refused by name, not by the generator's message.
+    ("family-seed-negative-named", ["family", "--gen", "riesz", "--sizes", "2,3,4", "--seed", "-1"],
+     "seed must be a non-negative integer, got -1"),
+    ("example-seed-negative-named", ["example", "riesz", "--n", "3", "--seed", "-5", "-o", "{dir}/r"],
+     "seed must be a non-negative integer, got -5"),
+    # An output path that names an input's or another output's file is refused
+    # before anything is read or written, naming both flags.
+    ("analyze-json-overwrites-input", ["analyze", "{dir}/basis.csv", "--json", "{dir}/basis.csv"],
+     "input and --json name the same file {dir}/basis.csv"),
+    ("dual-out-overwrites-input", ["dual", "{dir}/basis.csv", "-o", "{dir}/basis.csv"],
+     "input and --out name the same file {dir}/basis.csv"),
+    ("dual-json-overwrites-out",
+     ["dual", "{dir}/basis.csv", "-o", "{dir}/d.csv", "--json", "{dir}/./d.csv"],
+     "--out and --json name the same file {dir}/./d.csv"),
+    ("family-json-overwrites-csv",
+     ["family", "--gen", "riesz", "--sizes", "4,8,16", "--csv", "{dir}/p", "--json", "{dir}/p"],
+     "--csv and --json name the same file {dir}/p"),
+    ("gabor-dump-overwrites-nodes",
+     ["gabor", "--set", "file", "--nodes", "{dir}/basis.csv", "--dump-matrix", "{dir}/basis.csv"],
+     "--nodes and --dump-matrix name the same file {dir}/basis.csv"),
+    ("gabor-json-overwrites-dump",
+     ["gabor", "--set", "lattice", "--dump-matrix", "{dir}/p", "--json", "{dir}/p"],
+     "--dump-matrix and --json name the same file {dir}/p"),
 ]
 
 
@@ -841,12 +865,28 @@ def test_usage_error_lines(argv, message, tmp_path, capsys):
     (tmp_path / "letter.csv").write_text("0,0\nx,1\n")
     (tmp_path / "underscore.csv").write_text("1_0,0\n0,1\n")
     (tmp_path / "comment.csv").write_text("# tau,mu\n")
-    before = set(tmp_path.rglob("*"))
+    (tmp_path / "basis.csv").write_text("1,0\n0,1\n")
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
     assert run_cli(*(arg.replace("{dir}", str(tmp_path)) for arg in argv)) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message.replace('{dir}', str(tmp_path))}\n"
-    assert set(tmp_path.rglob("*")) == before
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
+def test_an_output_is_told_apart_by_its_directory_entry(tmp_path, capsys):
+    # An output replaces the entry it names: a symlink named by --out is
+    # replaced and its target kept.  An input is read through its links, so
+    # an output naming the input's target is refused.
+    basis = tmp_path / "basis.csv"
+    write_identity(basis, 2)
+    link = tmp_path / "link.csv"
+    link.symlink_to(basis.name)
+    original = basis.read_bytes()
+    assert run_cli("dual", str(link), "-o", str(basis)) == 2
+    assert capsys.readouterr().err == f"error: input and --out name the same file {basis}\n"
+    assert run_cli("dual", str(basis), "-o", str(link)) == 0
+    assert not link.is_symlink() and basis.read_bytes() == original
 
 
 def test_analyze_reports_a_refused_dual_as_null_residuals(tmp_path, capsys):

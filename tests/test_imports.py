@@ -19,6 +19,11 @@ matrix and point-set files, whose cells are read one at a time, by
 `matrixio._parse_cells`, only in `matrixio._name_error`, its one error path.
 Every sampled Gabor system is built by `generators._gabor_twin`, called in
 `scaling._sampled` alone, the one sampler, which refuses an aliasing rate first.
+The minimal dual's recorded outcome, `duals._dual_outcome`, is read as a value
+by `duals.minimal_dual`, `diagnostics.classify` and `cli._analysis_payload`
+alone; `minimal_dual`, which raises a refusal, is called by `cli._cmd_dual`
+alone, and only `cli.main` names `NoBiorthogonalSequenceError` in an `except`
+clause or a `suppress` call.
 """
 
 import ast
@@ -250,3 +255,72 @@ def test_a_second_sampler_call_is_seen():
         "    return _gabor_twin(points, grid), generators.gaussian_gabor(points, grid)\n"
     )
     assert sampler_sites(source, "m") == [("_gabor_twin", "m._sampled"), ("_gabor_twin", "m.gabor")]
+
+
+#: The readers of the minimal dual's outcome: its recorded value, read without
+#: raising, and `minimal_dual`, which raises a refusal, called only where a
+#: refusal is the command's exit code.
+DUAL_READER_SITES = {
+    "_dual_outcome": ["cli._analysis_payload", "diagnostics.classify", "duals.minimal_dual"],
+    "minimal_dual": ["cli._cmd_dual"],
+}
+
+
+def dual_reader_sites(source, module):
+    """(call, "module.function") for each call of `_dual_outcome` or
+    `minimal_dual` in `source`, by bare name or as an attribute."""
+    return call_sites(source, module, tuple(DUAL_READER_SITES), tuple(DUAL_READER_SITES))
+
+
+def catch_sites(source, module, error="NoBiorthogonalSequenceError"):
+    """"module.function" for each `except` clause or `suppress` call in
+    `source` that names `error`, by bare name or as an attribute, in source order."""
+    sites = []
+
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.ExceptHandler):
+            caught = [node.type] if node.type else []
+        elif isinstance(node, ast.Call) and name(node.func) == "suppress":
+            caught = node.args
+        else:
+            caught = []
+        if any(name(sub) == error for arg in caught for sub in ast.walk(arg)):
+            sites.append(f"{module}.{function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sites
+
+
+def test_the_dual_outcome_is_read_as_a_value():
+    found = {call: [] for call in DUAL_READER_SITES}
+    for path in PACKAGE:
+        for call, site in dual_reader_sites(path.read_text(), path.stem):
+            found[call].append(site)
+    assert found == DUAL_READER_SITES
+    assert [site for path in PACKAGE for site in catch_sites(path.read_text(), path.stem)] == [
+        "cli.main"]
+
+
+def test_a_raised_and_caught_dual_is_seen():
+    source = (
+        "from contextlib import suppress\nfrom . import duals, errors\n"
+        "from .duals import _dual_outcome, minimal_dual\n"
+        "def classify(seq):\n    return _dual_outcome(seq)\n"
+        "def report(seq):\n    try:\n        return duals.minimal_dual(seq), duals._dual_outcome(seq)\n"
+        "    except (ValueError, errors.NoBiorthogonalSequenceError):\n        return None\n"
+        "def quiet(seq):\n    with suppress(NoBiorthogonalSequenceError):\n        minimal_dual(seq)\n"
+        "def other(seq):\n    with suppress(ValueError):\n        pass\n"
+        "    try:\n        pass\n    except:\n        pass\n"
+    )
+    assert dual_reader_sites(source, "m") == [
+        ("_dual_outcome", "m.classify"), ("minimal_dual", "m.report"),
+        ("_dual_outcome", "m.report"), ("minimal_dual", "m.quiet"),
+    ]
+    assert catch_sites(source, "m") == ["m.report", "m.quiet"]
