@@ -165,9 +165,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_dual(args) -> int:
     seq = _read_matrix(args.input)
     partner = duals.minimal_dual(seq)
-    matrixio.write_matrix(args.out, partner)
-    # The payload's residuals are those of this partner, read from seq's record.
+    # The payload's residuals are those of this partner, read from seq's
+    # record; every check runs before a file is written.
     payload = _analysis_payload(seq, args.input)
+    matrixio.write_matrix(args.out, partner)
     payload["dualPath"] = args.out
     _emit(payload, args.json)
     return EXIT_OK

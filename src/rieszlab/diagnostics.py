@@ -214,8 +214,9 @@ def classify(seq: VectorSequence) -> Verdict:
     and F F^H, the dual's solve and SVD) and keeps the factorization in that
     matrix's spectral record; the dual's Gram product is never formed.  A
     system with at most one nonzero per row and column, and its dual, read
-    their singular values and Gram eigenvalues from their entries instead,
-    exactly, so only the dual's solve runs; every check still runs on them.
+    their singular values, Gram eigenvalues and the dual itself from their
+    entries instead, exactly but for the dual's one rounding, so no kernel
+    runs; every check still runs on them.
     """
     lower, upper, _, _, vote = _compared_routes(seq)
     defect = completeness_defect(seq)

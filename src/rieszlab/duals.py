@@ -5,6 +5,13 @@ own span, with columns F Gram^{-1}; it has minimal column norms among all
 biorthogonal partners.  With that dual, the composition h -> sum_k <h, g_k> f_k
 reconstructs every vector of the span, which is what
 `duality_identity_residual` measures.
+
+A system with at most one nonzero per row and column has disjoint column
+supports, so its Gram matrix is diagonal and its minimal dual holds
+1/conj(a) where the system holds a: `_dual_outcome` writes it from the
+system's recorded entries, with no Gram product and no solve.  Two such
+systems with the same nonzero rows have diagonal G^H F and F G^H, so both
+residuals are read from the products of their entries.
 """
 
 from __future__ import annotations
@@ -18,7 +25,14 @@ from .errors import (
     IllConditionedError,
     NoBiorthogonalSequenceError,
 )
-from .seqcore import VectorSequence, _gram_entries, _independent, _recorded, _sigma
+from .seqcore import (
+    VectorSequence,
+    _gram_entries,
+    _independent,
+    _monomial_entries,
+    _recorded,
+    _sigma,
+)
 
 #: Residual below which a pair counts as biorthogonal.
 BIORTHOGONALITY_TOL = 1e-8
@@ -38,9 +52,26 @@ def _minus_identity(square: np.ndarray) -> np.ndarray:
     return square
 
 
+def _paired_entries(seq: VectorSequence, partner: VectorSequence):
+    """For two systems with at most one nonzero per row and column, whose
+    columns hold their nonzeros at the same rows (row -1 for a column zero in
+    both): those rows and the products conj(g_k) f_k; else None.  G^H F is
+    then diagonal with these products in column order, and F G^H diagonal
+    with them at those rows and zeros at the other rows."""
+    f, g = _monomial_entries(seq), _monomial_entries(partner)
+    if f is None or g is None or not np.array_equal(f.rows, g.rows):
+        return None
+    return f.rows, np.conj(g.values) * f.values
+
+
 def biorthogonality_residual(seq: VectorSequence, partner: VectorSequence) -> float:
-    """max over (j, k) of |<f_k, g_j> - delta_jk|."""
+    """max over (j, k) of |<f_k, g_j> - delta_jk|.  For two systems with at
+    most one nonzero per row and column at the same rows, max |conj(g_k) f_k
+    - 1|, read from their entries with no count x count product."""
     _check_pair(seq, partner)
+    paired = _paired_entries(seq, partner)
+    if paired is not None:
+        return float(np.abs(paired[1] - 1.0).max())
     return float(np.abs(_minus_identity(partner.columns.conj().T @ seq.columns)).max())
 
 
@@ -79,12 +110,20 @@ def _dual_outcome(seq: VectorSequence):
         return NoBiorthogonalSequenceError, (
             "columns are linearly dependent (not minimal); no biorthogonal sequence exists"
         )
-    try:
-        dual_adjoint = np.linalg.solve(_gram_entries(seq), seq.columns.conj().T)
-    except np.linalg.LinAlgError as exc:
-        return IllConditionedError, f"Gram factorization failed: {exc}"
-    partner = VectorSequence._adopt(np.conjugate(dual_adjoint.T, order="C"))
-    del dual_adjoint  # not held beside the residual's product and its copy of the partner
+    entries = _monomial_entries(seq)
+    if entries is not None:
+        # Disjoint supports make the Gram matrix diagonal, so column k of
+        # F Gram^{-1} is a e_r / |a|^2 = e_r / conj(a), for its nonzero a at row r.
+        columns = np.zeros_like(seq.columns)
+        columns[entries.rows, np.arange(seq.count)] = 1.0 / np.conj(entries.values)
+        partner = VectorSequence._adopt(columns)
+    else:
+        try:
+            dual_adjoint = np.linalg.solve(_gram_entries(seq), seq.columns.conj().T)
+        except np.linalg.LinAlgError as exc:
+            return IllConditionedError, f"Gram factorization failed: {exc}"
+        partner = VectorSequence._adopt(np.conjugate(dual_adjoint.T, order="C"))
+        del dual_adjoint  # not held beside the residual's product and its copy of the partner
     residual = biorthogonality_residual(seq, partner)
     if residual > BIORTHOGONALITY_TOL:
         return IllConditionedError, (
@@ -97,6 +136,12 @@ def _dual_outcome(seq: VectorSequence):
 def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> float:
     """Spectral norm of R = (h -> sum_k <h, g_k> f_k) minus the identity.
 
+    Two systems with at most one nonzero per row and column at the same rows
+    have a diagonal R, f_k conj(g_k) - 1 at each column's row and -1 at the
+    rows off their support, so its norm is max |conj(g_k) f_k - 1|, raised to
+    1.0 when fewer columns than dim hold a nonzero: read from their entries,
+    with no product, QR or SVD.  Any other pair forms a product, as follows.
+
     A tall pair (2 count < dim) never forms the dim x dim R.  With Q an
     orthonormal basis from the reduced QR of [F G], R and its adjoint map
     span(Q) into itself, and R = -I on its nonzero complement, so the norm is
@@ -107,11 +152,15 @@ def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> f
     nonzero only in its complement rows, so its norm is that of a
     complement_dim x dim block, and with one complement row its Euclidean
     norm, with no SVD.  A dense R goes to the SVD as it is, uncopied, and an
-    all-zero R reads 0.0.  A residual with at most one nonzero per row and
-    column, such as that of two diagonal systems, has its largest modulus as
-    its norm, with no SVD.
+    all-zero R reads 0.0.
     """
     _check_pair(seq, partner)
+    paired = _paired_entries(seq, partner)
+    if paired is not None:
+        rows, products = paired
+        supported = rows >= 0
+        off_support = 1.0 if np.count_nonzero(supported) < seq.dim else 0.0
+        return max(float(np.abs(products[supported] - 1.0).max(initial=0.0)), off_support)
     f, g = seq.columns, partner.columns
     if 2 * seq.count < seq.dim:
         q = np.linalg.qr(np.concatenate([f, g], axis=1))[0]
@@ -124,4 +173,3 @@ def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> f
     if not (rows.all() and cols.all()):
         residual = residual[np.ix_(rows, cols)]
     return float(_sigma(residual)[0])
-

@@ -33,16 +33,19 @@ sampled Gabor system whose nodes pair up is built as its float64 real twin,
 straight from its nodes (`generators._gabor_twin`); any other complex system
 is factored in complex arithmetic.
 
-Every singular value in the package comes from `_sigma`, which holds its one
-SVD: a system's own (the record's `_singular_values`) and an identity
-residual's norm (`duals.duality_identity_residual`).  A matrix with at most
-one nonzero per row and column (`_monomial_moduli`) is never factored: its
-singular values are the moduli of its entries, sorted, and a system's Gram
-eigenvalues their squares, both exact, so its two routes agree by
-construction.  Its entries alone select this path.  Any other one-row or
-one-column matrix, such as a single vector or the one complement row of a
-Young pair's identity residual, is not factored either: its one singular
-value is its Euclidean norm, taken by `math.hypot`.
+Every factored singular value in the package comes from `_sigma`, which
+holds its one SVD: a system's own (the record's `_singular_values`) and an
+identity residual's norm (`duals.duality_identity_residual`).  A system with
+at most one nonzero per row and column is never factored: `_monomial_moduli`
+finds each column's nonzero row and value in one scan, kept as the record's
+`_monomial_entries`, and its singular values are their moduli, sorted, and
+its Gram eigenvalues their squares, both exact, so its two routes agree by
+construction.  Its minimal dual and its residuals against a partner with the
+same nonzero rows are read from the same entries (`duals`).  Its entries
+alone select this path.  Any other one-row or one-column matrix, such as a
+single vector or the one complement row of a Young pair's identity residual,
+is not factored either: its one singular value is its Euclidean norm, taken
+by `math.hypot`.
 
 Every threshold that asks how large rounding is, in any module, reads
 `_error_bar`, and this is the one module that reads machine epsilon.  The
@@ -54,6 +57,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,16 +176,18 @@ def _recorded(compute):
     """`compute(seq)` as an entry of the spectral record of `seq`, a private
     dict: computed on first read and kept under the function's name.
 
-    The record's entries are the singular values of F, the smaller Gram
-    product (F^H F, or F F^H for a wide system), its ascending eigenvalues and
-    the outcome of `duals.minimal_dual`, read as a value: the partner with the
-    biorthogonality residual that accepted it, or the refusal's (error type,
-    message).  Every entry is computed from `columns`, so it is real
-    exactly when the system is.  For a system with at most one nonzero per
-    row and column, the singular values are its sorted moduli and the
-    eigenvalues their squares, with no factorization; only the dual's solve
-    forms its Gram product.  The product is Hermitian positive semidefinite
-    by construction.  The record lives and dies with its sequence and holds
+    The record's entries are the system's `_monomial_entries` (each
+    column's nonzero row and value, or None), the singular values of F, the
+    smaller Gram product (F^H F, or F F^H for a wide system), its ascending
+    eigenvalues and the outcome of `duals.minimal_dual`, read as a value: the
+    partner with the biorthogonality residual that accepted it, or the
+    refusal's (error type, message).  Every entry is computed from
+    `columns`, so it is real exactly when the system is.  For a system with
+    at most one nonzero per row and column, the singular values are its
+    sorted moduli, the eigenvalues their squares and the dual's entries
+    their reciprocals' conjugates, with no factorization and no Gram
+    product.  The product is Hermitian positive semidefinite by
+    construction.  The record lives and dies with its sequence and holds
     no U/V factors.  Threads racing on a first read may each compute an
     entry; the first stored value is the one every caller gets.
     """
@@ -205,7 +211,11 @@ def _singular_values(seq: VectorSequence) -> np.ndarray:
     bounds, Gram spectrum and dual are not representable.  A system with at
     most one nonzero per row and column takes its moduli, sorted, as sigma,
     and any other single vector or one-row system its Euclidean norm."""
-    sigma = _sigma(seq.columns)
+    entries = _monomial_entries(seq)
+    if entries is None:
+        sigma = _sigma(seq.columns)
+    else:
+        sigma = np.sort(np.abs(entries.values))[::-1][:min(seq.columns.shape)]
     tol = _rank_scale(seq.columns.shape, float(sigma[0]))
     if sigma[0] > 0.0 and not _SIGMA_FLOOR <= tol <= sigma[0] <= _SIGMA_CEILING:
         raise IllConditionedError(
@@ -217,34 +227,53 @@ def _singular_values(seq: VectorSequence) -> np.ndarray:
 
 def _sigma(matrix: np.ndarray) -> np.ndarray:
     """Descending singular values of `matrix`: the package's one SVD; for a
-    matrix with at most one nonzero per row and column its moduli, sorted;
-    and otherwise for a one-row or one-column matrix its one singular value,
-    its Euclidean norm.  `math.hypot` takes that norm over the real and
-    imaginary parts scaled by the largest of them, so it neither overflows
-    nor underflows where the SVD's value would not, and errs by under one
-    unit in the last place."""
-    moduli = _monomial_moduli(matrix)
-    if moduli is not None:
-        return np.sort(moduli)[::-1][:min(matrix.shape)]
+    one-row or one-column matrix its one singular value, its Euclidean norm.
+    `math.hypot` takes that norm over the real and imaginary parts scaled by
+    the largest of them, so it neither overflows nor underflows where the
+    SVD's value would not, and errs by under one unit in the last place."""
     if min(matrix.shape) == 1:
         return np.array([math.hypot(*matrix.ravel().view(float).tolist())])
     return np.linalg.svd(matrix, compute_uv=False)
 
 
+class _Monomial(NamedTuple):
+    """The entries of a matrix with at most one nonzero per row and column:
+    each column's nonzero row, -1 for a zero column, and its value, 0.0 for
+    a zero column."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+
 def _monomial_moduli(arr: np.ndarray):
     """For a matrix with at most one nonzero per row and per column (-0.0
-    counts as zero, as in `_as_array`), the modulus of each column's
-    nonzero, 0.0 for a zero column; else None.  Up to row and column
-    permutations and unimodular factors such a matrix is a rectangular
-    diagonal of these moduli, so they are exactly its singular values.  A
-    first column with two nonzeros, as in a dense system, settles it before
-    the full scan."""
+    counts as zero, as in `_as_array`), its `_Monomial` entries; else None.
+    Up to row and column permutations and unimodular factors such a matrix
+    is a rectangular diagonal of its values' moduli, so they are exactly its
+    singular values.  A first column with two nonzeros, as in a dense
+    system, settles it before the full scan, and more than min(dim, count)
+    nonzeros before any index is listed."""
     if np.count_nonzero(arr[:, 0]) > 1:
         return None
     nonzero = arr != 0
-    if np.count_nonzero(nonzero, axis=0).max() > 1 or np.count_nonzero(nonzero, axis=1).max() > 1:
+    if np.count_nonzero(nonzero) > min(arr.shape):
         return None
-    return np.abs(arr[nonzero.argmax(axis=0), np.arange(arr.shape[1])])
+    rows, cols = np.divmod(np.flatnonzero(nonzero), arr.shape[1])
+    if np.bincount(rows, minlength=1).max() > 1 or np.bincount(cols, minlength=1).max() > 1:
+        return None
+    column_rows = np.full(arr.shape[1], -1)
+    column_rows[cols] = rows
+    values = np.zeros(arr.shape[1], arr.dtype)
+    values[cols] = arr[rows, cols]
+    return _Monomial(column_rows, values)
+
+
+@_recorded
+def _monomial_entries(seq: VectorSequence):
+    """The system's `_monomial_moduli`, found once: its singular values, Gram
+    eigenvalues, minimal dual and residuals against a partner of the same
+    pattern are read from them, or, for None, factored."""
+    return _monomial_moduli(seq.columns)
 
 
 def _rank(seq: VectorSequence) -> int:
@@ -270,6 +299,6 @@ def _gram_eigenvalues(seq: VectorSequence) -> np.ndarray:
     """Ascending eigenvalues of the record's Gram product; one eigensolve per
     system, or for a system with at most one nonzero per row and column, whose
     Gram product is diagonal, its squared moduli without the product."""
-    if _monomial_moduli(seq.columns) is None:
+    if _monomial_entries(seq) is None:
         return _read_only(np.linalg.eigvalsh(_gram_entries(seq)))
     return _read_only(_singular_values(seq)[::-1] ** 2)

@@ -339,17 +339,25 @@ def test_diagonal_identity_residual_is_its_largest_modulus(lapack_calls):
     assert not lapack_calls
 
 
+def tall_monomial_system():
+    """40 x 10 with one nonzero per column, each in its own row: a tall file
+    (2 count < dim), whose dense identity residual would take the QR branch."""
+    columns = np.zeros((40, 10))
+    columns[np.random.default_rng(7).permutation(40)[:10], np.arange(10)] = 1.0 / np.arange(1, 11)
+    return VectorSequence.from_columns(columns)
+
+
+@pytest.mark.parametrize("system", [permuted_weighted_pair, tall_monomial_system])
 @pytest.mark.parametrize("command", ["analyze", "dual"])
-def test_cli_permuted_diagonal_runs_only_the_dual_solve(
-    command, lapack_calls, matrix_file, tmp_path, capsys
-):
-    # The system, its dual and the identity residual each hold at most one
-    # nonzero per row and column, so only the dual's Gram solve factors.
-    path = matrix_file(permuted_weighted_pair())
+def test_cli_monomial_file_runs_no_kernel(command, system, lapack_calls, matrix_file, tmp_path,
+                                          capsys):
+    # The system, its dual and both residuals are read from the entries:
+    # no SVD, eigensolve, Gram solve, least squares or QR runs.
+    path = matrix_file(system())
     extra = ["-o", str(tmp_path / "dual.csv")] if command == "dual" else []
     lapack_calls.clear()
     assert main([command, path, *extra]) == 0
-    assert_within(lapack_calls, svd=0, eigvalsh=0, solve=1)
+    assert_within(lapack_calls, svd=0, eigvalsh=0, solve=0, lstsq=0, qr=0)
 
 
 def test_analyze_dependent(lapack_calls, matrix_file, capsys):

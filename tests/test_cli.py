@@ -131,6 +131,18 @@ class TestDual:
         src.write_text("1,1\n0,1e-10\n")
         assert run_cli("dual", str(src), "-o", str(tmp_path / "d.csv")) == 3
 
+    def test_failed_check_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        # A forged Gram route disagrees with the singular values after the
+        # dual is accepted: the command exits 3 and writes neither output.
+        src = tmp_path / "in.csv"
+        write_matrix(str(src), random_riesz(6, seed=2))
+        eigenvalues = diagnostics._gram_eigenvalues
+        monkeypatch.setattr(diagnostics, "_gram_eigenvalues", lambda seq: 2 * eigenvalues(seq))
+        argv = ["dual", str(src), "-o", str(tmp_path / "d.csv"), "--json", str(tmp_path / "d.json")]
+        assert run_cli(*argv) == 3
+        assert "disagrees with singular values" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
     def test_dual_of_256_by_256_allocates_under_7_5_mb(self, tmp_path, capsys):
         # The input array is 1 MiB; the dual's own arrays and one block of
         # written text are held at once, never the dual's whole text.

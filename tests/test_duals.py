@@ -171,6 +171,22 @@ class TestDualityIdentityResidual:
         assert residual == pytest.approx(1.0, rel=1e-14)
         assert peak < 10e6  # the 3000 x 3000 complex residual alone is 144 MB
 
+    @pytest.mark.parametrize("f, g", [
+        # The nonzeros of the first two columns sit in swapped rows.
+        (np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 0.5, 1.0 / 3.0])[[1, 0, 2]]),
+        # Column 0 is zero in F only; G^H F holds conj(g_00) f_01 = 5.
+        (np.array([[0.0, 5.0], [0.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])),
+        # Same rows, column 1 zero in both: G^H F - I holds -1 there, but
+        # F G^H - I is 0, as every row holds a nonzero.
+        (np.array([[1.0, 0.0]]), np.array([[1.0, -0.0]])),
+    ], ids=["swapped-rows", "zero-in-one", "zero-in-both"])
+    def test_monomial_pair_residuals_match_the_products(self, f, g):
+        seq, partner = VectorSequence(f), VectorSequence(g)
+        dense = np.abs(g.conj().T @ f - np.eye(f.shape[1])).max()
+        assert biorthogonality_residual(seq, partner) == dense
+        assert duality_identity_residual(seq, partner) == pytest.approx(
+            oracles.complex_identity_residual(f, g), rel=4 * np.finfo(float).eps)
+
 
 class TestCoCompleteness:
     """The minimal dual spans the system's span, so the two defects agree."""

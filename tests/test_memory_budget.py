@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 from memtrace import traced_peak
-from rieszlab import PointSet2D, VectorSequence, cli, lattice_points
+from rieszlab import PointSet2D, VectorSequence, cli, duals, lattice_points, seqcore, weighted_pair
 from rieszlab.matrixio import write_matrix, write_point_set
 
 #: (command, input or generator, size) -> ceiling on traced peak / estimate:
@@ -126,3 +126,22 @@ def test_traced_peak_within_budget(command, kind, size, estimates, tmp_path, cap
     assert multiple <= BUDGETS[command, kind, size], (
         f"traced peak {peak} bytes is {multiple:.3f} times the largest array"
     )
+
+
+def test_monomial_identity_residual_forms_no_square():
+    # R = F G^H - I of the 1024 x 1024 diagonal pair is read from the
+    # entries: less than one 1024^2 float64 array is allocated.
+    pair = weighted_pair(1024)
+    peak, _ = traced_peak(lambda: duals.duality_identity_residual(pair.primal, pair.partner))
+    assert peak < 1024 * 1024 * 8
+
+
+def test_dense_system_lists_no_nonzero_indices():
+    # A dense 512 x 512 system whose first column is e_1 passes the first
+    # column's check; its nonzeros are counted, never listed: the scan holds
+    # one 512^2 bool array, not 8 bytes per nonzero.
+    dense = np.random.default_rng(3).standard_normal((512, 512))
+    dense[:, 0] = np.eye(512)[0]
+    peak, entries = traced_peak(lambda: seqcore._monomial_moduli(dense))
+    assert entries is None
+    assert peak < 2 * 512 * 512

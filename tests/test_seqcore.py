@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from memtrace import traced_peak
 import rieszlab
-from rieszlab import diagnostics, seqcore
+from rieszlab import diagnostics, duals, seqcore
 from rieszlab import (
     DimensionError,
     VectorSequence,
@@ -31,6 +31,7 @@ from rieszlab.diagnostics import (
 from rieszlab.generators import GaborDiscretization, gaussian_gabor, punctured_lattice
 from rieszlab.seqcore import (
     RANK_TOL_SCALE,
+    _error_bar,
     _gram_eigenvalues,
     _gram_entries,
     _rank,
@@ -305,12 +306,27 @@ def _verdict_summary(verdict):
     return verdict.kind, verdict.bounds.completeness_defect
 
 
+def _dual_route(seq):
+    """The recorded dual outcome of `seq`, as `_outcome` reads it, with the
+    accepted partner's biorthogonality and identity residuals, or None."""
+    outcome = _outcome(lambda: duals._dual_outcome(seq))
+    if not isinstance(outcome, duals._AcceptedDual):
+        return outcome, None
+    partner = outcome.partner
+    return outcome, (duals.biorthogonality_residual(seq, partner),
+                     duals.duality_identity_residual(seq, partner))
+
+
 @settings(max_examples=100, deadline=None)
 @given(system=monomial_systems())
 @example(system=np.diag([1e-150, 3e-151]))  # rank threshold below the normal floats
 @example(system=np.diag([2e154, 1.0]))  # sigma_max above the square root of the largest float
 @example(system=np.array([[-0.0, 3.0 - 4.0j, 0.0], [1e-150j, -0.0, -0.0]]))
 @example(system=np.array([[0.0, -0.0], [-0.0, 0.0], [-2.0, -0.0]]))
+# A tall pair (2 count < dim), whose factored identity residual takes the QR of [F G].
+@example(system=np.array([[0.0, 0.0], [0.0, -3e-4], [0.0, 0.0], [0.0, 0.0], [7.0 + 1j, 0.0]]))
+# count < dim <= 2 count: the factored residual norms R's block of nonzero rows.
+@example(system=np.array([[0.0, 2.5], [0.0, 0.0], [-1e3, 0.0]]))
 def test_monomial_closed_form_matches_the_factorizations(system):
     closed = VectorSequence.from_columns(system)
     sigma = _outcome(lambda: _singular_values(closed))
@@ -319,7 +335,25 @@ def test_monomial_closed_form_matches_the_factorizations(system):
         factored = VectorSequence.from_columns(system)
         svd = _outcome(lambda: _singular_values(factored))
         factored_verdict = _verdict_summary(_outcome(lambda: classify(factored)))
+        factored_dual, factored_residuals = _dual_route(factored)
     assert _verdict_summary(_outcome(lambda: classify(closed))) == factored_verdict
+    closed_dual, closed_residuals = _dual_route(closed)
+    if not isinstance(factored_dual, duals._AcceptedDual):
+        # The same refusal, word for word.
+        assert closed_dual == factored_dual
+    else:
+        # fl(1/conj(a)) against LAPACK's a / |a|^2: a real reciprocal is
+        # correctly rounded and the solve errs by up to 3u, so they agree
+        # within 2 eps |y|; numpy's complex reciprocal (Smith's algorithm)
+        # errs by up to 5u in a part, so complex entries within 4 eps |y|.
+        closed_partner, partner = closed_dual.partner.columns, factored_dual.partner.columns
+        ulps = 4 if np.iscomplexobj(system) else 2
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(closed_partner - partner) <= ulps * eps * np.abs(partner))
+        # Of scale sqrt(B_F B_G), the minimal dual's sigma_max(F) / sigma_min(F).
+        bar = _error_bar(max(system.shape), svd[0] / svd[-1])
+        for closed_residual, residual in zip(closed_residuals, factored_residuals):
+            assert abs(closed_residual - residual) <= bar
     if isinstance(svd, tuple):
         # Out of range: the same IllConditionedError, word for word.
         assert svd[0] is rieszlab.IllConditionedError and sigma == svd
