@@ -149,10 +149,10 @@ def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> f
 
     Any other pair forms R and takes the norm of its block of nonzero rows
     and columns, which has R's nonzero singular values: a Young pair's R is
-    nonzero only in its complement rows, so its norm is that of a
-    complement_dim x dim block, and with one complement row its Euclidean
-    norm, with no SVD.  A dense R goes to the SVD as it is, uncopied, and an
-    all-zero R reads 0.0.
+    nonzero only in its complement rows, and its complement_dim x dim block
+    holds one nonzero per column, so its rows have disjoint supports and its
+    norm is the largest row norm, with no SVD (`_sigma`).  A dense R goes to
+    the SVD as it is, uncopied, and an all-zero R reads 0.0.
     """
     _check_pair(seq, partner)
     paired = _paired_entries(seq, partner)

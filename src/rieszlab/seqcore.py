@@ -42,10 +42,13 @@ finds each column's nonzero row and value in one scan, kept as the record's
 its Gram eigenvalues their squares, both exact, so its two routes agree by
 construction.  Its minimal dual and its residuals against a partner with the
 same nonzero rows are read from the same entries (`duals`).  Its entries
-alone select this path.  Any other one-row or one-column matrix, such as a
-single vector or the one complement row of a Young pair's identity residual,
-is not factored either: its one singular value is its Euclidean norm, taken
-by `math.hypot`.
+alone select this path.  Any other matrix with at most one nonzero per
+column, or per row, is not factored either (`_disjoint_norms`): its rows,
+or its columns, have disjoint supports, so its singular values are their
+Euclidean norms, each taken by `math.hypot`.  That covers a single vector,
+the complement rows of a Young pair's identity residual, and a system
+that is not monomial but has either pattern, whose Gram route still
+eigensolves.
 
 Every threshold that asks how large rounding is, in any module, reads
 `_error_bar`, and this is the one module that reads machine epsilon.  The
@@ -210,7 +213,8 @@ def _singular_values(seq: VectorSequence) -> np.ndarray:
     rank threshold up to sigma_max is a normal float; beyond that range its
     bounds, Gram spectrum and dual are not representable.  A system with at
     most one nonzero per row and column takes its moduli, sorted, as sigma,
-    and any other single vector or one-row system its Euclidean norm."""
+    and any other system with at most one nonzero per column, or per row,
+    its row or column norms (`_sigma`)."""
     entries = _monomial_entries(seq)
     if entries is None:
         sigma = _sigma(seq.columns)
@@ -226,14 +230,45 @@ def _singular_values(seq: VectorSequence) -> np.ndarray:
 
 
 def _sigma(matrix: np.ndarray) -> np.ndarray:
-    """Descending singular values of `matrix`: the package's one SVD; for a
-    one-row or one-column matrix its one singular value, its Euclidean norm.
-    `math.hypot` takes that norm over the real and imaginary parts scaled by
+    """Descending singular values of `matrix`, min(shape) of them: the
+    package's one SVD, which a matrix with at most one nonzero per column,
+    or per row, does not run (`_disjoint_norms`)."""
+    norms = _disjoint_norms(matrix)
+    return np.linalg.svd(matrix, compute_uv=False) if norms is None else norms
+
+
+def _disjoint_norms(matrix: np.ndarray):
+    """The singular values of a matrix with at most one nonzero per column,
+    or per row (-0.0 counts as zero, as in `_monomial_moduli`); else None.
+
+    At most one nonzero per column gives the rows disjoint supports, so
+    A A^H is diagonal with the squared row norms on it, and the singular
+    values are the row norms, sorted descending; at most one per row gives
+    the column norms alike.  A first column and a first row that each hold
+    two nonzeros, as in a dense matrix, settle it before the full scan, and
+    more than max(shape) nonzeros before any index is listed.  Each norm is
+    `math.hypot` over the real and imaginary parts of its nonzeros, scaled by
     the largest of them, so it neither overflows nor underflows where the
     SVD's value would not, and errs by under one unit in the last place."""
-    if min(matrix.shape) == 1:
-        return np.array([math.hypot(*matrix.ravel().view(float).tolist())])
-    return np.linalg.svd(matrix, compute_uv=False)
+    if np.count_nonzero(matrix[:, 0]) > 1 and np.count_nonzero(matrix[0]) > 1:
+        return None
+    if np.count_nonzero(matrix) > max(matrix.shape):
+        return None
+    rows, cols = np.nonzero(matrix)
+    if np.bincount(cols, minlength=1).max() <= 1:
+        keys = rows
+    elif np.bincount(rows, minlength=1).max() <= 1:
+        order = np.argsort(cols, kind="stable")
+        keys, rows, cols = cols[order], rows[order], cols[order]
+    else:
+        return None
+    # Each row's (or column's) nonzeros stand in one run of `keys`, in their order in it.
+    width = 2 if np.iscomplexobj(matrix) else 1
+    parts = matrix[rows, cols].view(float).tolist()
+    ends = [*(np.flatnonzero(np.diff(keys)) + 1).tolist(), len(keys)]
+    norms = [math.hypot(*parts[width * start:width * end]) for start, end in zip([0, *ends], ends)]
+    norms += [0.0] * (min(matrix.shape) - len(norms))
+    return np.array(sorted(norms, reverse=True))
 
 
 class _Monomial(NamedTuple):

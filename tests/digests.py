@@ -48,8 +48,10 @@ PINNED_ENV = {
 
 
 def _files(directory: str) -> dict:
-    return {entry.path: (entry.stat().st_mtime_ns, entry.stat().st_size)
-            for entry in os.scandir(directory) if entry.is_file()}
+    """Each file's (modification time, size), by path: a command wrote the
+    files whose entry it added or changed."""
+    stats = {entry.path: entry.stat() for entry in os.scandir(directory) if entry.is_file()}
+    return {path: (stat.st_mtime_ns, stat.st_size) for path, stat in stats.items()}
 
 
 def _run(commands, directory: str) -> dict:

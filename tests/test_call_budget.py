@@ -143,8 +143,9 @@ def test_no_module_binds_linalg_functions():
 #: factorization: one per kernel, but for qr, which factors [F h] for the probe
 #: distance and [F G] for a tall pair's identity residual; and the one that
 #: calls np.linalg.norm, for a vector's norm, so no matrix 2-norm runs an SVD
-#: this scan cannot see.  (`seqcore._sigma` takes a one-row or one-column
-#: matrix's norm with math.hypot, which runs no LAPACK.)
+#: this scan cannot see.  (`seqcore._sigma` reads the singular values of a
+#: matrix with at most one nonzero per column, or per row, as its row or
+#: column norms, taken with math.hypot, which runs no LAPACK.)
 KERNEL_SITES = {
     "svd": ["seqcore._sigma"],
     "eigvalsh": ["seqcore._gram_eigenvalues"],
@@ -311,8 +312,9 @@ def _near_monomial_systems():
     }
 
 
-@pytest.mark.parametrize("name", sorted(_near_monomial_systems()))
+@pytest.mark.parametrize("name", ["dense-first-column-e1", "subnormal-off-diagonal"])
 def test_near_monomial_system_is_factored(name, lapack_calls):
+    # Two nonzeros in a column and two in a row: each route factors.
     cols = _near_monomial_systems()[name]
     assert seqcore._monomial_moduli(cols) is None
     seq = VectorSequence.from_columns(cols)
@@ -320,6 +322,22 @@ def test_near_monomial_system_is_factored(name, lapack_calls):
     seqcore._singular_values(seq)
     seqcore._gram_eigenvalues(seq)
     assert dict(lapack_calls) == {"svd": 1, "eigvalsh": 1}
+
+
+@pytest.mark.parametrize("name", ["two-in-a-column", "two-in-a-row"])
+def test_disjoint_support_system_reads_sigma_from_norms(name, lapack_calls):
+    # At most one nonzero per row, or per column, but not both: sigma is
+    # read from the column (or row) norms with no SVD, while the Gram route
+    # still eigensolves, so the two routes stay independent.
+    cols = _near_monomial_systems()[name]
+    assert seqcore._monomial_moduli(cols) is None
+    seq = VectorSequence.from_columns(cols)
+    lapack_calls.clear()
+    seqcore._singular_values(seq)
+    seqcore._gram_eigenvalues(seq)
+    assert dict(lapack_calls) == {"eigvalsh": 1}
+    np.testing.assert_allclose(seqcore._singular_values(seq) ** 2,
+                               seqcore._gram_eigenvalues(seq)[::-1][:min(cols.shape)], rtol=1e-15)
 
 
 def test_dense_identity_residual_keeps_its_svd(lapack_calls):
@@ -459,12 +477,13 @@ def test_gabor_builds_each_rate_once_with_or_without_a_dump(refine, rates, monke
 # [F h] for the probe distance (every incomplete member here is independent,
 # so none needs lstsq).  A family without a designated partner reads its
 # dual metrics off that SVD's rank decision and builds no dual; a designated
-# partner's identity residual is normed on its nonzero block, which for the
-# Young pairs is one row at the default complement dimension 1: its
-# Euclidean norm, with no SVD.  A matrix with at most one nonzero per row and
-# column needs none of these: the orthonormal and the two weighted families'
-# members, their partners and their residuals, and the Young partners, read
-# their spectra and norms from their entries.  Three sizes per family, every
+# partner's identity residual is normed on its nonzero block.  A Young
+# pair's block holds one nonzero per column at every complement dimension,
+# so its rows have disjoint supports and its norm is its largest row norm,
+# with no SVD.  A matrix with at most one nonzero per row and column needs
+# none of these: the orthonormal and the two weighted families' members,
+# their partners and their residuals, and the Young partners, read their
+# spectra and norms from their entries.  Three sizes per family, every
 # family of `scaling._FAMILIES`; the Gabor and Young members are incomplete.
 # Columns: svd, eigvalsh, solve, lstsq, qr.
 FAMILY_BUDGETS = [
@@ -483,6 +502,22 @@ FAMILY_BUDGETS = [
 @pytest.mark.parametrize("generator, sizes, budget", FAMILY_BUDGETS)
 def test_run_family(generator, sizes, budget, lapack_calls):
     run_family(FamilySpec(generator, sizes))
+    assert_within(lapack_calls, *budget)
+
+
+# youngGeneral past the default complement dimension, at the benchmark's
+# sizes: each complement row of R = F G^H - I holds the residue class it
+# sums, one nonzero per column, so the residual's norm is its largest row
+# norm and each size runs one SVD, the member's.  Columns as above.
+COMPLEMENT_BUDGETS = [
+    (2, (20, 40, 80, 160, 320), (5, 0, 0, 0, 5)),
+    (3, (9, 18, 36, 72), (4, 0, 0, 0, 4)),
+]
+
+
+@pytest.mark.parametrize("complement_dim, sizes, budget", COMPLEMENT_BUDGETS)
+def test_run_family_young_general_complement(complement_dim, sizes, budget, lapack_calls):
+    run_family(FamilySpec("youngGeneral", sizes, {"complementDim": complement_dim}))
     assert_within(lapack_calls, *budget)
 
 
@@ -571,15 +606,17 @@ def test_family_tall_pairs_run_one_qr_each(lapack_calls, capsys):
     # Sizes 4 and 5 pair 1 and 2 vectors with their partners in 4 and 5
     # dimensions, so 2 count < dim and each identity residual is read from a
     # 2 count x 2 count block after a QR of [F G]; size 6 (3 vectors) is not
-    # tall, and its residual's SVD runs on the 3 x 6 block of complement rows.
-    # Per size: the member's SVD, the probe's QR of [F h], then the
-    # residual's QR (tall sizes only) and SVD.  Size 4's one-column member
-    # takes its Euclidean norm as its singular value, with no SVD.
+    # tall, and its residual's 3 x 6 block of complement rows holds one
+    # nonzero per column, so its norm is its largest row norm, with no SVD.
+    # Per size: the probe's QR of [F h], then for tall sizes the residual's
+    # QR and SVD.  No member runs an SVD: with at most 3 vectors each
+    # complement row holds one of them, so every row of F holds at most one
+    # nonzero and its singular values are its column norms.
     argv = ["family", "--gen", "youngGeneral", "--sizes", "4,5,6", "--complement-dim", "3"]
     assert main(argv) == 0
-    assert_within(lapack_calls, svd=5, eigvalsh=0, solve=0, lstsq=0, qr=5)
+    assert_within(lapack_calls, svd=2, eigvalsh=0, solve=0, lstsq=0, qr=5)
     assert lapack_calls.shapes["qr"] == [(4, 2), (4, 2), (5, 3), (5, 4), (6, 4)]
-    assert lapack_calls.shapes["svd"] == [(2, 2), (5, 2), (4, 4), (6, 3), (3, 6)]
+    assert lapack_calls.shapes["svd"] == [(2, 2), (4, 4)]
 
 
 @pytest.mark.parametrize(

@@ -280,7 +280,8 @@ class TestIdentitySubtraction:
 
 class TestBlockResidual:
     """A residual R = F G^H - I that is not tall is normed on its nonzero rows
-    and columns; a one-row or one-column block by its Euclidean norm."""
+    and columns; a block with at most one nonzero per column, or per row, by
+    its row or column norms."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), dim=st.integers(2, 9), data=st.data())

@@ -145,3 +145,15 @@ def test_dense_system_lists_no_nonzero_indices():
     peak, entries = traced_peak(lambda: seqcore._monomial_moduli(dense))
     assert entries is None
     assert peak < 2 * 512 * 512
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dense_matrix_reaches_the_svd_with_no_scan_array(dtype):
+    # A dense 512 x 512 matrix whose first row and column are e_1 passes both
+    # first checks; its nonzeros are counted in place, never listed, and the
+    # pattern test allocates less than one row.
+    dense = np.random.default_rng(3).standard_normal((512, 512)).astype(dtype)
+    dense[0], dense[:, 0] = np.eye(512)[0], np.eye(512)[0]
+    peak, norms = traced_peak(lambda: seqcore._disjoint_norms(dense))
+    assert norms is None
+    assert peak < 512 * 8
