@@ -213,10 +213,9 @@ def classify(seq: VectorSequence) -> Verdict:
     its own matrix once (an SVD of F, an eigensolve of the smaller of F^H F
     and F F^H, the dual's solve and SVD) and keeps the factorization in that
     matrix's spectral record; the dual's Gram product is never formed.  A
-    system with at most one nonzero per row and column, and its dual, read
-    their singular values, Gram eigenvalues and the dual itself from their
-    entries instead, exactly but for the dual's one rounding, so no kernel
-    runs; every check still runs on them.
+    monomial system and its dual read their singular values, Gram
+    eigenvalues and the dual itself at the nonzeros that one scan listed
+    (`seqcore._pattern`), so no kernel runs; every check still runs on them.
     """
     lower, upper, _, _, vote = _compared_routes(seq)
     defect = completeness_defect(seq)

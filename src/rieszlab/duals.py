@@ -6,12 +6,12 @@ biorthogonal partners.  With that dual, the composition h -> sum_k <h, g_k> f_k
 reconstructs every vector of the span, which is what
 `duality_identity_residual` measures.
 
-A system with at most one nonzero per row and column has disjoint column
-supports, so its Gram matrix is diagonal and its minimal dual holds
-1/conj(a) where the system holds a: `_dual_outcome` writes it from the
-system's recorded entries, with no Gram product and no solve.  Two such
-systems with the same nonzero rows have diagonal G^H F and F G^H, so both
-residuals are read from the products of their entries.
+A monomial system, with at most one nonzero per row and column, has a
+diagonal Gram matrix, so its minimal dual holds 1/conj(a) where it holds a:
+`_dual_outcome` writes it at the system's recorded nonzeros
+(`seqcore._pattern`), with no Gram product or solve.  Two monomial systems
+with the same nonzero positions have diagonal G^H F and F G^H, so both
+residuals are read from the products of their nonzeros.
 """
 
 from __future__ import annotations
@@ -29,9 +29,11 @@ from .seqcore import (
     VectorSequence,
     _gram_entries,
     _independent,
-    _monomial_entries,
+    _nonzeros,
+    _pattern,
     _recorded,
     _sigma,
+    _with_pattern,
 )
 
 #: Residual below which a pair counts as biorthogonal.
@@ -52,26 +54,27 @@ def _minus_identity(square: np.ndarray) -> np.ndarray:
     return square
 
 
-def _paired_entries(seq: VectorSequence, partner: VectorSequence):
-    """For two systems with at most one nonzero per row and column, whose
-    columns hold their nonzeros at the same rows (row -1 for a column zero in
-    both): those rows and the products conj(g_k) f_k; else None.  G^H F is
-    then diagonal with these products in column order, and F G^H diagonal
-    with them at those rows and zeros at the other rows."""
-    f, g = _monomial_entries(seq), _monomial_entries(partner)
-    if f is None or g is None or not np.array_equal(f.rows, g.rows):
+def _paired_residual(seq: VectorSequence, partner: VectorSequence, size: int):
+    """For two monomial systems with their nonzeros at the same positions:
+    max |conj(g) f - 1| over the products of those nonzeros, raised to 1.0
+    when there are fewer than `size`; else None.  G^H F (size count) is then
+    diagonal, with the products at their columns and -1 at the others, and
+    F G^H (size dim) alike at their rows."""
+    f, g = _pattern(seq), _pattern(partner)
+    if f is None or g is None or not f.monomial or not np.array_equal(f.flat, g.flat):
         return None
-    return f.rows, np.conj(g.values) * f.values
+    products = np.conj(partner.columns.ravel()[f.flat]) * seq.columns.ravel()[f.flat]
+    return max(float(np.abs(products - 1.0).max(initial=0.0)), 1.0 if products.size < size else 0.0)
 
 
 def biorthogonality_residual(seq: VectorSequence, partner: VectorSequence) -> float:
-    """max over (j, k) of |<f_k, g_j> - delta_jk|.  For two systems with at
-    most one nonzero per row and column at the same rows, max |conj(g_k) f_k
-    - 1|, read from their entries with no count x count product."""
+    """max over (j, k) of |<f_k, g_j> - delta_jk|.  For two monomial systems
+    with their nonzeros at the same positions, read from the products of
+    those nonzeros with no count x count product (`_paired_residual`)."""
     _check_pair(seq, partner)
-    paired = _paired_entries(seq, partner)
+    paired = _paired_residual(seq, partner, seq.count)
     if paired is not None:
-        return float(np.abs(paired[1] - 1.0).max())
+        return paired
     return float(np.abs(_minus_identity(partner.columns.conj().T @ seq.columns)).max())
 
 
@@ -110,13 +113,14 @@ def _dual_outcome(seq: VectorSequence):
         return NoBiorthogonalSequenceError, (
             "columns are linearly dependent (not minimal); no biorthogonal sequence exists"
         )
-    entries = _monomial_entries(seq)
-    if entries is not None:
+    pattern = _pattern(seq)
+    if pattern is not None and pattern.monomial:
         # Disjoint supports make the Gram matrix diagonal, so column k of
-        # F Gram^{-1} is a e_r / |a|^2 = e_r / conj(a), for its nonzero a at row r.
+        # F Gram^{-1} is a e_r / |a|^2 = e_r / conj(a), for its nonzero a at
+        # row r: finite and nonzero, so the dual has the system's pattern.
         columns = np.zeros_like(seq.columns)
-        columns[entries.rows, np.arange(seq.count)] = 1.0 / np.conj(entries.values)
-        partner = VectorSequence._adopt(columns)
+        columns.ravel()[pattern.flat] = 1.0 / np.conj(seq.columns.ravel()[pattern.flat])
+        partner = _with_pattern(VectorSequence._adopt(columns), pattern)
     else:
         try:
             dual_adjoint = np.linalg.solve(_gram_entries(seq), seq.columns.conj().T)
@@ -136,40 +140,30 @@ def _dual_outcome(seq: VectorSequence):
 def duality_identity_residual(seq: VectorSequence, partner: VectorSequence) -> float:
     """Spectral norm of R = (h -> sum_k <h, g_k> f_k) minus the identity.
 
-    Two systems with at most one nonzero per row and column at the same rows
-    have a diagonal R, f_k conj(g_k) - 1 at each column's row and -1 at the
-    rows off their support, so its norm is max |conj(g_k) f_k - 1|, raised to
-    1.0 when fewer columns than dim hold a nonzero: read from their entries,
-    with no product, QR or SVD.  Any other pair forms a product, as follows.
+    Two monomial systems with their nonzeros at the same positions have a
+    diagonal R, f conj(g) - 1 at each nonzero's row and -1 at the other rows,
+    so its norm is read from the products of their nonzeros, with no product,
+    QR or SVD (`_paired_residual`).  Any other pair forms a product, as follows.
 
     A tall pair (2 count < dim) never forms the dim x dim R.  With Q an
     orthonormal basis from the reduced QR of [F G], R and its adjoint map
     span(Q) into itself, and R = -I on its nonzero complement, so the norm is
     max(||(Q^H F)(G^H Q) - I||, 1) exactly, from a 2 count x 2 count SVD.
 
-    Any other pair forms R and takes the norm of its block of nonzero rows
-    and columns, which has R's nonzero singular values: a Young pair's R is
-    nonzero only in its complement rows, and its complement_dim x dim block
-    holds one nonzero per column, so its rows have disjoint supports and its
-    norm is the largest row norm, with no SVD (`_sigma`).  A dense R goes to
-    the SVD as it is, uncopied, and an all-zero R reads 0.0.
+    Any other pair forms R, and `_sigma` takes its norm as it is, uncopied,
+    after one scan of its nonzeros: a Young pair's R is nonzero only in its
+    complement rows, with one nonzero per column, so its rows have disjoint
+    supports and its norm is the largest row norm, with no SVD, and an
+    all-zero R reads 0.0.  A dense R goes to the SVD.
     """
     _check_pair(seq, partner)
-    paired = _paired_entries(seq, partner)
+    paired = _paired_residual(seq, partner, seq.dim)
     if paired is not None:
-        rows, products = paired
-        supported = rows >= 0
-        off_support = 1.0 if np.count_nonzero(supported) < seq.dim else 0.0
-        return max(float(np.abs(products[supported] - 1.0).max(initial=0.0)), off_support)
+        return paired
     f, g = seq.columns, partner.columns
     if 2 * seq.count < seq.dim:
         q = np.linalg.qr(np.concatenate([f, g], axis=1))[0]
         compressed = _minus_identity((q.conj().T @ f) @ (g.conj().T @ q))
-        return max(float(_sigma(compressed)[0]), 1.0)
+        return max(float(_sigma(compressed, _nonzeros(compressed))[0]), 1.0)
     residual = _minus_identity(f @ g.conj().T)
-    rows, cols = np.any(residual, axis=1), np.any(residual, axis=0)
-    if not rows.any():
-        return 0.0
-    if not (rows.all() and cols.all()):
-        residual = residual[np.ix_(rows, cols)]
-    return float(_sigma(residual)[0])
+    return float(_sigma(residual, _nonzeros(residual))[0])

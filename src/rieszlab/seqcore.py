@@ -33,22 +33,15 @@ sampled Gabor system whose nodes pair up is built as its float64 real twin,
 straight from its nodes (`generators._gabor_twin`); any other complex system
 is factored in complex arithmetic.
 
-Every factored singular value in the package comes from `_sigma`, which
-holds its one SVD: a system's own (the record's `_singular_values`) and an
-identity residual's norm (`duals.duality_identity_residual`).  A system with
-at most one nonzero per row and column is never factored: `_monomial_moduli`
-finds each column's nonzero row and value in one scan, kept as the record's
-`_monomial_entries`, and its singular values are their moduli, sorted, and
-its Gram eigenvalues their squares, both exact, so its two routes agree by
-construction.  Its minimal dual and its residuals against a partner with the
-same nonzero rows are read from the same entries (`duals`).  Its entries
-alone select this path.  Any other matrix with at most one nonzero per
-column, or per row, is not factored either (`_disjoint_norms`): its rows,
-or its columns, have disjoint supports, so its singular values are their
-Euclidean norms, each taken by `math.hypot`.  That covers a single vector,
-the complement rows of a Young pair's identity residual, and a system
-that is not monomial but has either pattern, whose Gram route still
-eigensolves.
+Every singular value in the package comes from `_sigma`, which holds its
+one SVD, once `_nonzeros`, the one test of a nonzero pattern, has listed the
+matrix's nonzeros; a system's list is its record's `_pattern`.  At most one
+nonzero per column gives the rows disjoint supports, so the singular values
+are their norms, and at most one per row the columns'.  A monomial matrix,
+with both, has its moduli as singular values; a monomial system has their
+squares as Gram eigenvalues, and its minimal dual and its residuals against
+a partner with the same nonzeros are read at their positions (`duals`).
+Only a matrix with neither pattern is factored.
 
 Every threshold that asks how large rounding is, in any module, reads
 `_error_bar`, and this is the one module that reads machine epsilon.  The
@@ -179,20 +172,17 @@ def _recorded(compute):
     """`compute(seq)` as an entry of the spectral record of `seq`, a private
     dict: computed on first read and kept under the function's name.
 
-    The record's entries are the system's `_monomial_entries` (each
-    column's nonzero row and value, or None), the singular values of F, the
-    smaller Gram product (F^H F, or F F^H for a wide system), its ascending
-    eigenvalues and the outcome of `duals.minimal_dual`, read as a value: the
-    partner with the biorthogonality residual that accepted it, or the
+    The record's entries are the system's `_pattern`, the singular values
+    of F, the smaller Gram product (F^H F, or F F^H for a wide system), its
+    ascending eigenvalues and the outcome of `duals.minimal_dual`, read as a
+    value: the accepted partner with its biorthogonality residual, or the
     refusal's (error type, message).  Every entry is computed from
-    `columns`, so it is real exactly when the system is.  For a system with
-    at most one nonzero per row and column, the singular values are its
-    sorted moduli, the eigenvalues their squares and the dual's entries
-    their reciprocals' conjugates, with no factorization and no Gram
-    product.  The product is Hermitian positive semidefinite by
-    construction.  The record lives and dies with its sequence and holds
-    no U/V factors.  Threads racing on a first read may each compute an
-    entry; the first stored value is the one every caller gets.
+    `columns`, so it is real exactly when the system is; a monomial system's
+    dual starts with the system's pattern, which is its own.  The product
+    is Hermitian positive semidefinite by construction.  The record lives
+    and dies with its sequence and holds no U/V factors.  Threads racing on
+    a first read may each compute an entry; the first stored value is the
+    one every caller gets.
     """
     name = compute.__name__
 
@@ -208,18 +198,11 @@ def _recorded(compute):
 
 @_recorded
 def _singular_values(seq: VectorSequence) -> np.ndarray:
-    """Singular values of the columns, descending; one SVD per system.
-    Refuses a nonzero system unless every squared singular value from the
-    rank threshold up to sigma_max is a normal float; beyond that range its
-    bounds, Gram spectrum and dual are not representable.  A system with at
-    most one nonzero per row and column takes its moduli, sorted, as sigma,
-    and any other system with at most one nonzero per column, or per row,
-    its row or column norms (`_sigma`)."""
-    entries = _monomial_entries(seq)
-    if entries is None:
-        sigma = _sigma(seq.columns)
-    else:
-        sigma = np.sort(np.abs(entries.values))[::-1][:min(seq.columns.shape)]
+    """Singular values of the columns, descending (`_sigma`).  Refuses a
+    nonzero system unless every squared singular value from the rank
+    threshold up to sigma_max is a normal float; beyond that range its
+    bounds, Gram spectrum and dual are not representable."""
+    sigma = _sigma(seq.columns, _pattern(seq))
     tol = _rank_scale(seq.columns.shape, float(sigma[0]))
     if sigma[0] > 0.0 and not _SIGMA_FLOOR <= tol <= sigma[0] <= _SIGMA_CEILING:
         raise IllConditionedError(
@@ -229,86 +212,79 @@ def _singular_values(seq: VectorSequence) -> np.ndarray:
     return _read_only(sigma)
 
 
-def _sigma(matrix: np.ndarray) -> np.ndarray:
-    """Descending singular values of `matrix`, min(shape) of them: the
-    package's one SVD, which a matrix with at most one nonzero per column,
-    or per row, does not run (`_disjoint_norms`)."""
-    norms = _disjoint_norms(matrix)
-    return np.linalg.svd(matrix, compute_uv=False) if norms is None else norms
+class _Nonzeros(NamedTuple):
+    """The nonzeros of a matrix with at most one nonzero per column, or per
+    row: their ascending indices into the row-major flattened matrix, whether
+    each column holds at most one, and whether each row does too."""
+
+    flat: np.ndarray
+    per_column: bool
+    monomial: bool
 
 
-def _disjoint_norms(matrix: np.ndarray):
-    """The singular values of a matrix with at most one nonzero per column,
-    or per row (-0.0 counts as zero, as in `_monomial_moduli`); else None.
-
-    At most one nonzero per column gives the rows disjoint supports, so
-    A A^H is diagonal with the squared row norms on it, and the singular
-    values are the row norms, sorted descending; at most one per row gives
-    the column norms alike.  A first column and a first row that each hold
-    two nonzeros, as in a dense matrix, settle it before the full scan, and
-    more than max(shape) nonzeros before any index is listed.  Each norm is
-    `math.hypot` over the real and imaginary parts of its nonzeros, scaled by
-    the largest of them, so it neither overflows nor underflows where the
-    SVD's value would not, and errs by under one unit in the last place."""
+def _nonzeros(matrix: np.ndarray):
+    """The one test of a C-contiguous matrix's nonzero pattern (-0.0 counts
+    as zero, a subnormal as nonzero): its `_Nonzeros`, or None if some column
+    and some row hold two.  A first column and first row that each do settle
+    it at once; more than max(shape) nonzeros, counted in place, before any
+    index is listed.  The float64 parts with a nonzero bit pattern, an upper
+    bound (-0.0 has its sign bit), go first at a quarter of the cost."""
     if np.count_nonzero(matrix[:, 0]) > 1 and np.count_nonzero(matrix[0]) > 1:
         return None
-    if np.count_nonzero(matrix) > max(matrix.shape):
+    most = max(matrix.shape)
+    if np.count_nonzero(matrix.view(np.uint64)) > 2 * most and np.count_nonzero(matrix) > most:
         return None
-    rows, cols = np.nonzero(matrix)
-    if np.bincount(cols, minlength=1).max() <= 1:
-        keys = rows
-    elif np.bincount(rows, minlength=1).max() <= 1:
-        order = np.argsort(cols, kind="stable")
-        keys, rows, cols = cols[order], rows[order], cols[order]
-    else:
-        return None
-    # Each row's (or column's) nonzeros stand in one run of `keys`, in their order in it.
-    width = 2 if np.iscomplexobj(matrix) else 1
-    parts = matrix[rows, cols].view(float).tolist()
-    ends = [*(np.flatnonzero(np.diff(keys)) + 1).tolist(), len(keys)]
-    norms = [math.hypot(*parts[width * start:width * end]) for start, end in zip([0, *ends], ends)]
-    norms += [0.0] * (min(matrix.shape) - len(norms))
-    return np.array(sorted(norms, reverse=True))
-
-
-class _Monomial(NamedTuple):
-    """The entries of a matrix with at most one nonzero per row and column:
-    each column's nonzero row, -1 for a zero column, and its value, 0.0 for
-    a zero column."""
-
-    rows: np.ndarray
-    values: np.ndarray
-
-
-def _monomial_moduli(arr: np.ndarray):
-    """For a matrix with at most one nonzero per row and per column (-0.0
-    counts as zero, as in `_as_array`), its `_Monomial` entries; else None.
-    Up to row and column permutations and unimodular factors such a matrix
-    is a rectangular diagonal of its values' moduli, so they are exactly its
-    singular values.  A first column with two nonzeros, as in a dense
-    system, settles it before the full scan, and more than min(dim, count)
-    nonzeros before any index is listed."""
-    if np.count_nonzero(arr[:, 0]) > 1:
-        return None
-    nonzero = arr != 0
-    if np.count_nonzero(nonzero) > min(arr.shape):
-        return None
-    rows, cols = np.divmod(np.flatnonzero(nonzero), arr.shape[1])
-    if np.bincount(rows, minlength=1).max() > 1 or np.bincount(cols, minlength=1).max() > 1:
-        return None
-    column_rows = np.full(arr.shape[1], -1)
-    column_rows[cols] = rows
-    values = np.zeros(arr.shape[1], arr.dtype)
-    values[cols] = arr[rows, cols]
-    return _Monomial(column_rows, values)
+    flat = np.flatnonzero(matrix != 0)
+    rows, cols = np.divmod(flat, matrix.shape[1])
+    per_column = bool(np.bincount(cols, minlength=1).max() <= 1)
+    per_row = bool(np.bincount(rows, minlength=1).max() <= 1)
+    return _Nonzeros(flat, per_column, per_column and per_row) if per_column or per_row else None
 
 
 @_recorded
-def _monomial_entries(seq: VectorSequence):
-    """The system's `_monomial_moduli`, found once: its singular values, Gram
-    eigenvalues, minimal dual and residuals against a partner of the same
-    pattern are read from them, or, for None, factored."""
-    return _monomial_moduli(seq.columns)
+def _pattern(seq: VectorSequence):
+    """The system's `_nonzeros`, found once: its singular values, and for a
+    monomial system its Gram eigenvalues, minimal dual and residuals against
+    a partner of the same pattern, are read from it."""
+    return _nonzeros(seq.columns)
+
+
+def _with_pattern(seq: VectorSequence, pattern: _Nonzeros) -> VectorSequence:
+    """`seq`, a fresh system whose nonzeros its maker placed at `pattern`'s
+    positions, with `pattern` as its recorded `_pattern`, so it is not scanned."""
+    seq._record.setdefault(_pattern.__name__, pattern)
+    return seq
+
+
+def _sigma(matrix: np.ndarray, nonzeros) -> np.ndarray:
+    """Descending singular values of `matrix`, min(shape) of them, given its
+    `_nonzeros`: the package's one SVD, for None.  A monomial matrix is a
+    rectangular diagonal of its moduli up to permutations and unimodular
+    factors, so they are its singular values, each `np.hypot` of its parts.
+    Otherwise at most one nonzero per column makes A A^H diagonal, so the
+    singular values are the row norms, and at most one per row the column
+    norms, each `math.hypot` over its parts.  Each value is within an ulp of
+    the exact one, and finite wherever the SVD's is."""
+    if nonzeros is None:
+        return np.linalg.svd(matrix, compute_uv=False)
+    flat = nonzeros.flat
+    if nonzeros.monomial:
+        values = matrix.ravel()[flat]
+        norms = np.hypot(values.real, values.imag)
+    else:
+        # Each row's nonzeros, or each column's once stably sorted by column,
+        # stand in one run of `keys`, in their order in it.
+        keys = flat // matrix.shape[1] if nonzeros.per_column else flat % matrix.shape[1]
+        if not nonzeros.per_column:
+            order = np.argsort(keys, kind="stable")
+            keys, flat = keys[order], flat[order]
+        width = 2 if np.iscomplexobj(matrix) else 1
+        parts = matrix.ravel()[flat].view(float).tolist()
+        ends = [*(np.flatnonzero(np.diff(keys)) + 1).tolist(), len(keys)]
+        norms = [math.hypot(*parts[width * start:width * end]) for start, end in zip([0, *ends], ends)]
+    sigma = np.zeros(min(matrix.shape))
+    sigma[:len(norms)] = np.sort(norms)[::-1]
+    return sigma
 
 
 def _rank(seq: VectorSequence) -> int:
@@ -332,8 +308,9 @@ def _gram_entries(seq: VectorSequence) -> np.ndarray:
 @_recorded
 def _gram_eigenvalues(seq: VectorSequence) -> np.ndarray:
     """Ascending eigenvalues of the record's Gram product; one eigensolve per
-    system, or for a system with at most one nonzero per row and column, whose
-    Gram product is diagonal, its squared moduli without the product."""
-    if _monomial_entries(seq) is None:
+    system, or for a monomial system, whose Gram product is diagonal, its
+    squared moduli without the product."""
+    pattern = _pattern(seq)
+    if pattern is None or not pattern.monomial:
         return _read_only(np.linalg.eigvalsh(_gram_entries(seq)))
     return _read_only(_singular_values(seq)[::-1] ** 2)

@@ -10,8 +10,9 @@ replaced by "{dir}".  `tests/test_digests.py` compares them with the committed
     python tests/digests.py           # print the commands whose digest moved
     python tests/digests.py --write   # also rewrite tests/digests.json
 
-Seeded output is byte-identical per BLAS kernel, not across kernels: with
-another OpenBLAS core type most digests move.  So the child pins one BLAS
+Seeded output is byte-identical per BLAS kernel and per numpy SIMD target,
+not across them: with another OpenBLAS core type most digests move, and
+without numpy's AVX-512 loops 50 of them do on an AVX-512 machine.  So the child pins one BLAS
 thread and OpenBLAS's Haswell kernels (AVX2 and FMA, which every current
 x86_64 CI runner has), and turns off numpy's AVX-512 loops, which a runner
 without AVX-512 cannot take.  A change that moves a digest names each moved

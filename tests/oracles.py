@@ -7,6 +7,7 @@ quadrature of the underlying integrals.  Matrix CSV text has a per-cell
 reference formatter and a character-level recognizer of the cell grammar, and
 sampled Gabor systems a dense per-node builder, and seeded random Riesz bases
 the one-line draw the generator's in-place arithmetic must reproduce.
+A matrix's nonzero pattern is counted one entry at a time.
 The `complex_*` oracles redo the library's kernels on complex128 copies, so a
 real system factored in real arithmetic can be checked against complex
 arithmetic.
@@ -164,6 +165,23 @@ def spectral_norm(matrix):
     a = np.asarray(matrix, dtype=complex)
     lam = np.linalg.eigvalsh(a.conj().T @ a)
     return float(np.sqrt(max(lam[-1], 0.0)))
+
+
+def nonzero_entries(matrix):
+    """The (row, column) of each nonzero entry of `matrix`, in row-major
+    order, tested one Python complex at a time: -0.0 equals zero, a
+    subnormal does not."""
+    rows, cols = matrix.shape
+    return [(i, j) for i in range(rows) for j in range(cols) if complex(matrix[i, j]) != 0]
+
+
+def nonzero_counts(matrix):
+    """The number of nonzeros in each row and in each column of `matrix`."""
+    per_row, per_column = [0] * matrix.shape[0], [0] * matrix.shape[1]
+    for i, j in nonzero_entries(matrix):
+        per_row[i] += 1
+        per_column[j] += 1
+    return per_row, per_column
 
 
 def gram_by_loops(columns):

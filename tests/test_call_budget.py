@@ -314,9 +314,10 @@ def _near_monomial_systems():
 
 @pytest.mark.parametrize("name", ["dense-first-column-e1", "subnormal-off-diagonal"])
 def test_near_monomial_system_is_factored(name, lapack_calls):
-    # Two nonzeros in a column and two in a row: each route factors.
+    # Two nonzeros in a column and two in a row: neither pattern holds, and
+    # each route factors.
     cols = _near_monomial_systems()[name]
-    assert seqcore._monomial_moduli(cols) is None
+    assert seqcore._nonzeros(cols) is None
     seq = VectorSequence.from_columns(cols)
     lapack_calls.clear()
     seqcore._singular_values(seq)
@@ -330,7 +331,8 @@ def test_disjoint_support_system_reads_sigma_from_norms(name, lapack_calls):
     # read from the column (or row) norms with no SVD, while the Gram route
     # still eigensolves, so the two routes stay independent.
     cols = _near_monomial_systems()[name]
-    assert seqcore._monomial_moduli(cols) is None
+    pattern = seqcore._nonzeros(cols)
+    assert (pattern.per_column, pattern.monomial) == (name == "two-in-a-row", False)
     seq = VectorSequence.from_columns(cols)
     lapack_calls.clear()
     seqcore._singular_values(seq)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from rieszlab import (
 )
 from rieszlab import duals
 from rieszlab.duals import _minus_identity
-from rieszlab.seqcore import _rank, _sigma
+from rieszlab.seqcore import _nonzeros, _rank, _sigma
 
 
 def seq_of(*vectors):
@@ -279,9 +280,9 @@ class TestIdentitySubtraction:
 
 
 class TestBlockResidual:
-    """A residual R = F G^H - I that is not tall is normed on its nonzero rows
-    and columns; a block with at most one nonzero per column, or per row, by
-    its row or column norms."""
+    """A residual R = F G^H - I that is not tall is normed as it is, after one
+    scan of its nonzeros: with at most one nonzero per column, or per row, by
+    its row or column norms, else by the SVD."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), dim=st.integers(2, 9), data=st.data())
@@ -295,7 +296,8 @@ class TestBlockResidual:
         f[rows] = np.eye(dim)[rows]
         f[:, cols] = np.eye(dim)[:, cols]
         seq, partner = VectorSequence(f), VectorSequence(np.eye(dim))
-        dense = float(_sigma(_minus_identity(seq.columns @ partner.columns.conj().T))[0])
+        formed = _minus_identity(seq.columns @ partner.columns.conj().T)
+        dense = float(np.linalg.svd(formed, compute_uv=False)[0])
         residual = duality_identity_residual(seq, partner)
         # Each SVD errs by up to about dim * eps * sigma: 1.0 of that, 7 ulps,
         # between the two over 20000 random cases of these shapes.
@@ -323,7 +325,7 @@ class TestBlockResidual:
         # scales, so the two agree within 4 ulps.
         v = columns(seed, length, 1, complex_entries).columns[:, 0] * scale
         matrix = v[None, :] if row else v[:, None]
-        sigma = float(_sigma(matrix)[0])
+        sigma = float(_sigma(matrix, _nonzeros(matrix))[0])
         svd = float(np.linalg.svd(matrix, compute_uv=False)[0])
         assert abs(sigma - svd) <= 4 * math.ulp(svd)
         square = sum(Fraction(x) ** 2 for x in np.concatenate([v.real, np.imag(v)]))
@@ -337,18 +339,22 @@ class TestBlockResidual:
         formed, seen = [], []
         monkeypatch.setattr(duals, "_minus_identity",
                             lambda square: formed.append(_minus_identity(square)) or formed[-1])
-        monkeypatch.setattr(duals, "_sigma", lambda matrix: seen.append(matrix) or _sigma(matrix))
+        monkeypatch.setattr(duals, "_sigma",
+                            lambda matrix, nonzeros: seen.append(matrix) or _sigma(matrix, nonzeros))
         residual = duality_identity_residual(seq, partner)
         assert len(formed) == len(seen) == 1 and seen[0] is formed[0]
         assert residual.hex() == old_duality_identity_residual(seq, partner).hex()
 
     @pytest.mark.parametrize("vectors, complement", [(7, 1), (15, 1), (63, 1), (12, 2), (30, 3)])
-    def test_young_residual_is_read_from_its_complement_rows(self, vectors, complement, monkeypatch):
+    def test_young_residual_is_read_from_its_complement_rows(self, vectors, complement):
+        # R is nonzero only in its complement rows, one nonzero per column:
+        # its norm is the largest of their norms, with no SVD, the same bits
+        # as the complement_dim x dim block's own.
         pair = young_general(vectors, vectors, complement)
-        seen = []
-        monkeypatch.setattr(duals, "_sigma", lambda matrix: seen.append(matrix.shape) or _sigma(matrix))
-        residual = duality_identity_residual(pair.primal, pair.partner)
-        assert seen == [(complement, vectors + complement)]
+        with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("svd ran")):
+            residual = duality_identity_residual(pair.primal, pair.partner)
+            block = _minus_identity(pair.primal.columns @ pair.partner.columns.conj().T)[:complement]
+            assert residual == float(_sigma(block, _nonzeros(block))[0])
         expected = oracles.complex_identity_residual(pair.primal.columns, pair.partner.columns)
         assert residual == pytest.approx(expected, rel=4 * np.finfo(float).eps)
 

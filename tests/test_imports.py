@@ -17,6 +17,9 @@ are opened for reading by the builtin `open` in `matrixio._text` alone and
 converted by `np.loadtxt` in `matrixio._read_table` alone, the one reader of
 matrix and point-set files, whose cells are read one at a time, by
 `matrixio._parse_cells`, only in `matrixio._name_error`, its one error path.
+A matrix's nonzero pattern is decided by `np.bincount` in `seqcore._nonzeros`
+alone, the one scan behind every singular value read without an SVD and
+every monomial system's spectra, dual and residuals.
 Every sampled Gabor system is built by `generators._gabor_twin`, called in
 `scaling._sampled` alone, the one sampler, which refuses an aliasing rate first.
 The minimal dual's recorded outcome, `duals._dual_outcome`, is read as a value
@@ -255,6 +258,28 @@ def test_a_second_sampler_call_is_seen():
         "    return _gabor_twin(points, grid), generators.gaussian_gabor(points, grid)\n"
     )
     assert sampler_sites(source, "m") == [("_gabor_twin", "m._sampled"), ("_gabor_twin", "m.gabor")]
+
+
+def pattern_sites(source, module):
+    """(call, "module.function") for each call of `bincount` in `source`,
+    by bare name or as an attribute."""
+    return call_sites(source, module, ("bincount",), ("bincount",))
+
+
+def test_one_nonzero_pattern_test():
+    sites = {site for path in PACKAGE for _, site in pattern_sites(path.read_text(), path.stem)}
+    assert sites == {"seqcore._nonzeros"}
+
+
+def test_a_second_pattern_test_is_seen():
+    source = (
+        "import numpy as np\nfrom numpy import bincount\n"
+        "def _nonzeros(rows, cols):\n"
+        "    return np.bincount(rows).max(), np.bincount(cols).max()\n"
+        "def _norms(keys):\n    return bincount(keys)\n"
+    )
+    assert pattern_sites(source, "m") == [
+        ("bincount", "m._nonzeros"), ("bincount", "m._nonzeros"), ("bincount", "m._norms")]
 
 
 #: The readers of the minimal dual's outcome: its recorded value, read without

@@ -138,12 +138,12 @@ def test_monomial_identity_residual_forms_no_square():
 
 def test_dense_system_lists_no_nonzero_indices():
     # A dense 512 x 512 system whose first column is e_1 passes the first
-    # column's check; its nonzeros are counted, never listed: the scan holds
-    # one 512^2 bool array, not 8 bytes per nonzero.
+    # column's check; its nonzeros are counted in place, never listed: the
+    # scan holds less than two bytes per entry, not 8 bytes per nonzero.
     dense = np.random.default_rng(3).standard_normal((512, 512))
     dense[:, 0] = np.eye(512)[0]
-    peak, entries = traced_peak(lambda: seqcore._monomial_moduli(dense))
-    assert entries is None
+    peak, pattern = traced_peak(lambda: seqcore._nonzeros(dense))
+    assert pattern is None
     assert peak < 2 * 512 * 512
 
 
@@ -154,6 +154,6 @@ def test_dense_matrix_reaches_the_svd_with_no_scan_array(dtype):
     # pattern test allocates less than one row.
     dense = np.random.default_rng(3).standard_normal((512, 512)).astype(dtype)
     dense[0], dense[:, 0] = np.eye(512)[0], np.eye(512)[0]
-    peak, norms = traced_peak(lambda: seqcore._disjoint_norms(dense))
-    assert norms is None
+    peak, pattern = traced_peak(lambda: seqcore._nonzeros(dense))
+    assert pattern is None
     assert peak < 512 * 8

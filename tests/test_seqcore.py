@@ -37,6 +37,7 @@ from rieszlab.seqcore import (
     _error_bar,
     _gram_eigenvalues,
     _gram_entries,
+    _nonzeros,
     _rank,
     _rank_scale,
     _singular_values,
@@ -334,8 +335,9 @@ def test_monomial_closed_form_matches_the_factorizations(system):
     closed = VectorSequence.from_columns(system)
     sigma = _outcome(lambda: _singular_values(closed))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(seqcore, "_monomial_moduli", lambda arr: None)
-        patch.setattr(seqcore, "_disjoint_norms", lambda matrix: None)
+        # The one scan, as seqcore and duals each bind it, finds no pattern.
+        patch.setattr(seqcore, "_nonzeros", lambda matrix: None)
+        patch.setattr(duals, "_nonzeros", lambda matrix: None)
         factored = VectorSequence.from_columns(system)
         svd = _outcome(lambda: _singular_values(factored))
         factored_verdict = _verdict_summary(_outcome(lambda: classify(factored)))
@@ -362,10 +364,67 @@ def test_monomial_closed_form_matches_the_factorizations(system):
         # Out of range: the same IllConditionedError, word for word.
         assert svd[0] is rieszlab.IllConditionedError and sigma == svd
         return
-    moduli = np.sort(np.abs(system).max(axis=0))[::-1][:min(system.shape)]
+    moduli = np.sort(np.hypot(system.real, system.imag).max(axis=0))[::-1][:min(system.shape)]
     np.testing.assert_array_equal(sigma, moduli)
     assert np.all(np.abs(svd - sigma) <= 4 * np.finfo(float).eps * sigma)
     np.testing.assert_array_equal(_gram_eigenvalues(closed), sigma[::-1] ** 2)
+
+
+#: Nonzero values the scan must see: subnormal, normal and huge, real,
+#: purely imaginary (-2j has a real part of -0.0) or neither; np.abs of an
+#: array of the last three errs by an ulp on an AVX-512 build of numpy.
+_REAL_NONZEROS = [5e-324, -5e-324, 2.5e-310, -1.0, 3.0, 1e300]
+_COMPLEX_NONZEROS = [5e-324j, -2j, 1e300j, 0.82 + 2.02j, -0.54 - 1.27j, 0.29 - 0.3j]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A matrix of 1 to 8 rows and columns, real or complex, each zero part
+    0.0 or -0.0, with nonzeros placed anywhere: often at most one per column
+    or per row, sometimes both, sometimes neither."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    zeros = np.where(draw(hnp.arrays(bool, (2, rows, cols))), -0.0, 0.0)
+    values = _REAL_NONZEROS
+    if draw(st.booleans()):
+        matrix = np.empty((rows, cols), dtype=complex)
+        matrix.real, matrix.imag = zeros
+        values = values + _COMPLEX_NONZEROS
+    else:
+        matrix = zeros[0]
+    places = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1), st.sampled_from(values))
+    for i, j, value in draw(st.lists(places, max_size=rows * cols)):
+        matrix[i, j] = value
+    return matrix
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix=sparse_matrices())
+@example(matrix=np.full((3, 5), -0.0))
+@example(matrix=np.full((4, 2), complex(-0.0, -0.0)))
+@example(matrix=np.array([[-0.0, 5e-324, 0.0, -2.0]]))
+@example(matrix=np.array([[-0.0], [-2j], [0.0], [5e-324j]]))
+@example(matrix=np.array([[0.0, 5e-324], [-3.0, -0.0], [-0.0, 0.0]]))
+@example(matrix=np.array([[1e300j, 0.0], [0.0, 5e-324j]]))
+def test_one_scan_matches_the_entrywise_count(matrix):
+    # The scan against a count one entry at a time; a monomial matrix's sigma
+    # is its sorted moduli, bit for bit, each np.hypot of its real and
+    # imaginary parts, within one ulp of the exact modulus, with no SVD.
+    entries = oracles.nonzero_entries(matrix)
+    per_row, per_column = oracles.nonzero_counts(matrix)
+    pattern = _nonzeros(matrix)
+    column_pattern, row_pattern = max(per_column) <= 1, max(per_row) <= 1
+    if not (column_pattern or row_pattern):
+        assert pattern is None
+        return
+    assert (pattern.per_column, pattern.monomial) == (column_pattern, column_pattern and row_pattern)
+    assert pattern.flat.tolist() == [i * matrix.shape[1] + j for i, j in entries]
+    if pattern.monomial:
+        with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("svd ran")):
+            sigma = seqcore._sigma(matrix, pattern)
+        moduli = np.zeros(min(matrix.shape))
+        values = np.array([matrix[i, j] for i, j in entries], dtype=matrix.dtype)
+        moduli[:len(entries)] = np.sort(np.hypot(values.real, values.imag))[::-1]
+        assert sigma.tobytes() == moduli.tobytes()
 
 
 @st.composite
@@ -414,7 +473,7 @@ def test_disjoint_supports_read_sigma_from_norms(matrix):
     # sigma_max over 20000 random cases of these shapes, which is up to 47
     # ulps of a small complex value, and reads an exact 0 as up to 1e-17 sigma_max.
     with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("svd ran")):
-        sigma = seqcore._sigma(matrix)
+        sigma = seqcore._sigma(matrix, _nonzeros(matrix))
     svd = np.linalg.svd(matrix, compute_uv=False)
     assert sigma.dtype == float and sigma.shape == svd.shape
     assert np.all(np.abs(sigma - svd) <= 4 * np.finfo(float).eps * svd[0])
@@ -429,7 +488,7 @@ def test_two_nonzeros_in_a_column_and_in_a_row_reach_the_svd():
     matrix[2, 1] = 5.0
     matrix[0, 3] = 6.0
     with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
-        sigma = seqcore._sigma(matrix)
+        sigma = seqcore._sigma(matrix, _nonzeros(matrix))
     assert svd.call_count == 1
     np.testing.assert_allclose(sigma, np.linalg.svd(matrix, compute_uv=False), rtol=1e-15)
 
@@ -437,8 +496,9 @@ def test_two_nonzeros_in_a_column_and_in_a_row_reach_the_svd():
 @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (3, 7), (7, 3)])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_all_zero_matrix_reads_min_shape_zeros(shape, dtype):
+    matrix = np.full(shape, -0.0, dtype=dtype)
     with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("svd ran")):
-        sigma = seqcore._sigma(np.full(shape, -0.0, dtype=dtype))
+        sigma = seqcore._sigma(matrix, _nonzeros(matrix))
     np.testing.assert_array_equal(sigma, np.zeros(min(shape)))
     assert sigma.dtype == float
 
